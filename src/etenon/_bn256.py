@@ -28,8 +28,6 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
 import hashlib
-import sys
-import os
 
 v = 1868033
 #v = 0b111001000000100000001
@@ -41,14 +39,8 @@ u = pow(v, 3)
 p = (((u + 1)*6*u + 4)*u + 1)*6*u + 1
 order = p - 6*u*u
 
-def is_py3():
-    return (sys.version_info[0] == 3)
-
 def is_integer_type(x):
-    if is_py3():
-        return type(x) in [int]
-    else:
-        return type(x) in [int,long]
+    return type(x) is int
 
 def inverse_mod(a, n):
     t = 0
@@ -82,21 +74,6 @@ def legendre(a):
     if x == p-1:
         return -1
     assert False
-
-# Takes larger random range to minimize ratio of unusable numbers
-rand_elem_bytes = (order.bit_length() + 7) // 8 + 1
-rand_elem_base = 2
-rand_elem_range = order - rand_elem_base
-rand_elem_barrier = (1 << (8 * rand_elem_bytes)) - rand_elem_range
-
-def rand_elem():
-    """ Debiased random element generator """
-    while True:
-        rand_bytes = os.urandom(rand_elem_bytes)
-        rand_num = int.from_bytes(rand_bytes, sys.byteorder)
-        res = rand_num % rand_elem_range
-        if (rand_num - res) <= rand_elem_barrier:
-            return res + rand_elem_base
 
 # Montgomery params
 R = pow(2,256)
@@ -1068,26 +1045,6 @@ def optimal_ate(a, b):
 
     return ret
 
-def g1_scalar_base_mult(k):
-    return curve_G.scalar_mul(k)
-
-def g1_random():
-    k = rand_elem()
-    return k, g1_scalar_base_mult(k)
-
-def g1_add(a, b):
-    assert type(a) == curve_point
-    assert type(b) == curve_point
-
-    return a.add(b)
-
-def g1_marshall(a):
-    a.force_affine()
-    return (a.x,a.y)
-
-def g1_unmarshall(x,y):
-    return curve_point(x, y)
-
 def g1_hash_to_point(msg):
     # From "Indifferentiable Hashing to Barreto-Naehrig Curves"
     # https://www.di.ens.fr/~fouque/pub/latincrypt12.pdf
@@ -1138,55 +1095,6 @@ def g1_hash_to_point(msg):
     return curve_point(gfp_1(x3),
                        gfp_1(chi_t * x3_sqrt))
 
-def g1_compress(g1):
-    g1.force_affine()
-    x = g1.x.value()
-    y = g1.y.value()
-
-    return (x, y & 1)
-
-def g1_uncompress(g):
-    x = g[0]
-    y_sign = g[1]
-
-    assert y_sign == 0 or y_sign == 1
-    assert x >= 0 and x < p
-
-    xxx = (x*x*x + curve_B.value()) % p
-
-    y = sqrt_mod_p(xxx)
-
-    if y_sign != y & 1:
-        y = p - y
-
-    return curve_point(gfp_1(x), gfp_1(y))
-
-def g2_scalar_base_mult(k):
-    return twist_G.scalar_mul(k)
-
-def g2_random():
-    k = rand_elem()
-    return k, g2_scalar_base_mult(k)
-
-def g2_add(a, b):
-    return a.add(b)
-
-def g2_marshall(a):
-    return (a.x.x, a.x.y, a.y.x, a.y.y)
-
-def g2_unmarshall(w,x,y,z):
-    if w == x == y == z == 0:
-        # This is the point at infinity.
-        return curve_twist(gfp_2(0, 0), gfp_2(0, 1), gfp_2(0, 0))
-    else:
-        return curve_twist(gfp_2(w, x), gfp_2(y, z), gfp_2(0, 1))
-
-def gt_scalar_mult(x, k):
-    return x.exp(k)
-
-def gt_add(a, b):
-    return a.mul(b)
-
 def gt_marshall(gt):
     return (gt.x.x.x,
             gt.x.x.y,
@@ -1205,12 +1113,3 @@ def gt_unmarshall(p0,p1,p2,p3,p4,p5,p6,p7,p8,p9,p10,p11):
     return gfp_12(
         gfp_6(gfp_2(p0,p1), gfp_2(p2,p3), gfp_2(p4,p5)),
         gfp_6(gfp_2(p6,p7), gfp_2(p8,p9), gfp_2(p10,p11)))
-
-def gt_hash(gt):
-    sha = hashlib.sha512()
-
-    for parts in gt_marshall(gt):
-        parts = parts.to_bytes()
-        sha.update(parts)
-
-    return sha.digest()

@@ -3,17 +3,18 @@
 Two interchangeable suites implement one interface:
 
 * ``bn256`` -- a 256-bit Barreto-Naehrig curve (vendored, see
-  :mod:`etenon._bn256`).  The curve is asymmetric, so a source-group
-  element carries up to two representations: a base-curve point usable
-  on the left side of the pairing and a twist point usable on the
-  right.  Powers of the generator carry both; hashed-to-group elements
-  carry only the left side.  The pairing picks whichever orientation is
-  available, which is sound because every element is a known power of
-  the common generator pair.
+  :mod:`etenon._bn256`).  The pairing is asymmetric (Type 3), so every
+  source-group element sits on one side of it: ``LEFT`` elements are
+  base-curve points (the group of ``generator`` and ``hash_to_group``),
+  ``RIGHT`` elements are twist points (the group of
+  ``right_generator``).  Multiplication and comparison only combine
+  elements of one side, and a pairing takes one element of each.
 
 * ``mock`` -- exponent arithmetic modulo a small prime.  Group elements
   are their own discrete logs, which makes the exponent algebra of the
   encryption scheme directly checkable; the test suite leans on this.
+  Elements carry the same side tags and obey the same rules as on the
+  curve.
 
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
@@ -38,6 +39,9 @@ _H1_TAG = b"ETN-H1"
 _KDF_TAG = b"ETN-KDF"
 
 SEAL_TAG_BYTES = 16
+
+LEFT = "left"
+RIGHT = "right"
 
 
 class AlgebraError(EtenonError):
@@ -85,20 +89,24 @@ class OpCounters:
             "hash_calls": self.hash_calls,
         }
 
+    def add(self, other: "OpCounters") -> None:
+        for name, n in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + n)
+
 
 class G0Element:
     """Source-group element.  Immutable; operators delegate to the suite.
 
-    ``p1``/``p2`` hold the left/right pairing-side payloads; either may
-    be ``None`` when that representation is unavailable.
+    ``side`` is ``LEFT`` or ``RIGHT``, the pairing argument the element
+    can fill; ``point`` is the suite's payload for that side.
     """
 
-    __slots__ = ("suite", "p1", "p2")
+    __slots__ = ("suite", "side", "point")
 
-    def __init__(self, suite: "GroupSuite", p1, p2):
+    def __init__(self, suite: "GroupSuite", side: str, point):
         self.suite = suite
-        self.p1 = p1
-        self.p2 = p2
+        self.side = side
+        self.point = point
 
     def __mul__(self, other: "G0Element") -> "G0Element":
         return self.suite.g0_mul(self, other)
@@ -121,7 +129,9 @@ class G0Element:
         return self.suite.encode_g0(self)
 
     def __repr__(self) -> str:
-        return "G0Element(%s, %s)" % (self.suite.name, self.encode().hex()[:16])
+        return "G0Element(%s, %s, %s)" % (
+            self.suite.name, self.side, self.encode().hex()[:16]
+        )
 
 
 class G1Element:
@@ -174,7 +184,11 @@ class GroupSuite:
 
     @contextmanager
     def measure(self):
-        """Collect operation counts for the duration of the span."""
+        """Collect operation counts for the duration of the span.
+
+        When a span nested inside another ends, its counts are added to
+        the enclosing span, so every span sees all the work done in it.
+        """
         prev = self._span
         span = OpCounters()
         self._span = span
@@ -182,6 +196,8 @@ class GroupSuite:
             yield span
         finally:
             self._span = prev
+            if prev is not None:
+                prev.add(span)
 
     def _tick(self, field: str, n: int = 1) -> None:
         if self._span is not None:
@@ -243,53 +259,48 @@ class GroupSuite:
 
     @property
     def generator(self) -> G0Element:
+        """Generator of the left group."""
+        raise NotImplementedError
+
+    @property
+    def right_generator(self) -> G0Element:
+        """Generator of the right group."""
         raise NotImplementedError
 
     def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
-        self._check(x, y)
+        side = self._same_side(x, y)
         self._tick("multiplications")
-        p1 = self._mul_p1(x.p1, y.p1) if (x.p1 is not None and y.p1 is not None) else None
-        p2 = self._mul_p2(x.p2, y.p2) if (x.p2 is not None and y.p2 is not None) else None
-        if p1 is None and p2 is None:
-            raise AlgebraError("operands share no representation")
-        return G0Element(self, p1, p2)
+        return G0Element(self, side, self._mul(x.point, y.point))
 
     def g0_exp(self, x: G0Element, k: int) -> G0Element:
         self._check(x)
         self._tick("exponentiations")
-        k = k % self.order
-        p1 = self._exp_p1(x.p1, k) if x.p1 is not None else None
-        p2 = self._exp_p2(x.p2, k) if x.p2 is not None else None
-        return G0Element(self, p1, p2)
+        return G0Element(self, x.side, self._exp(x.point, k % self.order))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
-        self._check(x, y)
-        if x.p1 is not None and y.p1 is not None:
-            return self._eq_p1(x.p1, y.p1)
-        if x.p2 is not None and y.p2 is not None:
-            return self._eq_p2(x.p2, y.p2)
-        raise AlgebraError("elements share no representation")
+        self._same_side(x, y)
+        return self._eq(x.point, y.point)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
 
     def pairing(self, x: G0Element, y: G0Element) -> G1Element:
-        """Bilinear map.  Orientation is chosen from the available sides."""
+        """Bilinear map of one left and one right element, in either order."""
         self._check(x, y)
+        if x.side == y.side:
+            raise AlgebraError("pairing needs one left and one right element")
         self._tick("pairings")
-        if x.p1 is not None and y.p2 is not None:
-            return G1Element(self, self._pair(x.p1, y.p2))
-        if y.p1 is not None and x.p2 is not None:
-            return G1Element(self, self._pair(y.p1, x.p2))
-        raise AlgebraError("pairing needs a left side and a right side")
+        left, right = (x, y) if x.side == LEFT else (y, x)
+        return G1Element(self, self._pair(left.point, right.point))
 
     @property
     def gt_generator(self) -> G1Element:
-        """e(g, g); cached, it is a fixed public constant of the suite."""
+        """e(g1, g2); cached, it is a fixed public constant of the suite."""
         egg = getattr(self, "_egg", None)
         if egg is None:
-            g = self.generator
-            egg = G1Element(self, self._pair(g.p1, g.p2))
+            egg = G1Element(
+                self, self._pair(self.generator.point, self.right_generator.point)
+            )
             self._egg = egg
         return egg
 
@@ -345,32 +356,14 @@ class GroupSuite:
     # encodings
 
     def encode_g0(self, x: G0Element) -> bytes:
+        """The point alone; the side is not encoded, decoders supply it."""
         self._check(x)
-        flags = (1 if x.p1 is not None else 0) | (2 if x.p2 is not None else 0)
-        out = bytes([flags])
-        if x.p1 is not None:
-            out += self._encode_p1(x.p1)
-        if x.p2 is not None:
-            out += self._encode_p2(x.p2)
-        return out
+        return self._encode(x.side, x.point)
 
-    def decode_g0(self, raw: bytes) -> G0Element:
-        if not raw:
-            raise AlgebraError("empty element encoding")
-        flags = raw[0]
-        if flags == 0 or flags > 3:
-            raise AlgebraError("bad element flags")
-        body = raw[1:]
-        p1 = p2 = None
-        if flags & 1:
-            p1 = self._decode_p1(body[: self._p1_bytes])
-            body = body[self._p1_bytes:]
-        if flags & 2:
-            p2 = self._decode_p2(body[: self._p2_bytes])
-            body = body[self._p2_bytes:]
-        if body:
-            raise AlgebraError("trailing bytes in element encoding")
-        return G0Element(self, p1, p2)
+    def decode_g0(self, raw: bytes, side: str) -> G0Element:
+        if side not in (LEFT, RIGHT):
+            raise AlgebraError("unknown pairing side %r" % (side,))
+        return G0Element(self, side, self._decode(side, raw))
 
     def encode_gt(self, a: G1Element) -> bytes:
         return self._encode_gt(a.value)
@@ -396,13 +389,19 @@ class GroupSuite:
                     "element from suite %s used with %s" % (e.suite.name, self.name)
                 )
 
+    def _same_side(self, x: G0Element, y: G0Element) -> str:
+        self._check(x, y)
+        if x.side != y.side:
+            raise AlgebraError("a %s and a %s element do not combine" % (x.side, y.side))
+        return x.side
+
 
 class MockSuite(GroupSuite):
     """Exponent arithmetic modulo a small prime; discrete logs are free.
 
-    A source element stores its exponent in both pairing slots so the
-    orientation logic runs exactly as it does on the curve; hashed
-    elements keep only the left slot, mirroring production.
+    A source element is a side tag plus its exponent.  Both generators
+    have exponent 1 and hashed elements are left, as on the curve, so
+    the side rules fail here exactly where they would fail there.
     """
 
     def __init__(self, order: int = 101):
@@ -414,7 +413,11 @@ class MockSuite(GroupSuite):
 
     @property
     def generator(self) -> G0Element:
-        return G0Element(self, 1, 1)
+        return G0Element(self, LEFT, 1)
+
+    @property
+    def right_generator(self) -> G0Element:
+        return G0Element(self, RIGHT, 1)
 
     @property
     def gt_identity(self) -> G1Element:
@@ -424,25 +427,19 @@ class MockSuite(GroupSuite):
         h = int.from_bytes(hash_commit(label), "big") % self.order
         if h == 0:
             h = 1
-        return G0Element(self, h, None)
+        return G0Element(self, LEFT, h)
 
-    def _mul_p1(self, a, b):
+    def _mul(self, a, b):
         return (a + b) % self.order
 
-    _mul_p2 = _mul_p1
-
-    def _exp_p1(self, a, k):
+    def _exp(self, a, k):
         return (a * k) % self.order
 
-    _exp_p2 = _exp_p1
-
-    def _eq_p1(self, a, b):
+    def _eq(self, a, b):
         return a == b
 
-    _eq_p2 = _eq_p1
-
-    def _pair(self, p1, p2):
-        return (p1 * p2) % self.order
+    def _pair(self, left, right):
+        return (left * right) % self.order
 
     def _gt_mul(self, a, b):
         return (a + b) % self.order
@@ -456,35 +453,22 @@ class MockSuite(GroupSuite):
     def _gt_eq(self, a, b):
         return a == b
 
-    @property
-    def _p1_bytes(self):
-        return self.scalar_bytes
+    # every mock element is an exponent, encoded like a scalar
 
-    _p2_bytes = _p1_bytes
+    def _encode(self, side, a):
+        return self.encode_scalar(a)
 
-    def _encode_p1(self, a):
-        return a.to_bytes(self.scalar_bytes, "big")
-
-    _encode_p2 = _encode_p1
-
-    def _decode_p1(self, raw):
-        if len(raw) != self.scalar_bytes:
-            raise AlgebraError("bad mock element encoding")
-        v = int.from_bytes(raw, "big")
-        if v >= self.order:
-            raise AlgebraError("mock element out of range")
-        return v
-
-    _decode_p2 = _decode_p1
+    def _decode(self, side, raw):
+        return self.decode_scalar(raw)
 
     def _encode_gt(self, a):
-        return a.to_bytes(self.scalar_bytes, "big")
+        return self.encode_scalar(a)
 
     def _decode_gt(self, raw):
-        return self._decode_p1(raw)
+        return self.decode_scalar(raw)
 
     def dlog_g0(self, x: G0Element) -> int:
-        return x.p1 if x.p1 is not None else x.p2
+        return x.point
 
     def dlog_gt(self, a: G1Element) -> int:
         return a.value
@@ -503,38 +487,36 @@ class Bn256Suite(GroupSuite):
 
     @property
     def generator(self) -> G0Element:
-        return G0Element(self, _bn256.curve_G, _bn256.twist_G)
+        return G0Element(self, LEFT, _bn256.curve_G)
+
+    @property
+    def right_generator(self) -> G0Element:
+        return G0Element(self, RIGHT, _bn256.twist_G)
 
     @property
     def gt_identity(self) -> G1Element:
         return G1Element(self, _bn256.gfp_12(_bn256.gfp_6_zero, _bn256.gfp_6_one))
 
     def _hash_to_group(self, label: bytes) -> G0Element:
-        return G0Element(self, _bn256.g1_hash_to_point(hash_commit(label)), None)
+        return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
 
-    def _mul_p1(self, a, b):
+    def _mul(self, a, b):
         return a.add(b)
 
-    _mul_p2 = _mul_p1
-
-    def _exp_p1(self, a, k):
+    def _exp(self, a, k):
         return a.scalar_mul(k)
 
-    _exp_p2 = _exp_p1
-
-    def _eq_p1(self, a, b):
+    def _eq(self, a, b):
         if a.is_infinite() or b.is_infinite():
             return a.is_infinite() and b.is_infinite()
         a.force_affine()
         b.force_affine()
         return a.x == b.x and a.y == b.y
 
-    _eq_p2 = _eq_p1
-
-    def _pair(self, p1, p2):
-        if p1.is_infinite() or p2.is_infinite():
+    def _pair(self, left, right):
+        if left.is_infinite() or right.is_infinite():
             return self.gt_identity.value
-        return _bn256.optimal_ate(p2, p1)
+        return _bn256.optimal_ate(right, left)
 
     def _gt_mul(self, a, b):
         return a.mul(b)
@@ -548,19 +530,29 @@ class Bn256Suite(GroupSuite):
     def _gt_eq(self, a, b):
         return a == b
 
-    _p1_bytes = 1 + _FP_BYTES
-    _p2_bytes = 1 + 4 * _FP_BYTES
+    _LEFT_BYTES = 1 + _FP_BYTES
+    _RIGHT_BYTES = 1 + 4 * _FP_BYTES
 
-    def _encode_p1(self, a):
+    def _encode(self, side, a):
+        if side == LEFT:
+            return self._encode_left(a)
+        return self._encode_right(a)
+
+    def _decode(self, side, raw):
+        if side == LEFT:
+            return self._decode_left(raw)
+        return self._decode_right(raw)
+
+    def _encode_left(self, a):
         if a.is_infinite():
-            return b"\x00" * self._p1_bytes
+            return b"\x00" * self._LEFT_BYTES
         a.force_affine()
         x = a.x.value()
         sign = a.y.value() & 1
         return bytes([0x02 | sign]) + x.to_bytes(_FP_BYTES, "big")
 
-    def _decode_p1(self, raw):
-        if len(raw) != self._p1_bytes:
+    def _decode_left(self, raw):
+        if len(raw) != self._LEFT_BYTES:
             raise AlgebraError("bad point encoding length")
         tag = raw[0]
         if tag == 0:
@@ -582,15 +574,15 @@ class Bn256Suite(GroupSuite):
             y = _bn256.p - y
         return _bn256.curve_point(_bn256.gfp_1(x), _bn256.gfp_1(y))
 
-    def _encode_p2(self, a):
+    def _encode_right(self, a):
         if a.is_infinite():
-            return b"\x00" * self._p2_bytes
+            return b"\x00" * self._RIGHT_BYTES
         a.force_affine()
         coords = (a.x.x, a.x.y, a.y.x, a.y.y)
         return b"\x01" + b"".join(c.value().to_bytes(_FP_BYTES, "big") for c in coords)
 
-    def _decode_p2(self, raw):
-        if len(raw) != self._p2_bytes:
+    def _decode_right(self, raw):
+        if len(raw) != self._RIGHT_BYTES:
             raise AlgebraError("bad twist encoding length")
         if raw[0] == 0:
             if any(raw[1:]):

@@ -26,9 +26,16 @@ from .algebra import G0Element, get_suite
 from .errors import EtenonError
 
 
+class InputError(EtenonError):
+    """An input file is missing, unreadable or not the expected JSON."""
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError("cannot read %s: %s" % (path, exc)) from None
 
 
 def _write_json(path: str, doc) -> None:
@@ -71,6 +78,8 @@ def cmd_ingest(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
     db = tdb.TenonDb(pp, root=args.db)
     batch = _load_json(args.batch)
+    if not isinstance(batch, dict) or not isinstance(batch.get("rows", []), list):
+        raise InputError("batch must be a JSON object whose rows are a list")
     rows = [tdb.row_from_json(pp.suite, r) for r in batch.get("rows", [])]
     secret = (
         tdb.secret_from_json(pp.suite, batch["secret"])

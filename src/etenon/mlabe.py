@@ -14,6 +14,12 @@ per level and two per leaf.  Decryption reconstructs the level value by
 pairing key components against leaf elements, combining with Lagrange
 coefficients up the tree, and dividing out of the paired level element.
 
+Each element lives on one side of the asymmetric pairing.  The level
+elements, the hashed leaf elements and the key parts that carry g^r
+(the verification key among them) are left; d, the other key part per
+attribute and the other leaf element are right, so every pairing in
+decryption takes one element of each.
+
 A second pair of entry points (:func:`encrypt_gt` / :func:`decrypt_gt`)
 masks target-group elements multiplicatively instead of sealing bytes;
 it exists to make the scheme's algebraic identity directly testable.
@@ -21,13 +27,14 @@ it exists to make the scheme's algebraic identity directly testable.
 
 from __future__ import annotations
 
-import base64
 import json
 
 from dataclasses import dataclass
 
 from . import policy
 from .algebra import (
+    LEFT,
+    RIGHT,
     AlgebraError,
     G0Element,
     G1Element,
@@ -35,6 +42,7 @@ from .algebra import (
     IntegrityError,
     get_suite,
 )
+from .codec import b64, unb64
 from .errors import EtenonError
 from .policy import AccessTree, Gate, Leaf, NodePath
 
@@ -43,7 +51,7 @@ class MlabeError(EtenonError):
     """Mismatched material or a malformed ciphertext document."""
 
 
-ENVELOPE_VERSION = 1
+ENVELOPE_VERSION = 2
 
 
 @dataclass
@@ -121,7 +129,7 @@ def setup(suite: GroupSuite, rng=None) -> tuple[PublicParams, MasterKey]:
         g_delta=g ** delta,
         egg_gamma=suite.gt_generator ** gamma,
     )
-    msk = MasterKey(delta=delta, g_gamma=g ** gamma)
+    msk = MasterKey(delta=delta, g_gamma=suite.right_generator ** gamma)
     return pp, msk
 
 
@@ -129,21 +137,21 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
     """Issue a key for an attribute set.
 
     The fresh scalar r both randomizes the decryption key and serves as
-    the signing key; the verification key is g^r.
+    the signing key; the verification key is g^r on the left side.
     """
     suite = pp.suite
+    g2 = suite.right_generator
     attrs = frozenset(attrs)
     r = suite.rand_scalar_nonzero(rng)
     inv_delta = pow(msk.delta, suite.order - 2, suite.order)
-    gamma_g = msk.g_gamma
-    d = (gamma_g * (pp.g ** r)) ** inv_delta
+    d = (msk.g_gamma * (g2 ** r)) ** inv_delta
     g_r = pp.g ** r
     components = {}
     for attr in sorted(attrs):
         r_a = suite.rand_scalar(rng)
         components[attr] = (
             g_r * (suite.hash_to_group(attr) ** r_a),
-            pp.g ** r_a,
+            g2 ** r_a,
         )
     dk = DecryptionKey(attrs=attrs, d=d, components=components)
     return KeyBundle(decryption=dk, signing=r, verification=g_r)
@@ -156,7 +164,7 @@ def _build_shared(pp: PublicParams, tree: AccessTree, rng):
     for path, leaf in policy.iter_leaves(tree):
         share = plan.leaf_shares[path]
         leaves[path] = (
-            pp.g ** share,
+            pp.suite.right_generator ** share,
             pp.suite.hash_to_group(leaf.attribute) ** share,
         )
     return plan, leaves
@@ -309,19 +317,6 @@ def decrypt_gt(pp: PublicParams, ct: GtCiphertext, dk: DecryptionKey) -> dict[in
 # JSON envelopes
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _unb64(text) -> bytes:
-    if not isinstance(text, str):
-        raise MlabeError("expected base64 string, found %r" % (text,))
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise MlabeError("bad base64 field: %s" % exc) from None
-
-
 def _envelope(suite_name: str, kind: str) -> dict:
     return {"version": ENVELOPE_VERSION, "suite": suite_name, "kind": kind}
 
@@ -347,9 +342,9 @@ def _open_envelope(obj, kind: str, suite: GroupSuite | None) -> GroupSuite:
 def pp_to_json(pp: PublicParams) -> dict:
     doc = _envelope(pp.suite.name, "public-params")
     doc.update(
-        g=_b64(pp.g.encode()),
-        g_delta=_b64(pp.g_delta.encode()),
-        egg_gamma=_b64(pp.egg_gamma.encode()),
+        g=b64(pp.g.encode()),
+        g_delta=b64(pp.g_delta.encode()),
+        egg_gamma=b64(pp.egg_gamma.encode()),
     )
     return doc
 
@@ -359,9 +354,9 @@ def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
     try:
         return PublicParams(
             suite=suite,
-            g=suite.decode_g0(_unb64(obj["g"])),
-            g_delta=suite.decode_g0(_unb64(obj["g_delta"])),
-            egg_gamma=suite.decode_gt(_unb64(obj["egg_gamma"])),
+            g=suite.decode_g0(unb64(obj["g"]), LEFT),
+            g_delta=suite.decode_g0(unb64(obj["g_delta"]), LEFT),
+            egg_gamma=suite.decode_gt(unb64(obj["egg_gamma"])),
         )
     except KeyError as exc:
         raise MlabeError("missing field %s" % exc) from None
@@ -370,8 +365,8 @@ def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
 def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
     doc = _envelope(suite.name, "master-key")
     doc.update(
-        delta=_b64(suite.encode_scalar(msk.delta)),
-        g_gamma=_b64(msk.g_gamma.encode()),
+        delta=b64(suite.encode_scalar(msk.delta)),
+        g_gamma=b64(msk.g_gamma.encode()),
     )
     return doc
 
@@ -380,8 +375,8 @@ def msk_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, Mas
     suite = _open_envelope(obj, "master-key", suite)
     try:
         msk = MasterKey(
-            delta=suite.decode_scalar(_unb64(obj["delta"])),
-            g_gamma=suite.decode_g0(_unb64(obj["g_gamma"])),
+            delta=suite.decode_scalar(unb64(obj["delta"])),
+            g_gamma=suite.decode_g0(unb64(obj["g_gamma"]), RIGHT),
         )
     except KeyError as exc:
         raise MlabeError("missing field %s" % exc) from None
@@ -393,13 +388,13 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
     doc = _envelope(suite.name, "key-bundle")
     doc.update(
         attrs=sorted(dk.attrs),
-        d=_b64(dk.d.encode()),
+        d=b64(dk.d.encode()),
         components={
-            attr: {"d": _b64(pair[0].encode()), "dp": _b64(pair[1].encode())}
+            attr: {"d": b64(pair[0].encode()), "dp": b64(pair[1].encode())}
             for attr, pair in sorted(dk.components.items())
         },
-        sk=_b64(suite.encode_scalar(bundle.signing)),
-        vk=_b64(bundle.verification.encode()),
+        sk=b64(suite.encode_scalar(bundle.signing)),
+        vk=b64(bundle.verification.encode()),
     )
     return doc
 
@@ -410,20 +405,20 @@ def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, Key
         attrs = frozenset(obj["attrs"])
         components = {
             attr: (
-                suite.decode_g0(_unb64(pair["d"])),
-                suite.decode_g0(_unb64(pair["dp"])),
+                suite.decode_g0(unb64(pair["d"]), LEFT),
+                suite.decode_g0(unb64(pair["dp"]), RIGHT),
             )
             for attr, pair in obj["components"].items()
         }
         dk = DecryptionKey(
             attrs=attrs,
-            d=suite.decode_g0(_unb64(obj["d"])),
+            d=suite.decode_g0(unb64(obj["d"]), RIGHT),
             components=components,
         )
         bundle = KeyBundle(
             decryption=dk,
-            signing=suite.decode_scalar(_unb64(obj["sk"])),
-            verification=suite.decode_g0(_unb64(obj["vk"])),
+            signing=suite.decode_scalar(unb64(obj["sk"])),
+            verification=suite.decode_g0(unb64(obj["vk"]), LEFT),
         )
     except KeyError as exc:
         raise MlabeError("missing field %s" % exc) from None
@@ -439,16 +434,16 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
         levels=[
             {
                 "level": level,
-                "c": _b64(ct.levels[level][0].encode()),
-                "mask": _b64(ct.levels[level][1]),
+                "c": b64(ct.levels[level][0].encode()),
+                "mask": b64(ct.levels[level][1]),
             }
             for level in sorted(ct.levels)
         ],
         leaves=[
             {
                 "path": list(path),
-                "c": _b64(ct.leaves[path][0].encode()),
-                "cp": _b64(ct.leaves[path][1].encode()),
+                "c": b64(ct.leaves[path][0].encode()),
+                "cp": b64(ct.leaves[path][1].encode()),
             }
             for path in sorted(ct.leaves)
         ],
@@ -462,15 +457,15 @@ def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
         tree = policy.tree_from_json(obj["policy"])
         levels = {
             int(entry["level"]): (
-                suite.decode_g0(_unb64(entry["c"])),
-                _unb64(entry["mask"]),
+                suite.decode_g0(unb64(entry["c"]), LEFT),
+                unb64(entry["mask"]),
             )
             for entry in obj["levels"]
         }
         leaves = {
             tuple(int(i) for i in entry["path"]): (
-                suite.decode_g0(_unb64(entry["c"])),
-                suite.decode_g0(_unb64(entry["cp"])),
+                suite.decode_g0(unb64(entry["c"]), RIGHT),
+                suite.decode_g0(unb64(entry["cp"]), LEFT),
             )
             for entry in obj["leaves"]
         }

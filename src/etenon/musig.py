@@ -10,17 +10,18 @@ pins the exact signer set in order.
 
 The aggregate is one group element and one scalar regardless of the
 roster size, verified by checking g^s against RC multiplied by every
-VK raised to its own challenge.
+VK raised to its own challenge.  Signatures never enter a pairing, so
+keys and nonces are all left elements, the cheaper base-curve group.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 
 from dataclasses import dataclass
 
-from .algebra import G0Element, GroupSuite, hash_commit
+from .algebra import LEFT, G0Element, GroupSuite, hash_commit
+from .codec import b64, unb64
 from .errors import EtenonError
 
 
@@ -270,25 +271,14 @@ def cosign(suite: GroupSuite, secret_keys, msg: bytes, rng=None) -> tuple[MultiS
 
 
 def sig_to_json(suite: GroupSuite, sig: MultiSig) -> dict:
-    return {"rc": _b64(sig.rc.encode()), "s": _b64(suite.encode_scalar(sig.s))}
+    return {"rc": b64(sig.rc.encode()), "s": b64(suite.encode_scalar(sig.s))}
 
 
 def sig_from_json(obj, suite: GroupSuite) -> MultiSig:
     try:
         return MultiSig(
-            rc=suite.decode_g0(_unb64(obj["rc"])),
-            s=suite.decode_scalar(_unb64(obj["s"])),
+            rc=suite.decode_g0(unb64(obj["rc"]), LEFT),
+            s=suite.decode_scalar(unb64(obj["s"])),
         )
     except (KeyError, TypeError) as exc:
         raise MusigError("malformed signature document: %s" % exc) from None
-
-
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _unb64(text: str) -> bytes:
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise MusigError("bad base64 field: %s" % exc) from None

@@ -18,18 +18,19 @@ atomically swapped snapshot of the in-memory view.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import random
 import threading
 import uuid
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import mlabe, musig
-from .algebra import GroupSuite, hash_commit
+from .algebra import LEFT, GroupSuite, hash_commit
+from .codec import b64, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
 from .musig import MultiSig, SignedMessage
@@ -323,7 +324,7 @@ class TenonDb:
                 }
                 self._rosters = rosters_from_json(self.suite, doc["rosters"])
                 start = int(doc["log_lines"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TdbError, KeyError, TypeError, ValueError) as exc:
                 raise TdbError("corrupt snapshot: %s" % exc) from None
             self._log_lines = start
         log = self._log_path()
@@ -341,7 +342,7 @@ class TenonDb:
                     else None
                 )
                 rosters = rosters_from_json(self.suite, doc.get("rosters") or {})
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TdbError, KeyError, TypeError, ValueError) as exc:
                 raise TdbError("corrupt log line: %s" % exc) from None
             reason = self._verify_batch(rows, secret, rosters)
             if reason is not None:
@@ -377,18 +378,31 @@ class ShuffleTimer:
 # JSON forms
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+@contextmanager
+def _malformed(what: str):
+    """Report any failure to decode ``what`` as a :class:`TdbError`."""
+    try:
+        yield
+    except (EtenonError, KeyError, TypeError, ValueError) as exc:
+        raise TdbError("malformed %s: %s" % (what, exc)) from None
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"), validate=True)
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string, found %r" % (value,))
+    return value
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError("expected an integer, found %r" % (value,))
+    return value
 
 
 def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
     return {
         "pointer": str(row.pointer),
-        "block": _b64(row.block),
+        "block": b64(row.block),
         "sig": musig.sig_to_json(suite, row.sig),
         "roster_ref": row.roster_ref,
         "t": row.timestamp,
@@ -396,13 +410,14 @@ def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
 
 
 def row_from_json(suite: GroupSuite, obj) -> OpenRow:
-    return OpenRow(
-        pointer=uuid.UUID(obj["pointer"]),
-        block=_unb64(obj["block"]),
-        sig=musig.sig_from_json(obj["sig"], suite),
-        roster_ref=obj["roster_ref"],
-        timestamp=int(obj["t"]),
-    )
+    with _malformed("row"):
+        return OpenRow(
+            pointer=uuid.UUID(_text(obj["pointer"])),
+            block=unb64(obj["block"]),
+            sig=musig.sig_from_json(obj["sig"], suite),
+            roster_ref=_text(obj["roster_ref"]),
+            timestamp=_int(obj["t"]),
+        )
 
 
 def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
@@ -417,24 +432,30 @@ def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
 
 
 def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
-    return SecretEntry(
-        entry_id=obj["entry_id"],
-        ciphertext=mlabe.ct_from_json(obj["ciphertext"], suite),
-        sig=musig.sig_from_json(obj["sig"], suite),
-        roster_ref=obj["roster_ref"],
-        access_label=obj["access_label"],
-        timestamp=int(obj["t"]),
-    )
+    with _malformed("secret entry"):
+        return SecretEntry(
+            entry_id=_text(obj["entry_id"]),
+            ciphertext=mlabe.ct_from_json(obj["ciphertext"], suite),
+            sig=musig.sig_from_json(obj["sig"], suite),
+            roster_ref=_text(obj["roster_ref"]),
+            access_label=_text(obj["access_label"]),
+            timestamp=_int(obj["t"]),
+        )
 
 
 def rosters_to_json(rosters) -> dict:
     return {
-        ref: [_b64(vk.encode()) for vk in vks] for ref, vks in sorted(rosters.items())
+        ref: [b64(vk.encode()) for vk in vks] for ref, vks in sorted(rosters.items())
     }
 
 
 def rosters_from_json(suite: GroupSuite, obj) -> dict:
-    return {
-        ref: tuple(suite.decode_g0(_unb64(raw)) for raw in vks)
-        for ref, vks in obj.items()
-    }
+    with _malformed("rosters"):
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object, found %r" % (obj,))
+        out = {}
+        for ref, vks in obj.items():
+            if not isinstance(vks, list):
+                raise TypeError("roster %r is not a list" % (ref,))
+            out[ref] = tuple(suite.decode_g0(unb64(raw), LEFT) for raw in vks)
+        return out

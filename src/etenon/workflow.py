@@ -1,11 +1,10 @@
 """End-to-end protocol: setup, co-signed accumulation, retrieval.
 
-Entities exchange in-process messages: a central authority runs setup
-and hands the master key to the attribute authority, which issues key
-bundles.  A data owner preprocesses a record into per-level pointer
-chains, seals the chain heads (and the identifiable columns, under
-their own level) into one ciphertext, and sends the package to the
-service provider.  The provider decrypts every level, reconstructs the
+A central authority runs setup and hands the master key to the
+attribute authority, which issues key bundles.  A data owner
+preprocesses a record into per-level pointer chains, seals the chain
+heads (and the identifiable columns, under their own level) into one
+ciphertext, and hands the package to the service provider.  The provider decrypts every level, reconstructs the
 chains, compares them against its own copy of the record, and only on
 an exact match do both parties co-sign every block and the ciphertext.
 The signed batch then passes the store's verification gate.  A data
@@ -23,8 +22,7 @@ import enum
 import json
 import time
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import mlabe, musig, policy, tenon
 from .algebra import get_suite
@@ -59,15 +57,6 @@ class Entity:
     role: Role
     name: str
     keys: KeyBundle | None = None
-    inbox: deque = field(default_factory=deque)
-
-    def send(self, other: "Entity", message) -> None:
-        other.inbox.append((self.name, message))
-
-    def recv(self):
-        if not self.inbox:
-            raise WorkflowError("entity %s has no pending messages" % self.name)
-        return self.inbox.popleft()
 
 
 @dataclass
@@ -384,8 +373,6 @@ def run_agreement(
     if tamper is not None:
         _apply_tamper(package, tamper, ctx)
         steps.append("channel: package altered in transit (%s)" % tamper.value)
-    do.send(sp, package)
-    _, package = sp.recv()
     steps.append("provider: package received")
 
     # step 3: the provider decrypts every level and reconstructs

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etenon.algebra import (
+    LEFT,
+    RIGHT,
     AlgebraError,
     IntegrityError,
     get_suite,
@@ -26,7 +28,7 @@ def test_get_suite_variants():
 
 def test_mock_pairing_multiplies_exponents(mock):
     g = mock.generator
-    left = mock.pairing(g ** 7, g ** 11)
+    left = mock.pairing(g ** 7, mock.right_generator ** 11)
     assert mock.dlog_gt(left) == 77
     assert left == mock.gt_generator ** 77
 
@@ -55,12 +57,29 @@ def test_mock_group_is_exponent_arithmetic(mock):
 
 def test_mock_hash_points_are_one_sided(mock):
     h = mock.hash_to_group(b"attr")
-    assert h.p1 is not None and h.p2 is None
-    g = mock.generator
-    # pairing must orient around the missing side, in either argument order
-    assert mock.pairing(h, g ** 3) == mock.pairing(g ** 3, h)
+    assert h.side == LEFT
+    g2 = mock.right_generator
+    # a left and a right element pair in either argument order
+    assert mock.pairing(h, g2 ** 3) == mock.pairing(g2 ** 3, h)
     with pytest.raises(AlgebraError):
         mock.pairing(h, mock.hash_to_group(b"other"))
+
+
+@pytest.mark.parametrize("name", ["mock", "bn256"])
+def test_sides_never_mix(name):
+    suite = get_suite(name)
+    g1, g2 = suite.generator, suite.right_generator
+    assert g1.side == LEFT and g2.side == RIGHT
+    assert (g1 ** 5).side == LEFT and (g2 ** 5).side == RIGHT
+    for same in ((g1, g1), (g2, g2)):
+        with pytest.raises(AlgebraError):
+            suite.pairing(*same)
+    with pytest.raises(AlgebraError):
+        g1 * g2
+    with pytest.raises(AlgebraError):
+        g1 == g2
+    with pytest.raises(AlgebraError):
+        suite.decode_g0(g1.encode(), "both")
 
 
 def test_scalar_codec(mock):
@@ -75,12 +94,13 @@ def test_scalar_codec(mock):
 
 
 def test_g0_codec_mock(mock, rng):
-    g = mock.generator
-    for k in (0, 1, 50, 100):
-        el = g ** k
-        assert mock.decode_g0(el.encode()) == el
-    h = mock.hash_to_group(b"p1 only")
-    assert mock.decode_g0(h.encode()) == h
+    for g in (mock.generator, mock.right_generator):
+        for k in (0, 1, 50, 100):
+            el = g ** k
+            back = mock.decode_g0(el.encode(), g.side)
+            assert back.side == g.side and back == el
+    h = mock.hash_to_group(b"left only")
+    assert mock.decode_g0(h.encode(), LEFT) == h
 
 
 def test_gt_codec_mock(mock):
@@ -104,7 +124,7 @@ def test_measure_counts_operations(mock):
     with mock.measure() as span:
         _ = g ** 4
         _ = g * g
-        _ = mock.pairing(g, g)
+        _ = mock.pairing(g, mock.right_generator)
         _ = mock.hash_to_group(b"x")
     assert span.exponentiations == 1
     assert span.multiplications == 1
@@ -113,6 +133,22 @@ def test_measure_counts_operations(mock):
     # spans do not leak outside their block
     _ = g ** 2
     assert span.exponentiations == 1
+
+
+def test_measure_rolls_nested_counts_up(mock):
+    g = mock.generator
+    with mock.measure() as outer:
+        _ = g ** 2
+        with mock.measure() as inner:
+            _ = g ** 3
+            _ = g ** 4
+            _ = g * g
+        assert inner.exponentiations == 2
+        _ = mock.hash_to_group(b"after")
+    assert inner.exponentiations == 2 and inner.hash_calls == 0
+    assert outer.exponentiations == 3
+    assert outer.multiplications == 1
+    assert outer.hash_calls == 1
 
 
 def test_seal_roundtrip_and_tag(mock):
@@ -159,34 +195,79 @@ def test_dlog_unavailable_on_bn256(bn256):
 
 
 def test_bn256_bilinearity(bn256, rng):
-    g = bn256.generator
+    g1, g2 = bn256.generator, bn256.right_generator
     a = bn256.rand_scalar_nonzero(rng)
     b = bn256.rand_scalar_nonzero(rng)
-    assert bn256.pairing(g ** a, g ** b) == bn256.gt_generator ** ((a * b) % bn256.order)
+    assert bn256.pairing(g1 ** a, g2 ** b) == bn256.gt_generator ** ((a * b) % bn256.order)
 
 
 def test_bn256_pairing_orientation(bn256, rng):
     h = bn256.hash_to_group(b"attribute")
-    assert h.p1 is not None and h.p2 is None
+    assert h.side == LEFT
     k = bn256.rand_scalar_nonzero(rng)
-    g = bn256.generator
-    assert bn256.pairing(h, g ** k) == bn256.pairing(g ** k, h)
-    assert bn256.pairing(h, g) ** k == bn256.pairing(h ** k, g)
+    g2 = bn256.right_generator
+    assert bn256.pairing(h, g2 ** k) == bn256.pairing(g2 ** k, h)
+    assert bn256.pairing(h, g2) ** k == bn256.pairing(h ** k, g2)
 
 
 def test_bn256_g0_codec(bn256, rng):
-    g = bn256.generator
     k = bn256.rand_scalar_nonzero(rng)
-    el = g ** k
-    back = bn256.decode_g0(el.encode())
-    assert back == el
-    # identity (point at infinity) must survive the codec too
-    ident = g ** 0
-    assert bn256.decode_g0(ident.encode()) == ident
+    # a compressed base-curve point, and an affine twist point; no flags byte
+    for g, size in ((bn256.generator, 33), (bn256.right_generator, 129)):
+        el = g ** k
+        raw = el.encode()
+        assert len(raw) == size
+        back = bn256.decode_g0(raw, g.side)
+        assert back.side == g.side and back == el
+        # identity (point at infinity) must survive the codec too
+        ident = g ** 0
+        assert bn256.decode_g0(ident.encode(), g.side) == ident
+        with pytest.raises(AlgebraError):
+            bn256.decode_g0(b"\xff" * size, g.side)
     h = bn256.hash_to_group(b"one sided")
-    assert bn256.decode_g0(h.encode()) == h
+    assert bn256.decode_g0(h.encode(), LEFT) == h
+    # the caller's side decides; an encoding of the other side is refused
     with pytest.raises(AlgebraError):
-        bn256.decode_g0(b"\xff" * len(el.encode()))
+        bn256.decode_g0(h.encode(), RIGHT)
+    with pytest.raises(AlgebraError):
+        bn256.decode_g0((bn256.right_generator ** k).encode(), LEFT)
+
+
+def _fp2_sqrt(a):
+    """A square root in Fp2 for p = 3 mod 4, or None when there is none."""
+    from etenon import _bn256 as b
+
+    a1 = a.exp((b.p - 3) // 4)
+    alpha = a1.square() * a
+    x0 = a1 * a
+    if alpha == b.gfp_2(0, b.p - 1):
+        root = b.gfp_2(1, 0) * x0  # i * x0
+    else:
+        root = (alpha + b.gfp_2(0, 1)).exp((b.p - 1) // 2) * x0
+    return root if root.square() == a else None
+
+
+def test_bn256_right_decode_checks_the_subgroup(bn256):
+    from etenon import _bn256 as b
+
+    # the twist's cofactor is about p, so a point found by trial is on the
+    # twist but, with overwhelming probability, outside the order-r group
+    n = 1
+    while True:
+        x = b.gfp_2(0, n)
+        y = _fp2_sqrt(x.square() * x + b.twist_B)
+        if y is not None:
+            break
+        n += 1
+    pt = b.curve_twist(x, y, b.gfp_2(0, 1))
+    assert pt.is_on_curve()
+    assert not pt.scalar_mul(bn256.order).is_infinite()
+    coords = (x.x, x.y, y.x, y.y)
+    raw = b"\x01" + b"".join(c.value().to_bytes(32, "big") for c in coords)
+    with pytest.raises(AlgebraError, match="subgroup"):
+        bn256.decode_g0(raw, RIGHT)
+    # the same layout for a subgroup point decodes
+    assert bn256.decode_g0(bn256.right_generator.encode(), RIGHT) == bn256.right_generator
 
 
 def test_bn256_gt_codec(bn256, rng):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +111,8 @@ def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):
     assert "missing" in doc["message"]
 
 
-def test_ingest_roundtrip_and_rejection(tmp_path, capsys):
+def _agreed_batch(tmp_path):
+    """Write public parameters for one agreed mock batch; return the batch."""
     import random
 
     rng = random.Random(21)
@@ -129,8 +135,13 @@ def test_ingest_roundtrip_and_rejection(tmp_path, capsys):
         "secret": tdb.secret_to_json(ctx.suite, tr.secret),
         "rosters": tdb.rosters_to_json(tr.rosters),
     }
+    (tmp_path / "pp.json").write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
+    return batch
+
+
+def test_ingest_roundtrip_and_rejection(tmp_path, capsys):
+    batch = _agreed_batch(tmp_path)
     pp_path = tmp_path / "pp.json"
-    pp_path.write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
     batch_path = tmp_path / "batch.json"
     batch_path.write_text(json.dumps(batch))
 
@@ -150,6 +161,57 @@ def test_ingest_roundtrip_and_rejection(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["accepted"] is False
     assert "already present" in doc["reason"]
+
+
+def _break_pointer(batch):
+    batch["rows"][0]["pointer"] = "not-a-uuid"
+    return json.dumps(batch)
+
+
+def _break_roster_key(batch):
+    ref = next(iter(batch["rosters"]))
+    batch["rosters"][ref][0] = "!!!"
+    return json.dumps(batch)
+
+
+def _not_an_object(batch):
+    return json.dumps([batch])
+
+
+def _not_json(batch):
+    return json.dumps(batch)[:-1]
+
+
+@pytest.mark.parametrize(
+    "breakage, error",
+    [
+        (_break_pointer, "TdbError"),
+        (_break_roster_key, "TdbError"),
+        (_not_an_object, "InputError"),
+        (_not_json, "InputError"),
+    ],
+)
+def test_ingest_malformed_batch_is_json_error(tmp_path, breakage, error):
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(breakage(_agreed_batch(tmp_path)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "etenon.cli", "ingest",
+            "--pp", str(tmp_path / "pp.json"), "--db", str(tmp_path / "db"),
+            "--batch", str(batch_path),
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert proc.stdout == ""
 
 
 def test_bench_grid_and_csv(tmp_path, capsys):

@@ -336,3 +336,54 @@ def test_secret_suite_mismatch_rejected(system, rng):
     rows, secret, rosters = make_batch(other, pp7, rng)
     r = db.ingest([], secret, rosters=rosters, rng=rng)
     assert not r.accepted and "suite mismatch" in r.reason
+
+
+def test_json_decoders_raise_only_tdb_errors(system):
+    from etenon import tdb
+    from etenon.codec import b64
+
+    suite, pp, _, rng = system
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    row = tdb.row_to_json(suite, rows[0])
+    entry = tdb.secret_to_json(suite, secret)
+    roster_doc = tdb.rosters_to_json(rosters)
+    ref = next(iter(roster_doc))
+    # the well-formed documents round-trip
+    assert tdb.row_from_json(suite, row) == rows[0]
+    assert tdb.rosters_from_json(suite, roster_doc) == rosters
+
+    bad_rows = [
+        dict(row, pointer="not-a-uuid"),
+        dict(row, pointer=7),
+        dict(row, block="!!!"),
+        dict(row, block=None),
+        dict(row, sig={"rc": "AAAA"}),
+        dict(row, roster_ref=3),
+        dict(row, t="soon"),
+        {k: v for k, v in row.items() if k != "t"},
+        [row],
+        None,
+    ]
+    for bad in bad_rows:
+        with pytest.raises(TdbError):
+            tdb.row_from_json(suite, bad)
+    bad_entries = [
+        dict(entry, ciphertext={}),
+        dict(entry, entry_id=None),
+        dict(entry, access_label=["clinical"]),
+        dict(entry, t=1.5),
+        "entry",
+    ]
+    for bad in bad_entries:
+        with pytest.raises(TdbError):
+            tdb.secret_from_json(suite, bad)
+    bad_rosters = [
+        {ref: ["!!!"]},
+        {ref: [17]},
+        {ref: "AAAA"},
+        {ref: [b64(b"\x00" * 99)]},
+        ["not", "a", "mapping"],
+    ]
+    for bad in bad_rosters:
+        with pytest.raises(TdbError):
+            tdb.rosters_from_json(suite, bad)
