@@ -6,7 +6,8 @@ the verification gate, ``retrieve`` runs the full fetch-verify-decrypt
 path, ``shuffle`` permutes the open table, ``run-scenario`` drives a
 whole configured multi-party run, and ``bench`` times the primitives on
 a (levels, leaves, signers) grid while checking the operation counts
-against the scheme's cost model.
+against the scheme's cost model, then times the group operations
+underneath them one by one.
 
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
@@ -21,8 +22,8 @@ import random
 import sys
 import time
 
-from . import mlabe, musig, policy, tdb, workflow
-from .algebra import G0Element, get_suite
+from . import _bn256, mlabe, musig, policy, tdb, workflow
+from .algebra import RIGHT, G0Element, get_suite
 from .errors import EtenonError
 
 
@@ -221,6 +222,36 @@ def bench_musig(suite, n: int, trials: int, rng) -> dict:
     }
 
 
+def bench_layers(suite, trials: int, rng) -> list[dict]:
+    """Mean time of each group operation the protocols are built from."""
+    g1, g2, egg = suite.generator, suite.right_generator, suite.gt_generator
+    k = suite.rand_scalar_nonzero(rng)
+    right_raw = (g2 ** k).encode()
+    cases = [
+        ("g1_exp", lambda: g1 ** k),
+        ("g2_exp", lambda: g2 ** k),
+        ("gt_exp", lambda: egg ** k),
+        ("hash_to_g1", lambda: suite.hash_to_group(b"bench attribute")),
+        ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
+    ]
+    if suite.name == "bn256":
+        # the two halves of a pairing, called as the suite calls them
+        f = _bn256.miller(g2.point, g1.point)
+        cases += [
+            ("miller", lambda: _bn256.miller(g2.point, g1.point)),
+            ("final_exp", lambda: _bn256.final_exp(f)),
+        ]
+    rows = []
+    for layer, op in cases:
+        times = []
+        for _ in range(trials):
+            t0 = time.perf_counter()
+            op()
+            times.append(time.perf_counter() - t0)
+        rows.append({"layer": layer, "layer_ms": 1000 * sum(times) / len(times)})
+    return rows
+
+
 def _print_table(rows, columns) -> None:
     rendered = [
         [fmt % r[name] if name in r else "" for name, fmt in columns] for r in rows
@@ -250,6 +281,7 @@ def cmd_bench(args) -> int:
                 continue
             abe_rows.append(bench_abe(suite, k, l, args.trials, rng))
     sig_rows = [bench_musig(suite, n, args.trials, rng) for n in signers]
+    layer_rows = bench_layers(suite, args.trials, rng)
 
     print("suite: %s, trials per cell: %d" % (suite.name, args.trials))
     print()
@@ -278,6 +310,8 @@ def cmd_bench(args) -> int:
         ],
     )
     print()
+    _print_table(layer_rows, [("layer", "%s"), ("layer_ms", "%.3f")])
+    print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
         " verify = n+1 exp"
@@ -287,7 +321,7 @@ def cmd_bench(args) -> int:
         fields = [
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
             "dec_pair", "dec_ms", "verify_exp", "verify_hashes", "sign_ms",
-            "verify_ms",
+            "verify_ms", "layer", "layer_ms",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -296,6 +330,8 @@ def cmd_bench(args) -> int:
                 writer.writerow({"kind": "abe", **r})
             for r in sig_rows:
                 writer.writerow({"kind": "musig", **r})
+            for r in layer_rows:
+                writer.writerow({"kind": "layer", **r})
         print("wrote %s" % args.csv)
     return 0
 

@@ -226,6 +226,8 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert lines[0].startswith("kind,k,l,n,")
     assert sum(1 for line in lines if line.startswith("abe,")) == 4
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
+    layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
+    assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode"}
 
 
 def test_bench_policy_text_parses():
