@@ -270,16 +270,16 @@ class GroupSuite:
     def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
         side = self._same_side(x, y)
         self._tick("multiplications")
-        return G0Element(self, side, self._mul(x.point, y.point))
+        return G0Element(self, side, self._mul(side, x.point, y.point))
 
     def g0_exp(self, x: G0Element, k: int) -> G0Element:
         self._check(x)
         self._tick("exponentiations")
-        return G0Element(self, x.side, self._exp(x.point, k % self.order))
+        return G0Element(self, x.side, self._exp(x.side, x.point, k % self.order))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
-        self._same_side(x, y)
-        return self._eq(x.point, y.point)
+        side = self._same_side(x, y)
+        return self._eq(side, x.point, y.point)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -429,13 +429,13 @@ class MockSuite(GroupSuite):
             h = 1
         return G0Element(self, LEFT, h)
 
-    def _mul(self, a, b):
+    def _mul(self, side, a, b):
         return (a + b) % self.order
 
-    def _exp(self, a, k):
+    def _exp(self, side, a, k):
         return (a * k) % self.order
 
-    def _eq(self, a, b):
+    def _eq(self, side, a, b):
         return a == b
 
     def _pair(self, left, right):
@@ -478,7 +478,12 @@ _FP_BYTES = 32
 
 
 class Bn256Suite(GroupSuite):
-    """Production suite over the vendored 256-bit BN curve."""
+    """Production suite over the vendored 256-bit BN curve.
+
+    Left points are Jacobian triples of ints, right points Jacobian
+    triples of Fp2 pairs and target-group values nested Fp12 tuples;
+    :mod:`etenon._bn256` holds the arithmetic.
+    """
 
     def __init__(self):
         super().__init__()
@@ -495,37 +500,37 @@ class Bn256Suite(GroupSuite):
 
     @property
     def gt_identity(self) -> G1Element:
-        return G1Element(self, _bn256.gfp_12(_bn256.gfp_6_zero, _bn256.gfp_6_one))
+        return G1Element(self, _bn256.FP12_ONE)
 
     def _hash_to_group(self, label: bytes) -> G0Element:
         return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
 
-    def _mul(self, a, b):
-        return a.add(b)
+    def _mul(self, side, a, b):
+        if side == LEFT:
+            return _bn256.g1_add(a, b)
+        return _bn256.g2_add(a, b)
 
-    def _exp(self, a, k):
-        return a.scalar_mul(k)
+    def _exp(self, side, a, k):
+        if side == LEFT:
+            return _bn256.g1_scalar_mul(a, k)
+        return _bn256.g2_scalar_mul(a, k)
 
-    def _eq(self, a, b):
-        if a.is_infinite() or b.is_infinite():
-            return a.is_infinite() and b.is_infinite()
-        a.force_affine()
-        b.force_affine()
-        return a.x == b.x and a.y == b.y
+    def _eq(self, side, a, b):
+        if side == LEFT:
+            return _bn256.g1_affine(a) == _bn256.g1_affine(b)
+        return _bn256.g2_affine(a) == _bn256.g2_affine(b)
 
     def _pair(self, left, right):
-        if left.is_infinite() or right.is_infinite():
-            return self.gt_identity.value
         return _bn256.optimal_ate(right, left)
 
     def _gt_mul(self, a, b):
-        return a.mul(b)
+        return _bn256.fp12_mul(a, b)
 
     def _gt_inv(self, a):
-        return a.inverse()
+        return _bn256.fp12_inv(a)
 
     def _gt_exp(self, a, k):
-        return a.exp(k)
+        return _bn256.fp12_exp(a, k)
 
     def _gt_eq(self, a, b):
         return a == b
@@ -544,12 +549,10 @@ class Bn256Suite(GroupSuite):
         return self._decode_right(raw)
 
     def _encode_left(self, a):
-        if a.is_infinite():
+        x, y, z = _bn256.g1_affine(a)
+        if z == 0:
             return b"\x00" * self._LEFT_BYTES
-        a.force_affine()
-        x = a.x.value()
-        sign = a.y.value() & 1
-        return bytes([0x02 | sign]) + x.to_bytes(_FP_BYTES, "big")
+        return bytes([0x02 | (y & 1)]) + x.to_bytes(_FP_BYTES, "big")
 
     def _decode_left(self, raw):
         if len(raw) != self._LEFT_BYTES:
@@ -558,9 +561,7 @@ class Bn256Suite(GroupSuite):
         if tag == 0:
             if any(raw[1:]):
                 raise AlgebraError("bad infinity encoding")
-            return _bn256.curve_point(
-                _bn256.gfp_1(0), _bn256.gfp_1(0), _bn256.gfp_1(0)
-            )
+            return _bn256.G1_INFINITY
         if tag not in (0x02, 0x03):
             raise AlgebraError("bad point tag")
         x = int.from_bytes(raw[1:], "big")
@@ -572,14 +573,13 @@ class Bn256Suite(GroupSuite):
         y = _bn256.sqrt_mod_p(rhs)
         if (y & 1) != (tag & 1):
             y = _bn256.p - y
-        return _bn256.curve_point(_bn256.gfp_1(x), _bn256.gfp_1(y))
+        return (x, y, 1)
 
     def _encode_right(self, a):
-        if a.is_infinite():
+        x, y, z = _bn256.g2_affine(a)
+        if z == _bn256.FP2_ZERO:
             return b"\x00" * self._RIGHT_BYTES
-        a.force_affine()
-        coords = (a.x.x, a.x.y, a.y.x, a.y.y)
-        return b"\x01" + b"".join(c.value().to_bytes(_FP_BYTES, "big") for c in coords)
+        return b"\x01" + b"".join(c.to_bytes(_FP_BYTES, "big") for c in x + y)
 
     def _decode_right(self, raw):
         if len(raw) != self._RIGHT_BYTES:
@@ -587,9 +587,7 @@ class Bn256Suite(GroupSuite):
         if raw[0] == 0:
             if any(raw[1:]):
                 raise AlgebraError("bad infinity encoding")
-            return _bn256.curve_twist(
-                _bn256.gfp_2(0, 0), _bn256.gfp_2(0, 1), _bn256.gfp_2(0, 0)
-            )
+            return _bn256.G2_INFINITY
         if raw[0] != 1:
             raise AlgebraError("bad twist tag")
         vals = [
@@ -598,19 +596,15 @@ class Bn256Suite(GroupSuite):
         ]
         if any(v >= _bn256.p for v in vals):
             raise AlgebraError("twist coordinate out of range")
-        pt = _bn256.curve_twist(
-            _bn256.gfp_2(vals[0], vals[1]),
-            _bn256.gfp_2(vals[2], vals[3]),
-            _bn256.gfp_2(0, 1),
-        )
-        if not pt.is_on_curve():
+        pt = ((vals[0], vals[1]), (vals[2], vals[3]), _bn256.FP2_ONE)
+        if not _bn256.g2_on_curve(pt):
             raise AlgebraError("encoding is not on the twist")
-        if not pt.scalar_mul(self.order).is_infinite():
+        if _bn256.g2_scalar_mul(pt, self.order)[2] != _bn256.FP2_ZERO:
             raise AlgebraError("twist point outside the prime-order subgroup")
         return pt
 
     def _encode_gt(self, a):
-        return b"".join(c.value().to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a))
+        return b"".join(c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a))
 
     def _decode_gt(self, raw):
         if len(raw) != 12 * _FP_BYTES:

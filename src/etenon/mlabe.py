@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import policy
@@ -321,6 +322,17 @@ def _envelope(suite_name: str, kind: str) -> dict:
     return {"version": ENVELOPE_VERSION, "suite": suite_name, "kind": kind}
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report any failure to decode ``what`` as a :class:`MlabeError`."""
+    try:
+        yield
+    except MlabeError:
+        raise
+    except (EtenonError, KeyError, TypeError, ValueError) as exc:
+        raise MlabeError("malformed %s: %s" % (what, exc)) from None
+
+
 def _open_envelope(obj, kind: str, suite: GroupSuite | None) -> GroupSuite:
     if not isinstance(obj, dict):
         raise MlabeError("document is not a JSON object")
@@ -351,15 +363,13 @@ def pp_to_json(pp: PublicParams) -> dict:
 
 def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
     suite = _open_envelope(obj, "public-params", suite)
-    try:
+    with _malformed("public parameters"):
         return PublicParams(
             suite=suite,
             g=suite.decode_g0(unb64(obj["g"]), LEFT),
             g_delta=suite.decode_g0(unb64(obj["g_delta"]), LEFT),
             egg_gamma=suite.decode_gt(unb64(obj["egg_gamma"])),
         )
-    except KeyError as exc:
-        raise MlabeError("missing field %s" % exc) from None
 
 
 def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
@@ -373,13 +383,11 @@ def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
 
 def msk_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, MasterKey]:
     suite = _open_envelope(obj, "master-key", suite)
-    try:
+    with _malformed("master key"):
         msk = MasterKey(
             delta=suite.decode_scalar(unb64(obj["delta"])),
             g_gamma=suite.decode_g0(unb64(obj["g_gamma"]), RIGHT),
         )
-    except KeyError as exc:
-        raise MlabeError("missing field %s" % exc) from None
     return suite, msk
 
 
@@ -401,14 +409,20 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
 
 def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, KeyBundle]:
     suite = _open_envelope(obj, "key-bundle", suite)
-    try:
-        attrs = frozenset(obj["attrs"])
+    with _malformed("key bundle"):
+        attrs = obj["attrs"]
+        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
+            raise TypeError("attrs is not a list of strings: %r" % (attrs,))
+        attrs = frozenset(attrs)
+        pairs = obj["components"]
+        if not isinstance(pairs, dict):
+            raise TypeError("components is not a JSON object: %r" % (pairs,))
         components = {
             attr: (
                 suite.decode_g0(unb64(pair["d"]), LEFT),
                 suite.decode_g0(unb64(pair["dp"]), RIGHT),
             )
-            for attr, pair in obj["components"].items()
+            for attr, pair in pairs.items()
         }
         dk = DecryptionKey(
             attrs=attrs,
@@ -420,8 +434,6 @@ def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, Key
             signing=suite.decode_scalar(unb64(obj["sk"])),
             verification=suite.decode_g0(unb64(obj["vk"]), LEFT),
         )
-    except KeyError as exc:
-        raise MlabeError("missing field %s" % exc) from None
     if set(components) != attrs:
         raise MlabeError("component attributes do not match the attribute list")
     return suite, bundle
@@ -453,7 +465,7 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
 
 def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
     suite = _open_envelope(obj, "ciphertext", suite)
-    try:
+    with _malformed("ciphertext document"):
         tree = policy.tree_from_json(obj["policy"])
         levels = {
             int(entry["level"]): (
@@ -469,8 +481,6 @@ def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
             )
             for entry in obj["leaves"]
         }
-    except (KeyError, TypeError) as exc:
-        raise MlabeError("malformed ciphertext document: %s" % exc) from None
     if set(levels) != set(tree.levels):
         raise MlabeError("ciphertext levels do not match its policy")
     want_paths = {path for path, _ in policy.iter_leaves(tree)}

@@ -315,12 +315,13 @@ class TenonDb:
         snap = self._snapshot_path()
         if snap.exists():
             with open(snap, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                text = fh.read()
             try:
+                doc = json.loads(text)
                 self._rows = [row_from_json(self.suite, r) for r in doc["rows"]]
                 self._secrets = {
                     entry_id: secret_from_json(self.suite, entry)
-                    for entry_id, entry in doc["secrets"].items()
+                    for entry_id, entry in _object(doc["secrets"]).items()
                 }
                 self._rosters = rosters_from_json(self.suite, doc["rosters"])
                 start = int(doc["log_lines"])
@@ -334,7 +335,7 @@ class TenonDb:
             lines = fh.read().splitlines()
         for line in lines[start:]:
             try:
-                doc = json.loads(line)
+                doc = _object(json.loads(line))
                 rows = [row_from_json(self.suite, r) for r in doc["rows"]]
                 secret = (
                     secret_from_json(self.suite, doc["secret"])
@@ -399,6 +400,12 @@ def _int(value) -> int:
     return value
 
 
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object, found %r" % (value,))
+    return value
+
+
 def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
     return {
         "pointer": str(row.pointer),
@@ -451,10 +458,8 @@ def rosters_to_json(rosters) -> dict:
 
 def rosters_from_json(suite: GroupSuite, obj) -> dict:
     with _malformed("rosters"):
-        if not isinstance(obj, dict):
-            raise TypeError("expected a JSON object, found %r" % (obj,))
         out = {}
-        for ref, vks in obj.items():
+        for ref, vks in _object(obj).items():
             if not isinstance(vks, list):
                 raise TypeError("roster %r is not a list" % (ref,))
             out[ref] = tuple(suite.decode_g0(unb64(raw), LEFT) for raw in vks)

@@ -182,6 +182,24 @@ def _not_json(batch):
     return json.dumps(batch)[:-1]
 
 
+def _assert_cli_json_error(error, *argv):
+    """Run the CLI in a fresh interpreter; it must fail with one JSON line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etenon.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "breakage, error",
     [
@@ -194,24 +212,40 @@ def _not_json(batch):
 def test_ingest_malformed_batch_is_json_error(tmp_path, breakage, error):
     batch_path = tmp_path / "batch.json"
     batch_path.write_text(breakage(_agreed_batch(tmp_path)))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "etenon.cli", "ingest",
-            "--pp", str(tmp_path / "pp.json"), "--db", str(tmp_path / "db"),
-            "--batch", str(batch_path),
-        ],
-        capture_output=True, text=True, env=env, timeout=120,
+    _assert_cli_json_error(
+        error, "ingest", "--pp", str(tmp_path / "pp.json"),
+        "--db", str(tmp_path / "db"), "--batch", str(batch_path),
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == error
-    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("attrs", 5), ("components", []), ("sk", None)],
+)
+def test_retrieve_malformed_key_is_json_error(tmp_path, capsys, field, value):
+    pp, msk, key = (tmp_path / name for name in ("pp.json", "msk.json", "key.json"))
+    run(capsys, "setup", "--suite", "mock", "--seed", "1", "--pp", str(pp), "--msk", str(msk))
+    run(
+        capsys, "keygen", "--pp", str(pp), "--msk", str(msk), "--attr", "basic",
+        "--out", str(key), "--seed", "2",
+    )
+    key.write_text(json.dumps(dict(json.loads(key.read_text()), **{field: value})))
+    _assert_cli_json_error(
+        "MlabeError", "retrieve", "--pp", str(pp), "--db", str(tmp_path / "db"),
+        "--key", str(key), "--entry", "entry-1",
+    )
+
+
+def test_shuffle_on_malformed_snapshot_is_json_error(tmp_path, capsys):
+    pp = tmp_path / "pp.json"
+    run(
+        capsys, "setup", "--suite", "mock", "--seed", "1",
+        "--pp", str(pp), "--msk", str(tmp_path / "msk.json"),
+    )
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "snapshot.json").write_text("{not json")
+    _assert_cli_json_error("TdbError", "shuffle", "--pp", str(pp), "--db", str(db))
 
 
 def test_bench_grid_and_csv(tmp_path, capsys):

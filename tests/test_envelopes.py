@@ -1,0 +1,69 @@
+"""Malformed JSON envelopes are refused with MlabeError and nothing else."""
+
+import pytest
+
+from etenon import mlabe, policy
+from etenon.mlabe import MlabeError
+
+
+@pytest.fixture
+def docs(mock, rng):
+    pp, msk = mlabe.setup(mock, rng)
+    bundle = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic, attr:doctor")
+    ct = mlabe.encrypt(pp, {1: b"alpha"}, tree, rng)
+    return mock, mlabe.key_to_json(mock, bundle), mlabe.ct_to_json(ct)
+
+
+BAD_KEYS = [
+    ("attrs", 5),
+    ("attrs", "basic"),
+    ("attrs", [["basic"]]),
+    ("components", []),
+    ("components", {"basic": 5, "doctor": 5}),
+    ("d", None),
+    ("sk", "!!!"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_KEYS)
+def test_key_from_json_raises_only_mlabe_errors(docs, field, value):
+    suite, key_doc, _ = docs
+    assert mlabe.key_from_json(key_doc, suite)[1].decryption.attrs == {"basic", "doctor"}
+    with pytest.raises(MlabeError):
+        mlabe.key_from_json(dict(key_doc, **{field: value}), suite)
+
+
+def _level(doc, **fields):
+    return dict(doc, levels=[dict(doc["levels"][0], **fields)])
+
+
+def _leaf(doc, **fields):
+    return dict(doc, leaves=[dict(doc["leaves"][0], **fields)] + doc["leaves"][1:])
+
+
+BAD_CIPHERTEXTS = [
+    lambda doc: _level(doc, level="x"),
+    lambda doc: _level(doc, level=None),
+    lambda doc: _level(doc, c="!!!"),
+    lambda doc: _leaf(doc, path="ab"),
+    lambda doc: _leaf(doc, cp=7),
+    lambda doc: dict(doc, levels=5),
+    lambda doc: dict(doc, leaves=["leaf"]),
+    lambda doc: dict(doc, policy={}),
+]
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    BAD_CIPHERTEXTS,
+    ids=[
+        "level-text", "level-null", "level-c-not-base64", "leaf-path-text",
+        "leaf-cp-int", "levels-int", "leaves-strings", "policy-empty",
+    ],
+)
+def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
+    suite, _, ct_doc = docs
+    assert set(mlabe.ct_from_json(ct_doc, suite).levels) == {1}
+    with pytest.raises(MlabeError):
+        mlabe.ct_from_json(breakage(ct_doc), suite)

@@ -314,7 +314,29 @@ def test_tampered_log_fails_load(system, tmp_path):
     with pytest.raises(TdbError):
         TenonDb(pp, root=tmp_path)
 
-    log.write_text("not json\n")
+    for line in ("not json", "[1]"):
+        log.write_text(line + "\n")
+        with pytest.raises(TdbError):
+            TenonDb(pp, root=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: "{not json",
+        lambda doc: json.dumps(dict(doc, secrets=[])),
+        lambda doc: json.dumps([doc]),
+    ],
+    ids=["not-json", "secrets-list", "not-an-object"],
+)
+def test_malformed_snapshot_fails_load(system, tmp_path, corrupt):
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    db.save_snapshot()
+    snap = tmp_path / "snapshot.json"
+    snap.write_text(corrupt(json.loads(snap.read_text())))
     with pytest.raises(TdbError):
         TenonDb(pp, root=tmp_path)
 
