@@ -24,6 +24,7 @@ is drawn through ``rand_scalar`` so callers can inject a seeded
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import hmac
 import secrets
@@ -177,7 +178,8 @@ class GroupSuite:
     order: int
 
     def __init__(self):
-        self._span: OpCounters | None = None
+        # the open span of the current thread (or task) on this suite
+        self._span = contextvars.ContextVar("measure span", default=None)
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -188,20 +190,22 @@ class GroupSuite:
 
         When a span nested inside another ends, its counts are added to
         the enclosing span, so every span sees all the work done in it.
+        Spans are context-local: each thread counts only its own work.
         """
-        prev = self._span
+        prev = self._span.get()
         span = OpCounters()
-        self._span = span
+        token = self._span.set(span)
         try:
             yield span
         finally:
-            self._span = prev
+            self._span.reset(token)
             if prev is not None:
                 prev.add(span)
 
     def _tick(self, field: str, n: int = 1) -> None:
-        if self._span is not None:
-            setattr(self._span, field, getattr(self._span, field) + n)
+        span = self._span.get()
+        if span is not None:
+            setattr(span, field, getattr(span, field) + n)
 
     # ------------------------------------------------------------------
     # scalars
@@ -615,7 +619,10 @@ class Bn256Suite(GroupSuite):
         ]
         if any(v >= _bn256.p for v in vals):
             raise AlgebraError("target-group coordinate out of range")
-        return _bn256.gt_unmarshall(*vals)
+        value = _bn256.gt_unmarshall(*vals)
+        if _bn256.fp12_exp(value, self.order) != _bn256.FP12_ONE:
+            raise AlgebraError("target-group value outside the prime-order subgroup")
+        return value
 
 
 def get_suite(name: str) -> GroupSuite:

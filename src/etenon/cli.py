@@ -79,15 +79,9 @@ def cmd_ingest(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
     db = tdb.TenonDb(pp, root=args.db)
     batch = _load_json(args.batch)
-    if not isinstance(batch, dict) or not isinstance(batch.get("rows", []), list):
-        raise InputError("batch must be a JSON object whose rows are a list")
-    rows = [tdb.row_from_json(pp.suite, r) for r in batch.get("rows", [])]
-    secret = (
-        tdb.secret_from_json(pp.suite, batch["secret"])
-        if batch.get("secret")
-        else None
-    )
-    rosters = tdb.rosters_from_json(pp.suite, batch.get("rosters") or {})
+    if not isinstance(batch, dict):
+        raise InputError("batch must be a JSON object")
+    rows, secret, rosters = tdb.batch_from_json(pp.suite, batch)
     result = db.ingest(rows, secret, rosters=rosters, rng=_rng(args))
     if result.accepted:
         db.save_snapshot()

@@ -364,11 +364,14 @@ def pp_to_json(pp: PublicParams) -> dict:
 def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
     suite = _open_envelope(obj, "public-params", suite)
     with _malformed("public parameters"):
+        egg_gamma = suite.decode_gt(unb64(obj["egg_gamma"]))
+        if egg_gamma == suite.gt_identity:
+            raise MlabeError("egg_gamma is the identity")
         return PublicParams(
             suite=suite,
             g=suite.decode_g0(unb64(obj["g"]), LEFT),
             g_delta=suite.decode_g0(unb64(obj["g_delta"]), LEFT),
-            egg_gamma=suite.decode_gt(unb64(obj["egg_gamma"])),
+            egg_gamma=egg_gamma,
         )
 
 

@@ -14,6 +14,11 @@ has at least two rows.
 
 Persistence is an append-only JSONL log of accepted ingests plus an
 atomically swapped snapshot of the in-memory view.
+
+This module owns the signed-row format: the digests a roster co-signs
+for a row and for an entry, the one check of each that the gate and
+readers share, and the batch document that the log and the command
+line carry.
 """
 
 from __future__ import annotations
@@ -90,6 +95,38 @@ def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
+def row_digest(pp_bytes: bytes, pointer: Pointer, block: bytes, timestamp: int) -> bytes:
+    """What the roster co-signs for one open row."""
+    return SignedMessage(
+        kind="block",
+        payload=block,
+        pointer=pointer.bytes,
+        pp_bytes=pp_bytes,
+        timestamp=timestamp,
+    ).digest()
+
+
+def entry_digest(pp_bytes: bytes, ciphertext: CiphertextBundle, timestamp: int) -> bytes:
+    """What the roster co-signs for one sealed entry."""
+    return SignedMessage(
+        kind="ciphertext",
+        payload=mlabe.ct_canonical_bytes(ciphertext),
+        pointer=None,
+        pp_bytes=pp_bytes,
+        timestamp=timestamp,
+    ).digest()
+
+
+def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool:
+    digest = row_digest(pp_bytes, row.pointer, row.block, row.timestamp)
+    return musig.verify(suite, row.sig, roster, digest)
+
+
+def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
+    digest = entry_digest(pp_bytes, entry.ciphertext, entry.timestamp)
+    return musig.verify(suite, entry.sig, roster, digest)
+
+
 def payload_to_triple(row: OpenRow) -> Triple:
     try:
         doc = json.loads(row.block.decode())
@@ -110,7 +147,8 @@ class TenonDb:
         self.pp = pp
         self.suite: GroupSuite = pp.suite
         self._pp_bytes = pp.encode()
-        self._rows: list[OpenRow] = []
+        self._rows: list[OpenRow] = []  # storage order
+        self._index: dict[Pointer, OpenRow] = {}
         self._secrets: dict[str, SecretEntry] = {}
         self._rosters: dict[str, tuple] = {}
         self._lock = threading.RLock()
@@ -119,27 +157,6 @@ class TenonDb:
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
             self._load()
-
-    # ------------------------------------------------------------------
-    # digests
-
-    def _row_digest(self, row: OpenRow) -> bytes:
-        return SignedMessage(
-            kind="block",
-            payload=row.block,
-            pointer=row.pointer.bytes,
-            pp_bytes=self._pp_bytes,
-            timestamp=row.timestamp,
-        ).digest()
-
-    def _entry_digest(self, entry: SecretEntry) -> bytes:
-        return SignedMessage(
-            kind="ciphertext",
-            payload=mlabe.ct_canonical_bytes(entry.ciphertext),
-            pointer=None,
-            pp_bytes=self._pp_bytes,
-            timestamp=entry.timestamp,
-        ).digest()
 
     def order_digest(self) -> bytes:
         with self._lock:
@@ -151,18 +168,18 @@ class TenonDb:
     def _verify_batch(self, rows, secret, rosters):
         """Return a rejection reason, or None when everything checks out."""
         known = dict(self._rosters)
-        for ref, vks in (rosters or {}).items():
+        for ref, vks in rosters.items():
             known[ref] = tuple(vks)
-        seen = {row.pointer for row in self._rows}
+        batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
             roster = known.get(row.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, row.roster_ref)
-            if row.pointer in seen:
+            if row.pointer in self._index or row.pointer in batch_pointers:
                 return "%s: pointer already present" % where
-            seen.add(row.pointer)
-            if not musig.verify(self.suite, row.sig, roster, self._row_digest(row)):
+            batch_pointers.add(row.pointer)
+            if not verify_row(self.suite, self._pp_bytes, row, roster):
                 return "%s: signature invalid" % where
         if secret is not None:
             where = "secret entry %r" % secret.entry_id
@@ -173,7 +190,7 @@ class TenonDb:
             roster = known.get(secret.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, secret.roster_ref)
-            if not musig.verify(self.suite, secret.sig, roster, self._entry_digest(secret)):
+            if not verify_entry(self.suite, self._pp_bytes, secret, roster):
                 return "%s: signature invalid" % where
         return None
 
@@ -184,19 +201,25 @@ class TenonDb:
         already stored by earlier accepted batches may be reused.  The
         storage order is reshuffled after every accepted batch.
         """
-        rows = list(rows)
+        rows, rosters = list(rows), rosters or {}
         with self._lock:
             reason = self._verify_batch(rows, secret, rosters)
             if reason is not None:
                 return IngestResult(accepted=False, reason=reason)
             self._append_log(rows, secret, rosters)
-            for ref, vks in (rosters or {}).items():
-                self._rosters[ref] = tuple(vks)
-            self._rows.extend(rows)
-            if secret is not None:
-                self._secrets[secret.entry_id] = secret
+            self._apply(rows, secret, rosters)
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
+
+    def _apply(self, rows, secret, rosters) -> None:
+        """Add a verified batch; the one way rows enter the store."""
+        for ref, vks in rosters.items():
+            self._rosters[ref] = tuple(vks)
+        for row in rows:
+            self._rows.append(row)
+            self._index[row.pointer] = row
+        if secret is not None:
+            self._secrets[secret.entry_id] = secret
 
     # ------------------------------------------------------------------
     # reads
@@ -208,10 +231,7 @@ class TenonDb:
 
     def find_row(self, pointer: Pointer) -> OpenRow | None:
         with self._lock:
-            for row in self._rows:
-                if row.pointer == pointer:
-                    return row
-        return None
+            return self._index.get(pointer)
 
     def secret_ids(self) -> tuple[str, ...]:
         with self._lock:
@@ -276,11 +296,7 @@ class TenonDb:
         if self._root is None:
             return
         line = json.dumps(
-            {
-                "rows": [row_to_json(self.suite, r) for r in rows],
-                "secret": secret_to_json(self.suite, secret) if secret else None,
-                "rosters": rosters_to_json(rosters or {}),
-            },
+            batch_to_json(self.suite, rows, secret, rosters),
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -318,15 +334,18 @@ class TenonDb:
                 text = fh.read()
             try:
                 doc = json.loads(text)
-                self._rows = [row_from_json(self.suite, r) for r in doc["rows"]]
-                self._secrets = {
-                    entry_id: secret_from_json(self.suite, entry)
-                    for entry_id, entry in _object(doc["secrets"]).items()
-                }
-                self._rosters = rosters_from_json(self.suite, doc["rosters"])
+                rows = [row_from_json(self.suite, r) for r in doc["rows"]]
+                secrets = [
+                    secret_from_json(self.suite, entry)
+                    for entry in _object(doc["secrets"]).values()
+                ]
+                rosters = rosters_from_json(self.suite, doc["rosters"])
                 start = int(doc["log_lines"])
             except (TdbError, KeyError, TypeError, ValueError) as exc:
                 raise TdbError("corrupt snapshot: %s" % exc) from None
+            self._apply(rows, None, rosters)
+            for entry in secrets:
+                self._apply((), entry, {})
             self._log_lines = start
         log = self._log_path()
         if not log.exists():
@@ -335,23 +354,13 @@ class TenonDb:
             lines = fh.read().splitlines()
         for line in lines[start:]:
             try:
-                doc = _object(json.loads(line))
-                rows = [row_from_json(self.suite, r) for r in doc["rows"]]
-                secret = (
-                    secret_from_json(self.suite, doc["secret"])
-                    if doc.get("secret")
-                    else None
-                )
-                rosters = rosters_from_json(self.suite, doc.get("rosters") or {})
-            except (TdbError, KeyError, TypeError, ValueError) as exc:
+                rows, secret, rosters = batch_from_json(self.suite, json.loads(line))
+            except (TdbError, ValueError) as exc:
                 raise TdbError("corrupt log line: %s" % exc) from None
             reason = self._verify_batch(rows, secret, rosters)
             if reason is not None:
                 raise TdbError("log replay failed verification: %s" % reason)
-            self._rosters.update(rosters)
-            self._rows.extend(rows)
-            if secret is not None:
-                self._secrets[secret.entry_id] = secret
+            self._apply(rows, secret, rosters)
             self._log_lines += 1
 
 
@@ -464,3 +473,26 @@ def rosters_from_json(suite: GroupSuite, obj) -> dict:
                 raise TypeError("roster %r is not a list" % (ref,))
             out[ref] = tuple(suite.decode_g0(unb64(raw), LEFT) for raw in vks)
         return out
+
+
+def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry | None, rosters) -> dict:
+    """The ``{rows, secret, rosters}`` document of one ingest batch."""
+    return {
+        "rows": [row_to_json(suite, r) for r in rows],
+        "secret": secret_to_json(suite, secret) if secret else None,
+        "rosters": rosters_to_json(rosters),
+    }
+
+
+def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry | None, dict]:
+    """Rows, secret entry (or None) and rosters of a batch document.
+
+    ``rows`` is required; ``secret`` and ``rosters`` may be absent or null.
+    """
+    with _malformed("batch"):
+        obj = _object(obj)
+        if not isinstance(obj["rows"], list):
+            raise TypeError("rows is not a list")
+        rows = [row_from_json(suite, r) for r in obj["rows"]]
+        secret = secret_from_json(suite, obj["secret"]) if obj.get("secret") else None
+        return rows, secret, rosters_from_json(suite, obj.get("rosters") or {})

@@ -252,17 +252,10 @@ class TenonStructure:
     triples: tuple[Triple, ...]
 
     def chain_order(self) -> tuple[Triple, ...]:
-        blocks, complete = reconstruct(self.head, self.triples)
-        if not complete or len(blocks) != len(self.triples):
+        chain, complete = follow(self.head, _by_pointer(self.triples).get)
+        if not complete or len(chain) != len(self.triples):
             raise TenonError("structure does not form a single chain")
-        by_pointer = {t.pointer: t for t in self.triples}
-        out = []
-        cursor = self.head
-        while cursor is not None:
-            t = by_pointer[cursor]
-            out.append(t)
-            cursor = t.next
-        return tuple(out)
+        return tuple(chain)
 
 
 def build_structure(blocks, rng=None) -> TenonStructure:
@@ -291,29 +284,44 @@ def build_structure(blocks, rng=None) -> TenonStructure:
     return TenonStructure(head=pointers[0], triples=tuple(triples))
 
 
-def reconstruct(head: Pointer, triples) -> tuple[list[str], bool]:
-    """Follow the chain from ``head`` through whatever triples exist.
+def follow(head: Pointer, lookup) -> tuple[list[Triple], bool]:
+    """Walk the chain from ``head``; ``lookup`` maps a pointer to its
+    triple, or to None when the reader has no (trusted) triple for it.
 
-    Returns the blocks in chain order and a completeness flag: True
+    Returns the triples in chain order and a completeness flag: True
     when a terminal marker was reached, False when the chain broke at a
-    pointer with no triple (a reader holding only part of the table).
-    Duplicate pointers and cycles are structural errors.
+    pointer ``lookup`` could not resolve.  A cycle is a structural error.
     """
-    by_pointer: dict[Pointer, Triple] = {}
-    for t in triples:
-        if t.pointer in by_pointer:
-            raise TenonError("duplicate pointer %s" % t.pointer)
-        by_pointer[t.pointer] = t
-    blocks: list[str] = []
+    chain: list[Triple] = []
     visited: set[Pointer] = set()
     cursor: Pointer | None = head
     while cursor is not None:
         if cursor in visited:
             raise TenonError("pointer chain contains a cycle at %s" % cursor)
         visited.add(cursor)
-        t = by_pointer.get(cursor)
+        t = lookup(cursor)
         if t is None:
-            return blocks, False
-        blocks.append(t.block)
+            return chain, False
+        chain.append(t)
         cursor = t.next
-    return blocks, True
+    return chain, True
+
+
+def _by_pointer(triples) -> dict[Pointer, Triple]:
+    by_pointer: dict[Pointer, Triple] = {}
+    for t in triples:
+        if t.pointer in by_pointer:
+            raise TenonError("duplicate pointer %s" % t.pointer)
+        by_pointer[t.pointer] = t
+    return by_pointer
+
+
+def reconstruct(head: Pointer, triples) -> tuple[list[str], bool]:
+    """Follow the chain from ``head`` through whatever triples exist.
+
+    Returns the blocks in chain order and the completeness flag of
+    :func:`follow` (False for a reader holding only part of the table).
+    Duplicate pointers and cycles are structural errors.
+    """
+    chain, complete = follow(head, _by_pointer(triples).get)
+    return [t.block for t in chain], complete

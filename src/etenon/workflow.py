@@ -24,11 +24,10 @@ import time
 
 from dataclasses import dataclass
 
-from . import mlabe, musig, policy, tenon
+from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
-from .musig import SignedMessage
 from .tdb import OpenRow, SecretEntry, TenonDb, block_payload, payload_to_triple
 from .tenon import (
     ClassificationRules,
@@ -204,16 +203,6 @@ def preprocess_record(record: EhrRecord, rules, stopwords, level_columns, rng=No
             raise WorkflowError("level %d has no blocks" % level)
         structures[level] = tenon.build_structure(blocks, rng)
     return structures, labelled.identifiable()
-
-
-def expected_level_text(record: EhrRecord, rules, stopwords, names) -> str:
-    """The block text a level should reconstruct to, from a raw record."""
-    labelled = tenon.classify(record, rules)
-    by_name = {c.name: c for c in labelled.columns}
-    blocks: list[str] = []
-    for name in names:
-        blocks.extend(tenon.column_blocks(by_name[name], stopwords))
-    return " ".join(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +384,7 @@ def run_agreement(
     steps.append("provider: decrypted %d levels" % len(recovered))
 
     # step 4: compare against the provider's own copy
+    own = tenon.classify(record, ctx.rules)
     mismatch = None
     for level in sorted(package.level_columns):
         if level not in reconstructions:
@@ -404,17 +394,16 @@ def run_agreement(
         if not complete:
             mismatch = "level %d chain is broken" % level
             break
-        want = expected_level_text(
-            record, ctx.rules, ctx.stopwords, package.level_columns[level]
+        want = " ".join(
+            block
+            for name in package.level_columns[level]
+            for block in tenon.column_blocks(own.column(name), ctx.stopwords)
         )
         if " ".join(blocks) != want:
             mismatch = "level %d text differs from the provider's copy" % level
             break
     if mismatch is None and identifiable_level is not None:
-        want_cols = [
-            {"name": c.name, "value": c.value}
-            for c in tenon.classify(record, ctx.rules).identifiable()
-        ]
+        want_cols = [{"name": c.name, "value": c.value} for c in own.identifiable()]
         if sealed_identifiable != want_cols:
             mismatch = "identifiable columns differ from the provider's copy"
 
@@ -432,13 +421,7 @@ def run_agreement(
     for level in sorted(package.structures):
         for t in package.structures[level].chain_order():
             payload = block_payload(t.block, t.next)
-            digest = SignedMessage(
-                kind="block",
-                payload=payload,
-                pointer=t.pointer.bytes,
-                pp_bytes=pp_bytes,
-                timestamp=timestamp,
-            ).digest()
+            digest = tdb.row_digest(pp_bytes, t.pointer, payload, timestamp)
             sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
             rows.append(
                 OpenRow(
@@ -449,13 +432,7 @@ def run_agreement(
                     timestamp=timestamp,
                 )
             )
-    ct_digest = SignedMessage(
-        kind="ciphertext",
-        payload=mlabe.ct_canonical_bytes(package.ciphertext),
-        pointer=None,
-        pp_bytes=pp_bytes,
-        timestamp=timestamp,
-    ).digest()
+    ct_digest = tdb.entry_digest(pp_bytes, package.ciphertext, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
     secret = SecretEntry(
         entry_id=entry_id,
@@ -543,14 +520,7 @@ def retrieve_entry(
     entry = db.read_secret(entry_id, access_label)
     roster = db.roster(entry.roster_ref)
     pp_bytes = pp.encode()
-    ct_digest = SignedMessage(
-        kind="ciphertext",
-        payload=mlabe.ct_canonical_bytes(entry.ciphertext),
-        pointer=None,
-        pp_bytes=pp_bytes,
-        timestamp=entry.timestamp,
-    ).digest()
-    if not musig.verify(suite, entry.sig, roster, ct_digest):
+    if not tdb.verify_entry(suite, pp_bytes, entry, roster):
         # never decrypt material whose provenance fails
         return RetrievalReport(
             entry_id=entry_id,
@@ -561,29 +531,22 @@ def retrieve_entry(
         )
     payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
 
-    rows = {row.pointer: row for row in db.read_open()}
     failures: list[str] = []
     verified: dict[tenon.Pointer, tenon.Triple] = {}
 
     def triple_for(pointer):
+        """The row's triple, verified on first use; None if unusable."""
         if pointer in verified:
             return verified[pointer]
-        row = rows.get(pointer)
+        row = db.find_row(pointer)
         if row is None:
             return None
-        digest = SignedMessage(
-            kind="block",
-            payload=row.block,
-            pointer=row.pointer.bytes,
-            pp_bytes=pp_bytes,
-            timestamp=row.timestamp,
-        ).digest()
         try:
             roster_r = db.roster(row.roster_ref)
         except EtenonError:
             failures.append("row %s: unknown roster" % pointer)
             return None
-        if not musig.verify(suite, row.sig, roster_r, digest):
+        if not tdb.verify_row(suite, pp_bytes, row, roster_r):
             failures.append("row %s: signature invalid" % pointer)
             return None
         t = payload_to_triple(row)
@@ -596,22 +559,10 @@ def retrieve_entry(
         if kind == "identifiable":
             recovered[level] = LevelRecovery(kind=kind, identifiable=value)
             continue
-        blocks: list[str] = []
-        seen = set()
-        cursor = value
-        complete = False
-        while cursor is not None:
-            if cursor in seen:
-                raise WorkflowError("pointer chain contains a cycle at %s" % cursor)
-            seen.add(cursor)
-            t = triple_for(cursor)
-            if t is None:
-                break
-            blocks.append(t.block)
-            cursor = t.next
-        else:
-            complete = True
-        recovered[level] = LevelRecovery(kind=kind, blocks=blocks, complete=complete)
+        chain, complete = tenon.follow(value, triple_for)
+        recovered[level] = LevelRecovery(
+            kind=kind, blocks=[t.block for t in chain], complete=complete
+        )
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,

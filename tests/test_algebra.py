@@ -151,6 +151,31 @@ def test_measure_rolls_nested_counts_up(mock):
     assert outer.hash_calls == 1
 
 
+def test_measure_spans_are_per_thread(mock):
+    import threading
+
+    barrier = threading.Barrier(2, timeout=30)
+    counts = {}
+
+    def work(name, n):
+        with mock.measure() as span:
+            barrier.wait()  # both spans are open before either thread works
+            for _ in range(n):
+                _ = mock.generator ** 2
+            barrier.wait()
+        counts[name] = span.exponentiations
+
+    threads = [
+        threading.Thread(target=work, args=(name, n)) for name, n in (("a", 3), ("b", 5))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert counts == {"a": 3, "b": 5}
+
+
 def test_seal_roundtrip_and_tag(mock):
     key = mock.gt_generator ** 21
     blob = mock.seal(key, b"payload bytes", b"ctx")
@@ -274,6 +299,15 @@ def test_bn256_gt_codec(bn256, rng):
     k = bn256.rand_scalar_nonzero(rng)
     el = bn256.gt_generator ** k
     assert bn256.decode_gt(el.encode()) == el
+
+
+def test_bn256_gt_decode_checks_the_subgroup(bn256):
+    raw = bn256.gt_generator.encode()
+    perturbed = raw[:-1] + bytes([raw[-1] ^ 1])  # still below p, off the subgroup
+    for bad in (b"\0" * 384, perturbed):
+        with pytest.raises(AlgebraError, match="subgroup"):
+            bn256.decode_gt(bad)
+    assert bn256.decode_gt(bn256.gt_identity.encode()) == bn256.gt_identity
 
 
 def test_bn256_exponent_reduction(bn256):

@@ -130,11 +130,7 @@ def _agreed_batch(tmp_path):
         "level 1 requires [1]\ntree: attr:basic",
         {1: ["note"]}, timestamp=1_700_000_000,
     )
-    batch = {
-        "rows": [tdb.row_to_json(ctx.suite, r) for r in tr.rows],
-        "secret": tdb.secret_to_json(ctx.suite, tr.secret),
-        "rosters": tdb.rosters_to_json(tr.rosters),
-    }
+    batch = tdb.batch_to_json(ctx.suite, tr.rows, tr.secret, tr.rosters)
     (tmp_path / "pp.json").write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
     return batch
 

@@ -67,3 +67,20 @@ def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
     assert set(mlabe.ct_from_json(ct_doc, suite).levels) == {1}
     with pytest.raises(MlabeError):
         mlabe.ct_from_json(breakage(ct_doc), suite)
+
+
+@pytest.mark.parametrize("suite_name", ["mock", "bn256"])
+def test_pp_from_json_refuses_an_identity_egg_gamma(suite_name, rng):
+    from etenon.algebra import get_suite
+    from etenon.codec import b64
+
+    suite = get_suite(suite_name)
+    pp, _ = mlabe.setup(suite, rng)
+    doc = mlabe.pp_to_json(pp)
+    assert mlabe.pp_from_json(doc).egg_gamma == pp.egg_gamma
+    with pytest.raises(MlabeError, match="identity"):
+        mlabe.pp_from_json(dict(doc, egg_gamma=b64(suite.gt_identity.encode())))
+    if suite_name == "bn256":
+        # all zeros is not the identity and lies outside the subgroup
+        with pytest.raises(MlabeError, match="subgroup"):
+            mlabe.pp_from_json(dict(doc, egg_gamma=b64(b"\0" * 384)))

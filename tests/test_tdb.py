@@ -409,3 +409,41 @@ def test_json_decoders_raise_only_tdb_errors(system):
     for bad in bad_rosters:
         with pytest.raises(TdbError):
             tdb.rosters_from_json(suite, bad)
+
+
+# sha256 of the files a seeded mock store writes; see the test below
+PINNED_STORE_FILES = {
+    "log.jsonl": "05e181d76a7995c306fcb7f4a6985d0e477833cbb5479ea8335f88928d5ad1bd",
+    "snapshot.json": "c6d682d83ab891a32df929586e5a0c9e370a0edceb72dae12526f8188db78c32",
+    "reopened snapshot.json": "54a4bf692ab33dbcf11d501c173583586e86a3fdb829caa0b1947c5812c6c564",
+}
+
+
+def test_seeded_store_files_are_pinned(system, tmp_path):
+    """The log line and snapshot formats are fixed byte for byte.
+
+    Two batches (the second without a secret entry) are logged and
+    snapshotted, a third sits in the log tail only; the store is then
+    reopened (snapshot load plus replay) and snapshotted again.
+    """
+    import hashlib
+
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    for i, blocks in enumerate((("alpha", "beta", "gamma"), ("x", "y"), ("p", "q", "r"))):
+        rows, secret, rosters = make_batch(
+            suite, pp, rng, blocks=blocks, entry_id="entry-%d" % i,
+            roster_ref="batch-%d" % i,
+        )
+        assert db.ingest(rows, secret if i != 1 else None, rosters=rosters, rng=rng).accepted
+        if i == 1:
+            db.save_snapshot()
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("log.jsonl", "snapshot.json")
+    }
+    TenonDb(pp, root=tmp_path).save_snapshot()
+    digests["reopened snapshot.json"] = hashlib.sha256(
+        (tmp_path / "snapshot.json").read_bytes()
+    ).hexdigest()
+    assert digests == PINNED_STORE_FILES

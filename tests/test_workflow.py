@@ -292,6 +292,50 @@ def test_retrieval_flags_missing_rows():
     assert len(incomplete) == 1
 
 
+@pytest.mark.parametrize("reader", ["dr_grey", "nurse_kim"])
+def test_retrieval_verifies_only_the_rows_it_follows(monkeypatch, reader):
+    ctx = fresh_ctx()
+    first, second = agree(ctx), agree(ctx)
+    for tr in (first, second):
+        assert ingest_transcript(ctx, tr).accepted
+    calls = []
+    real_verify = musig.verify
+
+    def spy(suite, sig, roster, msg):
+        calls.append(msg)
+        return real_verify(suite, sig, roster, msg)
+
+    monkeypatch.setattr(musig, "verify", spy)
+    report = phase_retrieval(ctx, reader, first.entry_id)
+    followed = sum(len(rec.blocks) for rec in report.recovered.values() if rec.kind == "chain")
+    assert report.entry_sig_ok and not report.row_failures
+    assert 0 < followed < len(ctx.db.read_open())
+    assert len(calls) == followed + 1  # each followed row once, plus the entry
+
+
+def test_retrieval_of_a_cosigned_cycle_raises():
+    from etenon import policy, tdb
+    from etenon.errors import EtenonError
+
+    ctx = fresh_ctx()
+    keys = [ctx.entity(name).keys.signing for name in ("patient", "hospital")]
+    pp_bytes, t = ctx.pp.encode(), 1_700_000_000
+    a, b = tenon.make_pointer(ctx.rng), tenon.make_pointer(ctx.rng)
+    rows = []
+    for pointer, nxt in ((a, b), (b, a)):
+        payload = block_payload("loop", nxt)
+        digest = tdb.row_digest(pp_bytes, pointer, payload, t)
+        sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
+        rows.append(tdb.OpenRow(pointer, payload, sig, "cycle", t))
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic")
+    ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(a)}, tree, ctx.rng)
+    sig, _ = musig.cosign(ctx.suite, keys, tdb.entry_digest(pp_bytes, ct, t), ctx.rng)
+    secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
+    assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
+    with pytest.raises(EtenonError, match="cycle"):
+        phase_retrieval(ctx, "nurse_kim", "cycle")
+
+
 def test_scenario_runs_and_is_deterministic(tmp_path):
     doc = {
         "suite": "mock",
