@@ -120,10 +120,6 @@ class G0Element:
             return NotImplemented
         return self.suite.g0_eq(self, other)
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def encode(self) -> bytes:
@@ -157,10 +153,6 @@ class G1Element:
         if not isinstance(other, G1Element):
             return NotImplemented
         return self.suite.gt_eq(self, other)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 

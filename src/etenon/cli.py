@@ -24,6 +24,7 @@ import time
 
 from . import _bn256, mlabe, musig, policy, tdb, workflow
 from .algebra import RIGHT, G0Element, get_suite
+from .codec import decoding
 from .errors import EtenonError
 
 
@@ -33,10 +34,11 @@ class InputError(EtenonError):
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+    with fh, decoding(InputError, path):
+        return json.load(fh)
 
 
 def _write_json(path: str, doc) -> None:

@@ -1,9 +1,11 @@
-"""Base64 text fields shared by every JSON document."""
+"""Base64 text fields and the one guard every document decoder runs in."""
 
 from __future__ import annotations
 
 import base64
 import binascii
+
+from contextlib import contextmanager
 
 from .errors import EtenonError
 
@@ -19,8 +21,32 @@ def b64(raw: bytes) -> str:
 def unb64(text) -> bytes:
     """Strict inverse of :func:`b64`: only a string of valid base64 passes."""
     if not isinstance(text, str):
-        raise CodecError("expected a base64 string, found %r" % (text,))
+        raise CodecError("expected a base64 string, found %s" % type(text).__name__)
     try:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (UnicodeEncodeError, binascii.Error) as exc:
         raise CodecError("bad base64 field: %s" % exc) from None
+
+
+@contextmanager
+def decoding(error: type[EtenonError], what: str):
+    """Report any failure to decode ``what`` as ``error``.
+
+    Every document read from disk, the open table or the command line may
+    be hostile, so a missing key, a value of the wrong type or shape,
+    nesting too deep to walk and another module's :class:`EtenonError`
+    all surface as ``error``; an ``error`` raised inside passes unchanged.
+    """
+    try:
+        yield
+    except error:
+        raise
+    except (EtenonError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise error("malformed %s: %s" % (what, exc)) from None
+
+
+def typed(value, kind: type):
+    """``value`` itself when it is a ``kind``; a bool never passes as an int."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError("expected %s, found %s" % (kind.__name__, type(value).__name__))
+    return value

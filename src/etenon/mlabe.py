@@ -29,21 +29,19 @@ from __future__ import annotations
 
 import json
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import policy
 from .algebra import (
     LEFT,
     RIGHT,
-    AlgebraError,
     G0Element,
     G1Element,
     GroupSuite,
     IntegrityError,
     get_suite,
 )
-from .codec import b64, unb64
+from .codec import b64, decoding, typed, unb64
 from .errors import EtenonError
 from .policy import AccessTree, Gate, Leaf, NodePath
 
@@ -322,30 +320,15 @@ def _envelope(suite_name: str, kind: str) -> dict:
     return {"version": ENVELOPE_VERSION, "suite": suite_name, "kind": kind}
 
 
-@contextmanager
-def _malformed(what: str):
-    """Report any failure to decode ``what`` as a :class:`MlabeError`."""
-    try:
-        yield
-    except MlabeError:
-        raise
-    except (EtenonError, KeyError, TypeError, ValueError) as exc:
-        raise MlabeError("malformed %s: %s" % (what, exc)) from None
-
-
 def _open_envelope(obj, kind: str, suite: GroupSuite | None) -> GroupSuite:
-    if not isinstance(obj, dict):
-        raise MlabeError("document is not a JSON object")
-    if obj.get("version") != ENVELOPE_VERSION:
+    """The suite a ``kind`` document is for; call inside :func:`decoding`."""
+    if typed(obj, dict).get("version") != ENVELOPE_VERSION:
         raise MlabeError("unsupported document version %r" % obj.get("version"))
     if obj.get("kind") != kind:
         raise MlabeError("expected a %s document, found %r" % (kind, obj.get("kind")))
-    name = obj.get("suite")
+    name = typed(obj.get("suite"), str)
     if suite is None:
-        try:
-            return get_suite(name)
-        except AlgebraError as exc:
-            raise MlabeError(str(exc)) from None
+        return get_suite(name)
     if suite.name != name:
         raise MlabeError("document is for suite %s, not %s" % (name, suite.name))
     return suite
@@ -362,8 +345,8 @@ def pp_to_json(pp: PublicParams) -> dict:
 
 
 def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
-    suite = _open_envelope(obj, "public-params", suite)
-    with _malformed("public parameters"):
+    with decoding(MlabeError, "public parameters"):
+        suite = _open_envelope(obj, "public-params", suite)
         egg_gamma = suite.decode_gt(unb64(obj["egg_gamma"]))
         if egg_gamma == suite.gt_identity:
             raise MlabeError("egg_gamma is the identity")
@@ -385,13 +368,12 @@ def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
 
 
 def msk_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, MasterKey]:
-    suite = _open_envelope(obj, "master-key", suite)
-    with _malformed("master key"):
-        msk = MasterKey(
+    with decoding(MlabeError, "master key"):
+        suite = _open_envelope(obj, "master-key", suite)
+        return suite, MasterKey(
             delta=suite.decode_scalar(unb64(obj["delta"])),
             g_gamma=suite.decode_g0(unb64(obj["g_gamma"]), RIGHT),
         )
-    return suite, msk
 
 
 def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
@@ -411,35 +393,28 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
 
 
 def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, KeyBundle]:
-    suite = _open_envelope(obj, "key-bundle", suite)
-    with _malformed("key bundle"):
-        attrs = obj["attrs"]
-        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
-            raise TypeError("attrs is not a list of strings: %r" % (attrs,))
-        attrs = frozenset(attrs)
-        pairs = obj["components"]
-        if not isinstance(pairs, dict):
-            raise TypeError("components is not a JSON object: %r" % (pairs,))
+    with decoding(MlabeError, "key bundle"):
+        suite = _open_envelope(obj, "key-bundle", suite)
+        attrs = frozenset(typed(a, str) for a in typed(obj["attrs"], list))
         components = {
             attr: (
-                suite.decode_g0(unb64(pair["d"]), LEFT),
+                suite.decode_g0(unb64(typed(pair, dict)["d"]), LEFT),
                 suite.decode_g0(unb64(pair["dp"]), RIGHT),
             )
-            for attr, pair in pairs.items()
+            for attr, pair in typed(obj["components"], dict).items()
         }
+        if set(components) != attrs:
+            raise MlabeError("component attributes do not match the attribute list")
         dk = DecryptionKey(
             attrs=attrs,
             d=suite.decode_g0(unb64(obj["d"]), RIGHT),
             components=components,
         )
-        bundle = KeyBundle(
+        return suite, KeyBundle(
             decryption=dk,
             signing=suite.decode_scalar(unb64(obj["sk"])),
             verification=suite.decode_g0(unb64(obj["vk"]), LEFT),
         )
-    if set(components) != attrs:
-        raise MlabeError("component attributes do not match the attribute list")
-    return suite, bundle
 
 
 def ct_to_json(ct: CiphertextBundle) -> dict:
@@ -467,31 +442,30 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
 
 
 def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
-    suite = _open_envelope(obj, "ciphertext", suite)
-    with _malformed("ciphertext document"):
+    with decoding(MlabeError, "ciphertext document"):
+        suite = _open_envelope(obj, "ciphertext", suite)
         tree = policy.tree_from_json(obj["policy"])
         levels = {
-            int(entry["level"]): (
+            typed(typed(entry, dict)["level"], int): (
                 suite.decode_g0(unb64(entry["c"]), LEFT),
                 unb64(entry["mask"]),
             )
-            for entry in obj["levels"]
+            for entry in typed(obj["levels"], list)
         }
         leaves = {
-            tuple(int(i) for i in entry["path"]): (
+            tuple(typed(i, int) for i in typed(typed(entry, dict)["path"], list)): (
                 suite.decode_g0(unb64(entry["c"]), RIGHT),
                 suite.decode_g0(unb64(entry["cp"]), LEFT),
             )
-            for entry in obj["leaves"]
+            for entry in typed(obj["leaves"], list)
         }
-    if set(levels) != set(tree.levels):
-        raise MlabeError("ciphertext levels do not match its policy")
-    want_paths = {path for path, _ in policy.iter_leaves(tree)}
-    if set(leaves) != want_paths:
-        raise MlabeError("ciphertext leaves do not match its policy")
-    return CiphertextBundle(
-        suite_name=suite.name, tree=tree, levels=levels, leaves=leaves
-    )
+        if set(levels) != set(tree.levels):
+            raise MlabeError("ciphertext levels do not match its policy")
+        if set(leaves) != {path for path, _ in policy.iter_leaves(tree)}:
+            raise MlabeError("ciphertext leaves do not match its policy")
+        return CiphertextBundle(
+            suite_name=suite.name, tree=tree, levels=levels, leaves=leaves
+        )
 
 
 def ct_canonical_bytes(ct: CiphertextBundle) -> bytes:

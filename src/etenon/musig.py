@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .algebra import LEFT, G0Element, GroupSuite, hash_commit
-from .codec import b64, unb64
+from .codec import b64, decoding, typed, unb64
 from .errors import EtenonError
 
 
@@ -275,10 +275,9 @@ def sig_to_json(suite: GroupSuite, sig: MultiSig) -> dict:
 
 
 def sig_from_json(obj, suite: GroupSuite) -> MultiSig:
-    try:
+    with decoding(MusigError, "signature document"):
+        obj = typed(obj, dict)
         return MultiSig(
             rc=suite.decode_g0(unb64(obj["rc"]), LEFT),
             s=suite.decode_scalar(unb64(obj["s"])),
         )
-    except (KeyError, TypeError) as exc:
-        raise MusigError("malformed signature document: %s" % exc) from None

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from .codec import decoding, typed
 from .errors import EtenonError
 
 NodePath = tuple[int, ...]
@@ -365,28 +366,26 @@ def tree_to_json(tree: AccessTree) -> dict:
 
 def tree_from_json(obj) -> AccessTree:
     def node(n) -> SubTree:
-        if not isinstance(n, dict):
-            raise PolicyError("bad tree node %r" % (n,))
-        if "attr" in n:
-            return Leaf(attribute=n["attr"])
+        if "attr" in typed(n, dict):
+            return Leaf(attribute=typed(n["attr"], str))
         if "threshold" in n:
             return Gate(
-                threshold=int(n["threshold"]),
-                children=tuple(node(c) for c in n.get("children", [])),
+                threshold=typed(n["threshold"], int),
+                children=tuple(node(c) for c in typed(n.get("children", []), list)),
             )
         raise PolicyError("bad tree node %r" % (n,))
 
-    try:
-        children = tuple(node(c) for c in obj["children"])
-        levels = {
-            int(level): tuple(int(i) for i in wanted)
-            for level, wanted in obj["levels"].items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PolicyError("malformed tree document: %s" % exc) from None
-    tree = AccessTree(children=children, levels=levels)
-    validate_tree(tree)
-    return tree
+    with decoding(PolicyError, "tree document"):
+        obj = typed(obj, dict)
+        tree = AccessTree(
+            children=tuple(node(c) for c in typed(obj["children"], list)),
+            levels={
+                int(level): tuple(typed(i, int) for i in typed(wanted, list))
+                for level, wanted in typed(obj["levels"], dict).items()
+            },
+        )
+        validate_tree(tree)
+        return tree
 
 
 # ----------------------------------------------------------------------

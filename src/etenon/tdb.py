@@ -29,13 +29,12 @@ import random
 import threading
 import uuid
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import mlabe, musig
 from .algebra import LEFT, GroupSuite, hash_commit
-from .codec import b64, unb64
+from .codec import b64, decoding, typed, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
 from .musig import MultiSig, SignedMessage
@@ -128,16 +127,14 @@ def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster)
 
 
 def payload_to_triple(row: OpenRow) -> Triple:
-    try:
-        doc = json.loads(row.block.decode())
+    with decoding(TdbError, "block payload in row %s" % row.pointer):
+        doc = typed(json.loads(row.block.decode()), dict)
         nxt = doc["next"]
         return Triple(
             pointer=row.pointer,
-            block=doc["text"],
-            next=uuid.UUID(nxt) if nxt else None,
+            block=typed(doc["text"], str),
+            next=uuid.UUID(typed(nxt, str)) if nxt is not None else None,
         )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise TdbError("row %s has a malformed block payload: %s" % (row.pointer, exc))
 
 
 class TenonDb:
@@ -153,6 +150,7 @@ class TenonDb:
         self._rosters: dict[str, tuple] = {}
         self._lock = threading.RLock()
         self._log_lines = 0
+        self._torn_at: int | None = None  # log offset of a torn final line
         self._root = Path(root) if root is not None else None
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
@@ -301,6 +299,9 @@ class TenonDb:
             separators=(",", ":"),
         )
         with open(self._log_path(), "a", encoding="utf-8") as fh:
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+                self._torn_at = None
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -327,22 +328,17 @@ class TenonDb:
         os.replace(tmp, self._snapshot_path())
 
     def _load(self) -> None:
-        start = 0
         snap = self._snapshot_path()
         if snap.exists():
-            with open(snap, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            try:
-                doc = json.loads(text)
-                rows = [row_from_json(self.suite, r) for r in doc["rows"]]
+            with decoding(TdbError, "snapshot"):
+                doc = typed(json.loads(snap.read_text(encoding="utf-8")), dict)
+                rows = [row_from_json(self.suite, r) for r in typed(doc["rows"], list)]
                 secrets = [
                     secret_from_json(self.suite, entry)
-                    for entry in _object(doc["secrets"]).values()
+                    for entry in typed(doc["secrets"], dict).values()
                 ]
                 rosters = rosters_from_json(self.suite, doc["rosters"])
-                start = int(doc["log_lines"])
-            except (TdbError, KeyError, TypeError, ValueError) as exc:
-                raise TdbError("corrupt snapshot: %s" % exc) from None
+                start = typed(doc["log_lines"], int)
             self._apply(rows, None, rosters)
             for entry in secrets:
                 self._apply((), entry, {})
@@ -350,13 +346,18 @@ class TenonDb:
         log = self._log_path()
         if not log.exists():
             return
-        with open(log, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        for line in lines[start:]:
-            try:
-                rows, secret, rosters = batch_from_json(self.suite, json.loads(line))
-            except (TdbError, ValueError) as exc:
-                raise TdbError("corrupt log line: %s" % exc) from None
+        data = log.read_bytes()
+        # A final line without its newline is an append cut short by a
+        # crash: that batch was never acknowledged, so it is skipped here
+        # and cut off before the next append.  Every other line must load.
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._torn_at = end
+        lines = data[:end].split(b"\n")[:-1]
+        for number, line in enumerate(lines[self._log_lines:], self._log_lines + 1):
+            with decoding(TdbError, "log line %d" % number):
+                doc = json.loads(line.decode())
+                rows, secret, rosters = batch_from_json(self.suite, doc)
             reason = self._verify_batch(rows, secret, rosters)
             if reason is not None:
                 raise TdbError("log replay failed verification: %s" % reason)
@@ -388,30 +389,10 @@ class ShuffleTimer:
 # JSON forms
 
 
-@contextmanager
-def _malformed(what: str):
-    """Report any failure to decode ``what`` as a :class:`TdbError`."""
-    try:
-        yield
-    except (EtenonError, KeyError, TypeError, ValueError) as exc:
-        raise TdbError("malformed %s: %s" % (what, exc)) from None
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string, found %r" % (value,))
-    return value
-
-
-def _int(value) -> int:
-    if type(value) is not int:
-        raise TypeError("expected an integer, found %r" % (value,))
-    return value
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected a JSON object, found %r" % (value,))
+def _timestamp(value) -> int:
+    """A timestamp that fits the 8 bytes the co-signed digest gives it."""
+    if not 0 <= typed(value, int) < 1 << 64:
+        raise ValueError("timestamp %d does not fit 8 bytes" % value)
     return value
 
 
@@ -426,13 +407,14 @@ def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
 
 
 def row_from_json(suite: GroupSuite, obj) -> OpenRow:
-    with _malformed("row"):
+    with decoding(TdbError, "row"):
+        obj = typed(obj, dict)
         return OpenRow(
-            pointer=uuid.UUID(_text(obj["pointer"])),
+            pointer=uuid.UUID(typed(obj["pointer"], str)),
             block=unb64(obj["block"]),
             sig=musig.sig_from_json(obj["sig"], suite),
-            roster_ref=_text(obj["roster_ref"]),
-            timestamp=_int(obj["t"]),
+            roster_ref=typed(obj["roster_ref"], str),
+            timestamp=_timestamp(obj["t"]),
         )
 
 
@@ -448,14 +430,15 @@ def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
 
 
 def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
-    with _malformed("secret entry"):
+    with decoding(TdbError, "secret entry"):
+        obj = typed(obj, dict)
         return SecretEntry(
-            entry_id=_text(obj["entry_id"]),
+            entry_id=typed(obj["entry_id"], str),
             ciphertext=mlabe.ct_from_json(obj["ciphertext"], suite),
             sig=musig.sig_from_json(obj["sig"], suite),
-            roster_ref=_text(obj["roster_ref"]),
-            access_label=_text(obj["access_label"]),
-            timestamp=_int(obj["t"]),
+            roster_ref=typed(obj["roster_ref"], str),
+            access_label=typed(obj["access_label"], str),
+            timestamp=_timestamp(obj["t"]),
         )
 
 
@@ -466,13 +449,11 @@ def rosters_to_json(rosters) -> dict:
 
 
 def rosters_from_json(suite: GroupSuite, obj) -> dict:
-    with _malformed("rosters"):
-        out = {}
-        for ref, vks in _object(obj).items():
-            if not isinstance(vks, list):
-                raise TypeError("roster %r is not a list" % (ref,))
-            out[ref] = tuple(suite.decode_g0(unb64(raw), LEFT) for raw in vks)
-        return out
+    with decoding(TdbError, "rosters"):
+        return {
+            ref: tuple(suite.decode_g0(unb64(raw), LEFT) for raw in typed(vks, list))
+            for ref, vks in typed(obj, dict).items()
+        }
 
 
 def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry | None, rosters) -> dict:
@@ -489,10 +470,8 @@ def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry 
 
     ``rows`` is required; ``secret`` and ``rosters`` may be absent or null.
     """
-    with _malformed("batch"):
-        obj = _object(obj)
-        if not isinstance(obj["rows"], list):
-            raise TypeError("rows is not a list")
-        rows = [row_from_json(suite, r) for r in obj["rows"]]
+    with decoding(TdbError, "batch"):
+        obj = typed(obj, dict)
+        rows = [row_from_json(suite, r) for r in typed(obj["rows"], list)]
         secret = secret_from_json(suite, obj["secret"]) if obj.get("secret") else None
         return rows, secret, rosters_from_json(suite, obj.get("rosters") or {})

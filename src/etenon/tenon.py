@@ -20,6 +20,7 @@ import uuid
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .codec import decoding, typed
 from .errors import EtenonError
 
 Pointer = uuid.UUID
@@ -60,12 +61,13 @@ class EhrRecord:
 
 
 def record_from_json(obj) -> EhrRecord:
-    try:
+    with decoding(TenonError, "record document"):
         columns = tuple(
-            EhrColumn(name=str(c["name"]), value=str(c["value"])) for c in obj
+            EhrColumn(
+                name=typed(typed(c, dict)["name"], str), value=typed(c["value"], str)
+            )
+            for c in typed(obj, list)
         )
-    except (KeyError, TypeError) as exc:
-        raise TenonError("malformed record document: %s" % exc) from None
     names = [c.name for c in columns]
     if len(set(names)) != len(names):
         raise TenonError("record repeats a column name")

@@ -82,6 +82,18 @@ def test_sides_never_mix(name):
         suite.decode_g0(g1.encode(), "both")
 
 
+@pytest.mark.parametrize("name", ["mock", "bn256"])
+def test_inequality_is_the_negation_of_equality(name):
+    suite = get_suite(name)
+    for g in (suite.generator, suite.right_generator, suite.gt_generator):
+        x, same, other = g ** 3, g ** 3, g ** 4
+        assert x == same and not x != same
+        assert x != other and not x == other
+        for foreign in (3, None, b"\x01"):
+            assert x != foreign and foreign != x and not x == foreign
+    assert suite.generator != suite.gt_generator
+
+
 def test_scalar_codec(mock):
     for k in (0, 1, 57, 100):
         assert mock.decode_scalar(mock.encode_scalar(k)) == k

@@ -178,6 +178,15 @@ def _not_json(batch):
     return json.dumps(batch)[:-1]
 
 
+def _policy_levels_list(batch):
+    batch["secret"]["ciphertext"]["policy"]["levels"] = [[1]]
+    return json.dumps(batch)
+
+
+def _deeply_nested(batch):
+    return "[" * 100_000 + "]" * 100_000
+
+
 def _assert_cli_json_error(error, *argv):
     """Run the CLI in a fresh interpreter; it must fail with one JSON line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -203,6 +212,8 @@ def _assert_cli_json_error(error, *argv):
         (_break_roster_key, "TdbError"),
         (_not_an_object, "InputError"),
         (_not_json, "InputError"),
+        (_policy_levels_list, "TdbError"),
+        (_deeply_nested, "InputError"),
     ],
 )
 def test_ingest_malformed_batch_is_json_error(tmp_path, breakage, error):

@@ -1,9 +1,10 @@
-"""Malformed JSON envelopes are refused with MlabeError and nothing else."""
+"""Malformed JSON envelopes are refused with their module's error and nothing else."""
 
 import pytest
 
 from etenon import mlabe, policy
 from etenon.mlabe import MlabeError
+from etenon.policy import PolicyError
 
 
 @pytest.fixture
@@ -42,6 +43,17 @@ def _leaf(doc, **fields):
     return dict(doc, leaves=[dict(doc["leaves"][0], **fields)] + doc["leaves"][1:])
 
 
+def _policy(doc, **fields):
+    return dict(doc, policy=dict(doc["policy"], **fields))
+
+
+def _gate_chain(depth):
+    node = {"attr": "basic"}
+    for _ in range(depth):
+        node = {"threshold": 1, "children": [node]}
+    return node
+
+
 BAD_CIPHERTEXTS = [
     lambda doc: _level(doc, level="x"),
     lambda doc: _level(doc, level=None),
@@ -51,6 +63,8 @@ BAD_CIPHERTEXTS = [
     lambda doc: dict(doc, levels=5),
     lambda doc: dict(doc, leaves=["leaf"]),
     lambda doc: dict(doc, policy={}),
+    lambda doc: _policy(doc, levels=[[1]]),
+    lambda doc: _policy(doc, children=[_gate_chain(3000), {"attr": "doctor"}]),
 ]
 
 
@@ -60,6 +74,7 @@ BAD_CIPHERTEXTS = [
     ids=[
         "level-text", "level-null", "level-c-not-base64", "leaf-path-text",
         "leaf-cp-int", "levels-int", "leaves-strings", "policy-empty",
+        "policy-levels-list", "gate-chain-3000",
     ],
 )
 def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
@@ -67,6 +82,31 @@ def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
     assert set(mlabe.ct_from_json(ct_doc, suite).levels) == {1}
     with pytest.raises(MlabeError):
         mlabe.ct_from_json(breakage(ct_doc), suite)
+
+
+BAD_POLICIES = [
+    {"levels": [[1]]},
+    {"children": [{"attr": 5}, {"attr": "doctor"}]},
+    {"children": [_gate_chain(3000), {"attr": "doctor"}]},
+    # these two once decoded, as level 1 = (1, 2) and threshold 1
+    {"levels": {"1": "12"}},
+    {"children": [{"threshold": 1.5, "children": [{"attr": "basic"}]}, {"attr": "doctor"}]},
+]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    BAD_POLICIES,
+    ids=[
+        "levels-list", "attr-int", "gate-chain-3000", "level-indices-text",
+        "threshold-float",
+    ],
+)
+def test_tree_from_json_raises_only_policy_errors(docs, fields):
+    policy_doc = docs[2]["policy"]
+    assert policy.tree_from_json(policy_doc).levels == {1: (1,)}
+    with pytest.raises(PolicyError):
+        policy.tree_from_json(dict(policy_doc, **fields))
 
 
 @pytest.mark.parametrize("suite_name", ["mock", "bn256"])

@@ -314,8 +314,40 @@ def test_tampered_log_fails_load(system, tmp_path):
     with pytest.raises(TdbError):
         TenonDb(pp, root=tmp_path)
 
-    for line in ("not json", "[1]"):
+    for line in ("not json", "[1]", "[" * 100_000 + "]" * 100_000):
         log.write_text(line + "\n")
+        with pytest.raises(TdbError):
+            TenonDb(pp, root=tmp_path)
+
+
+def test_torn_final_log_line_is_dropped(system, tmp_path):
+    """A crash inside an append leaves a last line with no newline."""
+    suite, pp, _, rng = system
+    a, b, c = (
+        make_batch(suite, pp, rng, blocks=(name,), entry_id=name, roster_ref=name)
+        for name in "abc"
+    )
+    db = TenonDb(pp, root=tmp_path)
+    for rows, secret, rosters in (a, b):
+        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    data = log.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    rows, secret, rosters = c
+    for cut in range(last, len(data)):
+        log.write_bytes(data[:cut])
+        reopened = TenonDb(pp, root=tmp_path)
+        assert reopened.read_open() == tuple(a[0]) and reopened.secret_ids() == ("a",)
+        assert log.read_bytes() == data[:cut]
+        assert reopened.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        assert log.read_bytes().startswith(data[:last])
+        again = TenonDb(pp, root=tmp_path)
+        assert {r.pointer for r in again.read_open()} == {r.pointer for r in a[0] + rows}
+        assert again.secret_ids() == ("a", "c")
+
+    # only the final line may be torn, and only by a missing newline
+    for broken in (data[: last - 10] + b"\n" + data[last:], data[:-10] + b"\n"):
+        log.write_bytes(broken)
         with pytest.raises(TdbError):
             TenonDb(pp, root=tmp_path)
 
@@ -382,6 +414,8 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(row, sig={"rc": "AAAA"}),
         dict(row, roster_ref=3),
         dict(row, t="soon"),
+        dict(row, t=-1),
+        dict(row, t=1 << 64),
         {k: v for k, v in row.items() if k != "t"},
         [row],
         None,
@@ -394,6 +428,8 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(entry, entry_id=None),
         dict(entry, access_label=["clinical"]),
         dict(entry, t=1.5),
+        dict(entry, t=True),
+        dict(entry, t=-1),
         "entry",
     ]
     for bad in bad_entries:
