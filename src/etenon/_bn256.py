@@ -81,15 +81,66 @@ def to_naf(x):
 naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 
 
-def _ladder(x, k, mul, square, one):
-    """x**k (or k*x) by the Montgomery ladder over the bits of k >= 0."""
-    r0, r1 = one, x
-    for bit in bin(k)[2:]:
-        if bit == "1":
-            r0, r1 = mul(r1, r0), square(r1)
-        else:
-            r0, r1 = square(r0), mul(r0, r1)
-    return r0
+# Scalar multiplication and exponentiation take WINDOW bits of the
+# scalar per step.  The sequence of operations depends only on how many
+# windows k spans, never on its digits: a digit only indexes a table.
+# (Python ints are not constant-time, so this avoids secret-dependent
+# branches but gives no timing guarantee.)
+WINDOW = 4
+
+
+def _windows(k):
+    """The number of WINDOW-bit windows that cover k >= 0, at least 1."""
+    return max(1, -(-k.bit_length() // WINDOW))
+
+
+def _signed_window(x, k, add, double, neg):
+    """k*x for k >= 0 by regular signed fixed-window recoding (Joye and
+    Tunstall, "Exponent recoding and regular exponentiation algorithms",
+    AFRICACRYPT 2009): every digit is odd, so every window costs WINDOW
+    doublings and one table add.  Exact on any point, in or out of the
+    prime-order subgroup, since neg(x) is exact on any curve point."""
+    base = 1 << WINDOW
+    x2 = double(x)
+    odd = [x]
+    for _ in range(base // 2 - 1):
+        odd.append(add(odd[-1], x2))
+    # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
+    table = [neg(q) for q in reversed(odd)] + odd
+    # the recoding needs an odd scalar: take k + 1 or k + 2, and subtract
+    # x or 2x at the end
+    fix = neg((x, x2)[k & 1])
+    k += 1 + (k & 1)
+    digits = []
+    for _ in range(_windows(k) - 1):
+        m = k & (2 * base - 1)  # digit m - base, at table index m >> 1
+        digits.append(m >> 1)
+        k = (k - m + base) >> WINDOW
+    # what is left is the top digit, odd and in [1, base - 1]
+    r = table[(k + base - 1) >> 1]
+    for i in reversed(digits):
+        for _ in range(WINDOW):
+            r = double(r)
+        r = add(r, table[i])
+    return add(r, fix)
+
+
+def _fixed_window(a, k, mul, square, one):
+    """a**k for k >= 0 by an unsigned fixed window: WINDOW squarings and
+    one multiply by table[digit] per window, with table[0] == one.  It
+    needs no inversion, so it is exact on any value."""
+    table = [one, a]
+    for _ in range((1 << WINDOW) - 2):
+        table.append(mul(table[-1], a))
+    mask = (1 << WINDOW) - 1
+    shift = WINDOW * (_windows(k) - 1)
+    r = table[k >> shift]
+    while shift:
+        shift -= WINDOW
+        for _ in range(WINDOW):
+            r = square(r)
+        r = mul(r, table[(k >> shift) & mask])
+    return r
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +201,7 @@ def fp2_inv(a):
 
 
 def fp2_exp(a, k):
-    return _ladder(a, k, fp2_mul, fp2_square, FP2_ONE)
+    return _fixed_window(a, k, fp2_mul, fp2_square, FP2_ONE)
 
 
 xi = (1, 3)  # i + 3
@@ -279,7 +330,7 @@ def fp12_inv(a):
 
 
 def fp12_exp(a, k):
-    return _ladder(a, k, fp12_mul, fp12_square, FP12_ONE)
+    return _fixed_window(a, k, fp12_mul, fp12_square, FP12_ONE)
 
 
 def fp12_frobenius(a):
@@ -354,8 +405,13 @@ def g1_double(a):
     return (cx, cy, cz)
 
 
+def g1_neg(a):
+    x, y, z = a
+    return (x, -y % p, z)
+
+
 def g1_scalar_mul(pt, k):
-    return _ladder(pt, k, g1_add, g1_double, G1_INFINITY)
+    return _signed_window(pt, k, g1_add, g1_double, g1_neg)
 
 
 def g1_affine(pt):
@@ -428,8 +484,13 @@ def g2_double(a):
     return (cx, cy, cz)
 
 
+def g2_neg(a):
+    x, y, z = a
+    return (x, fp2_neg(y), z)
+
+
 def g2_scalar_mul(pt, k):
-    return _ladder(pt, k, g2_add, g2_double, G2_INFINITY)
+    return _signed_window(pt, k, g2_add, g2_double, g2_neg)
 
 
 def g2_affine(pt):

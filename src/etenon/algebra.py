@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import hmac
+import math
 import secrets
 
 from contextlib import contextmanager
@@ -392,6 +393,11 @@ class GroupSuite:
         return x.side
 
 
+# Mock orders are small test primes; a bound keeps a hostile suite name
+# from costing more than a thousand trial divisions.
+MOCK_MAX_ORDER = 10**6
+
+
 class MockSuite(GroupSuite):
     """Exponent arithmetic modulo a small prime; discrete logs are free.
 
@@ -402,7 +408,9 @@ class MockSuite(GroupSuite):
 
     def __init__(self, order: int = 101):
         super().__init__()
-        if order < 3 or any(order % d == 0 for d in range(2, int(order ** 0.5) + 1)):
+        if not 3 <= order <= MOCK_MAX_ORDER:
+            raise AlgebraError("mock order must lie in [3, %d]" % MOCK_MAX_ORDER)
+        if any(order % d == 0 for d in range(2, math.isqrt(order) + 1)):
             raise AlgebraError("mock order must be an odd prime")
         self.order = order
         self.name = "mock-%d" % order

@@ -339,9 +339,12 @@ class TenonDb:
                 ]
                 rosters = rosters_from_json(self.suite, doc["rosters"])
                 start = typed(doc["log_lines"], int)
-            self._apply(rows, None, rosters)
-            for entry in secrets:
-                self._apply((), entry, {})
+            # the snapshot is re-verified exactly as a replayed batch is
+            for batch in [(rows, None, rosters)] + [((), entry, {}) for entry in secrets]:
+                reason = self._verify_batch(*batch)
+                if reason is not None:
+                    raise TdbError("snapshot failed verification: %s" % reason)
+                self._apply(*batch)
             self._log_lines = start
         log = self._log_path()
         if not log.exists():

@@ -57,6 +57,21 @@ def interpolate_at_zero(points, p: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# scalar multiplication and exponentiation
+
+
+def ladder(x, k: int, mul, square, one):
+    """x**k (or k*x) by the Montgomery ladder over the bits of k >= 0."""
+    r0, r1 = one, x
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            r0, r1 = mul(r1, r0), square(r1)
+        else:
+            r0, r1 = square(r0), mul(r0, r1)
+    return r0
+
+
+# ----------------------------------------------------------------------
 # block tokenization
 
 _EXAMPLES = [

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from etenon.algebra import (
     hash_commit,
     kdf_stream,
 )
+
+import oracles
 
 
 def test_get_suite_variants():
@@ -284,27 +287,59 @@ def _fp2_sqrt(a):
     return root if b.fp2_square(root) == a else None
 
 
-def test_bn256_right_decode_checks_the_subgroup(bn256):
+def _twist_point_off_the_subgroup():
+    """A point on the twist found by trial.  The twist's cofactor is
+    about p, so with overwhelming probability it lies outside the
+    order-r group."""
     from etenon import _bn256 as b
 
-    # the twist's cofactor is about p, so a point found by trial is on the
-    # twist but, with overwhelming probability, outside the order-r group
     n = 1
     while True:
         x = (0, n)
         y = _fp2_sqrt(b.fp2_add(b.fp2_mul(b.fp2_square(x), x), b.twist_B))
         if y is not None:
-            break
+            return (x, y, (0, 1))
         n += 1
-    pt = (x, y, (0, 1))
+
+
+def test_bn256_right_decode_checks_the_subgroup(bn256):
+    from etenon import _bn256 as b
+
+    pt = _twist_point_off_the_subgroup()
     assert b.g2_on_curve(pt)
     assert b.g2_scalar_mul(pt, bn256.order)[2] != (0, 0)
-    coords = x + y
+    coords = pt[0] + pt[1]
     raw = b"\x01" + b"".join(c.to_bytes(32, "big") for c in coords)
     with pytest.raises(AlgebraError, match="subgroup"):
         bn256.decode_g0(raw, RIGHT)
     # the same layout for a subgroup point decodes
     assert bn256.decode_g0(bn256.right_generator.encode(), RIGHT) == bn256.right_generator
+
+
+def test_bn256_windows_match_the_ladder():
+    """The window routines agree with the plain ladder of the oracles on
+    edge scalars around the window width, u and the order, and on seeded
+    random ones, for subgroup points, a twist point outside the subgroup
+    and a raw Miller value (not in GT, and not unitary)."""
+    from etenon import _bn256 as b
+
+    r = b.order
+    rng = random.Random(0xB256)
+    scalars = [0, 1, 2, 15, 16, 17, 31, 32, 33, b.u, r - 1, r, r + 1, 2**256 - 1]
+    scalars += [rng.randrange(r) for _ in range(4)]
+    scalars += [rng.randrange(2**300) for _ in range(2)]
+    twist = _twist_point_off_the_subgroup()
+    f = b.miller(b.twist_G, b.curve_G)
+    for k in scalars:
+        want = oracles.ladder(b.curve_G, k, b.g1_add, b.g1_double, b.G1_INFINITY)
+        assert b.g1_affine(b.g1_scalar_mul(b.curve_G, k)) == b.g1_affine(want), k
+        for pt in (b.twist_G, twist):
+            want = oracles.ladder(pt, k, b.g2_add, b.g2_double, b.G2_INFINITY)
+            assert b.g2_affine(b.g2_scalar_mul(pt, k)) == b.g2_affine(want), k
+        want = oracles.ladder(f, k, b.fp12_mul, b.fp12_square, b.FP12_ONE)
+        assert b.fp12_exp(f, k) == want, k
+        want = oracles.ladder(f[0][0], k, b.fp2_mul, b.fp2_square, b.FP2_ONE)
+        assert b.fp2_exp(f[0][0], k) == want, k
 
 
 def test_bn256_gt_codec(bn256, rng):

@@ -13,6 +13,7 @@ import io
 import json
 import random
 import tempfile
+import time
 
 from pathlib import Path
 
@@ -189,6 +190,18 @@ def test_decoders_raise_only_their_module_error(world, name, data):
         decode(mutated(doc, data.draw(mutations(doc))), world["suite"])
     except error:
         pass
+
+
+@pytest.mark.parametrize("name", ["mock-" + "9" * 400, "mock-1000000000039"])
+def test_public_parameters_refuse_hostile_suite_names(world, name):
+    # the suite name is read before any suite is in hand: a huge or a
+    # large prime mock order must be refused at once, not overflow or
+    # run a long primality check
+    doc = dict(world["docs"]["pp"], suite=name)
+    start = time.perf_counter()
+    with pytest.raises(mlabe.MlabeError):
+        mlabe.pp_from_json(doc)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("target", ["log.jsonl", "snapshot.json"])

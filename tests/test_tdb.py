@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import time
@@ -7,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from etenon import mlabe, musig, policy, tenon
+from etenon.codec import b64
 from etenon.musig import SignedMessage
 from etenon.tdb import (
     AccessDeniedError,
@@ -371,6 +373,34 @@ def test_malformed_snapshot_fails_load(system, tmp_path, corrupt):
     snap.write_text(corrupt(json.loads(snap.read_text())))
     with pytest.raises(TdbError):
         TenonDb(pp, root=tmp_path)
+
+
+def test_forged_snapshot_fails_verification(system, tmp_path):
+    """Snapshot rows and entries are re-verified on load, as replayed
+    log lines are: a decodable but unsigned edit is refused."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    db.save_snapshot()
+    snap = tmp_path / "snapshot.json"
+    genuine = json.loads(snap.read_text())
+    forged = b64(block_payload("forged", None))
+
+    doc = copy.deepcopy(genuine)
+    doc["rows"][0]["block"] = forged
+    snap.write_text(json.dumps(doc))
+    with pytest.raises(TdbError, match="snapshot failed verification: row 0"):
+        TenonDb(pp, root=tmp_path)
+
+    doc = copy.deepcopy(genuine)
+    doc["secrets"]["entry-1"]["ciphertext"]["levels"][0]["mask"] = forged
+    snap.write_text(json.dumps(doc))
+    with pytest.raises(TdbError, match="snapshot failed verification: secret entry"):
+        TenonDb(pp, root=tmp_path)
+
+    snap.write_text(json.dumps(genuine))
+    assert TenonDb(pp, root=tmp_path).find_row(rows[0].pointer) == rows[0]
 
 
 def test_snapshot_requires_root(system):
