@@ -165,9 +165,14 @@ class TenonDb:
 
     def _verify_batch(self, rows, secret, rosters):
         """Return a rejection reason, or None when everything checks out."""
+        # refs are write-once, so every stored row keeps the roster it was
+        # signed under and a snapshot's one roster map verifies all of them
         known = dict(self._rosters)
         for ref, vks in rosters.items():
-            known[ref] = tuple(vks)
+            vks = tuple(vks)
+            if known.get(ref, vks) != vks:
+                return "roster %r already defined with other keys" % ref
+            known[ref] = vks
         batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
@@ -196,7 +201,8 @@ class TenonDb:
         """Verify then store a batch; reject without any side effect.
 
         ``rosters`` maps roster refs to verification-key sequences; refs
-        already stored by earlier accepted batches may be reused.  The
+        already stored by earlier accepted batches may be reused, and
+        repeated only with the keys they were stored with.  The
         storage order is reshuffled after every accepted batch.
         """
         rows, rosters = list(rows), rosters or {}

@@ -403,6 +403,26 @@ def test_forged_snapshot_fails_verification(system, tmp_path):
     assert TenonDb(pp, root=tmp_path).find_row(rows[0].pointer) == rows[0]
 
 
+def test_roster_ref_is_write_once(system, tmp_path):
+    """A batch may repeat a stored roster ref with the same keys but not
+    redefine it, so a saved snapshot's roster map still verifies every row."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    rows2, secret2, rosters2 = make_batch(
+        suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="batch-1"
+    )
+    r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
+    assert not r.accepted and "already defined" in r.reason
+    assert db.roster("batch-1") == rosters["batch-1"]
+    assert db.ingest([], rosters=rosters, rng=rng).accepted  # same keys: fine
+    db.save_snapshot()
+    reopened = TenonDb(pp, root=tmp_path)
+    assert reopened.find_row(rows[0].pointer) == rows[0]
+    assert reopened.roster("batch-1") == rosters["batch-1"]
+
+
 def test_snapshot_requires_root(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
