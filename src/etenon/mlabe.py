@@ -28,8 +28,10 @@ it exists to make the scheme's algebraic identity directly testable.
 from __future__ import annotations
 
 import json
+import operator
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import policy
 from .algebra import (
@@ -43,7 +45,7 @@ from .algebra import (
 )
 from .codec import b64, decoding, typed, unb64
 from .errors import EtenonError
-from .policy import AccessTree, Gate, Leaf, NodePath
+from .policy import AccessTree, Leaf, NodePath
 
 
 class MlabeError(EtenonError):
@@ -97,19 +99,15 @@ class KeyBundle:
 
 @dataclass
 class CiphertextBundle:
-    suite_name: str
-    tree: AccessTree
-    levels: dict[int, tuple[G0Element, bytes]]
-    leaves: dict[NodePath, tuple[G0Element, G0Element]]
+    """Level pairs (c_l, masked payload) and leaf pairs under one tree.
 
-
-@dataclass
-class GtCiphertext:
-    """Multiplicative variant: per-level masked target-group elements."""
+    The masked payload is sealed bytes from :func:`encrypt`, or a
+    masked target-group element from :func:`encrypt_gt`.
+    """
 
     suite_name: str
     tree: AccessTree
-    levels: dict[int, tuple[G0Element, G1Element]]
+    levels: dict[int, tuple[G0Element, bytes | G1Element]]
     leaves: dict[NodePath, tuple[G0Element, G0Element]]
 
 
@@ -156,136 +154,100 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
     return KeyBundle(decryption=dk, signing=r, verification=g_r)
 
 
-def _build_shared(pp: PublicParams, tree: AccessTree, rng):
-    policy.validate_tree(tree)
-    plan = policy.assign_shares(tree, pp.suite.order, rng)
-    leaves = {}
-    for path, leaf in policy.iter_leaves(tree):
-        share = plan.leaf_shares[path]
-        leaves[path] = (
-            pp.suite.right_generator ** share,
-            pp.suite.hash_to_group(leaf.attribute) ** share,
-        )
-    return plan, leaves
-
-
 def _level_context(level: int) -> bytes:
     return b"level:%d" % level
 
 
+def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, mask) -> CiphertextBundle:
+    """Share one secret over the tree; ``mask(level, key, plain)`` hides each level."""
+    if set(plain) != set(tree.levels):
+        raise MlabeError(
+            "levels %s do not match policy levels %s"
+            % (sorted(plain), sorted(tree.levels))
+        )
+    suite = pp.suite
+    plan = policy.assign_shares(tree, suite.order, rng)
+    leaves = {}
+    for path, leaf in policy.iter_leaves(tree):
+        share = plan.leaf_shares[path]
+        leaves[path] = (
+            suite.right_generator ** share,
+            suite.hash_to_group(leaf.attribute) ** share,
+        )
+    levels = {}
+    for level in sorted(tree.levels):
+        secret = plan.level_secrets[level]
+        c = pp.g_delta ** secret
+        levels[level] = (c, mask(level, pp.egg_gamma ** secret, plain[level]))
+    return CiphertextBundle(
+        suite_name=suite.name, tree=tree, levels=levels, leaves=leaves
+    )
+
+
 def encrypt(pp: PublicParams, payloads, tree: AccessTree, rng=None) -> CiphertextBundle:
     """Seal one byte payload per declared level under the tree."""
-    if set(payloads) != set(tree.levels):
-        raise MlabeError(
-            "payload levels %s do not match policy levels %s"
-            % (sorted(payloads), sorted(tree.levels))
-        )
-    plan, leaves = _build_shared(pp, tree, rng)
-    levels = {}
-    for level in sorted(tree.levels):
-        secret = plan.level_secrets[level]
-        c = pp.g_delta ** secret
-        key = pp.egg_gamma ** secret
-        mask = pp.suite.seal(key, bytes(payloads[level]), _level_context(level))
-        levels[level] = (c, mask)
-    return CiphertextBundle(
-        suite_name=pp.suite.name, tree=tree, levels=levels, leaves=leaves
-    )
+
+    def seal(level, key, payload):
+        return pp.suite.seal(key, bytes(payload), _level_context(level))
+
+    return _encrypt(pp, payloads, tree, rng, seal)
 
 
-def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> GtCiphertext:
+def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> CiphertextBundle:
     """Mask one target-group element per level by multiplication."""
-    if set(elements) != set(tree.levels):
-        raise MlabeError("element levels do not match policy levels")
-    plan, leaves = _build_shared(pp, tree, rng)
-    levels = {}
-    for level in sorted(tree.levels):
-        secret = plan.level_secrets[level]
-        c = pp.g_delta ** secret
-        key = pp.egg_gamma ** secret
-        levels[level] = (c, elements[level] * key)
-    return GtCiphertext(
-        suite_name=pp.suite.name, tree=tree, levels=levels, leaves=leaves
-    )
+    return _encrypt(pp, elements, tree, rng, lambda level, key, x: x * key)
 
 
-class _NodeEvaluator:
-    """Pairing walk over one ciphertext with one key, memoized by path."""
+def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
+    """Yield (level, masked, e(g,g)^(gamma*s_l)) for each level the key opens.
 
-    def __init__(self, suite: GroupSuite, ct, dk: DecryptionKey):
-        self.suite = suite
-        self.ct = ct
-        self.dk = dk
-        self.cache: dict[NodePath, G1Element | None] = {}
-
-    def value(self, node, path: NodePath):
-        if path in self.cache:
-            return self.cache[path]
-        out = self._compute(node, path)
-        self.cache[path] = out
-        return out
-
-    def _compute(self, node, path: NodePath):
-        if isinstance(node, Leaf):
-            if node.attribute not in self.dk.attrs:
-                return None
-            slot = self.ct.leaves.get(path)
-            comp = self.dk.components.get(node.attribute)
-            if slot is None or comp is None:
-                return None
-            c, cp = slot
-            d_a, dp_a = comp
-            num = self.suite.pairing(d_a, c)
-            den = self.suite.pairing(dp_a, cp)
-            return num / den
-        # threshold gate: first t satisfied children in index order
-        chosen = []
-        for j, child in enumerate(node.children, start=1):
-            if len(chosen) == node.threshold:
-                break
-            if not policy.satisfies(child, self.dk.attrs):
-                continue
-            v = self.value(child, path + (j,))
-            if v is not None:
-                chosen.append((j, v))
-        if len(chosen) < node.threshold:
-            return None
-        index_set = [j for j, _ in chosen]
-        out = None
-        for j, v in chosen:
-            term = v ** policy.lagrange_coeff(j, index_set, self.suite.order)
-            out = term if out is None else out * term
-        return out
-
-
-def _recover_level_keys(pp: PublicParams, ct, dk: DecryptionKey):
-    """Yield (level, slot, e(g,g)^(gamma*s_l)) for each recoverable level."""
+    Leaves are paired and gates combine their first t satisfied children
+    in index order with Lagrange coefficients; each root sub-tree is
+    evaluated at most once, and a level stops at its first root sub-tree
+    that cannot be opened.
+    """
     suite = pp.suite
-    tree = ct.tree
     if ct.suite_name != suite.name:
         raise MlabeError(
             "ciphertext was made on suite %s, not %s" % (ct.suite_name, suite.name)
         )
-    evaluator = _NodeEvaluator(suite, ct, dk)
-    for level in sorted(ct.levels):
-        wanted = tree.levels.get(level)
-        if wanted is None:
-            continue
-        parts = []
-        for i in wanted:
-            v = evaluator.value(tree.children[i - 1], (i,))
-            if v is None:
-                parts = None
+
+    def value(node, path: NodePath) -> G1Element | None:
+        if isinstance(node, Leaf):
+            slot = ct.leaves.get(path)
+            comp = dk.components.get(node.attribute)
+            if node.attribute not in dk.attrs or slot is None or comp is None:
+                return None
+            return suite.pairing(comp[0], slot[0]) / suite.pairing(comp[1], slot[1])
+        chosen = []
+        for j, child in enumerate(node.children, start=1):
+            if len(chosen) == node.threshold:
                 break
-            parts.append(v)
-        if parts is None:
-            continue
-        blinding = parts[0]
-        for v in parts[1:]:
-            blinding = blinding * v
-        c_l, slot = ct.levels[level]
-        key = suite.pairing(c_l, dk.d) / blinding
-        yield level, slot, key
+            if policy.satisfies(child, dk.attrs):
+                v = value(child, path + (j,))
+                if v is not None:
+                    chosen.append((j, v))
+        if len(chosen) < node.threshold:
+            return None
+        index_set = [j for j, _ in chosen]
+        return reduce(
+            operator.mul,
+            (v ** policy.lagrange_coeff(j, index_set, suite.order) for j, v in chosen),
+        )
+
+    roots: dict[int, G1Element | None] = {}
+    for level in sorted(ct.levels):
+        parts = []
+        for i in ct.tree.levels.get(level, ()):
+            if i not in roots:
+                roots[i] = value(ct.tree.children[i - 1], (i,))
+            if roots[i] is None:
+                break
+            parts.append(roots[i])
+        else:
+            if parts:
+                c_l, masked = ct.levels[level]
+                yield level, masked, suite.pairing(c_l, dk.d) / reduce(operator.mul, parts)
 
 
 def decrypt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[int, bytes]:
@@ -296,7 +258,7 @@ def decrypt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[i
     is also absent rather than ever yielding garbage bytes.
     """
     out = {}
-    for level, mask, key in _recover_level_keys(pp, ct, dk):
+    for level, mask, key in _level_keys(pp, ct, dk):
         try:
             out[level] = pp.suite.unseal(key, mask, _level_context(level))
         except IntegrityError:
@@ -304,12 +266,9 @@ def decrypt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[i
     return out
 
 
-def decrypt_gt(pp: PublicParams, ct: GtCiphertext, dk: DecryptionKey) -> dict[int, G1Element]:
+def decrypt_gt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[int, G1Element]:
     """Multiplicative counterpart of :func:`decrypt`."""
-    return {
-        level: masked / key
-        for level, masked, key in _recover_level_keys(pp, ct, dk)
-    }
+    return {level: masked / key for level, masked, key in _level_keys(pp, ct, dk)}
 
 
 # ----------------------------------------------------------------------

@@ -452,11 +452,13 @@ def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
         for j, child in enumerate(node.children, start=1):
             walk(child, path + (j,), poly_eval(coeffs, j, suite_order))
 
+    root_shares = {}
     for i, child in enumerate(tree.children, start=1):
-        walk(child, (i,), poly_eval(root_coeffs, i, suite_order))
+        root_shares[i] = poly_eval(root_coeffs, i, suite_order)
+        walk(child, (i,), root_shares[i])
 
     level_secrets = {
-        level: sum(poly_eval(root_coeffs, i, suite_order) for i in wanted) % suite_order
+        level: sum(root_shares[i] for i in wanted) % suite_order
         for level, wanted in tree.levels.items()
     }
     return SharePlan(

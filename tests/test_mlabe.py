@@ -254,3 +254,54 @@ def test_ct_canonical_bytes_is_stable(mock_setup):
     assert mlabe.ct_canonical_bytes(ct) == mlabe.ct_canonical_bytes(ct)
     ct2 = mlabe.encrypt(pp, {1: b"a", 2: b"b"}, tree, rng)
     assert mlabe.ct_canonical_bytes(ct2) != mlabe.ct_canonical_bytes(ct)
+
+
+SHARED_GATE = """
+level 1 requires [1]
+level 2 requires [1, 2]
+tree: threshold(2, attr:a, attr:b, attr:c), attr:d
+"""
+
+
+@pytest.mark.parametrize(
+    "attrs, levels, pairings, gt_exps, divs_and_muls",
+    [
+        # every leaf held: the gate uses a and b, c is never paired
+        ({"a", "b", "c", "d"}, {1, 2}, 8, 2, 7),
+        # b fails the satisfaction check and is skipped unpaired
+        ({"a", "c", "d"}, {1, 2}, 8, 2, 7),
+        # the gate opens, level 2 stops at the missing leaf d
+        ({"b", "c"}, {1}, 5, 2, 4),
+        # one leaf of the gate: a is paired, the gate still fails and
+        # level 2 stops at its first child without touching d
+        ({"a", "d"}, set(), 2, 0, 1),
+        # none of the gate: nothing is paired at all
+        ({"d"}, set(), 0, 0, 0),
+    ],
+)
+def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, gt_exps, divs_and_muls):
+    """Pairings and GT exponentiations of one decryption, pinned.
+
+    The gate is shared by both levels and evaluated once; a level whose
+    first root child cannot be opened is abandoned there.
+    """
+    pp, msk = mlabe.setup(mock, rng)
+    tree = policy.parse_policy(SHARED_GATE)
+    payloads = {1: b"one", 2: b"two"}
+    elems = {1: mock.gt_generator ** 5, 2: mock.gt_generator ** 8}
+    ct = mlabe.encrypt(pp, payloads, tree, rng)
+    ct_gt = mlabe.encrypt_gt(pp, elems, tree, rng)
+    dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+    with mock.measure() as span:
+        got = mlabe.decrypt(pp, ct, dk)
+    assert got == {level: payloads[level] for level in levels}
+    assert (span.pairings, span.exponentiations, span.multiplications) == (
+        pairings, gt_exps, divs_and_muls,
+    )
+    with mock.measure() as span:
+        got = mlabe.decrypt_gt(pp, ct_gt, dk)
+    assert got == {level: elems[level] for level in levels}
+    # the GT variant divides the mask out once per opened level
+    assert (span.pairings, span.exponentiations, span.multiplications) == (
+        pairings, gt_exps, divs_and_muls + len(levels),
+    )
