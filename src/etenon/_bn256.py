@@ -265,22 +265,6 @@ def fp6_mul(a, b):
     return (tx, ty, tz)
 
 
-def fp6_square(a):
-    # Algorithm 16
-    ax, ay, az = a
-    ay2 = fp2_add(ay, ay)
-    c4 = fp2_mul(az, ay2)
-    c5 = fp2_square(ax)
-    c1 = fp2_add(fp2_mul_xi(c5), c4)
-    c2 = fp2_sub(c4, c5)
-    c3 = fp2_square(az)
-    c4 = fp2_square(fp2_sub(fp2_add(ax, az), ay))
-    c5 = fp2_mul(ay2, ax)
-    c0 = fp2_add(fp2_mul_xi(c5), c3)
-    c2 = fp2_sub(fp2_add(fp2_add(c2, c4), c5), c3)
-    return (c2, c1, c0)
-
-
 def fp6_inv(a):
     # Algorithm 17
     ax, ay, az = a
@@ -325,7 +309,7 @@ def fp12_square(a):
 
 def fp12_inv(a):
     ax, ay = a
-    t = fp6_inv(fp6_sub(fp6_square(ay), fp6_mul_tau(fp6_square(ax))))
+    t = fp6_inv(fp6_sub(fp6_mul(ay, ay), fp6_mul_tau(fp6_mul(ax, ax))))
     return (fp6_mul(fp6_neg(ax), t), fp6_mul(ay, t))
 
 

@@ -135,10 +135,8 @@ class SignSession:
         matches = [i for i, vk in enumerate(self.roster) if vk == my_vk]
         if not matches:
             raise MusigError("signer's verification key is not in the roster")
-        for i, a in enumerate(self.roster):
-            for b in self.roster[i + 1:]:
-                if a == b:
-                    raise MusigError("roster contains duplicate keys")
+        if len({vk.encode() for vk in self.roster}) != len(self.roster):
+            raise MusigError("roster contains duplicate keys")
         self.index = matches[0]
         self._nonce = suite.rand_scalar_nonzero(rng)
         self.rc_own = suite.generator ** self._nonce
