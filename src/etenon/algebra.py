@@ -41,6 +41,7 @@ _H1_TAG = b"ETN-H1"
 _KDF_TAG = b"ETN-KDF"
 
 SEAL_TAG_BYTES = 16
+_SEAL_MAC_KEY_BYTES = 32
 
 LEFT = "left"
 RIGHT = "right"
@@ -72,6 +73,10 @@ def kdf_stream(key: bytes, context: bytes, length: int) -> bytes:
         out.extend(hashlib.sha256(head + counter.to_bytes(4, "big")).digest())
         counter += 1
     return bytes(out[:length])
+
+
+def _seal_tag(mac_key: bytes, masked: bytes) -> bytes:
+    return hmac.new(mac_key, masked, hashlib.sha256).digest()[:SEAL_TAG_BYTES]
 
 
 @dataclass
@@ -326,28 +331,31 @@ class GroupSuite:
     def seal(self, key: G1Element, payload: bytes, context: bytes) -> bytes:
         """Mask a payload under a target-group key, appending an integrity tag.
 
-        The keystream is derived from the encoded key and the context;
-        the tag is the truncated commitment hash of payload and context.
-        One seal is tallied as one multiplication: it stands where the
-        masking multiplication sits in the scheme's cost model.
+        One stream is derived from the encoded key and the context: its
+        first 32 bytes key an HMAC-SHA256 over the masked bytes (the
+        truncated tag), the rest masks the payload.  Without the key the
+        tag confirms nothing about the payload.  One seal is tallied as
+        one multiplication: it stands where the masking multiplication
+        sits in the scheme's cost model.
         """
         self._tick("multiplications")
-        stream = kdf_stream(self.encode_gt(key), context, len(payload))
+        mac_key, stream = self._seal_stream(key, context, len(payload))
         masked = bytes(a ^ b for a, b in zip(payload, stream))
-        tag = hash_commit(payload + b"|" + context)[:SEAL_TAG_BYTES]
-        return masked + tag
+        return masked + _seal_tag(mac_key, masked)
 
     def unseal(self, key: G1Element, blob: bytes, context: bytes) -> bytes:
         """Reverse :meth:`seal`; raises :class:`IntegrityError` on a bad tag."""
         if len(blob) < SEAL_TAG_BYTES:
             raise IntegrityError("sealed payload too short")
         masked, tag = blob[:-SEAL_TAG_BYTES], blob[-SEAL_TAG_BYTES:]
-        stream = kdf_stream(self.encode_gt(key), context, len(masked))
-        payload = bytes(a ^ b for a, b in zip(masked, stream))
-        want = hash_commit(payload + b"|" + context)[:SEAL_TAG_BYTES]
-        if not hmac.compare_digest(tag, want):
+        mac_key, stream = self._seal_stream(key, context, len(masked))
+        if not hmac.compare_digest(tag, _seal_tag(mac_key, masked)):
             raise IntegrityError("sealed payload failed authentication")
-        return payload
+        return bytes(a ^ b for a, b in zip(masked, stream))
+
+    def _seal_stream(self, key: G1Element, context: bytes, length: int):
+        stream = kdf_stream(self.encode_gt(key), context, _SEAL_MAC_KEY_BYTES + length)
+        return stream[:_SEAL_MAC_KEY_BYTES], stream[_SEAL_MAC_KEY_BYTES:]
 
     # ------------------------------------------------------------------
     # encodings

@@ -52,7 +52,7 @@ class MlabeError(EtenonError):
     """Mismatched material or a malformed ciphertext document."""
 
 
-ENVELOPE_VERSION = 2
+ENVELOPE_VERSION = 3
 
 
 @dataclass

@@ -9,6 +9,7 @@ from etenon.algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    SEAL_TAG_BYTES,
     IntegrityError,
     get_suite,
     hash_commit,
@@ -203,6 +204,17 @@ def test_seal_roundtrip_and_tag(mock):
         mock.unseal(key, blob[:-1] + bytes([blob[-1] ^ 1]), b"ctx")
     with pytest.raises(IntegrityError):
         mock.unseal(key, blob[:4], b"ctx")
+
+
+def test_seal_tag_is_keyed(mock):
+    """A reader without the key cannot confirm a guessed payload by its tag."""
+    payload, context = b"Alice Smith", b"level:1"
+    tags = {
+        mock.seal(mock.gt_generator ** k, payload, context)[-SEAL_TAG_BYTES:]
+        for k in (5, 6)
+    }
+    assert len(tags) == 2
+    assert hash_commit(payload + b"|" + context)[:SEAL_TAG_BYTES] not in tags
 
 
 def test_seal_handles_empty_payload(mock):

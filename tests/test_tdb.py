@@ -499,9 +499,9 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "05e181d76a7995c306fcb7f4a6985d0e477833cbb5479ea8335f88928d5ad1bd",
-    "snapshot.json": "c6d682d83ab891a32df929586e5a0c9e370a0edceb72dae12526f8188db78c32",
-    "reopened snapshot.json": "54a4bf692ab33dbcf11d501c173583586e86a3fdb829caa0b1947c5812c6c564",
+    "log.jsonl": "e5b23f8b48e1f14a672a38e83f9f13df0568fb83f9a5e65bfc7c4eaeb1af36f6",
+    "snapshot.json": "f97d98c92e1148c8db8ea07dafe6b8e45d632355d441e713f1badb207f21ba03",
+    "reopened snapshot.json": "b3d7f571a8ef6c043a4e009083e4de4f3a1db945a78c8514fda791a707673514",
 }
 
 
