@@ -177,8 +177,10 @@ def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, mask) -> Ciphertext
     levels = {}
     for level in sorted(tree.levels):
         secret = plan.level_secrets[level]
-        c = pp.g_delta ** secret
-        levels[level] = (c, mask(level, pp.egg_gamma ** secret, plain[level]))
+        levels[level] = (
+            pp.g_delta ** secret,
+            mask(level, pp.egg_gamma ** secret, plain[level]),
+        )
     return CiphertextBundle(
         suite_name=suite.name, tree=tree, levels=levels, leaves=leaves
     )
@@ -237,17 +239,19 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
 
     roots: dict[int, G1Element | None] = {}
     for level in sorted(ct.levels):
+        wanted = ct.tree.levels.get(level)
+        if wanted is None:
+            continue
         parts = []
-        for i in ct.tree.levels.get(level, ()):
+        for i in wanted:
             if i not in roots:
                 roots[i] = value(ct.tree.children[i - 1], (i,))
             if roots[i] is None:
                 break
             parts.append(roots[i])
         else:
-            if parts:
-                c_l, masked = ct.levels[level]
-                yield level, masked, suite.pairing(c_l, dk.d) / reduce(operator.mul, parts)
+            c_l, masked = ct.levels[level]
+            yield level, masked, suite.pairing(c_l, dk.d) / reduce(operator.mul, parts)
 
 
 def decrypt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[int, bytes]:
