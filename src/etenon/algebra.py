@@ -301,7 +301,10 @@ class GroupSuite:
         egg = getattr(self, "_egg", None)
         if egg is None:
             egg = G1Element(
-                self, self._pair(self.generator.point, self.right_generator.point)
+                self,
+                self._gt_reduce(
+                    self._pair(self.generator.point, self.right_generator.point)
+                ),
             )
             self._egg = egg
         return egg
@@ -386,6 +389,10 @@ class GroupSuite:
         raise AlgebraError("discrete logs are not available on %s" % self.name)
 
     # ------------------------------------------------------------------
+
+    def _gt_reduce(self, a):
+        """Finish work a suite defers on pairing outputs; none by default."""
+        return a
 
     def _check(self, *elems) -> None:
         for e in elems:
@@ -489,12 +496,29 @@ class MockSuite(GroupSuite):
 _FP_BYTES = 32
 
 
+class _Miller:
+    """A pairing output whose final exponentiation is still owed."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+
 class Bn256Suite(GroupSuite):
     """Production suite over the vendored 256-bit BN curve.
 
     Left points are Jacobian triples of ints, right points Jacobian
     triples of Fp2 pairs and target-group values nested Fp12 tuples;
     :mod:`etenon._bn256` holds the arithmetic.
+
+    A pairing returns its Miller value and defers the final
+    exponentiation.  That map is a homomorphism onto the target group,
+    so products, quotients and powers of Miller values stay Miller
+    values and are finished once, when the result is compared or
+    encoded.  It is not the identity on the target group, so a Miller
+    value that meets a finished one is finished first.  Decoded values,
+    ``gt_generator`` and ``gt_identity`` are finished values.
     """
 
     def __init__(self):
@@ -533,19 +557,31 @@ class Bn256Suite(GroupSuite):
         return _bn256.g2_affine(a) == _bn256.g2_affine(b)
 
     def _pair(self, left, right):
-        return _bn256.optimal_ate(right, left)
+        if left[2] == 0 or right[2] == _bn256.FP2_ZERO:
+            # the point at infinity pairs to one; the Miller loop needs affine points
+            return _Miller(_bn256.FP12_ONE)
+        return _Miller(_bn256.miller(right, left))
+
+    def _gt_reduce(self, a):
+        return _bn256.final_exp(a.f) if type(a) is _Miller else a
 
     def _gt_mul(self, a, b):
-        return _bn256.fp12_mul(a, b)
+        if type(a) is _Miller and type(b) is _Miller:
+            return _Miller(_bn256.fp12_mul(a.f, b.f))
+        return _bn256.fp12_mul(self._gt_reduce(a), self._gt_reduce(b))
 
     def _gt_inv(self, a):
+        if type(a) is _Miller:
+            return _Miller(_bn256.fp12_inv(a.f))
         return _bn256.fp12_inv(a)
 
     def _gt_exp(self, a, k):
+        if type(a) is _Miller:
+            return _Miller(_bn256.fp12_exp(a.f, k))
         return _bn256.fp12_exp(a, k)
 
     def _gt_eq(self, a, b):
-        return a == b
+        return self._gt_reduce(a) == self._gt_reduce(b)
 
     _LEFT_BYTES = 1 + _FP_BYTES
     _RIGHT_BYTES = 1 + 4 * _FP_BYTES
@@ -616,7 +652,9 @@ class Bn256Suite(GroupSuite):
         return pt
 
     def _encode_gt(self, a):
-        return b"".join(c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a))
+        return b"".join(
+            c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(self._gt_reduce(a))
+        )
 
     def _decode_gt(self, raw):
         if len(raw) != 12 * _FP_BYTES:

@@ -14,6 +14,12 @@ per level and two per leaf.  Decryption reconstructs the level value by
 pairing key components against leaf elements, combining with Lagrange
 coefficients up the tree, and dividing out of the paired level element.
 
+A level costs two pairings per leaf it uses (each root sub-tree is
+evaluated once, whichever levels share it) plus one for its level
+element, one GT exponentiation per child a gate combines, and, on
+bn256, a single final exponentiation: the suite defers it from each
+pairing until the level value unseals its payload or divides its mask.
+
 Each element lives on one side of the asymmetric pairing.  The level
 elements, the hashed leaf elements and the key parts that carry g^r
 (the verification key among them) are left; d, the other key part per
@@ -205,8 +211,8 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
 
     Leaves are paired and gates combine their first t satisfied children
     in index order with Lagrange coefficients; each root sub-tree is
-    evaluated at most once, and a level stops at its first root sub-tree
-    that cannot be opened.
+    evaluated at most once and only when the key satisfies it, and a
+    level stops at its first root sub-tree that cannot be opened.
     """
     suite = pp.suite
     if ct.suite_name != suite.name:
@@ -245,7 +251,10 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
         parts = []
         for i in wanted:
             if i not in roots:
-                roots[i] = value(ct.tree.children[i - 1], (i,))
+                child = ct.tree.children[i - 1]
+                roots[i] = (
+                    value(child, (i,)) if policy.satisfies(child, dk.attrs) else None
+                )
             if roots[i] is None:
                 break
             parts.append(roots[i])

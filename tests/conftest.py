@@ -28,6 +28,18 @@ def bn256():
 
 
 @pytest.fixture
+def final_exp_calls(monkeypatch):
+    """One entry per call of the bn256 final exponentiation, counted
+    through its module attribute as the pairing suite calls it."""
+    from etenon import _bn256
+
+    calls = []
+    final_exp = _bn256.final_exp
+    monkeypatch.setattr(_bn256, "final_exp", lambda f: calls.append(1) or final_exp(f))
+    return calls
+
+
+@pytest.fixture
 def rng():
     return random.Random(0xE7E)
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etenon import _bn256
 from etenon.algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    G1Element,
     SEAL_TAG_BYTES,
     IntegrityError,
     get_suite,
@@ -375,6 +377,91 @@ def test_bn256_exponent_reduction(bn256):
     assert g ** bn256.order == g ** 0
     assert g ** (-1) == g ** (bn256.order - 1)
     assert bn256.gt_generator ** (-2) == bn256.gt_generator ** (bn256.order - 2)
+
+
+def _source_points(suite):
+    """Left and right pairing arguments, the points at infinity among them."""
+    lefts = [suite.generator ** 7, suite.hash_to_group(b"deferred"), suite.generator ** 0]
+    rights = [suite.right_generator ** 11, suite.right_generator, suite.right_generator ** 0]
+    return lefts, rights
+
+
+def _finished_operands(suite):
+    """Target-group values that never were Miller values."""
+    return [
+        suite.decode_gt((suite.gt_generator ** 5).encode()),
+        suite.gt_generator ** 3,
+        suite.gt_identity,
+    ]
+
+
+def _apply(program, values):
+    values = list(values)
+    for op, i, arg in program:
+        a = values[i % len(values)]
+        if op == "mul":
+            values.append(a * values[arg % len(values)])
+        elif op == "div":
+            values.append(a / values[arg % len(values)])
+        else:
+            values.append(a ** arg)
+    return values
+
+
+_EXPONENTS = st.sampled_from([0, 1, 2, -1, 65537, _bn256.order - 1, _bn256.order + 3])
+_PROGRAMS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["mul", "div"]), st.integers(0, 20), st.integers(0, 20)),
+        st.tuples(st.just("exp"), st.integers(0, 20), _EXPONENTS),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3),
+    program=_PROGRAMS,
+)
+@settings(max_examples=12, deadline=None)
+def test_bn256_deferred_final_exponentiation_matches_eager_pairings(bn256, pairs, program):
+    """Products, quotients and powers of pairings, mixed with finished
+    values, encode and compare exactly as the same expressions over
+    pairings finished on the spot."""
+    lefts, rights = _source_points(bn256)
+    finished = _finished_operands(bn256)
+    deferred = [bn256.pairing(lefts[i], rights[j]) for i, j in pairs]
+    eager = [
+        G1Element(bn256, _bn256.optimal_ate(rights[j].point, lefts[i].point))
+        for i, j in pairs
+    ]
+    got = _apply(program, deferred + finished)
+    want = _apply(program, eager + finished)
+    for x, y in zip(got, want):
+        assert x.encode() == y.encode()
+        assert x == y and y == x
+    # equality of a deferred result agrees with equality of the eager ones
+    for y in want:
+        assert (got[-1] == y) == (want[-1].encode() == y.encode())
+
+
+def test_bn256_deferred_values_stay_inside_the_suite(bn256, final_exp_calls):
+    """A pairing is finished only when it is compared or encoded, while
+    the generator and decoded values arrive finished."""
+    egg = bn256.gt_generator
+    decoded = bn256.decode_gt((egg ** 9).encode())
+    calls = final_exp_calls
+    calls.clear()
+    assert (decoded * egg) ** 2 == egg ** 20 and not calls
+    e = bn256.pairing(bn256.generator ** 3, bn256.right_generator) ** 3
+    e = e * bn256.pairing(bn256.generator, bn256.right_generator) / e
+    assert not calls
+    assert e.encode() == egg.encode() and len(calls) == 1
+    assert e == egg and len(calls) == 2
+    # a deferred value meeting a finished one is finished first
+    assert (e * decoded).encode() == (egg ** 10).encode() and len(calls) == 3
+    key = bn256.pairing(bn256.generator, bn256.right_generator ** 9)
+    assert bn256.unseal(key, bn256.seal(egg ** 9, b"data", b"ctx"), b"ctx") == b"data"
 
 
 def test_elements_refuse_foreign_suites(mock):

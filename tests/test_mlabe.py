@@ -263,21 +263,25 @@ tree: threshold(2, attr:a, attr:b, attr:c), attr:d
 """
 
 
+# attrs, opened levels, pairings, GT exponentiations, divisions and
+# multiplications of one decryption under SHARED_GATE
+SHARED_GATE_COUNTS = [
+    # every leaf held: the gate uses a and b, c is never paired
+    ({"a", "b", "c", "d"}, {1, 2}, 8, 2, 7),
+    # b fails the satisfaction check and is skipped unpaired
+    ({"a", "c", "d"}, {1, 2}, 8, 2, 7),
+    # the gate opens, level 2 stops at the missing leaf d
+    ({"b", "c"}, {1}, 5, 2, 4),
+    # one leaf of the gate: the gate is not satisfied, so nothing is
+    # paired and level 2 stops at its first child without touching d
+    ({"a", "d"}, set(), 0, 0, 0),
+    # none of the gate: nothing is paired at all
+    ({"d"}, set(), 0, 0, 0),
+]
+
+
 @pytest.mark.parametrize(
-    "attrs, levels, pairings, gt_exps, divs_and_muls",
-    [
-        # every leaf held: the gate uses a and b, c is never paired
-        ({"a", "b", "c", "d"}, {1, 2}, 8, 2, 7),
-        # b fails the satisfaction check and is skipped unpaired
-        ({"a", "c", "d"}, {1, 2}, 8, 2, 7),
-        # the gate opens, level 2 stops at the missing leaf d
-        ({"b", "c"}, {1}, 5, 2, 4),
-        # one leaf of the gate: a is paired, the gate still fails and
-        # level 2 stops at its first child without touching d
-        ({"a", "d"}, set(), 2, 0, 1),
-        # none of the gate: nothing is paired at all
-        ({"d"}, set(), 0, 0, 0),
-    ],
+    "attrs, levels, pairings, gt_exps, divs_and_muls", SHARED_GATE_COUNTS
 )
 def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, gt_exps, divs_and_muls):
     """Pairings and GT exponentiations of one decryption, pinned.
@@ -305,3 +309,33 @@ def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, gt_exps
     assert (span.pairings, span.exponentiations, span.multiplications) == (
         pairings, gt_exps, divs_and_muls + len(levels),
     )
+
+
+def test_bn256_decryption_finishes_one_pairing_per_opened_level(bn256, final_exp_calls):
+    """On bn256 a decryption pays one final exponentiation per opened
+    level and none for a key that opens nothing; encryption pays none.
+    The counters still tick once per pairing, as in the table above."""
+    rng = random.Random(0xF1)
+    pp, msk = mlabe.setup(bn256, rng)
+    tree = policy.parse_policy(SHARED_GATE)
+    payloads = {1: b"one", 2: b"two"}
+    elems = {1: bn256.gt_generator ** 5, 2: bn256.gt_generator ** 8}
+    calls = final_exp_calls
+    calls.clear()
+    ct = mlabe.encrypt(pp, payloads, tree, rng)
+    ct_gt = mlabe.encrypt_gt(pp, elems, tree, rng)
+    assert calls == []
+    for attrs, levels, pairings, gt_exps, divs_and_muls in SHARED_GATE_COUNTS:
+        dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+        for decrypt, sealed, want, masks in (
+            (mlabe.decrypt, ct, payloads, 0),
+            (mlabe.decrypt_gt, ct_gt, elems, len(levels)),
+        ):
+            calls.clear()
+            with bn256.measure() as span:
+                got = decrypt(pp, sealed, dk)
+            assert len(calls) == len(levels), attrs
+            assert (span.pairings, span.exponentiations, span.multiplications) == (
+                pairings, gt_exps, divs_and_muls + masks,
+            )
+            assert got == {level: want[level] for level in levels}
