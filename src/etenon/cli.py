@@ -55,6 +55,16 @@ def _rng(args):
     return random.Random(args.seed) if args.seed is not None else None
 
 
+def _positive(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError("expected a positive integer, found %r" % text)
+    return int(text)
+
+
+def _positives(text: str) -> list[int]:
+    return [_positive(x) for x in text.split(",")]
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -253,7 +263,7 @@ def _print_table(rows, columns) -> None:
         [fmt % r[name] if name in r else "" for name, fmt in columns] for r in rows
     ]
     widths = [
-        max(len(name), *(len(row[i]) for row in rendered))
+        max(len(cell) for cell in [name] + [row[i] for row in rendered])
         for i, (name, _fmt) in enumerate(columns)
     ]
     header = "  ".join(name.rjust(w) for (name, _), w in zip(columns, widths))
@@ -266,17 +276,14 @@ def _print_table(rows, columns) -> None:
 def cmd_bench(args) -> int:
     suite = get_suite(args.suite)
     rng = _rng(args)
-    levels = [int(x) for x in args.levels.split(",")]
-    leaves = [int(x) for x in args.leaves.split(",")]
-    signers = [int(x) for x in args.signers.split(",")]
 
     abe_rows = []
-    for k in levels:
-        for l in leaves:
+    for k in args.levels:
+        for l in args.leaves:
             if l < k:
                 continue
             abe_rows.append(bench_abe(suite, k, l, args.trials, rng))
-    sig_rows = [bench_musig(suite, n, args.trials, rng) for n in signers]
+    sig_rows = [bench_musig(suite, n, args.trials, rng) for n in args.signers]
     layer_rows = bench_layers(suite, args.trials, rng)
 
     print("suite: %s, trials per cell: %d" % (suite.name, args.trials))
@@ -389,10 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the primitives and check op counts")
     p.add_argument("--suite", default="mock")
-    p.add_argument("--levels", default="1,2,3,4,5", help="comma-separated k values")
-    p.add_argument("--leaves", default="2,4,6,8,10", help="comma-separated l values")
-    p.add_argument("--signers", default="1,2,3,5", help="comma-separated n values")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument(
+        "--levels", type=_positives, default="1,2,3,4,5", help="comma-separated k values"
+    )
+    p.add_argument(
+        "--leaves", type=_positives, default="2,4,6,8,10", help="comma-separated l values"
+    )
+    p.add_argument(
+        "--signers", type=_positives, default="1,2,3,5", help="comma-separated n values"
+    )
+    p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--csv", default=None, help="also write the grid as CSV")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_bench)

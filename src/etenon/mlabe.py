@@ -98,10 +98,6 @@ class KeyBundle:
     signing: int
     verification: G0Element
 
-    @property
-    def attrs(self) -> frozenset[str]:
-        return self.decryption.attrs
-
 
 @dataclass
 class CiphertextBundle:

@@ -66,9 +66,6 @@ class AccessTree:
     children: tuple[SubTree, ...]
     levels: dict[int, tuple[int, ...]]
 
-    def level_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.levels))
-
     def leaf_count(self) -> int:
         return sum(1 for _ in iter_leaves(self))
 
@@ -364,6 +361,14 @@ def tree_to_json(tree: AccessTree) -> dict:
     }
 
 
+def level_from_key(key) -> int:
+    """The level a JSON object key names, only as :func:`tree_to_json` writes it."""
+    level = int(typed(key, str))
+    if str(level) != key:
+        raise ValueError("level key %r is not canonical decimal" % key)
+    return level
+
+
 def tree_from_json(obj) -> AccessTree:
     def node(n) -> SubTree:
         if "attr" in typed(n, dict):
@@ -380,7 +385,7 @@ def tree_from_json(obj) -> AccessTree:
         tree = AccessTree(
             children=tuple(node(c) for c in typed(obj["children"], list)),
             levels={
-                int(level): tuple(typed(i, int) for i in typed(wanted, list))
+                level_from_key(level): tuple(typed(i, int) for i in typed(wanted, list))
                 for level, wanted in typed(obj["levels"], dict).items()
             },
         )

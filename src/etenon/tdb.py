@@ -12,8 +12,9 @@ shuffle that happens to reproduce the previous order (compared by order
 digest) is redrawn, so consecutive layouts always differ once the table
 has at least two rows.
 
-Persistence is an append-only JSONL log of accepted ingests plus an
-atomically swapped snapshot of the in-memory view.
+Persistence is an append-only JSONL log of accepted ingests, the only
+copy of the data, plus an atomically swapped snapshot of the storage
+order.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, the one check of each that the gate and
@@ -149,7 +150,6 @@ class TenonDb:
         self._secrets: dict[str, SecretEntry] = {}
         self._rosters: dict[str, tuple] = {}
         self._lock = threading.RLock()
-        self._log_lines = 0
         self._torn_at: int | None = None  # log offset of a torn final line
         self._root = Path(root) if root is not None else None
         if self._root is not None:
@@ -166,7 +166,7 @@ class TenonDb:
     def _verify_batch(self, rows, secret, rosters):
         """Return a rejection reason, or None when everything checks out."""
         # refs are write-once, so every stored row keeps the roster it was
-        # signed under and a snapshot's one roster map verifies all of them
+        # signed under
         known = dict(self._rosters)
         for ref, vks in rosters.items():
             vks = tuple(vks)
@@ -296,7 +296,6 @@ class TenonDb:
         return self._root / "snapshot.json"
 
     def _append_log(self, rows, secret, rosters) -> None:
-        self._log_lines += 1
         if self._root is None:
             return
         line = json.dumps(
@@ -313,19 +312,11 @@ class TenonDb:
             os.fsync(fh.fileno())
 
     def save_snapshot(self) -> None:
-        """Write the full view, replacing any previous snapshot atomically."""
+        """Write the storage order, replacing any previous snapshot atomically."""
         if self._root is None:
             raise TdbError("store has no root directory")
         with self._lock:
-            doc = {
-                "log_lines": self._log_lines,
-                "rows": [row_to_json(self.suite, r) for r in self._rows],
-                "secrets": {
-                    entry_id: secret_to_json(self.suite, entry)
-                    for entry_id, entry in sorted(self._secrets.items())
-                },
-                "rosters": rosters_to_json(self._rosters),
-            }
+            doc = {"order": [str(row.pointer) for row in self._rows]}
         tmp = self._snapshot_path().with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -334,36 +325,15 @@ class TenonDb:
         os.replace(tmp, self._snapshot_path())
 
     def _load(self) -> None:
-        snap = self._snapshot_path()
-        if snap.exists():
-            with decoding(TdbError, "snapshot"):
-                doc = typed(json.loads(snap.read_text(encoding="utf-8")), dict)
-                rows = [row_from_json(self.suite, r) for r in typed(doc["rows"], list)]
-                secrets = [
-                    secret_from_json(self.suite, entry)
-                    for entry in typed(doc["secrets"], dict).values()
-                ]
-                rosters = rosters_from_json(self.suite, doc["rosters"])
-                start = typed(doc["log_lines"], int)
-            # the snapshot is re-verified exactly as a replayed batch is
-            for batch in [(rows, None, rosters)] + [((), entry, {}) for entry in secrets]:
-                reason = self._verify_batch(*batch)
-                if reason is not None:
-                    raise TdbError("snapshot failed verification: %s" % reason)
-                self._apply(*batch)
-            self._log_lines = start
         log = self._log_path()
-        if not log.exists():
-            return
-        data = log.read_bytes()
+        data = log.read_bytes() if log.exists() else b""
         # A final line without its newline is an append cut short by a
         # crash: that batch was never acknowledged, so it is skipped here
         # and cut off before the next append.  Every other line must load.
         end = data.rfind(b"\n") + 1
         if end < len(data):
             self._torn_at = end
-        lines = data[:end].split(b"\n")[:-1]
-        for number, line in enumerate(lines[self._log_lines:], self._log_lines + 1):
+        for number, line in enumerate(data[:end].split(b"\n")[:-1], 1):
             with decoding(TdbError, "log line %d" % number):
                 doc = json.loads(line.decode())
                 rows, secret, rosters = batch_from_json(self.suite, doc)
@@ -371,7 +341,21 @@ class TenonDb:
             if reason is not None:
                 raise TdbError("log replay failed verification: %s" % reason)
             self._apply(rows, secret, rosters)
-            self._log_lines += 1
+        snap = self._snapshot_path()
+        if not snap.exists():
+            return
+        with decoding(TdbError, "snapshot"):
+            doc = typed(json.loads(snap.read_text(encoding="utf-8")), dict)
+            order = [uuid.UUID(typed(p, str)) for p in typed(doc["order"], list)]
+        # rows appended after the snapshot was saved follow in log order
+        listed = set(order)
+        if len(listed) != len(order):
+            raise TdbError("snapshot order repeats a pointer")
+        if not listed.issubset(self._index):
+            raise TdbError("snapshot order names a pointer the log does not hold")
+        self._rows = [self._index[p] for p in order] + [
+            row for row in self._rows if row.pointer not in listed
+        ]
 
 
 class ShuffleTimer:
@@ -398,7 +382,7 @@ class ShuffleTimer:
 # JSON forms
 
 
-def _timestamp(value) -> int:
+def timestamp_from_json(value) -> int:
     """A timestamp that fits the 8 bytes the co-signed digest gives it."""
     if not 0 <= typed(value, int) < 1 << 64:
         raise ValueError("timestamp %d does not fit 8 bytes" % value)
@@ -423,7 +407,7 @@ def row_from_json(suite: GroupSuite, obj) -> OpenRow:
             block=unb64(obj["block"]),
             sig=musig.sig_from_json(obj["sig"], suite),
             roster_ref=typed(obj["roster_ref"], str),
-            timestamp=_timestamp(obj["t"]),
+            timestamp=timestamp_from_json(obj["t"]),
         )
 
 
@@ -447,7 +431,7 @@ def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
             sig=musig.sig_from_json(obj["sig"], suite),
             roster_ref=typed(obj["roster_ref"], str),
             access_label=typed(obj["access_label"], str),
-            timestamp=_timestamp(obj["t"]),
+            timestamp=timestamp_from_json(obj["t"]),
         )
 
 

@@ -56,9 +56,6 @@ class EhrRecord:
     def identifiable(self) -> tuple[EhrColumn, ...]:
         return tuple(c for c in self.columns if c.label is Classification.IDENTIFIABLE)
 
-    def nonpii(self) -> tuple[EhrColumn, ...]:
-        return tuple(c for c in self.columns if c.label is Classification.NONPII)
-
 
 def record_from_json(obj) -> EhrRecord:
     with decoding(TenonError, "record document"):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite
+from .codec import decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
 from .tdb import OpenRow, SecretEntry, TenonDb, block_payload, payload_to_triple
@@ -155,10 +156,8 @@ def decode_level_payload(raw: bytes):
             raise WorkflowError("chain payload is not a 128-bit pointer")
         return "chain", tenon.Pointer(bytes=body)
     if kind == _KIND_IDENTIFIABLE:
-        try:
+        with decoding(WorkflowError, "identifiable payload"):
             return "identifiable", json.loads(body.decode())
-        except ValueError as exc:
-            raise WorkflowError("bad identifiable payload: %s" % exc) from None
     raise WorkflowError("unknown level payload kind %d" % kind)
 
 
@@ -616,38 +615,61 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     """Drive a whole configured run; returns a JSON-able summary.
 
     The document names the suite, seed, participants, policy, record,
-    level assignment, optional tampering and the retrievals to attempt.
-    A fixed seed makes the entire run, store layout included,
-    deterministic.  With ``emit_dir`` the public parameters and every
-    participant's key bundle are written there as JSON, so the
-    command-line tools can work the resulting store afterwards.
+    level assignment, optional tampering and the retrievals to attempt;
+    all of it is checked before any step runs, and a malformed document
+    raises :class:`WorkflowError`.  A fixed seed makes the entire run,
+    store layout included, deterministic.  With ``emit_dir`` the public
+    parameters and every participant's key bundle are written there as
+    JSON, so the command-line tools can work the resulting store
+    afterwards.
     """
     import random as _random
 
-    seed = doc.get("seed")
+    def optional(key, kind):
+        value = doc.get(key)
+        return None if value is None else typed(value, kind)
+
+    def strings(value) -> list[str]:
+        return [typed(v, str) for v in typed(value, list)]
+
+    with decoding(WorkflowError, "scenario"):
+        doc = typed(doc, dict)
+        suite_name = typed(doc.get("suite", "mock"), str)
+        seed = optional("seed", int)
+        participants = {
+            name: {
+                "role": typed(typed(spec, dict).get("role", "DU"), str),
+                "attrs": None if spec.get("attrs") is None else strings(spec["attrs"]),
+            }
+            for name, spec in typed(doc.get("participants", {}), dict).items()
+        }
+        tamper = optional("tamper", str)
+        timestamp = doc.get("timestamp")
+        access_label = typed(doc.get("access_label", "clinical"), str)
+        agreement = dict(
+            do_name=typed(doc["do"], str),
+            sp_name=typed(doc["sp"], str),
+            record=tenon.record_from_json(doc["record"]),
+            policy_text=typed(doc["policy"], str),
+            level_columns={
+                policy.level_from_key(level): strings(names)
+                for level, names in typed(doc["levels"], dict).items()
+            },
+            identifiable_level=optional("identifiable_level", int),
+            access_label=access_label,
+            timestamp=None if timestamp is None else tdb.timestamp_from_json(timestamp),
+            tamper=None if tamper is None else Tamper(tamper),
+        )
+        retrievals = []
+        for req in typed(doc.get("retrieve", []), list):
+            label = typed(typed(req, dict).get("access_label", access_label), str)
+            retrievals.append((typed(req["du"], str), label))
+
     rng = _random.Random(seed) if seed is not None else None
-    ctx = phase_setup(
-        suite_name=doc.get("suite", "mock"),
-        participants=doc.get("participants", {}),
-        rng=rng,
-        db_root=db_root,
-    )
+    ctx = phase_setup(suite_name, participants, rng=rng, db_root=db_root)
     if emit_dir is not None:
         _emit_context(ctx, emit_dir)
-    record = tenon.record_from_json(doc["record"])
-    tamper = Tamper(doc["tamper"]) if doc.get("tamper") else None
-    transcript = run_agreement(
-        ctx,
-        doc["do"],
-        doc["sp"],
-        record,
-        doc["policy"],
-        {int(l): names for l, names in doc["levels"].items()},
-        identifiable_level=doc.get("identifiable_level"),
-        access_label=doc.get("access_label", "clinical"),
-        timestamp=doc.get("timestamp"),
-        tamper=tamper,
-    )
+    transcript = run_agreement(ctx, **agreement)
     out = {
         "suite": ctx.suite.name,
         "agreement": {
@@ -663,14 +685,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
         result = ingest_transcript(ctx, transcript)
         out["ingest"] = {"accepted": result.accepted, "reason": result.reason}
         out["order_digest"] = ctx.db.order_digest().hex()
-        for req in doc.get("retrieve", []):
-            report = phase_retrieval(
-                ctx,
-                req["du"],
-                transcript.entry_id,
-                access_label=req.get("access_label", doc.get("access_label", "clinical")),
-            )
+        for du_name, label in retrievals:
+            report = phase_retrieval(ctx, du_name, transcript.entry_id, access_label=label)
             entry = report_to_json(report)
-            entry["du"] = req["du"]
+            entry["du"] = du_name
             out["retrievals"].append(entry)
     return out

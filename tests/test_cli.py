@@ -111,6 +111,28 @@ def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):
     assert "missing" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"suite": "mock"},
+        [1],
+        dict(SCENARIO, tamper="nope"),
+        dict(SCENARIO, participants={"patient": {"role": "DO", "attrs": "holder"}}),
+        dict(SCENARIO, levels={"1_0": ["symptom"]}),
+        dict(SCENARIO, timestamp=-1),
+    ],
+    ids=["no-record", "not-an-object", "bad-tamper", "attrs-text", "level-key", "timestamp"],
+)
+def test_run_scenario_malformed_document_is_json_error(tmp_path, capsys, doc):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "run-scenario", str(scen))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "WorkflowError"
+    assert error["message"].startswith("malformed scenario")
+
+
 def _agreed_batch(tmp_path):
     """Write public parameters for one agreed mock batch; return the batch."""
     import random
@@ -269,6 +291,30 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
     layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
     assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode"}
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--levels", "x"), ("--leaves", "2,,3"), ("--signers", "-1"), ("--trials", "0"),
+     ("--trials", "\u0663")],
+)
+def test_bench_refuses_a_bad_grid_value(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument %s: expected a positive integer" % option in err
+    assert "Traceback" not in err
+
+
+def test_bench_with_no_abe_cell(capsys):
+    # every l is below every k, so the encryption table has no rows
+    code, out, _ = run(
+        capsys, "bench", "--levels", "3", "--leaves", "2", "--signers", "1",
+        "--trials", "1", "--seed", "5",
+    )
+    assert code == 0
+    assert "counts hold" in out
 
 
 def test_bench_policy_text_parses():

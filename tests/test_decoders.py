@@ -134,6 +134,24 @@ def world(tmp_path_factory):
     )
     assert workflow.ingest_transcript(ctx, tr2).accepted
     (root / "pp.json").write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
+    scenario = {
+        "suite": "mock",
+        "seed": 5,
+        "timestamp": 1_700_000_000,
+        "participants": {
+            "owner": {"role": "DO", "attrs": ["p"]},
+            "provider": {"role": "SP", "attrs": ["basic", "doctor"]},
+            "reader": {"attrs": ["basic"]},
+        },
+        "policy": "level 1 requires [1]\nlevel 2 requires [1, 2]\n"
+        "tree: attr:basic, attr:doctor",
+        "record": tenon.record_to_json(record),
+        "levels": {"1": ["note"], "2": ["plan"]},
+        "do": "owner",
+        "sp": "provider",
+        "access_label": "clinical",
+        "retrieve": [{"du": "reader"}, {"du": "provider", "access_label": "clinical"}],
+    }
 
     suite = ctx.suite
     _, msk = mlabe.setup(suite, random.Random(6))
@@ -150,6 +168,7 @@ def world(tmp_path_factory):
         "secret": tdb.secret_to_json(suite, tr.secret),
         "rosters": tdb.rosters_to_json(tr.rosters),
         "batch": tdb.batch_to_json(suite, tr.rows, tr.secret, tr.rosters),
+        "scenario": scenario,
     }
     return {
         "suite": suite,
@@ -210,7 +229,7 @@ def test_public_parameters_refuse_hostile_suite_names(world, name):
 def test_mutated_store_raises_only_tdb_errors(world, target, data):
     files = dict(world["files"])
     if target == "log.jsonl":
-        # the snapshot covers the first line; the second is replayed
+        # both lines are replayed; the second is mutated
         head, tail = files[target].decode().splitlines()
         doc = json.loads(tail)
         tail = mutated_text(doc, data.draw(mutations(doc)))
@@ -234,27 +253,29 @@ def _run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("option", ["--batch", "--key"])
+@pytest.mark.parametrize("target", ["--batch", "--key", "scenario"])
 @FUZZ
 @given(data=st.data())
-def test_cli_on_mutated_input_file_reports_json_errors(world, option, data):
+def test_cli_on_mutated_input_file_reports_json_errors(world, target, data):
     root = world["root"]
-    doc = world["docs"]["batch" if option == "--batch" else "key"]
+    doc = world["docs"][target.lstrip("-")]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(mutated_text(doc, data.draw(mutations(doc))))
-        if option == "--batch":
-            argv = ["ingest", "--db", str(Path(tmp) / "db"), "--batch", str(path)]
-        else:
-            argv = ["retrieve", "--db", str(root / "db"), "--key", str(path),
-                    "--entry", world["entry"]]
-        code, out, err = _run_cli(*argv, "--pp", str(root / "pp.json"))
+        pp = ["--pp", str(root / "pp.json")]
+        argv = {
+            "--batch": ["ingest", "--db", str(Path(tmp) / "db"), "--batch", str(path)] + pp,
+            "--key": ["retrieve", "--db", str(root / "db"), "--key", str(path),
+                      "--entry", world["entry"]] + pp,
+            "scenario": ["run-scenario", str(path)],
+        }[target]
+        code, out, err = _run_cli(*argv)
     if code == 2:
         assert out == ""
         (line,) = err.splitlines()
         assert set(json.loads(line)) == {"error", "message"}
     else:
         # the document still decoded: the batch was accepted or refused,
-        # or the key was used for a retrieval
+        # the key was used for a retrieval, or the scenario ran
         assert code in (0, 1) and err == ""
         json.loads(out)

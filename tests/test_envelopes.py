@@ -91,6 +91,12 @@ BAD_POLICIES = [
     # these two once decoded, as level 1 = (1, 2) and threshold 1
     {"levels": {"1": "12"}},
     {"children": [{"threshold": 1.5, "children": [{"attr": "basic"}]}, {"attr": "doctor"}]},
+    # level keys that int() once coerced, to 10, 1, 1, 1 and 3
+    {"levels": {"1_0": [1]}},
+    {"levels": {"+1": [1]}},
+    {"levels": {" 1": [1]}},
+    {"levels": {"01": [1]}},
+    {"levels": {"\u0663": [1]}},
 ]
 
 
@@ -99,7 +105,8 @@ BAD_POLICIES = [
     BAD_POLICIES,
     ids=[
         "levels-list", "attr-int", "gate-chain-3000", "level-indices-text",
-        "threshold-float",
+        "threshold-float", "level-key-underscore", "level-key-plus", "level-key-space",
+        "level-key-leading-zero", "level-key-arabic-indic",
     ],
 )
 def test_tree_from_json_raises_only_policy_errors(docs, fields):

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 import time
@@ -358,10 +357,11 @@ def test_torn_final_log_line_is_dropped(system, tmp_path):
     "corrupt",
     [
         lambda doc: "{not json",
-        lambda doc: json.dumps(dict(doc, secrets=[])),
+        lambda doc: json.dumps(dict(doc, order=",".join(doc["order"]))),
+        lambda doc: json.dumps(dict(doc, order=doc["order"] + [5])),
         lambda doc: json.dumps([doc]),
     ],
-    ids=["not-json", "secrets-list", "not-an-object"],
+    ids=["not-json", "order-not-a-list", "order-holds-a-non-string", "not-an-object"],
 )
 def test_malformed_snapshot_fails_load(system, tmp_path, corrupt):
     suite, pp, _, rng = system
@@ -375,9 +375,11 @@ def test_malformed_snapshot_fails_load(system, tmp_path, corrupt):
         TenonDb(pp, root=tmp_path)
 
 
-def test_forged_snapshot_fails_verification(system, tmp_path):
-    """Snapshot rows and entries are re-verified on load, as replayed
-    log lines are: a decodable but unsigned edit is refused."""
+def test_snapshot_order_must_match_the_log(system, tmp_path):
+    """The snapshot holds only the storage order: it may name each row
+    the log holds once, and nothing else."""
+    from etenon import tdb
+
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     rows, secret, rosters = make_batch(suite, pp, rng)
@@ -385,27 +387,62 @@ def test_forged_snapshot_fails_verification(system, tmp_path):
     db.save_snapshot()
     snap = tmp_path / "snapshot.json"
     genuine = json.loads(snap.read_text())
-    forged = b64(block_payload("forged", None))
+    order = genuine["order"]
+    assert sorted(order) == sorted(str(row.pointer) for row in rows)
 
-    doc = copy.deepcopy(genuine)
-    doc["rows"][0]["block"] = forged
-    snap.write_text(json.dumps(doc))
-    with pytest.raises(TdbError, match="snapshot failed verification: row 0"):
-        TenonDb(pp, root=tmp_path)
-
-    doc = copy.deepcopy(genuine)
-    doc["secrets"]["entry-1"]["ciphertext"]["levels"][0]["mask"] = forged
-    snap.write_text(json.dumps(doc))
-    with pytest.raises(TdbError, match="snapshot failed verification: secret entry"):
-        TenonDb(pp, root=tmp_path)
+    unknown = {"order": order + [str(tenon.make_pointer(rng))]}
+    repeated = {"order": order + order[:1]}
+    # the format that copied every row, entry and roster
+    old_format = {
+        "log_lines": 1,
+        "rows": [tdb.row_to_json(suite, row) for row in db.read_open()],
+        "secrets": {secret.entry_id: tdb.secret_to_json(suite, secret)},
+        "rosters": tdb.rosters_to_json(rosters),
+    }
+    for doc, match in [
+        (unknown, "does not hold"),
+        (repeated, "repeats a pointer"),
+        (old_format, "malformed snapshot"),
+    ]:
+        snap.write_text(json.dumps(doc))
+        with pytest.raises(TdbError, match=match):
+            TenonDb(pp, root=tmp_path)
 
     snap.write_text(json.dumps(genuine))
-    assert TenonDb(pp, root=tmp_path).find_row(rows[0].pointer) == rows[0]
+    reopened = TenonDb(pp, root=tmp_path)
+    assert reopened.read_open() == db.read_open()
+    assert reopened.read_secret("entry-1", "clinical") == secret
+
+
+def test_snapshot_does_not_stand_in_for_the_log(system, tmp_path):
+    """Every log line is replayed and re-verified, also the lines written
+    before the snapshot was saved."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    db.save_snapshot()
+    log = tmp_path / "log.jsonl"
+    genuine = log.read_text()
+
+    doc = json.loads(genuine)
+    doc["rows"][0]["t"] += 1
+    for line, match in [("[1]", "malformed batch"), (json.dumps(doc), "signature invalid")]:
+        log.write_text(line + "\n")
+        with pytest.raises(TdbError, match=match):
+            TenonDb(pp, root=tmp_path)
+
+    log.unlink()
+    with pytest.raises(TdbError, match="does not hold"):
+        TenonDb(pp, root=tmp_path)
+
+    log.write_text(genuine)
+    assert TenonDb(pp, root=tmp_path).read_open() == db.read_open()
 
 
 def test_roster_ref_is_write_once(system, tmp_path):
     """A batch may repeat a stored roster ref with the same keys but not
-    redefine it, so a saved snapshot's roster map still verifies every row."""
+    redefine it, so every stored row keeps the roster it was signed under."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     rows, secret, rosters = make_batch(suite, pp, rng)
@@ -500,8 +537,8 @@ def test_json_decoders_raise_only_tdb_errors(system):
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
     "log.jsonl": "e5b23f8b48e1f14a672a38e83f9f13df0568fb83f9a5e65bfc7c4eaeb1af36f6",
-    "snapshot.json": "f97d98c92e1148c8db8ea07dafe6b8e45d632355d441e713f1badb207f21ba03",
-    "reopened snapshot.json": "b3d7f571a8ef6c043a4e009083e4de4f3a1db945a78c8514fda791a707673514",
+    "snapshot.json": "082210802749f54dbfd8a499fe72ae89bf45938721e0c02fe11d0481faf60fe4",
+    "reopened snapshot.json": "d3da3652a142f730ec184dcceb84baeb85a91805af6390da608cffa71a8f66d4",
 }
 
 
@@ -509,8 +546,8 @@ def test_seeded_store_files_are_pinned(system, tmp_path):
     """The log line and snapshot formats are fixed byte for byte.
 
     Two batches (the second without a secret entry) are logged and
-    snapshotted, a third sits in the log tail only; the store is then
-    reopened (snapshot load plus replay) and snapshotted again.
+    snapshotted, a third is logged after the snapshot; the store is then
+    reopened (log replay, then the snapshot's order) and snapshotted again.
     """
     import hashlib
 

@@ -112,6 +112,10 @@ def test_payload_kind_roundtrip(rng):
         decode_level_payload(b"\x07junk")
     with pytest.raises(WorkflowError):
         decode_level_payload(b"\x01short")
+    # a sealed identifiable payload that is not JSON, or nests too deep
+    for body in (b"\xff", b"[" * 100_000 + b"]" * 100_000):
+        with pytest.raises(WorkflowError, match="malformed identifiable payload"):
+            decode_level_payload(b"\x02" + body)
 
 
 def test_preprocess_record_validation():
