@@ -436,6 +436,12 @@ def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
         )
 
 
+def ct_check_envelope(obj, suite: GroupSuite) -> None:
+    """Check a ciphertext document's version, kind and suite, not its elements."""
+    with decoding(MlabeError, "ciphertext document"):
+        _open_envelope(obj, "ciphertext", suite)
+
+
 def ct_canonical_bytes(ct: CiphertextBundle) -> bytes:
     """Stable byte form of a ciphertext, the unit that gets co-signed."""
     return json.dumps(ct_to_json(ct), sort_keys=True, separators=(",", ":")).encode()

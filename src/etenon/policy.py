@@ -189,7 +189,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t]+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<nl>\n)"
-    r"|(?P<int>\d+)"
+    r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_.\-]*)"
     r"|(?P<sym>[\[\](),:])"
 )

@@ -14,7 +14,11 @@ has at least two rows.
 
 Persistence is an append-only JSONL log of accepted ingests, the only
 copy of the data, plus an atomically swapped snapshot of the storage
-order.
+order.  Opening a store replays the log and re-verifies every
+signature; a sealed entry is kept as the ciphertext bytes its roster
+signed, and is decoded only when it is first read.  Writers take a
+lock on the store directory's lock file, so a second writer waits, then
+replays what the first appended before it verifies its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, the one check of each that the gate and
@@ -24,12 +28,14 @@ line carry.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import random
 import threading
 import uuid
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,14 +72,40 @@ class OpenRow:
     timestamp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SecretEntry:
+    """A sealed entry, kept as the ciphertext bytes its roster co-signed.
+
+    ``ct_bytes`` is the canonical byte form of the ciphertext, which
+    :func:`entry_digest` hashes as it is; it is derived from
+    ``ciphertext`` when not given.  An entry read from a batch document
+    has no bundle yet: ``ciphertext`` decodes ``ct_bytes`` under
+    ``suite`` when it is first read, and keeps the result.
+    """
+
     entry_id: str
-    ciphertext: CiphertextBundle
+    ciphertext: CiphertextBundle  # the property below
     sig: MultiSig
     roster_ref: str
     access_label: str
     timestamp: int
+
+    def __init__(self, entry_id, ciphertext, sig, roster_ref, access_label, timestamp,
+                 *, ct_bytes: bytes | None = None, suite: GroupSuite | None = None):
+        if ct_bytes is None:
+            ct_bytes = mlabe.ct_canonical_bytes(ciphertext)
+        # frozen: set through __dict__, as functools.cached_property does
+        self.__dict__.update(
+            entry_id=entry_id, sig=sig, roster_ref=roster_ref, access_label=access_label,
+            timestamp=timestamp, ct_bytes=ct_bytes, _ct=ciphertext, _suite=suite,
+        )
+
+    @property
+    def ciphertext(self) -> CiphertextBundle:
+        if self._ct is None:
+            with decoding(TdbError, "ciphertext of secret entry %r" % self.entry_id):
+                self.__dict__["_ct"] = mlabe.ct_from_json(json.loads(self.ct_bytes), self._suite)
+        return self._ct
 
 
 @dataclass(frozen=True)
@@ -89,10 +121,14 @@ class TableSnapshot:
     order_digest: bytes
 
 
+def _canonical_json(doc) -> bytes:
+    """The one byte form of a document that is signed or logged."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
     """Canonical byte form of one chain element as stored and signed."""
-    doc = {"text": text, "next": str(next_pointer) if next_pointer else None}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return _canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
 
 
 def row_digest(pp_bytes: bytes, pointer: Pointer, block: bytes, timestamp: int) -> bytes:
@@ -106,11 +142,12 @@ def row_digest(pp_bytes: bytes, pointer: Pointer, block: bytes, timestamp: int) 
     ).digest()
 
 
-def entry_digest(pp_bytes: bytes, ciphertext: CiphertextBundle, timestamp: int) -> bytes:
-    """What the roster co-signs for one sealed entry."""
+def entry_digest(pp_bytes: bytes, ct_bytes: bytes, timestamp: int) -> bytes:
+    """What the roster co-signs for one sealed entry, given the canonical
+    bytes of its ciphertext (:func:`mlabe.ct_canonical_bytes`)."""
     return SignedMessage(
         kind="ciphertext",
-        payload=mlabe.ct_canonical_bytes(ciphertext),
+        payload=ct_bytes,
         pointer=None,
         pp_bytes=pp_bytes,
         timestamp=timestamp,
@@ -123,7 +160,7 @@ def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool
 
 
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
-    digest = entry_digest(pp_bytes, entry.ciphertext, entry.timestamp)
+    digest = entry_digest(pp_bytes, entry.ct_bytes, entry.timestamp)
     return musig.verify(suite, entry.sig, roster, digest)
 
 
@@ -150,7 +187,9 @@ class TenonDb:
         self._secrets: dict[str, SecretEntry] = {}
         self._rosters: dict[str, tuple] = {}
         self._lock = threading.RLock()
-        self._torn_at: int | None = None  # log offset of a torn final line
+        self._log_end = 0  # bytes of the log replayed or appended here
+        self._log_lines = 0
+        self._torn = False  # the log goes on past _log_end with a torn line
         self._root = Path(root) if root is not None else None
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
@@ -188,8 +227,6 @@ class TenonDb:
             where = "secret entry %r" % secret.entry_id
             if secret.entry_id in self._secrets:
                 return "%s: entry id already present" % where
-            if secret.ciphertext.suite_name != self.suite.name:
-                return "%s: ciphertext suite mismatch" % where
             roster = known.get(secret.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, secret.roster_ref)
@@ -206,7 +243,12 @@ class TenonDb:
         storage order is reshuffled after every accepted batch.
         """
         rows, rosters = list(rows), rosters or {}
-        with self._lock:
+        # The gate decodes a new entry in full, so a malformed ciphertext
+        # raises here; replay verifies the signed bytes and decodes nothing.
+        if secret is not None and secret.ciphertext.suite_name != self.suite.name:
+            reason = "secret entry %r: ciphertext suite mismatch" % secret.entry_id
+            return IngestResult(accepted=False, reason=reason)
+        with self._writing(), self._lock:
             reason = self._verify_batch(rows, secret, rosters)
             if reason is not None:
                 return IngestResult(accepted=False, reason=reason)
@@ -295,57 +337,104 @@ class TenonDb:
     def _snapshot_path(self) -> Path:
         return self._root / "snapshot.json"
 
+    @contextmanager
+    def _writing(self):
+        """Hold the store's write lock, after replaying what other writers
+        appended; a writer that finds the lock taken waits for it.  Take it
+        before ``self._lock``, never while holding that."""
+        if self._root is None:
+            yield
+            return
+        with open(self._root / "lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            with self._lock:
+                self._replay()
+            yield
+
+    def _sync_dir(self) -> None:
+        """Make the directory's entries (a new or replaced file) durable."""
+        fd = os.open(self._root, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def _append_log(self, rows, secret, rosters) -> None:
         if self._root is None:
             return
-        line = json.dumps(
-            batch_to_json(self.suite, rows, secret, rosters),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        with open(self._log_path(), "a", encoding="utf-8") as fh:
-            if self._torn_at is not None:
-                fh.truncate(self._torn_at)
-                self._torn_at = None
-            fh.write(line + "\n")
+        line = _canonical_json(batch_to_json(self.suite, rows, secret, rosters)) + b"\n"
+        created = not self._log_path().exists()
+        with open(self._log_path(), "ab") as fh:
+            if self._torn:
+                fh.truncate(self._log_end)
+                self._torn = False
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
+        if created:
+            self._sync_dir()
+        self._log_end += len(line)
+        self._log_lines += 1
 
     def save_snapshot(self) -> None:
         """Write the storage order, replacing any previous snapshot atomically."""
         if self._root is None:
             raise TdbError("store has no root directory")
-        with self._lock:
-            doc = {"order": [str(row.pointer) for row in self._rows]}
-        tmp = self._snapshot_path().with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._snapshot_path())
+        with self._writing():
+            with self._lock:
+                doc = {"order": [str(row.pointer) for row in self._rows]}
+            tmp = self._snapshot_path().with_suffix(".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self._snapshot_path())
+            self._sync_dir()
+
+    def _replay(self) -> None:
+        """Verify and apply the log lines this store has not read yet.
+
+        Each line's signatures are checked over the bytes as stored; no
+        ciphertext is decoded.  A final line without its newline is an
+        append cut short by a crash: that batch was never acknowledged,
+        so it is skipped here and cut off before the next append.  Every
+        other line must load, and a failure names its line.
+        """
+        try:
+            with open(self._log_path(), "rb") as fh:
+                fh.seek(self._log_end)
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        end = data.rfind(b"\n") + 1
+        self._torn = end < len(data)
+        for line in data[:end].split(b"\n")[:-1]:
+            number = self._log_lines + 1
+            try:
+                with decoding(TdbError, "JSON"):
+                    doc = json.loads(line.decode())
+                rows, secret, rosters = batch_from_json(self.suite, doc)
+                reason = self._verify_batch(rows, secret, rosters)
+                if reason is not None:
+                    raise TdbError("replay failed verification: %s" % reason)
+            except TdbError as exc:
+                raise TdbError("log line %d: %s" % (number, exc)) from None
+            self._apply(rows, secret, rosters)
+            self._log_end += len(line) + 1
+            self._log_lines = number
 
     def _load(self) -> None:
-        log = self._log_path()
-        data = log.read_bytes() if log.exists() else b""
-        # A final line without its newline is an append cut short by a
-        # crash: that batch was never acknowledged, so it is skipped here
-        # and cut off before the next append.  Every other line must load.
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            self._torn_at = end
-        for number, line in enumerate(data[:end].split(b"\n")[:-1], 1):
-            with decoding(TdbError, "log line %d" % number):
-                doc = json.loads(line.decode())
-                rows, secret, rosters = batch_from_json(self.suite, doc)
-            reason = self._verify_batch(rows, secret, rosters)
-            if reason is not None:
-                raise TdbError("log replay failed verification: %s" % reason)
-            self._apply(rows, secret, rosters)
-        snap = self._snapshot_path()
-        if not snap.exists():
+        # The snapshot is read before the log: a writer saves only rows it
+        # has already logged, so every pointer read here is in the log.
+        try:
+            raw = self._snapshot_path().read_bytes()
+        except FileNotFoundError:
+            raw = None
+        self._replay()
+        if raw is None:
             return
         with decoding(TdbError, "snapshot"):
-            doc = typed(json.loads(snap.read_text(encoding="utf-8")), dict)
+            doc = typed(json.loads(raw.decode()), dict)
             order = [uuid.UUID(typed(p, str)) for p in typed(doc["order"], list)]
         # rows appended after the snapshot was saved follow in log order
         listed = set(order)
@@ -414,7 +503,7 @@ def row_from_json(suite: GroupSuite, obj) -> OpenRow:
 def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
     return {
         "entry_id": entry.entry_id,
-        "ciphertext": mlabe.ct_to_json(entry.ciphertext),
+        "ciphertext": json.loads(entry.ct_bytes),
         "sig": musig.sig_to_json(suite, entry.sig),
         "roster_ref": entry.roster_ref,
         "access_label": entry.access_label,
@@ -423,15 +512,22 @@ def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
 
 
 def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
+    """An entry whose ciphertext is checked only up to its envelope; its
+    elements are decoded when ``ciphertext`` is first read."""
     with decoding(TdbError, "secret entry"):
         obj = typed(obj, dict)
+        mlabe.ct_check_envelope(obj["ciphertext"], suite)
         return SecretEntry(
             entry_id=typed(obj["entry_id"], str),
-            ciphertext=mlabe.ct_from_json(obj["ciphertext"], suite),
+            ciphertext=None,
             sig=musig.sig_from_json(obj["sig"], suite),
             roster_ref=typed(obj["roster_ref"], str),
             access_label=typed(obj["access_label"], str),
             timestamp=timestamp_from_json(obj["t"]),
+            # the log writes this document in canonical form, so these
+            # are the bytes the roster signed
+            ct_bytes=_canonical_json(obj["ciphertext"]),
+            suite=suite,
         )
 
 

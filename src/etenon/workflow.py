@@ -311,7 +311,12 @@ def run_agreement(
         raise WorkflowError("the provider needs a decryption key to verify")
     if timestamp is None:
         timestamp = int(time.time())
-    level_columns = {int(l): tuple(names) for l, names in level_columns.items()}
+    with decoding(WorkflowError, "level columns"):
+        # an int level as it is (not a bool), a JSON key only in canonical decimal
+        level_columns = {
+            l if type(l) is int else policy.level_from_key(l): tuple(names)
+            for l, names in level_columns.items()
+        }
     steps: list[str] = []
 
     # step 1: the owner preprocesses and encrypts
@@ -431,7 +436,8 @@ def run_agreement(
                     timestamp=timestamp,
                 )
             )
-    ct_digest = tdb.entry_digest(pp_bytes, package.ciphertext, timestamp)
+    ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
+    ct_digest = tdb.entry_digest(pp_bytes, ct_bytes, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
     secret = SecretEntry(
         entry_id=entry_id,
@@ -440,6 +446,7 @@ def run_agreement(
         roster_ref=roster_ref,
         access_label=access_label,
         timestamp=timestamp,
+        ct_bytes=ct_bytes,
     )
     steps.append(
         "signed: %d block signatures plus the ciphertext signature" % len(rows)

@@ -241,7 +241,13 @@ def test_mutated_store_raises_only_tdb_errors(world, target, data):
         for name, raw in files.items():
             (Path(tmp) / name).write_bytes(raw)
         try:
-            tdb.TenonDb(mlabe.pp_from_json(world["docs"]["pp"]), root=tmp)
+            db = tdb.TenonDb(mlabe.pp_from_json(world["docs"]["pp"]), root=tmp)
+        except tdb.TdbError:
+            return
+    # replay decodes no ciphertext: reading one decodes it or raises
+    for entry_id in db.secret_ids():
+        try:
+            db.read_secret(entry_id, "clinical").ciphertext
         except tdb.TdbError:
             pass
 

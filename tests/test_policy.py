@@ -67,6 +67,7 @@ def test_parse_rejects_bad_inputs():
         ("level 1 requires [1]\ntree: threshold(0, attr:a)", "threshold too low"),
         ("level 1 requires [1]\ntree: attr:a,, attr:b", "stray comma"),
         ("level 1 requires []\ntree: attr:a", "empty requirement"),
+        ("level \u0663 requires [\u0661]\ntree: attr:a", "non-ASCII digits"),
     ]
     for text, label in cases:
         with pytest.raises(PolicyError):

@@ -1,4 +1,6 @@
+import fcntl
 import json
+import multiprocessing
 import random
 import time
 from collections import Counter
@@ -6,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from etenon import mlabe, musig, policy, tenon
+from etenon import cli, mlabe, musig, policy, tdb, tenon
+from etenon.algebra import get_suite
 from etenon.codec import b64
 from etenon.musig import SignedMessage
 from etenon.tdb import (
@@ -302,6 +305,137 @@ def test_rejected_ingest_leaves_files_untouched(system, tmp_path):
     assert (tmp_path / "snapshot.json").read_bytes() == snap_bytes
 
 
+@pytest.fixture(params=["mock", "bn256"])
+def any_system(request, rng):
+    suite = get_suite(request.param)
+    pp, msk = mlabe.setup(suite, rng)
+    return suite, pp, msk, rng
+
+
+@pytest.fixture
+def ct_from_json_calls(monkeypatch):
+    """One entry per ciphertext decode, counted through the module attribute."""
+    calls = []
+    ct_from_json = mlabe.ct_from_json
+    monkeypatch.setattr(mlabe, "ct_from_json", lambda *a: calls.append(1) or ct_from_json(*a))
+    return calls
+
+
+def test_open_decodes_no_ciphertext_until_it_is_read(any_system, tmp_path, ct_from_json_calls):
+    suite, pp, _, rng = any_system
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    assert TenonDb(pp, root=tmp_path).ingest(rows, secret, rosters=rosters, rng=rng).accepted
+
+    db = TenonDb(pp, root=tmp_path)
+    entry = db.read_secret("entry-1", "clinical")
+    assert ct_from_json_calls == []
+    assert entry.ct_bytes == mlabe.ct_canonical_bytes(secret.ciphertext)
+    assert mlabe.ct_canonical_bytes(entry.ciphertext) == entry.ct_bytes
+    assert len(ct_from_json_calls) == 1
+    # the decoded bundle is kept
+    assert db.read_secret("entry-1", "clinical").ciphertext is entry.ciphertext
+    assert len(ct_from_json_calls) == 1
+
+
+def _undecodable(suite, doc):
+    """``doc`` with its first leaf's right-side element replaced by bytes
+    that do not decode: out of range on mock, off the subgroup on bn256."""
+    if suite.name == "bn256":
+        from test_algebra import _twist_point_off_the_subgroup
+
+        x, y, _ = _twist_point_off_the_subgroup()
+        raw = b"\x01" + b"".join(c.to_bytes(32, "big") for c in x + y)
+    else:
+        raw = b"\xff" * suite.scalar_bytes
+    return dict(doc, leaves=[dict(doc["leaves"][0], c=b64(raw))] + doc["leaves"][1:])
+
+
+def test_signed_entry_that_does_not_decode_fails_when_read(any_system, tmp_path, capsys):
+    """Replay checks the signature over the stored bytes; the decode and
+    its subgroup checks come when the entry is first read."""
+    suite, pp, msk, rng = any_system
+    sks, roster = sign_keys(suite, rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
+    doc = _undecodable(suite, mlabe.ct_to_json(mlabe.encrypt(pp, {1: b"x"}, tree, rng)))
+    ct_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    sig, _ = musig.cosign(suite, sks, tdb.entry_digest(pp.encode(), ct_bytes, 7), rng)
+    batch = {
+        "rows": [],
+        "secret": {"entry_id": "bad", "ciphertext": doc, "sig": musig.sig_to_json(suite, sig),
+                   "roster_ref": "r", "access_label": "clinical", "t": 7},
+        "rosters": tdb.rosters_to_json({"r": roster}),
+    }
+    # the gate decodes in full and refuses it
+    with pytest.raises(TdbError, match="ciphertext"):
+        TenonDb(pp).ingest(*tdb.batch_from_json(suite, batch))
+
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "log.jsonl").write_text(json.dumps(batch, sort_keys=True, separators=(",", ":")) + "\n")
+    db = TenonDb(pp, root=store)
+    assert db.secret_ids() == ("bad",)
+    entry = db.read_secret("bad", "clinical")
+    assert tdb.verify_entry(suite, pp.encode(), entry, roster)
+    with pytest.raises(TdbError, match="ciphertext of secret entry 'bad'"):
+        entry.ciphertext
+
+    (tmp_path / "pp.json").write_text(json.dumps(mlabe.pp_to_json(pp)))
+    key = mlabe.keygen(pp, msk, ["a"], rng)
+    (tmp_path / "key.json").write_text(json.dumps(mlabe.key_to_json(suite, key)))
+    code = cli.main(["retrieve", "--pp", str(tmp_path / "pp.json"), "--db", str(store),
+                     "--key", str(tmp_path / "key.json"), "--entry", "bad"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "TdbError"
+
+
+def _open_then_ingest(root, pp_doc, batch_doc, barrier, results):
+    """One writer process: open the store, wait for the others, ingest."""
+    pp = mlabe.pp_from_json(pp_doc)
+    db = TenonDb(pp, root=root)
+    barrier.wait(timeout=60)
+    rows, secret, rosters = tdb.batch_from_json(pp.suite, batch_doc)
+    res = db.ingest(rows, secret, rosters=rosters)
+    results.put((res.accepted, res.reason))
+
+
+def test_second_writer_waits_then_sees_the_first(system, tmp_path):
+    """Two processes open the store and both ingest an entry with the same
+    id.  Opening takes no lock; a writer waits for the store's write lock,
+    then replays what the other appended, so the second batch is refused
+    and the store still opens."""
+    suite, pp, _, rng = system
+    docs = [
+        tdb.batch_to_json(suite, *make_batch(suite, pp, rng, roster_ref=ref))
+        for ref in ("batch-a", "batch-b")
+    ]
+    mp = multiprocessing.get_context("spawn")
+    barrier, results = mp.Barrier(3), mp.Queue()
+    writers = [
+        mp.Process(target=_open_then_ingest,
+                   args=(str(tmp_path), mlabe.pp_to_json(pp), doc, barrier, results))
+        for doc in docs
+    ]
+    with open(tmp_path / "lock", "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        for w in writers:
+            w.start()
+        barrier.wait(timeout=60)  # both opened while the lock was held
+        time.sleep(0.5)
+        assert results.empty()  # and both wait for it to ingest
+    got = sorted(results.get(timeout=60) for _ in writers)
+    for w in writers:
+        w.join(timeout=60)
+        assert not w.is_alive() and w.exitcode == 0
+    assert [accepted for accepted, _ in got] == [False, True]
+    assert "entry id already present" in got[0][1]
+    reopened = TenonDb(pp, root=tmp_path)
+    assert reopened.secret_ids() == ("entry-1",)
+    assert len(reopened.read_open()) == 3
+    assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 1
+
+
 def test_tampered_log_fails_load(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
@@ -309,16 +443,19 @@ def test_tampered_log_fails_load(system, tmp_path):
     db.ingest(rows, secret, rosters=rosters, rng=rng)
 
     log = tmp_path / "log.jsonl"
-    doc = json.loads(log.read_text().splitlines()[0])
+    genuine = log.read_text()
+    doc = json.loads(genuine)
     doc["rows"][0]["t"] = doc["rows"][0]["t"] + 1
     log.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(TdbError):
+    with pytest.raises(TdbError, match="log line 1: .*signature invalid"):
         TenonDb(pp, root=tmp_path)
 
+    # every replay failure names its line, after any good lines too
     for line in ("not json", "[1]", "[" * 100_000 + "]" * 100_000):
-        log.write_text(line + "\n")
-        with pytest.raises(TdbError):
-            TenonDb(pp, root=tmp_path)
+        for prefix, number in (("", 1), (genuine, 2)):
+            log.write_text(prefix + line + "\n")
+            with pytest.raises(TdbError, match="^log line %d: " % number):
+                TenonDb(pp, root=tmp_path)
 
 
 def test_torn_final_log_line_is_dropped(system, tmp_path):

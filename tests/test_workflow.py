@@ -229,6 +229,23 @@ def test_agreement_levels_must_match_policy():
         )
 
 
+def test_agreement_level_keys_are_ints_or_canonical_decimal():
+    ctx = fresh_ctx()
+    record = tenon.record_from_json(RECORD)
+    for one in (1, "1"):
+        tr = run_agreement(
+            ctx, "patient", "hospital", record, POLICY,
+            {one: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
+        )
+        assert tr.agreed
+    for one in ("01", "+1", " 1", "\u0661", "1.0", True, 1.0, None):
+        with pytest.raises(WorkflowError, match="malformed level columns"):
+            run_agreement(
+                ctx, "patient", "hospital", record, POLICY,
+                {one: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
+            )
+
+
 def test_identifiable_text_never_reaches_open_rows():
     ctx = fresh_ctx()
     tr = agree(ctx)
@@ -333,7 +350,8 @@ def test_retrieval_of_a_cosigned_cycle_raises():
         rows.append(tdb.OpenRow(pointer, payload, sig, "cycle", t))
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic")
     ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(a)}, tree, ctx.rng)
-    sig, _ = musig.cosign(ctx.suite, keys, tdb.entry_digest(pp_bytes, ct, t), ctx.rng)
+    digest = tdb.entry_digest(pp_bytes, mlabe.ct_canonical_bytes(ct), t)
+    sig, _ = musig.cosign(ctx.suite, keys, digest, ctx.rng)
     secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
     assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
     with pytest.raises(EtenonError, match="cycle"):
