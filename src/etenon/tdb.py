@@ -164,12 +164,12 @@ def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster)
     return musig.verify(suite, entry.sig, roster, digest)
 
 
-def payload_to_triple(row: OpenRow) -> Triple:
-    with decoding(TdbError, "block payload in row %s" % row.pointer):
-        doc = typed(json.loads(row.block.decode()), dict)
+def payload_to_triple(pointer: Pointer, block: bytes) -> Triple:
+    with decoding(TdbError, "block payload in row %s" % pointer):
+        doc = typed(json.loads(block.decode()), dict)
         nxt = doc["next"]
         return Triple(
-            pointer=row.pointer,
+            pointer=pointer,
             block=typed(doc["text"], str),
             next=uuid.UUID(typed(nxt, str)) if nxt is not None else None,
         )

@@ -161,6 +161,35 @@ def decode_level_payload(raw: bytes):
     raise WorkflowError("unknown level payload kind %d" % kind)
 
 
+@dataclass
+class LevelRecovery:
+    kind: str
+    blocks: list[str] | None = None
+    complete: bool | None = None
+    identifiable: list | None = None
+
+    @property
+    def text(self) -> str | None:
+        return None if self.blocks is None else " ".join(self.blocks)
+
+
+def open_levels(
+    pp: PublicParams, ct: mlabe.CiphertextBundle, dk: mlabe.DecryptionKey, lookup
+) -> dict[int, LevelRecovery]:
+    """Decrypt the levels ``dk`` opens and walk each chain through ``lookup``,
+    as :func:`tenon.follow` does; the provider and every reader open levels here.
+    """
+    recovered: dict[int, LevelRecovery] = {}
+    for level, raw in sorted(mlabe.decrypt(pp, ct, dk).items()):
+        kind, value = decode_level_payload(raw)
+        if kind == "identifiable":
+            recovered[level] = LevelRecovery(kind, identifiable=value)
+        else:
+            chain, complete = tenon.follow(value, lookup)
+            recovered[level] = LevelRecovery(kind, [t.block for t in chain], complete)
+    return recovered
+
+
 # ----------------------------------------------------------------------
 # preprocessing
 
@@ -195,13 +224,20 @@ def preprocess_record(record: EhrRecord, rules, stopwords, level_columns, rng=No
 
     structures: dict[int, TenonStructure] = {}
     for level, names in level_columns.items():
-        blocks: list[str] = []
-        for name in names:
-            blocks.extend(tenon.column_blocks(by_name[name], stopwords))
+        blocks = level_blocks(labelled, names, stopwords)
         if not blocks:
             raise WorkflowError("level %d has no blocks" % level)
         structures[level] = tenon.build_structure(blocks, rng)
     return structures, labelled.identifiable()
+
+
+def level_blocks(labelled: EhrRecord, names, stopwords) -> list[str]:
+    """The blocks a level carries: its columns' blocks, in column order."""
+    return [
+        block
+        for name in names
+        for block in tenon.column_blocks(labelled.column(name), stopwords)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +254,10 @@ class Tamper(enum.Enum):
 
 @dataclass
 class AgreementPackage:
-    structures: dict[int, TenonStructure]
+    rows: dict[tenon.Pointer, bytes]  # block payloads to sign, chain order per level
     ciphertext: mlabe.CiphertextBundle
     level_columns: dict[int, tuple[str, ...]]
     identifiable_level: int | None
-    timestamp: int
 
 
 @dataclass
@@ -244,37 +279,24 @@ class AgreementTranscript:
 
 
 def _apply_tamper(package: AgreementPackage, tamper: Tamper, ctx) -> None:
+    rows = package.rows
     if tamper is Tamper.BLOCK_EDIT:
-        level = min(package.structures)
-        st = package.structures[level]
-        triples = list(st.triples)
-        t = triples[0]
-        triples[0] = tenon.Triple(t.pointer, t.block + " tampered", t.next)
-        package.structures[level] = TenonStructure(head=st.head, triples=tuple(triples))
+        pointer = next(iter(rows))
+        t = payload_to_triple(pointer, rows[pointer])
+        rows[pointer] = block_payload(t.block + " tampered", t.next)
     elif tamper is Tamper.CHAIN_REORDER:
-        level = None
-        for lvl, st in sorted(package.structures.items()):
-            if len(st.triples) >= 2:
-                level = lvl
-                break
-        if level is None:
+        # rows run in chain order: the first level of two or more blocks
+        linked = (payload_to_triple(p, block) for p, block in rows.items())
+        a = next((t for t in linked if t.next is not None), None)
+        if a is None:
             raise WorkflowError("no chain long enough to reorder")
-        st = package.structures[level]
-        ordered = list(st.chain_order())
-        a, b = ordered[0], ordered[1]
-        swapped = {a.pointer: b.block, b.pointer: a.block}
-        triples = tuple(
-            tenon.Triple(t.pointer, swapped.get(t.pointer, t.block), t.next)
-            for t in st.triples
-        )
-        package.structures[level] = TenonStructure(head=st.head, triples=triples)
+        b = payload_to_triple(a.next, rows[a.next])
+        rows[a.pointer] = block_payload(b.block, a.next)
+        rows[b.pointer] = block_payload(a.block, b.next)
     elif tamper is Tamper.CIPHERTEXT_SWAP:
         bogus = {}
         for level in package.ciphertext.tree.levels:
-            if (
-                package.identifiable_level is not None
-                and level == package.identifiable_level
-            ):
+            if level == package.identifiable_level:
                 bogus[level] = encode_identifiable_payload(())
             else:
                 bogus[level] = encode_chain_payload(tenon.make_pointer(ctx.rng))
@@ -346,70 +368,64 @@ def run_agreement(
     if identifiable_level is not None:
         payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
     ciphertext = mlabe.encrypt(ctx.pp, payloads, tree, ctx.rng)
+    to_sign = {
+        t.pointer: block_payload(t.block, t.next)
+        for level in sorted(structures)
+        for t in structures[level].chain_order()
+    }
     steps.append(
         "owner: %d chain levels, %d blocks, %d identifiable columns sealed"
-        % (
-            len(structures),
-            sum(len(st.triples) for st in structures.values()),
-            len(identifiable_cols),
-        )
+        % (len(structures), len(to_sign), len(identifiable_cols))
     )
 
     # step 2: package crosses the channel (where tampering can strike)
     package = AgreementPackage(
-        structures=dict(structures),
+        rows=to_sign,
         ciphertext=ciphertext,
         level_columns=level_columns,
         identifiable_level=identifiable_level,
-        timestamp=timestamp,
     )
     if tamper is not None:
         _apply_tamper(package, tamper, ctx)
         steps.append("channel: package altered in transit (%s)" % tamper.value)
     steps.append("provider: package received")
 
-    # step 3: the provider decrypts every level and reconstructs
-    recovered = mlabe.decrypt(ctx.pp, package.ciphertext, sp.keys.decryption)
-    if set(recovered) != set(package.ciphertext.tree.levels):
-        missing = sorted(set(package.ciphertext.tree.levels) - set(recovered))
+    # step 3: the provider opens every level, walking the rows it will sign
+    unreached = set(package.rows)
+
+    def row_triple(pointer):
+        try:
+            t = payload_to_triple(pointer, package.rows[pointer])
+        except (KeyError, tdb.TdbError):
+            return None
+        unreached.discard(pointer)
+        return t
+
+    recovered = open_levels(ctx.pp, package.ciphertext, sp.keys.decryption, row_triple)
+    missing = sorted(set(package.ciphertext.tree.levels) - set(recovered))
+    if missing:
         raise WorkflowError(
             "provider's key cannot open levels %s, cannot vouch for the record"
             % missing
         )
-    all_triples = [t for st in package.structures.values() for t in st.triples]
-    reconstructions: dict[int, tuple[list[str], bool]] = {}
-    sealed_identifiable = None
-    for level, raw in recovered.items():
-        kind, value = decode_level_payload(raw)
-        if kind == "chain":
-            reconstructions[level] = tenon.reconstruct(value, all_triples)
-        else:
-            sealed_identifiable = value
     steps.append("provider: decrypted %d levels" % len(recovered))
 
-    # step 4: compare against the provider's own copy
+    # step 4: compare against what the provider's own copy should open to
     own = tenon.classify(record, ctx.rules)
+    expected = {
+        level: LevelRecovery("chain", level_blocks(own, names, ctx.stopwords), True)
+        for level, names in package.level_columns.items()
+    }
+    if package.identifiable_level is not None:
+        docs = [{"name": c.name, "value": c.value} for c in own.identifiable()]
+        expected[package.identifiable_level] = LevelRecovery("identifiable", identifiable=docs)
+    levels = sorted(set(expected) | set(recovered))
+    differs = next((l for l in levels if recovered.get(l) != expected.get(l)), None)
     mismatch = None
-    for level in sorted(package.level_columns):
-        if level not in reconstructions:
-            mismatch = "level %d yielded no chain" % level
-            break
-        blocks, complete = reconstructions[level]
-        if not complete:
-            mismatch = "level %d chain is broken" % level
-            break
-        want = " ".join(
-            block
-            for name in package.level_columns[level]
-            for block in tenon.column_blocks(own.column(name), ctx.stopwords)
-        )
-        if " ".join(blocks) != want:
-            mismatch = "level %d text differs from the provider's copy" % level
-            break
-    if mismatch is None and identifiable_level is not None:
-        want_cols = [{"name": c.name, "value": c.value} for c in own.identifiable()]
-        if sealed_identifiable != want_cols:
-            mismatch = "identifiable columns differ from the provider's copy"
+    if differs is not None:
+        mismatch = "level %d differs from the provider's copy" % differs
+    elif unreached:
+        mismatch = "row %s lies on no chain" % min(unreached)
 
     if mismatch is not None:
         steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
@@ -422,20 +438,10 @@ def run_agreement(
     roster_ref = "agreement-" + entry_id
     keys = [do.keys.signing, sp.keys.signing]
     rows = []
-    for level in sorted(package.structures):
-        for t in package.structures[level].chain_order():
-            payload = block_payload(t.block, t.next)
-            digest = tdb.row_digest(pp_bytes, t.pointer, payload, timestamp)
-            sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
-            rows.append(
-                OpenRow(
-                    pointer=t.pointer,
-                    block=payload,
-                    sig=sig,
-                    roster_ref=roster_ref,
-                    timestamp=timestamp,
-                )
-            )
+    for pointer, payload in package.rows.items():
+        digest = tdb.row_digest(pp_bytes, pointer, payload, timestamp)
+        sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
+        rows.append(OpenRow(pointer, payload, sig, roster_ref, timestamp))
     ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
     ct_digest = tdb.entry_digest(pp_bytes, ct_bytes, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
@@ -477,18 +483,6 @@ def ingest_transcript(ctx: SystemContext, transcript: AgreementTranscript):
 
 # ----------------------------------------------------------------------
 # retrieval
-
-
-@dataclass
-class LevelRecovery:
-    kind: str
-    blocks: list[str] | None = None
-    complete: bool | None = None
-    identifiable: list | None = None
-
-    @property
-    def text(self) -> str | None:
-        return None if self.blocks is None else " ".join(self.blocks)
 
 
 @dataclass
@@ -535,8 +529,6 @@ def retrieve_entry(
             recovered={},
             row_failures=[],
         )
-    payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
-
     failures: list[str] = []
     verified: dict[tenon.Pointer, tenon.Triple] = {}
 
@@ -555,20 +547,11 @@ def retrieve_entry(
         if not tdb.verify_row(suite, pp_bytes, row, roster_r):
             failures.append("row %s: signature invalid" % pointer)
             return None
-        t = payload_to_triple(row)
+        t = payload_to_triple(pointer, row.block)
         verified[pointer] = t
         return t
 
-    recovered: dict[int, LevelRecovery] = {}
-    for level, raw in sorted(payloads.items()):
-        kind, value = decode_level_payload(raw)
-        if kind == "identifiable":
-            recovered[level] = LevelRecovery(kind=kind, identifiable=value)
-            continue
-        chain, complete = tenon.follow(value, triple_for)
-        recovered[level] = LevelRecovery(
-            kind=kind, blocks=[t.block for t in chain], complete=complete
-        )
+    recovered = open_levels(pp, entry.ciphertext, keys.decryption, triple_for)
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,

@@ -180,7 +180,7 @@ def test_find_row_and_payload_decode(system):
     db.ingest(rows, secret, rosters=rosters, rng=rng)
     row = db.find_row(rows[1].pointer)
     assert row is not None
-    triple = payload_to_triple(row)
+    triple = payload_to_triple(row.pointer, row.block)
     assert triple.pointer == rows[1].pointer
     assert triple.block == "beta"
     assert db.find_row(tenon.make_pointer(rng)) is None

@@ -189,6 +189,53 @@ def test_agreement_refuses_on_tampering(tamper):
         ingest_transcript(ctx, tr)
 
 
+def agree_with_channel(monkeypatch, edit):
+    """The agreement with ``edit(package, ctx)`` as the change in transit."""
+    monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: edit(package, ctx))
+    return agree(fresh_ctx(), tamper=Tamper.BLOCK_EDIT)
+
+
+def test_agreement_refuses_a_row_on_no_chain(monkeypatch):
+    injected = []
+
+    def inject(package, ctx):
+        injected.append(tenon.make_pointer(ctx.rng))
+        package.rows[injected[0]] = block_payload("injected", None)
+
+    tr = agree_with_channel(monkeypatch, inject)
+    assert tr.verdict == "mismatch: row %s lies on no chain" % injected[0]
+    assert tr.rows is None and tr.signature_count == 0
+
+
+def test_agreement_refuses_a_malformed_row(monkeypatch):
+    def garble(package, ctx):
+        package.rows[next(iter(package.rows))] = b"\xff not a block payload"
+
+    tr = agree_with_channel(monkeypatch, garble)
+    assert tr.verdict == "mismatch: level 1 differs from the provider's copy"
+    assert tr.rows is None and tr.signature_count == 0
+
+
+def _edit_last_row(package, ctx):
+    # rows run in chain order per level, so the last row is level 2's tail
+    pointer = list(package.rows)[-1]
+    package.rows[pointer] = block_payload("allergic to penicillin", None)
+
+
+def _reseal_identifiable(package, ctx):
+    hospital = ctx.entity("hospital").keys.decryption
+    payloads = mlabe.decrypt(ctx.pp, package.ciphertext, hospital)
+    payloads[3] = encode_identifiable_payload(())
+    package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, ctx.rng)
+
+
+@pytest.mark.parametrize("edit, level", [(_edit_last_row, 2), (_reseal_identifiable, 3)])
+def test_agreement_mismatch_names_the_level(monkeypatch, edit, level):
+    tr = agree_with_channel(monkeypatch, edit)
+    assert tr.verdict == "mismatch: level %d differs from the provider's copy" % level
+    assert tr.signature_count == 0
+
+
 def test_agreement_requires_capable_provider():
     ctx = phase_setup(
         "mock",
