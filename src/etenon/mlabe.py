@@ -6,7 +6,8 @@ but any byte string works; identifiable column bundles ride the same
 mechanism under their own level).
 
 Setup draws master scalars gamma and delta.  A key binds an attribute
-set under a fresh scalar r, which doubles as the holder's signing key.
+set under a fresh scalar r that never leaves key generation; the
+holder's signing key is drawn apart from it.
 Encryption secret-shares a fresh root polynomial over the tree, seals
 each level's payload under the target-group value e(g,g)^(gamma * s_l)
 where s_l is that level's share sum, and publishes two group elements
@@ -21,8 +22,8 @@ bn256, a single final exponentiation: the suite defers it from each
 pairing until the level value unseals its payload or divides its mask.
 
 Each element lives on one side of the asymmetric pairing.  The level
-elements, the hashed leaf elements and the key parts that carry g^r
-(the verification key among them) are left; d, the other key part per
+elements, the hashed leaf elements, the key parts that carry g^r and
+the verification key are left; d, the other key part per
 attribute and the other leaf element are right, so every pairing in
 decryption takes one element of each.
 
@@ -39,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from . import policy
+from . import musig, policy
 from .algebra import (
     LEFT,
     RIGHT,
@@ -58,7 +59,7 @@ class MlabeError(EtenonError):
     """Mismatched material or a malformed ciphertext document."""
 
 
-ENVELOPE_VERSION = 3
+ENVELOPE_VERSION = 4
 
 
 @dataclass
@@ -133,10 +134,11 @@ def setup(suite: GroupSuite, rng=None) -> tuple[PublicParams, MasterKey]:
 
 
 def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
-    """Issue a key for an attribute set.
+    """Issue a key for an attribute set, with a signing pair of its own.
 
-    The fresh scalar r both randomizes the decryption key and serves as
-    the signing key; the verification key is g^r on the left side.
+    The fresh scalar r randomizes the decryption key and is never handed
+    out: anyone who knew r could pair g^r with a leaf element and stand
+    in for attributes the key does not hold.
     """
     suite = pp.suite
     g2 = suite.right_generator
@@ -153,7 +155,8 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
             g2 ** r_a,
         )
     dk = DecryptionKey(attrs=attrs, d=d, components=components)
-    return KeyBundle(decryption=dk, signing=r, verification=g_r)
+    sk, vk = musig.keypair(suite, rng)
+    return KeyBundle(decryption=dk, signing=sk, verification=vk)
 
 
 def _level_context(level: int) -> bytes:

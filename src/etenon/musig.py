@@ -214,6 +214,12 @@ class SignSession:
         return MultiSig(rc=self._rc, s=total)
 
 
+def keypair(suite: GroupSuite, rng=None) -> tuple[int, G0Element]:
+    """A fresh signing scalar and its verification key, g^sk on the left side."""
+    sk = suite.rand_scalar_nonzero(rng)
+    return sk, suite.generator ** sk
+
+
 def start_session(suite: GroupSuite, sk: int, roster, msg: bytes, rng=None):
     """Create a session and its outgoing commitment message."""
     session = SignSession(suite, sk, roster, msg, rng=rng)

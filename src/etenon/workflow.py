@@ -109,10 +109,8 @@ def phase_setup(
             raise WorkflowError("unknown role %r" % spec.get("role")) from None
         attrs = spec.get("attrs")
         if attrs is None:
-            sk = suite.rand_scalar_nonzero(rng)
-            keys = KeyBundle(
-                decryption=None, signing=sk, verification=suite.generator ** sk
-            )
+            sk, vk = musig.keypair(suite, rng)
+            keys = KeyBundle(decryption=None, signing=sk, verification=vk)
         else:
             keys = mlabe.keygen(pp, msk, attrs, rng)
         entities[name] = Entity(role=role, name=name, keys=keys)

@@ -238,13 +238,16 @@ def test_criterion_05_collusion_resistance():
         for _ in range(50):
             pp, msk = mlabe.setup(mock, rng)
             gamma = mock.dlog_g0(msk.g_gamma)
-            # two users whose key randomizers differ
+            # two users whose key randomizers differ; r = dlog(d) * delta - gamma
             while True:
                 k1 = mlabe.keygen(pp, msk, ["a"], rng)
                 k2 = mlabe.keygen(pp, msk, ["b"], rng)
-                if k1.signing != k2.signing:
+                r1, r2 = (
+                    (mock.dlog_g0(k.decryption.d) * msk.delta - gamma) % p
+                    for k in (k1, k2)
+                )
+                if r1 != r2:
                     break
-            r1, r2 = k1.signing, k2.signing
             # a ciphertext whose second share is nonzero
             while True:
                 ct = mlabe.encrypt(pp, {1: b"joint secret"}, tree, rng)

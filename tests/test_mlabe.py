@@ -36,18 +36,45 @@ def test_keygen_key_algebra_on_mock(mock_setup):
     bundle = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)
     dk = bundle.decryption
     assert dk.attrs == {"doctor", "basic"}
-    # the signing key is the same fresh scalar folded into the blinding
     assert bundle.verification == suite.generator ** bundle.signing
-    r = bundle.signing
     gamma = suite.dlog_g0(msk.g_gamma)
     p = suite.order
-    # d = g^((gamma + r) / delta)
-    want = (gamma + r) * pow(msk.delta, p - 2, p) % p
-    assert suite.dlog_g0(dk.d) == want
+    # d = g^((gamma + r) / delta) for the randomizer r, which is not the signing key
+    r = (suite.dlog_g0(dk.d) * msk.delta - gamma) % p
+    assert r != bundle.signing
     for attr, (da, da_prime) in dk.components.items():
         r_a = suite.dlog_g0(da_prime)
         h = suite.dlog_g0(suite.hash_to_group(attr.encode()))
         assert suite.dlog_g0(da) == (r + h * r_a) % p
+
+
+@pytest.mark.parametrize("suite_name", ["mock-999983", "bn256"])
+def test_key_cannot_stand_in_for_attributes_it_lacks(suite_name):
+    """A key holder who knew its randomizer r could pair g^r with a leaf
+    element for any attribute: the components (g^r * H(a), g2) pass for
+    issued ones.  Built from the verification key, such a forged key must
+    open exactly the levels the honest key opens.  (A mock order this
+    large keeps a chance equal draw of r and the signing key negligible.)
+    """
+    suite = get_suite(suite_name)
+    rng = random.Random(0xF0)
+    pp, msk = mlabe.setup(suite, rng)
+    tree = policy.parse_policy(
+        "level 1 requires [1]\nlevel 2 requires [1, 2]\nlevel 3 requires [1, 2, 3]\n"
+        "tree: attr:basic, threshold(2, attr:doctor, attr:records, attr:research), attr:admin"
+    )
+    ct = mlabe.encrypt(pp, {1: b"one", 2: b"two", 3: b"three"}, tree, rng)
+    nurse = mlabe.keygen(pp, msk, ["basic"], rng)
+    dk = nurse.decryption
+    components = dict(dk.components)
+    for _, leaf in policy.iter_leaves(tree):
+        components.setdefault(
+            leaf.attribute,
+            (nurse.verification * suite.hash_to_group(leaf.attribute), suite.right_generator),
+        )
+    forged = mlabe.DecryptionKey(attrs=frozenset(components), d=dk.d, components=components)
+    assert mlabe.decrypt(pp, ct, dk) == {1: b"one"}
+    assert mlabe.decrypt(pp, ct, forged) == {1: b"one"}
 
 
 def test_roundtrip_two_levels(mock_setup):

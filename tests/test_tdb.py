@@ -673,7 +673,7 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "e5b23f8b48e1f14a672a38e83f9f13df0568fb83f9a5e65bfc7c4eaeb1af36f6",
+    "log.jsonl": "c14332a2d657aff38f3aa5cec1d08fd144eb3e326a36de32ac36b0a21a7d81f3",
     "snapshot.json": "082210802749f54dbfd8a499fe72ae89bf45938721e0c02fe11d0481faf60fe4",
     "reopened snapshot.json": "d3da3652a142f730ec184dcceb84baeb85a91805af6390da608cffa71a8f66d4",
 }
