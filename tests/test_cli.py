@@ -277,6 +277,18 @@ def test_shuffle_on_malformed_snapshot_is_json_error(tmp_path, capsys):
     _assert_cli_json_error("TdbError", "shuffle", "--pp", str(pp), "--db", str(db))
 
 
+def test_os_errors_are_json_errors(tmp_path, capsys):
+    pp = tmp_path / "pp.json"
+    _assert_cli_json_error(
+        "FileNotFoundError", "setup", "--suite", "mock",
+        "--pp", str(tmp_path / "nodir" / "pp.json"), "--msk", str(tmp_path / "msk.json"),
+    )
+    run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(tmp_path / "msk.json"))
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    _assert_cli_json_error("FileExistsError", "shuffle", "--pp", str(pp), "--db", str(not_a_dir))
+
+
 def test_bench_grid_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "grid.csv"
     code, out, _ = run(
