@@ -1,9 +1,11 @@
-"""Base64 text fields and the one guard every document decoder runs in."""
+"""Canonical JSON, base64 text fields and the one guard every document
+decoder runs in."""
 
 from __future__ import annotations
 
 import base64
 import binascii
+import json
 
 from contextlib import contextmanager
 
@@ -12,6 +14,11 @@ from .errors import EtenonError
 
 class CodecError(EtenonError):
     """A field that should hold base64 text does not."""
+
+
+def canonical_json(doc) -> bytes:
+    """The one byte form of a document that is signed, sealed or logged."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def b64(raw: bytes) -> str:

@@ -34,7 +34,6 @@ it exists to make the scheme's algebraic identity directly testable.
 
 from __future__ import annotations
 
-import json
 import operator
 
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from .algebra import (
     IntegrityError,
     get_suite,
 )
-from .codec import b64, decoding, typed, unb64
+from .codec import b64, canonical_json, decoding, typed, unb64
 from .errors import EtenonError
 from .policy import AccessTree, Leaf, NodePath
 
@@ -447,7 +446,7 @@ def ct_check_envelope(obj, suite: GroupSuite) -> None:
 
 def ct_canonical_bytes(ct: CiphertextBundle) -> bytes:
     """Stable byte form of a ciphertext, the unit that gets co-signed."""
-    return json.dumps(ct_to_json(ct), sort_keys=True, separators=(",", ":")).encode()
+    return canonical_json(ct_to_json(ct))
 
 
 def element_count(ct: CiphertextBundle) -> int:

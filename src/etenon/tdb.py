@@ -41,7 +41,7 @@ from pathlib import Path
 
 from . import mlabe, musig
 from .algebra import LEFT, GroupSuite, hash_commit
-from .codec import b64, decoding, typed, unb64
+from .codec import b64, canonical_json, decoding, typed, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
 from .musig import MultiSig, SignedMessage
@@ -121,14 +121,9 @@ class TableSnapshot:
     order_digest: bytes
 
 
-def _canonical_json(doc) -> bytes:
-    """The one byte form of a document that is signed or logged."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
     """Canonical byte form of one chain element as stored and signed."""
-    return _canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
+    return canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
 
 
 def row_digest(pp_bytes: bytes, pointer: Pointer, block: bytes, timestamp: int) -> bytes:
@@ -362,7 +357,7 @@ class TenonDb:
     def _append_log(self, rows, secret, rosters) -> None:
         if self._root is None:
             return
-        line = _canonical_json(batch_to_json(self.suite, rows, secret, rosters)) + b"\n"
+        line = canonical_json(batch_to_json(self.suite, rows, secret, rosters)) + b"\n"
         created = not self._log_path().exists()
         with open(self._log_path(), "ab") as fh:
             if self._torn:
@@ -526,7 +521,7 @@ def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
             timestamp=timestamp_from_json(obj["t"]),
             # the log writes this document in canonical form, so these
             # are the bytes the roster signed
-            ct_bytes=_canonical_json(obj["ciphertext"]),
+            ct_bytes=canonical_json(obj["ciphertext"]),
             suite=suite,
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite
-from .codec import decoding, typed
+from .codec import canonical_json, decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
 from .tdb import OpenRow, SecretEntry, TenonDb, block_payload, payload_to_triple
@@ -63,7 +63,6 @@ class Entity:
 class SystemContext:
     suite: object
     pp: PublicParams
-    authority_msk: object
     entities: dict[str, Entity]
     db: TenonDb
     rng: object
@@ -117,7 +116,6 @@ def phase_setup(
     return SystemContext(
         suite=suite,
         pp=pp,
-        authority_msk=msk,
         entities=entities,
         db=TenonDb(pp, root=db_root),
         rng=rng,
@@ -139,9 +137,7 @@ def encode_chain_payload(head: tenon.Pointer) -> bytes:
 
 def encode_identifiable_payload(columns) -> bytes:
     doc = [{"name": c.name, "value": c.value} for c in columns]
-    return bytes([_KIND_IDENTIFIABLE]) + json.dumps(
-        doc, sort_keys=True, separators=(",", ":")
-    ).encode()
+    return bytes([_KIND_IDENTIFIABLE]) + canonical_json(doc)
 
 
 def decode_level_payload(raw: bytes):
