@@ -4,9 +4,11 @@ A central authority runs setup and hands the master key to the
 attribute authority, which issues key bundles.  A data owner
 preprocesses a record into per-level pointer chains, seals the chain
 heads (and the identifiable columns, under their own level) into one
-ciphertext, and hands the package to the service provider.  The provider decrypts every level, reconstructs the
-chains, compares them against its own copy of the record, and only on
-an exact match do both parties co-sign every block and the ciphertext.
+ciphertext, and hands the package, with the row bytes to be signed, to
+the service provider.  The provider opens every level, walking the
+chains through those bytes as a reader will walk the open table, and
+compares each level with its own copy of the record; only on an exact
+match do both parties co-sign every row and the ciphertext.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, checks its signature before any
 decryption, recovers whichever levels its key satisfies and follows
