@@ -394,10 +394,19 @@ def run_agreement(
             t = payload_to_triple(pointer, package.rows[pointer])
         except (KeyError, tdb.TdbError):
             return None
+        if block_payload(t.block, t.next) != package.rows[pointer]:
+            return None  # only the canonical bytes of text and next are signed
         unreached.discard(pointer)
         return t
 
-    recovered = open_levels(ctx.pp, package.ciphertext, sp.keys.decryption, row_triple)
+    def refuse(mismatch):
+        steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
+        return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
+
+    try:
+        recovered = open_levels(ctx.pp, package.ciphertext, sp.keys.decryption, row_triple)
+    except (tenon.TenonError, WorkflowError) as e:
+        return refuse(str(e))
     missing = sorted(set(package.ciphertext.tree.levels) - set(recovered))
     if missing:
         raise WorkflowError(
@@ -417,15 +426,10 @@ def run_agreement(
         expected[package.identifiable_level] = LevelRecovery("identifiable", identifiable=docs)
     levels = sorted(set(expected) | set(recovered))
     differs = next((l for l in levels if recovered.get(l) != expected.get(l)), None)
-    mismatch = None
     if differs is not None:
-        mismatch = "level %d differs from the provider's copy" % differs
-    elif unreached:
-        mismatch = "row %s lies on no chain" % min(unreached)
-
-    if mismatch is not None:
-        steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
-        return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
+        return refuse("level %d differs from the provider's copy" % differs)
+    if unreached:
+        return refuse("row %s lies on no chain" % min(unreached))
     steps.append("provider: reconstruction matches its copy")
 
     # step 5: both parties co-sign every block and the ciphertext

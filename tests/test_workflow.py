@@ -216,6 +216,53 @@ def test_agreement_refuses_a_malformed_row(monkeypatch):
     assert tr.rows is None and tr.signature_count == 0
 
 
+def _add_a_key(row):
+    doc = json.loads(row)
+    doc["nino"] = "QQ123456C"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _brace_the_next(row):
+    doc = json.loads(row)
+    doc["next"] = "{%s}" % doc["next"]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("rewrite", [_add_a_key, _brace_the_next])
+def test_agreement_signs_only_canonical_rows(monkeypatch, rewrite):
+    def recode(package, ctx):
+        head = next(iter(package.rows))
+        package.rows[head] = rewrite(package.rows[head])
+
+    tr = agree_with_channel(monkeypatch, recode)
+    assert tr.verdict == "mismatch: level 1 differs from the provider's copy"
+    assert tr.rows is None and tr.signature_count == 0
+
+
+def _loop_the_head(package, ctx):
+    head = next(iter(package.rows))
+    text = json.loads(package.rows[head])["text"]
+    package.rows[head] = block_payload(text, head)
+
+
+def _reseal_unknown_kind(package, ctx):
+    hospital = ctx.entity("hospital").keys.decryption
+    payloads = mlabe.decrypt(ctx.pp, package.ciphertext, hospital)
+    payloads[1] = b"\x07" + payloads[1][1:]
+    package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, ctx.rng)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [(_loop_the_head, "pointer chain contains a cycle"),
+     (_reseal_unknown_kind, "unknown level payload kind 7")],
+)
+def test_agreement_refuses_an_unreadable_package(monkeypatch, edit, reason):
+    tr = agree_with_channel(monkeypatch, edit)
+    assert tr.verdict.startswith("mismatch: " + reason)
+    assert tr.rows is None and tr.signature_count == 0
+
+
 def _edit_last_row(package, ctx):
     # rows run in chain order per level, so the last row is level 2's tail
     pointer = list(package.rows)[-1]
