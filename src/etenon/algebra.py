@@ -18,8 +18,8 @@ Two interchangeable suites implement one interface:
 
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
-``random.Random`` for reproducible runs (the default source is the
-``secrets`` module).
+``random.Random`` for reproducible runs (the default source is
+``random.SystemRandom``, the operating system's randomness).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import contextvars
 import hashlib
 import hmac
 import math
-import secrets
+import random
 
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -215,7 +215,7 @@ class GroupSuite:
     def rand_scalar(self, rng=None) -> int:
         """Uniform scalar in [0, order); ``rng`` may be a seeded Random."""
         if rng is None:
-            return secrets.randbelow(self.order)
+            rng = random.SystemRandom()
         return rng.randrange(self.order)
 
     def rand_scalar_nonzero(self, rng=None) -> int:

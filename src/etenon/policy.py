@@ -19,6 +19,7 @@ either ``attr:<name>`` or ``threshold(t, <term>, ...)``.
 
 from __future__ import annotations
 
+import random
 import re
 
 from dataclasses import dataclass
@@ -436,11 +437,10 @@ def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
     constant term and hands child j the value at j.  A level's secret
     is the sum of root shares over its selected sub-trees.
     """
-    import secrets as _secrets
+    if rng is None:
+        rng = random.SystemRandom()
 
     def draw() -> int:
-        if rng is None:
-            return _secrets.randbelow(suite_order)
         return rng.randrange(suite_order)
 
     validate_tree(tree)

@@ -227,12 +227,12 @@ def column_blocks(column: EhrColumn, stopwords) -> list[str]:
 def make_pointer(rng=None) -> Pointer:
     """Fresh 128-bit pointer.
 
-    The default source is uuid4 (operating-system randomness).  Passing
-    a seeded ``random.Random`` derives the pointer from it instead so
-    scenario runs can be reproduced byte for byte.
+    The default source is ``random.SystemRandom`` (operating-system
+    randomness).  Passing a seeded ``random.Random`` derives the pointer
+    from it instead so scenario runs can be reproduced byte for byte.
     """
     if rng is None:
-        return uuid.uuid4()
+        rng = random.SystemRandom()
     return uuid.UUID(int=rng.getrandbits(128), version=4)
 
 
