@@ -166,22 +166,6 @@ def validate_tree(tree: AccessTree) -> None:
             raise PolicyError("level %d repeats a sub-tree index" % level)
 
 
-def lint_tree(tree: AccessTree) -> list[str]:
-    """Non-fatal oddities: currently duplicate attributes under one gate."""
-    warnings = []
-    for path, gate in iter_gates(tree):
-        seen = {}
-        for child in gate.children:
-            if isinstance(child, Leaf):
-                seen[child.attribute] = seen.get(child.attribute, 0) + 1
-        for attr, n in seen.items():
-            if n > 1:
-                warnings.append(
-                    "gate at %s lists attribute %r %d times" % (list(path), attr, n)
-                )
-    return warnings
-
-
 # ----------------------------------------------------------------------
 # parsing
 

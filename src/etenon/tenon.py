@@ -179,8 +179,7 @@ def tokenize(text: str, stopwords) -> list[str]:
     stopwords that precede it.
 
     A run of stopwords with no following main word is folded into the
-    final block (or becomes the only block); such a block ends in a
-    stopword, which :func:`trailing_stopword` detects.
+    final block (or becomes the only block).
     """
     words = normalize(text).split()
     blocks: list[str] = []
@@ -198,14 +197,6 @@ def tokenize(text: str, stopwords) -> list[str]:
         else:
             blocks.append(tail)
     return blocks
-
-
-def trailing_stopword(blocks, stopwords) -> bool:
-    """True when the final block ends in a stopword (degenerate tail)."""
-    if not blocks:
-        return False
-    last = blocks[-1].split()
-    return bool(last) and last[-1].lower() in stopwords
 
 
 def is_tokenizable(column: EhrColumn) -> bool:

@@ -12,7 +12,6 @@ from etenon.policy import (
     format_policy,
     lagrange_coeff,
     level_satisfied,
-    lint_tree,
     parse_policy,
     poly_eval,
     satisfied_levels,
@@ -89,16 +88,6 @@ def test_validate_rejects_unknown_child_reference():
     tree = AccessTree(children=(Leaf("a"),), levels={1: (2,)})
     with pytest.raises(PolicyError):
         validate_tree(tree)
-
-
-def test_lint_flags_duplicate_attribute_in_gate():
-    tree = AccessTree(
-        children=(Gate(threshold=1, children=(Leaf("a"), Leaf("a"))),),
-        levels={1: (1,)},
-    )
-    warnings = lint_tree(tree)
-    assert any("a" in w for w in warnings)
-    assert lint_tree(parse_policy(SAMPLE)) == []
 
 
 def test_satisfies_matches_oracle_on_random_trees():

@@ -23,7 +23,6 @@ from etenon.tenon import (
     record_from_json,
     record_to_json,
     tokenize,
-    trailing_stopword,
 )
 
 import oracles
@@ -70,13 +69,6 @@ def test_tokenize_join_reproduces_text(words):
 def test_tokenize_empty_text(stopwords):
     assert tokenize("", stopwords) == []
     assert tokenize("   ", stopwords) == []
-
-
-def test_trailing_stopword_flag(stopwords):
-    assert trailing_stopword(["in the"], stopwords)
-    assert trailing_stopword(["pain", "in the chest and"], stopwords)
-    assert not trailing_stopword(["pain", "in the chest"], stopwords)
-    assert not trailing_stopword([], stopwords)
 
 
 def test_stopwords_shipped_list():
