@@ -58,7 +58,7 @@ class MlabeError(EtenonError):
     """Mismatched material or a malformed ciphertext document."""
 
 
-ENVELOPE_VERSION = 4
+ENVELOPE_VERSION = 5
 
 
 @dataclass
@@ -390,7 +390,7 @@ def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, Key
 def ct_to_json(ct: CiphertextBundle) -> dict:
     doc = _envelope(ct.suite_name, "ciphertext")
     doc.update(
-        policy=policy.tree_to_json(ct.tree),
+        policy=policy.format_policy(ct.tree),
         levels=[
             {
                 "level": level,
@@ -414,7 +414,7 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
 def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
     with decoding(MlabeError, "ciphertext document"):
         suite = _open_envelope(obj, "ciphertext", suite)
-        tree = policy.tree_from_json(obj["policy"])
+        tree = policy.parse_policy(obj["policy"])
         levels = {
             typed(typed(entry, dict)["level"], int): (
                 suite.decode_g0(unb64(entry["c"]), LEFT),

@@ -7,7 +7,7 @@ satisfied.  Secret sharing assigns one polynomial per gate; the root
 polynomial has degree c'-1 for c' sub-trees, and a level's secret is
 the sum of the root shares over its selected indices.
 
-The text form looks like::
+A tree has one written form, which ciphertexts carry too; it looks like::
 
     level 1 requires [1, 2]
     level 2 requires [1]
@@ -33,6 +33,10 @@ NodePath = tuple[int, ...]
 _RESERVED = {"level", "tree", "requires", "attr", "threshold"}
 
 _ATTR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+
+# Printing, sharing and decryption each recurse once or twice per gate, so
+# a tree this deep stays well inside the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 class PolicyError(EtenonError):
@@ -135,33 +139,37 @@ def validate_tree(tree: AccessTree) -> None:
     if not tree.levels:
         raise PolicyError("policy declares no levels")
 
-    def walk(node: SubTree):
+    def walk(node: SubTree, depth: int):
         if isinstance(node, Leaf):
             if not node.attribute or not _ATTR_RE.fullmatch(node.attribute):
                 raise PolicyError("bad attribute name %r" % (node.attribute,))
             if node.attribute in _RESERVED:
                 raise PolicyError("attribute name %r is reserved" % (node.attribute,))
             return
+        if depth > MAX_DEPTH:
+            raise PolicyError("gates nest more than %d deep" % MAX_DEPTH)
         if not node.children:
             raise PolicyError("gate has no children")
-        if not 1 <= node.threshold <= len(node.children):
+        if type(node.threshold) is not int or not 1 <= node.threshold <= len(node.children):
             raise PolicyError(
-                "threshold %d out of range for %d children"
+                "threshold %r out of range for %d children"
                 % (node.threshold, len(node.children))
             )
         for child in node.children:
-            walk(child)
+            walk(child, depth + 1)
 
     for child in tree.children:
-        walk(child)
+        walk(child, 1)
     for level, wanted in tree.levels.items():
-        if not isinstance(level, int):
-            raise PolicyError("level ids must be integers")
+        # exactly what the text can spell: a bool is an int that prints as
+        # a word, and the text has no minus sign
+        if type(level) is not int or level < 0:
+            raise PolicyError("level ids must be non-negative integers, found %r" % (level,))
         if not wanted:
             raise PolicyError("level %d selects no sub-trees" % level)
         for i in wanted:
-            if not 1 <= i <= len(tree.children):
-                raise PolicyError("level %d selects unknown sub-tree %d" % (level, i))
+            if type(i) is not int or not 1 <= i <= len(tree.children):
+                raise PolicyError("level %d selects unknown sub-tree %r" % (level, i))
         if len(set(wanted)) != len(wanted):
             raise PolicyError("level %d repeats a sub-tree index" % level)
 
@@ -309,8 +317,13 @@ class _Parser:
 
 
 def parse_policy(text: str) -> AccessTree:
-    """Parse policy text; raises :class:`PolicyError` with line/col."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse policy text; raises :class:`PolicyError` with line/col.
+
+    The text may come from a hostile document: a non-string and nesting
+    too deep to walk raise :class:`PolicyError` too.
+    """
+    with decoding(PolicyError, "policy text"):
+        return _Parser(_tokenize(typed(text, str))).parse()
 
 
 def format_policy(tree: AccessTree) -> str:
@@ -330,52 +343,12 @@ def format_policy(tree: AccessTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------------------------
-# canonical JSON form
-
-
-def tree_to_json(tree: AccessTree) -> dict:
-    def node(n: SubTree):
-        if isinstance(n, Leaf):
-            return {"attr": n.attribute}
-        return {"threshold": n.threshold, "children": [node(c) for c in n.children]}
-
-    return {
-        "children": [node(c) for c in tree.children],
-        "levels": {str(l): list(tree.levels[l]) for l in sorted(tree.levels)},
-    }
-
-
 def level_from_key(key) -> int:
-    """The level a JSON object key names, only as :func:`tree_to_json` writes it."""
+    """The level a JSON object key names, only in canonical decimal."""
     level = int(typed(key, str))
     if str(level) != key:
         raise ValueError("level key %r is not canonical decimal" % key)
     return level
-
-
-def tree_from_json(obj) -> AccessTree:
-    def node(n) -> SubTree:
-        if "attr" in typed(n, dict):
-            return Leaf(attribute=typed(n["attr"], str))
-        if "threshold" in n:
-            return Gate(
-                threshold=typed(n["threshold"], int),
-                children=tuple(node(c) for c in typed(n.get("children", []), list)),
-            )
-        raise PolicyError("bad tree node %r" % (n,))
-
-    with decoding(PolicyError, "tree document"):
-        obj = typed(obj, dict)
-        tree = AccessTree(
-            children=tuple(node(c) for c in typed(obj["children"], list)),
-            levels={
-                level_from_key(level): tuple(typed(i, int) for i in typed(wanted, list))
-                for level, wanted in typed(obj["levels"], dict).items()
-            },
-        )
-        validate_tree(tree)
-        return tree
 
 
 # ----------------------------------------------------------------------

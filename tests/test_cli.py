@@ -201,7 +201,7 @@ def _not_json(batch):
 
 
 def _policy_levels_list(batch):
-    batch["secret"]["ciphertext"]["policy"]["levels"] = [[1]]
+    batch["secret"]["ciphertext"]["policy"] = [[1]]
     return json.dumps(batch)
 
 
@@ -245,6 +245,18 @@ def test_ingest_malformed_batch_is_json_error(tmp_path, breakage, error):
         error, "ingest", "--pp", str(tmp_path / "pp.json"),
         "--db", str(tmp_path / "db"), "--batch", str(batch_path),
     )
+
+
+@pytest.mark.parametrize(
+    "tree",
+    ["threshold(1, " * 3000, "threshold(1, " * 500 + "attr:basic" + ")" * 500],
+    ids=["unclosed-3000", "closed-500"],
+)
+def test_run_scenario_deeply_nested_policy_is_json_error(tmp_path, tree):
+    scen = tmp_path / "scen.json"
+    text = SCENARIO["policy"].replace("attr:basic", tree)
+    scen.write_text(json.dumps(dict(SCENARIO, policy=text)))
+    _assert_cli_json_error("PolicyError", "run-scenario", str(scen))
 
 
 @pytest.mark.parametrize(

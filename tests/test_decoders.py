@@ -2,9 +2,9 @@
 
 Each example starts from a valid document, replaces the value at one
 path with arbitrary JSON (including nesting far deeper than the
-interpreter's recursion limit, and pieces of the document itself) and
-decodes the result: directly, from a store's log or snapshot, or from a
-file given to the command line.
+interpreter's recursion limit, and pieces of the document itself) or
+edits the string there, and decodes the result: directly, from a
+store's log or snapshot, or from a file given to the command line.
 """
 
 import contextlib
@@ -76,13 +76,24 @@ def _replace(doc, path, value):
 
 
 @st.composite
+def edits(draw, text):
+    """``text`` with one span replaced by new text or repeated many times."""
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    middle = draw(st.text(max_size=12) | st.integers(2, 3000).map(lambda n: text[i:j] * n))
+    return text[:i] + middle + text[j:]
+
+
+@st.composite
 def mutations(draw, doc):
-    """(path, value): where in ``doc`` to put what."""
+    """(path, value): where in ``doc`` to put what; a string may be edited."""
     paths = list(_paths(doc))
     path = draw(st.sampled_from(paths))
     pieces = st.sampled_from(paths).map(lambda p: _at(doc, p))
-    value = draw(JSON | st.integers(2, 100_000).map(Deep) | pieces)
-    return path, value
+    values = JSON | st.integers(2, 100_000).map(Deep) | pieces
+    if isinstance(_at(doc, path), str):
+        values = edits(_at(doc, path)) | values
+    return path, draw(values)
 
 
 def mutated(doc, mutation):
@@ -162,7 +173,7 @@ def world(tmp_path_factory):
         "key": mlabe.key_to_json(suite, bundle),
         "ct": mlabe.ct_to_json(tr.secret.ciphertext),
         "sig": musig.sig_to_json(suite, tr.rows[0].sig),
-        "tree": policy.tree_to_json(tr.secret.ciphertext.tree),
+        "tree": policy.format_policy(tr.secret.ciphertext.tree),
         "record": tenon.record_to_json(record),
         "row": tdb.row_to_json(suite, tr.rows[0]),
         "secret": tdb.secret_to_json(suite, tr.secret),
@@ -189,7 +200,7 @@ DECODERS = {
     "key": (lambda doc, suite: mlabe.key_from_json(doc, suite), mlabe.MlabeError),
     "ct": (lambda doc, suite: mlabe.ct_from_json(doc, suite), mlabe.MlabeError),
     "sig": (lambda doc, suite: musig.sig_from_json(doc, suite), musig.MusigError),
-    "tree": (lambda doc, suite: policy.tree_from_json(doc), policy.PolicyError),
+    "tree": (lambda doc, suite: policy.parse_policy(doc), policy.PolicyError),
     "record": (lambda doc, suite: tenon.record_from_json(doc), tenon.TenonError),
     "row": (lambda doc, suite: tdb.row_from_json(suite, doc), tdb.TdbError),
     "secret": (lambda doc, suite: tdb.secret_from_json(suite, doc), tdb.TdbError),

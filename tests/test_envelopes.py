@@ -4,7 +4,6 @@ import pytest
 
 from etenon import mlabe, policy
 from etenon.mlabe import MlabeError
-from etenon.policy import PolicyError
 
 
 @pytest.fixture
@@ -43,15 +42,9 @@ def _leaf(doc, **fields):
     return dict(doc, leaves=[dict(doc["leaves"][0], **fields)] + doc["leaves"][1:])
 
 
-def _policy(doc, **fields):
-    return dict(doc, policy=dict(doc["policy"], **fields))
-
-
-def _gate_chain(depth):
-    node = {"attr": "basic"}
-    for _ in range(depth):
-        node = {"threshold": 1, "children": [node]}
-    return node
+def _policy(doc, tree):
+    """``doc`` whose policy is level 1 over ``tree``."""
+    return dict(doc, policy="level 1 requires [1]\ntree: " + tree)
 
 
 BAD_CIPHERTEXTS = [
@@ -62,9 +55,12 @@ BAD_CIPHERTEXTS = [
     lambda doc: _leaf(doc, cp=7),
     lambda doc: dict(doc, levels=5),
     lambda doc: dict(doc, leaves=["leaf"]),
-    lambda doc: dict(doc, policy={}),
-    lambda doc: _policy(doc, levels=[[1]]),
-    lambda doc: _policy(doc, children=[_gate_chain(3000), {"attr": "doctor"}]),
+    lambda doc: dict(doc, policy=""),
+    lambda doc: dict(doc, policy={"levels": [[1]]}),
+    lambda doc: _policy(doc, "threshold(1, " * 3000 + "attr:basic" + ")" * 3000),
+    lambda doc: _policy(doc, "attr:basic, attr:doctor)"),
+    lambda doc: dict(doc, policy="level 1 requires [3]\ntree: attr:basic, attr:doctor"),
+    lambda doc: _policy(doc, "threshold(3, attr:basic, attr:doctor)"),
 ]
 
 
@@ -74,7 +70,8 @@ BAD_CIPHERTEXTS = [
     ids=[
         "level-text", "level-null", "level-c-not-base64", "leaf-path-text",
         "leaf-cp-int", "levels-int", "leaves-strings", "policy-empty",
-        "policy-levels-list", "gate-chain-3000",
+        "policy-levels-list", "gate-chain-3000", "policy-stray-token",
+        "policy-missing-child", "policy-threshold-range",
     ],
 )
 def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
@@ -84,36 +81,13 @@ def test_ct_from_json_raises_only_mlabe_errors(docs, breakage):
         mlabe.ct_from_json(breakage(ct_doc), suite)
 
 
-BAD_POLICIES = [
-    {"levels": [[1]]},
-    {"children": [{"attr": 5}, {"attr": "doctor"}]},
-    {"children": [_gate_chain(3000), {"attr": "doctor"}]},
-    # these two once decoded, as level 1 = (1, 2) and threshold 1
-    {"levels": {"1": "12"}},
-    {"children": [{"threshold": 1.5, "children": [{"attr": "basic"}]}, {"attr": "doctor"}]},
-    # level keys that int() once coerced, to 10, 1, 1, 1 and 3
-    {"levels": {"1_0": [1]}},
-    {"levels": {"+1": [1]}},
-    {"levels": {" 1": [1]}},
-    {"levels": {"01": [1]}},
-    {"levels": {"\u0663": [1]}},
-]
-
-
-@pytest.mark.parametrize(
-    "fields",
-    BAD_POLICIES,
-    ids=[
-        "levels-list", "attr-int", "gate-chain-3000", "level-indices-text",
-        "threshold-float", "level-key-underscore", "level-key-plus", "level-key-space",
-        "level-key-leading-zero", "level-key-arabic-indic",
-    ],
-)
-def test_tree_from_json_raises_only_policy_errors(docs, fields):
-    policy_doc = docs[2]["policy"]
-    assert policy.tree_from_json(policy_doc).levels == {1: (1,)}
-    with pytest.raises(PolicyError):
-        policy.tree_from_json(dict(policy_doc, **fields))
+def test_ciphertexts_carry_the_policy_text(docs):
+    suite, _, ct_doc = docs
+    text = "level 1 requires [1]\ntree: attr:basic, attr:doctor\n"
+    assert ct_doc["policy"] == text
+    assert policy.format_policy(mlabe.ct_from_json(ct_doc, suite).tree) == text
+    with pytest.raises(MlabeError, match="unsupported document version 4"):
+        mlabe.ct_from_json(dict(ct_doc, version=4), suite)
 
 
 @pytest.mark.parametrize("suite_name", ["mock", "bn256"])

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from etenon import policy
 from etenon.policy import (
     AccessTree,
@@ -16,8 +19,6 @@ from etenon.policy import (
     poly_eval,
     satisfied_levels,
     satisfies,
-    tree_from_json,
-    tree_to_json,
     validate_tree,
 )
 
@@ -50,9 +51,45 @@ def test_format_roundtrip():
     assert again == tree
 
 
-def test_json_roundtrip():
-    tree = parse_policy(SAMPLE)
-    assert tree_from_json(tree_to_json(tree)) == tree
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.\-]{0,5}", fullmatch=True).filter(
+    lambda name: name not in {"level", "tree", "requires", "attr", "threshold"}
+)
+
+SUBTREES = st.recursive(
+    NAMES.map(Leaf),
+    lambda inner: st.lists(inner, min_size=1, max_size=4).flatmap(
+        lambda kids: st.integers(1, len(kids)).map(lambda t: Gate(t, tuple(kids)))
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def trees(draw):
+    children = tuple(draw(st.lists(SUBTREES, min_size=1, max_size=4)))
+    wanted = st.lists(st.integers(1, len(children)), min_size=1, unique=True).map(tuple)
+    levels = draw(st.dictionaries(st.integers(0, 10**6), wanted, min_size=1, max_size=4))
+    return AccessTree(children=children, levels=levels)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(tree=trees())
+def test_format_roundtrips_every_valid_tree(tree):
+    validate_tree(tree)
+    assert parse_policy(format_policy(tree)) == tree
+
+
+def _nested(depth, closed=True):
+    inner = "threshold(1, " * depth + ("attr:a" + ")" * depth if closed else "")
+    return "level 1 requires [1]\ntree: " + inner
+
+
+def test_parse_refuses_nesting_too_deep_to_walk():
+    tree = parse_policy(_nested(policy.MAX_DEPTH))
+    assert parse_policy(format_policy(tree)) == tree
+    for text in (_nested(policy.MAX_DEPTH + 1), _nested(3000), _nested(3000, closed=False)):
+        with pytest.raises(PolicyError):
+            parse_policy(text)
 
 
 def test_parse_rejects_bad_inputs():
@@ -67,6 +104,8 @@ def test_parse_rejects_bad_inputs():
         ("level 1 requires [1]\ntree: attr:a,, attr:b", "stray comma"),
         ("level 1 requires []\ntree: attr:a", "empty requirement"),
         ("level \u0663 requires [\u0661]\ntree: attr:a", "non-ASCII digits"),
+        (None, "not a string"),
+        (b"level 1 requires [1]\ntree: attr:a", "bytes"),
     ]
     for text, label in cases:
         with pytest.raises(PolicyError):
@@ -88,6 +127,24 @@ def test_validate_rejects_unknown_child_reference():
     tree = AccessTree(children=(Leaf("a"),), levels={1: (2,)})
     with pytest.raises(PolicyError):
         validate_tree(tree)
+
+
+@pytest.mark.parametrize(
+    "children, levels",
+    [
+        ((Leaf("a"),), {True: (1,)}),
+        ((Leaf("a"),), {-1: (1,)}),
+        ((Leaf("a"),), {"1": (1,)}),
+        ((Leaf("a"),), {1: (True,)}),
+        ((Gate(True, (Leaf("a"),)),), {1: (1,)}),
+        ((Gate(1.5, (Leaf("a"), Leaf("b"))),), {1: (1,)}),
+    ],
+    ids=["level-bool", "level-negative", "level-text", "index-bool", "threshold-bool",
+         "threshold-float"],
+)
+def test_validate_refuses_what_the_text_cannot_spell(children, levels):
+    with pytest.raises(PolicyError):
+        validate_tree(AccessTree(children=children, levels=levels))
 
 
 def test_satisfies_matches_oracle_on_random_trees():

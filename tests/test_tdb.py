@@ -458,6 +458,18 @@ def test_tampered_log_fails_load(system, tmp_path):
                 TenonDb(pp, root=tmp_path)
 
 
+def test_store_of_an_older_envelope_version_fails_at_open(system, tmp_path, monkeypatch):
+    """Every version-4 document is refused: a store fails on its first line,
+    not when an entry is first read."""
+    suite, pp, _, rng = system
+    with monkeypatch.context() as m:
+        m.setattr(mlabe, "ENVELOPE_VERSION", 4)
+        rows, secret, rosters = make_batch(suite, pp, rng)
+        assert TenonDb(pp, root=tmp_path).ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    with pytest.raises(TdbError, match="^log line 1: .*unsupported document version 4"):
+        TenonDb(pp, root=tmp_path)
+
+
 def test_torn_final_log_line_is_dropped(system, tmp_path):
     """A crash inside an append leaves a last line with no newline."""
     suite, pp, _, rng = system
@@ -673,7 +685,7 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "c14332a2d657aff38f3aa5cec1d08fd144eb3e326a36de32ac36b0a21a7d81f3",
+    "log.jsonl": "73a4b40a1d0e3f7bb7fa6b89a94d268d1e8f327f39dc421104ec8621b26b3d06",
     "snapshot.json": "082210802749f54dbfd8a499fe72ae89bf45938721e0c02fe11d0481faf60fe4",
     "reopened snapshot.json": "d3da3652a142f730ec184dcceb84baeb85a91805af6390da608cffa71a8f66d4",
 }
