@@ -4,8 +4,9 @@ Open rows are (pointer, block payload, multi-signature) and anyone may
 read them.  Secret entries hold a ciphertext bundle with its own
 multi-signature and a coarse access label checked on fetch.  Ingest is
 all or nothing: every signature in the batch must verify against its
-named roster before anything is stored, and a rejected batch leaves
-both memory and the persisted log byte-identical.
+named roster, and every row must hold a chain element in canonical
+form, before anything is stored; a rejected batch leaves both memory
+and the persisted log byte-identical.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
@@ -160,14 +161,18 @@ def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster)
 
 
 def payload_to_triple(pointer: Pointer, block: bytes) -> Triple:
-    with decoding(TdbError, "block payload in row %s" % pointer):
+    """The chain element a row holds; only bytes :func:`block_payload` wrote decode."""
+    with decoding(TdbError, "block payload"):
         doc = typed(json.loads(block.decode()), dict)
         nxt = doc["next"]
-        return Triple(
+        triple = Triple(
             pointer=pointer,
             block=typed(doc["text"], str),
             next=uuid.UUID(typed(nxt, str)) if nxt is not None else None,
         )
+        if block_payload(triple.block, triple.next) != block:
+            raise ValueError("not in canonical form")
+        return triple
 
 
 class TenonDb:
@@ -218,6 +223,10 @@ class TenonDb:
             batch_pointers.add(row.pointer)
             if not verify_row(self.suite, self._pp_bytes, row, roster):
                 return "%s: signature invalid" % where
+            try:
+                payload_to_triple(row.pointer, row.block)
+            except TdbError as exc:
+                return "%s: %s" % (where, exc)
         if secret is not None:
             where = "secret entry %r" % secret.entry_id
             if secret.entry_id in self._secrets:

@@ -394,8 +394,6 @@ def run_agreement(
             t = payload_to_triple(pointer, package.rows[pointer])
         except (KeyError, tdb.TdbError):
             return None
-        if block_payload(t.block, t.next) != package.rows[pointer]:
-            return None  # only the canonical bytes of text and next are signed
         unreached.discard(pointer)
         return t
 

@@ -10,7 +10,7 @@ import pytest
 
 from etenon import cli, mlabe, musig, policy, tdb, tenon
 from etenon.algebra import get_suite
-from etenon.codec import b64
+from etenon.codec import b64, canonical_json
 from etenon.musig import SignedMessage
 from etenon.tdb import (
     AccessDeniedError,
@@ -126,6 +126,37 @@ def test_gate_rejects_each_defect(system):
     assert db.secret_ids() == ()
     with pytest.raises(TdbError):
         db.roster("batch-1")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"not json", b'{"next":null,"nino":"QQ123456C","text":"x"}'],
+    ids=["not-json", "extra-key"],
+)
+def test_gate_refuses_a_signed_row_no_reader_can_walk(system, tmp_path, payload):
+    suite, pp, _, rng = system
+    sks, roster = sign_keys(suite, rng)
+    pointer = tenon.make_pointer(rng)
+    sig, _ = musig.cosign(suite, sks, tdb.row_digest(pp.encode(), pointer, payload, 7), rng)
+    row = OpenRow(pointer, payload, sig, "r", 7)
+    with pytest.raises(TdbError):
+        payload_to_triple(pointer, payload)
+
+    db = TenonDb(pp, root=tmp_path)
+    r = db.ingest([row], rosters={"r": roster}, rng=rng)
+    assert not r.accepted
+    assert r.reason.startswith("row 0 (pointer %s): malformed block payload" % pointer)
+    assert db.read_open() == () and not (tmp_path / "log.jsonl").exists()
+
+    # a log line that holds such a row fails the load, named by its number
+    rows, secret, rosters = make_batch(suite, pp, rng)
+    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    line = canonical_json(tdb.batch_to_json(suite, [row], None, {"r": roster}))
+    with open(tmp_path / "log.jsonl", "ab") as fh:
+        fh.write(line + b"\n")
+    where = r"^log line 2: .*row 0 \(pointer %s\): malformed" % pointer
+    with pytest.raises(TdbError, match=where):
+        TenonDb(pp, root=tmp_path)
 
 
 def test_rejected_batch_after_accept_changes_nothing(system):
