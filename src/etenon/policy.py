@@ -151,25 +151,22 @@ def validate_tree(tree: AccessTree) -> None:
         if not node.children:
             raise PolicyError("gate has no children")
         if type(node.threshold) is not int or not 1 <= node.threshold <= len(node.children):
-            raise PolicyError(
-                "threshold %r out of range for %d children"
-                % (node.threshold, len(node.children))
-            )
+            raise PolicyError("threshold out of range for %d children" % len(node.children))
         for child in node.children:
             walk(child, depth + 1)
 
     for child in tree.children:
         walk(child, 1)
     for level, wanted in tree.levels.items():
-        # exactly what the text can spell: a bool is an int that prints as
-        # a word, and the text has no minus sign
-        if type(level) is not int or level < 0:
-            raise PolicyError("level ids must be non-negative integers, found %r" % (level,))
+        # only what the text can spell: a bool is an int that prints as a
+        # word, the text has no minus sign, and int() reads bounded digits
+        if type(level) is not int or not 0 <= level < 1 << 64:
+            raise PolicyError("level ids must be integers in [0, 2**64)")
         if not wanted:
             raise PolicyError("level %d selects no sub-trees" % level)
         for i in wanted:
             if type(i) is not int or not 1 <= i <= len(tree.children):
-                raise PolicyError("level %d selects unknown sub-tree %r" % (level, i))
+                raise PolicyError("level %d selects an unknown sub-tree" % level)
         if len(set(wanted)) != len(wanted):
             raise PolicyError("level %d repeats a sub-tree index" % level)
 

@@ -68,7 +68,8 @@ SUBTREES = st.recursive(
 def trees(draw):
     children = tuple(draw(st.lists(SUBTREES, min_size=1, max_size=4)))
     wanted = st.lists(st.integers(1, len(children)), min_size=1, unique=True).map(tuple)
-    levels = draw(st.dictionaries(st.integers(0, 10**6), wanted, min_size=1, max_size=4))
+    level_ids = st.integers(0, (1 << 64) - 1)
+    levels = draw(st.dictionaries(level_ids, wanted, min_size=1, max_size=4))
     return AccessTree(children=children, levels=levels)
 
 
@@ -134,13 +135,16 @@ def test_validate_rejects_unknown_child_reference():
     [
         ((Leaf("a"),), {True: (1,)}),
         ((Leaf("a"),), {-1: (1,)}),
+        ((Leaf("a"),), {10**5000: (1,)}),
         ((Leaf("a"),), {"1": (1,)}),
         ((Leaf("a"),), {1: (True,)}),
+        ((Leaf("a"),), {1: (10**5000,)}),
         ((Gate(True, (Leaf("a"),)),), {1: (1,)}),
         ((Gate(1.5, (Leaf("a"), Leaf("b"))),), {1: (1,)}),
+        ((Gate(10**5000, (Leaf("a"),)),), {1: (1,)}),
     ],
-    ids=["level-bool", "level-negative", "level-text", "index-bool", "threshold-bool",
-         "threshold-float"],
+    ids=["level-bool", "level-negative", "level-huge", "level-text", "index-bool",
+         "index-huge", "threshold-bool", "threshold-float", "threshold-huge"],
 )
 def test_validate_refuses_what_the_text_cannot_spell(children, levels):
     with pytest.raises(PolicyError):

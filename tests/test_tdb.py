@@ -496,7 +496,8 @@ def test_store_of_an_older_envelope_version_fails_at_open(system, tmp_path, monk
     with monkeypatch.context() as m:
         m.setattr(mlabe, "ENVELOPE_VERSION", 4)
         rows, secret, rosters = make_batch(suite, pp, rng)
-        assert TenonDb(pp, root=tmp_path).ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        db = TenonDb(pp, root=tmp_path)
+        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
     with pytest.raises(TdbError, match="^log line 1: .*unsupported document version 4"):
         TenonDb(pp, root=tmp_path)
 
