@@ -393,12 +393,8 @@ def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
     """
     if rng is None:
         rng = random.SystemRandom()
-
-    def draw() -> int:
-        return rng.randrange(suite_order)
-
     validate_tree(tree)
-    root_coeffs = tuple(draw() for _ in tree.children)
+    root_coeffs = tuple(rng.randrange(suite_order) for _ in tree.children)
     gate_coeffs: dict[NodePath, tuple[int, ...]] = {}
     leaf_shares: dict[NodePath, int] = {}
 
@@ -406,7 +402,7 @@ def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
         if isinstance(node, Leaf):
             leaf_shares[path] = share
             return
-        coeffs = (share,) + tuple(draw() for _ in range(node.threshold - 1))
+        coeffs = (share,) + tuple(rng.randrange(suite_order) for _ in range(node.threshold - 1))
         gate_coeffs[path] = coeffs
         for j, child in enumerate(node.children, start=1):
             walk(child, path + (j,), poly_eval(coeffs, j, suite_order))
