@@ -6,8 +6,9 @@ Each remaining column's text is tokenized into blocks -- one main word
 per block, preceded by whatever stopwords ran up to it -- and a block
 sequence becomes a pointer chain: every block gets a fresh 128-bit
 pointer and records the pointer of its successor.  The chain's triples
-are stored in a random order; only the head pointer, which is what gets
-sealed per level, reveals where a chain starts.
+are stored in a random order, but that hides nothing from whoever holds
+them all: the head, which is what gets sealed per level, is also the
+one pointer no triple names.
 """
 
 from __future__ import annotations
