@@ -83,7 +83,8 @@ naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 
 # Scalar multiplication and exponentiation take WINDOW bits of the
 # scalar per step.  The sequence of operations depends only on how many
-# windows k spans, never on its digits: a digit only indexes a table.
+# terms there are and how many windows the longest scalar spans, never
+# on the digits: a digit only indexes a table.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
@@ -94,35 +95,52 @@ def _windows(k):
     return max(1, -(-k.bit_length() // WINDOW))
 
 
-def _signed_window(x, k, add, double, neg):
-    """k*x for k >= 0 by regular signed fixed-window recoding (Joye and
-    Tunstall, "Exponent recoding and regular exponentiation algorithms",
-    AFRICACRYPT 2009): every digit is odd, so every window costs WINDOW
-    doublings and one table add.  Exact on any point, in or out of the
-    prime-order subgroup, since neg(x) is exact on any curve point."""
+def _straus(terms, add, double, neg, infinity):
+    """The sum of k*x over the (x, k) terms, each k >= 0, in one pass of
+    shared doublings (Straus, "Addition chains of vectors", 1964).
+
+    Each scalar is recoded by the regular signed fixed window of Joye and
+    Tunstall ("Exponent recoding and regular exponentiation algorithms",
+    AFRICACRYPT 2009), padded to the longest term's window count: every
+    digit is odd, so every window costs WINDOW doublings, shared by all
+    terms, and one table add per term.  Exact on any point, in or out of
+    the prime-order subgroup, since neg(x) is exact on any curve point."""
     base = 1 << WINDOW
-    x2 = double(x)
-    odd = [x]
-    for _ in range(base // 2 - 1):
-        odd.append(add(odd[-1], x2))
-    # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
-    table = [neg(q) for q in reversed(odd)] + odd
-    # the recoding needs an odd scalar: take k + 1 or k + 2, and subtract
-    # x or 2x at the end
-    fix = neg((x, x2)[k & 1])
-    k += 1 + (k & 1)
+    tables, fixes, scalars = [], [], []
+    for x, k in terms:
+        x2 = double(x)
+        odd = [x]
+        for _ in range(base // 2 - 1):
+            odd.append(add(odd[-1], x2))
+        # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
+        tables.append([neg(q) for q in reversed(odd)] + odd)
+        # the recoding needs an odd scalar: take k + 1 or k + 2, and
+        # subtract x or 2x at the end
+        fixes.append(neg((x, x2)[k & 1]))
+        scalars.append(k + 1 + (k & 1))
+    windows = max(map(_windows, scalars), default=1)
     digits = []
-    for _ in range(_windows(k) - 1):
-        m = k & (2 * base - 1)  # digit m - base, at table index m >> 1
-        digits.append(m >> 1)
-        k = (k - m + base) >> WINDOW
-    # what is left is the top digit, odd and in [1, base - 1]
-    r = table[(k + base - 1) >> 1]
-    for i in reversed(digits):
-        for _ in range(WINDOW):
-            r = double(r)
-        r = add(r, table[i])
-    return add(r, fix)
+    for k in scalars:
+        row = []
+        for _ in range(windows - 1):
+            m = k & (2 * base - 1)  # digit m - base, at table index m >> 1
+            row.append(m >> 1)
+            k = (k - m + base) >> WINDOW
+        # what is left is the top digit, odd and in [1, base - 1]; past
+        # a scalar's own windows the padding digits are 1 - base under a
+        # top digit of 1, which sum to 1
+        row.append((k + base - 1) >> 1)
+        digits.append(row)
+    r = infinity
+    for i in reversed(range(windows)):
+        if i < windows - 1:
+            for _ in range(WINDOW):
+                r = double(r)
+        for table, row in zip(tables, digits):
+            r = add(r, table[row[i]])
+    for fix in fixes:
+        r = add(r, fix)
+    return r
 
 
 def _fixed_window(a, k, mul, square, one):
@@ -394,8 +412,13 @@ def g1_neg(a):
     return (x, -y % p, z)
 
 
+def g1_multi_mul(terms):
+    """The sum of k*pt over the (pt, k) terms, by one Straus pass."""
+    return _straus(terms, g1_add, g1_double, g1_neg, G1_INFINITY)
+
+
 def g1_scalar_mul(pt, k):
-    return _signed_window(pt, k, g1_add, g1_double, g1_neg)
+    return g1_multi_mul(((pt, k),))
 
 
 def g1_affine(pt):
@@ -473,8 +496,13 @@ def g2_neg(a):
     return (x, fp2_neg(y), z)
 
 
+def g2_multi_mul(terms):
+    """The sum of k*pt over the (pt, k) terms, by one Straus pass."""
+    return _straus(terms, g2_add, g2_double, g2_neg, G2_INFINITY)
+
+
 def g2_scalar_mul(pt, k):
-    return _signed_window(pt, k, g2_add, g2_double, g2_neg)
+    return g2_multi_mul(((pt, k),))
 
 
 def g2_affine(pt):

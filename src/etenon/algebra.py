@@ -102,18 +102,34 @@ class OpCounters:
 
 
 class G0Element:
-    """Source-group element.  Immutable; operators delegate to the suite.
+    """Source-group element.  Its value never changes; operators delegate
+    to the suite.
 
     ``side`` is ``LEFT`` or ``RIGHT``, the pairing argument the element
     can fill; ``point`` is the suite's payload for that side.
+
+    A suite may hand out a *pending* element: ``factors`` then holds the
+    product of powers it stands for, as (point, scalar) terms and other
+    elements, and the point is not yet computed.  Reading ``point``
+    evaluates it once and keeps the result.  ``joins`` counts the
+    products the element is a factor of.
     """
 
-    __slots__ = ("suite", "side", "point")
+    __slots__ = ("suite", "side", "_point", "factors", "joins")
 
-    def __init__(self, suite: "GroupSuite", side: str, point):
+    def __init__(self, suite: "GroupSuite", side: str, point=None, factors=None):
         self.suite = suite
         self.side = side
-        self.point = point
+        self._point = point
+        self.factors = factors
+        self.joins = 0
+
+    @property
+    def point(self):
+        if self.factors is not None:
+            self._point = self.suite._evaluate(self)
+            self.factors = None
+        return self._point
 
     def __mul__(self, other: "G0Element") -> "G0Element":
         return self.suite.g0_mul(self, other)
@@ -512,6 +528,15 @@ class Bn256Suite(GroupSuite):
     triples of Fp2 pairs and target-group values nested Fp12 tuples;
     :mod:`etenon._bn256` holds the arithmetic.
 
+    A power is pending: ``g0_exp`` records its (point, scalar) term, and
+    ``g0_mul`` with a pending operand records both factors.  A pending
+    element is evaluated by one Straus pass over all its terms when it is
+    encoded, paired or raised to a power, and the point is kept.  A
+    factor of several products is evaluated once on its own, so no
+    product repeats another's work.  Equality of two pending elements
+    with more than two terms between them is one pass over x * y^-1;
+    otherwise each side is evaluated and kept.
+
     A pairing returns its Miller value and defers the final
     exponentiation.  That map is a homomorphism onto the target group,
     so products, quotients and powers of Miller values stay Miller
@@ -546,10 +571,62 @@ class Bn256Suite(GroupSuite):
             return _bn256.g1_add(a, b)
         return _bn256.g2_add(a, b)
 
-    def _exp(self, side, a, k):
+    def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
+        if x.factors is None and y.factors is None:
+            return super().g0_mul(x, y)
+        side = self._same_side(x, y)
+        self._tick("multiplications")
+        x.joins += 1
+        y.joins += 1
+        return G0Element(self, side, factors=(x, y))
+
+    def g0_exp(self, x: G0Element, k: int) -> G0Element:
+        self._check(x)
+        self._tick("exponentiations")
+        return G0Element(self, x.side, factors=((x.point, k % self.order),))
+
+    def g0_eq(self, x: G0Element, y: G0Element) -> bool:
+        side = self._same_side(x, y)
+        if x.factors is not None and y.factors is not None:
+            terms, points = self._flatten(x)
+            # y is finished by now if it is a shared factor of x
+            y_terms, y_points = self._flatten(y)
+            if len(terms) + len(y_terms) > 2:
+                neg = _bn256.g1_neg if side == LEFT else _bn256.g2_neg
+                terms += [(neg(pt), k) for pt, k in y_terms]
+                points += [neg(pt) for pt in y_points]
+                z = self._sum(side, terms, points)[2]
+                return z == (0 if side == LEFT else _bn256.FP2_ZERO)
+        return self._eq(side, x.point, y.point)
+
+    def _flatten(self, x: G0Element):
+        """The (point, scalar) terms and the finished points that x is the
+        sum of; a factor of several products is evaluated on its own."""
+        terms, points = [], []
+        stack = [x]
+        while stack:
+            f = stack.pop()
+            if type(f) is tuple:
+                terms.append(f)
+                continue
+            factors = f.factors  # read once: another thread may finish f
+            if factors is None or (f is not x and f.joins > 1):
+                points.append(f.point)
+            else:
+                stack.extend(factors)
+        return terms, points
+
+    def _sum(self, side, terms, points):
         if side == LEFT:
-            return _bn256.g1_scalar_mul(a, k)
-        return _bn256.g2_scalar_mul(a, k)
+            r = _bn256.g1_multi_mul(terms)
+        else:
+            r = _bn256.g2_multi_mul(terms)
+        for pt in points:
+            r = self._mul(side, r, pt)
+        return r
+
+    def _evaluate(self, x: G0Element):
+        return self._sum(x.side, *self._flatten(x))
 
     def _eq(self, side, a, b):
         if side == LEFT:

@@ -652,12 +652,15 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
         for req in typed(doc.get("retrieve", []), list):
             label = typed(typed(req, dict).get("access_label", access_label), str)
             retrievals.append((typed(req["du"], str), label))
+    # a bad policy raises its own PolicyError, before any file is written
+    policy.parse_policy(agreement["policy_text"])
 
     rng = _random.Random(seed) if seed is not None else None
     ctx = phase_setup(suite_name, participants, rng=rng, db_root=db_root)
+    transcript = run_agreement(ctx, **agreement)
+    # only now: a document run_agreement refuses leaves no key files
     if emit_dir is not None:
         _emit_context(ctx, emit_dir)
-    transcript = run_agreement(ctx, **agreement)
     out = {
         "suite": ctx.suite.name,
         "agreement": {

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etenon import _bn256
+from etenon import _bn256, musig
 from etenon.algebra import (
     LEFT,
     RIGHT,
     AlgebraError,
+    G0Element,
     G1Element,
     SEAL_TAG_BYTES,
     IntegrityError,
@@ -330,6 +331,18 @@ def test_bn256_right_decode_checks_the_subgroup(bn256):
     assert bn256.decode_g0(bn256.right_generator.encode(), RIGHT) == bn256.right_generator
 
 
+def _edge_scalars():
+    """Scalars around the window width, u and the order, and seeded
+    random ones; r - 2 and r - 3 end on an add of equal points (the
+    doubling fallback)."""
+    r = _bn256.order
+    rng = random.Random(0xB256)
+    scalars = [0, 1, 2, 15, 16, 17, 31, 32, 33, _bn256.u, r - 3, r - 2, r - 1, r, r + 1, 2**256 - 1]
+    scalars += [rng.randrange(r) for _ in range(4)]
+    scalars += [rng.randrange(2**300) for _ in range(2)]
+    return scalars
+
+
 def test_bn256_windows_match_the_ladder():
     """The window routines agree with the plain ladder of the oracles on
     edge scalars around the window width, u and the order, and on seeded
@@ -337,12 +350,7 @@ def test_bn256_windows_match_the_ladder():
     and a raw Miller value (not in GT, and not unitary)."""
     from etenon import _bn256 as b
 
-    r = b.order
-    rng = random.Random(0xB256)
-    # r - 2 and r - 3 end on an add of equal points (the doubling fallback)
-    scalars = [0, 1, 2, 15, 16, 17, 31, 32, 33, b.u, r - 3, r - 2, r - 1, r, r + 1, 2**256 - 1]
-    scalars += [rng.randrange(r) for _ in range(4)]
-    scalars += [rng.randrange(2**300) for _ in range(2)]
+    scalars = _edge_scalars()
     twist = _twist_point_off_the_subgroup()
     f = b.miller(b.twist_G, b.curve_G)
     for k in scalars:
@@ -355,6 +363,43 @@ def test_bn256_windows_match_the_ladder():
         assert b.fp12_exp(f, k) == want, k
         want = oracles.ladder(f[0][0], k, b.fp2_mul, b.fp2_square, b.FP2_ONE)
         assert b.fp2_exp(f[0][0], k) == want, k
+
+
+def test_bn256_straus_matches_the_ladder():
+    """One Straus pass over 1 to 4 terms equals the sum of the terms'
+    ladder products: on the edge scalars, on equal bases and equal
+    terms, on the point at infinity and on a twist point outside the
+    subgroup."""
+    from etenon import _bn256 as b
+
+    scalars = _edge_scalars()
+    curves = [
+        (b.g1_multi_mul, b.g1_add, b.g1_double, b.g1_affine, b.G1_INFINITY,
+         [b.curve_G, b.g1_hash_to_point(b"straus"), b.G1_INFINITY]),
+        (b.g2_multi_mul, b.g2_add, b.g2_double, b.g2_affine, b.G2_INFINITY,
+         [b.twist_G, _twist_point_off_the_subgroup(), b.G2_INFINITY]),
+    ]
+    for multi_mul, add, double, affine, infinity, bases in curves:
+        ladders = {}
+
+        def product(i, k):
+            if (i, k) not in ladders:
+                ladders[i, k] = oracles.ladder(bases[i], k, add, double, infinity)
+            return ladders[i, k]
+
+        for n in range(1, 5):
+            for j in range(len(scalars)):
+                # base 0 recurs in every sum of 3 or more terms, and the
+                # last term of a 4-term sum repeats the first
+                picks = [(t % len(bases), scalars[(j + 7 * t) % len(scalars)]) for t in range(n)]
+                if n == 4:
+                    picks[3] = picks[0]
+                want = infinity
+                for i, k in picks:
+                    want = add(want, product(i, k))
+                got = multi_mul([(bases[i], k) for i, k in picks])
+                assert affine(got) == affine(want), picks
+        assert multi_mul([]) == infinity
 
 
 def test_bn256_gt_codec(bn256, rng):
@@ -462,6 +507,116 @@ def test_bn256_deferred_values_stay_inside_the_suite(bn256, final_exp_calls):
     assert (e * decoded).encode() == (egg ** 10).encode() and len(calls) == 3
     key = bn256.pairing(bn256.generator, bn256.right_generator ** 9)
     assert bn256.unseal(key, bn256.seal(egg ** 9, b"data", b"ctx"), b"ctx") == b"data"
+
+
+def _g0_values(suite, side):
+    """Pending, finished, hashed and infinite elements of one side."""
+    g = suite.generator if side == LEFT else suite.right_generator
+    values = [g ** 7, g, suite.decode_g0((g ** 5).encode(), side), g ** 0]
+    if side == LEFT:
+        values.append(suite.hash_to_group(b"pending"))
+    return values
+
+
+def _eager_points(side):
+    """The points of ``_g0_values``, computed on the spot."""
+    b = _bn256
+    add, mul = (b.g1_add, b.g1_scalar_mul) if side == LEFT else (b.g2_add, b.g2_scalar_mul)
+    base = b.curve_G if side == LEFT else b.twist_G
+    points = [mul(base, 7), base, mul(base, 5), mul(base, 0)]
+    if side == LEFT:
+        points.append(b.g1_hash_to_point(hash_commit(b"pending")))
+    return points, add, mul
+
+
+def _apply_g0(program, values, mul, power):
+    values = list(values)
+    for op, i, arg in program:
+        a = values[i % len(values)]
+        if op == "mul":
+            values.append(mul(a, values[arg % len(values)]))
+        elif op == "div":
+            values.append(mul(a, power(values[arg % len(values)], -1)))
+        else:
+            values.append(power(a, arg))
+    return values
+
+
+@given(side=st.sampled_from([LEFT, RIGHT]), program=_PROGRAMS)
+@settings(max_examples=16, deadline=None)
+def test_bn256_pending_elements_match_eager_points(bn256, side, program):
+    """Products, quotients and powers of pending elements, mixed with
+    finished ones, encode and compare exactly as the same expressions
+    over points computed on the spot."""
+    order = bn256.order
+    points, add, mul = _eager_points(side)
+    want = _apply_g0(program, points, add, lambda a, k: mul(a, k % order))
+    want = [G0Element(bn256, side, pt) for pt in want]
+
+    def run():
+        return _apply_g0(program, _g0_values(bn256, side), lambda a, b: a * b, lambda a, k: a ** k)
+
+    for x, y in zip(run(), want):
+        assert x.encode() == y.encode()
+    # fresh pending values, compared before anything encodes them
+    got = run()
+    for i, y in enumerate(want):
+        same = want[-1].encode() == y.encode()
+        assert (got[-1] == got[i]) == same and (got[i] == got[-1]) == same
+        assert (got[i] == y) and (y == got[i])
+    assert got[-1] == got[-1]
+
+
+@pytest.fixture
+def straus_terms(monkeypatch):
+    """The term count of every Straus pass the pairing suite makes."""
+    passes = []
+    for name in ("g1_multi_mul", "g2_multi_mul"):
+        orig = getattr(_bn256, name)
+
+        def counted(terms, orig=orig):
+            passes.append(len(terms))
+            return orig(terms)
+
+        monkeypatch.setattr(_bn256, name, counted)
+    return passes
+
+
+def test_bn256_elements_are_evaluated_once(bn256, straus_terms):
+    """A key is evaluated once however often it is encoded, paired or
+    compared, and a factor of several products once on its own."""
+    g, g2 = bn256.generator, bn256.right_generator
+    vk = g ** 12345
+    others = [g ** 5, bn256.decode_g0((g ** 6).encode(), LEFT)]
+    straus_terms.clear()
+    for _ in range(3):
+        vk.encode()
+        assert not any(vk == other for other in others)
+        assert vk == vk
+        bn256.pairing(vk, g2)
+    assert straus_terms == [1, 1]  # vk, and g ** 5 when first compared
+    # keygen's g ** r is a factor of one product per attribute
+    straus_terms.clear()
+    g_r = g ** 777
+    parts = [g_r * (bn256.hash_to_group(a) ** 3) for a in (b"a", b"b", b"c")]
+    for part in parts:
+        part.encode()
+    assert straus_terms == [1, 1, 1, 1]
+    # factors of one product only are joined into its pass
+    straus_terms.clear()
+    ((g ** 2) * (g ** 3) * (g ** 4) * g).encode()
+    assert straus_terms == [3]
+
+
+def test_bn256_verification_is_one_pass(bn256, straus_terms):
+    """Verifying an n-signer signature is one pass of n + 1 terms."""
+    rng = random.Random(7)
+    keys = [bn256.rand_scalar_nonzero(rng) for _ in range(3)]
+    sig, roster = musig.cosign(bn256, keys, b"one pass", rng)
+    straus_terms.clear()
+    assert musig.verify(bn256, sig, roster, b"one pass")
+    assert straus_terms == [4]
+    assert not musig.verify(bn256, sig, roster, b"another message")
 
 
 def test_elements_refuse_foreign_suites(mock):

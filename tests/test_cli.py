@@ -260,6 +260,26 @@ def test_run_scenario_deeply_nested_policy_is_json_error(tmp_path, tree):
 
 
 @pytest.mark.parametrize(
+    "change, error, setup_ran",
+    [
+        ({"policy": "level 1 requires [1]\ntree: attr:basic, %"}, "PolicyError", False),
+        ({"levels": {"1": ["symptom"], "4": ["history"]}}, "WorkflowError", True),
+    ],
+    ids=["bad-policy", "levels-off-the-policy"],
+)
+def test_run_scenario_refused_document_writes_no_file(tmp_path, capsys, change, error, setup_ran):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(dict(SCENARIO, **change)))
+    store = tmp_path / "store"
+    code, out, err = run(capsys, "run-scenario", str(scen), "--db", str(store))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+    # the policy is parsed before setup, which creates the store directory
+    assert store.exists() == setup_ran
+    assert not any(p.is_file() for p in store.rglob("*"))
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("attrs", 5), ("components", []), ("sk", None)],
 )

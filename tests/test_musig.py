@@ -83,6 +83,24 @@ def test_verification_exponentiation_count(mock, rng):
         assert span.hash_calls == n
 
 
+def test_cosign_derives_each_key_once(mock, rng):
+    """A co-signing run costs one key and one nonce per signer: 2n."""
+    for n in (1, 2, 3):
+        keys = distinct_keys(mock, n, rng)
+        with mock.measure() as span:
+            cosign(mock, keys, b"count", rng)
+        assert span.exponentiations == 2 * n
+
+
+def test_session_given_only_a_signing_key_derives_its_own(mock, rng):
+    sk1, sk2 = distinct_keys(mock, 2, rng)
+    roster = (mock.generator ** sk1, mock.generator ** sk2)
+    with mock.measure() as span:
+        session, _ = start_session(mock, sk2, roster, b"m", rng)
+    assert session.index == 1
+    assert span.exponentiations == 2  # its key and its nonce
+
+
 def test_single_signer_roster(mock, rng):
     sk = mock.rand_scalar_nonzero(rng)
     sig, roster = cosign(mock, [sk], b"solo", rng)
