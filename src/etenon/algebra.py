@@ -16,6 +16,15 @@ Two interchangeable suites implement one interface:
   Elements carry the same side tags and obey the same rules as on the
   curve.
 
+:class:`GroupSuite` owns every rule of evaluation and each suite only
+supplies the arithmetic.  Both suites therefore defer work the same
+way: a source-group power is pending until its point is needed, and
+then it and the factors it is multiplied with are evaluated in one
+multi-exponentiation (see :class:`G0Element`); a pairing's final
+exponentiation waits until its value is compared or encoded (see
+:class:`G1Element`).  Every operation ticks its counter when it is
+called, not when its work is done.
+
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
 ``random.Random`` for reproducible runs (the default source is
@@ -108,11 +117,16 @@ class G0Element:
     ``side`` is ``LEFT`` or ``RIGHT``, the pairing argument the element
     can fill; ``point`` is the suite's payload for that side.
 
-    A suite may hand out a *pending* element: ``factors`` then holds the
-    product of powers it stands for, as (point, scalar) terms and other
-    elements, and the point is not yet computed.  Reading ``point``
-    evaluates it once and keeps the result.  ``joins`` counts the
-    products the element is a factor of.
+    A power is *pending*: ``factors`` then holds the product of powers
+    the element stands for, as (point, scalar) terms and other elements,
+    and the point is not yet computed.  A product with a pending operand
+    is pending too.  Reading ``point`` (to encode, pair or raise the
+    element) evaluates all its terms in one multi-exponentiation and
+    keeps the result.  ``joins`` counts the products the element is a
+    factor of; a factor of several is evaluated once on its own, so no
+    product repeats another's work.  Equality of two pending elements
+    with more than two terms between them is one multi-exponentiation
+    of x * y^-1; otherwise each side is evaluated and kept.
     """
 
     __slots__ = ("suite", "side", "_point", "factors", "joins")
@@ -127,7 +141,7 @@ class G0Element:
     @property
     def point(self):
         if self.factors is not None:
-            self._point = self.suite._evaluate(self)
+            self._point = self.suite._sum(self.side, *self.suite._flatten(self))
             self.factors = None
         return self._point
 
@@ -154,13 +168,23 @@ class G0Element:
 
 
 class G1Element:
-    """Target-group element (pairing output)."""
+    """Target-group element (pairing output).
 
-    __slots__ = ("suite", "value")
+    A pairing's value is its Miller value: ``owed`` is set and the final
+    exponentiation is still to come.  That map is a homomorphism onto
+    the target group, so products, quotients and powers of owed values
+    stay owed and are finished once, when the result is compared or
+    encoded.  It is not the identity on the target group, so an owed
+    value that meets a finished one is finished first.  Decoded values,
+    ``gt_generator`` and ``gt_identity`` are finished.
+    """
 
-    def __init__(self, suite: "GroupSuite", value):
+    __slots__ = ("suite", "value", "owed")
+
+    def __init__(self, suite: "GroupSuite", value, owed: bool = False):
         self.suite = suite
         self.value = value
+        self.owed = owed
 
     def __mul__(self, other: "G1Element") -> "G1Element":
         return self.suite.gt_mul(self, other)
@@ -186,7 +210,16 @@ class G1Element:
 
 
 class GroupSuite:
-    """Interface shared by the mock and production suites."""
+    """Interface shared by the mock and production suites.
+
+    A suite supplies the generators, ``gt_identity`` and arithmetic
+    hooks on raw payloads: for each side ``_multi_exp`` (the product of
+    (point, scalar) terms), ``_add``, ``_neg``, ``_identity``, ``_eq``,
+    ``_encode`` and ``_decode``; for the target group ``_pair`` (up to
+    the final exponentiation), ``_final_exp``, ``_gt_mul``, ``_gt_inv``,
+    ``_gt_exp``, ``_encode_gt`` and ``_decode_gt``; and
+    ``_hash_to_group``.  The public methods here are the only ones.
+    """
 
     name: str
     order: int
@@ -288,16 +321,51 @@ class GroupSuite:
     def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
         side = self._same_side(x, y)
         self._tick("multiplications")
-        return G0Element(self, side, self._mul(side, x.point, y.point))
+        if x.factors is None and y.factors is None:
+            return G0Element(self, side, self._add(side, x.point, y.point))
+        x.joins += 1
+        y.joins += 1
+        return G0Element(self, side, factors=(x, y))
 
     def g0_exp(self, x: G0Element, k: int) -> G0Element:
         self._check(x)
         self._tick("exponentiations")
-        return G0Element(self, x.side, self._exp(x.side, x.point, k % self.order))
+        return G0Element(self, x.side, factors=((x.point, k % self.order),))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
         side = self._same_side(x, y)
+        if x.factors is not None and y.factors is not None:
+            terms, points = self._flatten(x)
+            # y is finished by now if it is a shared factor of x
+            y_terms, y_points = self._flatten(y)
+            if len(terms) + len(y_terms) > 2:
+                terms += [(self._neg(side, pt), k) for pt, k in y_terms]
+                points += [self._neg(side, pt) for pt in y_points]
+                return self._eq(side, self._sum(side, terms, points), self._identity(side))
         return self._eq(side, x.point, y.point)
+
+    def _flatten(self, x: G0Element):
+        """The (point, scalar) terms and the finished points that x is the
+        product of; a factor of several products is evaluated on its own."""
+        terms, points = [], []
+        stack = [x]
+        while stack:
+            f = stack.pop()
+            if type(f) is tuple:
+                terms.append(f)
+                continue
+            factors = f.factors  # read once: another thread may finish f
+            if factors is None or (f is not x and f.joins > 1):
+                points.append(f.point)
+            else:
+                stack.extend(factors)
+        return terms, points
+
+    def _sum(self, side, terms, points):
+        r = self._multi_exp(side, terms)
+        for pt in points:
+            r = self._add(side, r, pt)
+        return r
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -309,7 +377,7 @@ class GroupSuite:
             raise AlgebraError("pairing needs one left and one right element")
         self._tick("pairings")
         left, right = (x, y) if x.side == LEFT else (y, x)
-        return G1Element(self, self._pair(left.point, right.point))
+        return G1Element(self, self._pair(left.point, right.point), owed=True)
 
     @property
     def gt_generator(self) -> G1Element:
@@ -318,9 +386,7 @@ class GroupSuite:
         if egg is None:
             egg = G1Element(
                 self,
-                self._gt_reduce(
-                    self._pair(self.generator.point, self.right_generator.point)
-                ),
+                self._final_exp(self._pair(self.generator.point, self.right_generator.point)),
             )
             self._egg = egg
         return egg
@@ -331,18 +397,29 @@ class GroupSuite:
 
     def gt_mul(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
-        return G1Element(self, self._gt_mul(a.value, b.value))
+        a, b, owed = self._alike(a, b)
+        return G1Element(self, self._gt_mul(a, b), owed)
 
     def gt_div(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
-        return G1Element(self, self._gt_mul(a.value, self._gt_inv(b.value)))
+        a, b, owed = self._alike(a, b)
+        return G1Element(self, self._gt_mul(a, self._gt_inv(b)), owed)
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
-        return G1Element(self, self._gt_exp(a.value, k % self.order))
+        return G1Element(self, self._gt_exp(a.value, k % self.order), a.owed)
 
     def gt_eq(self, a: G1Element, b: G1Element) -> bool:
-        return self._gt_eq(a.value, b.value)
+        return self._finished(a) == self._finished(b)
+
+    def _finished(self, a: G1Element):
+        return self._final_exp(a.value) if a.owed else a.value
+
+    def _alike(self, a: G1Element, b: G1Element):
+        """Both values, finished unless both still owe the final step."""
+        if a.owed and b.owed:
+            return a.value, b.value, True
+        return self._finished(a), self._finished(b), False
 
     # ------------------------------------------------------------------
     # sealed payloads
@@ -390,7 +467,7 @@ class GroupSuite:
         return G0Element(self, side, self._decode(side, raw))
 
     def encode_gt(self, a: G1Element) -> bytes:
-        return self._encode_gt(a.value)
+        return self._encode_gt(self._finished(a))
 
     def decode_gt(self, raw: bytes) -> G1Element:
         return G1Element(self, self._decode_gt(raw))
@@ -405,10 +482,6 @@ class GroupSuite:
         raise AlgebraError("discrete logs are not available on %s" % self.name)
 
     # ------------------------------------------------------------------
-
-    def _gt_reduce(self, a):
-        """Finish work a suite defers on pairing outputs; none by default."""
-        return a
 
     def _check(self, *elems) -> None:
         for e in elems:
@@ -464,17 +537,26 @@ class MockSuite(GroupSuite):
             h = 1
         return G0Element(self, LEFT, h)
 
-    def _mul(self, side, a, b):
+    def _multi_exp(self, side, terms):
+        return sum(a * k for a, k in terms) % self.order
+
+    def _add(self, side, a, b):
         return (a + b) % self.order
 
-    def _exp(self, side, a, k):
-        return (a * k) % self.order
+    def _neg(self, side, a):
+        return (-a) % self.order
+
+    def _identity(self, side):
+        return 0
 
     def _eq(self, side, a, b):
         return a == b
 
     def _pair(self, left, right):
         return (left * right) % self.order
+
+    def _final_exp(self, a):
+        return a
 
     def _gt_mul(self, a, b):
         return (a + b) % self.order
@@ -484,9 +566,6 @@ class MockSuite(GroupSuite):
 
     def _gt_exp(self, a, k):
         return (a * k) % self.order
-
-    def _gt_eq(self, a, b):
-        return a == b
 
     # every mock element is an exponent, encoded like a scalar
 
@@ -506,44 +585,19 @@ class MockSuite(GroupSuite):
         return x.point
 
     def dlog_gt(self, a: G1Element) -> int:
-        return a.value
+        return self._finished(a)
 
 
 _FP_BYTES = 32
-
-
-class _Miller:
-    """A pairing output whose final exponentiation is still owed."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
 
 
 class Bn256Suite(GroupSuite):
     """Production suite over the vendored 256-bit BN curve.
 
     Left points are Jacobian triples of ints, right points Jacobian
-    triples of Fp2 pairs and target-group values nested Fp12 tuples;
-    :mod:`etenon._bn256` holds the arithmetic.
-
-    A power is pending: ``g0_exp`` records its (point, scalar) term, and
-    ``g0_mul`` with a pending operand records both factors.  A pending
-    element is evaluated by one Straus pass over all its terms when it is
-    encoded, paired or raised to a power, and the point is kept.  A
-    factor of several products is evaluated once on its own, so no
-    product repeats another's work.  Equality of two pending elements
-    with more than two terms between them is one pass over x * y^-1;
-    otherwise each side is evaluated and kept.
-
-    A pairing returns its Miller value and defers the final
-    exponentiation.  That map is a homomorphism onto the target group,
-    so products, quotients and powers of Miller values stay Miller
-    values and are finished once, when the result is compared or
-    encoded.  It is not the identity on the target group, so a Miller
-    value that meets a finished one is finished first.  Decoded values,
-    ``gt_generator`` and ``gt_identity`` are finished values.
+    triples of Fp2 pairs and target-group values nested Fp12 tuples (an
+    owed value is a Miller-loop output); :mod:`etenon._bn256` holds the
+    arithmetic.
     """
 
     def __init__(self):
@@ -566,67 +620,17 @@ class Bn256Suite(GroupSuite):
     def _hash_to_group(self, label: bytes) -> G0Element:
         return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
 
-    def _mul(self, side, a, b):
-        if side == LEFT:
-            return _bn256.g1_add(a, b)
-        return _bn256.g2_add(a, b)
+    def _multi_exp(self, side, terms):
+        return _bn256.g1_multi_mul(terms) if side == LEFT else _bn256.g2_multi_mul(terms)
 
-    def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
-        if x.factors is None and y.factors is None:
-            return super().g0_mul(x, y)
-        side = self._same_side(x, y)
-        self._tick("multiplications")
-        x.joins += 1
-        y.joins += 1
-        return G0Element(self, side, factors=(x, y))
+    def _add(self, side, a, b):
+        return _bn256.g1_add(a, b) if side == LEFT else _bn256.g2_add(a, b)
 
-    def g0_exp(self, x: G0Element, k: int) -> G0Element:
-        self._check(x)
-        self._tick("exponentiations")
-        return G0Element(self, x.side, factors=((x.point, k % self.order),))
+    def _neg(self, side, a):
+        return _bn256.g1_neg(a) if side == LEFT else _bn256.g2_neg(a)
 
-    def g0_eq(self, x: G0Element, y: G0Element) -> bool:
-        side = self._same_side(x, y)
-        if x.factors is not None and y.factors is not None:
-            terms, points = self._flatten(x)
-            # y is finished by now if it is a shared factor of x
-            y_terms, y_points = self._flatten(y)
-            if len(terms) + len(y_terms) > 2:
-                neg = _bn256.g1_neg if side == LEFT else _bn256.g2_neg
-                terms += [(neg(pt), k) for pt, k in y_terms]
-                points += [neg(pt) for pt in y_points]
-                z = self._sum(side, terms, points)[2]
-                return z == (0 if side == LEFT else _bn256.FP2_ZERO)
-        return self._eq(side, x.point, y.point)
-
-    def _flatten(self, x: G0Element):
-        """The (point, scalar) terms and the finished points that x is the
-        sum of; a factor of several products is evaluated on its own."""
-        terms, points = [], []
-        stack = [x]
-        while stack:
-            f = stack.pop()
-            if type(f) is tuple:
-                terms.append(f)
-                continue
-            factors = f.factors  # read once: another thread may finish f
-            if factors is None or (f is not x and f.joins > 1):
-                points.append(f.point)
-            else:
-                stack.extend(factors)
-        return terms, points
-
-    def _sum(self, side, terms, points):
-        if side == LEFT:
-            r = _bn256.g1_multi_mul(terms)
-        else:
-            r = _bn256.g2_multi_mul(terms)
-        for pt in points:
-            r = self._mul(side, r, pt)
-        return r
-
-    def _evaluate(self, x: G0Element):
-        return self._sum(x.side, *self._flatten(x))
+    def _identity(self, side):
+        return _bn256.G1_INFINITY if side == LEFT else _bn256.G2_INFINITY
 
     def _eq(self, side, a, b):
         if side == LEFT:
@@ -636,29 +640,20 @@ class Bn256Suite(GroupSuite):
     def _pair(self, left, right):
         if left[2] == 0 or right[2] == _bn256.FP2_ZERO:
             # the point at infinity pairs to one; the Miller loop needs affine points
-            return _Miller(_bn256.FP12_ONE)
-        return _Miller(_bn256.miller(right, left))
+            return _bn256.FP12_ONE
+        return _bn256.miller(right, left)
 
-    def _gt_reduce(self, a):
-        return _bn256.final_exp(a.f) if type(a) is _Miller else a
+    def _final_exp(self, a):
+        return _bn256.final_exp(a)
 
     def _gt_mul(self, a, b):
-        if type(a) is _Miller and type(b) is _Miller:
-            return _Miller(_bn256.fp12_mul(a.f, b.f))
-        return _bn256.fp12_mul(self._gt_reduce(a), self._gt_reduce(b))
+        return _bn256.fp12_mul(a, b)
 
     def _gt_inv(self, a):
-        if type(a) is _Miller:
-            return _Miller(_bn256.fp12_inv(a.f))
         return _bn256.fp12_inv(a)
 
     def _gt_exp(self, a, k):
-        if type(a) is _Miller:
-            return _Miller(_bn256.fp12_exp(a.f, k))
         return _bn256.fp12_exp(a, k)
-
-    def _gt_eq(self, a, b):
-        return self._gt_reduce(a) == self._gt_reduce(b)
 
     _LEFT_BYTES = 1 + _FP_BYTES
     _RIGHT_BYTES = 1 + 4 * _FP_BYTES
@@ -730,7 +725,7 @@ class Bn256Suite(GroupSuite):
 
     def _encode_gt(self, a):
         return b"".join(
-            c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(self._gt_reduce(a))
+            c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a)
         )
 
     def _decode_gt(self, raw):

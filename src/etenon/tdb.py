@@ -208,6 +208,8 @@ class TenonDb:
         # signed under
         known = dict(self._rosters)
         for ref, vks in rosters.items():
+            if not isinstance(ref, str):
+                return "roster %r: ref must be a string, found %s" % (ref, type(ref).__name__)
             vks = tuple(vks)
             if known.get(ref, vks) != vks:
                 return "roster %r already defined with other keys" % ref
@@ -215,6 +217,9 @@ class TenonDb:
         batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
+            unloggable = log_field_problem(row.timestamp, roster_ref=row.roster_ref)
+            if unloggable is not None:
+                return "%s: %s" % (where, unloggable)
             roster = known.get(row.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, row.roster_ref)
@@ -228,7 +233,15 @@ class TenonDb:
             except TdbError as exc:
                 return "%s: %s" % (where, exc)
         if secret is not None:
-            where = "secret entry %r" % secret.entry_id
+            where = "secret entry %r" % (secret.entry_id,)
+            unloggable = log_field_problem(
+                secret.timestamp,
+                entry_id=secret.entry_id,
+                roster_ref=secret.roster_ref,
+                access_label=secret.access_label,
+            )
+            if unloggable is not None:
+                return "%s: %s" % (where, unloggable)
             if secret.entry_id in self._secrets:
                 return "%s: entry id already present" % where
             roster = known.get(secret.roster_ref)
@@ -250,7 +263,7 @@ class TenonDb:
         # The gate decodes a new entry in full, so a malformed ciphertext
         # raises here; replay verifies the signed bytes and decodes nothing.
         if secret is not None and secret.ciphertext.suite_name != self.suite.name:
-            reason = "secret entry %r: ciphertext suite mismatch" % secret.entry_id
+            reason = "secret entry %r: ciphertext suite mismatch" % (secret.entry_id,)
             return IngestResult(accepted=False, reason=reason)
         with self._writing(), self._lock:
             reason = self._verify_batch(rows, secret, rosters)
@@ -480,6 +493,21 @@ def timestamp_from_json(value) -> int:
     if not 0 <= typed(value, int) < 1 << 64:
         raise ValueError("timestamp %d does not fit 8 bytes" % value)
     return value
+
+
+def log_field_problem(timestamp, **texts) -> str | None:
+    """What replay would refuse in a timestamp or in fields that must be
+    text, or None when the log can carry them."""
+    for name, value in texts.items():
+        if not isinstance(value, str):
+            return "%s must be a string, found %s" % (name, type(value).__name__)
+    try:
+        timestamp_from_json(timestamp)
+    except TypeError as exc:
+        return "timestamp: %s" % exc
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:

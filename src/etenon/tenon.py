@@ -72,8 +72,13 @@ def record_from_json(obj) -> EhrRecord:
     return EhrRecord(columns=columns)
 
 
+def columns_to_json(columns) -> list:
+    """The ``[{name, value}]`` document of a record or of some of its columns."""
+    return [{"name": c.name, "value": c.value} for c in columns]
+
+
 def record_to_json(record: EhrRecord) -> list:
-    return [{"name": c.name, "value": c.value} for c in record.columns]
+    return columns_to_json(record.columns)
 
 
 # ----------------------------------------------------------------------

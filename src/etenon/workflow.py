@@ -138,8 +138,7 @@ def encode_chain_payload(head: tenon.Pointer) -> bytes:
 
 
 def encode_identifiable_payload(columns) -> bytes:
-    doc = [{"name": c.name, "value": c.value} for c in columns]
-    return bytes([_KIND_IDENTIFIABLE]) + canonical_json(doc)
+    return bytes([_KIND_IDENTIFIABLE]) + canonical_json(tenon.columns_to_json(columns))
 
 
 def decode_level_payload(raw: bytes):
@@ -329,6 +328,9 @@ def run_agreement(
         raise WorkflowError("the provider needs a decryption key to verify")
     if timestamp is None:
         timestamp = int(time.time())
+    unloggable = tdb.log_field_problem(timestamp, access_label=access_label)
+    if unloggable is not None:
+        raise WorkflowError(unloggable)
     with decoding(WorkflowError, "level columns"):
         # an int level as it is (not a bool), a JSON key only in canonical decimal
         level_columns = {
@@ -420,7 +422,7 @@ def run_agreement(
         for level, names in package.level_columns.items()
     }
     if package.identifiable_level is not None:
-        docs = [{"name": c.name, "value": c.value} for c in own.identifiable()]
+        docs = tenon.columns_to_json(own.identifiable())
         expected[package.identifiable_level] = LevelRecovery("identifiable", identifiable=docs)
     levels = sorted(set(expected) | set(recovered))
     differs = next((l for l in levels if recovered.get(l) != expected.get(l)), None)

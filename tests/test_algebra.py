@@ -542,19 +542,11 @@ def _apply_g0(program, values, mul, power):
     return values
 
 
-@given(side=st.sampled_from([LEFT, RIGHT]), program=_PROGRAMS)
-@settings(max_examples=16, deadline=None)
-def test_bn256_pending_elements_match_eager_points(bn256, side, program):
-    """Products, quotients and powers of pending elements, mixed with
-    finished ones, encode and compare exactly as the same expressions
-    over points computed on the spot."""
-    order = bn256.order
-    points, add, mul = _eager_points(side)
-    want = _apply_g0(program, points, add, lambda a, k: mul(a, k % order))
-    want = [G0Element(bn256, side, pt) for pt in want]
-
+def _check_pending_against(suite, side, program, want):
+    """Pending elements built by ``program`` encode and compare exactly
+    as the finished elements ``want``."""
     def run():
-        return _apply_g0(program, _g0_values(bn256, side), lambda a, b: a * b, lambda a, k: a ** k)
+        return _apply_g0(program, _g0_values(suite, side), lambda a, b: a * b, lambda a, k: a ** k)
 
     for x, y in zip(run(), want):
         assert x.encode() == y.encode()
@@ -565,6 +557,32 @@ def test_bn256_pending_elements_match_eager_points(bn256, side, program):
         assert (got[-1] == got[i]) == same and (got[i] == got[-1]) == same
         assert (got[i] == y) and (y == got[i])
     assert got[-1] == got[-1]
+
+
+@given(side=st.sampled_from([LEFT, RIGHT]), program=_PROGRAMS)
+@settings(max_examples=16, deadline=None)
+def test_bn256_pending_elements_match_eager_points(bn256, side, program):
+    """Products, quotients and powers of pending elements, mixed with
+    finished ones, encode and compare exactly as the same expressions
+    over points computed on the spot."""
+    order = bn256.order
+    points, add, mul = _eager_points(side)
+    want = _apply_g0(program, points, add, lambda a, k: mul(a, k % order))
+    _check_pending_against(bn256, side, program, [G0Element(bn256, side, pt) for pt in want])
+
+
+@given(side=st.sampled_from([LEFT, RIGHT]), program=_PROGRAMS)
+@settings(max_examples=50, deadline=None)
+def test_mock_pending_elements_match_exponent_arithmetic(side, program):
+    """The mock suite defers by the same rules: pending elements encode
+    and compare exactly as exponents computed on the spot mod the order."""
+    mock = get_suite("mock")
+    order = mock.order
+    logs = [7, 1, 5, 0]
+    if side == LEFT:
+        logs.append(mock.hash_to_group(b"pending").point)
+    want = _apply_g0(program, logs, lambda a, b: (a + b) % order, lambda a, k: a * k % order)
+    _check_pending_against(mock, side, program, [G0Element(mock, side, x) for x in want])
 
 
 @pytest.fixture
@@ -617,6 +635,63 @@ def test_bn256_verification_is_one_pass(bn256, straus_terms):
     assert musig.verify(bn256, sig, roster, b"one pass")
     assert straus_terms == [4]
     assert not musig.verify(bn256, sig, roster, b"another message")
+
+
+@pytest.fixture
+def mock_terms(mock, monkeypatch):
+    """The term count of every multi-exponentiation the mock suite makes."""
+    passes = []
+    orig = mock._multi_exp
+
+    def counted(side, terms):
+        passes.append(len(terms))
+        return orig(side, terms)
+
+    monkeypatch.setattr(mock, "_multi_exp", counted)
+    return passes
+
+
+def test_mock_elements_are_evaluated_once(mock, mock_terms):
+    """On mock too a key is evaluated once however often it is used, and
+    keygen's g ** r once on its own for all the products it is part of."""
+    g, g2 = mock.generator, mock.right_generator
+    vk = g ** 12345
+    for _ in range(3):
+        vk.encode()
+        assert vk == vk and not vk == g ** 5
+        mock.pairing(vk, g2)
+    assert mock_terms == [1, 1, 1, 1]  # vk, then a fresh g ** 5 per round
+    mock_terms.clear()
+    g_r = g ** 777
+    parts = [g_r * (mock.hash_to_group(a) ** 3) for a in (b"a", b"b", b"c")]
+    for part in parts:
+        part.encode()
+    assert mock_terms == [1, 1, 1, 1]
+    mock_terms.clear()
+    ((g ** 2) * (g ** 3) * (g ** 4) * g).encode()
+    assert mock_terms == [3]
+
+
+def test_mock_verification_is_one_pass(mock, mock_terms):
+    """The joint-pass equality runs on mock: verifying an n-signer
+    signature is one multi-exponentiation of n + 1 terms."""
+    rng = random.Random(7)
+    keys = [mock.rand_scalar_nonzero(rng) for _ in range(3)]
+    sig, roster = musig.cosign(mock, keys, b"one pass", rng)
+    mock_terms.clear()
+    assert musig.verify(mock, sig, roster, b"one pass")
+    assert mock_terms == [4]
+
+
+def test_suites_supply_only_arithmetic():
+    """The rules of deferral live in GroupSuite alone: no suite defines
+    its own public group operation or codec."""
+    shared = {
+        "g0_mul", "g0_exp", "g0_eq", "pairing", "gt_mul", "gt_div", "gt_exp", "gt_eq",
+        "encode_g0", "decode_g0", "encode_gt", "decode_gt",
+    }
+    for suite in (get_suite("mock"), get_suite("bn256")):
+        assert not shared & set(vars(type(suite))), type(suite).__name__
 
 
 def test_elements_refuse_foreign_suites(mock):

@@ -2,6 +2,7 @@ import fcntl
 import json
 import multiprocessing
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -334,6 +335,57 @@ def test_rejected_ingest_leaves_files_untouched(system, tmp_path):
 
     assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
     assert (tmp_path / "snapshot.json").read_bytes() == snap_bytes
+
+
+def _resigned(kwargs):
+    return lambda suite, pp, rng: make_batch(suite, pp, rng, **kwargs)
+
+
+def _edited(row=None, secret=None):
+    """A batch signed as usual, then given other fields in its first row
+    or its secret entry."""
+    def build(suite, pp, rng):
+        rows, entry, rosters = make_batch(suite, pp, rng)
+        if row:
+            rows = [replace(rows[0], **row)] + rows[1:]
+        if secret:
+            entry = replace(entry, **secret)
+        return rows, entry, rosters
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (_resigned({"timestamp": True}), r"^row 0 \(pointer .*\): timestamp: expected int, found bool$"),
+        (_resigned({"label": 5}), r"^secret entry 'entry-1': access_label must be a string, found int$"),
+        (_resigned({"entry_id": 7}), r"^secret entry 7: entry_id must be a string, found int$"),
+        (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0 .*: roster_ref must be a string, found tuple$"),
+        (_edited(row={"timestamp": -1}), r"^row 0 .*: timestamp -1 does not fit 8 bytes$"),
+        (_edited(secret={"timestamp": 1 << 64}), r"^secret entry 'entry-1': timestamp \d+ does not fit"),
+        # replay would key this roster "5", so a later "5" could bind other keys
+        (lambda suite, pp, rng: ([], None, {5: sign_keys(suite, rng)[1]}),
+         r"^roster 5: ref must be a string, found int$"),
+    ],
+    ids=[
+        "bool-time", "int-label", "int-entry-id", "tuple-roster-ref", "time-below-0",
+        "time-2**64", "int-roster-key",
+    ],
+)
+def test_gate_refuses_fields_replay_would_refuse(system, tmp_path, build, reason):
+    """A batch whose timestamp or text fields the log could not carry
+    back is refused by name, and the store still opens afterwards."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    first = make_batch(suite, pp, rng, entry_id="first", roster_ref="first")
+    assert db.ingest(*first, rng=rng).accepted
+    rows, secret, rosters = build(suite, pp, rng)
+    log_bytes = (tmp_path / "log.jsonl").read_bytes()
+    r = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    assert not r.accepted
+    assert re.search(reason, r.reason), r.reason
+    assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
+    assert TenonDb(pp, root=tmp_path).secret_ids() == ("first",)
 
 
 @pytest.fixture(params=["mock", "bn256"])

@@ -340,6 +340,29 @@ def test_agreement_level_keys_are_ints_or_canonical_decimal():
             )
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("timestamp", True, "^timestamp: expected int, found bool$"),
+        ("timestamp", -1, "^timestamp -1 does not fit 8 bytes$"),
+        ("timestamp", 1 << 64, "^timestamp 18446744073709551616 does not fit 8 bytes$"),
+        ("access_label", 5, "^access_label must be a string, found int$"),
+    ],
+)
+def test_agreement_refuses_fields_the_log_cannot_carry(field, value, reason):
+    """A timestamp or access label the store's log could not replay is
+    refused before the owner encrypts anything."""
+    ctx = fresh_ctx()
+    record = tenon.record_from_json(RECORD)
+    with ctx.suite.measure() as span, pytest.raises(WorkflowError, match=reason):
+        run_agreement(
+            ctx, "patient", "hospital", record, POLICY,
+            {1: ["symptom"], 2: ["history"]}, identifiable_level=3,
+            **{"timestamp": 1, field: value},
+        )
+    assert span.exponentiations == 0
+
+
 def test_identifiable_text_never_reaches_open_rows():
     ctx = fresh_ctx()
     tr = agree(ctx)
