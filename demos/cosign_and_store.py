@@ -10,23 +10,18 @@ table so storage order says nothing about arrival order.
 import random
 from dataclasses import replace
 
-from etenon import mlabe, musig, policy, tenon
+from etenon import mlabe, musig, policy, tdb, tenon
 from etenon.algebra import get_suite
-from etenon.musig import SignedMessage
-from etenon.tdb import OpenRow, SecretEntry, TenonDb, block_payload
+from etenon.tdb import OpenRow, SecretEntry, TenonDb
 
 
 def cosigned_rows(suite, pp, sks, structure, rng, t):
     rows = []
     for triple in structure.chain_order():
-        payload = block_payload(triple.block, triple.next)
-        digest = SignedMessage(
-            kind="block", payload=payload, pointer=triple.pointer.bytes,
-            pp_bytes=pp.encode(), timestamp=t,
-        ).digest()
+        digest = tdb.row_digest(pp.encode(), triple, t)
         sig, _ = musig.cosign(suite, sks, digest, rng)
-        rows.append(OpenRow(pointer=triple.pointer, block=payload, sig=sig,
-                            roster_ref="visit-1", timestamp=t))
+        rows.append(OpenRow(pointer=triple.pointer, block=triple.block, next=triple.next,
+                            sig=sig, roster_ref="visit-1", timestamp=t))
     return rows
 
 
@@ -51,8 +46,7 @@ def main():
     rows = cosigned_rows(suite, pp, sks, structure, rng, t)
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:doctor")
     ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
-    digest = SignedMessage(kind="ciphertext", payload=mlabe.ct_canonical_bytes(ct),
-                           pointer=None, pp_bytes=pp.encode(), timestamp=t).digest()
+    digest = tdb.entry_digest(pp.encode(), "visit-1", "clinical", mlabe.ct_canonical_bytes(ct), t)
     sig, _ = musig.cosign(suite, sks, digest, rng)
     secret = SecretEntry(entry_id="visit-1", ciphertext=ct, sig=sig,
                          roster_ref="visit-1", access_label="clinical", timestamp=t)
@@ -62,7 +56,7 @@ def main():
     print("honest batch accepted:", result.accepted)
     print("stored order:", [db.find_row(r.pointer) is not None for r in rows])
 
-    forged = [replace(rows[0], block=rows[0].block + b" (edited)",
+    forged = [replace(rows[0], block=rows[0].block + " (edited)",
                       pointer=tenon.make_pointer(rng))]
     result = db.ingest(forged, rosters={"visit-1": roster}, rng=rng)
     print("forged batch accepted:", result.accepted, "(%s)" % result.reason)

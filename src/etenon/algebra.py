@@ -318,6 +318,10 @@ class GroupSuite:
         """Generator of the right group."""
         raise NotImplementedError
 
+    def identity(self, side: str) -> G0Element:
+        """The identity element of one side."""
+        return G0Element(self, side, self._identity(side))
+
     def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
         side = self._same_side(x, y)
         self._tick("multiplications")

@@ -58,7 +58,7 @@ class MlabeError(EtenonError):
     """Mismatched material or a malformed ciphertext document."""
 
 
-ENVELOPE_VERSION = 5
+ENVELOPE_VERSION = 6
 
 
 @dataclass

@@ -66,8 +66,9 @@ class SignedMessage:
     """Digest preimage for a co-signed artifact.
 
     ``kind`` is ``"block"`` (an EHR block plus its pointer) or
-    ``"ciphertext"`` (a canonical ciphertext document).  The digest is
-    recomputable from the stored fields alone.
+    ``"ciphertext"`` (an entry's id and access label, then its canonical
+    ciphertext document).  The digest is recomputable from the stored
+    fields alone.
     """
 
     kind: str
@@ -139,8 +140,9 @@ class SignSession:
         matches = [i for i, vk in enumerate(self.roster) if vk == my_vk]
         if not matches:
             raise MusigError("signer's verification key is not in the roster")
-        if len({vk.encode() for vk in self.roster}) != len(self.roster):
-            raise MusigError("roster contains duplicate keys")
+        problem = roster_problem(suite, self.roster)
+        if problem is not None:
+            raise MusigError(problem)
         self.index = matches[0]
         self._nonce = suite.rand_scalar_nonzero(rng)
         self.rc_own = suite.generator ** self._nonce
@@ -230,9 +232,26 @@ def start_session(suite: GroupSuite, sk: int, roster, msg: bytes, rng=None, vk=N
     return session, CommitMsg(sender=session.index, value=session.commitment)
 
 
+def roster_problem(suite: GroupSuite, roster) -> str | None:
+    """Why ``roster`` cannot stand for distinct co-signers, or None.
+
+    An empty roster, the identity or a repeated key (compared by
+    encoding) would let one party, or none, sign for the whole roster.
+    """
+    keys = [vk.encode() for vk in roster]
+    if not keys:
+        return "roster is empty"
+    if suite.identity(LEFT).encode() in keys:
+        return "roster holds the identity"
+    if len(set(keys)) != len(keys):
+        return "roster repeats a key"
+    return None
+
+
 def verify(suite: GroupSuite, sig: MultiSig, roster, msg: bytes) -> bool:
-    """Check g^s against RC times every key raised to its own challenge."""
-    if not roster:
+    """Check g^s against RC times every key raised to its own challenge;
+    a roster :func:`roster_problem` refuses never verifies."""
+    if roster_problem(suite, roster) is not None:
         return False
     rhs = sig.rc
     for i in range(len(roster)):

@@ -1,12 +1,12 @@
 """The open block store: public chains, one guarded ciphertext shelf.
 
-Open rows are (pointer, block payload, multi-signature) and anyone may
-read them.  Secret entries hold a ciphertext bundle with its own
-multi-signature and a coarse access label checked on fetch.  Ingest is
-all or nothing: every signature in the batch must verify against its
-named roster, and every row must hold a chain element in canonical
-form, before anything is stored; a rejected batch leaves both memory
-and the persisted log byte-identical.
+Open rows are chain elements (pointer, text, next pointer) with a
+multi-signature, and anyone may read them.  Secret entries hold a
+ciphertext bundle with its own multi-signature and a coarse access
+label checked on fetch.  Ingest is all or nothing: every signature in
+the batch must verify against its named roster before anything is
+stored; a rejected batch leaves both memory and the persisted log
+byte-identical.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
@@ -24,7 +24,9 @@ replays what the first appended before it verifies its own batch.
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, the one check of each that the gate and
 readers share, and the batch document that the log and the command
-line carry.
+line carry.  A row's signed bytes are derived from its fields in one
+place, :func:`row_digest`, so a row read back verifies only if it is
+the chain element its roster signed.
 """
 
 from __future__ import annotations
@@ -66,8 +68,12 @@ class AccessDeniedError(TdbError):
 
 @dataclass(frozen=True)
 class OpenRow:
+    """A chain element, with the fields of a :class:`tenon.Triple`, and
+    its roster's signature."""
+
     pointer: Pointer
-    block: bytes
+    block: str
+    next: Pointer | None
     sig: MultiSig
     roster_ref: str
     timestamp: int
@@ -127,23 +133,25 @@ def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
     return canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
 
 
-def row_digest(pp_bytes: bytes, pointer: Pointer, block: bytes, timestamp: int) -> bytes:
-    """What the roster co-signs for one open row."""
+def row_digest(pp_bytes: bytes, t: Triple | OpenRow, timestamp: int) -> bytes:
+    """What the roster co-signs for one chain element, a triple or a row."""
     return SignedMessage(
         kind="block",
-        payload=block,
-        pointer=pointer.bytes,
+        payload=block_payload(t.block, t.next),
+        pointer=t.pointer.bytes,
         pp_bytes=pp_bytes,
         timestamp=timestamp,
     ).digest()
 
 
-def entry_digest(pp_bytes: bytes, ct_bytes: bytes, timestamp: int) -> bytes:
-    """What the roster co-signs for one sealed entry, given the canonical
-    bytes of its ciphertext (:func:`mlabe.ct_canonical_bytes`)."""
+def entry_digest(pp_bytes: bytes, entry_id: str, access_label: str, ct_bytes: bytes,
+                 timestamp: int) -> bytes:
+    """What the roster co-signs for one sealed entry: a canonical header of
+    its id and access label, then the canonical bytes of its ciphertext
+    (:func:`mlabe.ct_canonical_bytes`)."""
     return SignedMessage(
         kind="ciphertext",
-        payload=ct_bytes,
+        payload=canonical_json([entry_id, access_label]) + ct_bytes,
         pointer=None,
         pp_bytes=pp_bytes,
         timestamp=timestamp,
@@ -151,28 +159,14 @@ def entry_digest(pp_bytes: bytes, ct_bytes: bytes, timestamp: int) -> bytes:
 
 
 def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool:
-    digest = row_digest(pp_bytes, row.pointer, row.block, row.timestamp)
-    return musig.verify(suite, row.sig, roster, digest)
+    return musig.verify(suite, row.sig, roster, row_digest(pp_bytes, row, row.timestamp))
 
 
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
-    digest = entry_digest(pp_bytes, entry.ct_bytes, entry.timestamp)
+    digest = entry_digest(
+        pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes, entry.timestamp
+    )
     return musig.verify(suite, entry.sig, roster, digest)
-
-
-def payload_to_triple(pointer: Pointer, block: bytes) -> Triple:
-    """The chain element a row holds; only bytes :func:`block_payload` wrote decode."""
-    with decoding(TdbError, "block payload"):
-        doc = typed(json.loads(block.decode()), dict)
-        nxt = doc["next"]
-        triple = Triple(
-            pointer=pointer,
-            block=typed(doc["text"], str),
-            next=uuid.UUID(typed(nxt, str)) if nxt is not None else None,
-        )
-        if block_payload(triple.block, triple.next) != block:
-            raise ValueError("not in canonical form")
-        return triple
 
 
 class TenonDb:
@@ -213,13 +207,20 @@ class TenonDb:
             vks = tuple(vks)
             if known.get(ref, vks) != vks:
                 return "roster %r already defined with other keys" % ref
+            if ref not in known:
+                problem = musig.roster_problem(self.suite, vks)
+                if problem is not None:
+                    return "roster %r: %s" % (ref, problem)
             known[ref] = vks
         batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
-            unloggable = log_field_problem(row.timestamp, roster_ref=row.roster_ref)
+            unloggable = log_field_problem(row.timestamp, roster_ref=row.roster_ref, text=row.block)
             if unloggable is not None:
                 return "%s: %s" % (where, unloggable)
+            linked = row.next is None or isinstance(row.next, Pointer)
+            if not (isinstance(row.pointer, Pointer) and linked):
+                return "%s: pointer and next must be UUIDs" % where
             roster = known.get(row.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, row.roster_ref)
@@ -228,10 +229,6 @@ class TenonDb:
             batch_pointers.add(row.pointer)
             if not verify_row(self.suite, self._pp_bytes, row, roster):
                 return "%s: signature invalid" % where
-            try:
-                payload_to_triple(row.pointer, row.block)
-            except TdbError as exc:
-                return "%s: %s" % (where, exc)
         if secret is not None:
             where = "secret entry %r" % (secret.entry_id,)
             unloggable = log_field_problem(
@@ -341,10 +338,6 @@ class TenonDb:
                 if self.order_digest() != before:
                     return
 
-    def start_auto_shuffle(self, interval: float = 30.0, rng=None) -> "ShuffleTimer":
-        """Background reshuffle every ``interval`` seconds until stopped."""
-        return ShuffleTimer(self, interval, rng)
-
     # ------------------------------------------------------------------
     # persistence
 
@@ -452,7 +445,7 @@ class TenonDb:
             return
         with decoding(TdbError, "snapshot"):
             doc = typed(json.loads(raw.decode()), dict)
-            order = [uuid.UUID(typed(p, str)) for p in typed(doc["order"], list)]
+            order = [pointer_from_json(p) for p in typed(doc["order"], list)]
         # rows appended after the snapshot was saved follow in log order
         listed = set(order)
         if len(listed) != len(order):
@@ -462,26 +455,6 @@ class TenonDb:
         self._rows = [self._index[p] for p in order] + [
             row for row in self._rows if row.pointer not in listed
         ]
-
-
-class ShuffleTimer:
-    """Daemon thread reshuffling a store on a fixed period."""
-
-    def __init__(self, db: TenonDb, interval: float, rng=None):
-        self._db = db
-        self._interval = interval
-        self._rng = rng
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while not self._stop.wait(self._interval):
-            self._db.shuffle(rng=self._rng)
-
-    def stop(self):
-        self._stop.set()
-        self._thread.join()
 
 
 # ----------------------------------------------------------------------
@@ -510,10 +483,19 @@ def log_field_problem(timestamp, **texts) -> str | None:
     return None
 
 
+def pointer_from_json(value) -> Pointer:
+    """A pointer, read only in the spelling ``str`` gives it."""
+    pointer = uuid.UUID(typed(value, str))
+    if str(pointer) != value:
+        raise ValueError("pointer %r is not in canonical form" % value)
+    return pointer
+
+
 def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
     return {
         "pointer": str(row.pointer),
-        "block": b64(row.block),
+        "text": row.block,
+        "next": None if row.next is None else str(row.next),
         "sig": musig.sig_to_json(suite, row.sig),
         "roster_ref": row.roster_ref,
         "t": row.timestamp,
@@ -523,9 +505,11 @@ def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
 def row_from_json(suite: GroupSuite, obj) -> OpenRow:
     with decoding(TdbError, "row"):
         obj = typed(obj, dict)
+        nxt = obj["next"]
         return OpenRow(
-            pointer=uuid.UUID(typed(obj["pointer"], str)),
-            block=unb64(obj["block"]),
+            pointer=pointer_from_json(obj["pointer"]),
+            block=typed(obj["text"], str),
+            next=None if nxt is None else pointer_from_json(nxt),
             sig=musig.sig_from_json(obj["sig"], suite),
             roster_ref=typed(obj["roster_ref"], str),
             timestamp=timestamp_from_json(obj["t"]),

@@ -77,10 +77,6 @@ def columns_to_json(columns) -> list:
     return [{"name": c.name, "value": c.value} for c in columns]
 
 
-def record_to_json(record: EhrRecord) -> list:
-    return columns_to_json(record.columns)
-
-
 # ----------------------------------------------------------------------
 # classification
 

@@ -4,11 +4,12 @@ A central authority runs setup and hands the master key to the
 attribute authority, which issues key bundles.  A data owner
 preprocesses a record into per-level pointer chains, seals the chain
 heads (and the identifiable columns, under their own level) into one
-ciphertext, and hands the package, with the row bytes to be signed, to
-the service provider.  The provider opens every level, walking the
-chains through those bytes as a reader will walk the open table, and
-compares each level with its own copy of the record; only on an exact
-match do both parties co-sign every row and the ciphertext.
+ciphertext, and hands the package, with the chain elements to be
+signed, to the service provider.  The provider opens every level,
+walking the chains through those elements as a reader will walk the
+open table, and compares each level with its own copy of the record;
+only on an exact match do both parties co-sign every row and the
+ciphertext.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, checks its signature before any
 decryption, recovers whichever levels its key satisfies and follows
@@ -24,14 +25,14 @@ import enum
 import json
 import time
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite
 from .codec import canonical_json, decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
-from .tdb import OpenRow, SecretEntry, TenonDb, block_payload, payload_to_triple
+from .tdb import OpenRow, SecretEntry, TenonDb
 from .tenon import (
     ClassificationRules,
     Classification,
@@ -249,7 +250,7 @@ class Tamper(enum.Enum):
 
 @dataclass
 class AgreementPackage:
-    rows: dict[tenon.Pointer, bytes]  # block payloads to sign, chain order per level
+    rows: dict[tenon.Pointer, tenon.Triple]  # chain elements to sign, chain order per level
     ciphertext: mlabe.CiphertextBundle
     level_columns: dict[int, tuple[str, ...]]
     identifiable_level: int | None
@@ -276,18 +277,16 @@ class AgreementTranscript:
 def _apply_tamper(package: AgreementPackage, tamper: Tamper, ctx) -> None:
     rows = package.rows
     if tamper is Tamper.BLOCK_EDIT:
-        pointer = next(iter(rows))
-        t = payload_to_triple(pointer, rows[pointer])
-        rows[pointer] = block_payload(t.block + " tampered", t.next)
+        t = next(iter(rows.values()))
+        rows[t.pointer] = replace(t, block=t.block + " tampered")
     elif tamper is Tamper.CHAIN_REORDER:
         # rows run in chain order: the first level of two or more blocks
-        linked = (payload_to_triple(p, block) for p, block in rows.items())
-        a = next((t for t in linked if t.next is not None), None)
+        a = next((t for t in rows.values() if t.next is not None), None)
         if a is None:
             raise WorkflowError("no chain long enough to reorder")
-        b = payload_to_triple(a.next, rows[a.next])
-        rows[a.pointer] = block_payload(b.block, a.next)
-        rows[b.pointer] = block_payload(a.block, b.next)
+        b = rows[a.next]
+        rows[a.pointer] = replace(a, block=b.block)
+        rows[b.pointer] = replace(b, block=a.block)
     elif tamper is Tamper.CIPHERTEXT_SWAP:
         bogus = {}
         for level in package.ciphertext.tree.levels:
@@ -367,7 +366,7 @@ def run_agreement(
         payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
     ciphertext = mlabe.encrypt(ctx.pp, payloads, tree, ctx.rng)
     to_sign = {
-        t.pointer: block_payload(t.block, t.next)
+        t.pointer: t
         for level in sorted(structures)
         for t in structures[level].chain_order()
     }
@@ -392,12 +391,8 @@ def run_agreement(
     unreached = set(package.rows)
 
     def row_triple(pointer):
-        try:
-            t = payload_to_triple(pointer, package.rows[pointer])
-        except (KeyError, tdb.TdbError):
-            return None
         unreached.discard(pointer)
-        return t
+        return package.rows.get(pointer)
 
     def refuse(mismatch):
         steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
@@ -438,12 +433,14 @@ def run_agreement(
     roster_ref = "agreement-" + entry_id
     keys = [do.keys.signing, sp.keys.signing]
     rows = []
-    for pointer, payload in package.rows.items():
-        digest = tdb.row_digest(pp_bytes, pointer, payload, timestamp)
+    for pointer, t in package.rows.items():
+        # signed under the pointer the walk reached it by
+        t = tenon.Triple(pointer, t.block, t.next)
+        digest = tdb.row_digest(pp_bytes, t, timestamp)
         sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
-        rows.append(OpenRow(pointer, payload, sig, roster_ref, timestamp))
+        rows.append(OpenRow(pointer, t.block, t.next, sig, roster_ref, timestamp))
     ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
-    ct_digest = tdb.entry_digest(pp_bytes, ct_bytes, timestamp)
+    ct_digest = tdb.entry_digest(pp_bytes, entry_id, access_label, ct_bytes, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
     secret = SecretEntry(
         entry_id=entry_id,
@@ -530,10 +527,10 @@ def retrieve_entry(
             row_failures=[],
         )
     failures: list[str] = []
-    verified: dict[tenon.Pointer, tenon.Triple] = {}
+    verified: dict[tenon.Pointer, OpenRow] = {}
 
     def triple_for(pointer):
-        """The row's triple, verified on first use; None if unusable."""
+        """The row, verified on first use; None if unusable."""
         if pointer in verified:
             return verified[pointer]
         row = db.find_row(pointer)
@@ -547,9 +544,8 @@ def retrieve_entry(
         if not tdb.verify_row(suite, pp_bytes, row, roster_r):
             failures.append("row %s: signature invalid" % pointer)
             return None
-        t = payload_to_triple(pointer, row.block)
-        verified[pointer] = t
-        return t
+        verified[pointer] = row
+        return row
 
     recovered = open_levels(pp, entry.ciphertext, keys.decryption, triple_for)
     return RetrievalReport(

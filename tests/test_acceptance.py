@@ -24,6 +24,7 @@ import scipy.stats
 
 from etenon import mlabe, musig, policy, tenon, workflow
 from etenon.algebra import G0Element, IntegrityError, get_suite
+from etenon.codec import canonical_json
 from etenon.mlabe import DecryptionKey
 from etenon.musig import (
     MultiSig,
@@ -387,7 +388,7 @@ def test_criterion_08_gate_rejects_invisibly(tmp_path):
             roster_ref="batch-2",
         )
         attacks = [
-            ([replace(rows2[0], block=rows2[0].block + b"!")] + rows2[1:],
+            ([replace(rows2[0], block=rows2[0].block + "!")] + rows2[1:],
              secret2, rosters2),
             ([replace(rows2[0], timestamp=1)] + rows2[1:], secret2, rosters2),
             (rows2, replace(secret2, access_label="clinical",
@@ -510,14 +511,16 @@ def test_criterion_10_agreement_signs_or_refuses():
         roster = tr.rosters[tr.roster_ref]
         pp_bytes = ctx.pp.encode()
         for row in tr.rows:
+            element = {"next": str(row.next) if row.next else None, "text": row.block}
             digest = SignedMessage(
-                kind="block", payload=row.block, pointer=row.pointer.bytes,
+                kind="block", payload=canonical_json(element), pointer=row.pointer.bytes,
                 pp_bytes=pp_bytes, timestamp=row.timestamp,
             ).digest()
             assert musig.verify(ctx.suite, row.sig, roster, digest)
+        header = canonical_json([tr.entry_id, tr.secret.access_label])
         digest = SignedMessage(
             kind="ciphertext",
-            payload=mlabe.ct_canonical_bytes(tr.secret.ciphertext),
+            payload=header + mlabe.ct_canonical_bytes(tr.secret.ciphertext),
             pointer=None, pp_bytes=pp_bytes, timestamp=tr.secret.timestamp,
         ).digest()
         assert musig.verify(ctx.suite, tr.secret.sig, roster, digest)

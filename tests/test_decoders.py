@@ -156,7 +156,7 @@ def world(tmp_path_factory):
         },
         "policy": "level 1 requires [1]\nlevel 2 requires [1, 2]\n"
         "tree: attr:basic, attr:doctor",
-        "record": tenon.record_to_json(record),
+        "record": tenon.columns_to_json(record.columns),
         "levels": {"1": ["note"], "2": ["plan"]},
         "do": "owner",
         "sp": "provider",
@@ -174,7 +174,7 @@ def world(tmp_path_factory):
         "ct": mlabe.ct_to_json(tr.secret.ciphertext),
         "sig": musig.sig_to_json(suite, tr.rows[0].sig),
         "tree": policy.format_policy(tr.secret.ciphertext.tree),
-        "record": tenon.record_to_json(record),
+        "record": tenon.columns_to_json(record.columns),
         "row": tdb.row_to_json(suite, tr.rows[0]),
         "secret": tdb.secret_to_json(suite, tr.secret),
         "rosters": tdb.rosters_to_json(tr.rosters),

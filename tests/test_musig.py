@@ -3,6 +3,7 @@ import random
 import pytest
 
 from etenon import musig
+from etenon.algebra import OpCounters, get_suite
 from etenon.musig import (
     CommitMsg,
     MultiSig,
@@ -121,6 +122,55 @@ def test_session_rejects_duplicate_roster(mock, rng):
     vk = mock.generator ** sk
     with pytest.raises(MusigError):
         SignSession(mock, sk, (vk, vk), b"m", rng)
+
+
+# roster shapes that let one party, or none, sign for the whole roster,
+# and the reason :func:`musig.roster_problem` gives for each
+FORGED_ROSTERS = [
+    ("empty", "roster is empty"),
+    ("vk,O", "roster holds the identity"),
+    ("O,O", "roster holds the identity"),
+    ("vk,vk", "roster repeats a key"),
+]
+
+
+def forged_signature(suite, shape, msg, rng):
+    """A roster of ``shape`` (O is the identity) and a signature on ``msg``
+    made with at most one signing key: every key but vk adds nothing, so
+    the one holder signs for vk's whole challenge weight."""
+    g = suite.generator
+    sk = suite.rand_scalar_nonzero(rng)
+    vk, identity = g ** sk, g ** 0
+    roster = {"empty": (), "vk,O": (vk, identity), "O,O": (identity, identity),
+              "vk,vk": (vk, vk)}[shape]
+    r = suite.rand_scalar_nonzero(rng)
+    rc = g ** r
+    weight = sum(musig.challenge(suite, roster, rc, msg, i)
+                 for i, key in enumerate(roster) if key is vk)
+    return MultiSig(rc=rc, s=(r + sk * weight) % suite.order), roster
+
+
+def holds_the_equation(suite, sig, roster, msg) -> bool:
+    """g^s == RC times every key to its challenge, with no roster rule."""
+    rhs = sig.rc
+    for i, vk in enumerate(roster):
+        rhs = rhs * vk ** musig.challenge(suite, roster, sig.rc, msg, i)
+    return suite.generator ** sig.s == rhs
+
+
+@pytest.mark.parametrize("suite_name", ["mock", "bn256"])
+@pytest.mark.parametrize("shape, problem", FORGED_ROSTERS, ids=[s for s, _ in FORGED_ROSTERS])
+def test_verify_refuses_a_roster_one_party_can_pose_as(suite_name, shape, problem, rng):
+    suite = get_suite(suite_name)
+    sig, roster = forged_signature(suite, shape, b"m", rng)
+    assert holds_the_equation(suite, sig, roster, b"m")
+    assert musig.roster_problem(suite, roster) == problem
+    with suite.measure() as span:
+        assert not verify(suite, sig, roster, b"m")
+    assert span.as_dict() == OpCounters().as_dict()
+    if roster:
+        with pytest.raises(MusigError, match=problem):
+            SignSession(suite, 1, roster, b"m", rng, vk=roster[0])
 
 
 def test_session_rejects_unknown_signer(mock, rng):

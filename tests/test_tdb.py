@@ -20,15 +20,23 @@ from etenon.tdb import (
     TdbError,
     TenonDb,
     UnknownEntryError,
-    block_payload,
-    payload_to_triple,
 )
+from test_musig import FORGED_ROSTERS, forged_signature
 
 
 @pytest.fixture
 def system(mock, rng):
     pp, msk = mlabe.setup(mock, rng)
     return mock, pp, msk, rng
+
+
+@pytest.fixture
+def large_system(rng):
+    """A mock system for tests that need an edited message to fail: on
+    mock-101 one verifies with probability 1/101, here 1/999983."""
+    suite = get_suite("mock-999983")
+    pp, msk = mlabe.setup(suite, rng)
+    return suite, pp, msk, rng
 
 
 def sign_keys(suite, rng, n=2):
@@ -48,22 +56,14 @@ def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entr
     structure = tenon.build_structure(list(blocks), rng)
     rows = []
     for t in structure.chain_order():
-        payload = block_payload(t.block, t.next)
-        digest = SignedMessage(
-            kind="block", payload=payload, pointer=t.pointer.bytes,
-            pp_bytes=pp_bytes, timestamp=timestamp,
-        ).digest()
-        sig, _ = musig.cosign(suite, sks, digest, rng)
+        sig, _ = musig.cosign(suite, sks, tdb.row_digest(pp_bytes, t, timestamp), rng)
         rows.append(OpenRow(
-            pointer=t.pointer, block=payload, sig=sig,
+            pointer=t.pointer, block=t.block, next=t.next, sig=sig,
             roster_ref=roster_ref, timestamp=timestamp,
         ))
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
     ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
-    digest = SignedMessage(
-        kind="ciphertext", payload=mlabe.ct_canonical_bytes(ct), pointer=None,
-        pp_bytes=pp_bytes, timestamp=timestamp,
-    ).digest()
+    digest = tdb.entry_digest(pp_bytes, entry_id, label, mlabe.ct_canonical_bytes(ct), timestamp)
     sig, _ = musig.cosign(suite, sks, digest, rng)
     secret = SecretEntry(
         entry_id=entry_id, ciphertext=ct, sig=sig,
@@ -92,13 +92,13 @@ def test_rows_only_batch(system):
     assert db.secret_ids() == ()
 
 
-def test_gate_rejects_each_defect(system):
-    suite, pp, _, rng = system
+def test_gate_rejects_each_defect(large_system):
+    suite, pp, _, rng = large_system
     db = TenonDb(pp)
     rows, secret, rosters = make_batch(suite, pp, rng)
 
-    # tampered block payload
-    bad = [replace(rows[0], block=rows[0].block + b"!")] + rows[1:]
+    # tampered block text
+    bad = [replace(rows[0], block=rows[0].block + "!")] + rows[1:]
     r = db.ingest(bad, secret, rosters=rosters, rng=rng)
     assert not r.accepted and "signature invalid" in r.reason
 
@@ -134,19 +134,22 @@ def test_gate_rejects_each_defect(system):
     [b"not json", b'{"next":null,"nino":"QQ123456C","text":"x"}'],
     ids=["not-json", "extra-key"],
 )
-def test_gate_refuses_a_signed_row_no_reader_can_walk(system, tmp_path, payload):
-    suite, pp, _, rng = system
+def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, payload):
+    """A signature over bytes that are no chain element's cannot verify
+    against the bytes a row's fields give."""
+    suite, pp, _, rng = large_system
     sks, roster = sign_keys(suite, rng)
     pointer = tenon.make_pointer(rng)
-    sig, _ = musig.cosign(suite, sks, tdb.row_digest(pp.encode(), pointer, payload, 7), rng)
-    row = OpenRow(pointer, payload, sig, "r", 7)
-    with pytest.raises(TdbError):
-        payload_to_triple(pointer, payload)
+    digest = SignedMessage(
+        kind="block", payload=payload, pointer=pointer.bytes, pp_bytes=pp.encode(), timestamp=7
+    ).digest()
+    sig, _ = musig.cosign(suite, sks, digest, rng)
+    row = OpenRow(pointer, "x", None, sig, "r", 7)
 
     db = TenonDb(pp, root=tmp_path)
     r = db.ingest([row], rosters={"r": roster}, rng=rng)
     assert not r.accepted
-    assert r.reason.startswith("row 0 (pointer %s): malformed block payload" % pointer)
+    assert r.reason == "row 0 (pointer %s): signature invalid" % pointer
     assert db.read_open() == () and not (tmp_path / "log.jsonl").exists()
 
     # a log line that holds such a row fails the load, named by its number
@@ -155,9 +158,24 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(system, tmp_path, payload)
     line = canonical_json(tdb.batch_to_json(suite, [row], None, {"r": roster}))
     with open(tmp_path / "log.jsonl", "ab") as fh:
         fh.write(line + b"\n")
-    where = r"^log line 2: .*row 0 \(pointer %s\): malformed" % pointer
+    where = r"^log line 2: .*row 0 \(pointer %s\): signature invalid" % pointer
     with pytest.raises(TdbError, match=where):
         TenonDb(pp, root=tmp_path)
+
+
+@pytest.mark.parametrize("shape, problem", FORGED_ROSTERS, ids=[s for s, _ in FORGED_ROSTERS])
+def test_gate_refuses_a_roster_one_party_can_pose_as(any_system, shape, problem):
+    """A new roster that is empty, holds the identity or repeats a key is
+    refused by its ref, although the row's signature equation holds."""
+    suite, pp, _, rng = any_system
+    t = tenon.Triple(tenon.make_pointer(rng), "alone", None)
+    sig, roster = forged_signature(suite, shape, tdb.row_digest(pp.encode(), t, 7), rng)
+    row = OpenRow(t.pointer, t.block, t.next, sig, "forged", 7)
+    db = TenonDb(pp)
+    r = db.ingest([row], rosters={"forged": roster}, rng=rng)
+    assert not r.accepted
+    assert r.reason == "roster 'forged': %s" % problem
+    assert db.read_open() == ()
 
 
 def test_rejected_batch_after_accept_changes_nothing(system):
@@ -170,7 +188,7 @@ def test_rejected_batch_after_accept_changes_nothing(system):
     rows2, secret2, rosters2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
-    bad = [replace(rows2[0], block=rows2[0].block + b"!")] + rows2[1:]
+    bad = [replace(rows2[0], block=rows2[0].block + "!")] + rows2[1:]
     assert not db.ingest(bad, secret2, rosters=rosters2, rng=rng).accepted
 
     after = db.snapshot()
@@ -211,10 +229,8 @@ def test_find_row_and_payload_decode(system):
     rows, secret, rosters = make_batch(suite, pp, rng)
     db.ingest(rows, secret, rosters=rosters, rng=rng)
     row = db.find_row(rows[1].pointer)
-    assert row is not None
-    triple = payload_to_triple(row.pointer, row.block)
-    assert triple.pointer == rows[1].pointer
-    assert triple.block == "beta"
+    assert row == rows[1]
+    assert row.block == "beta" and row.next == rows[2].pointer
     assert db.find_row(tenon.make_pointer(rng)) is None
 
 
@@ -252,22 +268,6 @@ def test_shuffle_single_row_is_noop(system):
     before = db.order_digest()
     db.shuffle(rng)
     assert db.order_digest() == before
-
-
-def test_auto_shuffle_timer(system):
-    suite, pp, _, rng = system
-    db = TenonDb(pp)
-    rows, _, rosters = make_batch(suite, pp, rng, blocks=("a", "b", "c"))
-    db.ingest(rows, rosters=rosters, rng=rng)
-    before = db.order_digest()
-    timer = db.start_auto_shuffle(interval=0.02, rng=rng)
-    try:
-        deadline = time.time() + 2.0
-        while db.order_digest() == before and time.time() < deadline:
-            time.sleep(0.01)
-    finally:
-        timer.stop()
-    assert db.order_digest() != before
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +330,7 @@ def test_rejected_ingest_leaves_files_untouched(system, tmp_path):
     rows2, secret2, rosters2 = make_batch(
         suite, pp, rng, blocks=("x",), entry_id="entry-2", roster_ref="batch-2"
     )
-    bad = [replace(rows2[0], block=rows2[0].block + b"!")]
+    bad = [replace(rows2[0], block=rows2[0].block + "!")]
     assert not db.ingest(bad, secret2, rosters=rosters2, rng=rng).accepted
 
     assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
@@ -362,6 +362,8 @@ def _edited(row=None, secret=None):
         (_resigned({"entry_id": 7}), r"^secret entry 7: entry_id must be a string, found int$"),
         (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0 .*: roster_ref must be a string, found tuple$"),
         (_edited(row={"timestamp": -1}), r"^row 0 .*: timestamp -1 does not fit 8 bytes$"),
+        (_edited(row={"block": b"alpha"}), r"^row 0 .*: text must be a string, found bytes$"),
+        (_edited(row={"next": "beta"}), r"^row 0 .*: pointer and next must be UUIDs$"),
         (_edited(secret={"timestamp": 1 << 64}), r"^secret entry 'entry-1': timestamp \d+ does not fit"),
         # replay would key this roster "5", so a later "5" could bind other keys
         (lambda suite, pp, rng: ([], None, {5: sign_keys(suite, rng)[1]}),
@@ -369,7 +371,7 @@ def _edited(row=None, secret=None):
     ],
     ids=[
         "bool-time", "int-label", "int-entry-id", "tuple-roster-ref", "time-below-0",
-        "time-2**64", "int-roster-key",
+        "bytes-text", "str-next", "time-2**64", "int-roster-key",
     ],
 )
 def test_gate_refuses_fields_replay_would_refuse(system, tmp_path, build, reason):
@@ -441,7 +443,8 @@ def test_signed_entry_that_does_not_decode_fails_when_read(any_system, tmp_path,
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
     doc = _undecodable(suite, mlabe.ct_to_json(mlabe.encrypt(pp, {1: b"x"}, tree, rng)))
     ct_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    sig, _ = musig.cosign(suite, sks, tdb.entry_digest(pp.encode(), ct_bytes, 7), rng)
+    digest = tdb.entry_digest(pp.encode(), "bad", "clinical", ct_bytes, 7)
+    sig, _ = musig.cosign(suite, sks, digest, rng)
     batch = {
         "rows": [],
         "secret": {"entry_id": "bad", "ciphertext": doc, "sig": musig.sig_to_json(suite, sig),
@@ -539,6 +542,26 @@ def test_tampered_log_fails_load(system, tmp_path):
             log.write_text(prefix + line + "\n")
             with pytest.raises(TdbError, match="^log line %d: " % number):
                 TenonDb(pp, root=tmp_path)
+
+
+@pytest.mark.parametrize("field", ["entry_id", "access_label"])
+def test_entry_edited_in_the_log_fails_replay(large_system, tmp_path, field):
+    """An entry's co-signature covers its id and its access label, so the
+    label gate of ``read_secret`` does not rest on the log file alone."""
+    suite, pp, _, rng = large_system
+    db = TenonDb(pp, root=tmp_path)
+    for i in (1, 2):
+        batch = make_batch(suite, pp, rng, blocks=("b%d" % i,), entry_id="entry-%d" % i,
+                           roster_ref="batch-%d" % i)
+        assert db.ingest(*batch, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    first, second = log.read_text().splitlines()
+    doc = json.loads(second)
+    doc["secret"][field] = "public"
+    log.write_text(first + "\n" + json.dumps(doc) + "\n")
+    where = r"^log line 2: .*secret entry '.*': signature invalid$"
+    with pytest.raises(TdbError, match=where):
+        TenonDb(pp, root=tmp_path)
 
 
 def test_store_of_an_older_envelope_version_fails_at_open(system, tmp_path, monkeypatch):
@@ -729,8 +752,12 @@ def test_json_decoders_raise_only_tdb_errors(system):
     bad_rows = [
         dict(row, pointer="not-a-uuid"),
         dict(row, pointer=7),
-        dict(row, block="!!!"),
-        dict(row, block=None),
+        dict(row, pointer="{%s}" % row["pointer"]),
+        dict(row, next="not-a-uuid"),
+        dict(row, next=7),
+        dict(row, next="{%s}" % row["next"]),
+        dict(row, text=None),
+        {k: v for k, v in row.items() if k != "next"},
         dict(row, sig={"rc": "AAAA"}),
         dict(row, roster_ref=3),
         dict(row, t="soon"),
@@ -769,7 +796,7 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "73a4b40a1d0e3f7bb7fa6b89a94d268d1e8f327f39dc421104ec8621b26b3d06",
+    "log.jsonl": "ea582c0af2e7e2ce325af76813735000aa70135fe24063451abf3c435e6987db",
     "snapshot.json": "082210802749f54dbfd8a499fe72ae89bf45938721e0c02fe11d0481faf60fe4",
     "reopened snapshot.json": "d3da3652a142f730ec184dcceb84baeb85a91805af6390da608cffa71a8f66d4",
 }

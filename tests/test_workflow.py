@@ -1,10 +1,12 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from etenon import mlabe, musig, tenon, workflow
 from etenon.musig import SignedMessage
+from etenon.codec import canonical_json
 from etenon.tdb import block_payload
 from etenon.workflow import (
     Role,
@@ -154,13 +156,14 @@ def test_agreement_signs_everything():
     pp_bytes = ctx.pp.encode()
     for row in tr.rows:
         digest = SignedMessage(
-            kind="block", payload=row.block, pointer=row.pointer.bytes,
-            pp_bytes=pp_bytes, timestamp=row.timestamp,
+            kind="block", payload=block_payload(row.block, row.next),
+            pointer=row.pointer.bytes, pp_bytes=pp_bytes, timestamp=row.timestamp,
         ).digest()
         assert musig.verify(ctx.suite, row.sig, roster, digest)
+    header = canonical_json([tr.entry_id, tr.secret.access_label])
     digest = SignedMessage(
         kind="ciphertext",
-        payload=mlabe.ct_canonical_bytes(tr.secret.ciphertext),
+        payload=header + mlabe.ct_canonical_bytes(tr.secret.ciphertext),
         pointer=None, pp_bytes=pp_bytes, timestamp=tr.secret.timestamp,
     ).digest()
     assert musig.verify(ctx.suite, tr.secret.sig, roster, digest)
@@ -200,49 +203,32 @@ def test_agreement_refuses_a_row_on_no_chain(monkeypatch):
 
     def inject(package, ctx):
         injected.append(tenon.make_pointer(ctx.rng))
-        package.rows[injected[0]] = block_payload("injected", None)
+        package.rows[injected[0]] = tenon.Triple(injected[0], "injected", None)
 
     tr = agree_with_channel(monkeypatch, inject)
     assert tr.verdict == "mismatch: row %s lies on no chain" % injected[0]
     assert tr.rows is None and tr.signature_count == 0
 
 
-def test_agreement_refuses_a_malformed_row(monkeypatch):
-    def garble(package, ctx):
-        package.rows[next(iter(package.rows))] = b"\xff not a block payload"
-
-    tr = agree_with_channel(monkeypatch, garble)
-    assert tr.verdict == "mismatch: level 1 differs from the provider's copy"
-    assert tr.rows is None and tr.signature_count == 0
-
-
-def _add_a_key(row):
-    doc = json.loads(row)
-    doc["nino"] = "QQ123456C"
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _brace_the_next(row):
-    doc = json.loads(row)
-    doc["next"] = "{%s}" % doc["next"]
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-@pytest.mark.parametrize("rewrite", [_add_a_key, _brace_the_next])
-def test_agreement_signs_only_canonical_rows(monkeypatch, rewrite):
-    def recode(package, ctx):
+def test_agreement_signs_a_row_under_the_pointer_it_was_reached_by(monkeypatch):
+    """A chain element filed under another pointer in transit is signed
+    under the pointer the provider's walk reached it by, so readers walk
+    the rows the provider checked."""
+    def refile(package, ctx):
         head = next(iter(package.rows))
-        package.rows[head] = rewrite(package.rows[head])
+        package.rows[head] = replace(package.rows[head], pointer=tenon.make_pointer(ctx.rng))
 
-    tr = agree_with_channel(monkeypatch, recode)
-    assert tr.verdict == "mismatch: level 1 differs from the provider's copy"
-    assert tr.rows is None and tr.signature_count == 0
+    monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: refile(package, ctx))
+    ctx = fresh_ctx()
+    tr = agree(ctx, tamper=Tamper.BLOCK_EDIT)
+    assert tr.agreed and ingest_transcript(ctx, tr).accepted
+    report = phase_retrieval(ctx, "dr_grey", tr.entry_id)
+    assert all(rec.complete for rec in report.recovered.values() if rec.kind == "chain")
 
 
 def _loop_the_head(package, ctx):
     head = next(iter(package.rows))
-    text = json.loads(package.rows[head])["text"]
-    package.rows[head] = block_payload(text, head)
+    package.rows[head] = replace(package.rows[head], next=head)
 
 
 def _reseal_unknown_kind(package, ctx):
@@ -266,7 +252,7 @@ def test_agreement_refuses_an_unreadable_package(monkeypatch, edit, reason):
 def _edit_last_row(package, ctx):
     # rows run in chain order per level, so the last row is level 2's tail
     pointer = list(package.rows)[-1]
-    package.rows[pointer] = block_payload("allergic to penicillin", None)
+    package.rows[pointer] = tenon.Triple(pointer, "allergic to penicillin", None)
 
 
 def _reseal_identifiable(package, ctx):
@@ -367,7 +353,7 @@ def test_identifiable_text_never_reaches_open_rows():
     ctx = fresh_ctx()
     tr = agree(ctx)
     for row in tr.rows:
-        assert b"QQ123456C" not in row.block
+        assert "QQ123456C" not in row.block
 
 
 def test_ingest_and_retrieval_by_both_users():
@@ -461,13 +447,12 @@ def test_retrieval_of_a_cosigned_cycle_raises():
     a, b = tenon.make_pointer(ctx.rng), tenon.make_pointer(ctx.rng)
     rows = []
     for pointer, nxt in ((a, b), (b, a)):
-        payload = block_payload("loop", nxt)
-        digest = tdb.row_digest(pp_bytes, pointer, payload, t)
-        sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
-        rows.append(tdb.OpenRow(pointer, payload, sig, "cycle", t))
+        triple = tenon.Triple(pointer, "loop", nxt)
+        sig, roster = musig.cosign(ctx.suite, keys, tdb.row_digest(pp_bytes, triple, t), ctx.rng)
+        rows.append(tdb.OpenRow(pointer, "loop", nxt, sig, "cycle", t))
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic")
     ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(a)}, tree, ctx.rng)
-    digest = tdb.entry_digest(pp_bytes, mlabe.ct_canonical_bytes(ct), t)
+    digest = tdb.entry_digest(pp_bytes, "cycle", "clinical", mlabe.ct_canonical_bytes(ct), t)
     sig, _ = musig.cosign(ctx.suite, keys, digest, ctx.rng)
     secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
     assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
