@@ -654,13 +654,6 @@ def final_exp(inp):
     return fp12_mul(fp12_square(t0), t1)
 
 
-def optimal_ate(a, b):
-    """e(b, a) for a twist point a and a curve point b."""
-    if a[2] == FP2_ZERO or b[2] == 0:
-        return FP12_ONE
-    return final_exp(miller(a, b))
-
-
 # ----------------------------------------------------------------------
 # hashing and the GT wire layout
 

@@ -99,29 +99,20 @@ class Phase(enum.Enum):
     ABORTED = "aborted"
 
 
-def roster_encoding(roster) -> bytes:
-    """Length-prefixed concatenation of the keys in roster order."""
-    out = []
-    for vk in roster:
-        raw = vk.encode()
-        out.append(len(raw).to_bytes(4, "big"))
-        out.append(raw)
-    return b"".join(out)
+def _framed(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
 
 
-def challenge(suite: GroupSuite, roster, rc: G0Element, msg: bytes, index: int) -> int:
-    """Per-signer challenge scalar."""
-    vk_raw = roster[index].encode()
-    rc_raw = rc.encode()
-    data = (
-        roster_encoding(roster)
-        + len(vk_raw).to_bytes(4, "big")
-        + vk_raw
-        + len(rc_raw).to_bytes(4, "big")
-        + rc_raw
-        + msg
-    )
-    return suite.hash_challenge(data)
+def roster_encoding(keys) -> bytes:
+    """Length-prefixed concatenation of the key encodings in roster order."""
+    return b"".join(_framed(raw) for raw in keys)
+
+
+def challenge(suite: GroupSuite, roster_raw: bytes, vk_raw: bytes, rc_raw: bytes,
+              msg: bytes) -> int:
+    """Per-signer challenge scalar over the :func:`roster_encoding`, the
+    signer's key encoding, the combined nonce's encoding and the message."""
+    return suite.hash_challenge(roster_raw + _framed(vk_raw) + _framed(rc_raw) + msg)
 
 
 class SignSession:
@@ -137,13 +128,15 @@ class SignSession:
         self.msg = msg
         self._sk = sk
         my_vk = suite.generator ** sk if vk is None else vk
-        matches = [i for i, vk in enumerate(self.roster) if vk == my_vk]
-        if not matches:
+        # the roster is encoded once, for its check and every challenge
+        self._keys = [vk.encode() for vk in self.roster]
+        mine = my_vk.encode()
+        if mine not in self._keys:
             raise MusigError("signer's verification key is not in the roster")
-        problem = roster_problem(suite, self.roster)
+        problem = roster_problem(suite, self._keys)
         if problem is not None:
             raise MusigError(problem)
-        self.index = matches[0]
+        self.index = self._keys.index(mine)
         self._nonce = suite.rand_scalar_nonzero(rng)
         self.rc_own = suite.generator ** self._nonce
         self.commitment = hash_commit(self.rc_own.encode())
@@ -205,7 +198,8 @@ class SignSession:
             for sender in sorted(self._reveals):
                 rc_all = rc_all * self._reveals[sender]
             self._rc = rc_all
-            ch = challenge(self.suite, self.roster, rc_all, self.msg, self.index)
+            ch = challenge(self.suite, roster_encoding(self._keys), self._keys[self.index],
+                           rc_all.encode(), self.msg)
             self._partial = (self._sk * ch + self._nonce) % self.suite.order
             self._nonce = None
             self.phase = Phase.PARTIAL
@@ -232,13 +226,13 @@ def start_session(suite: GroupSuite, sk: int, roster, msg: bytes, rng=None, vk=N
     return session, CommitMsg(sender=session.index, value=session.commitment)
 
 
-def roster_problem(suite: GroupSuite, roster) -> str | None:
-    """Why ``roster`` cannot stand for distinct co-signers, or None.
+def roster_problem(suite: GroupSuite, keys) -> str | None:
+    """Why the roster whose key encodings are ``keys`` cannot stand for
+    distinct co-signers, or None.
 
-    An empty roster, the identity or a repeated key (compared by
-    encoding) would let one party, or none, sign for the whole roster.
+    An empty roster, the identity or a repeated key would let one party,
+    or none, sign for the whole roster.
     """
-    keys = [vk.encode() for vk in roster]
     if not keys:
         return "roster is empty"
     if suite.identity(LEFT).encode() in keys:
@@ -250,13 +244,15 @@ def roster_problem(suite: GroupSuite, roster) -> str | None:
 
 def verify(suite: GroupSuite, sig: MultiSig, roster, msg: bytes) -> bool:
     """Check g^s against RC times every key raised to its own challenge;
-    a roster :func:`roster_problem` refuses never verifies."""
-    if roster_problem(suite, roster) is not None:
+    a roster :func:`roster_problem` refuses never verifies.  The keys and
+    RC are encoded once, for the roster check and every challenge."""
+    keys = [vk.encode() for vk in roster]
+    if roster_problem(suite, keys) is not None:
         return False
+    roster_raw, rc_raw = roster_encoding(keys), sig.rc.encode()
     rhs = sig.rc
-    for i in range(len(roster)):
-        ch = challenge(suite, roster, sig.rc, msg, i)
-        rhs = rhs * (roster[i] ** ch)
+    for vk, vk_raw in zip(roster, keys):
+        rhs = rhs * (vk ** challenge(suite, roster_raw, vk_raw, rc_raw, msg))
     return (suite.generator ** sig.s) == rhs
 
 

@@ -74,9 +74,6 @@ class AccessTree:
     def leaf_count(self) -> int:
         return sum(1 for _ in iter_leaves(self))
 
-    def attributes(self) -> frozenset[str]:
-        return frozenset(leaf.attribute for _, leaf in iter_leaves(self))
-
 
 def iter_leaves(tree: AccessTree) -> Iterator[tuple[NodePath, Leaf]]:
     """Yield (path, leaf) pairs in depth-first index order."""
@@ -85,17 +82,6 @@ def iter_leaves(tree: AccessTree) -> Iterator[tuple[NodePath, Leaf]]:
         if isinstance(node, Leaf):
             yield path, node
         else:
-            for j, child in enumerate(node.children, start=1):
-                yield from walk(child, path + (j,))
-
-    for i, child in enumerate(tree.children, start=1):
-        yield from walk(child, (i,))
-
-
-def iter_gates(tree: AccessTree) -> Iterator[tuple[NodePath, Gate]]:
-    def walk(node: SubTree, path: NodePath):
-        if isinstance(node, Gate):
-            yield path, node
             for j, child in enumerate(node.children, start=1):
                 yield from walk(child, path + (j,))
 
@@ -113,19 +99,6 @@ def satisfies(node: SubTree, attrs) -> bool:
         return node.attribute in attrs
     hits = sum(1 for child in node.children if satisfies(child, attrs))
     return hits >= node.threshold
-
-
-def level_satisfied(tree: AccessTree, level: int, attrs) -> bool:
-    """A level demands every one of its selected sub-trees."""
-    try:
-        wanted = tree.levels[level]
-    except KeyError:
-        raise PolicyError("unknown level %r" % (level,)) from None
-    return all(satisfies(tree.children[i - 1], attrs) for i in wanted)
-
-
-def satisfied_levels(tree: AccessTree, attrs) -> set[int]:
-    return {l for l in tree.levels if level_satisfied(tree, l, attrs)}
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ ciphertext bundle with its own multi-signature and a coarse access
 label checked on fetch.  Ingest is all or nothing: every signature in
 the batch must verify against its named roster before anything is
 stored; a rejected batch leaves both memory and the persisted log
-byte-identical.
+byte-identical.  The gate admits a batch as its log line, through the
+decoder and the checks that replay runs, so a live store holds exactly
+what a reopen of its log holds.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
@@ -197,30 +199,21 @@ class TenonDb:
     # ingest
 
     def _verify_batch(self, rows, secret, rosters):
-        """Return a rejection reason, or None when everything checks out."""
+        """Return why a decoded batch cannot be stored, or None."""
         # refs are write-once, so every stored row keeps the roster it was
         # signed under
         known = dict(self._rosters)
         for ref, vks in rosters.items():
-            if not isinstance(ref, str):
-                return "roster %r: ref must be a string, found %s" % (ref, type(ref).__name__)
-            vks = tuple(vks)
             if known.get(ref, vks) != vks:
                 return "roster %r already defined with other keys" % ref
             if ref not in known:
-                problem = musig.roster_problem(self.suite, vks)
+                problem = musig.roster_problem(self.suite, [vk.encode() for vk in vks])
                 if problem is not None:
                     return "roster %r: %s" % (ref, problem)
             known[ref] = vks
         batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
-            unloggable = log_field_problem(row.timestamp, roster_ref=row.roster_ref, text=row.block)
-            if unloggable is not None:
-                return "%s: %s" % (where, unloggable)
-            linked = row.next is None or isinstance(row.next, Pointer)
-            if not (isinstance(row.pointer, Pointer) and linked):
-                return "%s: pointer and next must be UUIDs" % where
             roster = known.get(row.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, row.roster_ref)
@@ -231,14 +224,6 @@ class TenonDb:
                 return "%s: signature invalid" % where
         if secret is not None:
             where = "secret entry %r" % (secret.entry_id,)
-            unloggable = log_field_problem(
-                secret.timestamp,
-                entry_id=secret.entry_id,
-                roster_ref=secret.roster_ref,
-                access_label=secret.access_label,
-            )
-            if unloggable is not None:
-                return "%s: %s" % (where, unloggable)
             if secret.entry_id in self._secrets:
                 return "%s: entry id already present" % where
             roster = known.get(secret.roster_ref)
@@ -251,35 +236,48 @@ class TenonDb:
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
 
+        The batch is written as its log line and admitted as replay admits
+        that line, so the store holds what a reopen reads; a batch the log
+        could not carry back is refused with the decoder's reason.
         ``rosters`` maps roster refs to verification-key sequences; refs
         already stored by earlier accepted batches may be reused, and
-        repeated only with the keys they were stored with.  The
-        storage order is reshuffled after every accepted batch.
+        repeated only with the keys they were stored with.  The storage
+        order is reshuffled after every accepted batch.
         """
-        rows, rosters = list(rows), rosters or {}
-        # The gate decodes a new entry in full, so a malformed ciphertext
-        # raises here; replay verifies the signed bytes and decodes nothing.
+        # The gate reads the given entry in full, so a malformed ciphertext
+        # raises here; the stored entry is decoded from its signed bytes.
         if secret is not None and secret.ciphertext.suite_name != self.suite.name:
             reason = "secret entry %r: ciphertext suite mismatch" % (secret.entry_id,)
             return IngestResult(accepted=False, reason=reason)
         with self._writing(), self._lock:
-            reason = self._verify_batch(rows, secret, rosters)
-            if reason is not None:
-                return IngestResult(accepted=False, reason=reason)
-            self._append_log(rows, secret, rosters)
-            self._apply(rows, secret, rosters)
+            try:
+                with decoding(TdbError, "batch"):
+                    line = canonical_json(batch_to_json(self.suite, rows, secret, rosters or {}))
+                self._admit(line, new=True)
+            except TdbError as exc:
+                return IngestResult(accepted=False, reason=str(exc))
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
 
-    def _apply(self, rows, secret, rosters) -> None:
-        """Add a verified batch; the one way rows enter the store."""
-        for ref, vks in rosters.items():
-            self._rosters[ref] = tuple(vks)
+    def _admit(self, line: bytes, new: bool) -> None:
+        """Decode and verify one log line, append it to the log when it is
+        ``new``, then add the decoded batch: the one way a batch enters."""
+        with decoding(TdbError, "JSON"):
+            doc = json.loads(line.decode())
+        rows, secret, rosters = batch_from_json(self.suite, doc)
+        reason = self._verify_batch(rows, secret, rosters)
+        if reason is not None:
+            raise TdbError(reason)
+        if new:
+            self._append_log(line)
+        self._rosters.update(rosters)
         for row in rows:
             self._rows.append(row)
             self._index[row.pointer] = row
         if secret is not None:
             self._secrets[secret.entry_id] = secret
+        self._log_end += len(line) + 1
+        self._log_lines += 1
 
     # ------------------------------------------------------------------
     # reads
@@ -369,22 +367,19 @@ class TenonDb:
         finally:
             os.close(fd)
 
-    def _append_log(self, rows, secret, rosters) -> None:
+    def _append_log(self, line: bytes) -> None:
         if self._root is None:
             return
-        line = canonical_json(batch_to_json(self.suite, rows, secret, rosters)) + b"\n"
         created = not self._log_path().exists()
         with open(self._log_path(), "ab") as fh:
             if self._torn:
                 fh.truncate(self._log_end)
                 self._torn = False
-            fh.write(line)
+            fh.write(line + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
         if created:
             self._sync_dir()
-        self._log_end += len(line)
-        self._log_lines += 1
 
     def save_snapshot(self) -> None:
         """Write the storage order, replacing any previous snapshot atomically."""
@@ -419,19 +414,10 @@ class TenonDb:
         end = data.rfind(b"\n") + 1
         self._torn = end < len(data)
         for line in data[:end].split(b"\n")[:-1]:
-            number = self._log_lines + 1
             try:
-                with decoding(TdbError, "JSON"):
-                    doc = json.loads(line.decode())
-                rows, secret, rosters = batch_from_json(self.suite, doc)
-                reason = self._verify_batch(rows, secret, rosters)
-                if reason is not None:
-                    raise TdbError("replay failed verification: %s" % reason)
+                self._admit(line, new=False)
             except TdbError as exc:
-                raise TdbError("log line %d: %s" % (number, exc)) from None
-            self._apply(rows, secret, rosters)
-            self._log_end += len(line) + 1
-            self._log_lines = number
+                raise TdbError("log line %d: %s" % (self._log_lines + 1, exc)) from None
 
     def _load(self) -> None:
         # The snapshot is read before the log: a writer saves only rows it
@@ -466,21 +452,6 @@ def timestamp_from_json(value) -> int:
     if not 0 <= typed(value, int) < 1 << 64:
         raise ValueError("timestamp %d does not fit 8 bytes" % value)
     return value
-
-
-def log_field_problem(timestamp, **texts) -> str | None:
-    """What replay would refuse in a timestamp or in fields that must be
-    text, or None when the log can carry them."""
-    for name, value in texts.items():
-        if not isinstance(value, str):
-            return "%s must be a string, found %s" % (name, type(value).__name__)
-    try:
-        timestamp_from_json(timestamp)
-    except TypeError as exc:
-        return "timestamp: %s" % exc
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 def pointer_from_json(value) -> Pointer:
@@ -549,7 +520,8 @@ def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
 
 def rosters_to_json(rosters) -> dict:
     return {
-        ref: [b64(vk.encode()) for vk in vks] for ref, vks in sorted(rosters.items())
+        typed(ref, str): [b64(vk.encode()) for vk in vks]
+        for ref, vks in sorted(rosters.items())
     }
 
 
@@ -577,6 +549,11 @@ def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry 
     """
     with decoding(TdbError, "batch"):
         obj = typed(obj, dict)
-        rows = [row_from_json(suite, r) for r in typed(obj["rows"], list)]
+        rows = []
+        for i, r in enumerate(typed(obj["rows"], list)):
+            try:
+                rows.append(row_from_json(suite, r))
+            except TdbError as exc:
+                raise TdbError("row %d: %s" % (i, exc)) from None
         secret = secret_from_json(suite, obj["secret"]) if obj.get("secret") else None
         return rows, secret, rosters_from_json(suite, obj.get("rosters") or {})

@@ -127,11 +127,6 @@ class ClassificationRules:
         return cls(rules, default)
 
     @classmethod
-    def load(cls, path) -> "ClassificationRules":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
-
-    @classmethod
     def shipped(cls) -> "ClassificationRules":
         text = resources.files("etenon").joinpath("data/classify_rules.cfg").read_text()
         return cls.parse(text)

@@ -84,8 +84,6 @@ def phase_setup(
     participants=None,
     rng=None,
     db_root=None,
-    rules: ClassificationRules | None = None,
-    stopwords=None,
 ) -> SystemContext:
     """Run system setup and issue keys.
 
@@ -122,8 +120,8 @@ def phase_setup(
         entities=entities,
         db=TenonDb(pp, root=db_root),
         rng=rng,
-        rules=rules if rules is not None else ClassificationRules.shipped(),
-        stopwords=stopwords if stopwords is not None else load_stopwords(),
+        rules=ClassificationRules.shipped(),
+        stopwords=load_stopwords(),
     )
 
 
@@ -327,9 +325,11 @@ def run_agreement(
         raise WorkflowError("the provider needs a decryption key to verify")
     if timestamp is None:
         timestamp = int(time.time())
-    unloggable = tdb.log_field_problem(timestamp, access_label=access_label)
-    if unloggable is not None:
-        raise WorkflowError(unloggable)
+    # the store's log carries these as they are, so refuse what it could not
+    with decoding(WorkflowError, "timestamp"):
+        tdb.timestamp_from_json(timestamp)
+    with decoding(WorkflowError, "access label"):
+        typed(access_label, str)
     with decoding(WorkflowError, "level columns"):
         # an int level as it is (not a bool), a JSON key only in canonical decimal
         level_columns = {

@@ -2,13 +2,16 @@
 
 Everything in this file is written from the definitions alone, favouring
 the most literal possible formulation over speed and sharing no code
-with the package internals.  When a test disagrees with an oracle, the
-oracle is presumed right.
+with the package internals; the one exception is the pairing, finished
+at once from the curve's own Miller loop and final exponentiation.  When
+a test disagrees with an oracle, the oracle is presumed right.
 """
 
 from __future__ import annotations
 
 import random
+
+from etenon import _bn256
 
 
 # ----------------------------------------------------------------------
@@ -31,6 +34,34 @@ def levels_satisfied(tree, attrs) -> set[int]:
         if all(node_satisfied(tree.children[i - 1], attrs) for i in members):
             out.add(level)
     return out
+
+
+def tree_attributes(tree) -> set[str]:
+    """Every attribute named by a leaf of the tree."""
+    out = set()
+    stack = list(tree.children)
+    while stack:
+        node = stack.pop()
+        children = getattr(node, "children", None)
+        if children is None:
+            out.add(node.attribute)
+        else:
+            stack.extend(children)
+    return out
+
+
+def iter_gates(tree):
+    """(path, gate) for every threshold gate, depth first; a path is the
+    1-based child indices from the root."""
+    def walk(node, path):
+        children = getattr(node, "children", None)
+        if children is not None:
+            yield path, node
+            for j, child in enumerate(children, start=1):
+                yield from walk(child, path + (j,))
+
+    for i, child in enumerate(tree.children, start=1):
+        yield from walk(child, (i,))
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +100,18 @@ def ladder(x, k: int, mul, square, one):
         else:
             r0, r1 = square(r0), mul(r0, r1)
     return r0
+
+
+# ----------------------------------------------------------------------
+# pairings
+
+
+def optimal_ate(a, b):
+    """e(b, a) for a bn256 twist point a and curve point b, finished on the
+    spot: the eager value that deferred final exponentiation must match."""
+    if a[2] == _bn256.FP2_ZERO or b[2] == 0:
+        return _bn256.FP12_ONE
+    return _bn256.final_exp(_bn256.miller(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +188,7 @@ def random_tree(rng: random.Random, policy_mod, max_leaves: int = 10):
 
 def random_attr_subset(rng: random.Random, tree) -> list[str]:
     """A random subset of the tree's own attributes, sometimes with noise."""
-    attrs = sorted(tree.attributes())
+    attrs = sorted(tree_attributes(tree))
     take = rng.randint(0, len(attrs))
     chosen = rng.sample(attrs, take)
     if rng.random() < 0.3:

@@ -371,7 +371,8 @@ def test_criterion_08_gate_rejects_invisibly(tmp_path):
                       "becomes readable and the persisted bytes stay identical"):
         from test_tdb import make_batch  # the shared batch builder
 
-        mock = get_suite("mock")
+        # an edited message verifies on mock-101 with probability 1/101
+        mock = get_suite("mock-999983")
         rng = random.Random(0xAB08)
         pp, _ = mlabe.setup(mock, rng)
         db = TenonDb(pp, root=tmp_path)

@@ -477,7 +477,7 @@ def test_bn256_deferred_final_exponentiation_matches_eager_pairings(bn256, pairs
     finished = _finished_operands(bn256)
     deferred = [bn256.pairing(lefts[i], rights[j]) for i, j in pairs]
     eager = [
-        G1Element(bn256, _bn256.optimal_ate(rights[j].point, lefts[i].point))
+        G1Element(bn256, oracles.optimal_ate(rights[j].point, lefts[i].point))
         for i, j in pairs
     ]
     got = _apply(program, deferred + finished)

