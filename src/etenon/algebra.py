@@ -34,6 +34,7 @@ is drawn through ``rand_scalar`` so callers can inject a seeded
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 import hmac
 import math
@@ -321,6 +322,11 @@ class GroupSuite:
     def identity(self, side: str) -> G0Element:
         """The identity element of one side."""
         return G0Element(self, side, self._identity(side))
+
+    @functools.cached_property
+    def left_identity_encoding(self) -> bytes:
+        """The left identity's encoding; cached, it is a constant of the suite."""
+        return self.identity(LEFT).encode()
 
     def g0_mul(self, x: G0Element, y: G0Element) -> G0Element:
         side = self._same_side(x, y)

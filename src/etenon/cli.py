@@ -6,8 +6,8 @@ the verification gate, ``retrieve`` runs the full fetch-verify-decrypt
 path, ``shuffle`` permutes the open table, ``run-scenario`` drives a
 whole configured multi-party run, and ``bench`` times the primitives on
 a (levels, leaves, signers) grid while checking the operation counts
-against the scheme's cost model, then times the group operations
-underneath them one by one.
+against the scheme's cost model, then times one batch verification and
+the group operations underneath them one by one.
 
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
@@ -209,18 +209,23 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
     }
 
 
+def _distinct_keys(suite, n: int, rng) -> list[int]:
+    """n distinct signing keys; the tiny mock order can repeat draws."""
+    keys: list[int] = []
+    while len(keys) < n:
+        k = suite.rand_scalar_nonzero(rng)
+        if k not in keys:
+            keys.append(k)
+    return keys
+
+
 def bench_musig(suite, n: int, trials: int, rng) -> dict:
     """Co-signing and verification for an n-party roster."""
     msg = b"benchmark message"
     sign_times, verify_times = [], []
     span = None
     for _ in range(trials):
-        # distinct keys; the tiny mock order can repeat draws
-        keys: list[int] = []
-        while len(keys) < n:
-            k = suite.rand_scalar_nonzero(rng)
-            if k not in keys:
-                keys.append(k)
+        keys = _distinct_keys(suite, n, rng)
         t0 = time.perf_counter()
         sig, roster = musig.cosign(suite, keys, msg, rng)
         sign_times.append(time.perf_counter() - t0)
@@ -239,6 +244,36 @@ def bench_musig(suite, n: int, trials: int, rng) -> dict:
         "verify_hashes": span.hash_calls,
         "sign_ms": 1000 * sum(sign_times) / len(sign_times),
         "verify_ms": 1000 * sum(verify_times) / len(verify_times),
+    }
+
+
+BATCH_ITEMS = 5  # signatures per batch-verification row
+BATCH_SIGNERS = 2  # one roster of two, as an agreement signs
+
+
+def bench_batch(suite, trials: int, rng) -> dict:
+    """One batch check of m signatures by one n-party roster."""
+    m, n = BATCH_ITEMS, BATCH_SIGNERS
+    times = []
+    span = None
+    for _ in range(trials):
+        keys = _distinct_keys(suite, n, rng)
+        msgs = [b"benchmark message %d" % i for i in range(m)]
+        signed = [musig.cosign(suite, keys, msg, rng) for msg in msgs]
+        # one roster object for the batch, as the store holds one per ref
+        items = [(sig, signed[0][1], msg) for (sig, _), msg in zip(signed, msgs)]
+        with suite.measure() as span:
+            t0 = time.perf_counter()
+            ok = musig.verify_batch(suite, items)
+            times.append(time.perf_counter() - t0)
+        if not ok:
+            raise BenchError("batch verification failed at m=%d" % m)
+    _expect("batch verification exponentiations", span.exponentiations, 1 + m + n)
+    return {
+        "batch_m": m,
+        "n": n,
+        "batch_exp": span.exponentiations,
+        "batch_ms": 1000 * sum(times) / len(times),
     }
 
 
@@ -299,6 +334,7 @@ def cmd_bench(args) -> int:
                 continue
             abe_rows.append(bench_abe(suite, k, l, args.trials, rng))
     sig_rows = [bench_musig(suite, n, args.trials, rng) for n in args.signers]
+    batch_row = bench_batch(suite, args.trials, rng)
     layer_rows = bench_layers(suite, args.trials, rng)
 
     print("suite: %s, trials per cell: %d" % (suite.name, args.trials))
@@ -328,18 +364,23 @@ def cmd_bench(args) -> int:
         ],
     )
     print()
+    _print_table(
+        [batch_row],
+        [("batch_m", "%d"), ("n", "%d"), ("batch_exp", "%d"), ("batch_ms", "%.2f")],
+    )
+    print()
     _print_table(layer_rows, [("layer", "%s"), ("layer_ms", "%.3f")])
     print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
-        " verify = n+1 exp"
+        " verify = n+1 exp, batch of m by one roster = 1+m+n exp"
     )
 
     if args.csv:
         fields = [
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
             "dec_pair", "dec_ms", "verify_exp", "verify_hashes", "sign_ms",
-            "verify_ms", "layer", "layer_ms",
+            "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -348,6 +389,7 @@ def cmd_bench(args) -> int:
                 writer.writerow({"kind": "abe", **r})
             for r in sig_rows:
                 writer.writerow({"kind": "musig", **r})
+            writer.writerow({"kind": "batch", **batch_row})
             for r in layer_rows:
                 writer.writerow({"kind": "layer", **r})
         print("wrote %s" % args.csv)

@@ -10,6 +10,15 @@ byte-identical.  The gate admits a batch as its log line, through the
 decoder and the checks that replay runs, so a live store holds exactly
 what a reopen of its log holds.
 
+The gate and log replay check all the signatures of a batch at once,
+by :func:`musig.verify_batch`: one multi-exponentiation with a random
+weight per signature.  A batch with one bad signature always fails it;
+a batch with two or more passes with probability at most
+1/(min(order, 2**128) - 1).  The weights are drawn from the operating
+system, never from a caller's rng, since whoever knows them can make
+errors that cancel.  A batch that fails is checked again one signature
+at a time, so its refusal names the first bad row, or the entry.
+
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
 digest) is redrawn, so consecutive layouts always differ once the table
@@ -160,15 +169,19 @@ def entry_digest(pp_bytes: bytes, entry_id: str, access_label: str, ct_bytes: by
     ).digest()
 
 
+def stored_entry_digest(pp_bytes: bytes, entry: SecretEntry) -> bytes:
+    """The :func:`entry_digest` of a stored entry's fields."""
+    return entry_digest(
+        pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes, entry.timestamp
+    )
+
+
 def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool:
     return musig.verify(suite, row.sig, roster, row_digest(pp_bytes, row, row.timestamp))
 
 
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
-    digest = entry_digest(
-        pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes, entry.timestamp
-    )
-    return musig.verify(suite, entry.sig, roster, digest)
+    return musig.verify(suite, entry.sig, roster, stored_entry_digest(pp_bytes, entry))
 
 
 class TenonDb:
@@ -199,7 +212,13 @@ class TenonDb:
     # ingest
 
     def _verify_batch(self, rows, secret, rosters):
-        """Return why a decoded batch cannot be stored, or None."""
+        """Return why a decoded batch cannot be stored, or None.
+
+        Every signature of the batch is checked at once by
+        :func:`musig.verify_batch`, after the checks of its refs, pointers
+        and entry id.  Only a batch that fails is checked one signature at
+        a time, so that the refusal names its first bad row or its entry.
+        """
         # refs are write-once, so every stored row keeps the roster it was
         # signed under
         known = dict(self._rosters)
@@ -211,6 +230,7 @@ class TenonDb:
                 if problem is not None:
                     return "roster %r: %s" % (ref, problem)
             known[ref] = vks
+        signed = []  # (where, sig, roster, digest) of every signature
         batch_pointers = set()
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
@@ -220,8 +240,7 @@ class TenonDb:
             if row.pointer in self._index or row.pointer in batch_pointers:
                 return "%s: pointer already present" % where
             batch_pointers.add(row.pointer)
-            if not verify_row(self.suite, self._pp_bytes, row, roster):
-                return "%s: signature invalid" % where
+            signed.append((where, row.sig, roster, row_digest(self._pp_bytes, row, row.timestamp)))
         if secret is not None:
             where = "secret entry %r" % (secret.entry_id,)
             if secret.entry_id in self._secrets:
@@ -229,8 +248,11 @@ class TenonDb:
             roster = known.get(secret.roster_ref)
             if roster is None:
                 return "%s: unknown roster %r" % (where, secret.roster_ref)
-            if not verify_entry(self.suite, self._pp_bytes, secret, roster):
-                return "%s: signature invalid" % where
+            signed.append((where, secret.sig, roster, stored_entry_digest(self._pp_bytes, secret)))
+        if not musig.verify_batch(self.suite, [item[1:] for item in signed]):
+            for where, sig, roster, digest in signed:
+                if not musig.verify(self.suite, sig, roster, digest):
+                    return "%s: signature invalid" % where
         return None
 
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
@@ -534,9 +556,19 @@ def rosters_from_json(suite: GroupSuite, obj) -> dict:
 
 
 def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry | None, rosters) -> dict:
-    """The ``{rows, secret, rosters}`` document of one ingest batch."""
+    """The ``{rows, secret, rosters}`` document of one ingest batch.  A
+    row whose fields cannot be encoded is refused by its index, as
+    :func:`batch_from_json` names a row it cannot decode."""
+    docs = []
+    for i, r in enumerate(rows):
+        try:
+            with decoding(TdbError, "row"):
+                docs.append(row_to_json(suite, r))
+                canonical_json(docs[-1])  # a field JSON cannot carry fails here
+        except TdbError as exc:
+            raise TdbError("row %d: %s" % (i, exc)) from None
     return {
-        "rows": [row_to_json(suite, r) for r in rows],
+        "rows": docs,
         "secret": secret_to_json(suite, secret) if secret else None,
         "rosters": rosters_to_json(rosters),
     }

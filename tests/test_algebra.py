@@ -683,6 +683,27 @@ def test_mock_verification_is_one_pass(mock, mock_terms):
     assert mock_terms == [4]
 
 
+def test_batch_verification_is_one_pass(bn256, straus_terms, mock, mock_terms):
+    """A batch of m signatures over d distinct keys is one pass of
+    1 + m + d terms on both suites, and makes the m * n challenge hashes
+    of its n-signer rosters.  Here m = 4 over two rosters that share a
+    key, so d = 3."""
+    for suite, passes in ((bn256, straus_terms), (mock, mock_terms)):
+        rng = random.Random(7)
+        k1, k2, k3 = (suite.rand_scalar_nonzero(rng) for _ in range(3))
+        items, rosters = [], {}
+        for i, keys in enumerate([(k1, k2)] * 3 + [(k2, k3)]):
+            msg = b"item %d" % i
+            sig, roster = musig.cosign(suite, keys, msg, rng)
+            items.append((sig, rosters.setdefault(keys, roster), msg))
+        passes.clear()
+        with suite.measure() as span:
+            assert musig.verify_batch(suite, items)
+        assert passes == [1 + 4 + 3], suite.name
+        assert span.exponentiations == 1 + 4 + 3
+        assert span.hash_calls == 4 * 2
+
+
 def test_suites_supply_only_arithmetic():
     """The rules of deferral live in GroupSuite alone: no suite defines
     its own public group operation or codec."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -335,6 +336,22 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
     layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
     assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode"}
+
+
+def test_bench_batch_row(tmp_path, capsys):
+    """The batch row checks m = 5 signatures by one roster of n = 2 in one
+    pass of 1 + m + n exponentiations."""
+    csv_path = tmp_path / "grid.csv"
+    code, out, _ = run(
+        capsys, "bench", "--suite", "mock", "--levels", "1", "--leaves", "2",
+        "--signers", "2", "--trials", "2", "--seed", "5", "--csv", str(csv_path),
+    )
+    assert code == 0
+    assert "batch of m by one roster = 1+m+n exp" in out
+    with open(csv_path, newline="") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "batch"]
+    assert (row["batch_m"], row["n"], row["batch_exp"]) == ("5", "2", "8")
+    assert float(row["batch_ms"]) > 0
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,37 @@ def test_verification_exponentiation_count(mock, rng):
         assert span.hash_calls == n
 
 
+def test_batch_with_one_bad_signature_always_fails_on_mock_101(mock):
+    """A single forged signature verifies on mock-101 with probability
+    1/101, but a batch holding exactly one bad signature never passes the
+    batch check: the order is prime and no weight is a multiple of it."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        keys = distinct_keys(mock, 2, rng)
+        items = []
+        for i in range(5):
+            msg = b"item %d" % i
+            sig, roster = cosign(mock, keys, msg, rng)
+            items.append((sig, roster, msg))
+        assert musig.verify_batch(mock, items), seed
+        bad = rng.randrange(len(items))
+        sig, roster, msg = items[bad]
+        wrong = MultiSig(rc=sig.rc, s=(sig.s + rng.randrange(1, mock.order)) % mock.order)
+        items[bad] = (wrong, roster, msg)
+        assert not musig.verify_batch(mock, items), seed
+    # two errors that cancel under equal weights: random weights refuse
+    # them unless two draws collide, here with probability 1/999982
+    large = get_suite("mock-999983")
+    rng = random.Random(0)
+    keys = distinct_keys(large, 2, rng)
+    items = []
+    for i, error in enumerate((5, -5)):
+        msg = b"item %d" % i
+        sig, roster = cosign(large, keys, msg, rng)
+        items.append((MultiSig(rc=sig.rc, s=(sig.s + error) % large.order), roster, msg))
+    assert not musig.verify_batch(large, items)
+
+
 def test_cosign_derives_each_key_once(mock, rng):
     """A co-signing run costs one key and one nonce per signer: 2n."""
     for n in (1, 2, 3):

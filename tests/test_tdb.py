@@ -383,13 +383,14 @@ def _spaced_entry(suite, pp, rng):
         (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0: malformed row: expected str, found list$"),
         (_edited(row={"timestamp": -1}), r"^row 0: malformed row: timestamp -1 does not fit 8 bytes$"),
         # the encoder refuses this one before any line exists to decode
-        (_edited(row={"block": b"alpha"}), r"^malformed batch: Object of type bytes is not JSON"),
+        (_edited(row={"block": b"alpha"}),
+         r"^row 0: malformed row: Object of type bytes is not JSON serializable$"),
         (_edited(row={"next": "beta"}), r"^row 0: malformed row: badly formed hexadecimal UUID"),
         (_edited(secret={"timestamp": 1 << 64}), r"^malformed secret entry: timestamp \d+ does not fit"),
         # replay would key this roster "5", so a later "5" could bind other keys
         (lambda suite, pp, rng: ([], None, {5: sign_keys(suite, rng)[1]}),
          r"^malformed batch: expected str, found int$"),
-        (_unreduced_s, r"^malformed batch: scalar out of range$"),
+        (_unreduced_s, r"^row 0: malformed row: scalar out of range$"),
         (_spaced_entry, r"^secret entry 'spaced': signature invalid$"),
     ],
     ids=[
@@ -610,7 +611,8 @@ def test_tampered_log_fails_load(large_system, tmp_path):
     doc = json.loads(genuine)
     doc["rows"][0]["t"] = doc["rows"][0]["t"] + 1
     log.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(TdbError, match="log line 1: .*signature invalid"):
+    where = r"^log line 1: row 0 \(pointer %s\): signature invalid$" % doc["rows"][0]["pointer"]
+    with pytest.raises(TdbError, match=where):
         TenonDb(pp, root=tmp_path)
 
     # every replay failure names its line, after any good lines too
@@ -619,6 +621,24 @@ def test_tampered_log_fails_load(large_system, tmp_path):
             log.write_text(prefix + line + "\n")
             with pytest.raises(TdbError, match="^log line %d: " % number):
                 TenonDb(pp, root=tmp_path)
+
+
+def test_gate_names_the_one_forged_signature_among_many(bn256, rng, tmp_path):
+    """On bn256 the batch check refuses a batch of 20 rows with one
+    forged signature, and the refusal names exactly that row; a batch
+    whose only bad signature is the entry's names the entry."""
+    pp, _ = mlabe.setup(bn256, rng)
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(bn256, pp, rng, blocks=["b%d" % i for i in range(20)])
+    forged = list(rows)
+    forged[13] = replace(rows[13], sig=rows[5].sig)
+    r = db.ingest(forged, secret, rosters=rosters, rng=rng)
+    assert r.reason == "row 13 (pointer %s): signature invalid" % rows[13].pointer
+    r = db.ingest(rows, replace(secret, sig=rows[0].sig), rosters=rosters, rng=rng)
+    assert r.reason == "secret entry 'entry-1': signature invalid"
+    assert not (tmp_path / "log.jsonl").exists()
+    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    assert len(TenonDb(pp, root=tmp_path).read_open()) == 20
 
 
 @pytest.mark.parametrize("field", ["entry_id", "access_label"])
