@@ -247,10 +247,6 @@ def fp6_neg(a):
     return (fp2_neg(a[0]), fp2_neg(a[1]), fp2_neg(a[2]))
 
 
-def fp6_mul_fp2(a, k):
-    return (fp2_mul(a[0], k), fp2_mul(a[1], k), fp2_mul(a[2], k))
-
-
 def fp6_mul_tau(a):
     return (a[1], a[2], fp2_mul_xi(a[0]))
 
@@ -525,11 +521,18 @@ def g2_on_curve(pt):
 
 # ----------------------------------------------------------------------
 # the optimal ate pairing
+#
+# The lines of a Miller loop depend only on the twist point; the curve
+# point only scales two of each line's coefficients (Costello and
+# Stebila, "Fixed argument pairings", LATINCRYPT 2010).  prepare()
+# computes a twist point's lines once, and miller() evaluates any number
+# of pairs in one loop whose squarings they share (Granger and Smart,
+# "On computing products of pairings", ePrint 2006/172).
 
 
-def line_func_add(r, pt, q, r2):
-    # r: Jacobian twist point, pt: affine twist point, q: affine curve
-    # point, r2: pt's y squared
+def _line_add(r, pt, r2):
+    """The line through Jacobian twist point r and affine twist point pt,
+    and r + pt; r2 is pt's y squared."""
     rx, ry, rz = r
     px, py = pt[0], pt[1]
     r_t = fp2_square(rz)
@@ -551,12 +554,13 @@ def line_func_add(r, pt, q, r2):
 
     t = fp2_sub(fp2_sub(fp2_square(fp2_add(py, r_z)), r2), fp2_square(r_z))
     a = fp2_sub(fp2_scalar(fp2_mul(L1, px), 2), t)
-    b = fp2_scalar(L1, -2 * q[0])
-    c = fp2_scalar(r_z, 2 * q[1])
-    return (a, b, c, (r_x, r_y, r_z))
+    b = fp2_scalar(L1, -2)
+    c = fp2_scalar(r_z, 2)
+    return a + b + c, (r_x, r_y, r_z)
 
 
-def line_func_double(r, q):
+def _line_double(r):
+    """The tangent line at Jacobian twist point r, and 2r."""
     rx, ry, rz = r
     r_t = fp2_square(rz)
     A = fp2_square(rx)
@@ -572,50 +576,118 @@ def line_func_double(r, q):
     r_z = fp2_sub(fp2_sub(fp2_square(fp2_add(ry, rz)), B), r_t)
 
     a = fp2_sub(fp2_square(fp2_add(rx, E)), fp2_add(fp2_add(A, F), fp2_scalar(B, 4)))
-    b = fp2_scalar(fp2_mul(E, r_t), -2 * q[0])
-    c = fp2_scalar(fp2_mul(r_z, r_t), 2 * q[1])
-    return (a, b, c, (r_x, r_y, r_z))
+    b = fp2_scalar(fp2_mul(E, r_t), -2)
+    c = fp2_scalar(fp2_mul(r_z, r_t), 2)
+    return a + b + c, (r_x, r_y, r_z)
 
 
-def mul_line(f, a, b, c):
-    # See function fp12e_mul_line in dclxvi
-    fx, fy = f
-    t1 = fp6_mul((FP2_ZERO, a, b), fx)
-    t2 = (FP2_ZERO, a, fp2_add(b, c))
-    t3 = fp6_mul_fp2(fy, c)
-    x = fp6_sub(fp6_sub(fp6_mul(fp6_add(fx, fy), t2), t1), t3)
-    return (x, fp6_add(t3, fp6_mul_tau(t1)))
+# for each line of the loop, whether a squaring comes before it: one
+# before each tangent, none before a chord
+_SQUARE_FIRST = [
+    square for naf_i in naf_6up2 for square in ((True, False) if naf_i else (True,))
+] + [False, False]
 
 
-def miller(q, p):
+def prepare(q):
+    """The Miller-loop lines of twist point q, as one flat tuple of ints.
+
+    Each line is six ints, the Fp2 values a, b and c in order; b and c
+    are still to be scaled by the curve point's x and y.  The point at
+    infinity has no lines."""
     Q = g2_affine(q)
-    P = g1_affine(p)
+    if Q[2] == FP2_ZERO:
+        return ()
     qx, qy = Q[0], Q[1]
     mQ = (qx, fp2_neg(qy), FP2_ONE)
-
-    f = FP12_ONE
-    T = Q
     Qp = fp2_square(qy)
+    out = []
+    T = Q
     for naf_i in naf_6up2:
-        f = fp12_square(f)
-        a, b, c, T = line_func_double(T, P)
-        f = mul_line(f, a, b, c)
-        if naf_i == 1:
-            a, b, c, T = line_func_add(T, Q, P, Qp)
-            f = mul_line(f, a, b, c)
-        elif naf_i == -1:
-            a, b, c, T = line_func_add(T, mQ, P, Qp)
-            f = mul_line(f, a, b, c)
-
-    # Q1 = pi(Q)
+        line, T = _line_double(T)
+        out += line
+        if naf_i:
+            line, T = _line_add(T, Q if naf_i == 1 else mQ, Qp)
+            out += line
+    # Q1 = pi(Q), Q2 = pi2(Q)
     Q1 = (fp2_mul(fp2_conj(qx), xi1[1]), fp2_mul(fp2_conj(qy), xi1[2]), FP2_ONE)
-    # Q2 = pi2(Q)
     Q2 = (fp2_scalar(qx, xi2[1][1]), qy, FP2_ONE)
+    line, T = _line_add(T, Q1, fp2_square(Q1[1]))
+    out += line
+    line, T = _line_add(T, Q2, fp2_square(Q2[1]))
+    out += line
+    return tuple(out)
 
-    a, b, c, T = line_func_add(T, Q1, P, fp2_square(Q1[1]))
-    f = mul_line(f, a, b, c)
-    a, b, c, T = line_func_add(T, Q2, P, fp2_square(Q2[1]))
-    return mul_line(f, a, b, c)
+
+def _fp6_mul_line_wide(x, ax, ay, bx, by):
+    """x*(a*tau + b) for Fp6 x, as six unreduced ints in Fp6 order."""
+    (x2x, x2y), (x1x, x1y), (x0x, x0y) = x
+    # xi*x2*a, with x2*a = sx*i + sy
+    sx = x2x * ay + x2y * ax
+    sy = x2y * ay - x2x * ax
+    return (
+        x2x * by + x2y * bx + x1x * ay + x1y * ax,
+        x2y * by - x2x * bx + x1y * ay - x1x * ax,
+        x1x * by + x1y * bx + x0x * ay + x0y * ax,
+        x1y * by - x1x * bx + x0y * ay - x0x * ax,
+        3 * sx + sy + x0x * by + x0y * bx,
+        3 * sy - sx + x0y * by - x0x * bx,
+    )
+
+
+def _fp6_mul_fp2_wide(x, cx, cy):
+    """x*c for Fp6 x and Fp2 c, as six unreduced ints in Fp6 order."""
+    (x2x, x2y), (x1x, x1y), (x0x, x0y) = x
+    return (
+        x2x * cy + x2y * cx, x2y * cy - x2x * cx,
+        x1x * cy + x1y * cx, x1y * cy - x1x * cx,
+        x0x * cy + x0y * cx, x0y * cy - x0x * cx,
+    )
+
+
+def _mul_line(f, ax, ay, bx, by, cx, cy):
+    """f times the line (a*tau + b)*omega + c, sparse: with L = a*tau + b,
+    (fx*omega + fy)(L*omega + c) = (fx*c + fy*L)*omega + tau*fx*L + fy*c."""
+    fx, fy = f
+    t2x, t2y, t1x, t1y, t0x, t0y = _fp6_mul_line_wide(fx, ax, ay, bx, by)
+    s2x, s2y, s1x, s1y, s0x, s0y = _fp6_mul_line_wide(fy, ax, ay, bx, by)
+    u2x, u2y, u1x, u1y, u0x, u0y = _fp6_mul_fp2_wide(fy, cx, cy)
+    v2x, v2y, v1x, v1y, v0x, v0y = _fp6_mul_fp2_wide(fx, cx, cy)
+    return (
+        (((s2x + v2x) % p, (s2y + v2y) % p),
+         ((s1x + v1x) % p, (s1y + v1y) % p),
+         ((s0x + v0x) % p, (s0y + v0y) % p)),
+        # tau*(t2, t1, t0) = (t1, t0, xi*t2)
+        (((t1x + u2x) % p, (t1y + u2y) % p),
+         ((t0x + u1x) % p, (t0y + u1y) % p),
+         ((3 * t2x + t2y + u0x) % p, (3 * t2y - t2x + u0y) % p)),
+    )
+
+
+def miller(pairs):
+    """The product of the Miller values of the (lines, curve point) pairs,
+    in one loop that shares each step's squaring among them.
+
+    ``lines`` come from :func:`prepare`.  A pair with the point at
+    infinity on either side contributes one."""
+    terms = []
+    for lines, pt in pairs:
+        x, y, z = g1_affine(pt)
+        if lines and z:
+            terms.append((lines, x, y))
+    if not terms:
+        return FP12_ONE
+    f = FP12_ONE
+    for i, square in enumerate(_SQUARE_FIRST):
+        if square:
+            f = fp12_square(f)
+        i *= 6
+        for lines, x, y in terms:
+            f = _mul_line(
+                f, lines[i], lines[i + 1],
+                lines[i + 2] * x % p, lines[i + 3] * x % p,
+                lines[i + 4] * y % p, lines[i + 5] * y % p,
+            )
+    return f
 
 
 def final_exp(inp):

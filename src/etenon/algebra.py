@@ -20,8 +20,10 @@ Two interchangeable suites implement one interface:
 supplies the arithmetic.  Both suites therefore defer work the same
 way: a source-group power is pending until its point is needed, and
 then it and the factors it is multiplied with are evaluated in one
-multi-exponentiation (see :class:`G0Element`); a pairing's final
-exponentiation waits until its value is compared or encoded (see
+multi-exponentiation (see :class:`G0Element`); a pairing is pending
+until its value is read, and pairings joined by
+:meth:`GroupSuite.pairing_product` share one Miller loop; its final
+exponentiation waits until the value is compared or encoded (see
 :class:`G1Element`).  Every operation ticks its counter when it is
 called, not when its work is done.
 
@@ -128,9 +130,12 @@ class G0Element:
     product repeats another's work.  Equality of two pending elements
     with more than two terms between them is one multi-exponentiation
     of x * y^-1; otherwise each side is evaluated and kept.
+
+    A right element keeps in ``lines`` what the suite prepares of its
+    point for Miller loops, from the first loop it takes part in on.
     """
 
-    __slots__ = ("suite", "side", "_point", "factors", "joins")
+    __slots__ = ("suite", "side", "_point", "factors", "joins", "lines")
 
     def __init__(self, suite: "GroupSuite", side: str, point=None, factors=None):
         self.suite = suite
@@ -138,6 +143,7 @@ class G0Element:
         self._point = point
         self.factors = factors
         self.joins = 0
+        self.lines = None
 
     @property
     def point(self):
@@ -171,6 +177,12 @@ class G0Element:
 class G1Element:
     """Target-group element (pairing output).
 
+    A pairing is *pending*: ``pairs`` then holds the (left, right,
+    inverse) element triples whose Miller values it is the product of,
+    an inverse pair dividing instead, and no Miller loop has run yet.
+    Reading ``value`` runs one loop over all the pairs and keeps the
+    result.
+
     A pairing's value is its Miller value: ``owed`` is set and the final
     exponentiation is still to come.  That map is a homomorphism onto
     the target group, so products, quotients and powers of owed values
@@ -180,12 +192,22 @@ class G1Element:
     ``gt_generator`` and ``gt_identity`` are finished.
     """
 
-    __slots__ = ("suite", "value", "owed")
+    __slots__ = ("suite", "_value", "owed", "pairs")
 
-    def __init__(self, suite: "GroupSuite", value, owed: bool = False):
+    def __init__(self, suite: "GroupSuite", value=None, owed: bool = False, pairs=None):
         self.suite = suite
-        self.value = value
+        self._value = value
         self.owed = owed
+        self.pairs = pairs
+
+    @property
+    def value(self):
+        pairs = self.pairs  # read once: another thread may evaluate it
+        if pairs is None:
+            return self._value
+        value = self._value = self.suite._miller(pairs)
+        self.pairs = None
+        return value
 
     def __mul__(self, other: "G1Element") -> "G1Element":
         return self.suite.gt_mul(self, other)
@@ -216,9 +238,12 @@ class GroupSuite:
     A suite supplies the generators, ``gt_identity`` and arithmetic
     hooks on raw payloads: for each side ``_multi_exp`` (the product of
     (point, scalar) terms), ``_add``, ``_neg``, ``_identity``, ``_eq``,
-    ``_encode`` and ``_decode``; for the target group ``_pair`` (up to
-    the final exponentiation), ``_final_exp``, ``_gt_mul``, ``_gt_inv``,
-    ``_gt_exp``, ``_encode_gt`` and ``_decode_gt``; and
+    ``_encode`` and ``_decode``; for the pairing ``_prepare`` (what a
+    Miller loop needs of a right point, computed once per element) and
+    ``_pair_product`` (the product of the Miller values of (prepared
+    right, left point) pairs in one loop, up to the final
+    exponentiation); for the target group ``_final_exp``, ``_gt_mul``,
+    ``_gt_inv``, ``_gt_exp``, ``_encode_gt`` and ``_decode_gt``; and
     ``_hash_to_group``.  The public methods here are the only ones.
     """
 
@@ -381,23 +406,55 @@ class GroupSuite:
     # pairing and target-group arithmetic
 
     def pairing(self, x: G0Element, y: G0Element) -> G1Element:
-        """Bilinear map of one left and one right element, in either order."""
+        """Bilinear map of one left and one right element, in either order;
+        pending until its value is read."""
         self._check(x, y)
         if x.side == y.side:
             raise AlgebraError("pairing needs one left and one right element")
         self._tick("pairings")
         left, right = (x, y) if x.side == LEFT else (y, x)
-        return G1Element(self, self._pair(left.point, right.point), owed=True)
+        return G1Element(self, owed=True, pairs=((left, right, False),))
+
+    def pairing_product(self, num, den=()) -> G1Element:
+        """The product of the pending pairings ``num`` over those of
+        ``den``, pending as one Miller loop over all their pairs.
+
+        It ticks nothing: each pair was counted by its pairing.  A
+        divisor's pair is evaluated at its negated left point, since
+        e(x^-1, y) = e(x, y)^-1, which is exact and costs nothing.
+        """
+        pairs = []
+        for inverse, values in ((False, num), (True, den)):
+            for a in values:
+                if not isinstance(a, G1Element):
+                    raise AlgebraError("a pairing product takes target-group elements")
+                self._check(a)
+                held = a.pairs
+                if held is None:
+                    raise AlgebraError("a pairing product takes only pending pairings")
+                pairs += [(x, y, inv != inverse) for x, y, inv in held]
+        return G1Element(self, owed=True, pairs=tuple(pairs))
+
+    def _miller(self, pairs):
+        """The Miller value of (left, right, inverse) pairs, in one loop."""
+        return self._pair_product([
+            (self._lines(right), self._neg(LEFT, left.point) if inverse else left.point)
+            for left, right, inverse in pairs
+        ])
+
+    def _lines(self, right: G0Element):
+        lines = right.lines
+        if lines is None:
+            lines = right.lines = self._prepare(right.point)
+        return lines
 
     @property
     def gt_generator(self) -> G1Element:
         """e(g1, g2); cached, it is a fixed public constant of the suite."""
         egg = getattr(self, "_egg", None)
         if egg is None:
-            egg = G1Element(
-                self,
-                self._final_exp(self._pair(self.generator.point, self.right_generator.point)),
-            )
+            pair = (self.generator, self.right_generator, False)
+            egg = G1Element(self, self._final_exp(self._miller((pair,))))
             self._egg = egg
         return egg
 
@@ -562,8 +619,11 @@ class MockSuite(GroupSuite):
     def _eq(self, side, a, b):
         return a == b
 
-    def _pair(self, left, right):
-        return (left * right) % self.order
+    def _prepare(self, right):
+        return right
+
+    def _pair_product(self, pairs):
+        return sum(right * left for right, left in pairs) % self.order
 
     def _final_exp(self, a):
         return a
@@ -606,8 +666,9 @@ class Bn256Suite(GroupSuite):
 
     Left points are Jacobian triples of ints, right points Jacobian
     triples of Fp2 pairs and target-group values nested Fp12 tuples (an
-    owed value is a Miller-loop output); :mod:`etenon._bn256` holds the
-    arithmetic.
+    owed value is a Miller-loop output).  A right point's prepared lines
+    are one flat tuple of 510 ints, about 35 KB.  :mod:`etenon._bn256`
+    holds the arithmetic.
     """
 
     def __init__(self):
@@ -647,11 +708,12 @@ class Bn256Suite(GroupSuite):
             return _bn256.g1_affine(a) == _bn256.g1_affine(b)
         return _bn256.g2_affine(a) == _bn256.g2_affine(b)
 
-    def _pair(self, left, right):
-        if left[2] == 0 or right[2] == _bn256.FP2_ZERO:
-            # the point at infinity pairs to one; the Miller loop needs affine points
-            return _bn256.FP12_ONE
-        return _bn256.miller(right, left)
+    def _prepare(self, right):
+        return _bn256.prepare(right)
+
+    def _pair_product(self, pairs):
+        # pairs with the point at infinity on either side are skipped there
+        return _bn256.miller(pairs)
 
     def _final_exp(self, a):
         return _bn256.final_exp(a)

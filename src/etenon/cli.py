@@ -163,7 +163,12 @@ def _ct_points(ct) -> list:
 
 
 def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
-    """Encrypt/decrypt timings and counts for k levels over l leaves."""
+    """Encrypt/decrypt timings and counts for k levels over l leaves.
+
+    ``dec_ms`` decrypts each fresh ciphertext under one key held across
+    the trials, as a reader does; ``dec_cold_ms`` decrypts a freshly
+    decoded copy of the key and the ciphertext, with nothing prepared
+    for their Miller loops yet, as a first retrieval does."""
     tree = policy.parse_policy(_bench_policy(k, l))
     pp, msk = mlabe.setup(suite, rng)
     payloads = {
@@ -175,9 +180,9 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
     # been loaded from their files, and each encryption is timed with
     # its elements finished
     mlabe.pp_to_json(pp)
-    mlabe.key_to_json(suite, bundle)
+    key_doc = mlabe.key_to_json(suite, bundle)
 
-    enc_times, dec_times = [], []
+    enc_times, dec_times, cold_times = [], [], []
     enc_span = dec_span = None
     ct = None
     for _ in range(trials):
@@ -190,7 +195,12 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
             t0 = time.perf_counter()
             out = mlabe.decrypt(pp, ct, bundle.decryption)
             dec_times.append(time.perf_counter() - t0)
-        if out != payloads:
+        _, cold_key = mlabe.key_from_json(key_doc, suite)
+        cold_ct = mlabe.ct_from_json(mlabe.ct_to_json(ct), suite)
+        t0 = time.perf_counter()
+        cold = mlabe.decrypt(pp, cold_ct, cold_key.decryption)
+        cold_times.append(time.perf_counter() - t0)
+        if out != payloads or cold != payloads:
             raise BenchError("round trip failed at k=%d l=%d" % (k, l))
 
     elems = mlabe.element_count(ct)
@@ -206,6 +216,7 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
         "enc_ms": 1000 * sum(enc_times) / len(enc_times),
         "dec_pair": dec_span.pairings,
         "dec_ms": 1000 * sum(dec_times) / len(dec_times),
+        "dec_cold_ms": 1000 * sum(cold_times) / len(cold_times),
     }
 
 
@@ -291,10 +302,19 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
     ]
     if suite.name == "bn256":
-        # the two halves of a pairing, called as the suite calls them
-        f = _bn256.miller(g2.point, g1.point)
+        # the two halves of a pairing, called as the suite calls them:
+        # one pair with its lines prepared inside the timing, one pair
+        # with prepared lines, and three pairs in one loop
+        left, right = g1.point, g2.point
+        lines = _bn256.prepare(right)
+        three = [
+            (_bn256.prepare((g2 ** (j + 2)).point), (g1 ** (j + 5)).point) for j in range(3)
+        ]
+        f = _bn256.miller([(lines, left)])
         cases += [
-            ("miller", lambda: _bn256.miller(g2.point, g1.point)),
+            ("miller", lambda: _bn256.miller([(_bn256.prepare(right), left)])),
+            ("miller_prepared", lambda: _bn256.miller([(lines, left)])),
+            ("miller_product3", lambda: _bn256.miller(three)),
             ("final_exp", lambda: _bn256.final_exp(f)),
         ]
     rows = []
@@ -350,6 +370,7 @@ def cmd_bench(args) -> int:
             ("enc_ms", "%.2f"),
             ("dec_pair", "%d"),
             ("dec_ms", "%.2f"),
+            ("dec_cold_ms", "%.2f"),
         ],
     )
     print()
@@ -379,7 +400,7 @@ def cmd_bench(args) -> int:
     if args.csv:
         fields = [
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
-            "dec_pair", "dec_ms", "verify_exp", "verify_hashes", "sign_ms",
+            "dec_pair", "dec_ms", "dec_cold_ms", "verify_exp", "verify_hashes", "sign_ms",
             "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

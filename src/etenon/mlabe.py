@@ -15,11 +15,15 @@ per level and two per leaf.  Decryption reconstructs the level value by
 pairing key components against leaf elements, combining with Lagrange
 coefficients up the tree, and dividing out of the paired level element.
 
-A level costs two pairings per leaf it uses (each root sub-tree is
-evaluated once, whichever levels share it) plus one for its level
-element, one GT exponentiation per child a gate combines, and, on
-bn256, a single final exponentiation: the suite defers it from each
-pairing until the level value unseals its payload or divides its mask.
+A level costs two pairings per leaf it uses plus one for its level
+element.  Each root sub-tree is one Miller loop over all its leaves'
+pairs, evaluated once whichever levels share it, and the level element
+is one more.  The product of the Lagrange coefficients above a leaf is
+raised in the source group, on the leaf's two left arguments, so a
+gate costs two G1 powers per leaf below it and no GT exponentiation;
+a leaf whose product is 1 raises nothing.  On bn256 a level then pays
+a single final exponentiation: the suite defers it from each loop
+until the level value unseals its payload or divides its mask.
 
 Each element lives on one side of the asymmetric pairing.  The level
 elements, the hashed leaf elements, the key parts that carry g^r and
@@ -207,8 +211,9 @@ def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> Cipher
 def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
     """Yield (level, masked, e(g,g)^(gamma*s_l)) for each level the key opens.
 
-    Leaves are paired and gates combine their first t satisfied children
-    in index order with Lagrange coefficients; each root sub-tree is
+    Gates combine their first t satisfied children in index order with
+    Lagrange coefficients, which are folded into the left arguments of
+    the leaves' pairings; each root sub-tree is one Miller loop,
     evaluated at most once and only when the key satisfies it, and a
     level stops at its first root sub-tree that cannot be opened.
     """
@@ -218,28 +223,46 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
             "ciphertext was made on suite %s, not %s" % (ct.suite_name, suite.name)
         )
 
-    def value(node, path: NodePath) -> G1Element | None:
+    order = suite.order
+
+    def leaves(node, path: NodePath):
+        """(path, attribute, Lagrange product) for each leaf that opens
+        node, the product over the gates from node down; None if the key
+        cannot open node."""
         if isinstance(node, Leaf):
-            slot = ct.leaves.get(path)
-            comp = dk.components.get(node.attribute)
-            if node.attribute not in dk.attrs or slot is None or comp is None:
+            attr = node.attribute
+            if attr not in dk.attrs or attr not in dk.components or path not in ct.leaves:
                 return None
-            return suite.pairing(comp[0], slot[0]) / suite.pairing(comp[1], slot[1])
+            return [(path, attr, 1)]
         chosen = []
         for j, child in enumerate(node.children, start=1):
             if len(chosen) == node.threshold:
                 break
             if policy.satisfies(child, dk.attrs):
-                v = value(child, path + (j,))
-                if v is not None:
-                    chosen.append((j, v))
+                got = leaves(child, path + (j,))
+                if got is not None:
+                    chosen.append((j, got))
         if len(chosen) < node.threshold:
             return None
         index_set = [j for j, _ in chosen]
-        return reduce(
-            operator.mul,
-            (v ** policy.lagrange_coeff(j, index_set, suite.order) for j, v in chosen),
-        )
+        out = []
+        for j, got in chosen:
+            coeff = policy.lagrange_coeff(j, index_set, order)
+            out += [(p, attr, delta * coeff % order) for p, attr, delta in got]
+        return out
+
+    def root_value(used) -> G1Element:
+        """One pending Miller loop: the product over the used leaves of
+        e(d_a, c)^delta / e(cp, dp_a)^delta = e(d_a^delta, c) / e(cp^delta, dp_a)."""
+        num, den = [], []
+        for path, attr, delta in used:
+            c, cp = ct.leaves[path]
+            d_a, dp_a = dk.components[attr]
+            if delta != 1:
+                d_a, cp = d_a ** delta, cp ** delta
+            num.append(suite.pairing(d_a, c))
+            den.append(suite.pairing(cp, dp_a))
+        return suite.pairing_product(num, den)
 
     roots: dict[int, G1Element | None] = {}
     for level in sorted(ct.levels):
@@ -250,9 +273,8 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
         for i in wanted:
             if i not in roots:
                 child = ct.tree.children[i - 1]
-                roots[i] = (
-                    value(child, (i,)) if policy.satisfies(child, dk.attrs) else None
-                )
+                used = leaves(child, (i,)) if policy.satisfies(child, dk.attrs) else None
+                roots[i] = None if used is None else root_value(used)
             if roots[i] is None:
                 break
             parts.append(roots[i])

@@ -2,8 +2,9 @@
 
 Everything in this file is written from the definitions alone, favouring
 the most literal possible formulation over speed and sharing no code
-with the package internals; the one exception is the pairing, finished
-at once from the curve's own Miller loop and final exponentiation.  When
+with the package internals; the one exception is the pairing, whose
+one-pair Miller loop is kept here (line functions included) and which
+uses only the curve's field arithmetic and final exponentiation.  When
 a test disagrees with an oracle, the oracle is presumed right.
 """
 
@@ -12,6 +13,28 @@ from __future__ import annotations
 import random
 
 from etenon import _bn256
+from etenon._bn256 import (
+    FP2_ONE,
+    FP2_ZERO,
+    FP12_ONE,
+    fp2_add,
+    fp2_conj,
+    fp2_mul,
+    fp2_neg,
+    fp2_scalar,
+    fp2_square,
+    fp2_sub,
+    fp6_add,
+    fp6_mul,
+    fp6_mul_tau,
+    fp6_sub,
+    fp12_square,
+    g1_affine,
+    g2_affine,
+    naf_6up2,
+    xi1,
+    xi2,
+)
 
 
 # ----------------------------------------------------------------------
@@ -106,12 +129,110 @@ def ladder(x, k: int, mul, square, one):
 # pairings
 
 
+def _line_func_add(r, pt, q, r2):
+    # r: Jacobian twist point, pt: affine twist point, q: affine curve
+    # point, r2: pt's y squared
+    rx, ry, rz = r
+    px, py = pt[0], pt[1]
+    r_t = fp2_square(rz)
+    B = fp2_mul(px, r_t)
+    D = fp2_sub(fp2_sub(fp2_square(fp2_add(py, rz)), r2), r_t)
+    D = fp2_mul(D, r_t)
+
+    H = fp2_sub(B, rx)
+    I = fp2_square(H)
+    E = fp2_scalar(I, 4)
+    J = fp2_mul(H, E)
+    L1 = fp2_sub(fp2_sub(D, ry), ry)
+    V = fp2_mul(rx, E)
+
+    r_x = fp2_sub(fp2_sub(fp2_square(L1), J), fp2_add(V, V))
+    r_z = fp2_sub(fp2_sub(fp2_square(fp2_add(rz, H)), r_t), I)
+    t = fp2_mul(fp2_sub(V, r_x), L1)
+    r_y = fp2_sub(t, fp2_scalar(fp2_mul(ry, J), 2))
+
+    t = fp2_sub(fp2_sub(fp2_square(fp2_add(py, r_z)), r2), fp2_square(r_z))
+    a = fp2_sub(fp2_scalar(fp2_mul(L1, px), 2), t)
+    b = fp2_scalar(L1, -2 * q[0])
+    c = fp2_scalar(r_z, 2 * q[1])
+    return (a, b, c, (r_x, r_y, r_z))
+
+
+def _line_func_double(r, q):
+    rx, ry, rz = r
+    r_t = fp2_square(rz)
+    A = fp2_square(rx)
+    B = fp2_square(ry)
+    C = fp2_square(B)
+    D = fp2_scalar(fp2_sub(fp2_sub(fp2_square(fp2_add(rx, B)), A), C), 2)
+    E = fp2_scalar(A, 3)
+    F = fp2_square(E)
+
+    r_x = fp2_sub(F, fp2_add(D, D))
+    r_y = fp2_sub(fp2_mul(E, fp2_sub(D, r_x)), fp2_scalar(C, 8))
+    # (y+z)*(y+z) - (y*y) - (z*z) = 2*y*z
+    r_z = fp2_sub(fp2_sub(fp2_square(fp2_add(ry, rz)), B), r_t)
+
+    a = fp2_sub(fp2_square(fp2_add(rx, E)), fp2_add(fp2_add(A, F), fp2_scalar(B, 4)))
+    b = fp2_scalar(fp2_mul(E, r_t), -2 * q[0])
+    c = fp2_scalar(fp2_mul(r_z, r_t), 2 * q[1])
+    return (a, b, c, (r_x, r_y, r_z))
+
+
+def _fp6_mul_fp2(a, k):
+    return (fp2_mul(a[0], k), fp2_mul(a[1], k), fp2_mul(a[2], k))
+
+
+def _mul_line(f, a, b, c):
+    # See function fp12e_mul_line in dclxvi
+    fx, fy = f
+    t1 = fp6_mul((FP2_ZERO, a, b), fx)
+    t2 = (FP2_ZERO, a, fp2_add(b, c))
+    t3 = _fp6_mul_fp2(fy, c)
+    x = fp6_sub(fp6_sub(fp6_mul(fp6_add(fx, fy), t2), t1), t3)
+    return (x, fp6_add(t3, fp6_mul_tau(t1)))
+
+
+def miller(q, p):
+    """The Miller value of one pair, twist point q and curve point p, as
+    the curve computed it pairwise before products: its lines evaluated
+    on the spot at p."""
+    Q = g2_affine(q)
+    P = g1_affine(p)
+    qx, qy = Q[0], Q[1]
+    mQ = (qx, fp2_neg(qy), FP2_ONE)
+
+    f = FP12_ONE
+    T = Q
+    Qp = fp2_square(qy)
+    for naf_i in naf_6up2:
+        f = fp12_square(f)
+        a, b, c, T = _line_func_double(T, P)
+        f = _mul_line(f, a, b, c)
+        if naf_i == 1:
+            a, b, c, T = _line_func_add(T, Q, P, Qp)
+            f = _mul_line(f, a, b, c)
+        elif naf_i == -1:
+            a, b, c, T = _line_func_add(T, mQ, P, Qp)
+            f = _mul_line(f, a, b, c)
+
+    # Q1 = pi(Q)
+    Q1 = (fp2_mul(fp2_conj(qx), xi1[1]), fp2_mul(fp2_conj(qy), xi1[2]), FP2_ONE)
+    # Q2 = pi2(Q)
+    Q2 = (fp2_scalar(qx, xi2[1][1]), qy, FP2_ONE)
+
+    a, b, c, T = _line_func_add(T, Q1, P, fp2_square(Q1[1]))
+    f = _mul_line(f, a, b, c)
+    a, b, c, T = _line_func_add(T, Q2, P, fp2_square(Q2[1]))
+    return _mul_line(f, a, b, c)
+
+
 def optimal_ate(a, b):
     """e(b, a) for a bn256 twist point a and curve point b, finished on the
     spot: the eager value that deferred final exponentiation must match."""
-    if a[2] == _bn256.FP2_ZERO or b[2] == 0:
-        return _bn256.FP12_ONE
-    return _bn256.final_exp(_bn256.miller(a, b))
+    if a[2] == FP2_ZERO or b[2] == 0:
+        return FP12_ONE
+    return _bn256.final_exp(miller(a, b))
 
 
 # ----------------------------------------------------------------------

@@ -352,7 +352,7 @@ def test_bn256_windows_match_the_ladder():
 
     scalars = _edge_scalars()
     twist = _twist_point_off_the_subgroup()
-    f = b.miller(b.twist_G, b.curve_G)
+    f = oracles.miller(b.twist_G, b.curve_G)
     for k in scalars:
         want = oracles.ladder(b.curve_G, k, b.g1_add, b.g1_double, b.G1_INFINITY)
         assert b.g1_affine(b.g1_scalar_mul(b.curve_G, k)) == b.g1_affine(want), k
@@ -708,7 +708,8 @@ def test_suites_supply_only_arithmetic():
     """The rules of deferral live in GroupSuite alone: no suite defines
     its own public group operation or codec."""
     shared = {
-        "g0_mul", "g0_exp", "g0_eq", "pairing", "gt_mul", "gt_div", "gt_exp", "gt_eq",
+        "g0_mul", "g0_exp", "g0_eq", "pairing", "pairing_product",
+        "gt_mul", "gt_div", "gt_exp", "gt_eq",
         "encode_g0", "decode_g0", "encode_gt", "decode_gt",
     }
     for suite in (get_suite("mock"), get_suite("bn256")):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -336,6 +337,18 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
     layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
     assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode"}
+    with open(csv_path, newline="") as fh:
+        abe = [r for r in csv.DictReader(fh) if r["kind"] == "abe"]
+    assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
+
+
+def test_bench_layers_time_each_miller_loop_shape(bn256):
+    """On bn256 the layer rows time one pair with its lines prepared in
+    the timing, one with prepared lines and three pairs in one loop."""
+    rows = cli.bench_layers(bn256, 1, random.Random(3))
+    layers = [r["layer"] for r in rows]
+    assert layers[-4:] == ["miller", "miller_prepared", "miller_product3", "final_exp"]
+    assert all(r["layer_ms"] > 0 for r in rows)
 
 
 def test_bench_batch_row(tmp_path, capsys):

@@ -290,15 +290,20 @@ tree: threshold(2, attr:a, attr:b, attr:c), attr:d
 """
 
 
-# attrs, opened levels, pairings, GT exponentiations, divisions and
-# multiplications of one decryption under SHARED_GATE
+# attrs, opened levels, pairings, exponentiations, divisions and
+# multiplications of one decryption under SHARED_GATE.  A gate's
+# Lagrange coefficients are G1 powers of its leaves' two left arguments
+# (none is 1 here); leaf d sits right under the root and raises nothing.
+# Each root sub-tree is one product of pairings, so the multiplications
+# are one division per opened level and one product of its two roots
+# for level 2.
 SHARED_GATE_COUNTS = [
     # every leaf held: the gate uses a and b, c is never paired
-    ({"a", "b", "c", "d"}, {1, 2}, 8, 2, 7),
+    ({"a", "b", "c", "d"}, {1, 2}, 8, 4, 3),
     # b fails the satisfaction check and is skipped unpaired
-    ({"a", "c", "d"}, {1, 2}, 8, 2, 7),
+    ({"a", "c", "d"}, {1, 2}, 8, 4, 3),
     # the gate opens, level 2 stops at the missing leaf d
-    ({"b", "c"}, {1}, 5, 2, 4),
+    ({"b", "c"}, {1}, 5, 4, 1),
     # one leaf of the gate: the gate is not satisfied, so nothing is
     # paired and level 2 stops at its first child without touching d
     ({"a", "d"}, set(), 0, 0, 0),
@@ -308,10 +313,10 @@ SHARED_GATE_COUNTS = [
 
 
 @pytest.mark.parametrize(
-    "attrs, levels, pairings, gt_exps, divs_and_muls", SHARED_GATE_COUNTS
+    "attrs, levels, pairings, exps, divs_and_muls", SHARED_GATE_COUNTS
 )
-def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, gt_exps, divs_and_muls):
-    """Pairings and GT exponentiations of one decryption, pinned.
+def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, exps, divs_and_muls):
+    """Pairings, exponentiations and multiplications of one decryption, pinned.
 
     The gate is shared by both levels and evaluated once; a level whose
     first root child cannot be opened is abandoned there.
@@ -327,21 +332,34 @@ def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, gt_exps
         got = mlabe.decrypt(pp, ct, dk)
     assert got == {level: payloads[level] for level in levels}
     assert (span.pairings, span.exponentiations, span.multiplications) == (
-        pairings, gt_exps, divs_and_muls,
+        pairings, exps, divs_and_muls,
     )
     with mock.measure() as span:
         got = mlabe.decrypt_gt(pp, ct_gt, dk)
     assert got == {level: elems[level] for level in levels}
     # the GT variant divides the mask out once per opened level
     assert (span.pairings, span.exponentiations, span.multiplications) == (
-        pairings, gt_exps, divs_and_muls + len(levels),
+        pairings, exps, divs_and_muls + len(levels),
     )
 
 
-def test_bn256_decryption_finishes_one_pairing_per_opened_level(bn256, final_exp_calls):
+# Miller loops of one decryption per row of SHARED_GATE_COUNTS: one per
+# opened level's element and one per root sub-tree an opened level uses
+SHARED_GATE_LOOPS = [4, 4, 2, 0, 0]
+
+
+def test_bn256_decryption_finishes_one_pairing_per_opened_level(
+    bn256, final_exp_calls, monkeypatch
+):
     """On bn256 a decryption pays one final exponentiation per opened
     level and none for a key that opens nothing; encryption pays none.
-    The counters still tick once per pairing, as in the table above."""
+    The counters still tick once per pairing, as in the table above,
+    while each root sub-tree is one Miller loop over all its pairs."""
+    from etenon import _bn256
+
+    loops = []
+    miller = _bn256.miller
+    monkeypatch.setattr(_bn256, "miller", lambda pairs: loops.append(1) or miller(pairs))
     rng = random.Random(0xF1)
     pp, msk = mlabe.setup(bn256, rng)
     tree = policy.parse_policy(SHARED_GATE)
@@ -352,17 +370,21 @@ def test_bn256_decryption_finishes_one_pairing_per_opened_level(bn256, final_exp
     ct = mlabe.encrypt(pp, payloads, tree, rng)
     ct_gt = mlabe.encrypt_gt(pp, elems, tree, rng)
     assert calls == []
-    for attrs, levels, pairings, gt_exps, divs_and_muls in SHARED_GATE_COUNTS:
+    for (attrs, levels, pairings, exps, divs_and_muls), want_loops in zip(
+        SHARED_GATE_COUNTS, SHARED_GATE_LOOPS
+    ):
         dk = mlabe.keygen(pp, msk, attrs, rng).decryption
         for decrypt, sealed, want, masks in (
             (mlabe.decrypt, ct, payloads, 0),
             (mlabe.decrypt_gt, ct_gt, elems, len(levels)),
         ):
             calls.clear()
+            loops.clear()
             with bn256.measure() as span:
                 got = decrypt(pp, sealed, dk)
             assert len(calls) == len(levels), attrs
+            assert len(loops) == want_loops, attrs
             assert (span.pairings, span.exponentiations, span.multiplications) == (
-                pairings, gt_exps, divs_and_muls + masks,
+                pairings, exps, divs_and_muls + masks,
             )
             assert got == {level: want[level] for level in levels}
