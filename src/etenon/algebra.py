@@ -243,7 +243,8 @@ class GroupSuite:
     ``_pair_product`` (the product of the Miller values of (prepared
     right, left point) pairs in one loop, up to the final
     exponentiation); for the target group ``_final_exp``, ``_gt_mul``,
-    ``_gt_inv``, ``_gt_exp``, ``_encode_gt`` and ``_decode_gt``; and
+    ``_gt_inv``, ``_gt_exp`` (told whether the value still owes its
+    final step), ``_encode_gt`` and ``_decode_gt``; and
     ``_hash_to_group``.  The public methods here are the only ones.
     """
 
@@ -474,7 +475,7 @@ class GroupSuite:
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
-        return G1Element(self, self._gt_exp(a.value, k % self.order), a.owed)
+        return G1Element(self, self._gt_exp(a.value, k % self.order, a.owed), a.owed)
 
     def gt_eq(self, a: G1Element, b: G1Element) -> bool:
         return self._finished(a) == self._finished(b)
@@ -634,7 +635,7 @@ class MockSuite(GroupSuite):
     def _gt_inv(self, a):
         return (-a) % self.order
 
-    def _gt_exp(self, a, k):
+    def _gt_exp(self, a, k, owed):
         return (a * k) % self.order
 
     # every mock element is an exponent, encoded like a scalar
@@ -724,8 +725,11 @@ class Bn256Suite(GroupSuite):
     def _gt_inv(self, a):
         return _bn256.fp12_inv(a)
 
-    def _gt_exp(self, a, k):
-        return _bn256.fp12_exp(a, k)
+    def _gt_exp(self, a, k, owed):
+        # a finished value is in the cyclotomic subgroup; a Miller value is not
+        if owed:
+            return _bn256.fp12_exp(a, k)
+        return _bn256.fp12_cyclotomic_exp(a, k)
 
     _LEFT_BYTES = 1 + _FP_BYTES
     _RIGHT_BYTES = 1 + 4 * _FP_BYTES
@@ -810,7 +814,7 @@ class Bn256Suite(GroupSuite):
         if any(v >= _bn256.p for v in vals):
             raise AlgebraError("target-group coordinate out of range")
         value = _bn256.gt_unmarshall(*vals)
-        if _bn256.fp12_exp(value, self.order) != _bn256.FP12_ONE:
+        if not _bn256.in_gt(value):
             raise AlgebraError("target-group value outside the prime-order subgroup")
         return value
 

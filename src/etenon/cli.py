@@ -292,7 +292,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     """Mean time of each group operation the protocols are built from."""
     g1, g2, egg = suite.generator, suite.right_generator, suite.gt_generator
     k = suite.rand_scalar_nonzero(rng)
-    right_raw = (g2 ** k).encode()
+    right_raw, gt_raw = (g2 ** k).encode(), (egg ** k).encode()
     cases = [
         # a bn256 power is pending until read; reading its point finishes it
         ("g1_exp", lambda: (g1 ** k).point),
@@ -300,6 +300,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("gt_exp", lambda: egg ** k),
         ("hash_to_g1", lambda: suite.hash_to_group(b"bench attribute")),
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
+        ("gt_decode", lambda: suite.decode_gt(gt_raw)),
     ]
     if suite.name == "bn256":
         # the two halves of a pairing, called as the suite calls them:

@@ -347,12 +347,14 @@ def test_bn256_windows_match_the_ladder():
     """The window routines agree with the plain ladder of the oracles on
     edge scalars around the window width, u and the order, and on seeded
     random ones, for subgroup points, a twist point outside the subgroup
-    and a raw Miller value (not in GT, and not unitary)."""
+    and a raw Miller value (not in GT, and not unitary), and the
+    cyclotomic window for a finished pairing value."""
     from etenon import _bn256 as b
 
     scalars = _edge_scalars()
     twist = _twist_point_off_the_subgroup()
     f = oracles.miller(b.twist_G, b.curve_G)
+    finished = b.final_exp(f)
     for k in scalars:
         want = oracles.ladder(b.curve_G, k, b.g1_add, b.g1_double, b.G1_INFINITY)
         assert b.g1_affine(b.g1_scalar_mul(b.curve_G, k)) == b.g1_affine(want), k
@@ -361,8 +363,44 @@ def test_bn256_windows_match_the_ladder():
             assert b.g2_affine(b.g2_scalar_mul(pt, k)) == b.g2_affine(want), k
         want = oracles.ladder(f, k, b.fp12_mul, b.fp12_square, b.FP12_ONE)
         assert b.fp12_exp(f, k) == want, k
+        want = oracles.ladder(finished, k, b.fp12_mul, b.fp12_square, b.FP12_ONE)
+        assert b.fp12_cyclotomic_exp(finished, k) == want, k
         want = oracles.ladder(f[0][0], k, b.fp2_mul, b.fp2_square, b.FP2_ONE)
         assert b.fp2_exp(f[0][0], k) == want, k
+
+
+def _random_fp12(rng):
+    return _bn256.gt_unmarshall(*(rng.randrange(_bn256.p) for _ in range(12)))
+
+
+def _cyclotomic(f):
+    """f^((p^6 - 1)(p^2 + 1)), the easy part of the final exponentiation:
+    a value of the cyclotomic subgroup, almost never of order r."""
+    b = _bn256
+    t = b.fp12_mul(b.fp12_conj(f), b.fp12_inv(f))
+    return b.fp12_mul(t, b.fp12_frobenius_p2(t))
+
+
+def test_bn256_cyclotomic_square_matches_fp12_square():
+    """On finished pairing values and on other members of the cyclotomic
+    subgroup the cyclotomic squaring equals the generic one."""
+    b = _bn256
+    rng = random.Random(0xC7C)
+    egg = b.final_exp(oracles.miller(b.twist_G, b.curve_G))
+    values = [b.FP12_ONE, egg, b.fp12_exp(egg, rng.randrange(b.order))]
+    values += [_cyclotomic(_random_fp12(rng)) for _ in range(3)]
+    for f in values:
+        assert b.fp12_cyclotomic_square(f) == b.fp12_square(f)
+
+
+def test_bn256_final_exp_matches_the_ladder():
+    """The final exponentiation is f^((p^12 - 1)/r) exactly, on one and
+    on seeded random Fp12 values."""
+    b = _bn256
+    rng = random.Random(0xF1E)
+    for f in [b.FP12_ONE] + [_random_fp12(rng) for _ in range(2)]:
+        want = oracles.ladder(f, (b.p**12 - 1) // b.order, b.fp12_mul, b.fp12_square, b.FP12_ONE)
+        assert b.final_exp(f) == want
 
 
 def test_bn256_straus_matches_the_ladder():
@@ -411,7 +449,13 @@ def test_bn256_gt_codec(bn256, rng):
 def test_bn256_gt_decode_checks_the_subgroup(bn256):
     raw = bn256.gt_generator.encode()
     perturbed = raw[:-1] + bytes([raw[-1] ^ 1])  # still below p, off the subgroup
-    for bad in (b"\0" * 384, perturbed):
+    rng = random.Random(0xDEC)
+    # zero passes the cyclotomic test and fails the order check; a random
+    # value fails the cyclotomic test, and a cyclotomic value of another
+    # order the order check
+    values = [_random_fp12(rng), _cyclotomic(_random_fp12(rng))]
+    wire = [b"".join(c.to_bytes(32, "big") for c in _bn256.gt_marshall(f)) for f in values]
+    for bad in [b"\0" * 384, perturbed] + wire:
         with pytest.raises(AlgebraError, match="subgroup"):
             bn256.decode_gt(bad)
     assert bn256.decode_gt(bn256.gt_identity.encode()) == bn256.gt_identity
@@ -507,6 +551,16 @@ def test_bn256_deferred_values_stay_inside_the_suite(bn256, final_exp_calls):
     assert (e * decoded).encode() == (egg ** 10).encode() and len(calls) == 3
     key = bn256.pairing(bn256.generator, bn256.right_generator ** 9)
     assert bn256.unseal(key, bn256.seal(egg ** 9, b"data", b"ctx"), b"ctx") == b"data"
+
+
+def test_bn256_deferred_powers_match_finished_powers(bn256):
+    """A power of an owed pairing, finished, equals the same power of the
+    finished pairing: a Miller value lies outside the cyclotomic subgroup,
+    so its powers must take the generic window."""
+    e = bn256.pairing(bn256.generator ** 3, bn256.right_generator ** 5)
+    finished = bn256.decode_gt(e.encode())
+    for k in (2, 3, 17, 65537, _bn256.u, bn256.order - 1):
+        assert (e ** k).encode() == (finished ** k).encode(), k
 
 
 def _g0_values(suite, side):

@@ -336,7 +336,7 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert sum(1 for line in lines if line.startswith("abe,")) == 4
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
     layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
-    assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode"}
+    assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode", "gt_decode"}
     with open(csv_path, newline="") as fh:
         abe = [r for r in csv.DictReader(fh) if r["kind"] == "abe"]
     assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
