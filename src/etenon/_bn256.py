@@ -40,6 +40,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 # implementation of the optimal ate pairing over BN curves"
 # (https://eprint.iacr.org/2010/354); algorithm numbers refer to it.
 
+import functools
 import hashlib
 
 v = 1868033
@@ -83,11 +84,18 @@ naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 
 # Scalar multiplication and exponentiation take WINDOW bits of the
 # scalar per step.  The sequence of operations depends only on how many
-# terms there are and how many windows the longest scalar spans, never
-# on the digits: a digit only indexes a table.
+# terms there are, how many windows the longest scalar spans and which
+# scalars lie below 2**SHORT_BITS, never on the digits: a digit only
+# indexes a table.  For uniformly drawn secret scalars that last set is
+# empty except with probability about 2**-126.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
+
+# A scalar whose odd form (k + 1 or k + 2, see _digits) lies below
+# 2**SHORT_BITS, such as a batch weight, is recoded over SHORT_BITS bits
+# instead of the longest scalar's.
+SHORT_BITS = 128
 
 
 def _windows(k):
@@ -95,18 +103,45 @@ def _windows(k):
     return max(1, -(-k.bit_length() // WINDOW))
 
 
+def _digits(k, window, top):
+    """The signed digits of k >= 0 plus one or two, least significant
+    first.
+
+    The recoding is the regular signed fixed window of Joye and Tunstall
+    ("Exponent recoding and regular exponentiation algorithms",
+    AFRICACRYPT 2009).  It needs an odd scalar, so it takes k' = k + 1
+    or k + 2, whichever is odd; the caller subtracts the base or twice
+    the base at the end.  Every digit is odd and lies in
+    [1 - 2**window, 2**window - 1], and the top one is positive.  There
+    are ``top`` digits, which must cover k', or only enough for
+    SHORT_BITS bits when k' is below 2**SHORT_BITS and those are fewer."""
+    k += 1 + (k & 1)
+    base = 1 << window
+    short = -(-SHORT_BITS // window)
+    n = short if short < top and k.bit_length() <= SHORT_BITS else top
+    digits = []
+    for _ in range(n - 1):
+        m = k & (2 * base - 1)
+        digits.append(m - base)
+        k = (k - m + base) >> window
+    # what is left is the top digit, odd and in [1, base - 1]; past a
+    # scalar's own windows the padding digits are 1 - base under a top
+    # digit of 1, which sum to 1
+    digits.append(k)
+    return digits
+
+
 def _straus(terms, add, double, neg, infinity):
     """The sum of k*x over the (x, k) terms, each k >= 0, in one pass of
     shared doublings (Straus, "Addition chains of vectors", 1964).
 
-    Each scalar is recoded by the regular signed fixed window of Joye and
-    Tunstall ("Exponent recoding and regular exponentiation algorithms",
-    AFRICACRYPT 2009), padded to the longest term's window count: every
-    digit is odd, so every window costs WINDOW doublings, shared by all
-    terms, and one table add per term.  Exact on any point, in or out of
-    the prime-order subgroup, since neg(x) is exact on any curve point."""
+    Each scalar is recoded by :func:`_digits` over the longest term's
+    window count, or over SHORT_BITS bits when it is that short: every
+    window costs WINDOW doublings, shared by all terms, and one table add
+    per term that has a digit there.  Exact on any point, in or out of the
+    prime-order subgroup, since neg(x) is exact on any curve point."""
     base = 1 << WINDOW
-    tables, fixes, scalars = [], [], []
+    tables, fixes = [], []
     for x, k in terms:
         x2 = double(x)
         odd = [x]
@@ -114,30 +149,17 @@ def _straus(terms, add, double, neg, infinity):
             odd.append(add(odd[-1], x2))
         # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
         tables.append([neg(q) for q in reversed(odd)] + odd)
-        # the recoding needs an odd scalar: take k + 1 or k + 2, and
-        # subtract x or 2x at the end
         fixes.append(neg((x, x2)[k & 1]))
-        scalars.append(k + 1 + (k & 1))
-    windows = max(map(_windows, scalars), default=1)
-    digits = []
-    for k in scalars:
-        row = []
-        for _ in range(windows - 1):
-            m = k & (2 * base - 1)  # digit m - base, at table index m >> 1
-            row.append(m >> 1)
-            k = (k - m + base) >> WINDOW
-        # what is left is the top digit, odd and in [1, base - 1]; past
-        # a scalar's own windows the padding digits are 1 - base under a
-        # top digit of 1, which sum to 1
-        row.append((k + base - 1) >> 1)
-        digits.append(row)
+    top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
+    digits = [_digits(k, WINDOW, top) for _, k in terms]
     r = infinity
-    for i in reversed(range(windows)):
-        if i < windows - 1:
+    for i in reversed(range(top)):
+        if i < top - 1:
             for _ in range(WINDOW):
                 r = double(r)
         for table, row in zip(tables, digits):
-            r = add(r, table[row[i]])
+            if i < len(row):
+                r = add(r, table[(row[i] + base - 1) >> 1])
     for fix in fixes:
         r = add(r, fix)
     return r
@@ -488,6 +510,27 @@ def g1_neg(a):
     return (x, -y % p, z)
 
 
+def g1_add_affine(a, x2, y2):
+    """a + (x2, y2) for Jacobian a and a finite affine point: the
+    formulas of g1_add with z2 == 1 (madd-2007-bl)."""
+    x1, y1, z1 = a
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % p
+    h = (x2 * z1z1 - x1) % p
+    r = (y2 * z1 * z1z1 - y1) % p
+    if h == 0 and r == 0:
+        return g1_double(a)
+    r += r
+    hh = h * h % p
+    i = 4 * hh % p
+    j = h * i % p
+    V = x1 * i % p
+    cx = (r * r - j - 2 * V) % p
+    cy = (r * (V - cx) - 2 * y1 * j) % p
+    return (cx, cy, 2 * z1 * h % p)
+
+
 def g1_multi_mul(terms):
     """The sum of k*pt over the (pt, k) terms, by one Straus pass."""
     return _straus(terms, g1_add, g1_double, g1_neg, G1_INFINITY)
@@ -570,6 +613,26 @@ def g2_double(a):
 def g2_neg(a):
     x, y, z = a
     return (x, fp2_neg(y), z)
+
+
+def g2_add_affine(a, x2, y2):
+    """a + (x2, y2) for Jacobian a and a finite affine point: the
+    formulas of g1_add_affine."""
+    x1, y1, z1 = a
+    if z1 == FP2_ZERO:
+        return (x2, y2, FP2_ONE)
+    z1z1 = fp2_square(z1)
+    h = fp2_sub(fp2_mul(x2, z1z1), x1)
+    r = fp2_sub(fp2_mul(fp2_mul(y2, z1), z1z1), y1)
+    if h == FP2_ZERO and r == FP2_ZERO:
+        return g2_double(a)
+    r = fp2_add(r, r)
+    i = fp2_scalar(fp2_square(h), 4)
+    j = fp2_mul(h, i)
+    V = fp2_mul(x1, i)
+    cx = fp2_sub(fp2_sub(fp2_square(r), j), fp2_add(V, V))
+    cy = fp2_sub(fp2_mul(r, fp2_sub(V, cx)), fp2_scalar(fp2_mul(y1, j), 2))
+    return (cx, cy, fp2_scalar(fp2_mul(z1, h), 2))
 
 
 def g2_multi_mul(terms):
@@ -804,6 +867,133 @@ def final_exp(inp):
     t0 = fp12_mul(t1, y1)
     t1 = fp12_mul(t1, y0)
     return fp12_mul(fp12_cyclotomic_square(t0), t1)
+
+
+# ----------------------------------------------------------------------
+# fixed-base tables (Brickell, Gordon, McCurley and Wilson, "Fast
+# exponentiation with precomputation", EUROCRYPT 1992; Lim and Lee,
+# "More flexible exponentiation with precomputation", CRYPTO 1994)
+#
+# A table of base P with window w is (w, rows, fixes).  Row i holds the
+# odd multiples (2j + 1) * 2**(w*i) * P, j < 2**(w - 1), as one flat
+# tuple of affine coordinates (Fp12 values for GT, in wire order);
+# ``fixes`` are -P and -2P.  A power recodes its scalar by _digits and
+# adds one row entry per window, negated for a negative digit: no
+# doublings.  Each window trades adds against memory (see the README).
+# A point table needs P of prime order, a GT table a value in the
+# cyclotomic subgroup, where the conjugate is the inverse.
+
+G1_TABLE_WINDOW = 5
+G2_TABLE_WINDOW = 4
+GT_TABLE_WINDOW = 3
+
+
+def _table(a, window, mul, square, inv, flat):
+    """The table of a with the given window; inv(q) is q's inverse and
+    flat(row) lays a row of values out as one flat tuple."""
+    fixes = (inv(a), inv(square(a)))
+    rows = []
+    # enough rows for the odd form of any scalar below the order
+    for _ in range(-(-(order + 1).bit_length() // window)):
+        a2 = square(a)
+        odd = [a]
+        for _ in range((1 << (window - 1)) - 1):
+            odd.append(mul(odd[-1], a2))
+        rows.append(flat(odd))
+        a = mul(odd[-1], a)  # a**(2**window)
+    return window, tuple(rows), fixes
+
+
+def _affine_row(points, mul, inv, one, coords):
+    """Jacobian points, none at infinity, as one flat tuple of their
+    affine coordinates, with one inversion (Montgomery's trick)."""
+    prefix = [one]
+    for q in points:
+        prefix.append(mul(prefix[-1], q[2]))
+    t = inv(prefix[-1])  # the inverse of the product of every z
+    flat = [None] * len(points)
+    for i in reversed(range(len(points))):
+        x, y, z = points[i]
+        zinv = mul(t, prefix[i])
+        t = mul(t, z)
+        zinv2 = mul(zinv, zinv)
+        flat[i] = coords(mul(x, zinv2), mul(mul(y, zinv2), zinv))
+    return tuple(c for q in flat for c in q)
+
+
+def _g1_table(pt):
+    return _table(pt, G1_TABLE_WINDOW, g1_add, g1_double, g1_neg, lambda row: _affine_row(
+        row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)))
+
+
+def g1_table(pt):
+    """pt's table, or None at infinity; curve_G's is built once."""
+    pt = g1_affine(pt)
+    if pt == curve_G:
+        return _g1_generator_table()
+    return _g1_table(pt) if pt[2] else None
+
+
+@functools.cache
+def _g1_generator_table():
+    return _g1_table(curve_G)
+
+
+def g1_fixed_mul(table, k):
+    """k*P for 0 <= k < order from P's table: one mixed add per window."""
+    window, rows, fixes = table
+    r = fixes[k & 1]
+    for row, d in zip(rows, _digits(k, window, len(rows))):
+        j = (abs(d) >> 1) * 2
+        y = row[j + 1]
+        r = g1_add_affine(r, row[j], y if d > 0 else p - y)
+    return r
+
+
+def _g2_table(pt):
+    return _table(pt, G2_TABLE_WINDOW, g2_add, g2_double, g2_neg, lambda row: _affine_row(
+        row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y))
+
+
+def g2_table(pt):
+    """pt's table, or None at infinity; twist_G's is built once."""
+    pt = g2_affine(pt)
+    if pt == twist_G:
+        return _g2_generator_table()
+    return _g2_table(pt) if pt[2] != FP2_ZERO else None
+
+
+@functools.cache
+def _g2_generator_table():
+    return _g2_table(twist_G)
+
+
+def g2_fixed_mul(table, k):
+    """k*P for 0 <= k < order from P's table: one mixed add per window."""
+    window, rows, fixes = table
+    r = fixes[k & 1]
+    for row, d in zip(rows, _digits(k, window, len(rows))):
+        j = (abs(d) >> 1) * 4
+        y = (row[j + 2], row[j + 3])
+        r = g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
+    return r
+
+
+def gt_table(a):
+    """The table of a value a of the cyclotomic subgroup."""
+    return _table(a, GT_TABLE_WINDOW, fp12_mul, fp12_cyclotomic_square, fp12_conj,
+                  lambda row: tuple(c for f in row for c in gt_marshall(f)))
+
+
+def gt_fixed_exp(table, k):
+    """a**k for 0 <= k < order from a's table: one multiply per window."""
+    window, rows, fixes = table
+    r = fixes[k & 1]
+    for row, d in zip(rows, _digits(k, window, len(rows))):
+        j = (abs(d) >> 1) * 12
+        f = gt_unmarshall(*row[j:j + 12])
+        r = fp12_mul(r, f if d > 0 else fp12_conj(f))
+    return r
 
 
 # ----------------------------------------------------------------------

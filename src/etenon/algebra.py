@@ -20,8 +20,9 @@ Two interchangeable suites implement one interface:
 supplies the arithmetic.  Both suites therefore defer work the same
 way: a source-group power is pending until its point is needed, and
 then it and the factors it is multiplied with are evaluated in one
-multi-exponentiation (see :class:`G0Element`); a pairing is pending
-until its value is read, and pairings joined by
+multi-exponentiation (see :class:`G0Element`), in which a base marked
+by :meth:`GroupSuite.fixed_base` takes its table of multiples; a
+pairing is pending until its value is read, and pairings joined by
 :meth:`GroupSuite.pairing_product` share one Miller loop; its final
 exponentiation waits until the value is compared or encoded (see
 :class:`G1Element`).  Every operation ticks its counter when it is
@@ -57,6 +58,10 @@ _SEAL_MAC_KEY_BYTES = 32
 
 LEFT = "left"
 RIGHT = "right"
+TARGET = "target"  # the target group, to the fixed-base hooks
+
+# the table of a fixed base that has not been raised yet
+_UNBUILT = object()
 
 
 class AlgebraError(EtenonError):
@@ -132,10 +137,12 @@ class G0Element:
     of x * y^-1; otherwise each side is evaluated and kept.
 
     A right element keeps in ``lines`` what the suite prepares of its
-    point for Miller loops, from the first loop it takes part in on.
+    point for Miller loops, from the first loop it takes part in on.  A
+    fixed base keeps its table of multiples in ``table``, from its first
+    power on (see :meth:`GroupSuite.fixed_base`).
     """
 
-    __slots__ = ("suite", "side", "_point", "factors", "joins", "lines")
+    __slots__ = ("suite", "side", "_point", "factors", "joins", "lines", "table")
 
     def __init__(self, suite: "GroupSuite", side: str, point=None, factors=None):
         self.suite = suite
@@ -144,6 +151,7 @@ class G0Element:
         self.factors = factors
         self.joins = 0
         self.lines = None
+        self.table = None
 
     @property
     def point(self):
@@ -189,16 +197,18 @@ class G1Element:
     stay owed and are finished once, when the result is compared or
     encoded.  It is not the identity on the target group, so an owed
     value that meets a finished one is finished first.  Decoded values,
-    ``gt_generator`` and ``gt_identity`` are finished.
+    ``gt_generator`` and ``gt_identity`` are finished.  A finished fixed
+    base keeps its table in ``table``, as a source-group element does.
     """
 
-    __slots__ = ("suite", "_value", "owed", "pairs")
+    __slots__ = ("suite", "_value", "owed", "pairs", "table")
 
     def __init__(self, suite: "GroupSuite", value=None, owed: bool = False, pairs=None):
         self.suite = suite
         self._value = value
         self.owed = owed
         self.pairs = pairs
+        self.table = None
 
     @property
     def value(self):
@@ -244,8 +254,11 @@ class GroupSuite:
     right, left point) pairs in one loop, up to the final
     exponentiation); for the target group ``_final_exp``, ``_gt_mul``,
     ``_gt_inv``, ``_gt_exp`` (told whether the value still owes its
-    final step), ``_encode_gt`` and ``_decode_gt``; and
-    ``_hash_to_group``.  The public methods here are the only ones.
+    final step), ``_encode_gt`` and ``_decode_gt``; for fixed bases of
+    either side or of ``TARGET``, ``_fixed_table`` (a base's table of
+    multiples, or None for none) and ``_fixed_power`` (a power from a
+    table); and ``_hash_to_group``.  The public methods here are the
+    only ones.
     """
 
     name: str
@@ -345,6 +358,27 @@ class GroupSuite:
         """Generator of the right group."""
         raise NotImplementedError
 
+    def fixed_base(self, x):
+        """Mark x, a source-group or finished target-group element, as a
+        base that is raised often, and return it.
+
+        Its powers then take a table of its multiples, built on its first
+        power and kept on x, so a power costs no doublings or squarings.
+        An owed target-group value is not marked: it lies outside the
+        group the table's inverses hold in.
+        """
+        self._check(x)
+        if x.table is None and not (isinstance(x, G1Element) and x.owed):
+            x.table = _UNBUILT
+        return x
+
+    def _table(self, x, side: str, value):
+        """The table of x, whose payload is ``value``, or None."""
+        table = x.table
+        if table is _UNBUILT:
+            table = x.table = self._fixed_table(side, value)
+        return table
+
     def identity(self, side: str) -> G0Element:
         """The identity element of one side."""
         return G0Element(self, side, self._identity(side))
@@ -366,7 +400,9 @@ class GroupSuite:
     def g0_exp(self, x: G0Element, k: int) -> G0Element:
         self._check(x)
         self._tick("exponentiations")
-        return G0Element(self, x.side, factors=((x.point, k % self.order),))
+        point = x.point
+        term = (point, k % self.order, self._table(x, x.side, point))
+        return G0Element(self, x.side, factors=(term,))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
         side = self._same_side(x, y)
@@ -375,14 +411,21 @@ class GroupSuite:
             # y is finished by now if it is a shared factor of x
             y_terms, y_points = self._flatten(y)
             if len(terms) + len(y_terms) > 2:
-                terms += [(self._neg(side, pt), k) for pt, k in y_terms]
+                # y^-1: a fixed base keeps its table with its scalar negated,
+                # another term keeps its scalar, short or not, at -pt
+                terms += [
+                    (pt, -k % self.order, table) if table is not None
+                    else (self._neg(side, pt), k, None)
+                    for pt, k, table in y_terms
+                ]
                 points += [self._neg(side, pt) for pt in y_points]
                 return self._eq(side, self._sum(side, terms, points), self._identity(side))
         return self._eq(side, x.point, y.point)
 
     def _flatten(self, x: G0Element):
-        """The (point, scalar) terms and the finished points that x is the
-        product of; a factor of several products is evaluated on its own."""
+        """The (point, scalar, table) terms and the finished points that x
+        is the product of; a factor of several products is evaluated on
+        its own."""
         terms, points = [], []
         stack = [x]
         while stack:
@@ -398,7 +441,12 @@ class GroupSuite:
         return terms, points
 
     def _sum(self, side, terms, points):
-        r = self._multi_exp(side, terms)
+        """Each term with a table by its table, the others in one
+        multi-exponentiation, plus the points."""
+        r = self._multi_exp(side, [(pt, k) for pt, k, table in terms if table is None])
+        for _, k, table in terms:
+            if table is not None:
+                r = self._add(side, r, self._fixed_power(side, table, k))
         for pt in points:
             r = self._add(side, r, pt)
         return r
@@ -475,7 +523,11 @@ class GroupSuite:
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
-        return G1Element(self, self._gt_exp(a.value, k % self.order, a.owed), a.owed)
+        k %= self.order
+        table = self._table(a, TARGET, a.value)
+        if table is not None:
+            return G1Element(self, self._fixed_power(TARGET, table, k))
+        return G1Element(self, self._gt_exp(a.value, k, a.owed), a.owed)
 
     def gt_eq(self, a: G1Element, b: G1Element) -> bool:
         return self._finished(a) == self._finished(b)
@@ -589,11 +641,11 @@ class MockSuite(GroupSuite):
 
     @property
     def generator(self) -> G0Element:
-        return G0Element(self, LEFT, 1)
+        return self.fixed_base(G0Element(self, LEFT, 1))
 
     @property
     def right_generator(self) -> G0Element:
-        return G0Element(self, RIGHT, 1)
+        return self.fixed_base(G0Element(self, RIGHT, 1))
 
     @property
     def gt_identity(self) -> G1Element:
@@ -638,6 +690,12 @@ class MockSuite(GroupSuite):
     def _gt_exp(self, a, k, owed):
         return (a * k) % self.order
 
+    def _fixed_table(self, side, a):
+        return a
+
+    def _fixed_power(self, side, table, k):
+        return (table * k) % self.order
+
     # every mock element is an exponent, encoded like a scalar
 
     def _encode(self, side, a):
@@ -679,11 +737,11 @@ class Bn256Suite(GroupSuite):
 
     @property
     def generator(self) -> G0Element:
-        return G0Element(self, LEFT, _bn256.curve_G)
+        return self.fixed_base(G0Element(self, LEFT, _bn256.curve_G))
 
     @property
     def right_generator(self) -> G0Element:
-        return G0Element(self, RIGHT, _bn256.twist_G)
+        return self.fixed_base(G0Element(self, RIGHT, _bn256.twist_G))
 
     @property
     def gt_identity(self) -> G1Element:
@@ -730,6 +788,20 @@ class Bn256Suite(GroupSuite):
         if owed:
             return _bn256.fp12_exp(a, k)
         return _bn256.fp12_cyclotomic_exp(a, k)
+
+    def _fixed_table(self, side, a):
+        if side == LEFT:
+            return _bn256.g1_table(a)
+        if side == RIGHT:
+            return _bn256.g2_table(a)
+        return _bn256.gt_table(a)
+
+    def _fixed_power(self, side, table, k):
+        if side == LEFT:
+            return _bn256.g1_fixed_mul(table, k)
+        if side == RIGHT:
+            return _bn256.g2_fixed_mul(table, k)
+        return _bn256.gt_fixed_exp(table, k)
 
     _LEFT_BYTES = 1 + _FP_BYTES
     _RIGHT_BYTES = 1 + 4 * _FP_BYTES

@@ -21,9 +21,10 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 from . import _bn256, mlabe, musig, policy, tdb, workflow
-from .algebra import RIGHT, G0Element, get_suite
+from .algebra import LEFT, RIGHT, TARGET, G0Element, get_suite
 from .codec import decoding
 from .errors import EtenonError
 
@@ -288,16 +289,55 @@ def bench_batch(suite, trials: int, rng) -> dict:
     }
 
 
+def _table_cost(suite, side: str, value) -> dict:
+    """The build time and the retained size (tracemalloc) of the table of
+    a fixed base whose payload is ``value``."""
+    t0 = time.perf_counter()
+    suite._fixed_table(side, value)
+    ms = 1000 * (time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        table = suite._fixed_table(side, value)  # held while it is measured
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return {"table_ms": ms, "table_kb": size / 1024}
+
+
 def bench_layers(suite, trials: int, rng) -> list[dict]:
-    """Mean time of each group operation the protocols are built from."""
-    g1, g2, egg = suite.generator, suite.right_generator, suite.gt_generator
+    """Mean time of each group operation the protocols are built from.
+
+    ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
+    The ``_fixed`` rows raise fixed bases whose tables were built before
+    the timing, and give each table's build time and retained size."""
+    # decoded copies of the generators carry no table
+    g1 = suite.decode_g0(suite.generator.encode(), LEFT)
+    g2 = suite.decode_g0(suite.right_generator.encode(), RIGHT)
+    egg = suite.decode_gt(suite.gt_generator.encode())
     k = suite.rand_scalar_nonzero(rng)
     right_raw, gt_raw = (g2 ** k).encode(), (egg ** k).encode()
+    # fixed bases other than the generators, as g_delta and egg_gamma are
+    j = suite.rand_scalar_nonzero(rng)
+    fixed = {
+        LEFT: suite.fixed_base(suite.decode_g0((g1 ** j).encode(), LEFT)),
+        RIGHT: suite.fixed_base(suite.decode_g0((g2 ** j).encode(), RIGHT)),
+        TARGET: suite.fixed_base(suite.decode_gt((egg ** j).encode())),
+    }
+    for x in fixed.values():
+        x ** 1  # builds the table
+    costs = {
+        "g1_fixed": _table_cost(suite, LEFT, fixed[LEFT].point),
+        "g2_fixed": _table_cost(suite, RIGHT, fixed[RIGHT].point),
+        "gt_fixed": _table_cost(suite, TARGET, fixed[TARGET].value),
+    }
     cases = [
         # a bn256 power is pending until read; reading its point finishes it
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),
         ("gt_exp", lambda: egg ** k),
+        ("g1_fixed", lambda: (fixed[LEFT] ** k).point),
+        ("g2_fixed", lambda: (fixed[RIGHT] ** k).point),
+        ("gt_fixed", lambda: fixed[TARGET] ** k),
         ("hash_to_g1", lambda: suite.hash_to_group(b"bench attribute")),
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
         ("gt_decode", lambda: suite.decode_gt(gt_raw)),
@@ -325,7 +365,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
             t0 = time.perf_counter()
             op()
             times.append(time.perf_counter() - t0)
-        rows.append({"layer": layer, "layer_ms": 1000 * sum(times) / len(times)})
+        rows.append({"layer": layer, "layer_ms": 1000 * sum(times) / len(times),
+                     **costs.get(layer, {})})
     return rows
 
 
@@ -391,7 +432,10 @@ def cmd_bench(args) -> int:
         [("batch_m", "%d"), ("n", "%d"), ("batch_exp", "%d"), ("batch_ms", "%.2f")],
     )
     print()
-    _print_table(layer_rows, [("layer", "%s"), ("layer_ms", "%.3f")])
+    _print_table(
+        layer_rows,
+        [("layer", "%s"), ("layer_ms", "%.3f"), ("table_ms", "%.1f"), ("table_kb", "%.1f")],
+    )
     print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
@@ -403,6 +447,7 @@ def cmd_bench(args) -> int:
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
             "dec_pair", "dec_ms", "dec_cold_ms", "verify_exp", "verify_hashes", "sign_ms",
             "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
+            "table_ms", "table_kb",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)

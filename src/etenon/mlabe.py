@@ -72,6 +72,11 @@ class PublicParams:
     g_delta: G0Element
     egg_gamma: G1Element
 
+    def __post_init__(self):
+        # every encryption raises these: their powers take tables
+        for base in (self.g, self.g_delta, self.egg_gamma):
+            self.suite.fixed_base(base)
+
     def encode(self) -> bytes:
         """Canonical bytes, used inside signed digests."""
         parts = [self.suite.name.encode("ascii")]

@@ -28,9 +28,13 @@ Persistence is an append-only JSONL log of accepted ingests, the only
 copy of the data, plus an atomically swapped snapshot of the storage
 order.  Opening a store replays the log and re-verifies every
 signature; a sealed entry is kept as the ciphertext bytes its roster
-signed, and is decoded only when it is first read.  Writers take a
-lock on the store directory's lock file, so a second writer waits, then
-replays what the first appended before it verifies its own batch.
+signed, and is decoded only when it is first read.  An open store keeps
+the decoded ciphertexts of only the ``DECODED_ENTRIES`` entries read
+last, since each holds the prepared Miller lines of its leaves (about
+35 KB a leaf); an older entry decodes again when it is read again.
+Writers take a lock on the store directory's lock file, so a second
+writer waits, then replays what the first appended before it verifies
+its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, the one check of each that the gate and
@@ -60,6 +64,10 @@ from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
 from .musig import MultiSig, SignedMessage
 from .tenon import Pointer, Triple
+
+
+# a reader going back and forth between two entries decodes each once
+DECODED_ENTRIES = 2
 
 
 class TdbError(EtenonError):
@@ -124,6 +132,10 @@ class SecretEntry:
             with decoding(TdbError, "ciphertext of secret entry %r" % self.entry_id):
                 self.__dict__["_ct"] = mlabe.ct_from_json(json.loads(self.ct_bytes), self._suite)
         return self._ct
+
+    def _drop_ciphertext(self) -> None:
+        """Forget the decoded bundle; ``ciphertext`` decodes ``ct_bytes`` again."""
+        self.__dict__["_ct"] = None
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,7 @@ class TenonDb:
         self._rows: list[OpenRow] = []  # storage order
         self._index: dict[Pointer, OpenRow] = {}
         self._secrets: dict[str, SecretEntry] = {}
+        self._read: dict[str, SecretEntry] = {}  # the entries read last, oldest first
         self._rosters: dict[str, tuple] = {}
         self._lock = threading.RLock()
         self._log_end = 0  # bytes of the log replayed or appended here
@@ -318,13 +331,21 @@ class TenonDb:
             return tuple(sorted(self._secrets))
 
     def read_secret(self, entry_id: str, access_label: str) -> SecretEntry:
-        """Label-gated fetch; the denial carries a fixed message only."""
+        """Label-gated fetch; the denial carries a fixed message only.
+
+        The store then drops the decoded ciphertext of any entry that is
+        no longer among the ``DECODED_ENTRIES`` distinct entries read last."""
         with self._lock:
             entry = self._secrets.get(entry_id)
-        if entry is None:
-            raise UnknownEntryError("no entry %r" % entry_id)
-        if access_label != entry.access_label:
-            raise AccessDeniedError()
+            if entry is None:
+                raise UnknownEntryError("no entry %r" % entry_id)
+            if access_label != entry.access_label:
+                raise AccessDeniedError()
+            read = self._read
+            read.pop(entry_id, None)
+            read[entry_id] = entry
+            if len(read) > DECODED_ENTRIES:
+                read.pop(next(iter(read)))._drop_ciphertext()
         return entry
 
     def roster(self, ref: str) -> tuple:

@@ -335,10 +335,17 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert lines[0].startswith("kind,k,l,n,")
     assert sum(1 for line in lines if line.startswith("abe,")) == 4
     assert sum(1 for line in lines if line.startswith("musig,")) == 2
-    layers = {line.split(",")[-2] for line in lines if line.startswith("layer,")}
-    assert layers == {"g1_exp", "g2_exp", "gt_exp", "hash_to_g1", "right_decode", "gt_decode"}
     with open(csv_path, newline="") as fh:
-        abe = [r for r in csv.DictReader(fh) if r["kind"] == "abe"]
+        rows = list(csv.DictReader(fh))
+    layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
+    assert set(layers) == {
+        "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
+        "hash_to_g1", "right_decode", "gt_decode",
+    }
+    # only the fixed rows give a table's build time and retained size
+    for name, r in layers.items():
+        assert (r["table_ms"] != "" and r["table_kb"] != "") == name.endswith("_fixed"), name
+    abe = [r for r in rows if r["kind"] == "abe"]
     assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
 
 
@@ -349,6 +356,9 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
     layers = [r["layer"] for r in rows]
     assert layers[-4:] == ["miller", "miller_prepared", "miller_product3", "final_exp"]
     assert all(r["layer_ms"] > 0 for r in rows)
+    # a G1, G2 or GT table takes tens of milliseconds and over 50 KB
+    fixed = [r for r in rows if r["layer"].endswith("_fixed")]
+    assert len(fixed) == 3 and all(r["table_ms"] > 0 and r["table_kb"] > 50 for r in fixed)
 
 
 def test_bench_batch_row(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import fcntl
+import gc
 import json
 import multiprocessing
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -446,6 +448,68 @@ def test_open_decodes_no_ciphertext_until_it_is_read(any_system, tmp_path, ct_fr
     # the decoded bundle is kept
     assert db.read_secret("entry-1", "clinical").ciphertext is entry.ciphertext
     assert len(ct_from_json_calls) == 1
+
+
+def _store_of_entries(suite, pp, rng, root, n):
+    """A store at ``root`` of n batches, with entries entry-0 .. entry-(n-1)."""
+    db = TenonDb(pp, root=root)
+    for i in range(n):
+        rows, secret, rosters = make_batch(
+            suite, pp, rng, blocks=("block",), entry_id="entry-%d" % i, roster_ref="batch-%d" % i)
+        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    return db
+
+
+def test_open_store_drops_the_least_recently_read_ciphertext(system, tmp_path, ct_from_json_calls):
+    """An open store keeps the decoded ciphertexts of the entries read
+    last: a third entry read drops the first's, which decodes again."""
+    suite, pp, _, rng = system
+    db = _store_of_entries(suite, pp, rng, tmp_path, tdb.DECODED_ENTRIES + 1)
+    first = db.read_secret("entry-0", "clinical")
+    kept = first.ciphertext
+    for i in range(1, tdb.DECODED_ENTRIES):
+        db.read_secret("entry-%d" % i, "clinical").ciphertext
+    # re-reading the first makes it the most recent
+    assert db.read_secret("entry-0", "clinical").ciphertext is kept
+    ct_from_json_calls.clear()
+    db.read_secret("entry-%d" % tdb.DECODED_ENTRIES, "clinical").ciphertext
+    assert first.ciphertext is kept and len(ct_from_json_calls) == 1
+    db.read_secret("entry-%d" % tdb.DECODED_ENTRIES, "clinical")
+    db.read_secret("entry-0", "clinical")
+    for i in range(1, tdb.DECODED_ENTRIES + 1):
+        db.read_secret("entry-%d" % i, "clinical")
+    again = first.ciphertext
+    assert again is not kept and len(ct_from_json_calls) == 2
+    assert mlabe.ct_canonical_bytes(again) == first.ct_bytes
+
+
+def test_reading_more_entries_retains_no_more_memory(bn256, tmp_path):
+    """On bn256, where a decoded leaf keeps about 35 KB of prepared Miller
+    lines, reading 8 entries of an open store retains no more memory than
+    reading 2, within 16 KB (tracemalloc)."""
+    rng = random.Random(0x1B5)
+    pp, msk = mlabe.setup(bn256, rng)
+    key = mlabe.keygen(pp, msk, ["a"], rng).decryption
+    writer = _store_of_entries(bn256, pp, rng, tmp_path, 8)
+    # the key's own lines are prepared before anything is measured
+    mlabe.decrypt(pp, writer.read_secret("entry-0", "clinical").ciphertext, key)
+    del writer
+
+    def retained(n):
+        db = TenonDb(pp, root=tmp_path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                assert mlabe.decrypt(pp, db.read_secret("entry-%d" % i, "clinical").ciphertext, key)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    two, eight = retained(2), retained(8)
+    assert two > 2 * 30_000  # the two entries' lines are held
+    assert eight <= two + 16 * 1024, (two, eight)
 
 
 def _entry_with_unsigned_bundle(suite, pp, rng, entry_id="e"):
