@@ -43,6 +43,8 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 import functools
 import hashlib
 
+from typing import Callable, NamedTuple
+
 v = 1868033
 u = pow(v, 3)
 
@@ -131,15 +133,39 @@ def _digits(k, window, top):
     return digits
 
 
-def _straus(terms, add, double, neg, infinity):
+class Group(NamedTuple):
+    """One group's arithmetic, as :func:`multi_mul`, :func:`table` and
+    :func:`fixed_mul` use it, written additively: for the target group
+    ``add`` multiplies, ``double`` squares and ``neg`` inverts.
+
+    ``normal`` maps a value to the form in which equal values are equal
+    tuples.  The other fields describe fixed-base tables (see
+    :func:`table`): the ``window``, ``row`` (a row of values as one flat
+    tuple), ``add_entry(r, row, d)`` (r plus d times the row's value for
+    an odd digit d) and the ``generator`` whose table is built once."""
+
+    add: Callable
+    double: Callable
+    neg: Callable
+    identity: tuple
+    normal: Callable = None
+    window: int = None
+    row: Callable = None
+    add_entry: Callable = None
+    generator: tuple = None
+
+
+def multi_mul(group, terms):
     """The sum of k*x over the (x, k) terms, each k >= 0, in one pass of
     shared doublings (Straus, "Addition chains of vectors", 1964).
 
     Each scalar is recoded by :func:`_digits` over the longest term's
     window count, or over SHORT_BITS bits when it is that short: every
     window costs WINDOW doublings, shared by all terms, and one table add
-    per term that has a digit there.  Exact on any point, in or out of the
-    prime-order subgroup, since neg(x) is exact on any curve point."""
+    per term that has a digit there.  Exact on any value on which
+    ``group.neg`` is the exact inverse: any curve point, but only the
+    cyclotomic subgroup in Fp12."""
+    add, double, neg = group.add, group.double, group.neg
     base = 1 << WINDOW
     tables, fixes = [], []
     for x, k in terms:
@@ -152,7 +178,7 @@ def _straus(terms, add, double, neg, infinity):
         fixes.append(neg((x, x2)[k & 1]))
     top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
     digits = [_digits(k, WINDOW, top) for _, k in terms]
-    r = infinity
+    r = group.identity
     for i in reversed(range(top)):
         if i < top - 1:
             for _ in range(WINDOW):
@@ -162,24 +188,6 @@ def _straus(terms, add, double, neg, infinity):
                 r = add(r, table[(row[i] + base - 1) >> 1])
     for fix in fixes:
         r = add(r, fix)
-    return r
-
-
-def _fixed_window(a, k, mul, square, one):
-    """a**k for k >= 0 by an unsigned fixed window: WINDOW squarings and
-    one multiply by table[digit] per window, with table[0] == one.  It
-    needs no inversion, so it is exact on any value."""
-    table = [one, a]
-    for _ in range((1 << WINDOW) - 2):
-        table.append(mul(table[-1], a))
-    mask = (1 << WINDOW) - 1
-    shift = WINDOW * (_windows(k) - 1)
-    r = table[k >> shift]
-    while shift:
-        shift -= WINDOW
-        for _ in range(WINDOW):
-            r = square(r)
-        r = mul(r, table[(k >> shift) & mask])
     return r
 
 
@@ -240,13 +248,11 @@ def fp2_inv(a):
     return (-x * inv % p, y * inv % p)
 
 
-def fp2_exp(a, k):
-    return _fixed_window(a, k, fp2_mul, fp2_square, FP2_ONE)
-
-
 xi = (1, 3)  # i + 3
 
-xi1 = [fp2_exp(xi, j * (p-1) // 6) for j in range(1, 6)]
+# the nonzero elements of Fp2 under multiplication
+_FP2_UNITS = Group(fp2_mul, fp2_square, fp2_inv, FP2_ONE)
+xi1 = [multi_mul(_FP2_UNITS, [(xi, j * (p-1) // 6)]) for j in range(1, 6)]
 xi2 = [fp2_mul(x, fp2_conj(x)) for x in xi1]
 
 
@@ -349,10 +355,6 @@ def fp12_inv(a):
     return (fp6_mul(fp6_neg(ax), t), fp6_mul(ay, t))
 
 
-def fp12_exp(a, k):
-    return _fixed_window(a, k, fp12_mul, fp12_square, FP12_ONE)
-
-
 def fp12_frobenius(a):
     (xx, xy, xz), (yx, yy, yz) = a
     return (
@@ -420,11 +422,6 @@ def fp12_cyclotomic_square(a):
     )
 
 
-def fp12_cyclotomic_exp(a, k):
-    """a**k for a in the cyclotomic subgroup and k >= 0."""
-    return _fixed_window(a, k, fp12_mul, fp12_cyclotomic_square, FP12_ONE)
-
-
 # v in NAF, most significant digit first, the leading 1 dropped
 naf_v = list(reversed(to_naf(v)))[1:]
 
@@ -450,7 +447,7 @@ def in_gt(a):
     a2 = fp12_frobenius_p2(a)
     if fp12_mul(fp12_frobenius_p2(a2), a) != a2:
         return False
-    return fp12_cyclotomic_exp(a, order) == FP12_ONE
+    return multi_mul(CYCLOTOMIC, [(a, order)]) == FP12_ONE
 
 
 # ----------------------------------------------------------------------
@@ -529,15 +526,6 @@ def g1_add_affine(a, x2, y2):
     cx = (r * r - j - 2 * V) % p
     cy = (r * (V - cx) - 2 * y1 * j) % p
     return (cx, cy, 2 * z1 * h % p)
-
-
-def g1_multi_mul(terms):
-    """The sum of k*pt over the (pt, k) terms, by one Straus pass."""
-    return _straus(terms, g1_add, g1_double, g1_neg, G1_INFINITY)
-
-
-def g1_scalar_mul(pt, k):
-    return g1_multi_mul(((pt, k),))
 
 
 def g1_affine(pt):
@@ -633,15 +621,6 @@ def g2_add_affine(a, x2, y2):
     cx = fp2_sub(fp2_sub(fp2_square(r), j), fp2_add(V, V))
     cy = fp2_sub(fp2_mul(r, fp2_sub(V, cx)), fp2_scalar(fp2_mul(y1, j), 2))
     return (cx, cy, fp2_scalar(fp2_mul(z1, h), 2))
-
-
-def g2_multi_mul(terms):
-    """The sum of k*pt over the (pt, k) terms, by one Straus pass."""
-    return _straus(terms, g2_add, g2_double, g2_neg, G2_INFINITY)
-
-
-def g2_scalar_mul(pt, k):
-    return g2_multi_mul(((pt, k),))
 
 
 def g2_affine(pt):
@@ -874,34 +853,53 @@ def final_exp(inp):
 # exponentiation with precomputation", EUROCRYPT 1992; Lim and Lee,
 # "More flexible exponentiation with precomputation", CRYPTO 1994)
 #
-# A table of base P with window w is (w, rows, fixes).  Row i holds the
-# odd multiples (2j + 1) * 2**(w*i) * P, j < 2**(w - 1), as one flat
-# tuple of affine coordinates (Fp12 values for GT, in wire order);
-# ``fixes`` are -P and -2P.  A power recodes its scalar by _digits and
-# adds one row entry per window, negated for a negative digit: no
-# doublings.  Each window trades adds against memory (see the README).
-# A point table needs P of prime order, a GT table a value in the
-# cyclotomic subgroup, where the conjugate is the inverse.
-
-G1_TABLE_WINDOW = 5
-G2_TABLE_WINDOW = 4
-GT_TABLE_WINDOW = 3
+# A table of base P with its group's window w is (rows, fixes).  Row i
+# holds the odd multiples (2j + 1) * 2**(w*i) * P, j < 2**(w - 1), as
+# one flat tuple of affine coordinates (Fp12 values for GT, in wire
+# order); ``fixes`` are -P and -2P.  A power recodes its scalar by
+# _digits and adds one row entry per window, negated for a negative
+# digit: no doublings.  Each window trades adds against memory (see the
+# README).  A point table needs P of prime order, a GT table a value in
+# the cyclotomic subgroup, where the conjugate is the inverse.
 
 
-def _table(a, window, mul, square, inv, flat):
-    """The table of a with the given window; inv(q) is q's inverse and
-    flat(row) lays a row of values out as one flat tuple."""
-    fixes = (inv(a), inv(square(a)))
+def _table(group, a):
+    """The table of a in the group."""
+    window, add, double = group.window, group.add, group.double
+    fixes = (group.neg(a), group.neg(double(a)))
     rows = []
     # enough rows for the odd form of any scalar below the order
     for _ in range(-(-(order + 1).bit_length() // window)):
-        a2 = square(a)
+        a2 = double(a)
         odd = [a]
         for _ in range((1 << (window - 1)) - 1):
-            odd.append(mul(odd[-1], a2))
-        rows.append(flat(odd))
-        a = mul(odd[-1], a)  # a**(2**window)
-    return window, tuple(rows), fixes
+            odd.append(add(odd[-1], a2))
+        rows.append(group.row(odd))
+        a = add(odd[-1], a)  # 2**window * a
+    return tuple(rows), fixes
+
+
+def table(group, x):
+    """x's table, or None at the identity; the generator's is built once."""
+    x = group.normal(x)
+    if x == group.generator:
+        return _generator_table(group)
+    return _table(group, x) if x != group.identity else None
+
+
+@functools.cache
+def _generator_table(group):
+    return _table(group, group.generator)
+
+
+def fixed_mul(group, table, k):
+    """k*P for 0 <= k < order from P's table: one entry add per window."""
+    rows, fixes = table
+    add_entry = group.add_entry
+    r = fixes[k & 1]
+    for row, d in zip(rows, _digits(k, group.window, len(rows))):
+        r = add_entry(r, row, d)
+    return r
 
 
 def _affine_row(points, mul, inv, one, coords):
@@ -921,79 +919,42 @@ def _affine_row(points, mul, inv, one, coords):
     return tuple(c for q in flat for c in q)
 
 
-def _g1_table(pt):
-    return _table(pt, G1_TABLE_WINDOW, g1_add, g1_double, g1_neg, lambda row: _affine_row(
-        row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)))
+def _g1_entry(r, row, d):
+    j = (abs(d) >> 1) * 2
+    y = row[j + 1]
+    return g1_add_affine(r, row[j], y if d > 0 else p - y)
 
 
-def g1_table(pt):
-    """pt's table, or None at infinity; curve_G's is built once."""
-    pt = g1_affine(pt)
-    if pt == curve_G:
-        return _g1_generator_table()
-    return _g1_table(pt) if pt[2] else None
+def _g2_entry(r, row, d):
+    j = (abs(d) >> 1) * 4
+    y = (row[j + 2], row[j + 3])
+    return g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
 
 
-@functools.cache
-def _g1_generator_table():
-    return _g1_table(curve_G)
+def _gt_entry(r, row, d):
+    j = (abs(d) >> 1) * 12
+    f = gt_unmarshall(*row[j:j + 12])
+    return fp12_mul(r, f if d > 0 else fp12_conj(f))
 
 
-def g1_fixed_mul(table, k):
-    """k*P for 0 <= k < order from P's table: one mixed add per window."""
-    window, rows, fixes = table
-    r = fixes[k & 1]
-    for row, d in zip(rows, _digits(k, window, len(rows))):
-        j = (abs(d) >> 1) * 2
-        y = row[j + 1]
-        r = g1_add_affine(r, row[j], y if d > 0 else p - y)
-    return r
-
-
-def _g2_table(pt):
-    return _table(pt, G2_TABLE_WINDOW, g2_add, g2_double, g2_neg, lambda row: _affine_row(
-        row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y))
-
-
-def g2_table(pt):
-    """pt's table, or None at infinity; twist_G's is built once."""
-    pt = g2_affine(pt)
-    if pt == twist_G:
-        return _g2_generator_table()
-    return _g2_table(pt) if pt[2] != FP2_ZERO else None
-
-
-@functools.cache
-def _g2_generator_table():
-    return _g2_table(twist_G)
-
-
-def g2_fixed_mul(table, k):
-    """k*P for 0 <= k < order from P's table: one mixed add per window."""
-    window, rows, fixes = table
-    r = fixes[k & 1]
-    for row, d in zip(rows, _digits(k, window, len(rows))):
-        j = (abs(d) >> 1) * 4
-        y = (row[j + 2], row[j + 3])
-        r = g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
-    return r
-
-
-def gt_table(a):
-    """The table of a value a of the cyclotomic subgroup."""
-    return _table(a, GT_TABLE_WINDOW, fp12_mul, fp12_cyclotomic_square, fp12_conj,
-                  lambda row: tuple(c for f in row for c in gt_marshall(f)))
-
-
-def gt_fixed_exp(table, k):
-    """a**k for 0 <= k < order from a's table: one multiply per window."""
-    window, rows, fixes = table
-    r = fixes[k & 1]
-    for row, d in zip(rows, _digits(k, window, len(rows))):
-        j = (abs(d) >> 1) * 12
-        f = gt_unmarshall(*row[j:j + 12])
-        r = fp12_mul(r, f if d > 0 else fp12_conj(f))
-    return r
+CURVE = Group(
+    g1_add, g1_double, g1_neg, G1_INFINITY, normal=g1_affine, window=5,
+    row=lambda row: _affine_row(row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)),
+    add_entry=_g1_entry, generator=curve_G,
+)
+TWIST = Group(
+    g2_add, g2_double, g2_neg, G2_INFINITY, normal=g2_affine, window=4,
+    row=lambda row: _affine_row(row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y),
+    add_entry=_g2_entry, generator=twist_G,
+)
+# the target group, as the cyclotomic subgroup of Fp12, where the
+# conjugate a^(p^6) is the inverse.  On any other nonzero value the
+# conjugate is the inverse up to the final exponentiation, since r
+# divides p^6 + 1; the rest is exact only in the subgroup.
+CYCLOTOMIC = Group(
+    fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, normal=lambda a: a, window=3,
+    row=lambda row: tuple(c for f in row for c in gt_marshall(f)), add_entry=_gt_entry,
+)
 
 
 # ----------------------------------------------------------------------

@@ -19,14 +19,16 @@ Two interchangeable suites implement one interface:
 :class:`GroupSuite` owns every rule of evaluation and each suite only
 supplies the arithmetic.  Both suites therefore defer work the same
 way: a source-group power is pending until its point is needed, and
-then it and the factors it is multiplied with are evaluated in one
-multi-exponentiation (see :class:`G0Element`), in which a base marked
-by :meth:`GroupSuite.fixed_base` takes its table of multiples; a
-pairing is pending until its value is read, and pairings joined by
-:meth:`GroupSuite.pairing_product` share one Miller loop; its final
-exponentiation waits until the value is compared or encoded (see
-:class:`G1Element`).  Every operation ticks its counter when it is
-called, not when its work is done.
+then it and the factors it is multiplied with are evaluated together
+(see :class:`G0Element`); a pairing is pending until its value is
+read, and pairings joined by :meth:`GroupSuite.pairing_product` share
+one Miller loop; its final exponentiation waits until the value is
+compared, encoded or raised (see :class:`G1Element`).  Every power, in
+any group, takes one of two algorithms: a base marked by
+:meth:`GroupSuite.fixed_base` walks its table of multiples, and the
+other bases of one evaluation share one multi-exponentiation.  Every
+operation ticks its counter when it is called, not when its work is
+done.
 
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
@@ -126,15 +128,14 @@ class G0Element:
     can fill; ``point`` is the suite's payload for that side.
 
     A power is *pending*: ``factors`` then holds the product of powers
-    the element stands for, as (point, scalar) terms and other elements,
-    and the point is not yet computed.  A product with a pending operand
-    is pending too.  Reading ``point`` (to encode, pair or raise the
-    element) evaluates all its terms in one multi-exponentiation and
-    keeps the result.  ``joins`` counts the products the element is a
-    factor of; a factor of several is evaluated once on its own, so no
-    product repeats another's work.  Equality of two pending elements
-    with more than two terms between them is one multi-exponentiation
-    of x * y^-1; otherwise each side is evaluated and kept.
+    the element stands for, as (point, scalar, table) terms and other
+    elements, and the point is not yet computed.  A product with a
+    pending operand is pending too.  Reading ``point`` (to encode, pair,
+    compare or raise the element) evaluates all its terms at once, each
+    term with a table from its table and the rest in one
+    multi-exponentiation, and keeps the result.  ``joins`` counts the
+    products the element is a factor of; a factor of several is
+    evaluated once on its own, so no product repeats another's work.
 
     A right element keeps in ``lines`` what the suite prepares of its
     point for Miller loops, from the first loop it takes part in on.  A
@@ -193,12 +194,17 @@ class G1Element:
 
     A pairing's value is its Miller value: ``owed`` is set and the final
     exponentiation is still to come.  That map is a homomorphism onto
-    the target group, so products, quotients and powers of owed values
-    stay owed and are finished once, when the result is compared or
-    encoded.  It is not the identity on the target group, so an owed
-    value that meets a finished one is finished first.  Decoded values,
-    ``gt_generator`` and ``gt_identity`` are finished.  A finished fixed
-    base keeps its table in ``table``, as a source-group element does.
+    the target group, so products and quotients of owed values stay owed
+    and are finished once, when the result is compared or encoded (a
+    quotient multiplies by the conjugate, which the final step turns
+    into the inverse).  It
+    is not the identity on the target group, so an owed value that meets
+    a finished one is finished first, and so is one that is raised: a
+    power is taken in the cyclotomic subgroup, by the same hooks as a
+    source-group power, and is finished.  Decoded values,
+    ``gt_generator`` and ``gt_identity`` are finished.  A fixed base
+    keeps its table in ``table``, as a source-group element does, built
+    from its finished value.
     """
 
     __slots__ = ("suite", "_value", "owed", "pairs", "table")
@@ -245,20 +251,21 @@ class G1Element:
 class GroupSuite:
     """Interface shared by the mock and production suites.
 
-    A suite supplies the generators, ``gt_identity`` and arithmetic
-    hooks on raw payloads: for each side ``_multi_exp`` (the product of
-    (point, scalar) terms), ``_add``, ``_neg``, ``_identity``, ``_eq``,
+    A suite supplies the generators and arithmetic hooks on raw
+    payloads.  For each side and for ``TARGET`` (the target group,
+    written additively): ``_add``, ``_neg``, ``_identity``,
+    ``_multi_exp`` (the product of (value, scalar) terms),
+    ``_fixed_table`` (a base's table of multiples, or None for none) and
+    ``_fixed_power`` (a power from a table).  For each side ``_eq``,
     ``_encode`` and ``_decode``; for the pairing ``_prepare`` (what a
     Miller loop needs of a right point, computed once per element) and
     ``_pair_product`` (the product of the Miller values of (prepared
     right, left point) pairs in one loop, up to the final
-    exponentiation); for the target group ``_final_exp``, ``_gt_mul``,
-    ``_gt_inv``, ``_gt_exp`` (told whether the value still owes its
-    final step), ``_encode_gt`` and ``_decode_gt``; for fixed bases of
-    either side or of ``TARGET``, ``_fixed_table`` (a base's table of
-    multiples, or None for none) and ``_fixed_power`` (a power from a
-    table); and ``_hash_to_group``.  The public methods here are the
-    only ones.
+    exponentiation); for the target group ``_final_exp``,
+    ``_encode_gt`` and ``_decode_gt``; and ``_hash_to_group``.  Of the
+    ``TARGET`` hooks only ``_add`` and ``_neg`` see Miller values:
+    ``_add`` must be exact on them and ``_neg`` exact once the result
+    is finished.  The public methods here are the only ones.
     """
 
     name: str
@@ -359,16 +366,14 @@ class GroupSuite:
         raise NotImplementedError
 
     def fixed_base(self, x):
-        """Mark x, a source-group or finished target-group element, as a
-        base that is raised often, and return it.
+        """Mark x, a source-group or target-group element, as a base that
+        is raised often, and return it.
 
         Its powers then take a table of its multiples, built on its first
         power and kept on x, so a power costs no doublings or squarings.
-        An owed target-group value is not marked: it lies outside the
-        group the table's inverses hold in.
         """
         self._check(x)
-        if x.table is None and not (isinstance(x, G1Element) and x.owed):
+        if x.table is None:
             x.table = _UNBUILT
         return x
 
@@ -405,22 +410,7 @@ class GroupSuite:
         return G0Element(self, x.side, factors=(term,))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
-        side = self._same_side(x, y)
-        if x.factors is not None and y.factors is not None:
-            terms, points = self._flatten(x)
-            # y is finished by now if it is a shared factor of x
-            y_terms, y_points = self._flatten(y)
-            if len(terms) + len(y_terms) > 2:
-                # y^-1: a fixed base keeps its table with its scalar negated,
-                # another term keeps its scalar, short or not, at -pt
-                terms += [
-                    (pt, -k % self.order, table) if table is not None
-                    else (self._neg(side, pt), k, None)
-                    for pt, k, table in y_terms
-                ]
-                points += [self._neg(side, pt) for pt in y_points]
-                return self._eq(side, self._sum(side, terms, points), self._identity(side))
-        return self._eq(side, x.point, y.point)
+        return self._eq(self._same_side(x, y), x.point, y.point)
 
     def _flatten(self, x: G0Element):
         """The (point, scalar, table) terms and the finished points that x
@@ -441,15 +431,14 @@ class GroupSuite:
         return terms, points
 
     def _sum(self, side, terms, points):
-        """Each term with a table by its table, the others in one
-        multi-exponentiation, plus the points."""
-        r = self._multi_exp(side, [(pt, k) for pt, k, table in terms if table is None])
-        for _, k, table in terms:
-            if table is not None:
-                r = self._add(side, r, self._fixed_power(side, table, k))
-        for pt in points:
-            r = self._add(side, r, pt)
-        return r
+        """Each term with a table by its table and the others in one
+        multi-exponentiation, none when every term has a table; plus the
+        points."""
+        values = [self._fixed_power(side, table, k) for _, k, table in terms if table is not None]
+        straus = [(pt, k) for pt, k, table in terms if table is None]
+        if straus:
+            values.append(self._multi_exp(side, straus))
+        return functools.reduce(functools.partial(self._add, side), values + points)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -509,25 +498,23 @@ class GroupSuite:
 
     @property
     def gt_identity(self) -> G1Element:
-        raise NotImplementedError
+        return G1Element(self, self._identity(TARGET))
 
     def gt_mul(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
         a, b, owed = self._alike(a, b)
-        return G1Element(self, self._gt_mul(a, b), owed)
+        return G1Element(self, self._add(TARGET, a, b), owed)
 
     def gt_div(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
         a, b, owed = self._alike(a, b)
-        return G1Element(self, self._gt_mul(a, self._gt_inv(b)), owed)
+        return G1Element(self, self._add(TARGET, a, self._neg(TARGET, b)), owed)
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
-        k %= self.order
-        table = self._table(a, TARGET, a.value)
-        if table is not None:
-            return G1Element(self, self._fixed_power(TARGET, table, k))
-        return G1Element(self, self._gt_exp(a.value, k, a.owed), a.owed)
+        value = self._finished(a)
+        term = (value, k % self.order, self._table(a, TARGET, value))
+        return G1Element(self, self._sum(TARGET, [term], []))
 
     def gt_eq(self, a: G1Element, b: G1Element) -> bool:
         return self._finished(a) == self._finished(b)
@@ -647,10 +634,6 @@ class MockSuite(GroupSuite):
     def right_generator(self) -> G0Element:
         return self.fixed_base(G0Element(self, RIGHT, 1))
 
-    @property
-    def gt_identity(self) -> G1Element:
-        return G1Element(self, 0)
-
     def _hash_to_group(self, label: bytes) -> G0Element:
         h = int.from_bytes(hash_commit(label), "big") % self.order
         if h == 0:
@@ -681,15 +664,6 @@ class MockSuite(GroupSuite):
     def _final_exp(self, a):
         return a
 
-    def _gt_mul(self, a, b):
-        return (a + b) % self.order
-
-    def _gt_inv(self, a):
-        return (-a) % self.order
-
-    def _gt_exp(self, a, k, owed):
-        return (a * k) % self.order
-
     def _fixed_table(self, side, a):
         return a
 
@@ -719,6 +693,8 @@ class MockSuite(GroupSuite):
 
 _FP_BYTES = 32
 
+_GROUPS = {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC}
+
 
 class Bn256Suite(GroupSuite):
     """Production suite over the vendored 256-bit BN curve.
@@ -743,29 +719,24 @@ class Bn256Suite(GroupSuite):
     def right_generator(self) -> G0Element:
         return self.fixed_base(G0Element(self, RIGHT, _bn256.twist_G))
 
-    @property
-    def gt_identity(self) -> G1Element:
-        return G1Element(self, _bn256.FP12_ONE)
-
     def _hash_to_group(self, label: bytes) -> G0Element:
         return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
 
     def _multi_exp(self, side, terms):
-        return _bn256.g1_multi_mul(terms) if side == LEFT else _bn256.g2_multi_mul(terms)
+        return _bn256.multi_mul(_GROUPS[side], terms)
 
     def _add(self, side, a, b):
-        return _bn256.g1_add(a, b) if side == LEFT else _bn256.g2_add(a, b)
+        return _GROUPS[side].add(a, b)
 
     def _neg(self, side, a):
-        return _bn256.g1_neg(a) if side == LEFT else _bn256.g2_neg(a)
+        return _GROUPS[side].neg(a)
 
     def _identity(self, side):
-        return _bn256.G1_INFINITY if side == LEFT else _bn256.G2_INFINITY
+        return _GROUPS[side].identity
 
     def _eq(self, side, a, b):
-        if side == LEFT:
-            return _bn256.g1_affine(a) == _bn256.g1_affine(b)
-        return _bn256.g2_affine(a) == _bn256.g2_affine(b)
+        normal = _GROUPS[side].normal
+        return normal(a) == normal(b)
 
     def _prepare(self, right):
         return _bn256.prepare(right)
@@ -777,31 +748,11 @@ class Bn256Suite(GroupSuite):
     def _final_exp(self, a):
         return _bn256.final_exp(a)
 
-    def _gt_mul(self, a, b):
-        return _bn256.fp12_mul(a, b)
-
-    def _gt_inv(self, a):
-        return _bn256.fp12_inv(a)
-
-    def _gt_exp(self, a, k, owed):
-        # a finished value is in the cyclotomic subgroup; a Miller value is not
-        if owed:
-            return _bn256.fp12_exp(a, k)
-        return _bn256.fp12_cyclotomic_exp(a, k)
-
     def _fixed_table(self, side, a):
-        if side == LEFT:
-            return _bn256.g1_table(a)
-        if side == RIGHT:
-            return _bn256.g2_table(a)
-        return _bn256.gt_table(a)
+        return _bn256.table(_GROUPS[side], a)
 
     def _fixed_power(self, side, table, k):
-        if side == LEFT:
-            return _bn256.g1_fixed_mul(table, k)
-        if side == RIGHT:
-            return _bn256.g2_fixed_mul(table, k)
-        return _bn256.gt_fixed_exp(table, k)
+        return _bn256.fixed_mul(_GROUPS[side], table, k)
 
     _LEFT_BYTES = 1 + _FP_BYTES
     _RIGHT_BYTES = 1 + 4 * _FP_BYTES
@@ -867,7 +818,7 @@ class Bn256Suite(GroupSuite):
         pt = ((vals[0], vals[1]), (vals[2], vals[3]), _bn256.FP2_ONE)
         if not _bn256.g2_on_curve(pt):
             raise AlgebraError("encoding is not on the twist")
-        if _bn256.g2_scalar_mul(pt, self.order)[2] != _bn256.FP2_ZERO:
+        if _bn256.multi_mul(_bn256.TWIST, [(pt, self.order)])[2] != _bn256.FP2_ZERO:
             raise AlgebraError("twist point outside the prime-order subgroup")
         return pt
 

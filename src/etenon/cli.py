@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import random
+import statistics
 import sys
 import time
 import tracemalloc
@@ -151,6 +152,20 @@ def _bench_policy(k: int, l: int) -> str:
     return "\n".join(lines)
 
 
+def _ms(times) -> float:
+    """The median of timings in seconds, in milliseconds."""
+    return 1000 * statistics.median(times)
+
+
+def _iqr_ms(times) -> float:
+    """The distance between the quartiles of timings in seconds, in
+    milliseconds; 0 for a single timing."""
+    if len(times) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return 1000 * (q3 - q1)
+
+
 def _expect(label: str, got: int, want: int) -> None:
     if got != want:
         raise BenchError("%s: counted %d, cost model says %d" % (label, got, want))
@@ -214,10 +229,10 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
         "elements": elems,
         "enc_exp": enc_span.exponentiations,
         "enc_mul": enc_span.multiplications,
-        "enc_ms": 1000 * sum(enc_times) / len(enc_times),
+        "enc_ms": _ms(enc_times),
         "dec_pair": dec_span.pairings,
-        "dec_ms": 1000 * sum(dec_times) / len(dec_times),
-        "dec_cold_ms": 1000 * sum(cold_times) / len(cold_times),
+        "dec_ms": _ms(dec_times),
+        "dec_cold_ms": _ms(cold_times),
     }
 
 
@@ -254,8 +269,8 @@ def bench_musig(suite, n: int, trials: int, rng) -> dict:
         "n": n,
         "verify_exp": span.exponentiations,
         "verify_hashes": span.hash_calls,
-        "sign_ms": 1000 * sum(sign_times) / len(sign_times),
-        "verify_ms": 1000 * sum(verify_times) / len(verify_times),
+        "sign_ms": _ms(sign_times),
+        "verify_ms": _ms(verify_times),
     }
 
 
@@ -285,7 +300,7 @@ def bench_batch(suite, trials: int, rng) -> dict:
         "batch_m": m,
         "n": n,
         "batch_exp": span.exponentiations,
-        "batch_ms": 1000 * sum(times) / len(times),
+        "batch_ms": _ms(times),
     }
 
 
@@ -305,7 +320,8 @@ def _table_cost(suite, side: str, value) -> dict:
 
 
 def bench_layers(suite, trials: int, rng) -> list[dict]:
-    """Mean time of each group operation the protocols are built from.
+    """Median time, and the spread between its quartiles, of each group
+    operation the protocols are built from.
 
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     The ``_fixed`` rows raise fixed bases whose tables were built before
@@ -365,7 +381,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
             t0 = time.perf_counter()
             op()
             times.append(time.perf_counter() - t0)
-        rows.append({"layer": layer, "layer_ms": 1000 * sum(times) / len(times),
+        rows.append({"layer": layer, "layer_ms": _ms(times), "layer_iqr_ms": _iqr_ms(times),
                      **costs.get(layer, {})})
     return rows
 
@@ -399,7 +415,7 @@ def cmd_bench(args) -> int:
     batch_row = bench_batch(suite, args.trials, rng)
     layer_rows = bench_layers(suite, args.trials, rng)
 
-    print("suite: %s, trials per cell: %d" % (suite.name, args.trials))
+    print("suite: %s, median of %d trials per cell" % (suite.name, args.trials))
     print()
     _print_table(
         abe_rows,
@@ -434,7 +450,10 @@ def cmd_bench(args) -> int:
     print()
     _print_table(
         layer_rows,
-        [("layer", "%s"), ("layer_ms", "%.3f"), ("table_ms", "%.1f"), ("table_kb", "%.1f")],
+        [
+            ("layer", "%s"), ("layer_ms", "%.3f"), ("layer_iqr_ms", "%.3f"),
+            ("table_ms", "%.1f"), ("table_kb", "%.1f"),
+        ],
     )
     print()
     print(
@@ -447,7 +466,7 @@ def cmd_bench(args) -> int:
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
             "dec_pair", "dec_ms", "dec_cold_ms", "verify_exp", "verify_hashes", "sign_ms",
             "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
-            "table_ms", "table_kb",
+            "layer_iqr_ms", "table_ms", "table_kb",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)

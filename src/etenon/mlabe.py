@@ -456,6 +456,8 @@ def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
             )
             for entry in typed(obj["leaves"], list)
         }
+        if len(levels) != len(obj["levels"]) or len(leaves) != len(obj["leaves"]):
+            raise MlabeError("ciphertext lists a level or a leaf twice")
         if set(levels) != set(tree.levels):
             raise MlabeError("ciphertext levels do not match its policy")
         if set(leaves) != {path for path, _ in policy.iter_leaves(tree)}:

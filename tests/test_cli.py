@@ -342,9 +342,11 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
         "hash_to_g1", "right_decode", "gt_decode",
     }
-    # only the fixed rows give a table's build time and retained size
+    # only the fixed rows give a table's build time and retained size;
+    # every row gives the spread of its timings, none for a single trial
     for name, r in layers.items():
         assert (r["table_ms"] != "" and r["table_kb"] != "") == name.endswith("_fixed"), name
+        assert float(r["layer_iqr_ms"]) == 0, name
     abe = [r for r in rows if r["kind"] == "abe"]
     assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
 

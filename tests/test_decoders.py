@@ -222,6 +222,17 @@ def test_decoders_raise_only_their_module_error(world, name, data):
         pass
 
 
+@pytest.mark.parametrize("key, field", [("levels", "level"), ("leaves", "path")])
+def test_ciphertext_refuses_repeated_levels_and_leaves(world, key, field):
+    # a second copy of level 1 or leaf (1,), holding another entry's
+    # elements, must not silently replace the first
+    doc = copy.deepcopy(world["docs"]["ct"])
+    first, second = doc[key][:2]
+    doc[key].append(dict(second, **{field: first[field]}))
+    with pytest.raises(mlabe.MlabeError, match="twice"):
+        mlabe.ct_from_json(doc, world["suite"])
+
+
 @pytest.mark.parametrize("name", ["mock-" + "9" * 400, "mock-1000000000039"])
 def test_public_parameters_refuse_hostile_suite_names(world, name):
     # the suite name is read before any suite is in hand: a huge or a

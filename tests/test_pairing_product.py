@@ -21,13 +21,13 @@ THREADS = 4  # more than the cores of a small host, to interleave the reads
 
 LEFTS = [
     b.curve_G,
-    b.g1_scalar_mul(b.curve_G, 0xE7E),  # Jacobian, z != 1
+    b.multi_mul(b.CURVE, [(b.curve_G, 0xE7E)]),  # Jacobian, z != 1
     b.g1_hash_to_point(b"pairing product"),
     b.G1_INFINITY,
 ]
 RIGHTS = [
     b.twist_G,
-    b.g2_scalar_mul(b.twist_G, 0x51DE),  # Jacobian, z != 1
+    b.multi_mul(b.TWIST, [(b.twist_G, 0x51DE)]),  # Jacobian, z != 1
     b.G2_INFINITY,
 ]
 
