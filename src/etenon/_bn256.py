@@ -138,21 +138,25 @@ class Group(NamedTuple):
     :func:`fixed_mul` use it, written additively: for the target group
     ``add`` multiplies, ``double`` squares and ``neg`` inverts.
 
-    ``normal`` maps a value to the form in which equal values are equal
-    tuples.  The other fields describe fixed-base tables (see
-    :func:`table`): the ``window``, ``row`` (a row of values as one flat
-    tuple), ``add_entry(r, row, d)`` (r plus d times the row's value for
-    an odd digit d) and the ``generator`` whose table is built once."""
+    ``normal`` maps a value to the form in which equal values are equal.
+    ``order``, ``window``, ``row`` (a row of values as one flat tuple),
+    ``add_entry(r, row, d)`` (r plus d times the row's value for an odd
+    digit d) and the ``generator``, whose table is built once, describe
+    fixed-base tables (see :func:`table`).  ``encode`` and ``decode``
+    are the wire codec, which the suite supplies."""
 
     add: Callable
     double: Callable
     neg: Callable
     identity: tuple
+    order: int = None
     normal: Callable = None
     window: int = None
     row: Callable = None
     add_entry: Callable = None
     generator: tuple = None
+    encode: Callable = None
+    decode: Callable = None
 
 
 def multi_mul(group, terms):
@@ -869,7 +873,7 @@ def _table(group, a):
     fixes = (group.neg(a), group.neg(double(a)))
     rows = []
     # enough rows for the odd form of any scalar below the order
-    for _ in range(-(-(order + 1).bit_length() // window)):
+    for _ in range(-(-(group.order + 1).bit_length() // window)):
         a2 = double(a)
         odd = [a]
         for _ in range((1 << (window - 1)) - 1):
@@ -938,12 +942,12 @@ def _gt_entry(r, row, d):
 
 
 CURVE = Group(
-    g1_add, g1_double, g1_neg, G1_INFINITY, normal=g1_affine, window=5,
+    g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine, window=5,
     row=lambda row: _affine_row(row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)),
     add_entry=_g1_entry, generator=curve_G,
 )
 TWIST = Group(
-    g2_add, g2_double, g2_neg, G2_INFINITY, normal=g2_affine, window=4,
+    g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine, window=4,
     row=lambda row: _affine_row(row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y),
     add_entry=_g2_entry, generator=twist_G,
 )
@@ -952,7 +956,7 @@ TWIST = Group(
 # conjugate is the inverse up to the final exponentiation, since r
 # divides p^6 + 1; the rest is exact only in the subgroup.
 CYCLOTOMIC = Group(
-    fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, normal=lambda a: a, window=3,
+    fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a, window=3,
     row=lambda row: tuple(c for f in row for c in gt_marshall(f)), add_entry=_gt_entry,
 )
 

@@ -14,10 +14,11 @@ Two interchangeable suites implement one interface:
   are their own discrete logs, which makes the exponent algebra of the
   encryption scheme directly checkable; the test suite leans on this.
   Elements carry the same side tags and obey the same rules as on the
-  curve.
+  curve, and their powers run the curve's power code over Z_q.
 
-:class:`GroupSuite` owns every rule of evaluation and each suite only
-supplies the arithmetic.  Both suites therefore defer work the same
+:class:`GroupSuite` owns every rule of evaluation and all group
+arithmetic and coding; a suite supplies one ``_bn256.Group`` record per
+group and the pairing.  Both suites therefore defer work the same
 way: a source-group power is pending until its point is needed, and
 then it and the factors it is multiplied with are evaluated together
 (see :class:`G0Element`); a pairing is pending until its value is
@@ -60,7 +61,7 @@ _SEAL_MAC_KEY_BYTES = 32
 
 LEFT = "left"
 RIGHT = "right"
-TARGET = "target"  # the target group, to the fixed-base hooks
+TARGET = "target"  # the target group, as a key of ``GroupSuite.groups``
 
 # the table of a fixed base that has not been raised yet
 _UNBUILT = object()
@@ -200,7 +201,7 @@ class G1Element:
     into the inverse).  It
     is not the identity on the target group, so an owed value that meets
     a finished one is finished first, and so is one that is raised: a
-    power is taken in the cyclotomic subgroup, by the same hooks as a
+    power is taken in the cyclotomic subgroup, by the same code as a
     source-group power, and is finished.  Decoded values,
     ``gt_generator`` and ``gt_identity`` are finished.  A fixed base
     keeps its table in ``table``, as a source-group element does, built
@@ -251,25 +252,24 @@ class G1Element:
 class GroupSuite:
     """Interface shared by the mock and production suites.
 
-    A suite supplies the generators and arithmetic hooks on raw
-    payloads.  For each side and for ``TARGET`` (the target group,
-    written additively): ``_add``, ``_neg``, ``_identity``,
-    ``_multi_exp`` (the product of (value, scalar) terms),
-    ``_fixed_table`` (a base's table of multiples, or None for none) and
-    ``_fixed_power`` (a power from a table).  For each side ``_eq``,
-    ``_encode`` and ``_decode``; for the pairing ``_prepare`` (what a
-    Miller loop needs of a right point, computed once per element) and
-    ``_pair_product`` (the product of the Miller values of (prepared
-    right, left point) pairs in one loop, up to the final
-    exponentiation); for the target group ``_final_exp``,
-    ``_encode_gt`` and ``_decode_gt``; and ``_hash_to_group``.  Of the
-    ``TARGET`` hooks only ``_add`` and ``_neg`` see Miller values:
-    ``_add`` must be exact on them and ``_neg`` exact once the result
-    is finished.  The public methods here are the only ones.
+    A suite supplies the generators, ``groups`` (one ``_bn256.Group``
+    record, with its codec, for each side and for ``TARGET``, the
+    target group written additively) and four hooks on raw payloads:
+    ``_prepare`` (what a Miller loop needs of a right point, computed
+    once per element), ``_pair_product`` (the product of the Miller
+    values of (prepared right, left point) pairs in one loop, up to the
+    final exponentiation), ``_final_exp`` and ``_hash_to_group``.  Every
+    other operation is done here, once, by the record of the element's
+    side: a power by ``_bn256.multi_mul`` or, from a table, by
+    ``_bn256.fixed_mul``.  Of the ``TARGET`` record only ``add`` and
+    ``neg`` see Miller values: ``add`` must be exact on them and ``neg``
+    exact once the result is finished.  The public methods here are the
+    only ones.
     """
 
     name: str
     order: int
+    groups: dict
 
     def __init__(self):
         # the open span of the current thread (or task) on this suite
@@ -355,16 +355,6 @@ class GroupSuite:
     # ------------------------------------------------------------------
     # source-group arithmetic
 
-    @property
-    def generator(self) -> G0Element:
-        """Generator of the left group."""
-        raise NotImplementedError
-
-    @property
-    def right_generator(self) -> G0Element:
-        """Generator of the right group."""
-        raise NotImplementedError
-
     def fixed_base(self, x):
         """Mark x, a source-group or target-group element, as a base that
         is raised often, and return it.
@@ -384,9 +374,20 @@ class GroupSuite:
             table = x.table = self._fixed_table(side, value)
         return table
 
+    def _fixed_table(self, side: str, value):
+        """The table of multiples of ``value``, or None at the identity."""
+        return _bn256.table(self.groups[side], value)
+
+    def _fixed_power(self, side: str, table, k: int):
+        return _bn256.fixed_mul(self.groups[side], table, k)
+
+    def _multi_exp(self, side: str, terms):
+        """The sum of the (value, scalar) terms, in one Straus pass."""
+        return _bn256.multi_mul(self.groups[side], terms)
+
     def identity(self, side: str) -> G0Element:
         """The identity element of one side."""
-        return G0Element(self, side, self._identity(side))
+        return G0Element(self, side, self.groups[side].identity)
 
     @functools.cached_property
     def left_identity_encoding(self) -> bytes:
@@ -397,7 +398,7 @@ class GroupSuite:
         side = self._same_side(x, y)
         self._tick("multiplications")
         if x.factors is None and y.factors is None:
-            return G0Element(self, side, self._add(side, x.point, y.point))
+            return G0Element(self, side, self.groups[side].add(x.point, y.point))
         x.joins += 1
         y.joins += 1
         return G0Element(self, side, factors=(x, y))
@@ -410,7 +411,8 @@ class GroupSuite:
         return G0Element(self, x.side, factors=(term,))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
-        return self._eq(self._same_side(x, y), x.point, y.point)
+        normal = self.groups[self._same_side(x, y)].normal
+        return normal(x.point) == normal(y.point)
 
     def _flatten(self, x: G0Element):
         """The (point, scalar, table) terms and the finished points that x
@@ -438,7 +440,7 @@ class GroupSuite:
         straus = [(pt, k) for pt, k, table in terms if table is None]
         if straus:
             values.append(self._multi_exp(side, straus))
-        return functools.reduce(functools.partial(self._add, side), values + points)
+        return functools.reduce(self.groups[side].add, values + points)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -476,7 +478,7 @@ class GroupSuite:
     def _miller(self, pairs):
         """The Miller value of (left, right, inverse) pairs, in one loop."""
         return self._pair_product([
-            (self._lines(right), self._neg(LEFT, left.point) if inverse else left.point)
+            (self._lines(right), self.groups[LEFT].neg(left.point) if inverse else left.point)
             for left, right, inverse in pairs
         ])
 
@@ -498,17 +500,18 @@ class GroupSuite:
 
     @property
     def gt_identity(self) -> G1Element:
-        return G1Element(self, self._identity(TARGET))
+        return G1Element(self, self.groups[TARGET].identity)
 
     def gt_mul(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
         a, b, owed = self._alike(a, b)
-        return G1Element(self, self._add(TARGET, a, b), owed)
+        return G1Element(self, self.groups[TARGET].add(a, b), owed)
 
     def gt_div(self, a: G1Element, b: G1Element) -> G1Element:
         self._tick("multiplications")
         a, b, owed = self._alike(a, b)
-        return G1Element(self, self._add(TARGET, a, self._neg(TARGET, b)), owed)
+        target = self.groups[TARGET]
+        return G1Element(self, target.add(a, target.neg(b)), owed)
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
@@ -566,18 +569,18 @@ class GroupSuite:
     def encode_g0(self, x: G0Element) -> bytes:
         """The point alone; the side is not encoded, decoders supply it."""
         self._check(x)
-        return self._encode(x.side, x.point)
+        return self.groups[x.side].encode(x.point)
 
     def decode_g0(self, raw: bytes, side: str) -> G0Element:
         if side not in (LEFT, RIGHT):
             raise AlgebraError("unknown pairing side %r" % (side,))
-        return G0Element(self, side, self._decode(side, raw))
+        return G0Element(self, side, self.groups[side].decode(raw))
 
     def encode_gt(self, a: G1Element) -> bytes:
-        return self._encode_gt(self._finished(a))
+        return self.groups[TARGET].encode(self._finished(a))
 
     def decode_gt(self, raw: bytes) -> G1Element:
-        return G1Element(self, self._decode_gt(raw))
+        return G1Element(self, self.groups[TARGET].decode(raw))
 
     # ------------------------------------------------------------------
     # oracle hooks (mock suite only)
@@ -614,7 +617,10 @@ class MockSuite(GroupSuite):
 
     A source element is a side tag plus its exponent.  Both generators
     have exponent 1 and hashed elements are left, as on the curve, so
-    the side rules fail here exactly where they would fail there.
+    the side rules fail here exactly where they would fail there.  All
+    three groups are one record of Z_q under addition, so powers take
+    the same Straus pass and table walk as on the curve; a table row is
+    a tuple of multiples, and every value is encoded like a scalar.
     """
 
     def __init__(self, order: int = 101):
@@ -625,6 +631,18 @@ class MockSuite(GroupSuite):
             raise AlgebraError("mock order must be an odd prime")
         self.order = order
         self.name = "mock-%d" % order
+
+        def entry(r, row, d):
+            a = row[abs(d) >> 1]
+            return (r + a if d > 0 else r - a) % order
+
+        # no generator: _bn256 would cache its table, and this suite, for good
+        z = _bn256.Group(
+            lambda a, b: (a + b) % order, lambda a: 2 * a % order, lambda a: -a % order, 0,
+            order, normal=lambda a: a, window=4, row=tuple, add_entry=entry,
+            encode=self.encode_scalar, decode=self.decode_scalar,
+        )
+        self.groups = {LEFT: z, RIGHT: z, TARGET: z}
 
     @property
     def generator(self) -> G0Element:
@@ -640,21 +658,6 @@ class MockSuite(GroupSuite):
             h = 1
         return G0Element(self, LEFT, h)
 
-    def _multi_exp(self, side, terms):
-        return sum(a * k for a, k in terms) % self.order
-
-    def _add(self, side, a, b):
-        return (a + b) % self.order
-
-    def _neg(self, side, a):
-        return (-a) % self.order
-
-    def _identity(self, side):
-        return 0
-
-    def _eq(self, side, a, b):
-        return a == b
-
     def _prepare(self, right):
         return right
 
@@ -664,26 +667,6 @@ class MockSuite(GroupSuite):
     def _final_exp(self, a):
         return a
 
-    def _fixed_table(self, side, a):
-        return a
-
-    def _fixed_power(self, side, table, k):
-        return (table * k) % self.order
-
-    # every mock element is an exponent, encoded like a scalar
-
-    def _encode(self, side, a):
-        return self.encode_scalar(a)
-
-    def _decode(self, side, raw):
-        return self.decode_scalar(raw)
-
-    def _encode_gt(self, a):
-        return self.encode_scalar(a)
-
-    def _decode_gt(self, raw):
-        return self.decode_scalar(raw)
-
     def dlog_g0(self, x: G0Element) -> int:
         return x.point
 
@@ -692,8 +675,88 @@ class MockSuite(GroupSuite):
 
 
 _FP_BYTES = 32
+_LEFT_BYTES = 1 + _FP_BYTES
+_RIGHT_BYTES = 1 + 4 * _FP_BYTES
 
-_GROUPS = {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC}
+
+def _encode_left(a):
+    x, y, z = _bn256.g1_affine(a)
+    if z == 0:
+        return b"\x00" * _LEFT_BYTES
+    return bytes([0x02 | (y & 1)]) + x.to_bytes(_FP_BYTES, "big")
+
+
+def _decode_left(raw):
+    if len(raw) != _LEFT_BYTES:
+        raise AlgebraError("bad point encoding length")
+    tag = raw[0]
+    if tag == 0:
+        if any(raw[1:]):
+            raise AlgebraError("bad infinity encoding")
+        return _bn256.G1_INFINITY
+    if tag not in (0x02, 0x03):
+        raise AlgebraError("bad point tag")
+    x = int.from_bytes(raw[1:], "big")
+    if x >= _bn256.p:
+        raise AlgebraError("point coordinate out of range")
+    rhs = (x * x * x + 3) % _bn256.p
+    if _bn256.legendre(rhs) != 1 and rhs != 0:
+        raise AlgebraError("encoding is not on the curve")
+    y = _bn256.sqrt_mod_p(rhs)
+    if (y & 1) != (tag & 1):
+        y = _bn256.p - y
+    return (x, y, 1)
+
+
+def _encode_right(a):
+    x, y, z = _bn256.g2_affine(a)
+    if z == _bn256.FP2_ZERO:
+        return b"\x00" * _RIGHT_BYTES
+    return b"\x01" + b"".join(c.to_bytes(_FP_BYTES, "big") for c in x + y)
+
+
+def _decode_right(raw):
+    if len(raw) != _RIGHT_BYTES:
+        raise AlgebraError("bad twist encoding length")
+    if raw[0] == 0:
+        if any(raw[1:]):
+            raise AlgebraError("bad infinity encoding")
+        return _bn256.G2_INFINITY
+    if raw[0] != 1:
+        raise AlgebraError("bad twist tag")
+    vals = [int.from_bytes(raw[i:i + _FP_BYTES], "big") for i in range(1, len(raw), _FP_BYTES)]
+    if any(v >= _bn256.p for v in vals):
+        raise AlgebraError("twist coordinate out of range")
+    pt = ((vals[0], vals[1]), (vals[2], vals[3]), _bn256.FP2_ONE)
+    if not _bn256.g2_on_curve(pt):
+        raise AlgebraError("encoding is not on the twist")
+    if _bn256.multi_mul(_bn256.TWIST, [(pt, _bn256.order)])[2] != _bn256.FP2_ZERO:
+        raise AlgebraError("twist point outside the prime-order subgroup")
+    return pt
+
+
+def _encode_gt(a):
+    return b"".join(c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a))
+
+
+def _decode_gt(raw):
+    if len(raw) != 12 * _FP_BYTES:
+        raise AlgebraError("bad target-group encoding length")
+    vals = [int.from_bytes(raw[i:i + _FP_BYTES], "big") for i in range(0, len(raw), _FP_BYTES)]
+    if any(v >= _bn256.p for v in vals):
+        raise AlgebraError("target-group coordinate out of range")
+    value = _bn256.gt_unmarshall(*vals)
+    if not _bn256.in_gt(value):
+        raise AlgebraError("target-group value outside the prime-order subgroup")
+    return value
+
+
+# built once per process, so that every suite shares the generators' tables
+_GROUPS = {
+    LEFT: _bn256.CURVE._replace(encode=_encode_left, decode=_decode_left),
+    RIGHT: _bn256.TWIST._replace(encode=_encode_right, decode=_decode_right),
+    TARGET: _bn256.CYCLOTOMIC._replace(encode=_encode_gt, decode=_decode_gt),
+}
 
 
 class Bn256Suite(GroupSuite):
@@ -703,8 +766,11 @@ class Bn256Suite(GroupSuite):
     triples of Fp2 pairs and target-group values nested Fp12 tuples (an
     owed value is a Miller-loop output).  A right point's prepared lines
     are one flat tuple of 510 ints, about 35 KB.  :mod:`etenon._bn256`
-    holds the arithmetic.
+    holds the arithmetic; the suite adds the codecs to its three
+    ``Group`` records.
     """
+
+    groups = _GROUPS
 
     def __init__(self):
         super().__init__()
@@ -722,22 +788,6 @@ class Bn256Suite(GroupSuite):
     def _hash_to_group(self, label: bytes) -> G0Element:
         return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
 
-    def _multi_exp(self, side, terms):
-        return _bn256.multi_mul(_GROUPS[side], terms)
-
-    def _add(self, side, a, b):
-        return _GROUPS[side].add(a, b)
-
-    def _neg(self, side, a):
-        return _GROUPS[side].neg(a)
-
-    def _identity(self, side):
-        return _GROUPS[side].identity
-
-    def _eq(self, side, a, b):
-        normal = _GROUPS[side].normal
-        return normal(a) == normal(b)
-
     def _prepare(self, right):
         return _bn256.prepare(right)
 
@@ -747,99 +797,6 @@ class Bn256Suite(GroupSuite):
 
     def _final_exp(self, a):
         return _bn256.final_exp(a)
-
-    def _fixed_table(self, side, a):
-        return _bn256.table(_GROUPS[side], a)
-
-    def _fixed_power(self, side, table, k):
-        return _bn256.fixed_mul(_GROUPS[side], table, k)
-
-    _LEFT_BYTES = 1 + _FP_BYTES
-    _RIGHT_BYTES = 1 + 4 * _FP_BYTES
-
-    def _encode(self, side, a):
-        if side == LEFT:
-            return self._encode_left(a)
-        return self._encode_right(a)
-
-    def _decode(self, side, raw):
-        if side == LEFT:
-            return self._decode_left(raw)
-        return self._decode_right(raw)
-
-    def _encode_left(self, a):
-        x, y, z = _bn256.g1_affine(a)
-        if z == 0:
-            return b"\x00" * self._LEFT_BYTES
-        return bytes([0x02 | (y & 1)]) + x.to_bytes(_FP_BYTES, "big")
-
-    def _decode_left(self, raw):
-        if len(raw) != self._LEFT_BYTES:
-            raise AlgebraError("bad point encoding length")
-        tag = raw[0]
-        if tag == 0:
-            if any(raw[1:]):
-                raise AlgebraError("bad infinity encoding")
-            return _bn256.G1_INFINITY
-        if tag not in (0x02, 0x03):
-            raise AlgebraError("bad point tag")
-        x = int.from_bytes(raw[1:], "big")
-        if x >= _bn256.p:
-            raise AlgebraError("point coordinate out of range")
-        rhs = (x * x * x + 3) % _bn256.p
-        if _bn256.legendre(rhs) != 1 and rhs != 0:
-            raise AlgebraError("encoding is not on the curve")
-        y = _bn256.sqrt_mod_p(rhs)
-        if (y & 1) != (tag & 1):
-            y = _bn256.p - y
-        return (x, y, 1)
-
-    def _encode_right(self, a):
-        x, y, z = _bn256.g2_affine(a)
-        if z == _bn256.FP2_ZERO:
-            return b"\x00" * self._RIGHT_BYTES
-        return b"\x01" + b"".join(c.to_bytes(_FP_BYTES, "big") for c in x + y)
-
-    def _decode_right(self, raw):
-        if len(raw) != self._RIGHT_BYTES:
-            raise AlgebraError("bad twist encoding length")
-        if raw[0] == 0:
-            if any(raw[1:]):
-                raise AlgebraError("bad infinity encoding")
-            return _bn256.G2_INFINITY
-        if raw[0] != 1:
-            raise AlgebraError("bad twist tag")
-        vals = [
-            int.from_bytes(raw[1 + i * _FP_BYTES: 1 + (i + 1) * _FP_BYTES], "big")
-            for i in range(4)
-        ]
-        if any(v >= _bn256.p for v in vals):
-            raise AlgebraError("twist coordinate out of range")
-        pt = ((vals[0], vals[1]), (vals[2], vals[3]), _bn256.FP2_ONE)
-        if not _bn256.g2_on_curve(pt):
-            raise AlgebraError("encoding is not on the twist")
-        if _bn256.multi_mul(_bn256.TWIST, [(pt, self.order)])[2] != _bn256.FP2_ZERO:
-            raise AlgebraError("twist point outside the prime-order subgroup")
-        return pt
-
-    def _encode_gt(self, a):
-        return b"".join(
-            c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a)
-        )
-
-    def _decode_gt(self, raw):
-        if len(raw) != 12 * _FP_BYTES:
-            raise AlgebraError("bad target-group encoding length")
-        vals = [
-            int.from_bytes(raw[i * _FP_BYTES: (i + 1) * _FP_BYTES], "big")
-            for i in range(12)
-        ]
-        if any(v >= _bn256.p for v in vals):
-            raise AlgebraError("target-group coordinate out of range")
-        value = _bn256.gt_unmarshall(*vals)
-        if not _bn256.in_gt(value):
-            raise AlgebraError("target-group value outside the prime-order subgroup")
-        return value
 
 
 def get_suite(name: str) -> GroupSuite:

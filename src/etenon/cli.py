@@ -323,6 +323,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     """Median time, and the spread between its quartiles, of each group
     operation the protocols are built from.
 
+    ``fp_mul``, 1000 products of two fixed 254-bit values mod p, runs no
+    group code: it is the host-speed reference for the other rows.
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     The ``_fixed`` rows raise fixed bases whose tables were built before
     the timing, and give each table's build time and retained size."""
@@ -346,7 +348,9 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "g2_fixed": _table_cost(suite, RIGHT, fixed[RIGHT].point),
         "gt_fixed": _table_cost(suite, TARGET, fixed[TARGET].value),
     }
+    a, b, p = _bn256.p - 3, _bn256.p - 5, _bn256.p
     cases = [
+        ("fp_mul", lambda: [a * b % p for _ in range(1000)]),
         # a bn256 power is pending until read; reading its point finishes it
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),

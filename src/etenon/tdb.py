@@ -280,10 +280,12 @@ class TenonDb:
         order is reshuffled after every accepted batch.
         """
         # The gate reads the given entry in full, so a malformed ciphertext
-        # raises here; the stored entry is decoded from its signed bytes.
-        if secret is not None and secret.ciphertext.suite_name != self.suite.name:
-            reason = "secret entry %r: ciphertext suite mismatch" % (secret.entry_id,)
-            return IngestResult(accepted=False, reason=reason)
+        # is refused here; the stored entry is decoded from its signed bytes.
+        try:
+            if secret is not None and secret.ciphertext.suite_name != self.suite.name:
+                raise TdbError("secret entry %r: ciphertext suite mismatch" % (secret.entry_id,))
+        except TdbError as exc:
+            return IngestResult(accepted=False, reason=str(exc))
         with self._writing(), self._lock:
             try:
                 with decoding(TdbError, "batch"):

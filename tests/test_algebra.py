@@ -63,6 +63,25 @@ def test_mock_group_is_exponent_arithmetic(mock):
     assert (g ** 3) != (g ** 4)
 
 
+@pytest.mark.parametrize("name", ["mock-101", "mock-103"])
+def test_mock_runs_the_shared_power_code_on_every_scalar(name):
+    """A mock group is Z_q under addition, raised by bn256's Straus pass
+    and table walk, so every scalar is checked against k*x mod q."""
+    suite = get_suite(name)
+    q, z = suite.order, suite.groups[LEFT]
+    assert suite.groups[RIGHT] is suite.groups[TARGET] is z
+    x, y, w = 7, q - 2, q // 3
+    marked = suite.fixed_base(G0Element(suite, LEFT, x))
+    for k in range(q):
+        want = k * x % q
+        assert _bn256.multi_mul(z, [(x, k)]) == want, k
+        terms = [(x, k), (y, k * k % q), (w, q - 1 - k)]
+        assert _bn256.multi_mul(z, terms) == sum(a * j for a, j in terms) % q, k
+        assert (marked ** k).point == want, k
+    assert len(marked.table[0]) == -(-(q + 1).bit_length() // z.window)
+    assert _bn256.table(z, 0) is None
+
+
 def test_mock_hash_points_are_one_sided(mock):
     h = mock.hash_to_group(b"attr")
     assert h.side == LEFT
@@ -512,8 +531,8 @@ def test_bn256_generator_tables_are_shared(bn256):
     g, g2 = bn256.generator, bn256.right_generator
     for x in (g, g2, again.g, pp.g_delta, again.g_delta):
         x ** 3
-    assert g.table is again.g.table is _bn256.table(_bn256.CURVE, _bn256.curve_G)
-    assert g2.table is _bn256.table(_bn256.TWIST, _bn256.twist_G)
+    assert g.table is again.g.table is _bn256.table(bn256.groups[LEFT], _bn256.curve_G)
+    assert g2.table is _bn256.table(bn256.groups[RIGHT], _bn256.twist_G)
     assert again.g_delta.table is not pp.g_delta.table
     assert again.g_delta.table == pp.g_delta.table
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from etenon import cli, mlabe, tdb, tenon, workflow
+from etenon.codec import b64
 
 
 SCENARIO = {
@@ -207,6 +208,11 @@ def _policy_levels_list(batch):
     return json.dumps(batch)
 
 
+def _leaf_out_of_range(batch):
+    batch["secret"]["ciphertext"]["leaves"][0]["c"] = b64(b"\xff")  # above the mock order
+    return json.dumps(batch)
+
+
 def _deeply_nested(batch):
     return "[" * 100_000 + "]" * 100_000
 
@@ -236,7 +242,6 @@ def _assert_cli_json_error(error, *argv):
         (_break_roster_key, "TdbError"),
         (_not_an_object, "InputError"),
         (_not_json, "InputError"),
-        (_policy_levels_list, "TdbError"),
         (_deeply_nested, "InputError"),
     ],
 )
@@ -247,6 +252,23 @@ def test_ingest_malformed_batch_is_json_error(tmp_path, breakage, error):
         error, "ingest", "--pp", str(tmp_path / "pp.json"),
         "--db", str(tmp_path / "db"), "--batch", str(batch_path),
     )
+
+
+@pytest.mark.parametrize("breakage", [_policy_levels_list, _leaf_out_of_range])
+def test_ingest_of_an_entry_that_does_not_decode_is_refused(tmp_path, capsys, breakage):
+    """The gate refuses such a batch as it refuses any other: a result
+    with its reason, not an error."""
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(breakage(_agreed_batch(tmp_path)))
+    code, out, err = run(
+        capsys, "ingest", "--pp", str(tmp_path / "pp.json"), "--db", str(tmp_path / "db"),
+        "--batch", str(batch_path),
+    )
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["accepted"] is False
+    assert doc["reason"].startswith("malformed ciphertext of secret entry")
+    assert (doc["rows"], doc["secrets"]) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -339,7 +361,7 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
-        "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
+        "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
         "hash_to_g1", "right_decode", "gt_decode",
     }
     # only the fixed rows give a table's build time and retained size;
