@@ -295,7 +295,7 @@ def bench_batch(suite, trials: int, rng) -> dict:
             times.append(time.perf_counter() - t0)
         if not ok:
             raise BenchError("batch verification failed at m=%d" % m)
-    _expect("batch verification exponentiations", span.exponentiations, 1 + m + n)
+    _expect("batch verification exponentiations", span.exponentiations, m + n)
     return {
         "batch_m": m,
         "n": n,
@@ -324,7 +324,10 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     operation the protocols are built from.
 
     ``fp_mul``, 1000 products of two fixed 254-bit values mod p, runs no
-    group code: it is the host-speed reference for the other rows.
+    group code: it is the host-speed reference.  One sample of it is
+    timed right before each trial of every row, and a row's ``ref_ms``
+    is the median of its samples, so a row's ratio to it tracks the
+    host's speed during that row.
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     The ``_fixed`` rows raise fixed bases whose tables were built before
     the timing, and give each table's build time and retained size."""
@@ -349,8 +352,12 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "gt_fixed": _table_cost(suite, TARGET, fixed[TARGET].value),
     }
     a, b, p = _bn256.p - 3, _bn256.p - 5, _bn256.p
+
+    def fp_mul():
+        return [a * b % p for _ in range(1000)]
+
     cases = [
-        ("fp_mul", lambda: [a * b % p for _ in range(1000)]),
+        ("fp_mul", fp_mul),
         # a bn256 power is pending until read; reading its point finishes it
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),
@@ -380,13 +387,16 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ]
     rows = []
     for layer, op in cases:
-        times = []
+        times, refs = [], []
         for _ in range(trials):
             t0 = time.perf_counter()
+            fp_mul()
+            t1 = time.perf_counter()
             op()
-            times.append(time.perf_counter() - t0)
+            refs.append(t1 - t0)
+            times.append(time.perf_counter() - t1)
         rows.append({"layer": layer, "layer_ms": _ms(times), "layer_iqr_ms": _iqr_ms(times),
-                     **costs.get(layer, {})})
+                     "ref_ms": _ms(refs), **costs.get(layer, {})})
     return rows
 
 
@@ -456,13 +466,13 @@ def cmd_bench(args) -> int:
         layer_rows,
         [
             ("layer", "%s"), ("layer_ms", "%.3f"), ("layer_iqr_ms", "%.3f"),
-            ("table_ms", "%.1f"), ("table_kb", "%.1f"),
+            ("ref_ms", "%.3f"), ("table_ms", "%.1f"), ("table_kb", "%.1f"),
         ],
     )
     print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
-        " verify = n+1 exp, batch of m by one roster = 1+m+n exp"
+        " verify = n+1 exp, batch of m by one roster = m+n exp"
     )
 
     if args.csv:
@@ -470,7 +480,7 @@ def cmd_bench(args) -> int:
             "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
             "dec_pair", "dec_ms", "dec_cold_ms", "verify_exp", "verify_hashes", "sign_ms",
             "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
-            "layer_iqr_ms", "table_ms", "table_kb",
+            "layer_iqr_ms", "ref_ms", "table_ms", "table_kb",
         ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)

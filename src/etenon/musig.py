@@ -10,8 +10,9 @@ pins the exact signer set in order.
 
 The aggregate is one group element and one scalar regardless of the
 roster size, verified by checking g^s against RC multiplied by every
-VK raised to its own challenge.  Many signatures are verified together
-by :func:`verify_batch`, one randomly weighted product of those checks.
+VK raised to its own challenge.  That equation is written once, in
+:func:`verify_batch`, one randomly weighted product of many such checks
+whose first weight is 1; :func:`verify` is the batch of one signature.
 Signatures never enter a pairing, so keys and nonces are all left
 elements, the cheaper base-curve group.
 """
@@ -246,34 +247,29 @@ def roster_problem(suite: GroupSuite, keys) -> str | None:
 
 
 def verify(suite: GroupSuite, sig: MultiSig, roster, msg: bytes) -> bool:
-    """Check g^s against RC times every key raised to its own challenge;
-    a roster :func:`roster_problem` refuses never verifies.  The keys and
-    RC are encoded once, for the roster check and every challenge."""
-    keys = [vk.encode() for vk in roster]
-    if roster_problem(suite, keys) is not None:
-        return False
-    roster_raw, rc_raw = roster_encoding(keys), sig.rc.encode()
-    rhs = sig.rc
-    for vk, vk_raw in zip(roster, keys):
-        rhs = rhs * (vk ** challenge(suite, roster_raw, vk_raw, rc_raw, msg))
-    return (suite.generator ** sig.s) == rhs
+    """The :func:`verify_batch` of one signature by n signers: n + 1
+    exponentiations, and a roster :func:`roster_problem` refuses never
+    verifies."""
+    return verify_batch(suite, [(sig, roster, msg)])
 
 
 def verify_batch(suite: GroupSuite, items) -> bool:
     """Check ``(sig, roster, msg)`` triples together by small-exponent
     batch verification (Bellare, Garay and Rabin, EUROCRYPT 1998).
 
-    Item i gets a weight z_i uniform in [1, min(order, 2**128)), and one
-    multi-exponentiation of 1 + m + d terms, for m items over d distinct
-    keys (merged by encoding), checks g^(sum z_i*s_i) against the product
-    of every RC_i^z_i and every vk^(sum z_i*c_i,vk).  A batch of valid
-    signatures always passes.  The group order is prime and a weight is
-    never a multiple of it, so a batch with exactly one bad signature
-    always fails; a batch with two or more passes with probability at
-    most 1/(min(order, 2**128) - 1).  That bound holds only while the
-    weights are unknown to whoever made the signatures, so they come
-    from the operating system and never from a caller's seeded rng.
-    Each distinct roster is encoded and checked once; a roster that
+    The first item's weight is 1 and every later item i gets a weight z_i
+    uniform in [1, min(order, 2**128)).  A batch of m items over d
+    distinct keys (merged by encoding) costs m + d exponentiations: it
+    checks g^(sum z_i*s_i), from g's table, against one pass over the
+    first RC unraised, every later RC_i^z_i and every vk^(sum z_i*c_i,vk).
+    A batch of valid signatures always passes.  If the first signature
+    is the only bad one, nothing weights its error away, so the batch
+    fails.  The group order is prime, so a bad set with a member i > 1
+    passes only for one value of z_i, with probability at most
+    1/(min(order, 2**128) - 1).  That bound holds only while the weights
+    are unknown to whoever made the signatures, so they come from the
+    operating system and never from a caller's seeded rng.  Each
+    distinct roster is encoded and checked once; a roster that
     :func:`roster_problem` refuses fails the batch.
     """
     draw = random.SystemRandom()
@@ -288,14 +284,13 @@ def verify_batch(suite: GroupSuite, items) -> bool:
                 return False
             rosters[id(roster)] = keys, roster_encoding(keys)
         keys, roster_raw = rosters[id(roster)]
-        z = draw.randrange(1, bound)
+        z = 1 if rhs is None else draw.randrange(1, bound)
+        rhs = sig.rc if rhs is None else rhs * sig.rc ** z
         s_sum += z * sig.s
         rc_raw = sig.rc.encode()
         for vk, vk_raw in zip(roster, keys):
             c = challenge(suite, roster_raw, vk_raw, rc_raw, msg)
             powers.setdefault(vk_raw, [vk, 0])[1] += z * c
-        term = sig.rc ** z
-        rhs = term if rhs is None else rhs * term
     if rhs is None:
         return True
     for vk, e in powers.values():

@@ -223,16 +223,13 @@ class _Parser:
                 raise PolicyError("expected 'level' or 'tree', found %r" % value, line, col)
         if children is None:
             raise PolicyError("policy has no tree block")
-        if not levels:
-            raise PolicyError("policy declares no levels")
         tree = AccessTree(children=children, levels=levels)
         validate_tree(tree)
         return tree
 
     def parse_level_line(self):
         _, _, line, col = self.next()
-        _, value, nl, nc = self.next("int")
-        level = int(value)
+        level = int(self.next("int")[1])
         self.next("name", "requires")
         self.next("sym", "[")
         wanted = [int(self.next("int")[1])]
@@ -259,29 +256,16 @@ class _Parser:
         if value == "attr":
             self.next()
             self.next("sym", ":")
-            _, name, nl, nc = self.next("name")
-            if name in _RESERVED:
-                raise PolicyError("attribute name %r is reserved" % name, nl, nc)
-            return Leaf(attribute=name)
+            return Leaf(attribute=self.next("name")[1])
         if value == "threshold":
             self.next()
             self.next("sym", "(")
-            _, t_text, tl, tc = self.next("int")
-            threshold = int(t_text)
+            threshold = int(self.next("int")[1])
             children = []
             while self.peek() is not None and self.peek()[1] == ",":
                 self.next()
                 children.append(self.parse_term())
             self.next("sym", ")")
-            if not children:
-                raise PolicyError("gate has no children", tl, tc)
-            if not 1 <= threshold <= len(children):
-                raise PolicyError(
-                    "threshold %d out of range for %d children"
-                    % (threshold, len(children)),
-                    tl,
-                    tc,
-                )
             return Gate(threshold=threshold, children=tuple(children))
         raise PolicyError("expected 'attr' or 'threshold', found %r" % value, line, col)
 

@@ -11,8 +11,8 @@ decoder and the checks that replay runs, so a live store holds exactly
 what a reopen of its log holds.
 
 The gate and log replay check all the signatures of a batch at once,
-by :func:`musig.verify_batch`: one multi-exponentiation with a random
-weight per signature.  A batch with one bad signature always fails it;
+by :func:`musig.verify_batch`: one multi-exponentiation with a weight
+per signature, 1 for the first and random for the others.  A batch with one bad signature always fails it;
 a batch with two or more passes with probability at most
 1/(min(order, 2**128) - 1).  The weights are drawn from the operating
 system, never from a caller's rng, since whoever knows them can make

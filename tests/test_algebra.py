@@ -903,10 +903,12 @@ def test_mock_verification_is_one_pass(mock, mock_terms):
 
 
 def test_batch_verification_is_one_pass(bn256, bn256_terms, mock, mock_terms):
-    """A batch of m signatures over d distinct keys is 1 + m + d terms on
-    both suites, g's power and one pass of the other m + d, and makes the
-    m * n challenge hashes of its n-signer rosters.  Here m = 4 over two
-    rosters that share a key, so d = 3."""
+    """A batch of m signatures over d distinct keys is m + d terms on both
+    suites, g's power and one pass of the other m - 1 + d, as the first
+    RC joins the product unraised, and makes the m * n challenge hashes
+    of its n-signer rosters.  Here m = 4 over two rosters that share a
+    key, so d = 3; and a batch of one by n = 2 keys is the n + 1 terms of
+    a single verification."""
     for suite, passes in ((bn256, bn256_terms), (mock, mock_terms)):
         rng = random.Random(7)
         k1, k2, k3 = (suite.rand_scalar_nonzero(rng) for _ in range(3))
@@ -915,12 +917,13 @@ def test_batch_verification_is_one_pass(bn256, bn256_terms, mock, mock_terms):
             msg = b"item %d" % i
             sig, roster = musig.cosign(suite, keys, msg, rng)
             items.append((sig, rosters.setdefault(keys, roster), msg))
-        passes.clear()
-        with suite.measure() as span:
-            assert musig.verify_batch(suite, items)
-        assert passes == [1, 4 + 3], suite.name
-        assert span.exponentiations == 1 + 4 + 3
-        assert span.hash_calls == 4 * 2
+        for batch, terms, hashes in ((items, [1, 3 + 3], 4 * 2), (items[:1], [1, 2], 2)):
+            passes.clear()
+            with suite.measure() as span:
+                assert musig.verify_batch(suite, batch)
+            assert passes == terms, suite.name
+            assert span.exponentiations == sum(terms)
+            assert span.hash_calls == hashes
 
 
 def test_suites_supply_only_arithmetic():

@@ -365,10 +365,12 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         "hash_to_g1", "right_decode", "gt_decode",
     }
     # only the fixed rows give a table's build time and retained size;
-    # every row gives the spread of its timings, none for a single trial
+    # every row gives the spread of its timings, none for a single trial,
+    # and its own host-speed reference
     for name, r in layers.items():
         assert (r["table_ms"] != "" and r["table_kb"] != "") == name.endswith("_fixed"), name
         assert float(r["layer_iqr_ms"]) == 0, name
+        assert float(r["ref_ms"]) > 0, name
     abe = [r for r in rows if r["kind"] == "abe"]
     assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
 
@@ -386,18 +388,18 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
 
 
 def test_bench_batch_row(tmp_path, capsys):
-    """The batch row checks m = 5 signatures by one roster of n = 2 in one
-    pass of 1 + m + n exponentiations."""
+    """The batch row checks m = 5 signatures by one roster of n = 2 in
+    m + n exponentiations: g's power and one pass of the other m - 1 + n."""
     csv_path = tmp_path / "grid.csv"
     code, out, _ = run(
         capsys, "bench", "--suite", "mock", "--levels", "1", "--leaves", "2",
         "--signers", "2", "--trials", "2", "--seed", "5", "--csv", str(csv_path),
     )
     assert code == 0
-    assert "batch of m by one roster = 1+m+n exp" in out
+    assert "batch of m by one roster = m+n exp" in out
     with open(csv_path, newline="") as fh:
         (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "batch"]
-    assert (row["batch_m"], row["n"], row["batch_exp"]) == ("5", "2", "8")
+    assert (row["batch_m"], row["n"], row["batch_exp"]) == ("5", "2", "7")
     assert float(row["batch_ms"]) > 0
 
 
