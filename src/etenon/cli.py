@@ -6,8 +6,9 @@ the verification gate, ``retrieve`` runs the full fetch-verify-decrypt
 path, ``shuffle`` permutes the open table, ``run-scenario`` drives a
 whole configured multi-party run, and ``bench`` times the primitives on
 a (levels, leaves, signers) grid while checking the operation counts
-against the scheme's cost model, then times one batch verification and
-the group operations underneath them one by one.
+against the scheme's cost model, then times the group operations
+underneath them one by one.  Its signature rows are checks of m
+signatures by n signers, m + n exponentiations each.
 
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
@@ -246,61 +247,43 @@ def _distinct_keys(suite, n: int, rng) -> list[int]:
     return keys
 
 
-def bench_musig(suite, n: int, trials: int, rng) -> dict:
-    """Co-signing and verification for an n-party roster."""
-    msg = b"benchmark message"
+BATCH_ITEMS = 5  # signatures in the row that checks more than one
+BATCH_SIGNERS = 2  # one roster of two, as an agreement signs
+
+
+def bench_musig(suite, n: int, m: int, trials: int, rng) -> dict:
+    """Co-signing of m messages by one n-party roster, and one check of
+    all m signatures: m + n exponentiations, g's power and one pass of
+    the other m - 1 + n, which is n + 1 for a single signature."""
+    msgs = [b"benchmark message %d" % i for i in range(m)]
     sign_times, verify_times = [], []
     span = None
     for _ in range(trials):
         keys = _distinct_keys(suite, n, rng)
-        t0 = time.perf_counter()
-        sig, roster = musig.cosign(suite, keys, msg, rng)
-        sign_times.append(time.perf_counter() - t0)
-        if not (isinstance(sig.rc, G0Element) and isinstance(sig.s, int)):
-            raise BenchError("signature is not one group element plus one scalar")
+        sigs = []
+        for msg in msgs:
+            t0 = time.perf_counter()
+            sig, roster = musig.cosign(suite, keys, msg, rng)
+            sign_times.append(time.perf_counter() - t0)
+            if not (isinstance(sig.rc, G0Element) and isinstance(sig.s, int)):
+                raise BenchError("signature is not one group element plus one scalar")
+            sigs.append(sig)
+        # one roster object for the check, as the store holds one per ref
+        items = [(sig, roster, msg) for sig, msg in zip(sigs, msgs)]
         with suite.measure() as span:
             t0 = time.perf_counter()
-            ok = musig.verify(suite, sig, roster, msg)
+            ok = musig.verify_batch(suite, items)
             verify_times.append(time.perf_counter() - t0)
         if not ok:
-            raise BenchError("verification failed at n=%d" % n)
-    _expect("verification exponentiations", span.exponentiations, n + 1)
+            raise BenchError("verification failed at n=%d m=%d" % (n, m))
+    _expect("verification exponentiations", span.exponentiations, m + n)
     return {
         "n": n,
+        "m": m,
         "verify_exp": span.exponentiations,
         "verify_hashes": span.hash_calls,
         "sign_ms": _ms(sign_times),
         "verify_ms": _ms(verify_times),
-    }
-
-
-BATCH_ITEMS = 5  # signatures per batch-verification row
-BATCH_SIGNERS = 2  # one roster of two, as an agreement signs
-
-
-def bench_batch(suite, trials: int, rng) -> dict:
-    """One batch check of m signatures by one n-party roster."""
-    m, n = BATCH_ITEMS, BATCH_SIGNERS
-    times = []
-    span = None
-    for _ in range(trials):
-        keys = _distinct_keys(suite, n, rng)
-        msgs = [b"benchmark message %d" % i for i in range(m)]
-        signed = [musig.cosign(suite, keys, msg, rng) for msg in msgs]
-        # one roster object for the batch, as the store holds one per ref
-        items = [(sig, signed[0][1], msg) for (sig, _), msg in zip(signed, msgs)]
-        with suite.measure() as span:
-            t0 = time.perf_counter()
-            ok = musig.verify_batch(suite, items)
-            times.append(time.perf_counter() - t0)
-        if not ok:
-            raise BenchError("batch verification failed at m=%d" % m)
-    _expect("batch verification exponentiations", span.exponentiations, m + n)
-    return {
-        "batch_m": m,
-        "n": n,
-        "batch_exp": span.exponentiations,
-        "batch_ms": _ms(times),
     }
 
 
@@ -400,6 +383,39 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     return rows
 
 
+# each row kind's columns, in the order the tables print them; the CSV
+# holds every column of every kind after ``kind``
+COLUMNS = {
+    "abe": [
+        ("k", "%d"),
+        ("l", "%d"),
+        ("elements", "%d"),
+        ("enc_exp", "%d"),
+        ("enc_mul", "%d"),
+        ("enc_ms", "%.2f"),
+        ("dec_pair", "%d"),
+        ("dec_ms", "%.2f"),
+        ("dec_cold_ms", "%.2f"),
+    ],
+    "musig": [
+        ("n", "%d"),
+        ("m", "%d"),
+        ("verify_exp", "%d"),
+        ("verify_hashes", "%d"),
+        ("sign_ms", "%.2f"),
+        ("verify_ms", "%.2f"),
+    ],
+    "layer": [
+        ("layer", "%s"),
+        ("layer_ms", "%.3f"),
+        ("layer_iqr_ms", "%.3f"),
+        ("ref_ms", "%.3f"),
+        ("table_ms", "%.1f"),
+        ("table_kb", "%.1f"),
+    ],
+}
+
+
 def _print_table(rows, columns) -> None:
     rendered = [
         [fmt % r[name] if name in r else "" for name, fmt in columns] for r in rows
@@ -419,79 +435,36 @@ def cmd_bench(args) -> int:
     suite = get_suite(args.suite)
     rng = _rng(args)
 
-    abe_rows = []
-    for k in args.levels:
-        for l in args.leaves:
-            if l < k:
-                continue
-            abe_rows.append(bench_abe(suite, k, l, args.trials, rng))
-    sig_rows = [bench_musig(suite, n, args.trials, rng) for n in args.signers]
-    batch_row = bench_batch(suite, args.trials, rng)
-    layer_rows = bench_layers(suite, args.trials, rng)
+    checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, BATCH_ITEMS)]
+    rows = {
+        "abe": [
+            bench_abe(suite, k, l, args.trials, rng)
+            for k in args.levels
+            for l in args.leaves
+            if l >= k
+        ],
+        "musig": [bench_musig(suite, n, m, args.trials, rng) for n, m in checks],
+        "layer": bench_layers(suite, args.trials, rng),
+    }
 
     print("suite: %s, median of %d trials per cell" % (suite.name, args.trials))
     print()
-    _print_table(
-        abe_rows,
-        [
-            ("k", "%d"),
-            ("l", "%d"),
-            ("elements", "%d"),
-            ("enc_exp", "%d"),
-            ("enc_mul", "%d"),
-            ("enc_ms", "%.2f"),
-            ("dec_pair", "%d"),
-            ("dec_ms", "%.2f"),
-            ("dec_cold_ms", "%.2f"),
-        ],
-    )
-    print()
-    _print_table(
-        sig_rows,
-        [
-            ("n", "%d"),
-            ("verify_exp", "%d"),
-            ("verify_hashes", "%d"),
-            ("sign_ms", "%.2f"),
-            ("verify_ms", "%.2f"),
-        ],
-    )
-    print()
-    _print_table(
-        [batch_row],
-        [("batch_m", "%d"), ("n", "%d"), ("batch_exp", "%d"), ("batch_ms", "%.2f")],
-    )
-    print()
-    _print_table(
-        layer_rows,
-        [
-            ("layer", "%s"), ("layer_ms", "%.3f"), ("layer_iqr_ms", "%.3f"),
-            ("ref_ms", "%.3f"), ("table_ms", "%.1f"), ("table_kb", "%.1f"),
-        ],
-    )
-    print()
+    for kind, columns in COLUMNS.items():
+        _print_table(rows[kind], columns)
+        print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
-        " verify = n+1 exp, batch of m by one roster = m+n exp"
+        " a check of m signatures by n signers = m+n exp"
     )
 
     if args.csv:
-        fields = [
-            "kind", "k", "l", "n", "elements", "enc_exp", "enc_mul", "enc_ms",
-            "dec_pair", "dec_ms", "dec_cold_ms", "verify_exp", "verify_hashes", "sign_ms",
-            "verify_ms", "batch_m", "batch_exp", "batch_ms", "layer", "layer_ms",
-            "layer_iqr_ms", "ref_ms", "table_ms", "table_kb",
-        ]
+        fields = ["kind"] + [name for columns in COLUMNS.values() for name, _ in columns]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
-            for r in abe_rows:
-                writer.writerow({"kind": "abe", **r})
-            for r in sig_rows:
-                writer.writerow({"kind": "musig", **r})
-            writer.writerow({"kind": "batch", **batch_row})
-            for r in layer_rows:
-                writer.writerow({"kind": "layer", **r})
+            for kind, kind_rows in rows.items():
+                for r in kind_rows:
+                    writer.writerow({"kind": kind, **r})
         print("wrote %s" % args.csv)
     return 0
 

@@ -216,10 +216,10 @@ def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> Cipher
 def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
     """Yield (level, masked, e(g,g)^(gamma*s_l)) for each level the key opens.
 
-    Gates combine their first t satisfied children in index order with
-    Lagrange coefficients, which are folded into the left arguments of
-    the leaves' pairings; each root sub-tree is one Miller loop,
-    evaluated at most once and only when the key satisfies it, and a
+    Gates combine the first t children the key can open, in index order,
+    with Lagrange coefficients, which are folded into the left arguments
+    of the leaves' pairings; each root sub-tree is one Miller loop,
+    evaluated at most once and only when the key can open it, and a
     level stops at its first root sub-tree that cannot be opened.
     """
     suite = pp.suite
@@ -243,10 +243,9 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
         for j, child in enumerate(node.children, start=1):
             if len(chosen) == node.threshold:
                 break
-            if policy.satisfies(child, dk.attrs):
-                got = leaves(child, path + (j,))
-                if got is not None:
-                    chosen.append((j, got))
+            got = leaves(child, path + (j,))
+            if got is not None:
+                chosen.append((j, got))
         if len(chosen) < node.threshold:
             return None
         index_set = [j for j, _ in chosen]
@@ -277,8 +276,7 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
         parts = []
         for i in wanted:
             if i not in roots:
-                child = ct.tree.children[i - 1]
-                used = leaves(child, (i,)) if policy.satisfies(child, dk.attrs) else None
+                used = leaves(ct.tree.children[i - 1], (i,))
                 roots[i] = None if used is None else root_value(used)
             if roots[i] is None:
                 break

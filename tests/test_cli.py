@@ -354,11 +354,16 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert code == 0
     assert "counts hold" in out
     lines = csv_path.read_text().splitlines()
-    assert lines[0].startswith("kind,k,l,n,")
+    names = [name for columns in cli.COLUMNS.values() for name, _ in columns]
+    assert lines[0].split(",") == ["kind"] + names
     assert sum(1 for line in lines if line.startswith("abe,")) == 4
-    assert sum(1 for line in lines if line.startswith("musig,")) == 2
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # one check of a single signature per --signers value, then one of five
+    sigs = [r for r in rows if r["kind"] == "musig"]
+    assert [(r["n"], r["m"]) for r in sigs] == [("1", "1"), ("2", "1"), ("2", "5")]
+    for r in sigs[:2]:
+        assert int(r["verify_exp"]) == int(r["n"]) + 1
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
         "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
@@ -388,19 +393,20 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
 
 
 def test_bench_batch_row(tmp_path, capsys):
-    """The batch row checks m = 5 signatures by one roster of n = 2 in
-    m + n exponentiations: g's power and one pass of the other m - 1 + n."""
+    """The musig row with m = 5 checks five signatures by one roster of
+    n = 2 in m + n exponentiations: g's power and one pass of the other
+    m - 1 + n, with n hashes per signature."""
     csv_path = tmp_path / "grid.csv"
     code, out, _ = run(
         capsys, "bench", "--suite", "mock", "--levels", "1", "--leaves", "2",
         "--signers", "2", "--trials", "2", "--seed", "5", "--csv", str(csv_path),
     )
     assert code == 0
-    assert "batch of m by one roster = m+n exp" in out
+    assert "a check of m signatures by n signers = m+n exp" in out
     with open(csv_path, newline="") as fh:
-        (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "batch"]
-    assert (row["batch_m"], row["n"], row["batch_exp"]) == ("5", "2", "7")
-    assert float(row["batch_ms"]) > 0
+        (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "musig" and r["m"] == "5"]
+    assert (row["n"], row["m"], row["verify_exp"], row["verify_hashes"]) == ("2", "5", "7", "10")
+    assert float(row["verify_ms"]) > 0
 
 
 @pytest.mark.parametrize(

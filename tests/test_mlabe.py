@@ -1,5 +1,7 @@
 import random
 
+from dataclasses import replace
+
 import pytest
 
 from etenon import mlabe, policy
@@ -85,6 +87,12 @@ def test_roundtrip_two_levels(mock_setup):
 
     full = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
     assert mlabe.decrypt(pp, ct, full.decryption) == payloads
+
+    # a level whose seal fails authentication is omitted; the others open
+    c_2, sealed = ct.levels[2]
+    flipped = bytes([sealed[0] ^ 1]) + sealed[1:]
+    bad = replace(ct, levels={**ct.levels, 2: (c_2, flipped)})
+    assert mlabe.decrypt(pp, bad, full.decryption) == {1: payloads[1]}
 
     partial = mlabe.keygen(pp, msk, ["basic"], rng)
     assert mlabe.decrypt(pp, ct, partial.decryption) == {1: payloads[1]}

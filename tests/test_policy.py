@@ -109,6 +109,14 @@ def test_parse_rejects_bad_inputs():
     for text, label in cases:
         with pytest.raises(PolicyError):
             parse_policy(text)
+    # only validate_tree makes these checks
+    for text, reason in [
+        ("tree: attr:a", "declares no levels"),
+        ("level 1 requires [1, 1]\ntree: attr:a", "repeats a sub-tree index"),
+        ("level 1 requires [1]\ntree: threshold(1)", "gate has no children"),
+    ]:
+        with pytest.raises(PolicyError, match=reason):
+            parse_policy(text)
 
 
 def test_parse_errors_carry_position():

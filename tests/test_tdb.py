@@ -114,6 +114,10 @@ def test_gate_rejects_each_defect(large_system):
     r = db.ingest(bad, secret, rosters=rosters, rng=rng)
     assert not r.accepted and "unknown roster" in r.reason
 
+    bad = replace(secret, roster_ref="nobody")
+    r = db.ingest(rows, bad, rosters=rosters, rng=rng)
+    assert not r.accepted and "unknown roster" in r.reason
+
     # duplicate pointer inside the batch
     r = db.ingest(rows + [rows[0]], secret, rosters=rosters, rng=rng)
     assert not r.accepted and "already present" in r.reason

@@ -438,6 +438,69 @@ def test_retrieval_verifies_only_the_rows_it_follows(monkeypatch, reader):
     assert len(calls) == followed + 1  # each followed row once, plus the entry
 
 
+class EditingStore:
+    """A store that serves one entry or row edited, and delegates the
+    rest to a real store: what a reader meets in a hostile store."""
+
+    def __init__(self, db, key, **changes):
+        self.db, self.key, self.changes = db, key, changes
+
+    def _serve(self, key, obj):
+        return replace(obj, **self.changes) if key == self.key else obj
+
+    def read_secret(self, entry_id, access_label):
+        return self._serve(entry_id, self.db.read_secret(entry_id, access_label))
+
+    def roster(self, ref):
+        return self.db.roster(ref)
+
+    def find_row(self, pointer):
+        return self._serve(pointer, self.db.find_row(pointer))
+
+
+def _retrieve(ctx, db, entry_id):
+    keys = ctx.entity("dr_grey").keys
+    return workflow.retrieve_entry(ctx.pp, db, keys, entry_id)
+
+
+def test_retrieval_refuses_an_edited_entry_before_decrypting(monkeypatch):
+    ctx = fresh_ctx()
+    tr = agree(ctx)
+    assert ingest_transcript(ctx, tr).accepted
+    store = EditingStore(ctx.db, tr.entry_id, timestamp=tr.secret.timestamp + 1)
+
+    def never(*args):
+        raise AssertionError("decrypted an entry whose signature failed")
+
+    monkeypatch.setattr(mlabe, "decrypt", never)
+    report = _retrieve(ctx, store, tr.entry_id)
+    assert report.entry_sig_ok is False
+    assert report.recovered == {}
+
+
+@pytest.mark.parametrize(
+    "change, failure",
+    [
+        (lambda row: {"block": row.block + "!"}, "signature invalid"),
+        (lambda row: {"roster_ref": "nowhere"}, "unknown roster"),
+    ],
+    ids=["block", "roster"],
+)
+def test_retrieval_refuses_an_edited_row(change, failure):
+    ctx = fresh_ctx()
+    tr = agree(ctx)
+    assert ingest_transcript(ctx, tr).accepted
+    honest = _retrieve(ctx, ctx.db, tr.entry_id)
+    row = tr.rows[0]
+    (level,) = [l for l, rec in honest.recovered.items() if rec.blocks and row.block in rec.blocks]
+
+    report = _retrieve(ctx, EditingStore(ctx.db, row.pointer, **change(row)), tr.entry_id)
+    assert report.entry_sig_ok
+    assert report.row_failures == ["row %s: %s" % (row.pointer, failure)]
+    assert report.recovered[level].complete is False
+    assert all(rec.complete for l, rec in report.recovered.items() if l != level and rec.blocks)
+
+
 def test_retrieval_of_a_cosigned_cycle_raises():
     from etenon import policy, tdb
     from etenon.errors import EtenonError
