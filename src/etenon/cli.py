@@ -473,6 +473,9 @@ def cmd_bench(args) -> int:
 # wiring
 
 
+SEED_HELP = "for tests and demos only: a seed makes every key public"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etenon",
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="bn256", help="bn256, mock, or mock-<prime>")
     p.add_argument("--pp", required=True, help="where to write the public parameters")
     p.add_argument("--msk", required=True, help="where to write the master key")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("keygen", help="issue a decryption and signing bundle")
@@ -494,14 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--attr", action="append", required=True, help="attribute (repeatable)"
     )
     p.add_argument("--out", required=True, help="where to write the key bundle")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("ingest", help="push a signed batch through the gate")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True, help="store directory")
     p.add_argument("--batch", required=True, help="JSON with rows, secret, rosters")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("retrieve", help="fetch, verify and decrypt one entry")
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shuffle", help="re-permute the open table")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=cmd_shuffle)
 
     p = sub.add_parser("run-scenario", help="drive a configured multi-party run")
@@ -537,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--csv", default=None, help="also write the grid as CSV")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -11,9 +11,15 @@ holder's signing key is drawn apart from it.
 Encryption secret-shares a fresh root polynomial over the tree, seals
 each level's payload under the target-group value e(g,g)^(gamma * s_l)
 where s_l is that level's share sum, and publishes two group elements
-per level and two per leaf.  Decryption reconstructs the level value by
-pairing key components against leaf elements, combining with Lagrange
-coefficients up the tree, and dividing out of the paired level element.
+per level and two per leaf.  The shares may come from a given share
+plan instead, and the seal is deterministic, so whoever holds the plan
+and the payloads can re-encrypt and compare bytes: that is how the
+provider checks an owner's ciphertext.  A plan gives every level key,
+so it must travel only over a confidential owner-to-provider channel
+and never reaches a transcript or the store.  Decryption reconstructs
+the level value by pairing key components against leaf elements,
+combining with Lagrange coefficients up the tree, and dividing out of
+the paired level element.
 
 A level costs two pairings per leaf it uses plus one for its level
 element.  Each root sub-tree is one Miller loop over all its leaves'
@@ -171,7 +177,7 @@ def _level_context(level: int) -> bytes:
     return b"level:%d" % level
 
 
-def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, mask) -> CiphertextBundle:
+def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, plan, mask) -> CiphertextBundle:
     """Share one secret over the tree; ``mask(level, key, plain)`` hides each level."""
     if set(plain) != set(tree.levels):
         raise MlabeError(
@@ -179,7 +185,8 @@ def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, mask) -> Ciphertext
             % (sorted(plain), sorted(tree.levels))
         )
     suite = pp.suite
-    plan = policy.assign_shares(tree, suite.order, rng)
+    if plan is None:
+        plan = policy.assign_shares(tree, suite.order, rng)
     leaves = {}
     for path, leaf in policy.iter_leaves(tree):
         share = plan.leaf_shares[path]
@@ -199,18 +206,46 @@ def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, mask) -> Ciphertext
     )
 
 
-def encrypt(pp: PublicParams, payloads, tree: AccessTree, rng=None) -> CiphertextBundle:
-    """Seal one byte payload per declared level under the tree."""
+def encrypt(
+    pp: PublicParams,
+    payloads,
+    tree: AccessTree,
+    rng=None,
+    *,
+    plan: policy.SharePlan | None = None,
+) -> CiphertextBundle:
+    """Seal one byte payload per declared level under the tree.
+
+    The shares come from ``plan`` when one is given, else from a plan
+    drawn from ``rng``; the seal is deterministic, so one plan and one
+    set of payloads always give the same ciphertext.
+    """
 
     def seal(level, key, payload):
         return pp.suite.seal(key, bytes(payload), _level_context(level))
 
-    return _encrypt(pp, payloads, tree, rng, seal)
+    return _encrypt(pp, payloads, tree, rng, plan, seal)
 
 
 def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> CiphertextBundle:
     """Mask one target-group element per level by multiplication."""
-    return _encrypt(pp, elements, tree, rng, lambda level, key, x: x * key)
+    return _encrypt(pp, elements, tree, rng, None, lambda level, key, x: x * key)
+
+
+def open_with_plan(
+    pp: PublicParams, ct: CiphertextBundle, plan: policy.SharePlan
+) -> dict[int, bytes]:
+    """Every level's payload, opened with the plan that sealed ``ct``.
+
+    A plan's level secrets give every level key, with no attribute
+    key at all: whoever holds the plan reads every level.
+    """
+    return {
+        level: pp.suite.unseal(
+            pp.egg_gamma ** plan.level_secrets[level], masked, _level_context(level)
+        )
+        for level, (_, masked) in ct.levels.items()
+    }
 
 
 def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):

@@ -330,44 +330,89 @@ def lagrange_coeff(i: int, index_set, order: int) -> int:
 
 @dataclass
 class SharePlan:
-    """Polynomials and derived shares for one encryption of a tree."""
+    """Polynomials and derived shares for one encryption of a tree.
+
+    ``coefficients`` holds what was drawn: the root polynomial under the
+    empty path and, under each gate's path, its t-1 coefficients above
+    the constant term.  Everything else follows from them and the tree.
+    """
 
     order: int
-    root_coeffs: tuple[int, ...]
+    coefficients: dict[NodePath, tuple[int, ...]]
     gate_coeffs: dict[NodePath, tuple[int, ...]]
     leaf_shares: dict[NodePath, int]
     level_secrets: dict[int, int]
 
+    @property
+    def root_coeffs(self) -> tuple[int, ...]:
+        return self.coefficients[()]
 
-def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
-    """Draw the root polynomial and per-gate polynomials, derive all shares.
+
+def draw_coefficients(
+    tree: AccessTree, suite_order: int, rng=None
+) -> dict[NodePath, tuple[int, ...]]:
+    """Draw a sharing's random coefficients, keyed as in :class:`SharePlan`.
 
     The root polynomial has one uniform coefficient per root sub-tree
-    (degree c'-1).  Sub-tree i receives the share q_r(i); a gate with
-    threshold t hides its share in a fresh degree t-1 polynomial's
-    constant term and hands child j the value at j.  A level's secret
-    is the sum of root shares over its selected sub-trees.
+    (degree c'-1); a gate with threshold t gets t-1 more.  They are
+    drawn root first, then gate by gate in depth-first index order.
     """
     if rng is None:
         rng = random.SystemRandom()
     validate_tree(tree)
-    root_coeffs = tuple(rng.randrange(suite_order) for _ in tree.children)
+    coefficients = {(): tuple(rng.randrange(suite_order) for _ in tree.children)}
+
+    def walk(node: SubTree, path: NodePath):
+        if isinstance(node, Gate):
+            count = node.threshold - 1
+            coefficients[path] = tuple(rng.randrange(suite_order) for _ in range(count))
+            for j, child in enumerate(node.children, start=1):
+                walk(child, path + (j,))
+
+    for i, child in enumerate(tree.children, start=1):
+        walk(child, (i,))
+    return coefficients
+
+
+def derive_shares(tree: AccessTree, suite_order: int, coefficients) -> SharePlan:
+    """Derive every share and level secret from drawn coefficients.
+
+    Sub-tree i receives the share q_r(i); a gate hides its share in its
+    polynomial's constant term and hands child j the value at j.  A
+    level's secret is the sum of root shares over its selected
+    sub-trees.  Coefficients that do not fit the tree raise
+    :class:`PolicyError`.
+    """
+    validate_tree(tree)
     gate_coeffs: dict[NodePath, tuple[int, ...]] = {}
     leaf_shares: dict[NodePath, int] = {}
+
+    def drawn(path: NodePath, count: int) -> tuple[int, ...]:
+        got = coefficients.get(path)
+        if (
+            type(got) is not tuple
+            or len(got) != count
+            or not all(type(c) is int and 0 <= c < suite_order for c in got)
+        ):
+            raise PolicyError("coefficients do not fit the tree at %s" % (path,))
+        return got
 
     def walk(node: SubTree, path: NodePath, share: int):
         if isinstance(node, Leaf):
             leaf_shares[path] = share
             return
-        coeffs = (share,) + tuple(rng.randrange(suite_order) for _ in range(node.threshold - 1))
+        coeffs = (share,) + drawn(path, node.threshold - 1)
         gate_coeffs[path] = coeffs
         for j, child in enumerate(node.children, start=1):
             walk(child, path + (j,), poly_eval(coeffs, j, suite_order))
 
+    root_coeffs = drawn((), len(tree.children))
     root_shares = {}
     for i, child in enumerate(tree.children, start=1):
         root_shares[i] = poly_eval(root_coeffs, i, suite_order)
         walk(child, (i,), root_shares[i])
+    if len(coefficients) != len(gate_coeffs) + 1:
+        raise PolicyError("coefficients name a gate the tree does not have")
 
     level_secrets = {
         level: sum(root_shares[i] for i in wanted) % suite_order
@@ -375,8 +420,13 @@ def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
     }
     return SharePlan(
         order=suite_order,
-        root_coeffs=root_coeffs,
+        coefficients=coefficients,
         gate_coeffs=gate_coeffs,
         leaf_shares=leaf_shares,
         level_secrets=level_secrets,
     )
+
+
+def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
+    """Draw the root polynomial and per-gate polynomials, derive all shares."""
+    return derive_shares(tree, suite_order, draw_coefficients(tree, suite_order, rng))

@@ -4,12 +4,18 @@ A central authority runs setup and hands the master key to the
 attribute authority, which issues key bundles.  A data owner
 preprocesses a record into per-level pointer chains, seals the chain
 heads (and the identifiable columns, under their own level) into one
-ciphertext, and hands the package, with the chain elements to be
-signed, to the service provider.  The provider opens every level,
-walking the chains through those elements as a reader will walk the
-open table, and compares each level with its own copy of the record;
-only on an exact match do both parties co-sign every row and the
-ciphertext.
+ciphertext, and hands the package to the service provider: the
+ciphertext, the chain elements to be signed, the chain heads and the
+share plan's random coefficients.  The provider checks by
+re-encryption, not decryption.  It derives every share from the
+coefficients, encrypts its own copy of the record under the agreed
+policy, and accepts the ciphertext only if the two are equal byte for
+byte; it then walks each chain from its head through the elements, as
+a reader will walk the open table, and compares it with its own copy.
+Only on an exact match do both parties co-sign every row and the
+ciphertext.  The plan gives every level key, so the package must
+travel over a confidential owner-to-provider channel; it never reaches
+a transcript or the store.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, checks its signature before any
 decryption, recovers whichever levels its key satisfies and follows
@@ -89,8 +95,9 @@ def phase_setup(
 
     ``participants`` maps entity names to ``{"role": ..., "attrs": [...]}``.
     An entry with ``"attrs": null`` gets a self-generated signing pair
-    only (the trusted-provider arrangement); anyone else receives a full
-    bundle from the attribute authority.  The central authority does not
+    only, which is all a provider needs, since it checks by
+    re-encryption; anyone else receives a full bundle from the attribute
+    authority.  The central authority does not
     retain the master key after handing it over.
     """
     suite = get_suite(suite_name)
@@ -171,7 +178,7 @@ def open_levels(
     pp: PublicParams, ct: mlabe.CiphertextBundle, dk: mlabe.DecryptionKey, lookup
 ) -> dict[int, LevelRecovery]:
     """Decrypt the levels ``dk`` opens and walk each chain through ``lookup``,
-    as :func:`tenon.follow` does; the provider and every reader open levels here.
+    as :func:`tenon.follow` does; every reader opens levels here.
     """
     recovered: dict[int, LevelRecovery] = {}
     for level, raw in sorted(mlabe.decrypt(pp, ct, dk).items()):
@@ -182,6 +189,14 @@ def open_levels(
             chain, complete = tenon.follow(value, lookup)
             recovered[level] = LevelRecovery(kind, [t.block for t in chain], complete)
     return recovered
+
+
+def level_payloads(heads, identifiable_level, identifiable_cols) -> dict[int, bytes]:
+    """Each chain level's head payload, plus the identifiable level's."""
+    payloads = {level: encode_chain_payload(head) for level, head in heads.items()}
+    if identifiable_level is not None:
+        payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
+    return payloads
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +259,23 @@ class Tamper(enum.Enum):
     BLOCK_EDIT = "block_edit"
     CHAIN_REORDER = "chain_reorder"
     CIPHERTEXT_SWAP = "ciphertext_swap"
+    POLICY_SWAP = "policy_swap"
 
 
 @dataclass
 class AgreementPackage:
+    """What the owner hands the provider.
+
+    ``plan`` and ``heads`` let the provider re-encrypt its own copy; the
+    plan gives every level key, so the package travels only over a
+    confidential owner-to-provider channel and never reaches a
+    transcript or the store.
+    """
+
     rows: dict[tenon.Pointer, tenon.Triple]  # chain elements to sign, chain order per level
     ciphertext: mlabe.CiphertextBundle
-    level_columns: dict[int, tuple[str, ...]]
-    identifiable_level: int | None
+    plan: policy.SharePlan
+    heads: dict[int, tenon.Pointer]
 
 
 @dataclass
@@ -286,15 +310,21 @@ def _apply_tamper(package: AgreementPackage, tamper: Tamper, ctx) -> None:
         rows[a.pointer] = replace(a, block=b.block)
         rows[b.pointer] = replace(b, block=a.block)
     elif tamper is Tamper.CIPHERTEXT_SWAP:
-        bogus = {}
-        for level in package.ciphertext.tree.levels:
-            if level == package.identifiable_level:
-                bogus[level] = encode_identifiable_payload(())
-            else:
-                bogus[level] = encode_chain_payload(tenon.make_pointer(ctx.rng))
+        bogus = {
+            level: encode_chain_payload(tenon.make_pointer(ctx.rng))
+            for level in package.ciphertext.tree.levels
+        }
         package.ciphertext = mlabe.encrypt(
             ctx.pp, bogus, package.ciphertext.tree, ctx.rng
         )
+    elif tamper is Tamper.POLICY_SWAP:
+        # the owner's own payloads and coefficients, under a tree whose
+        # every level needs only its first sub-tree
+        ct, plan = package.ciphertext, package.plan
+        weak = replace(ct.tree, levels={l: w[:1] for l, w in ct.tree.levels.items()})
+        payloads = mlabe.open_with_plan(ctx.pp, ct, plan)
+        weak_plan = policy.derive_shares(weak, plan.order, plan.coefficients)
+        package.ciphertext = mlabe.encrypt(ctx.pp, payloads, weak, plan=weak_plan)
     else:
         raise WorkflowError("unknown tamper %r" % tamper)
 
@@ -313,16 +343,16 @@ def run_agreement(
 ) -> AgreementTranscript:
     """Drive the five-step mutual agreement between owner and provider.
 
-    Both parties hold the raw record.  On an exact reconstruction match
-    they co-sign every block and the ciphertext; on any mismatch the
-    provider refuses and nothing is signed at all.
+    Both parties hold the raw record and agree the policy text and the
+    level assignment.  When the owner's ciphertext equals the provider's
+    re-encryption and every chain matches the provider's copy, they
+    co-sign every block and the ciphertext; on any mismatch the provider
+    refuses and nothing is signed at all.
     """
     do = ctx.entity(do_name)
     sp = ctx.entity(sp_name)
     if do.keys is None or sp.keys is None:
         raise WorkflowError("both agreement parties need signing keys")
-    if sp.keys.decryption is None:
-        raise WorkflowError("the provider needs a decryption key to verify")
     if timestamp is None:
         timestamp = int(time.time())
     # the store's log carries these as they are, so refuse what it could not
@@ -359,12 +389,10 @@ def run_agreement(
         raise WorkflowError(
             "record has identifiable columns but no level was set aside for them"
         )
-    payloads = {
-        level: encode_chain_payload(st.head) for level, st in structures.items()
-    }
-    if identifiable_level is not None:
-        payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
-    ciphertext = mlabe.encrypt(ctx.pp, payloads, tree, ctx.rng)
+    heads = {level: st.head for level, st in structures.items()}
+    payloads = level_payloads(heads, identifiable_level, identifiable_cols)
+    plan = policy.assign_shares(tree, ctx.suite.order, ctx.rng)
+    ciphertext = mlabe.encrypt(ctx.pp, payloads, tree, plan=plan)
     to_sign = {
         t.pointer: t
         for level in sorted(structures)
@@ -379,53 +407,50 @@ def run_agreement(
     package = AgreementPackage(
         rows=to_sign,
         ciphertext=ciphertext,
-        level_columns=level_columns,
-        identifiable_level=identifiable_level,
+        plan=plan,
+        heads=heads,
     )
     if tamper is not None:
         _apply_tamper(package, tamper, ctx)
         steps.append("channel: package altered in transit (%s)" % tamper.value)
     steps.append("provider: package received")
 
-    # step 3: the provider opens every level, walking the rows it will sign
+    def refuse(mismatch):
+        steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
+        return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
+
+    # step 3: the provider re-encrypts its own copy under the agreed policy
+    # with the handed plan, deriving every share itself
+    own = tenon.classify(record, ctx.rules)
+    try:
+        own_plan = policy.derive_shares(tree, ctx.suite.order, package.plan.coefficients)
+        own_payloads = level_payloads(package.heads, identifiable_level, own.identifiable())
+        own_ct = mlabe.encrypt(ctx.pp, own_payloads, tree, plan=own_plan)
+    except (policy.PolicyError, mlabe.MlabeError) as e:
+        return refuse(str(e))
+    ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
+    if ct_bytes != mlabe.ct_canonical_bytes(own_ct):
+        return refuse("the ciphertext differs from the provider's re-encryption")
+    steps.append("provider: ciphertext equals its re-encryption")
+
+    # step 4: walk each chain through the rows it will sign and compare
+    # with the provider's own copy
     unreached = set(package.rows)
 
     def row_triple(pointer):
         unreached.discard(pointer)
         return package.rows.get(pointer)
 
-    def refuse(mismatch):
-        steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
-        return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
-
-    try:
-        recovered = open_levels(ctx.pp, package.ciphertext, sp.keys.decryption, row_triple)
-    except (tenon.TenonError, WorkflowError) as e:
-        return refuse(str(e))
-    missing = sorted(set(package.ciphertext.tree.levels) - set(recovered))
-    if missing:
-        raise WorkflowError(
-            "provider's key cannot open levels %s, cannot vouch for the record"
-            % missing
-        )
-    steps.append("provider: decrypted %d levels" % len(recovered))
-
-    # step 4: compare against what the provider's own copy should open to
-    own = tenon.classify(record, ctx.rules)
-    expected = {
-        level: LevelRecovery("chain", level_blocks(own, names, ctx.stopwords), True)
-        for level, names in package.level_columns.items()
-    }
-    if package.identifiable_level is not None:
-        docs = tenon.columns_to_json(own.identifiable())
-        expected[package.identifiable_level] = LevelRecovery("identifiable", identifiable=docs)
-    levels = sorted(set(expected) | set(recovered))
-    differs = next((l for l in levels if recovered.get(l) != expected.get(l)), None)
-    if differs is not None:
-        return refuse("level %d differs from the provider's copy" % differs)
+    for level, names in sorted(level_columns.items()):
+        try:
+            chain, complete = tenon.follow(package.heads[level], row_triple)
+        except tenon.TenonError as e:
+            return refuse(str(e))
+        if not complete or [t.block for t in chain] != level_blocks(own, names, ctx.stopwords):
+            return refuse("level %d differs from the provider's copy" % level)
     if unreached:
         return refuse("row %s lies on no chain" % min(unreached))
-    steps.append("provider: reconstruction matches its copy")
+    steps.append("provider: every chain matches its copy")
 
     # step 5: both parties co-sign every block and the ciphertext
     pp_bytes = ctx.pp.encode()
@@ -439,7 +464,6 @@ def run_agreement(
         digest = tdb.row_digest(pp_bytes, t, timestamp)
         sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
         rows.append(OpenRow(pointer, t.block, t.next, sig, roster_ref, timestamp))
-    ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
     ct_digest = tdb.entry_digest(pp_bytes, entry_id, access_label, ct_bytes, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
     secret = SecretEntry(

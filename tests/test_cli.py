@@ -458,3 +458,11 @@ def test_console_entry_point_is_declared():
     assert scripts.get("etenon") == "etenon.cli:main"
     ep = EntryPoint(name="etenon", value=scripts["etenon"], group="console_scripts")
     assert ep.load() is cli.main
+
+
+@pytest.mark.parametrize("command", ["setup", "keygen", "ingest", "shuffle", "bench"])
+def test_seed_help_says_it_makes_every_key_public(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"])
+    assert done.value.code == 0
+    assert "a seed makes every key public" in " ".join(capsys.readouterr().out.split())

@@ -12,6 +12,8 @@ from etenon.policy import (
     Leaf,
     PolicyError,
     assign_shares,
+    derive_shares,
+    draw_coefficients,
     format_policy,
     lagrange_coeff,
     parse_policy,
@@ -254,3 +256,35 @@ def test_assign_shares_varies_with_rng():
     assert a.root_coeffs != b.root_coeffs
     c = assign_shares(tree, 1_000_003, random.Random(1))
     assert a.root_coeffs == c.root_coeffs
+
+
+def test_derive_shares_takes_only_the_drawn_coefficients():
+    tree = parse_policy(SAMPLE)
+    order = 1_000_003
+    drawn = draw_coefficients(tree, order, random.Random(12))
+    # the root polynomial, then the one gate's t-1 = 1 coefficient
+    assert {path: len(c) for path, c in drawn.items()} == {(): 3, (2,): 1}
+    plan = derive_shares(tree, order, drawn)
+    assert plan == assign_shares(tree, order, random.Random(12))
+    assert plan.coefficients == drawn
+    assert plan.gate_coeffs[(2,)][1:] == drawn[(2,)]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.pop((2,)),
+        lambda c: c.update({(2,): c[(2,)] + (1,)}),
+        lambda c: c.update({(): c[()][:2]}),
+        lambda c: c.update({(2,): (1_000_003,)}),
+        lambda c: c.update({(2,): [5]}),
+        lambda c: c.update({(3,): ()}),
+    ],
+    ids=["missing-gate", "long-gate", "short-root", "out-of-range", "list", "extra-gate"],
+)
+def test_derive_shares_refuses_coefficients_that_do_not_fit(edit):
+    tree = parse_policy(SAMPLE)
+    drawn = draw_coefficients(tree, 1_000_003, random.Random(13))
+    edit(drawn)
+    with pytest.raises(PolicyError, match="coefficients"):
+        derive_shares(tree, 1_000_003, drawn)

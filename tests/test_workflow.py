@@ -231,22 +231,27 @@ def _loop_the_head(package, ctx):
     package.rows[head] = replace(package.rows[head], next=head)
 
 
-def _reseal_unknown_kind(package, ctx):
-    hospital = ctx.entity("hospital").keys.decryption
-    payloads = mlabe.decrypt(ctx.pp, package.ciphertext, hospital)
-    payloads[1] = b"\x07" + payloads[1][1:]
-    package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, ctx.rng)
+def _loop_the_tail(package, ctx):
+    # level 1's chain runs from the first row to the first row with no next
+    head = next(iter(package.rows))
+    tail = next(t for t in package.rows.values() if t.next is None)
+    package.rows[tail.pointer] = replace(tail, next=head)
 
 
 @pytest.mark.parametrize(
     "edit, reason",
     [(_loop_the_head, "pointer chain contains a cycle"),
-     (_reseal_unknown_kind, "unknown level payload kind 7")],
+     (_loop_the_tail, "pointer chain contains a cycle")],
 )
 def test_agreement_refuses_an_unreadable_package(monkeypatch, edit, reason):
     tr = agree_with_channel(monkeypatch, edit)
     assert tr.verdict.startswith("mismatch: " + reason)
     assert tr.rows is None and tr.signature_count == 0
+
+
+def _edit_first_row(package, ctx):
+    pointer, t = next(iter(package.rows.items()))
+    package.rows[pointer] = replace(t, block="Pain in the knee")
 
 
 def _edit_last_row(package, ctx):
@@ -255,36 +260,156 @@ def _edit_last_row(package, ctx):
     package.rows[pointer] = tenon.Triple(pointer, "allergic to penicillin", None)
 
 
-def _reseal_identifiable(package, ctx):
-    hospital = ctx.entity("hospital").keys.decryption
-    payloads = mlabe.decrypt(ctx.pp, package.ciphertext, hospital)
-    payloads[3] = encode_identifiable_payload(())
-    package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, ctx.rng)
-
-
-@pytest.mark.parametrize("edit, level", [(_edit_last_row, 2), (_reseal_identifiable, 3)])
+@pytest.mark.parametrize("edit, level", [(_edit_first_row, 1), (_edit_last_row, 2)])
 def test_agreement_mismatch_names_the_level(monkeypatch, edit, level):
     tr = agree_with_channel(monkeypatch, edit)
     assert tr.verdict == "mismatch: level %d differs from the provider's copy" % level
     assert tr.signature_count == 0
 
 
-def test_agreement_requires_capable_provider():
+REENCRYPTION = "mismatch: the ciphertext differs from the provider's re-encryption"
+
+
+def _reseal(package, ctx, level, payload):
+    """Reseal one level in transit under the handed plan: the ciphertext
+    then differs from the owner's in that level's mask alone."""
+    payloads = mlabe.open_with_plan(ctx.pp, package.ciphertext, package.plan)
+    payloads[level] = payload(payloads[level])
+    package.ciphertext = mlabe.encrypt(
+        ctx.pp, payloads, package.ciphertext.tree, plan=package.plan
+    )
+
+
+def _reseal_unknown_kind(package, ctx):
+    _reseal(package, ctx, 1, lambda raw: b"\x07" + raw[1:])
+
+
+def _reseal_identifiable(package, ctx):
+    _reseal(package, ctx, 3, lambda raw: encode_identifiable_payload(()))
+
+
+@pytest.mark.parametrize("edit", [_reseal_unknown_kind, _reseal_identifiable])
+def test_agreement_refuses_a_resealed_level(monkeypatch, edit):
+    tr = agree_with_channel(monkeypatch, edit)
+    assert tr.verdict == REENCRYPTION
+    assert tr.rows is None and tr.signature_count == 0
+
+
+def test_policy_swap_keeps_the_payloads_under_a_weaker_tree(monkeypatch):
+    """The swap is a real weakening: under the swapped tree a key for
+    sub-tree 1 alone opens every level, yet the provider refuses it."""
+    swapped = []
+    apply_tamper = workflow._apply_tamper
+
+    def swap(package, tamper, ctx):
+        apply_tamper(package, tamper, ctx)
+        swapped.append(package.ciphertext)
+
+    monkeypatch.setattr(workflow, "_apply_tamper", swap)
+    ctx = fresh_ctx()
+    tr = agree(ctx, tamper=Tamper.POLICY_SWAP)
+    assert tr.verdict == REENCRYPTION and tr.signature_count == 0
+    nurse = ctx.entity("nurse_kim").keys.decryption  # holds "basic" alone
+    opened = mlabe.decrypt(ctx.pp, swapped[0], nurse)
+    assert sorted(opened) == [1, 2, 3]
+    assert opened[3] == encode_identifiable_payload(
+        [tenon.EhrColumn(name="nino", value="QQ123456C")]
+    )
+
+
+GATE_POLICY = "\n".join(
+    [
+        "level 1 requires [1]",
+        "level 2 requires [1, 2]",
+        "tree: threshold(2, attr:staff, attr:ward, attr:research, attr:ethics), attr:doctor",
+    ]
+)
+RESEARCH_LEAF = (1, 3)
+
+
+def gate_agreement(monkeypatch, edit=None):
+    """The gate policy, agreed by a provider whose key never uses the
+    ``research`` leaf; ``edit(package, ctx)`` runs in transit."""
+    if edit is not None:
+        monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: edit(package, ctx))
+    ctx = phase_setup(
+        "mock-999983",
+        {
+            "patient": {"role": "DO", "attrs": None},
+            "hospital": {"role": "SP", "attrs": ["staff", "ward", "doctor"]},
+            "researcher": {"role": "DU", "attrs": ["research", "ethics"]},
+        },
+        rng=random.Random(16),
+    )
+    tr = run_agreement(
+        ctx, "patient", "hospital", tenon.record_from_json(RECORD[1:]), GATE_POLICY,
+        {1: ["symptom"], 2: ["history"]}, timestamp=1_700_000_000,
+        tamper=None if edit is None else Tamper.BLOCK_EDIT,
+    )
+    return ctx, tr
+
+
+def test_gate_agreement_serves_a_reader_the_provider_does_not_resemble(monkeypatch):
+    ctx, tr = gate_agreement(monkeypatch)
+    assert tr.agreed and ingest_transcript(ctx, tr).accepted
+    report = phase_retrieval(ctx, "researcher", tr.entry_id)
+    assert sorted(report.recovered) == [1]
+    assert report.recovered[1].text == "Pain in the chest and a cough"
+
+
+def test_agreement_refuses_a_leaf_from_an_unrelated_share(monkeypatch):
+    """The provider's key never uses the research leaf, so only the
+    re-encryption can notice that its share lies on no gate polynomial."""
+
+    def replace_leaf(package, ctx):
+        x = ctx.suite.rand_scalar_nonzero(ctx.rng)
+        package.ciphertext.leaves[RESEARCH_LEAF] = (
+            ctx.suite.right_generator ** x,
+            ctx.suite.hash_to_group("research") ** x,
+        )
+
+    _, tr = gate_agreement(monkeypatch, replace_leaf)
+    assert tr.verdict == REENCRYPTION and tr.signature_count == 0
+
+
+def test_agreement_derives_every_share_itself(monkeypatch):
+    """A handed plan whose leaf share did not come from its coefficients
+    is refused: the provider derives each share from the coefficients
+    and never reads the plan's own shares."""
+
+    def plant_share(package, ctx):
+        plan = package.plan
+        plan.leaf_shares[RESEARCH_LEAF] = (plan.leaf_shares[RESEARCH_LEAF] + 1) % plan.order
+        payloads = mlabe.open_with_plan(ctx.pp, package.ciphertext, plan)
+        package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, plan=plan)
+
+    _, tr = gate_agreement(monkeypatch, plant_share)
+    assert tr.verdict == REENCRYPTION and tr.signature_count == 0
+
+
+def test_agreement_refuses_coefficients_that_do_not_fit(monkeypatch):
+    def drop_the_gate(package, ctx):
+        del package.plan.coefficients[(1,)]
+
+    _, tr = gate_agreement(monkeypatch, drop_the_gate)
+    assert tr.verdict == "mismatch: coefficients do not fit the tree at (1,)"
+    assert tr.signature_count == 0
+
+
+def test_agreement_with_a_signing_only_provider():
+    """The provider checks by re-encryption, so it needs no decryption
+    key; the readers still recover their levels."""
     ctx = phase_setup(
         "mock",
-        {
-            "patient": {"role": "DO", "attrs": ["holder"]},
-            "weak_sp": {"role": "SP", "attrs": ["basic"]},  # cannot open level 3
-        },
+        dict(PARTICIPANTS, hospital={"role": "SP", "attrs": None}),
         rng=random.Random(2),
     )
-    record = tenon.record_from_json(RECORD)
-    with pytest.raises(WorkflowError):
-        run_agreement(
-            ctx, "patient", "weak_sp", record, POLICY,
-            {1: ["symptom"], 2: ["history"]},
-            identifiable_level=3, timestamp=1,
-        )
+    tr = agree(ctx)
+    assert tr.agreed and ingest_transcript(ctx, tr).accepted
+    full = phase_retrieval(ctx, "dr_grey", tr.entry_id)
+    assert sorted(full.recovered) == [1, 2, 3]
+    assert full.recovered[2].text == "No known allergies"
+    assert sorted(phase_retrieval(ctx, "nurse_kim", tr.entry_id).recovered) == [1]
 
 
 def test_agreement_rejects_identifiable_without_level():
