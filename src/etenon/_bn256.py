@@ -88,8 +88,11 @@ naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 # scalar per step.  The sequence of operations depends only on how many
 # terms there are, how many windows the longest scalar spans and which
 # scalars lie below 2**SHORT_BITS, never on the digits: a digit only
-# indexes a table.  For uniformly drawn secret scalars that last set is
-# empty except with probability about 2**-126.
+# indexes a table.  A split pass recodes every half over the same width
+# and a half's sign only picks an entry, so there the sequence depends
+# on the count and the short scalars alone.  For uniformly drawn secret
+# scalars the set of short ones is empty except with probability about
+# 2**-126.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
@@ -134,16 +137,22 @@ def _digits(k, window, top):
 
 
 class Group(NamedTuple):
-    """One group's arithmetic, as :func:`multi_mul`, :func:`table` and
-    :func:`fixed_mul` use it, written additively: for the target group
-    ``add`` multiplies, ``double`` squares and ``neg`` inverts.
+    """One group's arithmetic, as :func:`multi_mul`, :func:`split_mul`,
+    :func:`table` and :func:`fixed_mul` use it, written additively: for
+    the target group ``add`` multiplies, ``double`` squares and ``neg``
+    inverts.
 
     ``normal`` maps a value to the form in which equal values are equal.
-    ``order``, ``window``, ``row`` (a row of values as one flat tuple),
-    ``add_entry(r, row, d)`` (r plus d times the row's value for an odd
-    digit d) and the ``generator``, whose table is built once, describe
-    fixed-base tables (see :func:`table`).  ``encode`` and ``decode``
-    are the wire codec, which the suite supplies."""
+    ``endo`` is a map that acts on the subgroup of order ``order`` as
+    multiplication by a constant lambda, and ``split(k)`` gives signed
+    halves (k0, k1) with k = k0 + lambda*k1 mod order, each with
+    |k_i| + 2 below 2**``half_bits`` for 0 <= k < order (see
+    :func:`split_mul`).  ``window``, ``row`` (a row of values as one
+    flat tuple), ``add_entry(r, row, d)`` (r plus d times the row's
+    value for an odd digit d) and the ``generator``, whose table is
+    built once, describe fixed-base tables (see :func:`table`).
+    ``encode`` and ``decode`` are the wire codec, which the suite
+    supplies."""
 
     add: Callable
     double: Callable
@@ -151,6 +160,9 @@ class Group(NamedTuple):
     identity: tuple
     order: int = None
     normal: Callable = None
+    endo: Callable = None
+    split: Callable = None
+    half_bits: int = None
     window: int = None
     row: Callable = None
     add_entry: Callable = None
@@ -169,6 +181,37 @@ def multi_mul(group, terms):
     per term that has a digit there.  Exact on any value on which
     ``group.neg`` is the exact inverse: any curve point, but only the
     cyclotomic subgroup in Fp12."""
+    top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
+    return _straus(group, terms, top)
+
+
+def split_mul(group, terms):
+    """The sum of k*x over the (x, k) terms, each x in the subgroup of
+    order ``group.order`` and 0 <= k < order, in one Straus pass over
+    halves.
+
+    A term whose odd form has ``group.half_bits`` bits or more becomes
+    two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k);
+    a negative half takes the negated base, picked by index as a
+    negative digit picks its entry.  Every half and every shorter
+    scalar is recoded over half_bits bits, so the pass costs about half
+    the doublings of :func:`multi_mul`.  On a value outside that
+    subgroup the endomorphism is not the multiplication by lambda and
+    the result is wrong: membership checks take :func:`multi_mul`."""
+    neg, endo, bits = group.neg, group.endo, group.half_bits
+    halves = []
+    for x, k in terms:
+        if (k + 1 + (k & 1)) >> bits:
+            for y, h in zip((x, endo(x)), group.split(k)):
+                halves.append(((y, neg(y))[h < 0], abs(h)))
+        else:
+            halves.append((x, k))
+    return _straus(group, halves, -(-bits // WINDOW))
+
+
+def _straus(group, terms, top):
+    """multi_mul's pass with every scalar recoded over ``top`` windows,
+    or over SHORT_BITS bits when it is that short and those are fewer."""
     add, double, neg = group.add, group.double, group.neg
     base = 1 << WINDOW
     tables, fixes = [], []
@@ -180,7 +223,6 @@ def multi_mul(group, terms):
         # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
         tables.append([neg(q) for q in reversed(odd)] + odd)
         fixes.append(neg((x, x2)[k & 1]))
-    top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
     digits = [_digits(k, WINDOW, top) for _, k in terms]
     r = group.identity
     for i in reversed(range(top)):
@@ -646,6 +688,60 @@ def g2_on_curve(pt):
 
 
 # ----------------------------------------------------------------------
+# endomorphisms (Gallant, Lambert and Vanstone, "Faster point
+# multiplication on elliptic curves with efficient endomorphisms",
+# CRYPTO 2001; Galbraith and Scott, "Exponentiation in pairing-friendly
+# groups using homomorphisms", Pairing 2008)
+#
+# Each group has a cheap map that acts on its order-r subgroup as
+# multiplication by a known lambda, so a power k*P there is
+# k0*P + k1*(lambda*P) with halves k0, k1 of at most 128 bits (see
+# split_mul).  On the curve phi(x, y) = (beta*x, y), beta a cube root of
+# unity, acts as LAMBDA_1; on the twist psi, the untwist-Frobenius-twist
+# map, and in GT the Frobenius map act as p = 6u^2 mod r.
+
+LAMBDA_P = p - order  # 6u^2, 128 bits
+BETA = 18*u**3 + 18*u**2 + 9*u + 1
+LAMBDA_1 = 36*u**3 + 18*u**2 + 6*u + 1  # LAMBDA_1^2 + LAMBDA_1 + 1 = 0 mod r
+
+
+# the short basis of the lattice of (a, b) with a + b*LAMBDA_1 = 0 mod r
+# that the extended Euclidean algorithm on (r, LAMBDA_1) gives (GLV,
+# section 4), in closed form: entries of 64, 128, 128 and 64 bits
+(_A1, _B1), (_A2, _B2) = (2*u + 1, -(6*u**2 + 2*u)), (6*u**2 + 4*u + 1, 2*u + 1)
+
+
+def g1_split(k):
+    """Signed halves (k0, k1) with k = k0 + LAMBDA_1*k1 mod r, each below
+    2**127 + 2**63 in absolute value: k minus the basis combination
+    nearest to (k, 0), by rounding."""
+    c1 = (2 * _B2 * k + order) // (2 * order)
+    c2 = (-2 * _B1 * k + order) // (2 * order)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def split_by(lam):
+    """The split into halves (k0, k1) with k = k0 + lam*k1 and
+    0 <= k0 < lam: for lam = LAMBDA_P both lie below 2**128 when
+    0 <= k < r."""
+    def split(k):
+        k1, k0 = divmod(k, lam)
+        return k0, k1
+    return split
+
+
+def g1_phi(a):
+    x, y, z = a
+    return (BETA * x % p, y, z)
+
+
+def g2_psi(a):
+    # psi on Jacobian coordinates: conjugate each and scale x and y
+    x, y, z = a
+    return (fp2_mul(fp2_conj(x), xi1[1]), fp2_mul(fp2_conj(y), xi1[2]), fp2_conj(z))
+
+
+# ----------------------------------------------------------------------
 # the optimal ate pairing
 #
 # The lines of a Miller loop depend only on the twist point; the curve
@@ -735,7 +831,7 @@ def prepare(q):
             line, T = _line_add(T, Q if naf_i == 1 else mQ, Qp)
             out += line
     # Q1 = pi(Q), Q2 = pi2(Q)
-    Q1 = (fp2_mul(fp2_conj(qx), xi1[1]), fp2_mul(fp2_conj(qy), xi1[2]), FP2_ONE)
+    Q1 = g2_psi(Q)
     Q2 = (fp2_scalar(qx, xi2[1][1]), qy, FP2_ONE)
     line, T = _line_add(T, Q1, fp2_square(Q1[1]))
     out += line
@@ -860,20 +956,23 @@ def final_exp(inp):
 # A table of base P with its group's window w is (rows, fixes).  Row i
 # holds the odd multiples (2j + 1) * 2**(w*i) * P, j < 2**(w - 1), as
 # one flat tuple of affine coordinates (Fp12 values for GT, in wire
-# order); ``fixes`` are -P and -2P.  A power recodes its scalar by
-# _digits and adds one row entry per window, negated for a negative
-# digit: no doublings.  Each window trades adds against memory (see the
-# README).  A point table needs P of prime order, a GT table a value in
-# the cyclotomic subgroup, where the conjugate is the inverse.
+# order); the rows cover a half of half_bits bits.  ``fixes`` are
+# (-P, -2P) and (P, 2P).  A power walks the rows once for each half of
+# its scalar (see split_mul): it recodes the half by _digits and adds
+# one row entry per window, negated for a negative digit or a negative
+# half, and pays no doublings; the endomorphism maps the second walk's
+# result.  Each window trades adds against memory (see the README).  P
+# must lie in the order-r subgroup, which for GT lies in the cyclotomic
+# subgroup, where the conjugate is the inverse.
 
 
 def _table(group, a):
     """The table of a in the group."""
-    window, add, double = group.window, group.add, group.double
-    fixes = (group.neg(a), group.neg(double(a)))
+    window, add, double, neg = group.window, group.add, group.double, group.neg
+    a2 = double(a)
+    fixes = ((neg(a), neg(a2)), (a, a2))
     rows = []
-    # enough rows for the odd form of any scalar below the order
-    for _ in range(-(-(group.order + 1).bit_length() // window)):
+    for _ in range(-(-group.half_bits // window)):
         a2 = double(a)
         odd = [a]
         for _ in range((1 << (window - 1)) - 1):
@@ -897,12 +996,20 @@ def _generator_table(group):
 
 
 def fixed_mul(group, table, k):
-    """k*P for 0 <= k < order from P's table: one entry add per window."""
+    """k*P for 0 <= k < order from P's table: one walk of the rows for
+    each half of k, the second mapped by the endomorphism."""
+    k0, k1 = group.split(k)
+    return group.add(_walk(group, table, k0), group.endo(_walk(group, table, k1)))
+
+
+def _walk(group, table, h):
+    """h*P for a half h from P's table: one entry add per row."""
     rows, fixes = table
-    add_entry = group.add_entry
-    r = fixes[k & 1]
-    for row, d in zip(rows, _digits(k, group.window, len(rows))):
-        r = add_entry(r, row, d)
+    add_entry, neg = group.add_entry, h < 0
+    h = abs(h)
+    r = fixes[neg][h & 1]
+    for row, d in zip(rows, _digits(h, group.window, len(rows))):
+        r = add_entry(r, row, (d, -d)[neg])
     return r
 
 
@@ -942,12 +1049,14 @@ def _gt_entry(r, row, d):
 
 
 CURVE = Group(
-    g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine, window=5,
+    g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
+    endo=g1_phi, split=g1_split, half_bits=SHORT_BITS, window=7,
     row=lambda row: _affine_row(row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)),
     add_entry=_g1_entry, generator=curve_G,
 )
 TWIST = Group(
-    g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine, window=4,
+    g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
+    endo=g2_psi, split=split_by(LAMBDA_P), half_bits=SHORT_BITS, window=6,
     row=lambda row: _affine_row(row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y),
     add_entry=_g2_entry, generator=twist_G,
 )
@@ -956,9 +1065,20 @@ TWIST = Group(
 # conjugate is the inverse up to the final exponentiation, since r
 # divides p^6 + 1; the rest is exact only in the subgroup.
 CYCLOTOMIC = Group(
-    fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a, window=3,
+    fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a,
+    endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=SHORT_BITS, window=5,
     row=lambda row: tuple(c for f in row for c in gt_marshall(f)), add_entry=_gt_entry,
 )
+
+# the GLV vectors are a basis of that lattice (their determinant is r),
+# every half plus two fits SHORT_BITS bits (a GLV half is at most half
+# the sum of its basis column), and phi and psi act as their lambdas
+assert (_A1 + _B1 * LAMBDA_1) % order == (_A2 + _B2 * LAMBDA_1) % order == 0
+assert _A1 * _B2 - _A2 * _B1 == order
+assert max(abs(_A1) + abs(_A2), abs(_B1) + abs(_B2)) // 2 + 2 < 2**SHORT_BITS
+assert max(LAMBDA_P - 1, (order - 1) // LAMBDA_P) + 2 < 2**SHORT_BITS
+assert g1_affine(g1_phi(curve_G)) == g1_affine(multi_mul(CURVE, [(curve_G, LAMBDA_1)]))
+assert g2_affine(g2_psi(twist_G)) == g2_affine(multi_mul(TWIST, [(twist_G, LAMBDA_P)]))
 
 
 # ----------------------------------------------------------------------

@@ -260,7 +260,7 @@ class GroupSuite:
     values of (prepared right, left point) pairs in one loop, up to the
     final exponentiation), ``_final_exp`` and ``_hash_to_group``.  Every
     other operation is done here, once, by the record of the element's
-    side: a power by ``_bn256.multi_mul`` or, from a table, by
+    side: a power by ``_bn256.split_mul`` or, from a table, by
     ``_bn256.fixed_mul``.  Of the ``TARGET`` record only ``add`` and
     ``neg`` see Miller values: ``add`` must be exact on them and ``neg``
     exact once the result is finished.  The public methods here are the
@@ -382,8 +382,10 @@ class GroupSuite:
         return _bn256.fixed_mul(self.groups[side], table, k)
 
     def _multi_exp(self, side: str, terms):
-        """The sum of the (value, scalar) terms, in one Straus pass."""
-        return _bn256.multi_mul(self.groups[side], terms)
+        """The sum of the (value, scalar) terms, in one Straus pass over
+        their halves; every element of a suite lies in its order-r
+        subgroup."""
+        return _bn256.split_mul(self.groups[side], terms)
 
     def identity(self, side: str) -> G0Element:
         """The identity element of one side."""
@@ -619,8 +621,9 @@ class MockSuite(GroupSuite):
     have exponent 1 and hashed elements are left, as on the curve, so
     the side rules fail here exactly where they would fail there.  All
     three groups are one record of Z_q under addition, so powers take
-    the same Straus pass and table walk as on the curve; a table row is
-    a tuple of multiples, and every value is encoded like a scalar.
+    the same split Straus pass and table walk as on the curve; a table
+    row is a tuple of multiples, and every value is encoded like a
+    scalar.
     """
 
     def __init__(self, order: int = 101):
@@ -636,11 +639,15 @@ class MockSuite(GroupSuite):
             a = row[abs(d) >> 1]
             return (r + a if d > 0 else r - a) % order
 
+        # the endomorphism is x -> lam*x, lam about sqrt(q), so that a
+        # split's halves are about half as long as the order
+        lam = math.isqrt(order) + 1
         # no generator: _bn256 would cache its table, and this suite, for good
         z = _bn256.Group(
             lambda a, b: (a + b) % order, lambda a: 2 * a % order, lambda a: -a % order, 0,
-            order, normal=lambda a: a, window=4, row=tuple, add_entry=entry,
-            encode=self.encode_scalar, decode=self.decode_scalar,
+            order, normal=lambda a: a, endo=lambda a: lam * a % order, split=_bn256.split_by(lam),
+            half_bits=(max(lam - 1, (order - 1) // lam) + 2).bit_length(), window=4,
+            row=tuple, add_entry=entry, encode=self.encode_scalar, decode=self.decode_scalar,
         )
         self.groups = {LEFT: z, RIGHT: z, TARGET: z}
 
@@ -699,10 +706,11 @@ def _decode_left(raw):
     x = int.from_bytes(raw[1:], "big")
     if x >= _bn256.p:
         raise AlgebraError("point coordinate out of range")
+    # the curve has prime order, so no point has y == 0
     rhs = (x * x * x + 3) % _bn256.p
-    if _bn256.legendre(rhs) != 1 and rhs != 0:
-        raise AlgebraError("encoding is not on the curve")
     y = _bn256.sqrt_mod_p(rhs)
+    if y * y % _bn256.p != rhs:
+        raise AlgebraError("encoding is not on the curve")
     if (y & 1) != (tag & 1):
         y = _bn256.p - y
     return (x, y, 1)

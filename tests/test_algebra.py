@@ -78,7 +78,7 @@ def test_mock_runs_the_shared_power_code_on_every_scalar(name):
         terms = [(x, k), (y, k * k % q), (w, q - 1 - k)]
         assert _bn256.multi_mul(z, terms) == sum(a * j for a, j in terms) % q, k
         assert (marked ** k).point == want, k
-    assert len(marked.table[0]) == -(-(q + 1).bit_length() // z.window)
+    assert len(marked.table[0]) == -(-z.half_bits // z.window)  # rows cover a half
     assert _bn256.table(z, 0) is None
 
 
@@ -308,6 +308,23 @@ def test_bn256_g0_codec(bn256, rng):
         bn256.decode_g0((bn256.right_generator ** k).encode(), LEFT)
 
 
+def test_bn256_left_decode_refuses_x_off_the_curve(bn256):
+    """An x whose x^3 + 3 is not a square mod p is refused under either
+    tag; one whose x^3 + 3 is a square decodes to a point on the curve."""
+    b = _bn256
+    off, on = [], []
+    for x in range(1, 40):
+        (on if b.legendre(x**3 + 3) == 1 else off).append(x)
+    assert off and on
+    for x in off:
+        for tag in (2, 3):
+            with pytest.raises(AlgebraError, match="not on the curve"):
+                bn256.decode_g0(bytes([tag]) + x.to_bytes(32, "big"), LEFT)
+    for x in on:
+        pt = bn256.decode_g0(b"\x02" + x.to_bytes(32, "big"), LEFT).point
+        assert pt[0] == x and (pt[1] ** 2 - x**3 - 3) % b.p == 0 and pt[1] % 2 == 0
+
+
 def _fp2_sqrt(a):
     """A square root in Fp2 for p = 3 mod 4, or None when there is none."""
     from etenon import _bn256 as b
@@ -535,6 +552,133 @@ def test_bn256_generator_tables_are_shared(bn256):
     assert g2.table is _bn256.table(bn256.groups[RIGHT], _bn256.twist_G)
     assert again.g_delta.table is not pp.g_delta.table
     assert again.g_delta.table == pp.g_delta.table
+
+
+def test_bn256_endomorphisms_act_as_their_eigenvalues():
+    """phi, psi and the Frobenius map raise the generators of G1, G2 and
+    GT to their lambdas, by the plain ladder: LAMBDA_1, a cube root of
+    unity mod r, and p mod r = 6u^2."""
+    b = _bn256
+    r, u = b.order, b.u
+    assert (b.LAMBDA_1**2 + b.LAMBDA_1 + 1) % r == 0
+    assert b.LAMBDA_P == 6 * u * u == b.p % r
+    assert pow(b.BETA, 3, b.p) == 1 != b.BETA
+    egg = b.final_exp(oracles.miller(b.twist_G, b.curve_G))
+    for group, x, lam in [
+        (b.CURVE, b.curve_G, b.LAMBDA_1),
+        (b.TWIST, b.twist_G, b.LAMBDA_P),
+        (b.CYCLOTOMIC, egg, b.LAMBDA_P),
+    ]:
+        want = oracles.ladder(x, lam, group.add, group.double, group.identity)
+        assert group.normal(group.endo(x)) == group.normal(want)
+
+
+def _glv_extremes():
+    """Scalars whose G1 halves lie near the corners of the rounding cell,
+    one for each pair of signs: the halves there are largest."""
+    b = _bn256
+    scalars = []
+    for s1 in (-1, 1):
+        for s2 in (-1, 1):
+            h0 = (s1 * b._A1 + s2 * b._A2) // 2
+            h1 = (s1 * b._B1 + s2 * b._B2) // 2
+            scalars.append((h0 + b.LAMBDA_1 * h1) % b.order)
+    return scalars
+
+
+def test_bn256_glv_halves_are_short():
+    """The G1 halves of a scalar add up to it, have at most 127 bits and
+    lie below 2**127 + 2**63, the bound the basis gives, on seeded draws
+    and at the corners of the rounding cell, where both signs occur."""
+    b = _bn256
+    bound = max(abs(b._A1) + abs(b._A2), abs(b._B1) + abs(b._B2)) // 2
+    assert bound < 2**127 + 2**63
+    rng = random.Random(0x61F)
+    scalars = _glv_extremes() + [rng.randrange(b.order) for _ in range(2000)]
+    signs = set()
+    for k in scalars:
+        k0, k1 = b.g1_split(k)
+        assert (k0 + b.LAMBDA_1 * k1 - k) % b.order == 0, k
+        assert max(abs(k0), abs(k1)) <= bound and max(abs(k0), abs(k1)).bit_length() <= 127, k
+        signs.add((k0 < 0, k1 < 0))
+    assert len(signs) == 4
+    # at the corners both halves are within a few bits of the bound
+    for k in _glv_extremes():
+        assert min(abs(h) for h in b.g1_split(k)).bit_length() >= 120, k
+
+
+def _split_scalars():
+    """The edge scalars, the scalars next to each lambda and r - lambda,
+    and scalars whose G1 halves are negative or near their bound."""
+    b = _bn256
+    scalars = _edge_scalars() + _glv_extremes()
+    for lam in (b.LAMBDA_1, b.LAMBDA_P):
+        scalars += [lam - 1, lam, lam + 1, b.order - lam]
+    # the first seeded scalar for each pair of G1 half signs
+    rng = random.Random(0x5B1)
+    signs = {}
+    while len(signs) < 4:
+        k = rng.randrange(b.order)
+        k0, k1 = b.g1_split(k)
+        signs.setdefault((k0 < 0, k1 < 0), k)
+    return scalars + list(signs.values())
+
+
+def test_bn256_split_powers_match_the_ladder():
+    """In each group, for subgroup elements, a split one-term pass and a
+    split table power equal the plain ladder on every split scalar (a
+    scalar of r or more reduced first, as the suite does), and a split
+    pass of mixed long, short and zero scalars equals the sum of its
+    ladders."""
+    b = _bn256
+    egg = b.final_exp(oracles.miller(b.twist_G, b.curve_G))
+    cases = [
+        (b.CURVE, [b.curve_G, b.g1_hash_to_point(b"split")]),
+        (b.TWIST, [b.twist_G, b.multi_mul(b.TWIST, [(b.twist_G, 0x5B1)])]),
+        (b.CYCLOTOMIC, [egg, b.multi_mul(b.CYCLOTOMIC, [(egg, 0x5B1)])]),
+    ]
+    scalars = _split_scalars()
+    for group, bases in cases:
+        x = bases[1]
+        table = b.table(group, x)
+        for k in scalars:
+            want = group.normal(oracles.ladder(x, k, group.add, group.double, group.identity))
+            k %= b.order
+            assert group.normal(b.split_mul(group, [(x, k)])) == want, (group.window, k)
+            assert group.normal(b.fixed_mul(group, table, k)) == want, (group.window, k)
+        picks = [(0, scalars[-1]), (1, 2**100 + 7), (0, 0), (1, b.order - 1), (1, scalars[-2])]
+        want = group.identity
+        for i, k in picks:
+            want = group.add(want, oracles.ladder(bases[i], k, group.add, group.double, group.identity))
+        got = b.split_mul(group, [(bases[i], k) for i, k in picks])
+        assert group.normal(got) == group.normal(want)
+
+
+def test_bn256_split_is_wrong_off_the_subgroup():
+    """psi acts as 6u^2 only on G2, so a split pass on a twist point
+    outside it misses the plain product; membership checks therefore
+    take the plain pass, which the ladder tests above pin."""
+    b = _bn256
+    pt = _twist_point_off_the_subgroup()
+    k = random.Random(0x0FF).randrange(b.order)
+    want = oracles.ladder(pt, k, b.g2_add, b.g2_double, b.G2_INFINITY)
+    assert b.g2_affine(b.multi_mul(b.TWIST, [(pt, k)])) == b.g2_affine(want)
+    assert b.g2_affine(b.split_mul(b.TWIST, [(pt, k)])) != b.g2_affine(want)
+
+
+@pytest.mark.parametrize("name", ["mock-101", "mock-103", "mock-7"])
+def test_mock_split_covers_every_scalar(name):
+    """The mock record splits by its lambda of about sqrt(q): on every
+    scalar the halves add up, fit half_bits, and a split pass equals
+    k*x mod q."""
+    suite = get_suite(name)
+    q, z = suite.order, suite.groups[LEFT]
+    lam = z.endo(1)
+    assert 1 < lam < q and lam * lam >= q
+    for k in range(q):
+        k0, k1 = z.split(k)
+        assert k0 + lam * k1 == k and max(k0, k1) + 2 < 2**z.half_bits, k
+        assert _bn256.split_mul(z, [(3, k), (q - 1, k * k % q)]) == (3 * k - k * k) % q, k
 
 
 @pytest.mark.parametrize("name", ["mock", "bn256"])
