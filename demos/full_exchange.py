@@ -2,14 +2,18 @@
 
 A scenario document drives setup, the owner/provider agreement, store
 ingest and two retrievals.  The honest run ends with the doctor seeing
-every level and the nurse only the first two.  The tampered run shows
-the provider refusing to co-sign when its reconstruction disagrees
-with what the owner claimed, so nothing reaches the store at all.
+every level and the nurse only the first two.  The tampered run hands
+the owner's package to the provider with one row edited in transit:
+the provider refuses to co-sign when its reconstruction disagrees with
+what the owner claimed, so nothing reaches the store at all.
 """
 
 import json
+import random
 
-from etenon import workflow
+from dataclasses import replace
+
+from etenon import tenon, workflow
 
 SCENARIO = {
     "suite": "mock",
@@ -55,11 +59,21 @@ def main():
             print("  level %s (%s): %s" % (level, rec["kind"], shown))
 
     print()
-    tampered = dict(SCENARIO, tamper="block_edit")
-    summary = workflow.run_scenario(tampered)
-    print("tampered verdict:", summary["agreement"]["verdict"])
-    print("signatures issued:", summary["agreement"]["signatures"])
-    print("anything stored:", summary["ingest"] is not None)
+    ctx = workflow.phase_setup(
+        "mock", SCENARIO["participants"], rng=random.Random(SCENARIO["seed"])
+    )
+    record = tenon.record_from_json(SCENARIO["record"])
+    terms = workflow.agree_terms(
+        SCENARIO["policy"], SCENARIO["levels"], SCENARIO["identifiable_level"],
+        timestamp=SCENARIO["timestamp"],
+    )
+    package = workflow.owner_package(ctx, record, terms)
+    pointer, row = next(iter(package.rows.items()))
+    package.rows[pointer] = replace(row, block=row.block + " (edited)")
+    transcript = workflow.cosign_package(ctx, "patient", "hospital", record, terms, package)
+    print("tampered verdict:", transcript.verdict)
+    print("signatures issued:", transcript.signature_count)
+    print("anything stored:", bool(ctx.db.read_open()))
 
 
 if __name__ == "__main__":

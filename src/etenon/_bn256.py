@@ -84,23 +84,23 @@ def to_naf(x):
 naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 
 
-# Scalar multiplication and exponentiation take WINDOW bits of the
-# scalar per step.  The sequence of operations depends only on how many
-# terms there are, how many windows the longest scalar spans and which
-# scalars lie below 2**SHORT_BITS, never on the digits: a digit only
-# indexes a table.  A split pass recodes every half over the same width
-# and a half's sign only picks an entry, so there the sequence depends
-# on the count and the short scalars alone.  For uniformly drawn secret
-# scalars the set of short ones is empty except with probability about
-# 2**-126.
+# A Straus pass takes WINDOW bits of every scalar per step.  The
+# sequence of operations of a plain pass (multi_mul) depends only on how
+# many terms there are and how many windows the longest scalar spans,
+# never on the digits: a digit only indexes a table.  A split pass
+# recodes every half, and every scalar too short to split, over
+# HALF_BITS bits, and a half's sign only picks an entry, so there the
+# sequence depends on the count and on which scalars are short.  For
+# uniformly drawn secret scalars none is short except with probability
+# about 2**-126.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
 
-# A scalar whose odd form (k + 1 or k + 2, see _digits) lies below
-# 2**SHORT_BITS, such as a batch weight, is recoded over SHORT_BITS bits
-# instead of the longest scalar's.
-SHORT_BITS = 128
+# The width of a half of a split scalar in every bn256 group (see
+# split_mul): a split pass runs HALF_BITS / WINDOW = 32 windows, and a
+# table's rows cover one half.
+HALF_BITS = 128
 
 
 def _windows(k):
@@ -118,14 +118,11 @@ def _digits(k, window, top):
     or k + 2, whichever is odd; the caller subtracts the base or twice
     the base at the end.  Every digit is odd and lies in
     [1 - 2**window, 2**window - 1], and the top one is positive.  There
-    are ``top`` digits, which must cover k', or only enough for
-    SHORT_BITS bits when k' is below 2**SHORT_BITS and those are fewer."""
+    are ``top`` digits, which must cover k'."""
     k += 1 + (k & 1)
     base = 1 << window
-    short = -(-SHORT_BITS // window)
-    n = short if short < top and k.bit_length() <= SHORT_BITS else top
     digits = []
-    for _ in range(n - 1):
+    for _ in range(top - 1):
         m = k & (2 * base - 1)
         digits.append(m - base)
         k = (k - m + base) >> window
@@ -176,9 +173,8 @@ def multi_mul(group, terms):
     shared doublings (Straus, "Addition chains of vectors", 1964).
 
     Each scalar is recoded by :func:`_digits` over the longest term's
-    window count, or over SHORT_BITS bits when it is that short: every
-    window costs WINDOW doublings, shared by all terms, and one table add
-    per term that has a digit there.  Exact on any value on which
+    window count: every window costs WINDOW doublings, shared by all
+    terms, and one table add per term.  Exact on any value on which
     ``group.neg`` is the exact inverse: any curve point, but only the
     cyclotomic subgroup in Fp12."""
     top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
@@ -210,8 +206,7 @@ def split_mul(group, terms):
 
 
 def _straus(group, terms, top):
-    """multi_mul's pass with every scalar recoded over ``top`` windows,
-    or over SHORT_BITS bits when it is that short and those are fewer."""
+    """multi_mul's pass with every scalar recoded over ``top`` windows."""
     add, double, neg = group.add, group.double, group.neg
     base = 1 << WINDOW
     tables, fixes = [], []
@@ -230,8 +225,7 @@ def _straus(group, terms, top):
             for _ in range(WINDOW):
                 r = double(r)
         for table, row in zip(tables, digits):
-            if i < len(row):
-                r = add(r, table[(row[i] + base - 1) >> 1])
+            r = add(r, table[(row[i] + base - 1) >> 1])
     for fix in fixes:
         r = add(r, fix)
     return r
@@ -1050,13 +1044,13 @@ def _gt_entry(r, row, d):
 
 CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
-    endo=g1_phi, split=g1_split, half_bits=SHORT_BITS, window=7,
+    endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
     row=lambda row: _affine_row(row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)),
     add_entry=_g1_entry, generator=curve_G,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
-    endo=g2_psi, split=split_by(LAMBDA_P), half_bits=SHORT_BITS, window=6,
+    endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6,
     row=lambda row: _affine_row(row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y),
     add_entry=_g2_entry, generator=twist_G,
 )
@@ -1066,17 +1060,17 @@ TWIST = Group(
 # divides p^6 + 1; the rest is exact only in the subgroup.
 CYCLOTOMIC = Group(
     fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a,
-    endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=SHORT_BITS, window=5,
+    endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=5,
     row=lambda row: tuple(c for f in row for c in gt_marshall(f)), add_entry=_gt_entry,
 )
 
 # the GLV vectors are a basis of that lattice (their determinant is r),
-# every half plus two fits SHORT_BITS bits (a GLV half is at most half
+# every half plus two fits HALF_BITS bits (a GLV half is at most half
 # the sum of its basis column), and phi and psi act as their lambdas
 assert (_A1 + _B1 * LAMBDA_1) % order == (_A2 + _B2 * LAMBDA_1) % order == 0
 assert _A1 * _B2 - _A2 * _B1 == order
-assert max(abs(_A1) + abs(_A2), abs(_B1) + abs(_B2)) // 2 + 2 < 2**SHORT_BITS
-assert max(LAMBDA_P - 1, (order - 1) // LAMBDA_P) + 2 < 2**SHORT_BITS
+assert max(abs(_A1) + abs(_A2), abs(_B1) + abs(_B2)) // 2 + 2 < 2**HALF_BITS
+assert max(LAMBDA_P - 1, (order - 1) // LAMBDA_P) + 2 < 2**HALF_BITS
 assert g1_affine(g1_phi(curve_G)) == g1_affine(multi_mul(CURVE, [(curve_G, LAMBDA_1)]))
 assert g2_affine(g2_psi(twist_G)) == g2_affine(multi_mul(TWIST, [(twist_G, LAMBDA_P)]))
 

@@ -23,7 +23,6 @@ import random
 import statistics
 import sys
 import time
-import tracemalloc
 
 from . import _bn256, mlabe, musig, policy, tdb, workflow
 from .algebra import LEFT, RIGHT, TARGET, G0Element, get_suite
@@ -288,17 +287,20 @@ def bench_musig(suite, n: int, m: int, trials: int, rng) -> dict:
 
 
 def _table_cost(suite, side: str, value) -> dict:
-    """The build time and the retained size (tracemalloc) of the table of
-    a fixed base whose payload is ``value``."""
+    """The build time and the retained size of the table of a fixed base
+    whose payload is ``value``: the ``sys.getsizeof`` sum over its tuples
+    and ints, each object counted once."""
     t0 = time.perf_counter()
-    suite._fixed_table(side, value)
+    table = suite._fixed_table(side, value)
     ms = 1000 * (time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        table = suite._fixed_table(side, value)  # held while it is measured
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    seen, todo, size = set(), [table], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            size += sys.getsizeof(obj)
+            if isinstance(obj, tuple):
+                todo.extend(obj)
     return {"table_ms": ms, "table_kb": size / 1024}
 
 

@@ -232,22 +232,6 @@ def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> Cipher
     return _encrypt(pp, elements, tree, rng, None, lambda level, key, x: x * key)
 
 
-def open_with_plan(
-    pp: PublicParams, ct: CiphertextBundle, plan: policy.SharePlan
-) -> dict[int, bytes]:
-    """Every level's payload, opened with the plan that sealed ``ct``.
-
-    A plan's level secrets give every level key, with no attribute
-    key at all: whoever holds the plan reads every level.
-    """
-    return {
-        level: pp.suite.unseal(
-            pp.egg_gamma ** plan.level_secrets[level], masked, _level_context(level)
-        )
-        for level, (_, masked) in ct.levels.items()
-    }
-
-
 def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
     """Yield (level, masked, e(g,g)^(gamma*s_l)) for each level the key opens.
 

@@ -144,13 +144,6 @@ class IngestResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class TableSnapshot:
-    rows: tuple[OpenRow, ...]
-    entry_ids: tuple[str, ...]
-    order_digest: bytes
-
-
 def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
     """Canonical byte form of one chain element as stored and signed."""
     return canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
@@ -356,14 +349,6 @@ class TenonDb:
         if roster is None:
             raise TdbError("unknown roster %r" % ref)
         return roster
-
-    def snapshot(self) -> TableSnapshot:
-        with self._lock:
-            return TableSnapshot(
-                rows=tuple(self._rows),
-                entry_ids=tuple(sorted(self._secrets)),
-                order_digest=self.order_digest(),
-            )
 
     # ------------------------------------------------------------------
     # shuffling

@@ -1,21 +1,26 @@
 """End-to-end protocol: setup, co-signed accumulation, retrieval.
 
 A central authority runs setup and hands the master key to the
-attribute authority, which issues key bundles.  A data owner
+attribute authority, which issues key bundles.  Owner and provider
+first agree the terms (:func:`agree_terms`): the policy, the level
+assignment, the access label and the timestamp.  The agreement then
+runs as two halves.  In :func:`owner_package` the data owner
 preprocesses a record into per-level pointer chains, seals the chain
 heads (and the identifiable columns, under their own level) into one
-ciphertext, and hands the package to the service provider: the
+ciphertext, and packs what the service provider needs: the
 ciphertext, the chain elements to be signed, the chain heads and the
-share plan's random coefficients.  The provider checks by
-re-encryption, not decryption.  It derives every share from the
-coefficients, encrypts its own copy of the record under the agreed
-policy, and accepts the ciphertext only if the two are equal byte for
-byte; it then walks each chain from its head through the elements, as
-a reader will walk the open table, and compares it with its own copy.
-Only on an exact match do both parties co-sign every row and the
-ciphertext.  The plan gives every level key, so the package must
-travel over a confidential owner-to-provider channel; it never reaches
-a transcript or the store.
+share plan's random coefficients.  In :func:`cosign_package` the
+provider, which sees only that package, the terms and its own copy of
+the record, checks by re-encryption, not decryption.  It derives every
+share from the coefficients, encrypts its own copy of the record under
+the agreed policy, and accepts the ciphertext only if the two are
+equal byte for byte; it then walks each chain from its head through
+the elements, as a reader will walk the open table, and compares it
+with its own copy.  Only on an exact match do both parties co-sign
+every row and the ciphertext.  :func:`run_agreement` hands the one
+half's package straight to the other.  The plan gives every level key,
+so the package must travel over a confidential owner-to-provider
+channel; it never reaches a transcript or the store.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, checks its signature before any
 decryption, recovers whichever levels its key satisfies and follows
@@ -31,7 +36,7 @@ import enum
 import json
 import time
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite
@@ -253,13 +258,47 @@ def level_blocks(labelled: EhrRecord, names, stopwords) -> list[str]:
 # the co-signing agreement
 
 
-class Tamper(enum.Enum):
-    """Adversarial edits applied to the package in transit (tests)."""
+@dataclass(frozen=True)
+class AgreementTerms:
+    """What owner and provider agree before step 1: the policy, the
+    columns each chain level carries, the level set aside for the
+    identifiable columns and the entry's access label and timestamp.
+    Build it with :func:`agree_terms`, which checks it once for both."""
 
-    BLOCK_EDIT = "block_edit"
-    CHAIN_REORDER = "chain_reorder"
-    CIPHERTEXT_SWAP = "ciphertext_swap"
-    POLICY_SWAP = "policy_swap"
+    tree: policy.AccessTree
+    level_columns: dict[int, tuple[str, ...]]
+    identifiable_level: int | None
+    access_label: str
+    timestamp: int
+
+
+def agree_terms(
+    policy_text: str,
+    level_columns,
+    identifiable_level: int | None = None,
+    access_label: str = "clinical",
+    timestamp: int | None = None,
+) -> AgreementTerms:
+    """The agreed terms, refused before anything is encrypted when the
+    store's log could not carry them as they are.  A level is an int as
+    it is (not a bool) or a JSON key in canonical decimal; the timestamp
+    defaults to now; a bad policy raises its own ``PolicyError``."""
+    if timestamp is None:
+        timestamp = int(time.time())
+    with decoding(WorkflowError, "timestamp"):
+        tdb.timestamp_from_json(timestamp)
+    with decoding(WorkflowError, "access label"):
+        typed(access_label, str)
+    with decoding(WorkflowError, "identifiable level"):
+        if identifiable_level is not None:
+            typed(identifiable_level, int)
+    with decoding(WorkflowError, "level columns"):
+        level_columns = {
+            l if type(l) is int else policy.level_from_key(l): tuple(names)
+            for l, names in level_columns.items()
+        }
+    tree = policy.parse_policy(policy_text)
+    return AgreementTerms(tree, level_columns, identifiable_level, access_label, timestamp)
 
 
 @dataclass
@@ -280,7 +319,7 @@ class AgreementPackage:
 
 @dataclass
 class AgreementTranscript:
-    """Ordered record of the five agreement steps and their outcome."""
+    """The provider's record of the agreement steps and their outcome."""
 
     steps: list[str]
     verdict: str
@@ -296,124 +335,65 @@ class AgreementTranscript:
         return self.verdict == "identical"
 
 
-def _apply_tamper(package: AgreementPackage, tamper: Tamper, ctx) -> None:
-    rows = package.rows
-    if tamper is Tamper.BLOCK_EDIT:
-        t = next(iter(rows.values()))
-        rows[t.pointer] = replace(t, block=t.block + " tampered")
-    elif tamper is Tamper.CHAIN_REORDER:
-        # rows run in chain order: the first level of two or more blocks
-        a = next((t for t in rows.values() if t.next is not None), None)
-        if a is None:
-            raise WorkflowError("no chain long enough to reorder")
-        b = rows[a.next]
-        rows[a.pointer] = replace(a, block=b.block)
-        rows[b.pointer] = replace(b, block=a.block)
-    elif tamper is Tamper.CIPHERTEXT_SWAP:
-        bogus = {
-            level: encode_chain_payload(tenon.make_pointer(ctx.rng))
-            for level in package.ciphertext.tree.levels
-        }
-        package.ciphertext = mlabe.encrypt(
-            ctx.pp, bogus, package.ciphertext.tree, ctx.rng
-        )
-    elif tamper is Tamper.POLICY_SWAP:
-        # the owner's own payloads and coefficients, under a tree whose
-        # every level needs only its first sub-tree
-        ct, plan = package.ciphertext, package.plan
-        weak = replace(ct.tree, levels={l: w[:1] for l, w in ct.tree.levels.items()})
-        payloads = mlabe.open_with_plan(ctx.pp, ct, plan)
-        weak_plan = policy.derive_shares(weak, plan.order, plan.coefficients)
-        package.ciphertext = mlabe.encrypt(ctx.pp, payloads, weak, plan=weak_plan)
-    else:
-        raise WorkflowError("unknown tamper %r" % tamper)
-
-
-def run_agreement(
-    ctx: SystemContext,
-    do_name: str,
-    sp_name: str,
-    record: EhrRecord,
-    policy_text: str,
-    level_columns,
-    identifiable_level: int | None = None,
-    access_label: str = "clinical",
-    timestamp: int | None = None,
-    tamper: Tamper | None = None,
-) -> AgreementTranscript:
-    """Drive the five-step mutual agreement between owner and provider.
-
-    Both parties hold the raw record and agree the policy text and the
-    level assignment.  When the owner's ciphertext equals the provider's
-    re-encryption and every chain matches the provider's copy, they
-    co-sign every block and the ciphertext; on any mismatch the provider
-    refuses and nothing is signed at all.
-    """
-    do = ctx.entity(do_name)
-    sp = ctx.entity(sp_name)
-    if do.keys is None or sp.keys is None:
-        raise WorkflowError("both agreement parties need signing keys")
-    if timestamp is None:
-        timestamp = int(time.time())
-    # the store's log carries these as they are, so refuse what it could not
-    with decoding(WorkflowError, "timestamp"):
-        tdb.timestamp_from_json(timestamp)
-    with decoding(WorkflowError, "access label"):
-        typed(access_label, str)
-    with decoding(WorkflowError, "level columns"):
-        # an int level as it is (not a bool), a JSON key only in canonical decimal
-        level_columns = {
-            l if type(l) is int else policy.level_from_key(l): tuple(names)
-            for l, names in level_columns.items()
-        }
-    steps: list[str] = []
-
-    # step 1: the owner preprocesses and encrypts
-    tree = policy.parse_policy(policy_text)
-    chain_levels = set(level_columns)
-    declared = set(tree.levels)
-    expect_levels = set(chain_levels)
-    if identifiable_level is not None:
-        if identifiable_level in chain_levels:
+def owner_package(
+    ctx: SystemContext, record: EhrRecord, terms: AgreementTerms
+) -> AgreementPackage:
+    """Step 1: the owner preprocesses the record into chains, seals the
+    heads and the identifiable columns under the agreed policy, and
+    packs what the provider needs to check them."""
+    tree, level_columns = terms.tree, terms.level_columns
+    expect_levels = set(level_columns)
+    if terms.identifiable_level is not None:
+        if terms.identifiable_level in expect_levels:
             raise WorkflowError("the identifiable level cannot also carry a chain")
-        expect_levels.add(identifiable_level)
-    if expect_levels != declared:
+        expect_levels.add(terms.identifiable_level)
+    if expect_levels != set(tree.levels):
         raise WorkflowError(
             "policy declares levels %s but the assignment covers %s"
-            % (sorted(declared), sorted(expect_levels))
+            % (sorted(tree.levels), sorted(expect_levels))
         )
     structures, identifiable_cols = preprocess_record(
         record, ctx.rules, ctx.stopwords, level_columns, ctx.rng
     )
-    if identifiable_cols and identifiable_level is None:
+    if identifiable_cols and terms.identifiable_level is None:
         raise WorkflowError(
             "record has identifiable columns but no level was set aside for them"
         )
     heads = {level: st.head for level, st in structures.items()}
-    payloads = level_payloads(heads, identifiable_level, identifiable_cols)
+    payloads = level_payloads(heads, terms.identifiable_level, identifiable_cols)
     plan = policy.assign_shares(tree, ctx.suite.order, ctx.rng)
-    ciphertext = mlabe.encrypt(ctx.pp, payloads, tree, plan=plan)
-    to_sign = {
-        t.pointer: t
-        for level in sorted(structures)
-        for t in structures[level].chain_order()
-    }
-    steps.append(
-        "owner: %d chain levels, %d blocks, %d identifiable columns sealed"
-        % (len(structures), len(to_sign), len(identifiable_cols))
-    )
-
-    # step 2: package crosses the channel (where tampering can strike)
-    package = AgreementPackage(
-        rows=to_sign,
-        ciphertext=ciphertext,
+    return AgreementPackage(
+        rows={
+            t.pointer: t
+            for level in sorted(structures)
+            for t in structures[level].chain_order()
+        },
+        ciphertext=mlabe.encrypt(ctx.pp, payloads, tree, plan=plan),
         plan=plan,
         heads=heads,
     )
-    if tamper is not None:
-        _apply_tamper(package, tamper, ctx)
-        steps.append("channel: package altered in transit (%s)" % tamper.value)
-    steps.append("provider: package received")
+
+
+def cosign_package(
+    ctx: SystemContext,
+    do_name: str,
+    sp_name: str,
+    record: EhrRecord,
+    terms: AgreementTerms,
+    package: AgreementPackage,
+) -> AgreementTranscript:
+    """Steps 3 to 5: the provider checks the package against its own
+    copy of the record and the agreed terms, and on an exact match both
+    parties co-sign every row and the ciphertext.  On any mismatch the
+    provider refuses and nothing is signed at all."""
+    do = ctx.entity(do_name)
+    sp = ctx.entity(sp_name)
+    if do.keys is None or sp.keys is None:
+        raise WorkflowError("both agreement parties need signing keys")
+    steps = [
+        "provider: received %d chain heads, %d rows and the ciphertext"
+        % (len(package.heads), len(package.rows))
+    ]
 
     def refuse(mismatch):
         steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
@@ -423,9 +403,9 @@ def run_agreement(
     # with the handed plan, deriving every share itself
     own = tenon.classify(record, ctx.rules)
     try:
-        own_plan = policy.derive_shares(tree, ctx.suite.order, package.plan.coefficients)
-        own_payloads = level_payloads(package.heads, identifiable_level, own.identifiable())
-        own_ct = mlabe.encrypt(ctx.pp, own_payloads, tree, plan=own_plan)
+        own_plan = policy.derive_shares(terms.tree, ctx.suite.order, package.plan.coefficients)
+        own_payloads = level_payloads(package.heads, terms.identifiable_level, own.identifiable())
+        own_ct = mlabe.encrypt(ctx.pp, own_payloads, terms.tree, plan=own_plan)
     except (policy.PolicyError, mlabe.MlabeError) as e:
         return refuse(str(e))
     ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
@@ -441,9 +421,9 @@ def run_agreement(
         unreached.discard(pointer)
         return package.rows.get(pointer)
 
-    for level, names in sorted(level_columns.items()):
+    for level, names in sorted(terms.level_columns.items()):
         try:
-            chain, complete = tenon.follow(package.heads[level], row_triple)
+            chain, complete = tenon.follow(package.heads.get(level), row_triple)
         except tenon.TenonError as e:
             return refuse(str(e))
         if not complete or [t.block for t in chain] != level_blocks(own, names, ctx.stopwords):
@@ -457,6 +437,7 @@ def run_agreement(
     entry_id = tenon.make_pointer(ctx.rng).hex
     roster_ref = "agreement-" + entry_id
     keys = [do.keys.signing, sp.keys.signing]
+    timestamp = terms.timestamp
     rows = []
     for pointer, t in package.rows.items():
         # signed under the pointer the walk reached it by
@@ -464,14 +445,14 @@ def run_agreement(
         digest = tdb.row_digest(pp_bytes, t, timestamp)
         sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
         rows.append(OpenRow(pointer, t.block, t.next, sig, roster_ref, timestamp))
-    ct_digest = tdb.entry_digest(pp_bytes, entry_id, access_label, ct_bytes, timestamp)
+    ct_digest = tdb.entry_digest(pp_bytes, entry_id, terms.access_label, ct_bytes, timestamp)
     entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
     secret = SecretEntry(
         entry_id=entry_id,
         ciphertext=package.ciphertext,
         sig=entry_sig,
         roster_ref=roster_ref,
-        access_label=access_label,
+        access_label=terms.access_label,
         timestamp=timestamp,
         ct_bytes=ct_bytes,
     )
@@ -488,6 +469,25 @@ def run_agreement(
         secret=secret,
         signature_count=len(rows) + 1,
     )
+
+
+def run_agreement(
+    ctx: SystemContext,
+    do_name: str,
+    sp_name: str,
+    record: EhrRecord,
+    policy_text: str,
+    level_columns,
+    identifiable_level: int | None = None,
+    access_label: str = "clinical",
+    timestamp: int | None = None,
+) -> AgreementTranscript:
+    """The whole agreement between owner and provider, who both hold
+    the raw record: the owner's package, handed straight to the
+    provider's check."""
+    terms = agree_terms(policy_text, level_columns, identifiable_level, access_label, timestamp)
+    package = owner_package(ctx, record, terms)
+    return cosign_package(ctx, do_name, sp_name, record, terms, package)
 
 
 def ingest_transcript(ctx: SystemContext, transcript: AgreementTranscript):
@@ -621,22 +621,28 @@ def _emit_context(ctx: SystemContext, emit_dir) -> None:
             )
 
 
+SCENARIO_KEYS = frozenset((
+    "suite seed timestamp participants policy record levels identifiable_level "
+    "access_label do sp retrieve"
+).split())
+
+
 def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     """Drive a whole configured run; returns a JSON-able summary.
 
     The document names the suite, seed, participants, policy, record,
-    level assignment, optional tampering and the retrievals to attempt;
-    all of it is checked before any step runs, and a malformed document
-    raises :class:`WorkflowError`.  A fixed seed makes the entire run,
-    store layout included, deterministic.  With ``emit_dir`` the public
-    parameters and every participant's key bundle are written there as
-    JSON, so the command-line tools can work the resulting store
-    afterwards.
+    level assignment and the retrievals to attempt; all of it is checked
+    before any step runs, and a malformed document, one with a key not
+    in ``SCENARIO_KEYS`` included, raises :class:`WorkflowError`.  A
+    fixed seed makes the entire run, store layout included,
+    deterministic.  With ``emit_dir`` the public parameters and every
+    participant's key bundle are written there as JSON, so the
+    command-line tools can work the resulting store afterwards.
     """
     import random as _random
 
-    def optional(key, kind):
-        value = doc.get(key)
+    def optional(obj, key, kind):
+        value = obj.get(key)
         return None if value is None else typed(value, kind)
 
     def strings(value) -> list[str]:
@@ -644,8 +650,11 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
 
     with decoding(WorkflowError, "scenario"):
         doc = typed(doc, dict)
+        unknown = set(doc) - SCENARIO_KEYS
+        if unknown:
+            raise ValueError("unknown keys %s" % sorted(unknown))
         suite_name = typed(doc.get("suite", "mock"), str)
-        seed = optional("seed", int)
+        seed = optional(doc, "seed", int)
         participants = {
             name: {
                 "role": typed(typed(spec, dict).get("role", "DU"), str),
@@ -653,34 +662,30 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
             }
             for name, spec in typed(doc.get("participants", {}), dict).items()
         }
-        tamper = optional("tamper", str)
-        timestamp = doc.get("timestamp")
-        access_label = typed(doc.get("access_label", "clinical"), str)
-        agreement = dict(
-            do_name=typed(doc["do"], str),
-            sp_name=typed(doc["sp"], str),
-            record=tenon.record_from_json(doc["record"]),
-            policy_text=typed(doc["policy"], str),
-            level_columns={
-                policy.level_from_key(level): strings(names)
-                for level, names in typed(doc["levels"], dict).items()
-            },
-            identifiable_level=optional("identifiable_level", int),
-            access_label=access_label,
-            timestamp=None if timestamp is None else tdb.timestamp_from_json(timestamp),
-            tamper=None if tamper is None else Tamper(tamper),
+        do_name, sp_name = typed(doc["do"], str), typed(doc["sp"], str)
+        record = tenon.record_from_json(doc["record"])
+        policy_text = typed(doc["policy"], str)
+        level_columns = {
+            level: strings(names) for level, names in typed(doc["levels"], dict).items()
+        }
+        retrievals = [
+            (typed(typed(req, dict)["du"], str), optional(req, "access_label", str))
+            for req in typed(doc.get("retrieve", []), list)
+        ]
+    try:
+        # a bad policy raises its own PolicyError, before any file is written
+        terms = agree_terms(
+            policy_text, level_columns, doc.get("identifiable_level"),
+            doc.get("access_label", "clinical"), doc.get("timestamp"),
         )
-        retrievals = []
-        for req in typed(doc.get("retrieve", []), list):
-            label = typed(typed(req, dict).get("access_label", access_label), str)
-            retrievals.append((typed(req["du"], str), label))
-    # a bad policy raises its own PolicyError, before any file is written
-    policy.parse_policy(agreement["policy_text"])
+    except WorkflowError as exc:
+        raise WorkflowError("malformed scenario: %s" % exc) from None
 
     rng = _random.Random(seed) if seed is not None else None
     ctx = phase_setup(suite_name, participants, rng=rng, db_root=db_root)
-    transcript = run_agreement(ctx, **agreement)
-    # only now: a document run_agreement refuses leaves no key files
+    package = owner_package(ctx, record, terms)
+    transcript = cosign_package(ctx, do_name, sp_name, record, terms, package)
+    # only now: a document the agreement refuses leaves no key files
     if emit_dir is not None:
         _emit_context(ctx, emit_dir)
     out = {
@@ -699,6 +704,8 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
         out["ingest"] = {"accepted": result.accepted, "reason": result.reason}
         out["order_digest"] = ctx.db.order_digest().hex()
         for du_name, label in retrievals:
+            if label is None:
+                label = terms.access_label
             report = phase_retrieval(ctx, du_name, transcript.entry_id, access_label=label)
             entry = report_to_json(report)
             entry["du"] = du_name

@@ -36,8 +36,7 @@ from etenon.musig import (
 )
 from etenon.tdb import OpenRow, TenonDb
 from etenon.tenon import build_structure, load_stopwords, normalize, reconstruct, tokenize
-from etenon.workflow import Tamper
-
+import channel
 import oracles
 from conftest import ACCEPTANCE_LINES
 
@@ -380,7 +379,7 @@ def test_criterion_08_gate_rejects_invisibly(tmp_path):
         assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
         db.save_snapshot()
 
-        before = db.snapshot()
+        open_rows, entry_ids, order = db.read_open(), db.secret_ids(), db.order_digest()
         log_bytes = (tmp_path / "log.jsonl").read_bytes()
         snap_bytes = (tmp_path / "snapshot.json").read_bytes()
 
@@ -400,10 +399,9 @@ def test_criterion_08_gate_rejects_invisibly(tmp_path):
         for bad_rows, bad_secret, bad_rosters in attacks:
             result = db.ingest(bad_rows, bad_secret, rosters=bad_rosters, rng=rng)
             assert not result.accepted
-            after = db.snapshot()
-            assert after.rows == before.rows
-            assert after.entry_ids == before.entry_ids
-            assert after.order_digest == before.order_digest
+            assert db.read_open() == open_rows
+            assert db.secret_ids() == entry_ids
+            assert db.order_digest() == order
             assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
             assert (tmp_path / "snapshot.json").read_bytes() == snap_bytes
             for row in db.read_open():
@@ -488,17 +486,17 @@ AGREEMENT_RECORD = [
 ]
 
 
-def _agreement(seed, tamper=None):
+def _agreement(seed, edit=lambda package, ctx: None):
+    """The agreement, with ``edit(package, ctx)`` applied in transit."""
     ctx = workflow.phase_setup(
         "mock", AGREEMENT_PARTICIPANTS, rng=random.Random(seed)
     )
     record = tenon.record_from_json(AGREEMENT_RECORD)
-    tr = workflow.run_agreement(
-        ctx, "patient", "hospital", record, AGREEMENT_POLICY,
-        {1: ["symptom"], 2: ["history"]}, identifiable_level=3,
-        timestamp=1_700_000_000, tamper=tamper,
+    terms = workflow.agree_terms(
+        AGREEMENT_POLICY, {1: ["symptom"], 2: ["history"]}, identifiable_level=3,
+        timestamp=1_700_000_000,
     )
-    return ctx, tr
+    return ctx, channel.across(ctx, "patient", "hospital", record, terms, edit)
 
 
 def test_criterion_10_agreement_signs_or_refuses():
@@ -526,11 +524,11 @@ def test_criterion_10_agreement_signs_or_refuses():
         ).digest()
         assert musig.verify(ctx.suite, tr.secret.sig, roster, digest)
 
-        for tamper in Tamper:
-            _, refused = _agreement(0xAB10, tamper=tamper)
-            assert not refused.agreed, tamper
-            assert refused.signature_count == 0, tamper
-            assert refused.rows is None and refused.secret is None, tamper
+        for edit in channel.EDITS:
+            _, refused = _agreement(0xAB10, edit)
+            assert not refused.agreed, edit
+            assert refused.signature_count == 0, edit
+            assert refused.rows is None and refused.secret is None, edit
 
 
 # ----------------------------------------------------------------------

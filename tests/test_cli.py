@@ -392,6 +392,16 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
     assert len(fixed) == 3 and all(r["table_ms"] > 0 and r["table_kb"] > 50 for r in fixed)
 
 
+def test_bench_table_size_is_the_same_on_every_call(bn256):
+    """A table's retained size counts the table's own objects, so two
+    builds of one base's table read the same size."""
+    from etenon.algebra import TARGET
+
+    base = (bn256.gt_generator ** 5).value
+    first, second = (cli._table_cost(bn256, TARGET, base)["table_kb"] for _ in range(2))
+    assert first == second > 50
+
+
 def test_bench_batch_row(tmp_path, capsys):
     """The musig row with m = 5 checks five signatures by one roster of
     n = 2 in m + n exponentiations: g's power and one pass of the other

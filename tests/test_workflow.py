@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,18 +11,22 @@ from etenon.codec import canonical_json
 from etenon.tdb import block_payload
 from etenon.workflow import (
     Role,
-    Tamper,
     WorkflowError,
+    agree_terms,
+    cosign_package,
     decode_level_payload,
     encode_chain_payload,
     encode_identifiable_payload,
     ingest_transcript,
+    owner_package,
     phase_retrieval,
     phase_setup,
     preprocess_record,
     run_agreement,
     run_scenario,
 )
+
+import channel
 
 
 POLICY = "\n".join(
@@ -53,7 +58,12 @@ def fresh_ctx(seed=5, db_root=None):
     )
 
 
-def agree(ctx, tamper=None):
+TERMS = agree_terms(
+    POLICY, {1: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1_700_000_000
+)
+
+
+def agree(ctx):
     record = tenon.record_from_json(RECORD)
     return run_agreement(
         ctx,
@@ -64,7 +74,6 @@ def agree(ctx, tamper=None):
         {1: ["symptom"], 2: ["history"]},
         identifiable_level=3,
         timestamp=1_700_000_000,
-        tamper=tamper,
     )
 
 
@@ -179,10 +188,10 @@ def test_agreement_roster_is_owner_and_provider():
     )
 
 
-@pytest.mark.parametrize("tamper", list(Tamper))
-def test_agreement_refuses_on_tampering(tamper):
+@pytest.mark.parametrize("edit", channel.EDITS, ids=lambda e: "Tamper." + e.__name__.upper())
+def test_agreement_refuses_on_tampering(edit):
     ctx = fresh_ctx()
-    tr = agree(ctx, tamper=tamper)
+    tr = agree_with_channel(edit, ctx)
     assert not tr.agreed
     assert tr.verdict.startswith("mismatch")
     assert tr.rows is None
@@ -192,25 +201,25 @@ def test_agreement_refuses_on_tampering(tamper):
         ingest_transcript(ctx, tr)
 
 
-def agree_with_channel(monkeypatch, edit):
+def agree_with_channel(edit, ctx=None):
     """The agreement with ``edit(package, ctx)`` as the change in transit."""
-    monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: edit(package, ctx))
-    return agree(fresh_ctx(), tamper=Tamper.BLOCK_EDIT)
+    record = tenon.record_from_json(RECORD)
+    return channel.across(ctx or fresh_ctx(), "patient", "hospital", record, TERMS, edit)
 
 
-def test_agreement_refuses_a_row_on_no_chain(monkeypatch):
+def test_agreement_refuses_a_row_on_no_chain():
     injected = []
 
     def inject(package, ctx):
         injected.append(tenon.make_pointer(ctx.rng))
         package.rows[injected[0]] = tenon.Triple(injected[0], "injected", None)
 
-    tr = agree_with_channel(monkeypatch, inject)
+    tr = agree_with_channel(inject)
     assert tr.verdict == "mismatch: row %s lies on no chain" % injected[0]
     assert tr.rows is None and tr.signature_count == 0
 
 
-def test_agreement_signs_a_row_under_the_pointer_it_was_reached_by(monkeypatch):
+def test_agreement_signs_a_row_under_the_pointer_it_was_reached_by():
     """A chain element filed under another pointer in transit is signed
     under the pointer the provider's walk reached it by, so readers walk
     the rows the provider checked."""
@@ -218,9 +227,8 @@ def test_agreement_signs_a_row_under_the_pointer_it_was_reached_by(monkeypatch):
         head = next(iter(package.rows))
         package.rows[head] = replace(package.rows[head], pointer=tenon.make_pointer(ctx.rng))
 
-    monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: refile(package, ctx))
     ctx = fresh_ctx()
-    tr = agree(ctx, tamper=Tamper.BLOCK_EDIT)
+    tr = agree_with_channel(refile, ctx)
     assert tr.agreed and ingest_transcript(ctx, tr).accepted
     report = phase_retrieval(ctx, "dr_grey", tr.entry_id)
     assert all(rec.complete for rec in report.recovered.values() if rec.kind == "chain")
@@ -243,8 +251,8 @@ def _loop_the_tail(package, ctx):
     [(_loop_the_head, "pointer chain contains a cycle"),
      (_loop_the_tail, "pointer chain contains a cycle")],
 )
-def test_agreement_refuses_an_unreadable_package(monkeypatch, edit, reason):
-    tr = agree_with_channel(monkeypatch, edit)
+def test_agreement_refuses_an_unreadable_package(edit, reason):
+    tr = agree_with_channel(edit)
     assert tr.verdict.startswith("mismatch: " + reason)
     assert tr.rows is None and tr.signature_count == 0
 
@@ -261,8 +269,8 @@ def _edit_last_row(package, ctx):
 
 
 @pytest.mark.parametrize("edit, level", [(_edit_first_row, 1), (_edit_last_row, 2)])
-def test_agreement_mismatch_names_the_level(monkeypatch, edit, level):
-    tr = agree_with_channel(monkeypatch, edit)
+def test_agreement_mismatch_names_the_level(edit, level):
+    tr = agree_with_channel(edit)
     assert tr.verdict == "mismatch: level %d differs from the provider's copy" % level
     assert tr.signature_count == 0
 
@@ -273,7 +281,7 @@ REENCRYPTION = "mismatch: the ciphertext differs from the provider's re-encrypti
 def _reseal(package, ctx, level, payload):
     """Reseal one level in transit under the handed plan: the ciphertext
     then differs from the owner's in that level's mask alone."""
-    payloads = mlabe.open_with_plan(ctx.pp, package.ciphertext, package.plan)
+    payloads = channel.open_with_plan(ctx.pp, package.ciphertext, package.plan)
     payloads[level] = payload(payloads[level])
     package.ciphertext = mlabe.encrypt(
         ctx.pp, payloads, package.ciphertext.tree, plan=package.plan
@@ -289,25 +297,23 @@ def _reseal_identifiable(package, ctx):
 
 
 @pytest.mark.parametrize("edit", [_reseal_unknown_kind, _reseal_identifiable])
-def test_agreement_refuses_a_resealed_level(monkeypatch, edit):
-    tr = agree_with_channel(monkeypatch, edit)
+def test_agreement_refuses_a_resealed_level(edit):
+    tr = agree_with_channel(edit)
     assert tr.verdict == REENCRYPTION
     assert tr.rows is None and tr.signature_count == 0
 
 
-def test_policy_swap_keeps_the_payloads_under_a_weaker_tree(monkeypatch):
+def test_policy_swap_keeps_the_payloads_under_a_weaker_tree():
     """The swap is a real weakening: under the swapped tree a key for
     sub-tree 1 alone opens every level, yet the provider refuses it."""
     swapped = []
-    apply_tamper = workflow._apply_tamper
 
-    def swap(package, tamper, ctx):
-        apply_tamper(package, tamper, ctx)
+    def swap(package, ctx):
+        channel.policy_swap(package, ctx)
         swapped.append(package.ciphertext)
 
-    monkeypatch.setattr(workflow, "_apply_tamper", swap)
     ctx = fresh_ctx()
-    tr = agree(ctx, tamper=Tamper.POLICY_SWAP)
+    tr = agree_with_channel(swap, ctx)
     assert tr.verdict == REENCRYPTION and tr.signature_count == 0
     nurse = ctx.entity("nurse_kim").keys.decryption  # holds "basic" alone
     opened = mlabe.decrypt(ctx.pp, swapped[0], nurse)
@@ -327,11 +333,9 @@ GATE_POLICY = "\n".join(
 RESEARCH_LEAF = (1, 3)
 
 
-def gate_agreement(monkeypatch, edit=None):
+def gate_agreement(edit=lambda package, ctx: None):
     """The gate policy, agreed by a provider whose key never uses the
     ``research`` leaf; ``edit(package, ctx)`` runs in transit."""
-    if edit is not None:
-        monkeypatch.setattr(workflow, "_apply_tamper", lambda package, _, ctx: edit(package, ctx))
     ctx = phase_setup(
         "mock-999983",
         {
@@ -341,23 +345,20 @@ def gate_agreement(monkeypatch, edit=None):
         },
         rng=random.Random(16),
     )
-    tr = run_agreement(
-        ctx, "patient", "hospital", tenon.record_from_json(RECORD[1:]), GATE_POLICY,
-        {1: ["symptom"], 2: ["history"]}, timestamp=1_700_000_000,
-        tamper=None if edit is None else Tamper.BLOCK_EDIT,
-    )
-    return ctx, tr
+    terms = agree_terms(GATE_POLICY, {1: ["symptom"], 2: ["history"]}, timestamp=1_700_000_000)
+    record = tenon.record_from_json(RECORD[1:])
+    return ctx, channel.across(ctx, "patient", "hospital", record, terms, edit)
 
 
-def test_gate_agreement_serves_a_reader_the_provider_does_not_resemble(monkeypatch):
-    ctx, tr = gate_agreement(monkeypatch)
+def test_gate_agreement_serves_a_reader_the_provider_does_not_resemble():
+    ctx, tr = gate_agreement()
     assert tr.agreed and ingest_transcript(ctx, tr).accepted
     report = phase_retrieval(ctx, "researcher", tr.entry_id)
     assert sorted(report.recovered) == [1]
     assert report.recovered[1].text == "Pain in the chest and a cough"
 
 
-def test_agreement_refuses_a_leaf_from_an_unrelated_share(monkeypatch):
+def test_agreement_refuses_a_leaf_from_an_unrelated_share():
     """The provider's key never uses the research leaf, so only the
     re-encryption can notice that its share lies on no gate polynomial."""
 
@@ -368,11 +369,11 @@ def test_agreement_refuses_a_leaf_from_an_unrelated_share(monkeypatch):
             ctx.suite.hash_to_group("research") ** x,
         )
 
-    _, tr = gate_agreement(monkeypatch, replace_leaf)
+    _, tr = gate_agreement(replace_leaf)
     assert tr.verdict == REENCRYPTION and tr.signature_count == 0
 
 
-def test_agreement_derives_every_share_itself(monkeypatch):
+def test_agreement_derives_every_share_itself():
     """A handed plan whose leaf share did not come from its coefficients
     is refused: the provider derives each share from the coefficients
     and never reads the plan's own shares."""
@@ -380,20 +381,34 @@ def test_agreement_derives_every_share_itself(monkeypatch):
     def plant_share(package, ctx):
         plan = package.plan
         plan.leaf_shares[RESEARCH_LEAF] = (plan.leaf_shares[RESEARCH_LEAF] + 1) % plan.order
-        payloads = mlabe.open_with_plan(ctx.pp, package.ciphertext, plan)
+        payloads = channel.open_with_plan(ctx.pp, package.ciphertext, plan)
         package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, plan=plan)
 
-    _, tr = gate_agreement(monkeypatch, plant_share)
+    _, tr = gate_agreement(plant_share)
     assert tr.verdict == REENCRYPTION and tr.signature_count == 0
 
 
-def test_agreement_refuses_coefficients_that_do_not_fit(monkeypatch):
+def test_agreement_refuses_coefficients_that_do_not_fit():
     def drop_the_gate(package, ctx):
         del package.plan.coefficients[(1,)]
 
-    _, tr = gate_agreement(monkeypatch, drop_the_gate)
+    _, tr = gate_agreement(drop_the_gate)
     assert tr.verdict == "mismatch: coefficients do not fit the tree at (1,)"
     assert tr.signature_count == 0
+
+
+def test_agreement_refuses_a_package_made_for_another_record():
+    """The provider checks the package against its own copy of the
+    record: a package the owner made for one record, handed over for
+    another with the same identifiable column, is refused by level."""
+    ctx = fresh_ctx()
+    other = tenon.record_from_json(
+        [RECORD[0], {"name": "symptom", "value": "Pain in the knee"}, RECORD[2]]
+    )
+    package = owner_package(ctx, tenon.record_from_json(RECORD), TERMS)
+    tr = cosign_package(ctx, "patient", "hospital", other, TERMS, package)
+    assert tr.verdict == "mismatch: level 1 differs from the provider's copy"
+    assert tr.rows is None and tr.secret is None and tr.signature_count == 0
 
 
 def test_agreement_with_a_signing_only_provider():
@@ -675,7 +690,18 @@ def test_scenario_runs_and_is_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_scenario_tamper_skips_ingest():
+@pytest.mark.parametrize(
+    "change, unknown",
+    [
+        ({"tamper": "block_edit"}, "['tamper']"),
+        ({"retrieves": [{"du": "dr_grey"}], "acess_label": "clinical"},
+         "['acess_label', 'retrieves']"),
+    ],
+    ids=["tamper", "misspelt"],
+)
+def test_scenario_refuses_unknown_keys(tmp_path, change, unknown):
+    """A misspelt or retired key is refused by name before any step
+    runs, rather than quietly ignored."""
     doc = {
         "suite": "mock",
         "seed": 11,
@@ -686,14 +712,11 @@ def test_scenario_tamper_skips_ingest():
         "identifiable_level": 3,
         "do": "patient",
         "sp": "hospital",
-        "tamper": "block_edit",
-        "retrieve": [{"du": "dr_grey"}],
+        **change,
     }
-    out = run_scenario(doc)
-    assert out["agreement"]["verdict"].startswith("mismatch")
-    assert out["agreement"]["signatures"] == 0
-    assert out["ingest"] is None
-    assert out["retrievals"] == []
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: unknown keys %s$" % re.escape(unknown)):
+        run_scenario(doc, db_root=tmp_path)
+    assert not tmp_path.joinpath("log.jsonl").exists()
 
 
 def test_scenario_emit_dir(tmp_path):
