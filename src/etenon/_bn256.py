@@ -178,7 +178,7 @@ def multi_mul(group, terms):
     ``group.neg`` is the exact inverse: any curve point, but only the
     cyclotomic subgroup in Fp12."""
     top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
-    return _straus(group, terms, top)
+    return _straus(group, [(*_odd_multiples(group, x), k) for x, k in terms], top)
 
 
 def split_mul(group, terms):
@@ -187,38 +187,47 @@ def split_mul(group, terms):
     halves.
 
     A term whose odd form has ``group.half_bits`` bits or more becomes
-    two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k);
-    a negative half takes the negated base, picked by index as a
-    negative digit picks its entry.  Every half and every shorter
-    scalar is recoded over half_bits bits, so the pass costs about half
-    the doublings of :func:`multi_mul`.  On a value outside that
-    subgroup the endomorphism is not the multiplication by lambda and
-    the result is wrong: membership checks take :func:`multi_mul`."""
+    two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k); the
+    odd multiples of endo(x) are those of x mapped by endo, which is
+    cheaper than adding them up, and a negative half negates its
+    multiples.  Every half and every shorter scalar is recoded over
+    half_bits bits, so the pass costs about half the doublings of
+    :func:`multi_mul`.  On a value outside that subgroup the
+    endomorphism is not the multiplication by lambda and the result is
+    wrong: membership checks take :func:`multi_mul`."""
     neg, endo, bits = group.neg, group.endo, group.half_bits
     halves = []
     for x, k in terms:
-        if (k + 1 + (k & 1)) >> bits:
-            for y, h in zip((x, endo(x)), group.split(k)):
-                halves.append(((y, neg(y))[h < 0], abs(h)))
-        else:
-            halves.append((x, k))
+        odd, x2 = _odd_multiples(group, x)
+        if not (k + 1 + (k & 1)) >> bits:
+            halves.append((odd, x2, k))
+            continue
+        h0, h1 = group.split(k)
+        for m, m2, h in ((odd, x2, h0), ([endo(q) for q in odd], endo(x2), h1)):
+            halves.append(([neg(q) for q in m], neg(m2), -h) if h < 0 else (m, m2, h))
     return _straus(group, halves, -(-bits // WINDOW))
 
 
+def _odd_multiples(group, x):
+    """x, 3x, ..., (2**WINDOW - 1)x, and 2x."""
+    x2 = group.double(x)
+    odd = [x]
+    for _ in range((1 << WINDOW) // 2 - 1):
+        odd.append(group.add(odd[-1], x2))
+    return odd, x2
+
+
 def _straus(group, terms, top):
-    """multi_mul's pass with every scalar recoded over ``top`` windows."""
+    """multi_mul's pass with every scalar recoded over ``top`` windows,
+    over (odd multiples of x, 2x, k) terms."""
     add, double, neg = group.add, group.double, group.neg
     base = 1 << WINDOW
     tables, fixes = [], []
-    for x, k in terms:
-        x2 = double(x)
-        odd = [x]
-        for _ in range(base // 2 - 1):
-            odd.append(add(odd[-1], x2))
+    for odd, x2, k in terms:
         # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
         tables.append([neg(q) for q in reversed(odd)] + odd)
-        fixes.append(neg((x, x2)[k & 1]))
-    digits = [_digits(k, WINDOW, top) for _, k in terms]
+        fixes.append(neg((odd[0], x2)[k & 1]))
+    digits = [_digits(k, WINDOW, top) for _, _, k in terms]
     r = group.identity
     for i in reversed(range(top)):
         if i < top - 1:

@@ -246,7 +246,7 @@ def _distinct_keys(suite, n: int, rng) -> list[int]:
     return keys
 
 
-BATCH_ITEMS = 5  # signatures in the row that checks more than one
+BATCH_ITEMS = (5, 50, 200)  # signatures in each row that checks more than one
 BATCH_SIGNERS = 2  # one roster of two, as an agreement signs
 
 
@@ -437,7 +437,7 @@ def cmd_bench(args) -> int:
     suite = get_suite(args.suite)
     rng = _rng(args)
 
-    checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, BATCH_ITEMS)]
+    checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, m) for m in BATCH_ITEMS]
     rows = {
         "abe": [
             bench_abe(suite, k, l, args.trials, rng)

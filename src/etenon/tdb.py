@@ -10,14 +10,18 @@ byte-identical.  The gate admits a batch as its log line, through the
 decoder and the checks that replay runs, so a live store holds exactly
 what a reopen of its log holds.
 
-The gate and log replay check all the signatures of a batch at once,
-by :func:`musig.verify_batch`: one multi-exponentiation with a weight
-per signature, 1 for the first and random for the others.  A batch with one bad signature always fails it;
-a batch with two or more passes with probability at most
+Signatures are checked many at once, by :func:`musig.verify_batch`:
+one multi-exponentiation with a weight per signature, 1 for the first
+and random for the others.  A batch with one bad signature always
+fails it; a batch with two or more passes with probability at most
 1/(min(order, 2**128) - 1).  The weights are drawn from the operating
 system, never from a caller's rng, since whoever knows them can make
-errors that cancel.  A batch that fails is checked again one signature
-at a time, so its refusal names the first bad row, or the entry.
+errors that cancel.  The gate checks a batch's signatures together,
+and log replay checks those of every line it reads together; a check
+covers at most ``BATCH_SIGNATURES`` signatures.  A gate batch that fails
+is checked again one signature at a time, and a replay that fails is
+run again line by line, so a refusal names the first bad row, or the
+entry, and its line.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
@@ -68,6 +72,10 @@ from .tenon import Pointer, Triple
 
 # a reader going back and forth between two entries decodes each once
 DECODED_ENTRIES = 2
+
+# signatures one batch check covers at most, so a replay or a reader's
+# walk over a large store keeps its multi-exponentiation bounded
+BATCH_SIGNATURES = 256
 
 
 class TdbError(EtenonError):
@@ -185,6 +193,15 @@ def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool
     return musig.verify(suite, row.sig, roster, row_digest(pp_bytes, row, row.timestamp))
 
 
+def verify_signed(suite: GroupSuite, items) -> bool:
+    """Check ``(sig, roster, digest)`` items by :func:`musig.verify_batch`,
+    at most ``BATCH_SIGNATURES`` to a batch."""
+    return all(
+        musig.verify_batch(suite, items[i:i + BATCH_SIGNATURES])
+        for i in range(0, len(items), BATCH_SIGNATURES)
+    )
+
+
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
     return musig.verify(suite, entry.sig, roster, stored_entry_digest(pp_bytes, entry))
 
@@ -217,49 +234,47 @@ class TenonDb:
     # ------------------------------------------------------------------
     # ingest
 
-    def _verify_batch(self, rows, secret, rosters):
-        """Return why a decoded batch cannot be stored, or None.
+    def _view(self):
+        """Roster refs, pointers and entry ids the store holds, to which
+        :meth:`_check` adds those of the lines it checks."""
+        return dict(self._rosters), set(), set()
 
-        Every signature of the batch is checked at once by
-        :func:`musig.verify_batch`, after the checks of its refs, pointers
-        and entry id.  Only a batch that fails is checked one signature at
-        a time, so that the refusal names its first bad row or its entry.
-        """
+    def _check(self, rows, secret, rosters, view) -> list:
+        """The ``(where, sig, roster, digest)`` of every signature of a
+        decoded batch, after the checks of its roster refs, pointers and
+        entry id against the store and ``view``, which then holds them;
+        the first problem raises :class:`TdbError`."""
+        known, pointers, entries = view
         # refs are write-once, so every stored row keeps the roster it was
         # signed under
-        known = dict(self._rosters)
         for ref, vks in rosters.items():
             if known.get(ref, vks) != vks:
-                return "roster %r already defined with other keys" % ref
+                raise TdbError("roster %r already defined with other keys" % ref)
             if ref not in known:
                 problem = musig.roster_problem(self.suite, [vk.encode() for vk in vks])
                 if problem is not None:
-                    return "roster %r: %s" % (ref, problem)
+                    raise TdbError("roster %r: %s" % (ref, problem))
             known[ref] = vks
-        signed = []  # (where, sig, roster, digest) of every signature
-        batch_pointers = set()
+        signed = []
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
             roster = known.get(row.roster_ref)
             if roster is None:
-                return "%s: unknown roster %r" % (where, row.roster_ref)
-            if row.pointer in self._index or row.pointer in batch_pointers:
-                return "%s: pointer already present" % where
-            batch_pointers.add(row.pointer)
+                raise TdbError("%s: unknown roster %r" % (where, row.roster_ref))
+            if row.pointer in self._index or row.pointer in pointers:
+                raise TdbError("%s: pointer already present" % where)
+            pointers.add(row.pointer)
             signed.append((where, row.sig, roster, row_digest(self._pp_bytes, row, row.timestamp)))
         if secret is not None:
             where = "secret entry %r" % (secret.entry_id,)
-            if secret.entry_id in self._secrets:
-                return "%s: entry id already present" % where
+            if secret.entry_id in self._secrets or secret.entry_id in entries:
+                raise TdbError("%s: entry id already present" % where)
+            entries.add(secret.entry_id)
             roster = known.get(secret.roster_ref)
             if roster is None:
-                return "%s: unknown roster %r" % (where, secret.roster_ref)
+                raise TdbError("%s: unknown roster %r" % (where, secret.roster_ref))
             signed.append((where, secret.sig, roster, stored_entry_digest(self._pp_bytes, secret)))
-        if not musig.verify_batch(self.suite, [item[1:] for item in signed]):
-            for where, sig, roster, digest in signed:
-                if not musig.verify(self.suite, sig, roster, digest):
-                    return "%s: signature invalid" % where
-        return None
+        return signed
 
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
@@ -289,17 +304,30 @@ class TenonDb:
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
 
-    def _admit(self, line: bytes, new: bool) -> None:
-        """Decode and verify one log line, append it to the log when it is
-        ``new``, then add the decoded batch: the one way a batch enters."""
+    def _decode(self, line: bytes):
+        """The rows, secret entry and rosters of one log line."""
         with decoding(TdbError, "JSON"):
             doc = json.loads(line.decode())
-        rows, secret, rosters = batch_from_json(self.suite, doc)
-        reason = self._verify_batch(rows, secret, rosters)
-        if reason is not None:
-            raise TdbError(reason)
+        return batch_from_json(self.suite, doc)
+
+    def _admit(self, line: bytes, new: bool) -> None:
+        """Decode and verify one log line, append it to the log when it is
+        ``new``, then add the decoded batch: the gate's way in, and a
+        failed replay's, line by line.  Only a batch whose signatures fail
+        their check together is checked one signature at a time, so the
+        refusal names its first bad row or its entry."""
+        batch = self._decode(line)
+        signed = self._check(*batch, self._view())
+        if not verify_signed(self.suite, [item[1:] for item in signed]):
+            for where, sig, roster, digest in signed:
+                if not musig.verify(self.suite, sig, roster, digest):
+                    raise TdbError("%s: signature invalid" % where)
         if new:
             self._append_log(line)
+        self._apply(line, *batch)
+
+    def _apply(self, line: bytes, rows, secret, rosters) -> None:
+        """Add a verified batch, read from ``line`` of the log."""
         self._rosters.update(rosters)
         for row in rows:
             self._rows.append(row)
@@ -429,11 +457,18 @@ class TenonDb:
     def _replay(self) -> None:
         """Verify and apply the log lines this store has not read yet.
 
-        Each line's signatures are checked over the bytes as stored; no
-        ciphertext is decoded.  A final line without its newline is an
-        append cut short by a crash: that batch was never acknowledged,
-        so it is skipped here and cut off before the next append.  Every
-        other line must load, and a failure names its line.
+        Each line's roster refs, pointers and entry id are checked in
+        order, against the store and the lines before it.  The signatures
+        of every line are then checked together, over the bytes as stored,
+        in one :func:`musig.verify_batch` (one per ``BATCH_SIGNATURES``
+        signatures), and the lines are applied only once it passes.  If
+        it fails, the same lines are admitted again one by one from the
+        unchanged store, so a refusal, and the lines applied before it,
+        are those of a line-by-line replay.  No ciphertext is decoded.  A
+        final line without its newline is an append cut short by a crash:
+        that batch was never acknowledged, so it is skipped here and cut
+        off before the next append.  Every other line must load, and a
+        failure names its line.
         """
         try:
             with open(self._log_path(), "rb") as fh:
@@ -443,11 +478,33 @@ class TenonDb:
             data = b""
         end = data.rfind(b"\n") + 1
         self._torn = end < len(data)
-        for line in data[:end].split(b"\n")[:-1]:
-            try:
+        view, pending, signed = self._view(), [], []
+        try:
+            for line in data[:end].split(b"\n")[:-1]:
+                try:
+                    batch = self._decode(line)
+                    signed += self._check(*batch, view)
+                except TdbError:
+                    # a bad signature on an earlier line is named first
+                    self._settle(pending, signed)
+                    raise
+                pending.append((line, batch))
+                if len(signed) >= BATCH_SIGNATURES:
+                    self._settle(pending, signed)
+                    view, pending, signed = self._view(), [], []
+            self._settle(pending, signed)
+        except TdbError as exc:
+            raise TdbError("log line %d: %s" % (self._log_lines + 1, exc)) from None
+
+    def _settle(self, pending, signed) -> None:
+        """Apply the checked ``pending`` lines if their ``signed`` items
+        verify together, else admit them one by one."""
+        if verify_signed(self.suite, [item[1:] for item in signed]):
+            for line, batch in pending:
+                self._apply(line, *batch)
+        else:
+            for line, _ in pending:
                 self._admit(line, new=False)
-            except TdbError as exc:
-                raise TdbError("log line %d: %s" % (self._log_lines + 1, exc)) from None
 
     def _load(self) -> None:
         # The snapshot is read before the log: a writer saves only rows it

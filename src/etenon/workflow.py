@@ -179,14 +179,13 @@ class LevelRecovery:
         return None if self.blocks is None else " ".join(self.blocks)
 
 
-def open_levels(
-    pp: PublicParams, ct: mlabe.CiphertextBundle, dk: mlabe.DecryptionKey, lookup
-) -> dict[int, LevelRecovery]:
-    """Decrypt the levels ``dk`` opens and walk each chain through ``lookup``,
-    as :func:`tenon.follow` does; every reader opens levels here.
+def open_levels(payloads: dict[int, bytes], lookup) -> dict[int, LevelRecovery]:
+    """Decode each decrypted level payload and walk each chain through
+    ``lookup``, as :func:`tenon.follow` does; every reader opens levels
+    here.
     """
     recovered: dict[int, LevelRecovery] = {}
-    for level, raw in sorted(mlabe.decrypt(pp, ct, dk).items()):
+    for level, raw in sorted(payloads.items()):
         kind, value = decode_level_payload(raw)
         if kind == "identifiable":
             recovered[level] = LevelRecovery(kind, identifiable=value)
@@ -536,7 +535,17 @@ def retrieve_entry(
     entry_id: str,
     access_label: str = "clinical",
 ) -> RetrievalReport:
-    """The retrieval procedure itself, independent of any entity roster."""
+    """The retrieval procedure itself, independent of any entity roster.
+
+    The entry's signature is checked before anything is decrypted, and
+    the entry is decrypted once.  The chains are then walked through the
+    store without checks, noting each row the walk reaches, and those rows
+    are checked together by :func:`tdb.verify_signed`.  Only if that check
+    fails, a row names an unknown roster or the walk raises are the same
+    levels walked again through a lookup that checks each row the first
+    time it is reached, so ``recovered`` and ``row_failures`` are those of
+    that row-by-row walk.
+    """
     suite = pp.suite
     entry = db.read_secret(entry_id, access_label)
     roster = db.roster(entry.roster_ref)
@@ -550,6 +559,7 @@ def retrieve_entry(
             recovered={},
             row_failures=[],
         )
+    payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
     failures: list[str] = []
     verified: dict[tenon.Pointer, OpenRow] = {}
 
@@ -571,7 +581,25 @@ def retrieve_entry(
         verified[pointer] = row
         return row
 
-    recovered = open_levels(pp, entry.ciphertext, keys.decryption, triple_for)
+    reached: dict[tenon.Pointer, OpenRow | None] = {}
+
+    def reach(pointer):
+        """The row, unverified, noted for the batch check."""
+        if pointer not in reached:
+            reached[pointer] = db.find_row(pointer)
+        return reached[pointer]
+
+    try:
+        recovered = open_levels(payloads, reach)
+        walked = tdb.verify_signed(suite, [
+            (row.sig, db.roster(row.roster_ref), tdb.row_digest(pp_bytes, row, row.timestamp))
+            for row in reached.values()
+            if row is not None
+        ])
+    except EtenonError:  # an unknown roster or a cycle, which the lazy walk reports
+        walked = False
+    if not walked:
+        recovered = open_levels(payloads, triple_for)
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,
@@ -625,6 +653,8 @@ SCENARIO_KEYS = frozenset((
     "suite seed timestamp participants policy record levels identifiable_level "
     "access_label do sp retrieve"
 ).split())
+PARTICIPANT_KEYS = frozenset(("role", "attrs"))
+RETRIEVE_KEYS = frozenset(("du", "access_label"))
 
 
 def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
@@ -633,7 +663,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     The document names the suite, seed, participants, policy, record,
     level assignment and the retrievals to attempt; all of it is checked
     before any step runs, and a malformed document, one with a key not
-    in ``SCENARIO_KEYS`` included, raises :class:`WorkflowError`.  A
+    in ``SCENARIO_KEYS`` included (or, in a participant or a retrieval,
+    not in ``PARTICIPANT_KEYS`` or ``RETRIEVE_KEYS``), raises
+    :class:`WorkflowError`.  A
     fixed seed makes the entire run, store layout included,
     deterministic.  With ``emit_dir`` the public parameters and every
     participant's key bundle are written there as JSON, so the
@@ -648,16 +680,21 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     def strings(value) -> list[str]:
         return [typed(v, str) for v in typed(value, list)]
 
-    with decoding(WorkflowError, "scenario"):
-        doc = typed(doc, dict)
-        unknown = set(doc) - SCENARIO_KEYS
+    def known(obj, keys, where=""):
+        """``obj`` as a dict holding none but ``keys``."""
+        unknown = set(typed(obj, dict)) - keys
         if unknown:
-            raise ValueError("unknown keys %s" % sorted(unknown))
+            raise ValueError("%sunknown keys %s" % (where, sorted(unknown)))
+        return obj
+
+    with decoding(WorkflowError, "scenario"):
+        doc = known(doc, SCENARIO_KEYS)
         suite_name = typed(doc.get("suite", "mock"), str)
         seed = optional(doc, "seed", int)
         participants = {
             name: {
-                "role": typed(typed(spec, dict).get("role", "DU"), str),
+                "role": typed(known(spec, PARTICIPANT_KEYS, "participant %r: " % name)
+                              .get("role", "DU"), str),
                 "attrs": None if spec.get("attrs") is None else strings(spec["attrs"]),
             }
             for name, spec in typed(doc.get("participants", {}), dict).items()
@@ -669,8 +706,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
             level: strings(names) for level, names in typed(doc["levels"], dict).items()
         }
         retrievals = [
-            (typed(typed(req, dict)["du"], str), optional(req, "access_label", str))
-            for req in typed(doc.get("retrieve", []), list)
+            (typed(known(req, RETRIEVE_KEYS, "retrieve %d: " % i)["du"], str),
+             optional(req, "access_label", str))
+            for i, req in enumerate(typed(doc.get("retrieve", []), list))
         ]
     try:
         # a bad policy raises its own PolicyError, before any file is written

@@ -231,8 +231,10 @@ def _assert_cli_json_error(error, *argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == error
+    doc = json.loads(lines[0])
+    assert doc["error"] == error
     assert proc.stdout == ""
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -282,6 +284,23 @@ def test_run_scenario_deeply_nested_policy_is_json_error(tmp_path, tree):
     scen.write_text(json.dumps(dict(SCENARIO, policy=text)))
     _assert_cli_json_error("PolicyError", "run-scenario", str(scen))
 
+
+
+@pytest.mark.parametrize(
+    "change, unknown",
+    [
+        ({"participants": dict(SCENARIO["participants"], nurse_kim={"role": "DU", "atrs": ["basic"]})},
+         "participant 'nurse_kim': unknown keys ['atrs']"),
+        ({"retrieve": [{"du": "dr_grey", "acess_label": "research"}]},
+         "retrieve 0: unknown keys ['acess_label']"),
+    ],
+    ids=["atrs", "acess_label"],
+)
+def test_run_scenario_refuses_a_misspelt_nested_key(tmp_path, change, unknown):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(dict(SCENARIO, **change)))
+    error = _assert_cli_json_error("WorkflowError", "run-scenario", str(scen))
+    assert error["message"] == "malformed scenario: " + unknown
 
 @pytest.mark.parametrize(
     "change, error, setup_ran",
@@ -359,11 +378,14 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     assert sum(1 for line in lines if line.startswith("abe,")) == 4
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    # one check of a single signature per --signers value, then one of five
+    # one check of a single signature per --signers value, then one each
+    # of 5, 50 and 200 signatures by two signers
     sigs = [r for r in rows if r["kind"] == "musig"]
-    assert [(r["n"], r["m"]) for r in sigs] == [("1", "1"), ("2", "1"), ("2", "5")]
-    for r in sigs[:2]:
-        assert int(r["verify_exp"]) == int(r["n"]) + 1
+    assert [(r["n"], r["m"]) for r in sigs] == [
+        ("1", "1"), ("2", "1"), ("2", "5"), ("2", "50"), ("2", "200"),
+    ]
+    for r in sigs:
+        assert int(r["verify_exp"]) == int(r["m"]) + int(r["n"])
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
         "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",

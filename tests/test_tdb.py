@@ -729,6 +729,129 @@ def test_entry_edited_in_the_log_fails_replay(large_system, tmp_path, field):
         TenonDb(pp, root=tmp_path)
 
 
+def _spy_batches(monkeypatch):
+    """Record the (m, d, exponentiations) of every ``musig.verify_batch``
+    call: its signatures, the distinct keys of their rosters and the
+    exponentiations it counted."""
+    calls = []
+    real = musig.verify_batch
+
+    def spy(suite, items):
+        with suite.measure() as span:
+            ok = real(suite, items)
+        keys = {vk.encode() for _, roster, _ in items for vk in roster}
+        calls.append((len(items), len(keys), span.exponentiations))
+        return ok
+
+    monkeypatch.setattr(musig, "verify_batch", spy)
+    return calls
+
+
+def _line_batches(suite, pp, rng, count):
+    """``count`` batches of two rows and an entry, each under its own roster."""
+    return [
+        make_batch(suite, pp, rng, blocks=("a%d" % i, "b%d" % i), entry_id="entry-%d" % i,
+                   roster_ref="batch-%d" % i)
+        for i in range(1, count + 1)
+    ]
+
+
+def test_open_checks_every_line_in_one_batch(system, tmp_path, monkeypatch):
+    """A replay checks the signatures of all its lines in one batch of m
+    signatures over d keys, m + d exponentiations, and a batch closes at
+    ``tdb.BATCH_SIGNATURES`` signatures."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    for batch in _line_batches(suite, pp, rng, 3):
+        assert db.ingest(*batch, rng=rng).accepted
+    db.save_snapshot()
+    calls = _spy_batches(monkeypatch)
+    reopened = TenonDb(pp, root=tmp_path)
+    [(m, d, exps)] = calls
+    assert m == 9 and exps == m + d
+    assert reopened.read_open() == db.read_open()
+    assert reopened.secret_ids() == db.secret_ids()
+
+    # three lines of 3 signatures: lines 1 and 2 close a batch of 6,
+    # checked as 4 then 2, and line 3 is a batch of its own
+    monkeypatch.setattr(tdb, "BATCH_SIGNATURES", 4)
+    calls.clear()
+    assert TenonDb(pp, root=tmp_path).read_open() == db.read_open()
+    assert [m for m, _, _ in calls] == [4, 2, 3]
+    assert all(exps == m + d for m, d, exps in calls)
+
+
+def _repeat_pointer(docs, i, j):
+    """Line i's first row takes the pointer of line j's first row."""
+    docs[i]["rows"][0]["pointer"] = docs[j]["rows"][0]["pointer"]
+
+
+def _forge_row(docs, i, row=0):
+    docs[i]["rows"][row]["t"] += 1
+
+
+@pytest.mark.parametrize(
+    "edit, line, reason",
+    [
+        (lambda docs: _forge_row(docs, 0), 1, "row 0 (pointer {0[0]}): signature invalid"),
+        (lambda docs: _forge_row(docs, 2, 1), 3, "row 1 (pointer {2[1]}): signature invalid"),
+        (lambda docs: _repeat_pointer(docs, 2, 0), 3, "row 0 (pointer {0[0]}): pointer already present"),
+        (lambda docs: (_forge_row(docs, 1), _repeat_pointer(docs, 2, 0)), 2,
+         "row 0 (pointer {1[0]}): signature invalid"),
+        (lambda docs: docs[1]["secret"].update(access_label="public"), 2,
+         "secret entry 'entry-2': signature invalid"),
+    ],
+    ids=["forged-first", "forged-last", "repeated-pointer", "forged-then-repeat", "entry-edit"],
+)
+def test_replay_refusal_names_the_first_bad_line(large_system, tmp_path, edit, line, reason):
+    """A replay that fails its one batch names the line and row that a
+    replay line by line names."""
+    suite, pp, _, rng = large_system
+    db = TenonDb(pp, root=tmp_path)
+    for batch in _line_batches(suite, pp, rng, 3):
+        assert db.ingest(*batch, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    docs = [json.loads(text) for text in log.read_text().splitlines()]
+    pointers = [[row["pointer"] for row in doc["rows"]] for doc in docs]
+    edit(docs)
+    log.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    with pytest.raises(TdbError) as err:
+        TenonDb(pp, root=tmp_path)
+    assert str(err.value) == "log line %d: %s" % (line, reason.format(*pointers))
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["honest", "edited"])
+def test_writer_catches_up_on_lines_in_one_batch(large_system, tmp_path, monkeypatch, edited):
+    """A writer replays what another store object appended before it
+    checks its own batch: both lines in one batch, then its own.  If the
+    second of them was edited on disk, the writer refuses it by its log
+    line and holds the lines before it."""
+    suite, pp, _, rng = large_system
+    batches = _line_batches(suite, pp, rng, 4)
+    a = TenonDb(pp, root=tmp_path)
+    assert a.ingest(*batches[0], rng=rng).accepted
+    b = TenonDb(pp, root=tmp_path)
+    for batch in batches[1:3]:
+        assert b.ingest(*batch, rng=rng).accepted
+    calls = _spy_batches(monkeypatch)
+    if not edited:
+        assert a.ingest(*batches[3], rng=rng).accepted
+        assert [m for m, _, _ in calls] == [6, 3]  # lines 2 and 3, then its own batch
+        assert a.secret_ids() == ("entry-1", "entry-2", "entry-3", "entry-4")
+        return
+    log = tmp_path / "log.jsonl"
+    lines = log.read_text().splitlines()
+    doc = json.loads(lines[2])
+    doc["rows"][0]["text"] += "!"
+    log.write_text("\n".join(lines[:2] + [json.dumps(doc)]) + "\n")
+    where = "log line 3: row 0 (pointer %s): signature invalid" % doc["rows"][0]["pointer"]
+    with pytest.raises(TdbError) as err:
+        a.ingest(*batches[3], rng=rng)
+    assert str(err.value) == where
+    assert a.secret_ids() == ("entry-1", "entry-2")
+    assert len(a.read_open()) == 4
+
+
 def test_store_of_an_older_envelope_version_fails_at_open(system, tmp_path, monkeypatch):
     """Every version-4 document is refused: a store fails on its first line,
     not when an entry is first read."""

@@ -8,7 +8,7 @@ import pytest
 from etenon import mlabe, musig, tenon, workflow
 from etenon.musig import SignedMessage
 from etenon.codec import canonical_json
-from etenon.tdb import block_payload
+from etenon.tdb import block_payload, row_digest
 from etenon.workflow import (
     Role,
     WorkflowError,
@@ -564,18 +564,23 @@ def test_retrieval_verifies_only_the_rows_it_follows(monkeypatch, reader):
     for tr in (first, second):
         assert ingest_transcript(ctx, tr).accepted
     calls = []
-    real_verify = musig.verify
+    real_verify_batch = musig.verify_batch
 
-    def spy(suite, sig, roster, msg):
-        calls.append(msg)
-        return real_verify(suite, sig, roster, msg)
+    def spy(suite, items):
+        calls.append([msg for _, _, msg in items])
+        return real_verify_batch(suite, items)
 
-    monkeypatch.setattr(musig, "verify", spy)
+    monkeypatch.setattr(musig, "verify_batch", spy)
     report = phase_retrieval(ctx, reader, first.entry_id)
-    followed = sum(len(rec.blocks) for rec in report.recovered.values() if rec.kind == "chain")
+    opened = [b for rec in report.recovered.values() if rec.kind == "chain" for b in rec.blocks]
+    pp_bytes = ctx.pp.encode()
+    followed = [row_digest(pp_bytes, row, row.timestamp) for row in first.rows if row.block in opened]
     assert report.entry_sig_ok and not report.row_failures
-    assert 0 < followed < len(ctx.db.read_open())
-    assert len(calls) == followed + 1  # each followed row once, plus the entry
+    assert 0 < len(followed) < len(ctx.db.read_open())
+    # the entry alone, then each followed row once, in one batch
+    entry, rows = calls
+    assert len(entry) == 1 and entry[0] not in followed
+    assert sorted(rows) == sorted(followed)
 
 
 class EditingStore:
@@ -718,6 +723,34 @@ def test_scenario_refuses_unknown_keys(tmp_path, change, unknown):
         run_scenario(doc, db_root=tmp_path)
     assert not tmp_path.joinpath("log.jsonl").exists()
 
+
+NESTED_MISSPELLINGS = [
+    ({"participants": dict(PARTICIPANTS, nurse_kim={"role": "DU", "atrs": ["basic"]})},
+     "participant 'nurse_kim': unknown keys ['atrs']"),
+    ({"retrieve": [{"du": "dr_grey"}, {"du": "dr_grey", "acess_label": "research"}]},
+     "retrieve 1: unknown keys ['acess_label']"),
+]
+
+
+@pytest.mark.parametrize("change, unknown", NESTED_MISSPELLINGS, ids=["atrs", "acess_label"])
+def test_scenario_refuses_unknown_keys_in_a_participant_or_a_retrieval(tmp_path, change, unknown):
+    """A misspelt key inside a participant spec or a retrieval is refused
+    by name too, before any step runs."""
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+        **change,
+    }
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(unknown)):
+        run_scenario(doc, db_root=tmp_path)
+    assert not tmp_path.joinpath("log.jsonl").exists()
 
 def test_scenario_emit_dir(tmp_path):
     doc = {
