@@ -10,6 +10,8 @@ against the scheme's cost model, then times the group operations
 underneath them one by one.  Its signature rows are checks of m
 signatures by n signers, m + n exponentiations each.
 
+Only ``ingest`` and ``run-scenario`` create a store directory;
+``retrieve`` and ``shuffle`` refuse a path where none exists.
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import statistics
 import sys
@@ -47,6 +50,14 @@ def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _existing_store(pp, path: str) -> tdb.TenonDb:
+    """The store at ``path``, which must already exist: only ``ingest``
+    and ``run-scenario`` create a store."""
+    if not os.path.exists(path):
+        raise InputError("no store at %s" % path)
+    return tdb.TenonDb(pp, root=path)
 
 
 def _emit(doc) -> None:
@@ -113,7 +124,7 @@ def cmd_ingest(args) -> int:
 def cmd_retrieve(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
     _, bundle = mlabe.key_from_json(_load_json(args.key), pp.suite)
-    db = tdb.TenonDb(pp, root=args.db)
+    db = _existing_store(pp, args.db)
     report = workflow.retrieve_entry(pp, db, bundle, args.entry, args.label)
     _emit(workflow.report_to_json(report))
     return 0 if report.entry_sig_ok else 1
@@ -121,7 +132,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_shuffle(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
-    db = tdb.TenonDb(pp, root=args.db)
+    db = _existing_store(pp, args.db)
     before = db.order_digest().hex()
     db.shuffle(_rng(args))
     db.save_snapshot()

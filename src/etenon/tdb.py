@@ -16,12 +16,12 @@ and random for the others.  A batch with one bad signature always
 fails it; a batch with two or more passes with probability at most
 1/(min(order, 2**128) - 1).  The weights are drawn from the operating
 system, never from a caller's rng, since whoever knows them can make
-errors that cancel.  The gate checks a batch's signatures together,
-and log replay checks those of every line it reads together; a check
-covers at most ``BATCH_SIGNATURES`` signatures.  A gate batch that fails
-is checked again one signature at a time, and a replay that fails is
-run again line by line, so a refusal names the first bad row, or the
-entry, and its line.
+errors that cancel.  One scan, :func:`invalid`, finds every bad
+signature: it checks each run of at most ``BATCH_SIGNATURES`` signatures
+together, and only a run that fails one signature at a time.  The gate
+scans a batch's signatures, log replay those of every line it reads and
+a reader those of every row it walks, so a refusal names the first bad
+row, or the entry, and its line.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order (compared by order
@@ -41,9 +41,9 @@ writer waits, then replays what the first appended before it verifies
 its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
-for a row and for an entry, the one check of each that the gate and
-readers share, and the batch document that the log and the command
-line carry.  A row's signed bytes are derived from its fields in one
+for a row and for an entry, the one scan of their signatures that the
+gate, replay and readers share, and the batch document that the log
+and the command line carry.  A row's signed bytes are derived from its fields in one
 place, :func:`row_digest`, so a row read back verifies only if it is
 the chain element its roster signed.
 """
@@ -189,17 +189,19 @@ def stored_entry_digest(pp_bytes: bytes, entry: SecretEntry) -> bytes:
     )
 
 
-def verify_row(suite: GroupSuite, pp_bytes: bytes, row: OpenRow, roster) -> bool:
-    return musig.verify(suite, row.sig, roster, row_digest(pp_bytes, row, row.timestamp))
-
-
-def verify_signed(suite: GroupSuite, items) -> bool:
-    """Check ``(sig, roster, digest)`` items by :func:`musig.verify_batch`,
-    at most ``BATCH_SIGNATURES`` to a batch."""
-    return all(
-        musig.verify_batch(suite, items[i:i + BATCH_SIGNATURES])
-        for i in range(0, len(items), BATCH_SIGNATURES)
-    )
+def invalid(suite: GroupSuite, items):
+    """Yield, in order, the index of each ``(sig, roster, digest)`` item
+    whose signature fails.  Each run of at most ``BATCH_SIGNATURES`` items
+    is checked by one :func:`musig.verify_batch`; only a run that fails is
+    checked again, one :func:`musig.verify` per item.  A single check costs
+    n + 1 exponentiations, so halving a failed run would cost more than
+    it saves."""
+    for start in range(0, len(items), BATCH_SIGNATURES):
+        run = items[start:start + BATCH_SIGNATURES]
+        if not musig.verify_batch(suite, run):
+            for i, (sig, roster, digest) in enumerate(run, start):
+                if not musig.verify(suite, sig, roster, digest):
+                    yield i
 
 
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
@@ -279,9 +281,10 @@ class TenonDb:
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
 
-        The batch is written as its log line and admitted as replay admits
-        that line, so the store holds what a reopen reads; a batch the log
-        could not carry back is refused with the decoder's reason.
+        The batch is written as its log line, and that line is decoded and
+        checked as replay checks it, so the store holds what a reopen
+        reads; a batch the log could not carry back is refused with the
+        decoder's reason.
         ``rosters`` maps roster refs to verification-key sequences; refs
         already stored by earlier accepted batches may be reused, and
         repeated only with the keys they were stored with.  The storage
@@ -298,9 +301,15 @@ class TenonDb:
             try:
                 with decoding(TdbError, "batch"):
                     line = canonical_json(batch_to_json(self.suite, rows, secret, rosters or {}))
-                self._admit(line, new=True)
+                batch = self._decode(line)
+                signed = self._check(*batch, self._view())
+                bad = next(invalid(self.suite, [item[1:] for item in signed]), None)
+                if bad is not None:
+                    raise TdbError("%s: signature invalid" % signed[bad][0])
             except TdbError as exc:
                 return IngestResult(accepted=False, reason=str(exc))
+            self._append_log(line)
+            self._apply(line, *batch)
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
 
@@ -309,22 +318,6 @@ class TenonDb:
         with decoding(TdbError, "JSON"):
             doc = json.loads(line.decode())
         return batch_from_json(self.suite, doc)
-
-    def _admit(self, line: bytes, new: bool) -> None:
-        """Decode and verify one log line, append it to the log when it is
-        ``new``, then add the decoded batch: the gate's way in, and a
-        failed replay's, line by line.  Only a batch whose signatures fail
-        their check together is checked one signature at a time, so the
-        refusal names its first bad row or its entry."""
-        batch = self._decode(line)
-        signed = self._check(*batch, self._view())
-        if not verify_signed(self.suite, [item[1:] for item in signed]):
-            for where, sig, roster, digest in signed:
-                if not musig.verify(self.suite, sig, roster, digest):
-                    raise TdbError("%s: signature invalid" % where)
-        if new:
-            self._append_log(line)
-        self._apply(line, *batch)
 
     def _apply(self, line: bytes, rows, secret, rosters) -> None:
         """Add a verified batch, read from ``line`` of the log."""
@@ -459,16 +452,13 @@ class TenonDb:
 
         Each line's roster refs, pointers and entry id are checked in
         order, against the store and the lines before it.  The signatures
-        of every line are then checked together, over the bytes as stored,
-        in one :func:`musig.verify_batch` (one per ``BATCH_SIGNATURES``
-        signatures), and the lines are applied only once it passes.  If
-        it fails, the same lines are admitted again one by one from the
-        unchanged store, so a refusal, and the lines applied before it,
-        are those of a line-by-line replay.  No ciphertext is decoded.  A
-        final line without its newline is an append cut short by a crash:
-        that batch was never acknowledged, so it is skipped here and cut
-        off before the next append.  Every other line must load, and a
-        failure names its line.
+        of every line are then scanned together by :func:`invalid`, over
+        the bytes as stored, and the lines before the one holding the
+        first bad signature are applied; that line is refused.  No
+        ciphertext is decoded.  A final line without its newline is an
+        append cut short by a crash: that batch was never acknowledged, so
+        it is skipped here and cut off before the next append.  Every
+        other line must load, and a failure names its line.
         """
         try:
             with open(self._log_path(), "rb") as fh:
@@ -478,7 +468,7 @@ class TenonDb:
             data = b""
         end = data.rfind(b"\n") + 1
         self._torn = end < len(data)
-        view, pending, signed = self._view(), [], []
+        view, lines, signed = self._view(), [], []
         try:
             for line in data[:end].split(b"\n")[:-1]:
                 try:
@@ -486,25 +476,22 @@ class TenonDb:
                     signed += self._check(*batch, view)
                 except TdbError:
                     # a bad signature on an earlier line is named first
-                    self._settle(pending, signed)
+                    self._settle(lines, signed)
                     raise
-                pending.append((line, batch))
-                if len(signed) >= BATCH_SIGNATURES:
-                    self._settle(pending, signed)
-                    view, pending, signed = self._view(), [], []
-            self._settle(pending, signed)
+                lines.append((line, batch, len(signed)))
+            self._settle(lines, signed)
         except TdbError as exc:
             raise TdbError("log line %d: %s" % (self._log_lines + 1, exc)) from None
 
-    def _settle(self, pending, signed) -> None:
-        """Apply the checked ``pending`` lines if their ``signed`` items
-        verify together, else admit them one by one."""
-        if verify_signed(self.suite, [item[1:] for item in signed]):
-            for line, batch in pending:
-                self._apply(line, *batch)
-        else:
-            for line, _ in pending:
-                self._admit(line, new=False)
+    def _settle(self, lines, signed) -> None:
+        """Apply the checked ``lines``, each with the end of its items in
+        ``signed``, up to the first that holds a bad signature, which is
+        refused."""
+        bad = next(invalid(self.suite, [item[1:] for item in signed]), None)
+        for line, batch, end in lines:
+            if bad is not None and bad < end:
+                raise TdbError("%s: signature invalid" % signed[bad][0])
+            self._apply(line, *batch)
 
     def _load(self) -> None:
         # The snapshot is read before the log: a writer saves only rows it

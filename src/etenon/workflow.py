@@ -43,7 +43,7 @@ from .algebra import get_suite
 from .codec import canonical_json, decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
-from .tdb import OpenRow, SecretEntry, TenonDb
+from .tdb import OpenRow, SecretEntry, TdbError, TenonDb
 from .tenon import (
     ClassificationRules,
     Classification,
@@ -538,13 +538,13 @@ def retrieve_entry(
     """The retrieval procedure itself, independent of any entity roster.
 
     The entry's signature is checked before anything is decrypted, and
-    the entry is decrypted once.  The chains are then walked through the
-    store without checks, noting each row the walk reaches, and those rows
-    are checked together by :func:`tdb.verify_signed`.  Only if that check
-    fails, a row names an unknown roster or the walk raises are the same
-    levels walked again through a lookup that checks each row the first
-    time it is reached, so ``recovered`` and ``row_failures`` are those of
-    that row-by-row walk.
+    the entry is decrypted once.  Every row reachable from a chain head
+    through ``next`` is then collected, each pointer once, so a cycle
+    ends the collection; the collected rows under known rosters are
+    checked in one :func:`tdb.invalid` scan.  The levels are then walked
+    once, and a row with an unknown roster or an invalid signature breaks
+    its chain there and is reported in ``row_failures`` each time the
+    walk reaches it.
     """
     suite = pp.suite
     entry = db.read_secret(entry_id, access_label)
@@ -560,46 +560,35 @@ def retrieve_entry(
             row_failures=[],
         )
     payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
-    failures: list[str] = []
-    verified: dict[tenon.Pointer, OpenRow] = {}
-
-    def triple_for(pointer):
-        """The row, verified on first use; None if unusable."""
-        if pointer in verified:
-            return verified[pointer]
-        row = db.find_row(pointer)
+    reached: dict[tenon.Pointer, OpenRow | None] = {}
+    for _, raw in sorted(payloads.items()):
+        kind, cursor = decode_level_payload(raw)
+        while kind == "chain" and cursor is not None and cursor not in reached:
+            row = reached[cursor] = db.find_row(cursor)
+            cursor = None if row is None else row.next
+    problems: dict[tenon.Pointer, str] = {}
+    signed = []
+    for pointer, row in reached.items():
         if row is None:
-            return None
+            continue
         try:
             roster_r = db.roster(row.roster_ref)
-        except EtenonError:
-            failures.append("row %s: unknown roster" % pointer)
-            return None
-        if not tdb.verify_row(suite, pp_bytes, row, roster_r):
-            failures.append("row %s: signature invalid" % pointer)
-            return None
-        verified[pointer] = row
-        return row
+        except TdbError:
+            problems[pointer] = "unknown roster"
+            continue
+        signed.append((pointer, row.sig, roster_r, tdb.row_digest(pp_bytes, row, row.timestamp)))
+    for i in tdb.invalid(suite, [item[1:] for item in signed]):
+        problems[signed[i][0]] = "signature invalid"
+    failures: list[str] = []
 
-    reached: dict[tenon.Pointer, OpenRow | None] = {}
-
-    def reach(pointer):
-        """The row, unverified, noted for the batch check."""
-        if pointer not in reached:
-            reached[pointer] = db.find_row(pointer)
+    def lookup(pointer):
+        """The collected row, or None if it is missing or has a problem."""
+        if pointer in problems:
+            failures.append("row %s: %s" % (pointer, problems[pointer]))
+            return None
         return reached[pointer]
 
-    try:
-        recovered = open_levels(payloads, reach)
-        walked = tdb.verify_signed(suite, [
-            (row.sig, db.roster(row.roster_ref), tdb.row_digest(pp_bytes, row, row.timestamp))
-            for row in reached.values()
-            if row is not None
-        ])
-    except EtenonError:  # an unknown roster or a cycle, which the lazy walk reports
-        walked = False
-    if not walked:
-        recovered = open_levels(payloads, triple_for)
+    recovered = open_levels(payloads, lookup)
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,

@@ -352,6 +352,26 @@ def test_shuffle_on_malformed_snapshot_is_json_error(tmp_path, capsys):
     _assert_cli_json_error("TdbError", "shuffle", "--pp", str(pp), "--db", str(db))
 
 
+@pytest.mark.parametrize("command", ["retrieve", "shuffle"])
+def test_reads_of_a_missing_store_create_nothing(tmp_path, capsys, command):
+    """A mistyped ``--db`` is refused, not created as an empty store."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIO))
+    store = tmp_path / "store"
+    run(capsys, "run-scenario", str(scen), "--db", str(store))
+    before = sorted(tmp_path.rglob("*"))
+    missing = tmp_path / "typo" / "store"
+    extra = {
+        "retrieve": ["--key", str(store / "keys" / "dr_grey.json"), "--entry", "x"],
+        "shuffle": ["--seed", "3"],
+    }[command]
+    doc = _assert_cli_json_error(
+        "InputError", command, "--pp", str(store / "pp.json"), "--db", str(missing), *extra
+    )
+    assert str(missing) in doc["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_os_errors_are_json_errors(tmp_path, capsys):
     pp = tmp_path / "pp.json"
     _assert_cli_json_error(

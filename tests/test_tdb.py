@@ -729,6 +729,24 @@ def test_entry_edited_in_the_log_fails_replay(large_system, tmp_path, field):
         TenonDb(pp, root=tmp_path)
 
 
+@pytest.mark.parametrize("forged", [(0,), (100,), (199,), (60, 140)],
+                         ids=["first", "middle", "last", "two"])
+def test_gate_names_the_first_forged_row_among_200(large_system, tmp_path, forged):
+    """Among 200 row signatures, checked in one run, the gate names the
+    first forged row and stores nothing."""
+    suite, pp, _, rng = large_system
+    db = TenonDb(pp, root=tmp_path)
+    rows, secret, rosters = make_batch(suite, pp, rng, blocks=["b%d" % i for i in range(200)])
+    bad = list(rows)
+    for i in forged:
+        bad[i] = replace(rows[i], sig=rows[i - 1].sig)
+    r = db.ingest(bad, secret, rosters=rosters, rng=rng)
+    first = forged[0]
+    assert r.reason == "row %d (pointer %s): signature invalid" % (first, rows[first].pointer)
+    assert not (tmp_path / "log.jsonl").exists()
+    assert db.read_open() == ()
+
+
 def _spy_batches(monkeypatch):
     """Record the (m, d, exponentiations) of every ``musig.verify_batch``
     call: its signatures, the distinct keys of their rosters and the
@@ -772,13 +790,37 @@ def test_open_checks_every_line_in_one_batch(system, tmp_path, monkeypatch):
     assert reopened.read_open() == db.read_open()
     assert reopened.secret_ids() == db.secret_ids()
 
-    # three lines of 3 signatures: lines 1 and 2 close a batch of 6,
-    # checked as 4 then 2, and line 3 is a batch of its own
+    # three lines of 3 signatures: 9 signatures in runs of 4, across lines
     monkeypatch.setattr(tdb, "BATCH_SIGNATURES", 4)
     calls.clear()
     assert TenonDb(pp, root=tmp_path).read_open() == db.read_open()
-    assert [m for m, _, _ in calls] == [4, 2, 3]
+    assert [m for m, _, _ in calls] == [4, 4, 1]
     assert all(exps == m + d for m, d, exps in calls)
+
+
+def test_replay_refuses_a_line_whose_run_spans_lines(large_system, tmp_path, monkeypatch):
+    """With runs of 4 signatures over lines of 3, the run that fails holds
+    line 1's signatures and line 2's first: a writer catching up names
+    line 2's forged row, rescans only that run, and holds line 1."""
+    suite, pp, _, rng = large_system
+    monkeypatch.setattr(tdb, "BATCH_SIGNATURES", 4)
+    batches = _line_batches(suite, pp, rng, 4)
+    a = TenonDb(pp, root=tmp_path)
+    b = TenonDb(pp, root=tmp_path)
+    for batch in batches[:3]:
+        assert b.ingest(*batch, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    docs = [json.loads(text) for text in log.read_text().splitlines()]
+    _forge_row(docs, 1)
+    log.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    calls = _spy_batches(monkeypatch)
+    with pytest.raises(TdbError) as err:
+        a.ingest(*batches[3], rng=rng)
+    pointer = docs[1]["rows"][0]["pointer"]
+    assert str(err.value) == "log line 2: row 0 (pointer %s): signature invalid" % pointer
+    assert [m for m, _, _ in calls] == [4, 1, 1, 1, 1]
+    assert a.secret_ids() == ("entry-1",)
+    assert len(a.read_open()) == 2
 
 
 def _repeat_pointer(docs, i, j):

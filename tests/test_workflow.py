@@ -646,11 +646,11 @@ def test_retrieval_refuses_an_edited_row(change, failure):
     assert all(rec.complete for l, rec in report.recovered.items() if l != level and rec.blocks)
 
 
-def test_retrieval_of_a_cosigned_cycle_raises():
+def _cosigned_cycle(ctx):
+    """Store a co-signed two-row cycle A -> B -> A, with entry ``cycle``
+    sealing A at level 1; returns (A, B)."""
     from etenon import policy, tdb
-    from etenon.errors import EtenonError
 
-    ctx = fresh_ctx()
     keys = [ctx.entity(name).keys.signing for name in ("patient", "hospital")]
     pp_bytes, t = ctx.pp.encode(), 1_700_000_000
     a, b = tenon.make_pointer(ctx.rng), tenon.make_pointer(ctx.rng)
@@ -665,8 +665,30 @@ def test_retrieval_of_a_cosigned_cycle_raises():
     sig, _ = musig.cosign(ctx.suite, keys, digest, ctx.rng)
     secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
     assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
+    return a, b
+
+
+def test_retrieval_of_a_cosigned_cycle_raises():
+    from etenon.errors import EtenonError
+
+    ctx = fresh_ctx()
+    _cosigned_cycle(ctx)
     with pytest.raises(EtenonError, match="cycle"):
         phase_retrieval(ctx, "nurse_kim", "cycle")
+
+
+def test_retrieval_of_a_cycle_with_an_edited_row_reports_it():
+    """A cycle whose second row fails its signature is broken there: the
+    walk reports that row and stops, and does not raise."""
+    ctx = fresh_ctx()
+    _, b = _cosigned_cycle(ctx)
+    store = EditingStore(ctx.db, b, block="loop!")
+    keys = ctx.entity("nurse_kim").keys
+    report = workflow.retrieve_entry(ctx.pp, store, keys, "cycle")
+    assert report.entry_sig_ok
+    assert report.row_failures == ["row %s: signature invalid" % b]
+    assert report.recovered[1].blocks == ["loop"]
+    assert report.recovered[1].complete is False
 
 
 def test_scenario_runs_and_is_deterministic(tmp_path):
