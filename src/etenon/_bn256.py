@@ -88,11 +88,14 @@ naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 # sequence of operations of a plain pass (multi_mul) depends only on how
 # many terms there are and how many windows the longest scalar spans,
 # never on the digits: a digit only indexes a table.  A split pass
-# recodes every half, and every scalar too short to split, over
-# HALF_BITS bits, and a half's sign only picks an entry, so there the
-# sequence depends on the count and on which scalars are short.  For
-# uniformly drawn secret scalars none is short except with probability
-# about 2**-126.
+# (split_mul) leaves a short scalar whole: one whose odd form fits
+# HALF_BITS bits, or whose r - k does, taken as r - k times the negated
+# base.  With a split term in it, the pass recodes every half and every
+# short scalar over HALF_BITS bits, and a half's sign only picks an
+# entry, so the sequence depends on the count and on which scalars are
+# short.  With none, it recodes over the longest short scalar's own
+# windows, as a plain pass does.  For uniformly drawn secret scalars
+# none is short except with probability about 2**-125.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
@@ -190,22 +193,36 @@ def split_mul(group, terms):
     two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k); the
     odd multiples of endo(x) are those of x mapped by endo, which is
     cheaper than adding them up, and a negative half negates its
-    multiples.  Every half and every shorter scalar is recoded over
-    half_bits bits, so the pass costs about half the doublings of
-    :func:`multi_mul`.  On a value outside that subgroup the
-    endomorphism is not the multiplication by lambda and the result is
-    wrong: membership checks take :func:`multi_mul`."""
-    neg, endo, bits = group.neg, group.endo, group.half_bits
-    halves = []
+    multiples.  A term whose order - k is shorter than that is the power
+    order - k of -x instead, and stays whole, as a short k does.  Every
+    half and every short scalar is recoded over half_bits bits, so the
+    pass costs about half the doublings of :func:`multi_mul`; a pass
+    with no split term is recoded over its longest scalar's windows.  On
+    a value outside that subgroup the endomorphism is not the
+    multiplication by lambda and the result is wrong: membership checks
+    take :func:`multi_mul`."""
+    neg, endo, bits, order = group.neg, group.endo, group.half_bits, group.order
+
+    def short(k):
+        return not (k + 1 + (k & 1)) >> bits
+
+    halves, split = [], False
     for x, k in terms:
+        if not short(k) and short(order - k):
+            x, k = neg(x), order - k
         odd, x2 = _odd_multiples(group, x)
-        if not (k + 1 + (k & 1)) >> bits:
+        if short(k):
             halves.append((odd, x2, k))
             continue
+        split = True
         h0, h1 = group.split(k)
         for m, m2, h in ((odd, x2, h0), ([endo(q) for q in odd], endo(x2), h1)):
             halves.append(([neg(q) for q in m], neg(m2), -h) if h < 0 else (m, m2, h))
-    return _straus(group, halves, -(-bits // WINDOW))
+    if split:
+        top = -(-bits // WINDOW)
+    else:
+        top = max((_windows(k + 1 + (k & 1)) for _, _, k in halves), default=1)
+    return _straus(group, halves, top)
 
 
 def _odd_multiples(group, x):

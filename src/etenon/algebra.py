@@ -168,6 +168,9 @@ class G0Element:
     def __pow__(self, k: int) -> "G0Element":
         return self.suite.g0_exp(self, k)
 
+    def __neg__(self) -> "G0Element":
+        return self.suite.g0_neg(self)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, G0Element):
             return NotImplemented
@@ -411,6 +414,13 @@ class GroupSuite:
         point = x.point
         term = (point, k % self.order, self._table(x, x.side, point))
         return G0Element(self, x.side, factors=(term,))
+
+    def g0_neg(self, x: G0Element) -> G0Element:
+        """The inverse of x, finished.  It ticks nothing: negating a point
+        is exact and costs nothing, as a divisor's in
+        :meth:`pairing_product` does."""
+        self._check(x)
+        return G0Element(self, x.side, self.groups[x.side].neg(x.point))
 
     def g0_eq(self, x: G0Element, y: G0Element) -> bool:
         normal = self.groups[self._same_side(x, y)].normal
@@ -805,6 +815,11 @@ class Bn256Suite(GroupSuite):
 
     def _final_exp(self, a):
         return _bn256.final_exp(a)
+
+
+def is_mock(name: str) -> bool:
+    """Whether ``name`` names a mock suite, whose keys protect nothing."""
+    return name == "mock" or name.startswith("mock-")
 
 
 def get_suite(name: str) -> GroupSuite:

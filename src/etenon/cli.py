@@ -11,7 +11,10 @@ underneath them one by one.  Its signature rows are checks of m
 signatures by n signers, m + n exponentiations each.
 
 Only ``ingest`` and ``run-scenario`` create a store directory;
-``retrieve`` and ``shuffle`` refuse a path where none exists.
+``retrieve`` and ``shuffle`` refuse a path that holds no store log.
+``--seed`` makes every key public, so ``setup``, ``keygen``, ``ingest``
+and ``shuffle`` refuse it on a suite other than mock unless
+``--insecure-seed`` is given too.
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
 """
@@ -28,7 +31,7 @@ import sys
 import time
 
 from . import _bn256, mlabe, musig, policy, tdb, workflow
-from .algebra import LEFT, RIGHT, TARGET, G0Element, get_suite
+from .algebra import LEFT, RIGHT, TARGET, G0Element, get_suite, is_mock
 from .codec import decoding
 from .errors import EtenonError
 
@@ -53,19 +56,34 @@ def _write_json(path: str, doc) -> None:
 
 
 def _existing_store(pp, path: str) -> tdb.TenonDb:
-    """The store at ``path``, which must already exist: only ``ingest``
-    and ``run-scenario`` create a store."""
+    """The store at ``path``, which must already exist and hold a log:
+    only ``ingest`` and ``run-scenario`` create a store, and a directory
+    with no log holds no rows to read or shuffle.  Opening writes
+    nothing, so a refused path is left as it was."""
     if not os.path.exists(path):
         raise InputError("no store at %s" % path)
-    return tdb.TenonDb(pp, root=path)
+    db = tdb.TenonDb(pp, root=path)
+    if not os.path.exists(os.path.join(path, tdb.LOG_NAME)):
+        raise InputError("no store at %s: it holds no %s" % (path, tdb.LOG_NAME))
+    return db
 
 
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _rng(args):
-    return random.Random(args.seed) if args.seed is not None else None
+def _rng(args, suite):
+    """The generator that ``--seed`` asks for, or None.  A seed makes
+    every key public, so on a suite other than mock it is refused unless
+    ``--insecure-seed`` is given."""
+    if args.seed is None:
+        return None
+    if not (is_mock(suite.name) or args.insecure_seed):
+        raise InputError(
+            "--seed makes every key public; on suite %s it needs --insecure-seed"
+            % suite.name
+        )
+    return random.Random(args.seed)
 
 
 def _positive(text: str) -> int:
@@ -84,7 +102,7 @@ def _positives(text: str) -> list[int]:
 
 def cmd_setup(args) -> int:
     suite = get_suite(args.suite)
-    pp, msk = mlabe.setup(suite, _rng(args))
+    pp, msk = mlabe.setup(suite, _rng(args, suite))
     _write_json(args.pp, mlabe.pp_to_json(pp))
     _write_json(args.msk, mlabe.msk_to_json(suite, msk))
     _emit({"suite": suite.name, "pp": args.pp, "msk": args.msk})
@@ -94,7 +112,7 @@ def cmd_setup(args) -> int:
 def cmd_keygen(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
     _, msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
-    bundle = mlabe.keygen(pp, msk, args.attr, _rng(args))
+    bundle = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
     _write_json(args.out, mlabe.key_to_json(pp.suite, bundle))
     _emit({"attrs": sorted(args.attr), "out": args.out})
     return 0
@@ -102,12 +120,13 @@ def cmd_keygen(args) -> int:
 
 def cmd_ingest(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
+    rng = _rng(args, pp.suite)
     db = tdb.TenonDb(pp, root=args.db)
     batch = _load_json(args.batch)
     if not isinstance(batch, dict):
         raise InputError("batch must be a JSON object")
     rows, secret, rosters = tdb.batch_from_json(pp.suite, batch)
-    result = db.ingest(rows, secret, rosters=rosters, rng=_rng(args))
+    result = db.ingest(rows, secret, rosters=rosters, rng=rng)
     if result.accepted:
         db.save_snapshot()
     _emit(
@@ -132,9 +151,10 @@ def cmd_retrieve(args) -> int:
 
 def cmd_shuffle(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
+    rng = _rng(args, pp.suite)
     db = _existing_store(pp, args.db)
     before = db.order_digest().hex()
-    db.shuffle(_rng(args))
+    db.shuffle(rng)
     db.save_snapshot()
     _emit({"rows": len(db.read_open()), "before": before, "after": db.order_digest().hex()})
     return 0
@@ -234,6 +254,8 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
     _expect("ciphertext elements", elems, 2 * (k + l))
     _expect("encryption exponentiations", enc_span.exponentiations, 2 * (k + l))
     _expect("encryption multiplications", enc_span.multiplications, k)
+    # each level opens with one pairing with d and two for its one leaf
+    _expect("decryption pairings", dec_span.pairings, 3 * k)
     return {
         "k": k,
         "l": l,
@@ -446,7 +468,8 @@ def _print_table(rows, columns) -> None:
 
 def cmd_bench(args) -> int:
     suite = get_suite(args.suite)
-    rng = _rng(args)
+    # bench draws no key that outlives it, so any suite takes a seed
+    rng = random.Random(args.seed) if args.seed is not None else None
 
     checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, m) for m in BATCH_ITEMS]
     rows = {
@@ -467,7 +490,7 @@ def cmd_bench(args) -> int:
         print()
     print(
         "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
-        " a check of m signatures by n signers = m+n exp"
+        " decrypt = 3k pairings, a check of m signatures by n signers = m+n exp"
     )
 
     if args.csv:
@@ -489,6 +512,13 @@ def cmd_bench(args) -> int:
 SEED_HELP = "for tests and demos only: a seed makes every key public"
 
 
+def _seed_options(p) -> None:
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    p.add_argument(
+        "--insecure-seed", action="store_true", help="accept --seed on a suite other than mock"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etenon",
@@ -500,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="bn256", help="bn256, mock, or mock-<prime>")
     p.add_argument("--pp", required=True, help="where to write the public parameters")
     p.add_argument("--msk", required=True, help="where to write the master key")
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    _seed_options(p)
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("keygen", help="issue a decryption and signing bundle")
@@ -510,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--attr", action="append", required=True, help="attribute (repeatable)"
     )
     p.add_argument("--out", required=True, help="where to write the key bundle")
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    _seed_options(p)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("ingest", help="push a signed batch through the gate")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True, help="store directory")
     p.add_argument("--batch", required=True, help="JSON with rows, secret, rosters")
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    _seed_options(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("retrieve", help="fetch, verify and decrypt one entry")
@@ -531,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shuffle", help="re-permute the open table")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True)
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    _seed_options(p)
     p.set_defaults(func=cmd_shuffle)
 
     p = sub.add_parser("run-scenario", help="drive a configured multi-party run")

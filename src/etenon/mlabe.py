@@ -23,11 +23,13 @@ the paired level element.
 
 A level costs two pairings per leaf it uses plus one for its level
 element.  Each root sub-tree is one Miller loop over all its leaves'
-pairs, evaluated once whichever levels share it, and the level element
-is one more.  The product of the Lagrange coefficients above a leaf is
-raised in the source group, on the leaf's two left arguments, so a
-gate costs two G1 powers per leaf below it and no GT exponentiation;
-a leaf whose product is 1 raises nothing.  On bn256 a level then pays
+pairs, evaluated once whichever levels share it, and the first level
+to reach it pairs its level element in that loop too, so a level runs
+a loop of its own only when it reaches no new root sub-tree.  The
+product of the Lagrange coefficients above a leaf is raised in the
+source group, on the leaf's two left arguments, so a gate costs two
+short G1 powers per leaf below it and no GT exponentiation; a leaf
+whose product is 1 raises nothing.  On bn256 a level then pays
 a single final exponentiation: the suite defers it from each loop
 until the level value unseals its payload or divides its mask.
 
@@ -237,9 +239,16 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
 
     Gates combine the first t children the key can open, in index order,
     with Lagrange coefficients, which are folded into the left arguments
-    of the leaves' pairings; each root sub-tree is one Miller loop,
-    evaluated at most once and only when the key can open it, and a
-    level stops at its first root sub-tree that cannot be opened.
+    of the leaves' pairings.  A level stops at its first root sub-tree
+    that cannot be opened.  The level value is e(c_l, d) over the
+    product of its root sub-trees' pairings.  Each root sub-tree an
+    opened level uses is one pending Miller loop, evaluated at most
+    once: its leaves' pairs, inverted, times e(C, d), where the left
+    element C is carried so that a level's loops multiply to its value.
+    The first level that reaches a root not yet looped puts
+    C = c_l / (the C of its roots that have a loop) into one such root's
+    loop, and its other new roots carry none; a level whose roots all
+    have loops pays one more loop, e(C, d) with the same quotient.
     """
     suite = pp.suite
     if ct.suite_name != suite.name:
@@ -274,35 +283,45 @@ def _level_keys(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey):
             out += [(p, attr, delta * coeff % order) for p, attr, delta in got]
         return out
 
-    def root_value(used) -> G1Element:
-        """One pending Miller loop: the product over the used leaves of
-        e(d_a, c)^delta / e(cp, dp_a)^delta = e(d_a^delta, c) / e(cp^delta, dp_a)."""
-        num, den = [], []
+    def root_loop(used, first=()) -> G1Element:
+        """One pending Miller loop: the pairings ``first`` over the used
+        leaves' product of e(d_a, c)^delta / e(cp, dp_a)^delta, that is,
+        times e(cp^delta, dp_a) / e(d_a^delta, c)."""
+        num, den = list(first), []
         for path, attr, delta in used:
             c, cp = ct.leaves[path]
             d_a, dp_a = dk.components[attr]
             if delta != 1:
                 d_a, cp = d_a ** delta, cp ** delta
-            num.append(suite.pairing(d_a, c))
-            den.append(suite.pairing(cp, dp_a))
+            num.append(suite.pairing(cp, dp_a))
+            den.append(suite.pairing(d_a, c))
         return suite.pairing_product(num, den)
 
-    roots: dict[int, G1Element | None] = {}
+    opens: dict[int, list | None] = {}  # root -> its used leaves, or None
+    loops: dict[int, G1Element] = {}
+    carried: dict[int, G0Element] = {}  # root -> the C its loop pairs with d
     for level in sorted(ct.levels):
         wanted = ct.tree.levels.get(level)
         if wanted is None:
             continue
-        parts = []
         for i in wanted:
-            if i not in roots:
-                used = leaves(ct.tree.children[i - 1], (i,))
-                roots[i] = None if used is None else root_value(used)
-            if roots[i] is None:
+            if i not in opens:
+                opens[i] = leaves(ct.tree.children[i - 1], (i,))
+            if opens[i] is None:
                 break
-            parts.append(roots[i])
         else:
             c_l, masked = ct.levels[level]
-            yield level, masked, suite.pairing(c_l, dk.d) / reduce(operator.mul, parts)
+            for i in wanted:
+                if i in carried:
+                    c_l = c_l * -carried[i]
+            pair = suite.pairing(c_l, dk.d)
+            new = [i for i in wanted if i not in loops]
+            if new:
+                carried[new[0]] = c_l
+                for i in new:
+                    loops[i] = root_loop(opens[i], [pair] if i == new[0] else ())
+            parts = [loops[i] for i in wanted] + ([] if new else [pair])
+            yield level, masked, reduce(operator.mul, parts)
 
 
 def decrypt(pp: PublicParams, ct: CiphertextBundle, dk: DecryptionKey) -> dict[int, bytes]:

@@ -77,6 +77,10 @@ DECODED_ENTRIES = 2
 # walk over a large store keeps its multi-exponentiation bounded
 BATCH_SIGNATURES = 256
 
+# the log's file name in a store directory; a directory without it holds
+# no store
+LOG_NAME = "log.jsonl"
+
 
 class TdbError(EtenonError):
     """Store misuse or a corrupt persisted state."""
@@ -391,7 +395,7 @@ class TenonDb:
     # persistence
 
     def _log_path(self) -> Path:
-        return self._root / "log.jsonl"
+        return self._root / LOG_NAME
 
     def _snapshot_path(self) -> Path:
         return self._root / "snapshot.json"

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 
 from . import mlabe, musig, policy, tdb, tenon
-from .algebra import get_suite
+from .algebra import get_suite, is_mock
 from .codec import canonical_json, decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
@@ -639,7 +639,7 @@ def _emit_context(ctx: SystemContext, emit_dir) -> None:
 
 
 SCENARIO_KEYS = frozenset((
-    "suite seed timestamp participants policy record levels identifiable_level "
+    "suite seed insecure_seed timestamp participants policy record levels identifiable_level "
     "access_label do sp retrieve"
 ).split())
 PARTICIPANT_KEYS = frozenset(("role", "attrs"))
@@ -656,7 +656,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     not in ``PARTICIPANT_KEYS`` or ``RETRIEVE_KEYS``), raises
     :class:`WorkflowError`.  A
     fixed seed makes the entire run, store layout included,
-    deterministic.  With ``emit_dir`` the public parameters and every
+    deterministic, and every key public: on a suite other than mock it
+    is refused unless the document also holds ``"insecure_seed": true``.
+    With ``emit_dir`` the public parameters and every
     participant's key bundle are written there as JSON, so the
     command-line tools can work the resulting store afterwards.
     """
@@ -680,6 +682,12 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
         doc = known(doc, SCENARIO_KEYS)
         suite_name = typed(doc.get("suite", "mock"), str)
         seed = optional(doc, "seed", int)
+        # a seed makes every key public: on a real suite it must be asked for
+        if not (seed is None or is_mock(suite_name) or optional(doc, "insecure_seed", bool)):
+            raise ValueError(
+                'a seed makes every key public; on suite %s it needs "insecure_seed": true'
+                % suite_name
+            )
         participants = {
             name: {
                 "role": typed(known(spec, PARTICIPANT_KEYS, "participant %r: " % name)

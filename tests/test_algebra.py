@@ -15,6 +15,7 @@ from etenon.algebra import (
     G1Element,
     SEAL_TAG_BYTES,
     IntegrityError,
+    OpCounters,
     get_suite,
     hash_commit,
     kdf_stream,
@@ -664,6 +665,77 @@ def test_bn256_split_is_wrong_off_the_subgroup():
     want = oracles.ladder(pt, k, b.g2_add, b.g2_double, b.G2_INFINITY)
     assert b.g2_affine(b.multi_mul(b.TWIST, [(pt, k)])) == b.g2_affine(want)
     assert b.g2_affine(b.split_mul(b.TWIST, [(pt, k)])) != b.g2_affine(want)
+
+
+def _short_edges(order, bits):
+    """Scalars a split pass leaves whole and their neighbours that it
+    splits: 0 to 3, r - 1 to r - 3, and 3 either side of 2**bits and of
+    r - 2**bits."""
+    edge = 2**bits
+    return [0, 1, 2, 3, order - 1, order - 2, order - 3,
+            edge - 3, edge + 3, order - edge - 3, order - edge + 3]
+
+
+def test_split_passes_of_short_and_negated_scalars_match_the_ladder():
+    """In each group of both suites, a scalar near either end of the
+    order, or either side of half_bits from either end, equals the
+    ladder alone and beside a full-length term."""
+    b = _bn256
+    egg = b.final_exp(oracles.miller(b.twist_G, b.curve_G))
+    cases = [
+        (b.CURVE, b.multi_mul(b.CURVE, [(b.curve_G, 0x5B1)])),
+        (b.TWIST, b.multi_mul(b.TWIST, [(b.twist_G, 0x5B1)])),
+        (b.CYCLOTOMIC, b.multi_mul(b.CYCLOTOMIC, [(egg, 0x5B1)])),
+        (get_suite("mock").groups[LEFT], 7),
+    ]
+    for group, x in cases:
+        q, y = group.order, group.double(x)
+        long = q // 3  # split from either end
+        for k in _short_edges(q, group.half_bits):
+            for terms, total in (([(x, k)], k), ([(x, long), (y, k)], long + 2 * k)):
+                want = oracles.ladder(x, total % q, group.add, group.double, group.identity)
+                got = b.split_mul(group, terms)
+                assert group.normal(got) == group.normal(want), (group.window, terms)
+
+
+def test_a_split_pass_runs_every_window_of_a_half_whatever_its_short_scalars():
+    """A pass with a full-length term makes HALF_BITS doublings past its
+    first window, whatever its other scalars are, plus one per term for
+    its table; a pass of short scalars runs only its longest one's
+    windows, so a Lagrange power of 2, 3 or -1 makes no doubling past
+    its table's."""
+    b = _bn256
+    doublings = []
+
+    def double(a):
+        doublings.append(a)
+        return b.g1_double(a)
+
+    group = b.CURVE._replace(double=double)
+
+    def count(terms):
+        doublings.clear()
+        b.split_mul(group, terms)
+        return len(doublings)
+
+    x, long = b.curve_G, b.order // 3
+    full = (b.HALF_BITS // b.WINDOW - 1) * b.WINDOW
+    for k in _short_edges(b.order, b.HALF_BITS) + [long]:
+        assert count([(x, long), (x, k)]) == full + 2, k
+        assert count([(x, k), (x, 3), (x, long)]) == full + 3, k
+    for k in (2, 3, b.order - 1, b.order - 4):
+        assert count([(x, k)]) == 1, k
+    assert count([(x, 2), (x, 2**20)]) == 5 * b.WINDOW + 2
+
+
+@pytest.mark.parametrize("name", ["mock", "bn256"])
+def test_negation_is_the_exact_inverse_and_ticks_nothing(name):
+    suite = get_suite(name)
+    for x in (suite.hash_to_group(b"negated") ** 5, suite.right_generator ** 5):
+        with suite.measure() as span:
+            y = -x
+        assert span.as_dict() == OpCounters().as_dict()
+        assert x * y == suite.identity(x.side) and -y == x
 
 
 @pytest.mark.parametrize("name", ["mock-101", "mock-103", "mock-7"])

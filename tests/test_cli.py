@@ -354,22 +354,58 @@ def test_shuffle_on_malformed_snapshot_is_json_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["retrieve", "shuffle"])
 def test_reads_of_a_missing_store_create_nothing(tmp_path, capsys, command):
-    """A mistyped ``--db`` is refused, not created as an empty store."""
+    """A mistyped ``--db`` is refused, not created as an empty store, and
+    so is a directory that holds no store log: an empty one, or one that
+    holds only a snapshot.  Nothing is written, not even a lock."""
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(SCENARIO))
     store = tmp_path / "store"
     run(capsys, "run-scenario", str(scen), "--db", str(store))
+    empty, snapshot_only = tmp_path / "empty", tmp_path / "snapshot-only"
+    empty.mkdir()
+    snapshot_only.mkdir()
+    (snapshot_only / "snapshot.json").write_text(json.dumps({"order": []}))
     before = sorted(tmp_path.rglob("*"))
-    missing = tmp_path / "typo" / "store"
     extra = {
         "retrieve": ["--key", str(store / "keys" / "dr_grey.json"), "--entry", "x"],
         "shuffle": ["--seed", "3"],
     }[command]
-    doc = _assert_cli_json_error(
-        "InputError", command, "--pp", str(store / "pp.json"), "--db", str(missing), *extra
-    )
-    assert str(missing) in doc["message"]
-    assert sorted(tmp_path.rglob("*")) == before
+    for missing in (tmp_path / "typo" / "store", empty, snapshot_only):
+        doc = _assert_cli_json_error(
+            "InputError", command, "--pp", str(store / "pp.json"), "--db", str(missing), *extra
+        )
+        assert str(missing) in doc["message"]
+        assert sorted(tmp_path.rglob("*")) == before
+    assert json.loads((snapshot_only / "snapshot.json").read_text()) == {"order": []}
+
+
+def test_a_seed_on_bn256_must_be_asked_for(tmp_path, capsys):
+    """A seed makes every key public, so on bn256 ``setup``, ``keygen``,
+    ``ingest`` and ``shuffle`` refuse it without ``--insecure-seed`` and
+    write nothing; with the flag a seeded setup is reproducible."""
+    pp, msk = tmp_path / "pp.json", tmp_path / "msk.json"
+    paths = ["--pp", str(pp), "--msk", str(msk)]
+    doc = _assert_cli_json_error("InputError", "setup", "--suite", "bn256", "--seed", "1", *paths)
+    assert "--insecure-seed" in doc["message"]
+    assert list(tmp_path.iterdir()) == []
+    for out in (tmp_path / "again", tmp_path):
+        out.mkdir(exist_ok=True)
+        code, _, _ = run(
+            capsys, "setup", "--suite", "bn256", "--seed", "1", "--insecure-seed",
+            "--pp", str(out / "pp.json"), "--msk", str(out / "msk.json"),
+        )
+        assert code == 0
+    assert pp.read_text() == (tmp_path / "again" / "pp.json").read_text()
+    before = sorted(tmp_path.rglob("*"))
+    db = str(tmp_path / "db")
+    for argv in (
+        ["keygen", *paths, "--attr", "basic", "--out", str(tmp_path / "key.json")],
+        ["ingest", "--pp", str(pp), "--db", db, "--batch", str(tmp_path / "batch.json")],
+        ["shuffle", "--pp", str(pp), "--db", db],
+    ):
+        doc = _assert_cli_json_error("InputError", *argv, "--seed", "3")
+        assert "--insecure-seed" in doc["message"], argv[0]
+        assert sorted(tmp_path.rglob("*")) == before, argv[0]
 
 
 def test_os_errors_are_json_errors(tmp_path, capsys):

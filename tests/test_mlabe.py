@@ -322,16 +322,16 @@ tree: threshold(2, attr:a, attr:b, attr:c), attr:d
 # multiplications of one decryption under SHARED_GATE.  A gate's
 # Lagrange coefficients are G1 powers of its leaves' two left arguments
 # (none is 1 here); leaf d sits right under the root and raises nothing.
-# Each root sub-tree is one product of pairings, so the multiplications
-# are one division per opened level and one product of its two roots
-# for level 2.
+# Each root sub-tree is one product of pairings that carries the first
+# level to reach it, so the multiplications are level 2's: c_2 over the
+# left element level 1 carries, and the product of its two roots.
 SHARED_GATE_COUNTS = [
     # every leaf held: the gate uses a and b, c is never paired
-    ({"a", "b", "c", "d"}, {1, 2}, 8, 4, 3),
+    ({"a", "b", "c", "d"}, {1, 2}, 8, 4, 2),
     # b fails the satisfaction check and is skipped unpaired
-    ({"a", "c", "d"}, {1, 2}, 8, 4, 3),
+    ({"a", "c", "d"}, {1, 2}, 8, 4, 2),
     # the gate opens, level 2 stops at the missing leaf d
-    ({"b", "c"}, {1}, 5, 4, 1),
+    ({"b", "c"}, {1}, 5, 4, 0),
     # one leaf of the gate: the gate is not satisfied, so nothing is
     # paired and level 2 stops at its first child without touching d
     ({"a", "d"}, set(), 0, 0, 0),
@@ -372,8 +372,75 @@ def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, exps, d
 
 
 # Miller loops of one decryption per row of SHARED_GATE_COUNTS: one per
-# opened level's element and one per root sub-tree an opened level uses
-SHARED_GATE_LOOPS = [4, 4, 2, 0, 0]
+# root sub-tree an opened level uses, each carrying the element of the
+# first level to reach it
+SHARED_GATE_LOOPS = [2, 2, 1, 0, 0]
+
+
+# Policies whose levels share root sub-trees in the two ways a
+# decryption folds them: levels that are not nested, so that level 3
+# reaches no new root sub-tree, and a first level that needs two new
+# ones, so that level 2 reaches none.  Per key: the opened levels, the
+# pairings (one per opened level and two per used leaf) and the Miller
+# loops (one per used root sub-tree and one per opened level that
+# reached no new one).
+UNNESTED = """
+level 1 requires [1]
+level 2 requires [2]
+level 3 requires [1, 2]
+level 4 requires [1, 2, 3]
+tree: threshold(2, attr:a, attr:b, attr:c), attr:d, attr:e
+"""
+TWO_NEW_ROOTS = """
+level 1 requires [1, 2]
+level 2 requires [2]
+level 3 requires [1, 2, 3]
+tree: attr:a, threshold(2, attr:b, attr:c, attr:d), attr:e
+"""
+FOLDS = [
+    # leaves a, b, d and e; roots 1, 2 and 3, and level 3's own loop
+    (UNNESTED, {"a", "b", "c", "d", "e"}, {1, 2, 3, 4}, 4 + 2 * 4, 3 + 1),
+    # level 4 stops at e: leaves a, b and d; roots 1 and 2, and level 3
+    (UNNESTED, {"a", "b", "d"}, {1, 2, 3}, 3 + 2 * 3, 2 + 1),
+    # leaves a, b, c and e; roots 1, 2 and 3, and level 2's own loop
+    (TWO_NEW_ROOTS, {"a", "b", "c", "d", "e"}, {1, 2, 3}, 3 + 2 * 4, 3 + 1),
+    # the gate takes c and d, level 3 stops at e; roots 1 and 2, and level 2
+    (TWO_NEW_ROOTS, {"a", "c", "d"}, {1, 2}, 2 + 2 * 3, 2 + 1),
+]
+
+
+@pytest.mark.parametrize("suite_name", ["mock", "bn256"])
+@pytest.mark.parametrize("text, attrs, levels, pairings, loops", FOLDS)
+def test_each_root_sub_tree_is_one_loop_that_carries_a_level(
+    suite_name, text, attrs, levels, pairings, loops, monkeypatch
+):
+    """Every payload of an opened level comes back when levels share
+    root sub-trees; the pairings are as counted before the loops were
+    folded, and the loops are one per used root sub-tree plus one per
+    level that reached no new sub-tree."""
+    from etenon import _bn256
+
+    suite = get_suite(suite_name)
+    counted = []
+    if suite_name == "bn256":
+        miller = _bn256.miller
+        monkeypatch.setattr(_bn256, "miller", lambda pairs: counted.append(1) or miller(pairs))
+    else:
+        # the mock suite's loop is its pair-product hook
+        product = suite._pair_product
+        monkeypatch.setattr(suite, "_pair_product", lambda pairs: counted.append(1) or product(pairs))
+    rng = random.Random(0xF01D)
+    pp, msk = mlabe.setup(suite, rng)
+    tree = policy.parse_policy(text)
+    payloads = {level: b"level %d" % level for level in tree.levels}
+    ct = mlabe.ct_from_json(mlabe.ct_to_json(mlabe.encrypt(pp, payloads, tree, rng)), suite)
+    dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+    counted.clear()
+    with suite.measure() as span:
+        got = mlabe.decrypt(pp, ct, dk)
+    assert got == {level: payloads[level] for level in levels}
+    assert span.pairings == pairings
+    assert len(counted) == loops
 
 
 def test_bn256_decryption_finishes_one_pairing_per_opened_level(

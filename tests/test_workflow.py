@@ -774,6 +774,28 @@ def test_scenario_refuses_unknown_keys_in_a_participant_or_a_retrieval(tmp_path,
         run_scenario(doc, db_root=tmp_path)
     assert not tmp_path.joinpath("log.jsonl").exists()
 
+@pytest.mark.parametrize("insecure", [None, False], ids=["no-flag", "false"])
+def test_a_seeded_scenario_on_bn256_must_be_asked_for(tmp_path, insecure):
+    """A seed makes every key public, so a bn256 document that has one
+    is refused before any step runs unless it holds
+    ``"insecure_seed": true``."""
+    doc = {
+        "suite": "bn256",
+        "seed": 11,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+        **({} if insecure is None else {"insecure_seed": insecure}),
+    }
+    with pytest.raises(WorkflowError, match=r'^malformed scenario: .*"insecure_seed": true$'):
+        run_scenario(doc, db_root=tmp_path / "db", emit_dir=tmp_path / "db")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scenario_emit_dir(tmp_path):
     doc = {
         "suite": "mock",
