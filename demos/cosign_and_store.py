@@ -17,7 +17,7 @@ from etenon.tdb import OpenRow, SecretEntry, TenonDb
 
 def cosigned_rows(suite, pp, sks, structure, rng, t):
     rows = []
-    for triple in structure.chain_order():
+    for triple in structure.triples:
         digest = tdb.row_digest(pp.encode(), triple, t)
         sig, _ = musig.cosign(suite, sks, digest, rng)
         rows.append(OpenRow(pointer=triple.pointer, block=triple.block, next=triple.next,

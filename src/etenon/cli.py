@@ -8,7 +8,9 @@ whole configured multi-party run, and ``bench`` times the primitives on
 a (levels, leaves, signers) grid while checking the operation counts
 against the scheme's cost model, then times the group operations
 underneath them one by one.  Its signature rows are checks of m
-signatures by n signers, m + n exponentiations each.
+signatures by n signers, m + n exponentiations each.  Every row of
+every kind gives ``ref_ms``, a host-speed reference timed right before
+each of its trials.
 
 Only ``ingest`` and ``run-scenario`` create a store directory;
 ``retrieve`` and ``shuffle`` refuse a path that holds no store log.
@@ -56,16 +58,13 @@ def _write_json(path: str, doc) -> None:
 
 
 def _existing_store(pp, path: str) -> tdb.TenonDb:
-    """The store at ``path``, which must already exist and hold a log:
-    only ``ingest`` and ``run-scenario`` create a store, and a directory
-    with no log holds no rows to read or shuffle.  Opening writes
-    nothing, so a refused path is left as it was."""
-    if not os.path.exists(path):
-        raise InputError("no store at %s" % path)
-    db = tdb.TenonDb(pp, root=path)
+    """The store at ``path``, which must already hold a log: only
+    ``ingest`` and ``run-scenario`` create a store, and a path with no
+    log holds no rows to read or shuffle.  The log is looked for before
+    the store is opened, so a refused path is left as it was."""
     if not os.path.exists(os.path.join(path, tdb.LOG_NAME)):
         raise InputError("no store at %s: it holds no %s" % (path, tdb.LOG_NAME))
-    return db
+    return tdb.TenonDb(pp, root=path)
 
 
 def _emit(doc) -> None:
@@ -197,6 +196,24 @@ def _iqr_ms(times) -> float:
     return 1000 * (q3 - q1)
 
 
+_A, _B, _P = _bn256.p - 3, _bn256.p - 5, _bn256.p
+
+
+def _fp_mul():
+    """1000 products of two fixed 254-bit values mod p: no group code."""
+    return [_A * _B % _P for _ in range(1000)]
+
+
+def _ref_sample() -> float:
+    """One timing of :func:`_fp_mul` in seconds.  Every row of the bench
+    takes one right before each of its trials, and its ``ref_ms`` is the
+    median of its samples, so a row's ratio to it tracks the host's
+    speed during that row."""
+    t0 = time.perf_counter()
+    _fp_mul()
+    return time.perf_counter() - t0
+
+
 def _expect(label: str, got: int, want: int) -> None:
     if got != want:
         raise BenchError("%s: counted %d, cost model says %d" % (label, got, want))
@@ -229,10 +246,11 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
     mlabe.pp_to_json(pp)
     key_doc = mlabe.key_to_json(suite, bundle)
 
-    enc_times, dec_times, cold_times = [], [], []
+    enc_times, dec_times, cold_times, refs = [], [], [], []
     enc_span = dec_span = None
     ct = None
     for _ in range(trials):
+        refs.append(_ref_sample())
         with suite.measure() as enc_span:
             t0 = time.perf_counter()
             ct = mlabe.encrypt(pp, payloads, tree, rng)
@@ -266,6 +284,7 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
         "dec_pair": dec_span.pairings,
         "dec_ms": _ms(dec_times),
         "dec_cold_ms": _ms(cold_times),
+        "ref_ms": _ms(refs),
     }
 
 
@@ -288,9 +307,10 @@ def bench_musig(suite, n: int, m: int, trials: int, rng) -> dict:
     all m signatures: m + n exponentiations, g's power and one pass of
     the other m - 1 + n, which is n + 1 for a single signature."""
     msgs = [b"benchmark message %d" % i for i in range(m)]
-    sign_times, verify_times = [], []
+    sign_times, verify_times, refs = [], [], []
     span = None
     for _ in range(trials):
+        refs.append(_ref_sample())
         keys = _distinct_keys(suite, n, rng)
         sigs = []
         for msg in msgs:
@@ -316,6 +336,7 @@ def bench_musig(suite, n: int, m: int, trials: int, rng) -> dict:
         "verify_hashes": span.hash_calls,
         "sign_ms": _ms(sign_times),
         "verify_ms": _ms(verify_times),
+        "ref_ms": _ms(refs),
     }
 
 
@@ -341,11 +362,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     """Median time, and the spread between its quartiles, of each group
     operation the protocols are built from.
 
-    ``fp_mul``, 1000 products of two fixed 254-bit values mod p, runs no
-    group code: it is the host-speed reference.  One sample of it is
-    timed right before each trial of every row, and a row's ``ref_ms``
-    is the median of its samples, so a row's ratio to it tracks the
-    host's speed during that row.
+    ``fp_mul`` times the host-speed reference itself.
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     The ``_fixed`` rows raise fixed bases whose tables were built before
     the timing, and give each table's build time and retained size."""
@@ -369,13 +386,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "g2_fixed": _table_cost(suite, RIGHT, fixed[RIGHT].point),
         "gt_fixed": _table_cost(suite, TARGET, fixed[TARGET].value),
     }
-    a, b, p = _bn256.p - 3, _bn256.p - 5, _bn256.p
-
-    def fp_mul():
-        return [a * b % p for _ in range(1000)]
-
     cases = [
-        ("fp_mul", fp_mul),
+        ("fp_mul", _fp_mul),
         # a bn256 power is pending until read; reading its point finishes it
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),
@@ -407,19 +419,17 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     for layer, op in cases:
         times, refs = [], []
         for _ in range(trials):
+            refs.append(_ref_sample())
             t0 = time.perf_counter()
-            fp_mul()
-            t1 = time.perf_counter()
             op()
-            refs.append(t1 - t0)
-            times.append(time.perf_counter() - t1)
+            times.append(time.perf_counter() - t0)
         rows.append({"layer": layer, "layer_ms": _ms(times), "layer_iqr_ms": _iqr_ms(times),
                      "ref_ms": _ms(refs), **costs.get(layer, {})})
     return rows
 
 
 # each row kind's columns, in the order the tables print them; the CSV
-# holds every column of every kind after ``kind``
+# names every column of every kind once, after ``kind``
 COLUMNS = {
     "abe": [
         ("k", "%d"),
@@ -431,6 +441,7 @@ COLUMNS = {
         ("dec_pair", "%d"),
         ("dec_ms", "%.2f"),
         ("dec_cold_ms", "%.2f"),
+        ("ref_ms", "%.3f"),
     ],
     "musig": [
         ("n", "%d"),
@@ -439,6 +450,7 @@ COLUMNS = {
         ("verify_hashes", "%d"),
         ("sign_ms", "%.2f"),
         ("verify_ms", "%.2f"),
+        ("ref_ms", "%.3f"),
     ],
     "layer": [
         ("layer", "%s"),
@@ -494,7 +506,9 @@ def cmd_bench(args) -> int:
     )
 
     if args.csv:
-        fields = ["kind"] + [name for columns in COLUMNS.values() for name, _ in columns]
+        fields = ["kind"] + list(
+            dict.fromkeys(name for columns in COLUMNS.values() for name, _ in columns)
+        )
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()

@@ -90,18 +90,6 @@ def iter_leaves(tree: AccessTree) -> Iterator[tuple[NodePath, Leaf]]:
 
 
 # ----------------------------------------------------------------------
-# satisfaction
-
-
-def satisfies(node: SubTree, attrs) -> bool:
-    """True when the attribute set satisfies the sub-tree."""
-    if isinstance(node, Leaf):
-        return node.attribute in attrs
-    hits = sum(1 for child in node.children if satisfies(child, attrs))
-    return hits >= node.threshold
-
-
-# ----------------------------------------------------------------------
 # structural checks
 
 

@@ -5,10 +5,10 @@ columns into identifiable ones (held back for sealing) and the rest.
 Each remaining column's text is tokenized into blocks -- one main word
 per block, preceded by whatever stopwords ran up to it -- and a block
 sequence becomes a pointer chain: every block gets a fresh 128-bit
-pointer and records the pointer of its successor.  The chain's triples
-are stored in a random order, but that hides nothing from whoever holds
-them all: the head, which is what gets sealed per level, is also the
-one pointer no triple names.
+pointer and records the pointer of its successor.  A structure keeps its
+triples in chain order; the store that holds them shuffles its rows
+after every accepted ingest.  No order hides the head from whoever holds
+every triple: it is the one pointer no triple names.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class EhrColumn:
 @dataclass(frozen=True)
 class EhrRecord:
     columns: tuple[EhrColumn, ...]
-
-    def column(self, name: str) -> EhrColumn:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise TenonError("record has no column %r" % name)
 
     def identifiable(self) -> tuple[EhrColumn, ...]:
         return tuple(c for c in self.columns if c.label is Classification.IDENTIFIABLE)
@@ -154,17 +148,12 @@ def classify(record: EhrRecord, rules: ClassificationRules) -> EhrRecord:
 # tokenization
 
 
-def load_stopwords(path=None) -> frozenset[str]:
-    """One word per line; the shipped list is used when no path is given."""
-    if path is None:
-        text = resources.files("etenon").joinpath("data/stopwords.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    words = frozenset(
+def load_stopwords() -> frozenset[str]:
+    """The shipped list: one word per line, ``#`` comments."""
+    text = resources.files("etenon").joinpath("data/stopwords.txt").read_text()
+    return frozenset(
         w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#")
     )
-    return words
 
 
 def normalize(text: str) -> str:
@@ -233,20 +222,14 @@ class Triple:
 
 @dataclass(frozen=True)
 class TenonStructure:
-    """A pointer chain in its randomized storage order."""
+    """A pointer chain: its head and its triples in chain order."""
 
     head: Pointer
     triples: tuple[Triple, ...]
 
-    def chain_order(self) -> tuple[Triple, ...]:
-        chain, complete = follow(self.head, _by_pointer(self.triples).get)
-        if not complete or len(chain) != len(self.triples):
-            raise TenonError("structure does not form a single chain")
-        return tuple(chain)
-
 
 def build_structure(blocks, rng=None) -> TenonStructure:
-    """Chain the blocks in order and shuffle the storage layout."""
+    """Chain the blocks in order under fresh, distinct pointers."""
     blocks = list(blocks)
     if not blocks:
         raise TenonError("cannot build a structure from zero blocks")
@@ -266,8 +249,6 @@ def build_structure(blocks, rng=None) -> TenonStructure:
         )
         for i, block in enumerate(blocks)
     ]
-    shuffler = rng if rng is not None else random.SystemRandom()
-    shuffler.shuffle(triples)
     return TenonStructure(head=pointers[0], triples=tuple(triples))
 
 

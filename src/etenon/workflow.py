@@ -4,23 +4,26 @@ A central authority runs setup and hands the master key to the
 attribute authority, which issues key bundles.  Owner and provider
 first agree the terms (:func:`agree_terms`): the policy, the level
 assignment, the access label and the timestamp.  The agreement then
-runs as two halves.  In :func:`owner_package` the data owner
-preprocesses a record into per-level pointer chains, seals the chain
-heads (and the identifiable columns, under their own level) into one
-ciphertext, and packs what the service provider needs: the
-ciphertext, the chain elements to be signed, the chain heads and the
-share plan's random coefficients.  In :func:`cosign_package` the
-provider, which sees only that package, the terms and its own copy of
-the record, checks by re-encryption, not decryption.  It derives every
-share from the coefficients, encrypts its own copy of the record under
-the agreed policy, and accepts the ciphertext only if the two are
-equal byte for byte; it then walks each chain from its head through
-the elements, as a reader will walk the open table, and compares it
-with its own copy.  Only on an exact match do both parties co-sign
-every row and the ciphertext.  :func:`run_agreement` hands the one
-half's package straight to the other.  The plan gives every level key,
-so the package must travel over a confidential owner-to-provider
-channel; it never reaches a transcript or the store.
+runs as two halves, and both read a record through one function,
+:func:`preprocess_record`, into each chain level's blocks and the
+identifiable columns.  In :func:`owner_package` the data owner chains
+each level's blocks under fresh pointers, seals the chain heads (and
+the identifiable columns, under their own level) into one ciphertext,
+and packs what the service provider needs: the ciphertext, the chain
+elements to be signed, the chain heads and the share plan's random
+coefficients.  In :func:`cosign_package` the provider, which sees only
+that package, the terms and its own copy of the record, reads its copy
+as the owner read the record, and refuses with the owner's text a copy
+the owner's half would refuse.  It checks by re-encryption, not
+decryption: it derives every share from the coefficients, encrypts its
+own copy under the agreed policy, and accepts the ciphertext only if
+the two are equal byte for byte; it then walks each chain from its head
+through the elements, as a reader will walk the open table, and
+compares it with its own copy's blocks.  Only on an exact match do
+both parties co-sign every row and the ciphertext.  :func:`run_agreement`
+hands the one half's package straight to the other.  The plan gives
+every level key, so the package must travel over a confidential
+owner-to-provider channel; it never reaches a transcript or the store.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, checks its signature before any
 decryption, recovers whichever levels its key satisfies and follows
@@ -48,7 +51,6 @@ from .tenon import (
     ClassificationRules,
     Classification,
     EhrRecord,
-    TenonStructure,
     load_stopwords,
 )
 
@@ -179,14 +181,14 @@ class LevelRecovery:
         return None if self.blocks is None else " ".join(self.blocks)
 
 
-def open_levels(payloads: dict[int, bytes], lookup) -> dict[int, LevelRecovery]:
-    """Decode each decrypted level payload and walk each chain through
-    ``lookup``, as :func:`tenon.follow` does; every reader opens levels
+def open_levels(levels: dict[int, tuple], lookup) -> dict[int, LevelRecovery]:
+    """Open each level from its decoded payload, the ``(kind, value)``
+    pair of :func:`decode_level_payload`, walking each chain through
+    ``lookup`` as :func:`tenon.follow` does; every reader opens levels
     here.
     """
     recovered: dict[int, LevelRecovery] = {}
-    for level, raw in sorted(payloads.items()):
-        kind, value = decode_level_payload(raw)
+    for level, (kind, value) in sorted(levels.items()):
         if kind == "identifiable":
             recovered[level] = LevelRecovery(kind, identifiable=value)
         else:
@@ -201,56 +203,6 @@ def level_payloads(heads, identifiable_level, identifiable_cols) -> dict[int, by
     if identifiable_level is not None:
         payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
     return payloads
-
-
-# ----------------------------------------------------------------------
-# preprocessing
-
-def preprocess_record(record: EhrRecord, rules, stopwords, level_columns, rng=None):
-    """Classify, tokenize and chain a record per the level assignment.
-
-    ``level_columns`` maps each chain level to the record's non-PII
-    column names whose blocks it carries, in order.  Every non-PII
-    column must be assigned exactly once.  Returns the per-level
-    structures and the identifiable columns held back for sealing.
-    """
-    labelled = tenon.classify(record, rules)
-    by_name = {c.name: c for c in labelled.columns}
-    assigned = [name for names in level_columns.values() for name in names]
-    if len(set(assigned)) != len(assigned):
-        raise WorkflowError("a column is assigned to more than one level")
-    for name in assigned:
-        col = by_name.get(name)
-        if col is None:
-            raise WorkflowError("assignment names unknown column %r" % name)
-        if col.label is Classification.IDENTIFIABLE:
-            raise WorkflowError(
-                "identifiable column %r cannot ride an open chain" % name
-            )
-    missing = [
-        c.name
-        for c in labelled.columns
-        if c.label is Classification.NONPII and c.name not in set(assigned)
-    ]
-    if missing:
-        raise WorkflowError("columns %s are not assigned to any level" % missing)
-
-    structures: dict[int, TenonStructure] = {}
-    for level, names in level_columns.items():
-        blocks = level_blocks(labelled, names, stopwords)
-        if not blocks:
-            raise WorkflowError("level %d has no blocks" % level)
-        structures[level] = tenon.build_structure(blocks, rng)
-    return structures, labelled.identifiable()
-
-
-def level_blocks(labelled: EhrRecord, names, stopwords) -> list[str]:
-    """The blocks a level carries: its columns' blocks, in column order."""
-    return [
-        block
-        for name in names
-        for block in tenon.column_blocks(labelled.column(name), stopwords)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +231,12 @@ def agree_terms(
     timestamp: int | None = None,
 ) -> AgreementTerms:
     """The agreed terms, refused before anything is encrypted when the
-    store's log could not carry them as they are.  A level is an int as
-    it is (not a bool) or a JSON key in canonical decimal; the timestamp
-    defaults to now; a bad policy raises its own ``PolicyError``."""
+    store's log could not carry them as they are, or when they do not
+    fit together whatever the record: a column assigned twice, an
+    identifiable level that also carries a chain, or levels that do not
+    cover the policy's.  A level is an int as it is (not a bool) or a
+    JSON key in canonical decimal; the timestamp defaults to now; a bad
+    policy raises its own ``PolicyError``."""
     if timestamp is None:
         timestamp = int(time.time())
     with decoding(WorkflowError, "timestamp"):
@@ -296,8 +251,63 @@ def agree_terms(
             l if type(l) is int else policy.level_from_key(l): tuple(names)
             for l, names in level_columns.items()
         }
+    assigned = [name for names in level_columns.values() for name in names]
+    if len(set(assigned)) != len(assigned):
+        raise WorkflowError("a column is assigned to more than one level")
+    levels = set(level_columns)
+    if identifiable_level is not None:
+        if identifiable_level in levels:
+            raise WorkflowError("the identifiable level cannot also carry a chain")
+        levels.add(identifiable_level)
     tree = policy.parse_policy(policy_text)
+    if levels != set(tree.levels):
+        raise WorkflowError(
+            "policy declares levels %s but the assignment covers %s"
+            % (sorted(tree.levels), sorted(levels))
+        )
     return AgreementTerms(tree, level_columns, identifiable_level, access_label, timestamp)
+
+
+def preprocess_record(record: EhrRecord, rules, stopwords, terms: AgreementTerms):
+    """Read a record under the agreed terms, as both halves of the
+    agreement do: the owner on the record it packs, the provider on its
+    own copy.
+
+    Every non-PII column must be assigned to exactly one chain level, no
+    identifiable column may ride a chain, and identifiable columns need
+    the identifiable level.  Returns each chain level's blocks, its
+    columns' blocks in column order, and the identifiable columns held
+    back for sealing; a record that does not fit the terms raises
+    :class:`WorkflowError`.
+    """
+    labelled = tenon.classify(record, rules)
+    by_name = {c.name: c for c in labelled.columns}
+    assigned = [name for names in terms.level_columns.values() for name in names]
+    for name in assigned:
+        col = by_name.get(name)
+        if col is None:
+            raise WorkflowError("assignment names unknown column %r" % name)
+        if col.label is Classification.IDENTIFIABLE:
+            raise WorkflowError("identifiable column %r cannot ride an open chain" % name)
+    missing = [
+        c.name for c in labelled.columns
+        if c.label is Classification.NONPII and c.name not in assigned
+    ]
+    if missing:
+        raise WorkflowError("columns %s are not assigned to any level" % missing)
+    identifiable = labelled.identifiable()
+    if identifiable and terms.identifiable_level is None:
+        raise WorkflowError(
+            "record has identifiable columns but no level was set aside for them"
+        )
+    blocks: dict[int, list[str]] = {}
+    for level, names in sorted(terms.level_columns.items()):
+        blocks[level] = [
+            b for name in names for b in tenon.column_blocks(by_name[name], stopwords)
+        ]
+        if not blocks[level]:
+            raise WorkflowError("level %d has no blocks" % level)
+    return blocks, identifiable
 
 
 @dataclass
@@ -337,37 +347,18 @@ class AgreementTranscript:
 def owner_package(
     ctx: SystemContext, record: EhrRecord, terms: AgreementTerms
 ) -> AgreementPackage:
-    """Step 1: the owner preprocesses the record into chains, seals the
-    heads and the identifiable columns under the agreed policy, and
-    packs what the provider needs to check them."""
-    tree, level_columns = terms.tree, terms.level_columns
-    expect_levels = set(level_columns)
-    if terms.identifiable_level is not None:
-        if terms.identifiable_level in expect_levels:
-            raise WorkflowError("the identifiable level cannot also carry a chain")
-        expect_levels.add(terms.identifiable_level)
-    if expect_levels != set(tree.levels):
-        raise WorkflowError(
-            "policy declares levels %s but the assignment covers %s"
-            % (sorted(tree.levels), sorted(expect_levels))
-        )
-    structures, identifiable_cols = preprocess_record(
-        record, ctx.rules, ctx.stopwords, level_columns, ctx.rng
-    )
-    if identifiable_cols and terms.identifiable_level is None:
-        raise WorkflowError(
-            "record has identifiable columns but no level was set aside for them"
-        )
+    """Step 1: the owner reads the record with :func:`preprocess_record`,
+    chains each level's blocks, seals the heads and the identifiable
+    columns under the agreed policy, and packs what the provider needs
+    to check them."""
+    blocks, identifiable = preprocess_record(record, ctx.rules, ctx.stopwords, terms)
+    structures = {level: tenon.build_structure(b, ctx.rng) for level, b in blocks.items()}
     heads = {level: st.head for level, st in structures.items()}
-    payloads = level_payloads(heads, terms.identifiable_level, identifiable_cols)
-    plan = policy.assign_shares(tree, ctx.suite.order, ctx.rng)
+    payloads = level_payloads(heads, terms.identifiable_level, identifiable)
+    plan = policy.assign_shares(terms.tree, ctx.suite.order, ctx.rng)
     return AgreementPackage(
-        rows={
-            t.pointer: t
-            for level in sorted(structures)
-            for t in structures[level].chain_order()
-        },
-        ciphertext=mlabe.encrypt(ctx.pp, payloads, tree, plan=plan),
+        rows={t.pointer: t for st in structures.values() for t in st.triples},
+        ciphertext=mlabe.encrypt(ctx.pp, payloads, terms.tree, plan=plan),
         plan=plan,
         heads=heads,
     )
@@ -384,7 +375,8 @@ def cosign_package(
     """Steps 3 to 5: the provider checks the package against its own
     copy of the record and the agreed terms, and on an exact match both
     parties co-sign every row and the ciphertext.  On any mismatch the
-    provider refuses and nothing is signed at all."""
+    provider refuses and nothing is signed at all; a copy that
+    :func:`preprocess_record` refuses is refused with its text."""
     do = ctx.entity(do_name)
     sp = ctx.entity(sp_name)
     if do.keys is None or sp.keys is None:
@@ -398,14 +390,17 @@ def cosign_package(
         steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
         return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
 
-    # step 3: the provider re-encrypts its own copy under the agreed policy
-    # with the handed plan, deriving every share itself
-    own = tenon.classify(record, ctx.rules)
+    # step 3: the provider reads its own copy under the terms as the
+    # owner does, and re-encrypts it under the agreed policy with the
+    # handed plan, deriving every share itself
     try:
+        own_blocks, own_identifiable = preprocess_record(
+            record, ctx.rules, ctx.stopwords, terms
+        )
         own_plan = policy.derive_shares(terms.tree, ctx.suite.order, package.plan.coefficients)
-        own_payloads = level_payloads(package.heads, terms.identifiable_level, own.identifiable())
+        own_payloads = level_payloads(package.heads, terms.identifiable_level, own_identifiable)
         own_ct = mlabe.encrypt(ctx.pp, own_payloads, terms.tree, plan=own_plan)
-    except (policy.PolicyError, mlabe.MlabeError) as e:
+    except (WorkflowError, policy.PolicyError, mlabe.MlabeError) as e:
         return refuse(str(e))
     ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)
     if ct_bytes != mlabe.ct_canonical_bytes(own_ct):
@@ -420,12 +415,12 @@ def cosign_package(
         unreached.discard(pointer)
         return package.rows.get(pointer)
 
-    for level, names in sorted(terms.level_columns.items()):
+    for level, blocks in own_blocks.items():
         try:
             chain, complete = tenon.follow(package.heads.get(level), row_triple)
         except tenon.TenonError as e:
             return refuse(str(e))
-        if not complete or [t.block for t in chain] != level_blocks(own, names, ctx.stopwords):
+        if not complete or [t.block for t in chain] != blocks:
             return refuse("level %d differs from the provider's copy" % level)
     if unreached:
         return refuse("row %s lies on no chain" % min(unreached))
@@ -560,9 +555,9 @@ def retrieve_entry(
             row_failures=[],
         )
     payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
+    levels = {level: decode_level_payload(raw) for level, raw in sorted(payloads.items())}
     reached: dict[tenon.Pointer, OpenRow | None] = {}
-    for _, raw in sorted(payloads.items()):
-        kind, cursor = decode_level_payload(raw)
+    for kind, cursor in levels.values():
         while kind == "chain" and cursor is not None and cursor not in reached:
             row = reached[cursor] = db.find_row(cursor)
             cursor = None if row is None else row.next
@@ -588,7 +583,7 @@ def retrieve_entry(
             return None
         return reached[pointer]
 
-    recovered = open_levels(payloads, lookup)
+    recovered = open_levels(levels, lookup)
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,

@@ -18,7 +18,6 @@ from etenon.policy import (
     lagrange_coeff,
     parse_policy,
     poly_eval,
-    satisfies,
     validate_tree,
 )
 
@@ -157,15 +156,6 @@ def test_validate_rejects_unknown_child_reference():
 def test_validate_refuses_what_the_text_cannot_spell(children, levels):
     with pytest.raises(PolicyError):
         validate_tree(AccessTree(children=children, levels=levels))
-
-
-def test_satisfies_matches_oracle_on_random_trees():
-    rng = random.Random(101)
-    for _ in range(200):
-        tree = oracles.random_tree(rng, policy)
-        attrs = oracles.random_attr_subset(rng, tree)
-        for child in tree.children:
-            assert satisfies(child, attrs) == oracles.node_satisfied(child, attrs)
 
 
 def test_poly_eval_matches_oracle():

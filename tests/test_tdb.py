@@ -57,7 +57,7 @@ def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entr
     pp_bytes = pp.encode()
     structure = tenon.build_structure(list(blocks), rng)
     rows = []
-    for t in structure.chain_order():
+    for t in structure.triples:
         sig, _ = musig.cosign(suite, sks, tdb.row_digest(pp_bytes, t, timestamp), rng)
         rows.append(OpenRow(
             pointer=t.pointer, block=t.block, next=t.next, sig=sig,
@@ -1126,9 +1126,9 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "ea582c0af2e7e2ce325af76813735000aa70135fe24063451abf3c435e6987db",
-    "snapshot.json": "082210802749f54dbfd8a499fe72ae89bf45938721e0c02fe11d0481faf60fe4",
-    "reopened snapshot.json": "d3da3652a142f730ec184dcceb84baeb85a91805af6390da608cffa71a8f66d4",
+    "log.jsonl": "d213ca09bd37af5572a14bf73791b6d2d14fc36b9bd37721b047377cc8a8b39f",
+    "snapshot.json": "29f7b8aca986cd41b20e20398311695af75209e099653f73afc3f46a5603ad70",
+    "reopened snapshot.json": "6657744a398cbd515030fddc87bc8046559b5e6cf02a01aa13a6aed929dc096d",
 }
 
 

@@ -52,10 +52,15 @@ PARTICIPANTS = {
 }
 
 
-def fresh_ctx(seed=5, db_root=None):
+def fresh_ctx(seed=5, db_root=None, suite="mock"):
     return phase_setup(
-        "mock", PARTICIPANTS, rng=random.Random(seed), db_root=db_root
+        suite, PARTICIPANTS, rng=random.Random(seed), db_root=db_root
     )
+
+
+# an edited message verifies on mock-101 with probability 1/101, so a
+# test that an edit fails runs on a larger mock group
+EDIT_SUITE = "mock-999983"
 
 
 TERMS = agree_terms(
@@ -132,24 +137,21 @@ def test_payload_kind_roundtrip(rng):
 def test_preprocess_record_validation():
     ctx = fresh_ctx()
     record = tenon.record_from_json(RECORD)
-    with pytest.raises(WorkflowError):  # identifiable column on a chain
-        preprocess_record(record, ctx.rules, ctx.stopwords, {1: ["nino"]}, ctx.rng)
-    with pytest.raises(WorkflowError):  # unknown column
-        preprocess_record(record, ctx.rules, ctx.stopwords, {1: ["nope"]}, ctx.rng)
-    with pytest.raises(WorkflowError):  # symptom unassigned
-        preprocess_record(record, ctx.rules, ctx.stopwords, {1: ["history"]}, ctx.rng)
-    with pytest.raises(WorkflowError):  # double assignment
-        preprocess_record(
-            record,
-            ctx.rules,
-            ctx.stopwords,
-            {1: ["symptom", "history"], 2: ["history"]},
-            ctx.rng,
-        )
-    structures, ident = preprocess_record(
-        record, ctx.rules, ctx.stopwords, {1: ["symptom"], 2: ["history"]}, ctx.rng
-    )
-    assert set(structures) == {1, 2}
+
+    def read(level_columns):
+        terms = agree_terms(POLICY, level_columns, identifiable_level=3, timestamp=1)
+        return preprocess_record(record, ctx.rules, ctx.stopwords, terms)
+
+    with pytest.raises(WorkflowError, match="identifiable column 'nino'"):
+        read({1: ["nino"], 2: ["symptom", "history"]})
+    with pytest.raises(WorkflowError, match="unknown column 'nope'"):
+        read({1: ["nope"], 2: ["symptom", "history"]})
+    with pytest.raises(WorkflowError, match=r"columns \['symptom'\] are not assigned"):
+        read({1: ["history"], 2: []})
+    with pytest.raises(WorkflowError, match="more than one level"):
+        read({1: ["symptom", "history"], 2: ["history"]})
+    blocks, ident = read({1: ["symptom"], 2: ["history"]})
+    assert blocks == {1: ["Pain", "in the chest", "and a cough"], 2: ["No known", "allergies"]}
     assert [c.name for c in ident] == ["nino"]
 
 
@@ -411,6 +413,38 @@ def test_agreement_refuses_a_package_made_for_another_record():
     assert tr.rows is None and tr.secret is None and tr.signature_count == 0
 
 
+TWO_LEVELS = agree_terms(
+    "level 1 requires [1]\nlevel 2 requires [1, 2]\ntree: attr:basic, attr:doctor",
+    {1: ["symptom"], 2: ["history"]},
+    timestamp=1_700_000_000,
+)
+
+
+@pytest.mark.parametrize(
+    "owned, copy, terms, reason",
+    [
+        (RECORD, RECORD + [{"name": "allergy", "value": "penicillin rash"}], TERMS,
+         "columns ['allergy'] are not assigned to any level"),
+        (RECORD, RECORD[:2], TERMS, "assignment names unknown column 'history'"),
+        (RECORD[1:], RECORD, TWO_LEVELS,
+         "record has identifiable columns but no level was set aside for them"),
+    ],
+    ids=["unassigned-column", "missing-column", "no-identifiable-level"],
+)
+def test_provider_refuses_a_copy_the_owner_would_refuse(owned, copy, terms, reason):
+    """The provider reads its own copy as the owner reads a record: a
+    copy the owner's half refuses, the provider refuses with the same
+    text and signs nothing, even where every chain it walks matches."""
+    ctx = fresh_ctx()
+    package = owner_package(ctx, tenon.record_from_json(owned), terms)
+    copy = tenon.record_from_json(copy)
+    tr = cosign_package(ctx, "patient", "hospital", copy, terms, package)
+    assert tr.verdict == "mismatch: " + reason
+    assert tr.rows is None and tr.secret is None and tr.signature_count == 0
+    with pytest.raises(WorkflowError, match="^%s$" % re.escape(reason)):
+        owner_package(ctx, copy, terms)
+
+
 def test_agreement_with_a_signing_only_provider():
     """The provider checks by re-encryption, so it needs no decryption
     key; the readers still recover their levels."""
@@ -464,6 +498,31 @@ def test_agreement_level_keys_are_ints_or_canonical_decimal():
                 ctx, "patient", "hospital", record, POLICY,
                 {one: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
             )
+
+
+@pytest.mark.parametrize(
+    "level_columns, reason",
+    [
+        ({1: ["symptom", "history"], 2: ["history"]},
+         "^a column is assigned to more than one level$"),
+        ({1: ["symptom"], 2: ["history"], 3: []},
+         "^the identifiable level cannot also carry a chain$"),
+        ({1: ["symptom", "history"]},
+         r"^policy declares levels \[1, 2, 3\] but the assignment covers \[1, 3\]$"),
+    ],
+    ids=["assigned-twice", "identifiable-level-chained", "levels-off-the-policy"],
+)
+def test_agreement_refuses_terms_that_do_not_fit(level_columns, reason):
+    """Terms that no record could fit are refused when they are agreed,
+    before the owner encrypts anything."""
+    ctx = fresh_ctx()
+    record = tenon.record_from_json(RECORD)
+    with ctx.suite.measure() as span, pytest.raises(WorkflowError, match=reason):
+        run_agreement(
+            ctx, "patient", "hospital", record, POLICY, level_columns,
+            identifiable_level=3, timestamp=1,
+        )
+    assert span.exponentiations == 0
 
 
 @pytest.mark.parametrize(
@@ -609,7 +668,7 @@ def _retrieve(ctx, db, entry_id):
 
 
 def test_retrieval_refuses_an_edited_entry_before_decrypting(monkeypatch):
-    ctx = fresh_ctx()
+    ctx = fresh_ctx(suite=EDIT_SUITE)
     tr = agree(ctx)
     assert ingest_transcript(ctx, tr).accepted
     store = EditingStore(ctx.db, tr.entry_id, timestamp=tr.secret.timestamp + 1)
@@ -632,7 +691,7 @@ def test_retrieval_refuses_an_edited_entry_before_decrypting(monkeypatch):
     ids=["block", "roster"],
 )
 def test_retrieval_refuses_an_edited_row(change, failure):
-    ctx = fresh_ctx()
+    ctx = fresh_ctx(suite=EDIT_SUITE)
     tr = agree(ctx)
     assert ingest_transcript(ctx, tr).accepted
     honest = _retrieve(ctx, ctx.db, tr.entry_id)
@@ -680,7 +739,7 @@ def test_retrieval_of_a_cosigned_cycle_raises():
 def test_retrieval_of_a_cycle_with_an_edited_row_reports_it():
     """A cycle whose second row fails its signature is broken there: the
     walk reports that row and stops, and does not raise."""
-    ctx = fresh_ctx()
+    ctx = fresh_ctx(suite=EDIT_SUITE)
     _, b = _cosigned_cycle(ctx)
     store = EditingStore(ctx.db, b, block="loop!")
     keys = ctx.entity("nurse_kim").keys
