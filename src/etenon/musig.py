@@ -1,4 +1,5 @@
-"""Interactive multi-signatures over the source group.
+"""Interactive multi-signatures over the source group, on opaque byte
+messages: what a message means, and how it is framed, is the caller's.
 
 Three rounds between every roster member: hash commitments to nonce
 shares, the nonce shares themselves, then partial signatures.  A member
@@ -63,36 +64,6 @@ class SessionAbort:
 class MultiSig:
     rc: G0Element
     s: int
-
-
-@dataclass(frozen=True)
-class SignedMessage:
-    """Digest preimage for a co-signed artifact.
-
-    ``kind`` is ``"block"`` (an EHR block plus its pointer) or
-    ``"ciphertext"`` (an entry's id and access label, then its canonical
-    ciphertext document).  The digest is recomputable from the stored
-    fields alone.
-    """
-
-    kind: str
-    payload: bytes
-    pointer: bytes | None
-    pp_bytes: bytes
-    timestamp: int
-
-    def digest(self) -> bytes:
-        if self.kind not in ("block", "ciphertext"):
-            raise MusigError("unknown signed-message kind %r" % (self.kind,))
-        if self.kind == "block" and self.pointer is None:
-            raise MusigError("block messages need a pointer")
-        parts = [self.kind.encode("ascii"), self.payload]
-        if self.kind == "block":
-            parts.append(self.pointer)
-        parts.append(self.pp_bytes)
-        parts.append(self.timestamp.to_bytes(8, "big"))
-        blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-        return hash_commit(b"signed-message" + blob)
 
 
 class Phase(enum.Enum):

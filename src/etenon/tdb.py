@@ -41,11 +41,12 @@ writer waits, then replays what the first appended before it verifies
 its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
-for a row and for an entry, the one scan of their signatures that the
-gate, replay and readers share, and the batch document that the log
-and the command line carry.  A row's signed bytes are derived from its fields in one
-place, :func:`row_digest`, so a row read back verifies only if it is
-the chain element its roster signed.
+for a row and for an entry, both framed by :func:`signed_digest`, the
+one scan of their signatures that the gate, replay and readers share,
+and the batch document that the log and the command line carry.  A
+row's signed bytes are derived from its fields in one place,
+:func:`row_digest`, so a row read back verifies only if it is the chain
+element its roster signed.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .algebra import LEFT, GroupSuite, hash_commit
 from .codec import b64, canonical_json, decoding, typed, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
-from .musig import MultiSig, SignedMessage
+from .musig import MultiSig
 from .tenon import Pointer, Triple
 
 
@@ -156,20 +157,23 @@ class IngestResult:
     reason: str | None = None
 
 
-def block_payload(text: str, next_pointer: Pointer | None) -> bytes:
-    """Canonical byte form of one chain element as stored and signed."""
-    return canonical_json({"text": text, "next": str(next_pointer) if next_pointer else None})
+def signed_digest(kind: str, payload: bytes, pointer: bytes | None, pp_bytes: bytes,
+                  timestamp: int) -> bytes:
+    """What a roster co-signs: the kind, the payload, the pointer (rows
+    only), the public parameters and the 8-byte timestamp, each framed by
+    its 4-byte big-endian length."""
+    parts = [kind.encode("ascii"), payload]
+    if pointer is not None:
+        parts.append(pointer)
+    parts += [pp_bytes, timestamp.to_bytes(8, "big")]
+    return hash_commit(b"signed-message" + b"".join(len(p).to_bytes(4, "big") + p for p in parts))
 
 
 def row_digest(pp_bytes: bytes, t: Triple | OpenRow, timestamp: int) -> bytes:
-    """What the roster co-signs for one chain element, a triple or a row."""
-    return SignedMessage(
-        kind="block",
-        payload=block_payload(t.block, t.next),
-        pointer=t.pointer.bytes,
-        pp_bytes=pp_bytes,
-        timestamp=timestamp,
-    ).digest()
+    """What the roster co-signs for one chain element, a triple or a row:
+    the element's canonical ``{"text", "next"}`` document and its pointer."""
+    element = canonical_json({"text": t.block, "next": str(t.next) if t.next else None})
+    return signed_digest("block", element, t.pointer.bytes, pp_bytes, timestamp)
 
 
 def entry_digest(pp_bytes: bytes, entry_id: str, access_label: str, ct_bytes: bytes,
@@ -177,20 +181,8 @@ def entry_digest(pp_bytes: bytes, entry_id: str, access_label: str, ct_bytes: by
     """What the roster co-signs for one sealed entry: a canonical header of
     its id and access label, then the canonical bytes of its ciphertext
     (:func:`mlabe.ct_canonical_bytes`)."""
-    return SignedMessage(
-        kind="ciphertext",
-        payload=canonical_json([entry_id, access_label]) + ct_bytes,
-        pointer=None,
-        pp_bytes=pp_bytes,
-        timestamp=timestamp,
-    ).digest()
-
-
-def stored_entry_digest(pp_bytes: bytes, entry: SecretEntry) -> bytes:
-    """The :func:`entry_digest` of a stored entry's fields."""
-    return entry_digest(
-        pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes, entry.timestamp
-    )
+    header = canonical_json([entry_id, access_label])
+    return signed_digest("ciphertext", header + ct_bytes, None, pp_bytes, timestamp)
 
 
 def invalid(suite: GroupSuite, items):
@@ -209,7 +201,9 @@ def invalid(suite: GroupSuite, items):
 
 
 def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
-    return musig.verify(suite, entry.sig, roster, stored_entry_digest(pp_bytes, entry))
+    digest = entry_digest(pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes,
+                          entry.timestamp)
+    return musig.verify(suite, entry.sig, roster, digest)
 
 
 class TenonDb:
@@ -279,7 +273,9 @@ class TenonDb:
             roster = known.get(secret.roster_ref)
             if roster is None:
                 raise TdbError("%s: unknown roster %r" % (where, secret.roster_ref))
-            signed.append((where, secret.sig, roster, stored_entry_digest(self._pp_bytes, secret)))
+            digest = entry_digest(self._pp_bytes, secret.entry_id, secret.access_label,
+                                  secret.ct_bytes, secret.timestamp)
+            signed.append((where, secret.sig, roster, digest))
         return signed
 
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:

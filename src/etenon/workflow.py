@@ -233,10 +233,12 @@ def agree_terms(
     """The agreed terms, refused before anything is encrypted when the
     store's log could not carry them as they are, or when they do not
     fit together whatever the record: a column assigned twice, an
-    identifiable level that also carries a chain, or levels that do not
-    cover the policy's.  A level is an int as it is (not a bool) or a
-    JSON key in canonical decimal; the timestamp defaults to now; a bad
-    policy raises its own ``PolicyError``."""
+    identifiable level that also carries a chain, levels that do not
+    cover the policy's, or a chain level with no columns.  The
+    assignment is a dict from each level, an int as it is (not a bool)
+    or a JSON key in canonical decimal, named once, to a list or tuple
+    of column names; the timestamp defaults to now; a bad policy raises
+    its own ``PolicyError``."""
     if timestamp is None:
         timestamp = int(time.time())
     with decoding(WorkflowError, "timestamp"):
@@ -247,10 +249,15 @@ def agree_terms(
         if identifiable_level is not None:
             typed(identifiable_level, int)
     with decoding(WorkflowError, "level columns"):
-        level_columns = {
-            l if type(l) is int else policy.level_from_key(l): tuple(names)
-            for l, names in level_columns.items()
-        }
+        assignment, level_columns = typed(level_columns, dict), {}
+        for key, names in assignment.items():
+            level = key if type(key) is int else policy.level_from_key(key)
+            if level in level_columns:
+                raise ValueError("level %d is named twice" % level)
+            if not isinstance(names, (list, tuple)):
+                raise TypeError("level %d: expected a list of column names, found %s"
+                                % (level, type(names).__name__))
+            level_columns[level] = tuple(typed(name, str) for name in names)
     assigned = [name for names in level_columns.values() for name in names]
     if len(set(assigned)) != len(assigned):
         raise WorkflowError("a column is assigned to more than one level")
@@ -265,6 +272,9 @@ def agree_terms(
             "policy declares levels %s but the assignment covers %s"
             % (sorted(tree.levels), sorted(levels))
         )
+    for level, names in sorted(level_columns.items()):
+        if not names:
+            raise WorkflowError("level %d carries no columns" % level)
     return AgreementTerms(tree, level_columns, identifiable_level, access_label, timestamp)
 
 
@@ -300,13 +310,10 @@ def preprocess_record(record: EhrRecord, rules, stopwords, terms: AgreementTerms
         raise WorkflowError(
             "record has identifiable columns but no level was set aside for them"
         )
-    blocks: dict[int, list[str]] = {}
-    for level, names in sorted(terms.level_columns.items()):
-        blocks[level] = [
-            b for name in names for b in tenon.column_blocks(by_name[name], stopwords)
-        ]
-        if not blocks[level]:
-            raise WorkflowError("level %d has no blocks" % level)
+    blocks = {
+        level: [b for name in names for b in tenon.column_blocks(by_name[name], stopwords)]
+        for level, names in sorted(terms.level_columns.items())
+    }
     return blocks, identifiable
 
 
@@ -381,6 +388,8 @@ def cosign_package(
     sp = ctx.entity(sp_name)
     if do.keys is None or sp.keys is None:
         raise WorkflowError("both agreement parties need signing keys")
+    if do is sp:
+        raise WorkflowError("%r cannot be both owner and provider" % do_name)
     steps = [
         "provider: received %d chain heads, %d rows and the ciphertext"
         % (len(package.heads), len(package.rows))
@@ -692,11 +701,14 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
             for name, spec in typed(doc.get("participants", {}), dict).items()
         }
         do_name, sp_name = typed(doc["do"], str), typed(doc["sp"], str)
+        for role, name in (("do", do_name), ("sp", sp_name)):
+            if name not in participants:
+                raise ValueError("%s %r is not a participant" % (role, name))
+        if do_name == sp_name:
+            raise ValueError("%r cannot be both do and sp" % do_name)
         record = tenon.record_from_json(doc["record"])
         policy_text = typed(doc["policy"], str)
-        level_columns = {
-            level: strings(names) for level, names in typed(doc["levels"], dict).items()
-        }
+        level_columns = doc["levels"]
         retrievals = [
             (typed(known(req, RETRIEVE_KEYS, "retrieve %d: " % i)["du"], str),
              optional(req, "access_label", str))

@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 import scipy.stats
 
-from etenon import mlabe, musig, policy, tenon, workflow
+from etenon import mlabe, musig, policy, tdb, tenon, workflow
 from etenon.algebra import G0Element, IntegrityError, get_suite
 from etenon.codec import canonical_json
 from etenon.mlabe import DecryptionKey
@@ -31,7 +31,6 @@ from etenon.musig import (
     Phase,
     RevealMsg,
     SessionAbort,
-    SignedMessage,
     start_session,
 )
 from etenon.tdb import OpenRow, TenonDb
@@ -511,17 +510,15 @@ def test_criterion_10_agreement_signs_or_refuses():
         pp_bytes = ctx.pp.encode()
         for row in tr.rows:
             element = {"next": str(row.next) if row.next else None, "text": row.block}
-            digest = SignedMessage(
-                kind="block", payload=canonical_json(element), pointer=row.pointer.bytes,
-                pp_bytes=pp_bytes, timestamp=row.timestamp,
-            ).digest()
+            digest = tdb.signed_digest(
+                "block", canonical_json(element), row.pointer.bytes, pp_bytes, row.timestamp
+            )
             assert musig.verify(ctx.suite, row.sig, roster, digest)
         header = canonical_json([tr.entry_id, tr.secret.access_label])
-        digest = SignedMessage(
-            kind="ciphertext",
-            payload=header + mlabe.ct_canonical_bytes(tr.secret.ciphertext),
-            pointer=None, pp_bytes=pp_bytes, timestamp=tr.secret.timestamp,
-        ).digest()
+        digest = tdb.signed_digest(
+            "ciphertext", header + mlabe.ct_canonical_bytes(tr.secret.ciphertext), None,
+            pp_bytes, tr.secret.timestamp,
+        )
         assert musig.verify(ctx.suite, tr.secret.sig, roster, digest)
 
         for edit in channel.EDITS:

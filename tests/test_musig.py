@@ -12,7 +12,6 @@ from etenon.musig import (
     PartialSigMsg,
     RevealMsg,
     SessionAbort,
-    SignedMessage,
     SignSession,
     cosign,
     start_session,
@@ -304,39 +303,6 @@ def test_challenge_binds_index_and_roster(mock, rng):
     assert c0 != c1 or roster[0] == roster[1]
     swapped = (roster[1], roster[0])
     assert challenge_of(mock, swapped, rc, b"m", 0) != c0
-
-
-def test_signed_message_digest_separates_kinds():
-    a = SignedMessage(
-        kind="block", payload=b"p", pointer=b"\x01" * 16, pp_bytes=b"pp", timestamp=7
-    )
-    b = SignedMessage(
-        kind="ciphertext", payload=b"p", pointer=None, pp_bytes=b"pp", timestamp=7
-    )
-    assert a.digest() != b.digest()
-    assert a.digest() == SignedMessage(
-        kind="block", payload=b"p", pointer=b"\x01" * 16, pp_bytes=b"pp", timestamp=7
-    ).digest()
-    # every field participates in the digest
-    assert a.digest() != SignedMessage(
-        kind="block", payload=b"q", pointer=b"\x01" * 16, pp_bytes=b"pp", timestamp=7
-    ).digest()
-    assert a.digest() != SignedMessage(
-        kind="block", payload=b"p", pointer=b"\x02" * 16, pp_bytes=b"pp", timestamp=7
-    ).digest()
-    assert a.digest() != SignedMessage(
-        kind="block", payload=b"p", pointer=b"\x01" * 16, pp_bytes=b"qq", timestamp=7
-    ).digest()
-    assert a.digest() != SignedMessage(
-        kind="block", payload=b"p", pointer=b"\x01" * 16, pp_bytes=b"pp", timestamp=8
-    ).digest()
-
-
-def test_signed_message_resists_field_splicing():
-    """Moving bytes between adjacent fields must change the digest."""
-    a = SignedMessage(kind="block", payload=b"ab", pointer=b"c", pp_bytes=b"d", timestamp=1)
-    b = SignedMessage(kind="block", payload=b"a", pointer=b"bc", pp_bytes=b"d", timestamp=1)
-    assert a.digest() != b.digest()
 
 
 def test_sig_json_roundtrip(mock, rng):

@@ -14,7 +14,6 @@ import pytest
 from etenon import cli, mlabe, musig, policy, tdb, tenon
 from etenon.algebra import get_suite
 from etenon.codec import b64, canonical_json
-from etenon.musig import SignedMessage
 from etenon.tdb import (
     AccessDeniedError,
     OpenRow,
@@ -146,9 +145,7 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, pa
     suite, pp, _, rng = large_system
     sks, roster = sign_keys(suite, rng)
     pointer = tenon.make_pointer(rng)
-    digest = SignedMessage(
-        kind="block", payload=payload, pointer=pointer.bytes, pp_bytes=pp.encode(), timestamp=7
-    ).digest()
+    digest = tdb.signed_digest("block", payload, pointer.bytes, pp.encode(), 7)
     sig, _ = musig.cosign(suite, sks, digest, rng)
     row = OpenRow(pointer, "x", None, sig, "r", 7)
 
@@ -1160,3 +1157,45 @@ def test_seeded_store_files_are_pinned(system, tmp_path):
         (tmp_path / "snapshot.json").read_bytes()
     ).hexdigest()
     assert digests == PINNED_STORE_FILES
+
+
+# what a roster co-signs, fixed byte for byte on fixed inputs
+PINNED_DIGESTS = {
+    "row with next": "c427d99e51ae4655400a4c65efcd87ec647ffd5fbdfe61f1675759e6bb881e78",
+    "row without next": "b1bb90e887d1912c3a50525faffcb11f8ea21c1bef339be3e7fa0b608d20395a",
+    "entry": "8fe23823234e63e69462b48b67d9a77f48ea9ff9d20093d796b6054753bb95e4",
+}
+
+
+def test_signed_digests_are_pinned():
+    """The signed-row format is fixed: a row's and an entry's co-signed
+    digests on fixed inputs, with and without a ``next`` pointer."""
+    pp_bytes, t = b"public-params", 1_700_000_000
+    first, last = tenon.Pointer(int=1), tenon.Pointer(int=2)
+    digests = {
+        "row with next": tdb.row_digest(pp_bytes, tenon.Triple(first, "fever since monday", last), t),
+        "row without next": tdb.row_digest(pp_bytes, tenon.Triple(last, "ibuprofen", None), t),
+        "entry": tdb.entry_digest(pp_bytes, "entry-1", "clinical", b'{"ct":1}', t),
+    }
+    assert {name: d.hex() for name, d in digests.items()} == PINNED_DIGESTS
+
+
+def test_signed_digest_separates_kinds():
+    block = dict(kind="block", payload=b"p", pointer=b"\x01" * 16, pp_bytes=b"pp", timestamp=7)
+    a = tdb.signed_digest(**block)
+    b = tdb.signed_digest(kind="ciphertext", payload=b"p", pointer=None, pp_bytes=b"pp",
+                          timestamp=7)
+    assert a != b
+    assert a == tdb.signed_digest(**block)
+    # every field participates in the digest
+    assert a != tdb.signed_digest(**{**block, "payload": b"q"})
+    assert a != tdb.signed_digest(**{**block, "pointer": b"\x02" * 16})
+    assert a != tdb.signed_digest(**{**block, "pp_bytes": b"qq"})
+    assert a != tdb.signed_digest(**{**block, "timestamp": 8})
+
+
+def test_signed_digest_resists_field_splicing():
+    """Moving bytes between adjacent fields must change the digest."""
+    a = tdb.signed_digest(kind="block", payload=b"ab", pointer=b"c", pp_bytes=b"d", timestamp=1)
+    b = tdb.signed_digest(kind="block", payload=b"a", pointer=b"bc", pp_bytes=b"d", timestamp=1)
+    assert a != b

@@ -6,9 +6,8 @@ from dataclasses import replace
 import pytest
 
 from etenon import mlabe, musig, tenon, workflow
-from etenon.musig import SignedMessage
 from etenon.codec import canonical_json
-from etenon.tdb import block_payload, row_digest
+from etenon.tdb import row_digest, signed_digest
 from etenon.workflow import (
     Role,
     WorkflowError,
@@ -146,8 +145,10 @@ def test_preprocess_record_validation():
         read({1: ["nino"], 2: ["symptom", "history"]})
     with pytest.raises(WorkflowError, match="unknown column 'nope'"):
         read({1: ["nope"], 2: ["symptom", "history"]})
-    with pytest.raises(WorkflowError, match=r"columns \['symptom'\] are not assigned"):
-        read({1: ["history"], 2: []})
+    # a non-PII column the terms leave out
+    extra = tenon.record_from_json(RECORD + [{"name": "allergy", "value": "penicillin rash"}])
+    with pytest.raises(WorkflowError, match=r"columns \['allergy'\] are not assigned"):
+        preprocess_record(extra, ctx.rules, ctx.stopwords, TERMS)
     with pytest.raises(WorkflowError, match="more than one level"):
         read({1: ["symptom", "history"], 2: ["history"]})
     blocks, ident = read({1: ["symptom"], 2: ["history"]})
@@ -166,18 +167,25 @@ def test_agreement_signs_everything():
     roster = tr.rosters[tr.roster_ref]
     pp_bytes = ctx.pp.encode()
     for row in tr.rows:
-        digest = SignedMessage(
-            kind="block", payload=block_payload(row.block, row.next),
-            pointer=row.pointer.bytes, pp_bytes=pp_bytes, timestamp=row.timestamp,
-        ).digest()
+        element = canonical_json({"text": row.block, "next": str(row.next) if row.next else None})
+        digest = signed_digest("block", element, row.pointer.bytes, pp_bytes, row.timestamp)
         assert musig.verify(ctx.suite, row.sig, roster, digest)
     header = canonical_json([tr.entry_id, tr.secret.access_label])
-    digest = SignedMessage(
-        kind="ciphertext",
-        payload=header + mlabe.ct_canonical_bytes(tr.secret.ciphertext),
-        pointer=None, pp_bytes=pp_bytes, timestamp=tr.secret.timestamp,
-    ).digest()
+    digest = signed_digest(
+        "ciphertext", header + mlabe.ct_canonical_bytes(tr.secret.ciphertext), None,
+        pp_bytes, tr.secret.timestamp,
+    )
     assert musig.verify(ctx.suite, tr.secret.sig, roster, digest)
+
+
+def test_agreement_refuses_one_entity_in_both_roles():
+    ctx = fresh_ctx()
+    record = tenon.record_from_json(RECORD)
+    with pytest.raises(WorkflowError, match="^'patient' cannot be both owner and provider$"):
+        run_agreement(
+            ctx, "patient", "patient", record, POLICY,
+            {1: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
+        )
 
 
 def test_agreement_roster_is_owner_and_provider():
@@ -492,6 +500,12 @@ def test_agreement_level_keys_are_ints_or_canonical_decimal():
             {one: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
         )
         assert tr.agreed
+    # column names come as a list or a tuple
+    tr = run_agreement(
+        ctx, "patient", "hospital", record, POLICY,
+        {1: ("symptom",), 2: ("history",)}, identifiable_level=3, timestamp=1,
+    )
+    assert tr.agreed
     for one in ("01", "+1", " 1", "\u0661", "1.0", True, 1.0, None):
         with pytest.raises(WorkflowError, match="malformed level columns"):
             run_agreement(
@@ -509,8 +523,18 @@ def test_agreement_level_keys_are_ints_or_canonical_decimal():
          "^the identifiable level cannot also carry a chain$"),
         ({1: ["symptom", "history"]},
          r"^policy declares levels \[1, 2, 3\] but the assignment covers \[1, 3\]$"),
+        ([(1, ["symptom"]), (2, ["history"])],
+         "^malformed level columns: expected dict, found list$"),
+        ({1: ["symptom"], "1": ["history"], 2: []},
+         "^malformed level columns: level 1 is named twice$"),
+        ({1: ["symptom"], 2: "history"},
+         "^malformed level columns: level 2: expected a list of column names, found str$"),
+        ({1: ["symptom", 5], 2: ["history"]},
+         "^malformed level columns: expected str, found int$"),
+        ({1: ["symptom", "history"], 2: []}, "^level 2 carries no columns$"),
     ],
-    ids=["assigned-twice", "identifiable-level-chained", "levels-off-the-policy"],
+    ids=["assigned-twice", "identifiable-level-chained", "levels-off-the-policy", "not-a-dict",
+         "level-named-twice", "bare-string", "non-string-name", "empty-chain-level"],
 )
 def test_agreement_refuses_terms_that_do_not_fit(level_columns, reason):
     """Terms that no record could fit are refused when they are agreed,
@@ -832,6 +856,37 @@ def test_scenario_refuses_unknown_keys_in_a_participant_or_a_retrieval(tmp_path,
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(unknown)):
         run_scenario(doc, db_root=tmp_path)
     assert not tmp_path.joinpath("log.jsonl").exists()
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"sp": "nobody"}, "sp 'nobody' is not a participant"),
+        ({"do": "nobody"}, "do 'nobody' is not a participant"),
+        ({"do": "cta"}, "do 'cta' is not a participant"),
+        ({"sp": "patient"}, "'patient' cannot be both do and sp"),
+    ],
+    ids=["unknown-sp", "unknown-do", "authority-as-do", "do-is-sp"],
+)
+def test_scenario_refuses_parties_that_are_not_two_participants(tmp_path, change, reason):
+    """The owner and the provider must be two of the document's
+    participants; otherwise the document is refused before setup, which
+    makes the store directory."""
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+        **change,
+    }
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
+        run_scenario(doc, db_root=tmp_path / "db")
+    assert not (tmp_path / "db").exists()
+
 
 @pytest.mark.parametrize("insecure", [None, False], ids=["no-flag", "false"])
 def test_a_seeded_scenario_on_bn256_must_be_asked_for(tmp_path, insecure):
