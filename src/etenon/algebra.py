@@ -299,10 +299,10 @@ class GroupSuite:
             if prev is not None:
                 prev.add(span)
 
-    def _tick(self, field: str, n: int = 1) -> None:
+    def _tick(self, field: str) -> None:
         span = self._span.get()
         if span is not None:
-            setattr(span, field, getattr(span, field) + n)
+            setattr(span, field, getattr(span, field) + 1)
 
     # ------------------------------------------------------------------
     # scalars

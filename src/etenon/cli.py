@@ -7,10 +7,17 @@ path, ``shuffle`` permutes the open table, ``run-scenario`` drives a
 whole configured multi-party run, and ``bench`` times the primitives on
 a (levels, leaves, signers) grid while checking the operation counts
 against the scheme's cost model, then times the group operations
-underneath them one by one.  Its signature rows are checks of m
-signatures by n signers, m + n exponentiations each.  Every row of
-every kind gives ``ref_ms``, a host-speed reference timed right before
-each of its trials.
+underneath them one by one.
+
+``bench`` prints one ``{"suite", "trials", "rows"}`` document whose
+rows each carry their ``kind``: ``abe``, ``musig`` or ``layer``;
+``--csv`` also writes the same rows as CSV.  It asserts that a
+ciphertext has 2(k+l) elements, that an encryption takes 2(k+l)
+exponentiations and k multiplications and a decryption 3k pairings,
+and that a check of m signatures by n signers takes m + n
+exponentiations; a count that disagrees is an error, so exit 0 means
+every count held.  Every row of every kind gives ``ref_ms``, a
+host-speed reference timed right before each of its trials.
 
 Only ``ingest`` and ``run-scenario`` create a store directory;
 ``retrieve`` and ``shuffle`` refuse a path that holds no store log.
@@ -110,7 +117,7 @@ def cmd_setup(args) -> int:
 
 def cmd_keygen(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
-    _, msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
+    msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
     bundle = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
     _write_json(args.out, mlabe.key_to_json(pp.suite, bundle))
     _emit({"attrs": sorted(args.attr), "out": args.out})
@@ -141,7 +148,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_retrieve(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
-    _, bundle = mlabe.key_from_json(_load_json(args.key), pp.suite)
+    bundle = mlabe.key_from_json(_load_json(args.key), pp.suite)
     db = _existing_store(pp, args.db)
     report = workflow.retrieve_entry(pp, db, bundle, args.entry, args.label)
     _emit(workflow.report_to_json(report))
@@ -260,7 +267,7 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
             t0 = time.perf_counter()
             out = mlabe.decrypt(pp, ct, bundle.decryption)
             dec_times.append(time.perf_counter() - t0)
-        _, cold_key = mlabe.key_from_json(key_doc, suite)
+        cold_key = mlabe.key_from_json(key_doc, suite)
         cold_ct = mlabe.ct_from_json(mlabe.ct_to_json(ct), suite)
         t0 = time.perf_counter()
         cold = mlabe.decrypt(pp, cold_ct, cold_key.decryption)
@@ -428,94 +435,30 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     return rows
 
 
-# each row kind's columns, in the order the tables print them; the CSV
-# names every column of every kind once, after ``kind``
-COLUMNS = {
-    "abe": [
-        ("k", "%d"),
-        ("l", "%d"),
-        ("elements", "%d"),
-        ("enc_exp", "%d"),
-        ("enc_mul", "%d"),
-        ("enc_ms", "%.2f"),
-        ("dec_pair", "%d"),
-        ("dec_ms", "%.2f"),
-        ("dec_cold_ms", "%.2f"),
-        ("ref_ms", "%.3f"),
-    ],
-    "musig": [
-        ("n", "%d"),
-        ("m", "%d"),
-        ("verify_exp", "%d"),
-        ("verify_hashes", "%d"),
-        ("sign_ms", "%.2f"),
-        ("verify_ms", "%.2f"),
-        ("ref_ms", "%.3f"),
-    ],
-    "layer": [
-        ("layer", "%s"),
-        ("layer_ms", "%.3f"),
-        ("layer_iqr_ms", "%.3f"),
-        ("ref_ms", "%.3f"),
-        ("table_ms", "%.1f"),
-        ("table_kb", "%.1f"),
-    ],
-}
-
-
-def _print_table(rows, columns) -> None:
-    rendered = [
-        [fmt % r[name] if name in r else "" for name, fmt in columns] for r in rows
-    ]
-    widths = [
-        max(len(cell) for cell in [name] + [row[i] for row in rendered])
-        for i, (name, _fmt) in enumerate(columns)
-    ]
-    header = "  ".join(name.rjust(w) for (name, _), w in zip(columns, widths))
-    print(header)
-    print("-" * len(header))
-    for row in rendered:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-
-
 def cmd_bench(args) -> int:
     suite = get_suite(args.suite)
     # bench draws no key that outlives it, so any suite takes a seed
     rng = random.Random(args.seed) if args.seed is not None else None
 
     checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, m) for m in BATCH_ITEMS]
-    rows = {
-        "abe": [
-            bench_abe(suite, k, l, args.trials, rng)
+    rows = (
+        [
+            {"kind": "abe", **bench_abe(suite, k, l, args.trials, rng)}
             for k in args.levels
             for l in args.leaves
             if l >= k
-        ],
-        "musig": [bench_musig(suite, n, m, args.trials, rng) for n, m in checks],
-        "layer": bench_layers(suite, args.trials, rng),
-    }
-
-    print("suite: %s, median of %d trials per cell" % (suite.name, args.trials))
-    print()
-    for kind, columns in COLUMNS.items():
-        _print_table(rows[kind], columns)
-        print()
-    print(
-        "counts hold: elements = 2(k+l), encrypt = 2(k+l) exp + k mask mul,"
-        " decrypt = 3k pairings, a check of m signatures by n signers = m+n exp"
+        ]
+        + [{"kind": "musig", **bench_musig(suite, n, m, args.trials, rng)} for n, m in checks]
+        + [{"kind": "layer", **r} for r in bench_layers(suite, args.trials, rng)]
     )
-
     if args.csv:
-        fields = ["kind"] + list(
-            dict.fromkeys(name for columns in COLUMNS.values() for name, _ in columns)
-        )
+        # each column once, in the order the rows first name it
+        fields = list(dict.fromkeys(name for r in rows for name in r))
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
-            for kind, kind_rows in rows.items():
-                for r in kind_rows:
-                    writer.writerow({"kind": kind, **r})
-        print("wrote %s" % args.csv)
+            writer.writerows(rows)
+    _emit({"suite": suite.name, "trials": args.trials, "rows": rows})
     return 0
 
 

@@ -400,10 +400,10 @@ def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
     return doc
 
 
-def msk_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, MasterKey]:
+def msk_from_json(obj, suite: GroupSuite) -> MasterKey:
     with decoding(MlabeError, "master key"):
-        suite = _open_envelope(obj, "master-key", suite)
-        return suite, MasterKey(
+        _open_envelope(obj, "master-key", suite)
+        return MasterKey(
             delta=suite.decode_scalar(unb64(obj["delta"])),
             g_gamma=suite.decode_g0(unb64(obj["g_gamma"]), RIGHT),
         )
@@ -425,9 +425,9 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
     return doc
 
 
-def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, KeyBundle]:
+def key_from_json(obj, suite: GroupSuite) -> KeyBundle:
     with decoding(MlabeError, "key bundle"):
-        suite = _open_envelope(obj, "key-bundle", suite)
+        _open_envelope(obj, "key-bundle", suite)
         attrs = frozenset(typed(a, str) for a in typed(obj["attrs"], list))
         components = {
             attr: (
@@ -443,7 +443,7 @@ def key_from_json(obj, suite: GroupSuite | None = None) -> tuple[GroupSuite, Key
             d=suite.decode_g0(unb64(obj["d"]), RIGHT),
             components=components,
         )
-        return suite, KeyBundle(
+        return KeyBundle(
             decryption=dk,
             signing=suite.decode_scalar(unb64(obj["sk"])),
             verification=suite.decode_g0(unb64(obj["vk"]), LEFT),
@@ -474,9 +474,9 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
     return doc
 
 
-def ct_from_json(obj, suite: GroupSuite | None = None) -> CiphertextBundle:
+def ct_from_json(obj, suite: GroupSuite) -> CiphertextBundle:
     with decoding(MlabeError, "ciphertext document"):
-        suite = _open_envelope(obj, "ciphertext", suite)
+        _open_envelope(obj, "ciphertext", suite)
         tree = policy.parse_policy(obj["policy"])
         levels = {
             typed(typed(entry, dict)["level"], int): (

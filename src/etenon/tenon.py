@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import fnmatch
+import functools
 import random
 import uuid
 
@@ -121,7 +122,9 @@ class ClassificationRules:
         return cls(rules, default)
 
     @classmethod
+    @functools.cache
     def shipped(cls) -> "ClassificationRules":
+        """The shipped rules, read once per process."""
         text = resources.files("etenon").joinpath("data/classify_rules.cfg").read_text()
         return cls.parse(text)
 
@@ -148,8 +151,10 @@ def classify(record: EhrRecord, rules: ClassificationRules) -> EhrRecord:
 # tokenization
 
 
+@functools.cache
 def load_stopwords() -> frozenset[str]:
-    """The shipped list: one word per line, ``#`` comments."""
+    """The shipped list: one word per line, ``#`` comments; read once
+    per process."""
     text = resources.files("etenon").joinpath("data/stopwords.txt").read_text()
     return frozenset(
         w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#")

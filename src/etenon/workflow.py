@@ -47,12 +47,7 @@ from .codec import canonical_json, decoding, typed
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
 from .tdb import OpenRow, SecretEntry, TdbError, TenonDb
-from .tenon import (
-    ClassificationRules,
-    Classification,
-    EhrRecord,
-    load_stopwords,
-)
+from .tenon import Classification, ClassificationRules, EhrRecord, load_stopwords
 
 
 class WorkflowError(EtenonError):
@@ -82,8 +77,6 @@ class SystemContext:
     entities: dict[str, Entity]
     db: TenonDb
     rng: object
-    rules: ClassificationRules
-    stopwords: frozenset
 
     def entity(self, name: str) -> Entity:
         try:
@@ -134,8 +127,6 @@ def phase_setup(
         entities=entities,
         db=TenonDb(pp, root=db_root),
         rng=rng,
-        rules=ClassificationRules.shipped(),
-        stopwords=load_stopwords(),
     )
 
 
@@ -278,10 +269,11 @@ def agree_terms(
     return AgreementTerms(tree, level_columns, identifiable_level, access_label, timestamp)
 
 
-def preprocess_record(record: EhrRecord, rules, stopwords, terms: AgreementTerms):
+def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     """Read a record under the agreed terms, as both halves of the
     agreement do: the owner on the record it packs, the provider on its
-    own copy.
+    own copy.  The record is classified by the shipped rules and split
+    into blocks around the shipped stopwords.
 
     Every non-PII column must be assigned to exactly one chain level, no
     identifiable column may ride a chain, and identifiable columns need
@@ -290,7 +282,7 @@ def preprocess_record(record: EhrRecord, rules, stopwords, terms: AgreementTerms
     back for sealing; a record that does not fit the terms raises
     :class:`WorkflowError`.
     """
-    labelled = tenon.classify(record, rules)
+    labelled = tenon.classify(record, ClassificationRules.shipped())
     by_name = {c.name: c for c in labelled.columns}
     assigned = [name for names in terms.level_columns.values() for name in names]
     for name in assigned:
@@ -310,6 +302,7 @@ def preprocess_record(record: EhrRecord, rules, stopwords, terms: AgreementTerms
         raise WorkflowError(
             "record has identifiable columns but no level was set aside for them"
         )
+    stopwords = load_stopwords()
     blocks = {
         level: [b for name in names for b in tenon.column_blocks(by_name[name], stopwords)]
         for level, names in sorted(terms.level_columns.items())
@@ -358,7 +351,7 @@ def owner_package(
     chains each level's blocks, seals the heads and the identifiable
     columns under the agreed policy, and packs what the provider needs
     to check them."""
-    blocks, identifiable = preprocess_record(record, ctx.rules, ctx.stopwords, terms)
+    blocks, identifiable = preprocess_record(record, terms)
     structures = {level: tenon.build_structure(b, ctx.rng) for level, b in blocks.items()}
     heads = {level: st.head for level, st in structures.items()}
     payloads = level_payloads(heads, terms.identifiable_level, identifiable)
@@ -403,9 +396,7 @@ def cosign_package(
     # owner does, and re-encrypts it under the agreed policy with the
     # handed plan, deriving every share itself
     try:
-        own_blocks, own_identifiable = preprocess_record(
-            record, ctx.rules, ctx.stopwords, terms
-        )
+        own_blocks, own_identifiable = preprocess_record(record, terms)
         own_plan = policy.derive_shares(terms.tree, ctx.suite.order, package.plan.coefficients)
         own_payloads = level_payloads(package.heads, terms.identifiable_level, own_identifiable)
         own_ct = mlabe.encrypt(ctx.pp, own_payloads, terms.tree, plan=own_plan)
@@ -714,12 +705,24 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
              optional(req, "access_label", str))
             for i, req in enumerate(typed(doc.get("retrieve", []), list))
         ]
+        for i, (du_name, _) in enumerate(retrievals):
+            if du_name not in participants:
+                raise ValueError("retrieve %d: %r is not a participant" % (i, du_name))
+            if participants[du_name]["attrs"] is None:
+                raise ValueError("retrieve %d: %r has no decryption key" % (i, du_name))
     try:
         # a bad policy raises its own PolicyError, before any file is written
         terms = agree_terms(
             policy_text, level_columns, doc.get("identifiable_level"),
             doc.get("access_label", "clinical"), doc.get("timestamp"),
         )
+        # the entry is stored under the agreed label, and any other is denied
+        for i, (_, label) in enumerate(retrievals):
+            if label not in (None, terms.access_label):
+                raise WorkflowError(
+                    "retrieve %d: access label %r is not the agreed %r"
+                    % (i, label, terms.access_label)
+                )
     except WorkflowError as exc:
         raise WorkflowError("malformed scenario: %s" % exc) from None
 
@@ -745,10 +748,10 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
         result = ingest_transcript(ctx, transcript)
         out["ingest"] = {"accepted": result.accepted, "reason": result.reason}
         out["order_digest"] = ctx.db.order_digest().hex()
-        for du_name, label in retrievals:
-            if label is None:
-                label = terms.access_label
-            report = phase_retrieval(ctx, du_name, transcript.entry_id, access_label=label)
+        for du_name, _ in retrievals:
+            report = phase_retrieval(
+                ctx, du_name, transcript.entry_id, access_label=terms.access_label
+            )
             entry = report_to_json(report)
             entry["du"] = du_name
             out["retrievals"].append(entry)

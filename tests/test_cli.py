@@ -62,7 +62,7 @@ def test_setup_and_keygen(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["attrs"] == ["basic", "doctor"]
     loaded = mlabe.pp_from_json(json.loads(pp.read_text()))
-    _, bundle = mlabe.key_from_json(json.loads(key.read_text()), loaded.suite)
+    bundle = mlabe.key_from_json(json.loads(key.read_text()), loaded.suite)
     assert bundle.decryption.attrs == {"basic", "doctor"}
 
 
@@ -429,6 +429,15 @@ def test_os_errors_are_json_errors(tmp_path, capsys):
     )
 
 
+# the CSV names every key of every row once, in the order the rows
+# first name it: the abe rows, then the musig rows, then the layer rows
+BENCH_HEADER = [
+    "kind", "k", "l", "elements", "enc_exp", "enc_mul", "enc_ms", "dec_pair", "dec_ms",
+    "dec_cold_ms", "ref_ms", "n", "m", "verify_exp", "verify_hashes", "sign_ms",
+    "verify_ms", "layer", "layer_ms", "layer_iqr_ms", "table_ms", "table_kb",
+]
+
+
 def test_bench_grid_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "grid.csv"
     code, out, _ = run(
@@ -436,37 +445,43 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         "--signers", "1,2", "--trials", "1", "--seed", "5", "--csv", str(csv_path),
     )
     assert code == 0
-    assert "counts hold" in out
-    lines = csv_path.read_text().splitlines()
-    names = [name for columns in cli.COLUMNS.values() for name, _ in columns]
-    # each column once, in the order the kinds first name it
-    assert lines[0].split(",") == ["kind"] + sorted(set(names), key=names.index)
-    assert sum(1 for line in lines if line.startswith("abe,")) == 4
+    doc = json.loads(out)
+    assert set(doc) == {"suite", "trials", "rows"} and doc["trials"] == 1
+    rows = doc["rows"]
     with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == BENCH_HEADER
+        csv_rows = list(reader)
+    # stdout and the CSV hold the same rows; a CSV cell is empty where
+    # its row has no such key
+    assert len(csv_rows) == len(rows) == 19
+    for r, c in zip(rows, csv_rows):
+        assert c["kind"] == r["kind"]
+        assert {name for name, cell in c.items() if cell != ""} == set(r)
+    abe = [r for r in rows if r["kind"] == "abe"]
+    assert [(r["k"], r["l"]) for r in abe] == [(1, 2), (1, 3), (2, 2), (2, 3)]
+    for r in abe:
+        assert r["elements"] == r["enc_exp"] == 2 * (r["k"] + r["l"])
+        assert r["enc_mul"] == r["k"] and r["dec_pair"] == 3 * r["k"]
+        assert r["dec_ms"] > 0 and r["dec_cold_ms"] > 0
     # one check of a single signature per --signers value, then one each
     # of 5, 50 and 200 signatures by two signers
     sigs = [r for r in rows if r["kind"] == "musig"]
-    assert [(r["n"], r["m"]) for r in sigs] == [
-        ("1", "1"), ("2", "1"), ("2", "5"), ("2", "50"), ("2", "200"),
-    ]
+    assert [(r["n"], r["m"]) for r in sigs] == [(1, 1), (2, 1), (2, 5), (2, 50), (2, 200)]
     for r in sigs:
-        assert int(r["verify_exp"]) == int(r["m"]) + int(r["n"])
+        assert r["verify_exp"] == r["m"] + r["n"]
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
         "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
         "hash_to_g1", "right_decode", "gt_decode",
     }
     # only the fixed rows give a table's build time and retained size;
-    # every row gives the spread of its timings, none for a single trial,
-    # and its own host-speed reference
+    # every row gives the spread of its timings, none for a single trial
     for name, r in layers.items():
-        assert (r["table_ms"] != "" and r["table_kb"] != "") == name.endswith("_fixed"), name
-        assert float(r["layer_iqr_ms"]) == 0, name
+        assert ("table_ms" in r and "table_kb" in r) == name.endswith("_fixed"), name
+        assert r["layer_iqr_ms"] == 0, name
     # every row of every kind gives its own host-speed reference
-    assert all(float(r["ref_ms"]) > 0 for r in rows)
-    abe = [r for r in rows if r["kind"] == "abe"]
-    assert all(float(r["dec_ms"]) > 0 and float(r["dec_cold_ms"]) > 0 for r in abe)
+    assert all(r["ref_ms"] > 0 for r in rows)
 
 
 def test_bench_layers_time_each_miller_loop_shape(bn256):
@@ -501,11 +516,12 @@ def test_bench_batch_row(tmp_path, capsys):
         "--signers", "2", "--trials", "2", "--seed", "5", "--csv", str(csv_path),
     )
     assert code == 0
-    assert "a check of m signatures by n signers = m+n exp" in out
+    (row,) = [r for r in json.loads(out)["rows"] if r["kind"] == "musig" and r["m"] == 5]
+    assert (row["n"], row["m"], row["verify_exp"], row["verify_hashes"]) == (2, 5, 7, 10)
+    assert row["verify_ms"] > 0
     with open(csv_path, newline="") as fh:
-        (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "musig" and r["m"] == "5"]
-    assert (row["n"], row["m"], row["verify_exp"], row["verify_hashes"]) == ("2", "5", "7", "10")
-    assert float(row["verify_ms"]) > 0
+        (cell,) = [r for r in csv.DictReader(fh) if r["kind"] == "musig" and r["m"] == "5"]
+    assert (cell["n"], cell["m"], cell["verify_exp"], cell["verify_hashes"]) == ("2", "5", "7", "10")
 
 
 @pytest.mark.parametrize(
@@ -523,13 +539,14 @@ def test_bench_refuses_a_bad_grid_value(capsys, option, value):
 
 
 def test_bench_with_no_abe_cell(capsys):
-    # every l is below every k, so the encryption table has no rows
+    # every l is below every k, so the grid has no abe row
     code, out, _ = run(
         capsys, "bench", "--levels", "3", "--leaves", "2", "--signers", "1",
         "--trials", "1", "--seed", "5",
     )
     assert code == 0
-    assert "counts hold" in out
+    kinds = [r["kind"] for r in json.loads(out)["rows"]]
+    assert "abe" not in kinds and {"musig", "layer"} <= set(kinds)
 
 
 def test_bench_policy_text_parses():

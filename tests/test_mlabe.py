@@ -241,7 +241,7 @@ def test_pp_envelope_roundtrip(mock_setup):
 
 def test_msk_envelope_roundtrip(mock_setup):
     suite, pp, msk, _ = mock_setup
-    _, back = mlabe.msk_from_json(mlabe.msk_to_json(suite, msk), suite)
+    back = mlabe.msk_from_json(mlabe.msk_to_json(suite, msk), suite)
     assert back.delta == msk.delta
     assert back.g_gamma == msk.g_gamma
 
@@ -249,7 +249,7 @@ def test_msk_envelope_roundtrip(mock_setup):
 def test_key_envelope_roundtrip(mock_setup):
     suite, pp, msk, rng = mock_setup
     bundle = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)
-    _, back = mlabe.key_from_json(mlabe.key_to_json(suite, bundle), suite)
+    back = mlabe.key_from_json(mlabe.key_to_json(suite, bundle), suite)
     assert back.signing == bundle.signing
     assert back.verification == bundle.verification
     assert back.decryption.attrs == bundle.decryption.attrs

@@ -134,12 +134,11 @@ def test_payload_kind_roundtrip(rng):
 
 
 def test_preprocess_record_validation():
-    ctx = fresh_ctx()
     record = tenon.record_from_json(RECORD)
 
     def read(level_columns):
         terms = agree_terms(POLICY, level_columns, identifiable_level=3, timestamp=1)
-        return preprocess_record(record, ctx.rules, ctx.stopwords, terms)
+        return preprocess_record(record, terms)
 
     with pytest.raises(WorkflowError, match="identifiable column 'nino'"):
         read({1: ["nino"], 2: ["symptom", "history"]})
@@ -148,7 +147,7 @@ def test_preprocess_record_validation():
     # a non-PII column the terms leave out
     extra = tenon.record_from_json(RECORD + [{"name": "allergy", "value": "penicillin rash"}])
     with pytest.raises(WorkflowError, match=r"columns \['allergy'\] are not assigned"):
-        preprocess_record(extra, ctx.rules, ctx.stopwords, TERMS)
+        preprocess_record(extra, TERMS)
     with pytest.raises(WorkflowError, match="more than one level"):
         read({1: ["symptom", "history"], 2: ["history"]})
     blocks, ident = read({1: ["symptom"], 2: ["history"]})
@@ -885,6 +884,41 @@ def test_scenario_refuses_parties_that_are_not_two_participants(tmp_path, change
     }
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
         run_scenario(doc, db_root=tmp_path / "db")
+    assert not (tmp_path / "db").exists()
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"retrieve": [{"du": "dr_grey"}, {"du": "nobody"}]},
+         "retrieve 1: 'nobody' is not a participant"),
+        ({"participants": dict(PARTICIPANTS, clerk={"role": "DU", "attrs": None}),
+          "retrieve": [{"du": "clerk"}]},
+         "retrieve 0: 'clerk' has no decryption key"),
+        ({"retrieve": [{"du": "dr_grey", "access_label": "research"}]},
+         "retrieve 0: access label 'research' is not the agreed 'clinical'"),
+    ],
+    ids=["unknown-du", "no-decryption-key", "other-label"],
+)
+def test_scenario_refuses_a_retrieval_that_cannot_run(tmp_path, change, reason):
+    """A retrieval by someone who is not a participant, who holds no
+    decryption key or who presents a label other than the agreed one
+    cannot run; the document says so by itself, so it is refused before
+    setup, which makes the store directory."""
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+        **change,
+    }
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
+        run_scenario(doc, db_root=tmp_path / "db", emit_dir=tmp_path / "db")
     assert not (tmp_path / "db").exists()
 
 
