@@ -770,57 +770,16 @@ def g2_psi(a):
 # computes a twist point's lines once, and miller() evaluates any number
 # of pairs in one loop whose squarings they share (Granger and Smart,
 # "On computing products of pairings", ePrint 2006/172).
-
-
-def _line_add(r, pt, r2):
-    """The line through Jacobian twist point r and affine twist point pt,
-    and r + pt; r2 is pt's y squared."""
-    rx, ry, rz = r
-    px, py = pt[0], pt[1]
-    r_t = fp2_square(rz)
-    B = fp2_mul(px, r_t)
-    D = fp2_sub(fp2_sub(fp2_square(fp2_add(py, rz)), r2), r_t)
-    D = fp2_mul(D, r_t)
-
-    H = fp2_sub(B, rx)
-    I = fp2_square(H)
-    E = fp2_scalar(I, 4)
-    J = fp2_mul(H, E)
-    L1 = fp2_sub(fp2_sub(D, ry), ry)
-    V = fp2_mul(rx, E)
-
-    r_x = fp2_sub(fp2_sub(fp2_square(L1), J), fp2_add(V, V))
-    r_z = fp2_sub(fp2_sub(fp2_square(fp2_add(rz, H)), r_t), I)
-    t = fp2_mul(fp2_sub(V, r_x), L1)
-    r_y = fp2_sub(t, fp2_scalar(fp2_mul(ry, J), 2))
-
-    t = fp2_sub(fp2_sub(fp2_square(fp2_add(py, r_z)), r2), fp2_square(r_z))
-    a = fp2_sub(fp2_scalar(fp2_mul(L1, px), 2), t)
-    b = fp2_scalar(L1, -2)
-    c = fp2_scalar(r_z, 2)
-    return a + b + c, (r_x, r_y, r_z)
-
-
-def _line_double(r):
-    """The tangent line at Jacobian twist point r, and 2r."""
-    rx, ry, rz = r
-    r_t = fp2_square(rz)
-    A = fp2_square(rx)
-    B = fp2_square(ry)
-    C = fp2_square(B)
-    D = fp2_scalar(fp2_sub(fp2_sub(fp2_square(fp2_add(rx, B)), A), C), 2)
-    E = fp2_scalar(A, 3)
-    F = fp2_square(E)
-
-    r_x = fp2_sub(F, fp2_add(D, D))
-    r_y = fp2_sub(fp2_mul(E, fp2_sub(D, r_x)), fp2_scalar(C, 8))
-    # (y+z)*(y+z) - (y*y) - (z*z) = 2*y*z
-    r_z = fp2_sub(fp2_sub(fp2_square(fp2_add(ry, rz)), B), r_t)
-
-    a = fp2_sub(fp2_square(fp2_add(rx, E)), fp2_add(fp2_add(A, F), fp2_scalar(B, 4)))
-    b = fp2_scalar(fp2_mul(E, r_t), -2)
-    c = fp2_scalar(fp2_mul(r_z, r_t), 2)
-    return a + b + c, (r_x, r_y, r_z)
+#
+# Evaluated at a curve point (x, y), the line at twist point T with
+# slope lambda is (A*tau + B*x)*omega + y with A = lambda*x_T - y_T and
+# B = -lambda.  The loop multiplies by it divided by y, the monic line
+# (A/y*tau + B*x/y)*omega + 1, which costs two sparse Fp6 products where
+# the whole line costs four.  A line scaled by any other factor in Fp2*
+# (1/y here, or the constants of projective line formulas) changes the
+# loop value only by a factor in Fp2*, and the easy part of final_exp,
+# the power (p^6 - 1)(p^2 + 1), maps every such factor to one because
+# p^2 - 1 divides it.  So every finished value is unchanged.
 
 
 # for each line of the loop, whether a squaring comes before it: one
@@ -833,30 +792,38 @@ _SQUARE_FIRST = [
 def prepare(q):
     """The Miller-loop lines of twist point q, as one flat tuple of ints.
 
-    Each line is six ints, the Fp2 values a, b and c in order; b and c
-    are still to be scaled by the curve point's x and y.  The point at
-    infinity has no lines."""
+    Each line is four ints, the Fp2 values A and B of the monic line
+    (A/y*tau + B*x/y)*omega + 1 at curve point (x, y), in order.  They
+    are computed in affine coordinates, one inversion per line; a line
+    whose slope has a zero denominator, which no point of order r meets,
+    raises ZeroDivisionError.  The point at infinity has no lines."""
     Q = g2_affine(q)
     if Q[2] == FP2_ZERO:
         return ()
     qx, qy = Q[0], Q[1]
-    mQ = (qx, fp2_neg(qy), FP2_ONE)
-    Qp = fp2_square(qy)
-    out = []
-    T = Q
+    # the other point of each chord, None for a tangent: Q or -Q for each
+    # nonzero NAF digit, then pi(Q) and -pi^2(Q)
+    others = []
     for naf_i in naf_6up2:
-        line, T = _line_double(T)
-        out += line
+        others.append(None)
         if naf_i:
-            line, T = _line_add(T, Q if naf_i == 1 else mQ, Qp)
-            out += line
-    # Q1 = pi(Q), Q2 = pi2(Q)
-    Q1 = g2_psi(Q)
-    Q2 = (fp2_scalar(qx, xi2[1][1]), qy, FP2_ONE)
-    line, T = _line_add(T, Q1, fp2_square(Q1[1]))
-    out += line
-    line, T = _line_add(T, Q2, fp2_square(Q2[1]))
-    out += line
+            others.append((qx, qy if naf_i == 1 else fp2_neg(qy)))
+    others += [g2_psi(Q)[:2], (fp2_scalar(qx, xi2[1][1]), qy)]
+    out = []
+    tx, ty = qx, qy
+    for other in others:
+        if other is None:
+            x2, num, den = tx, fp2_scalar(fp2_square(tx), 3), fp2_add(ty, ty)
+        else:
+            x2 = other[0]
+            num, den = fp2_sub(other[1], ty), fp2_sub(x2, tx)
+        inv = fp2_inv(den)
+        if inv == FP2_ZERO:
+            raise ZeroDivisionError("a vertical Miller line: q is not of order r")
+        lam = fp2_mul(num, inv)
+        out += fp2_sub(fp2_mul(lam, tx), ty) + fp2_neg(lam)
+        x3 = fp2_sub(fp2_sub(fp2_square(lam), tx), x2)
+        tx, ty = x3, fp2_sub(fp2_mul(lam, fp2_sub(tx, x3)), ty)
     return tuple(out)
 
 
@@ -876,58 +843,50 @@ def _fp6_mul_line_wide(x, ax, ay, bx, by):
     )
 
 
-def _fp6_mul_fp2_wide(x, cx, cy):
-    """x*c for Fp6 x and Fp2 c, as six unreduced ints in Fp6 order."""
-    (x2x, x2y), (x1x, x1y), (x0x, x0y) = x
-    return (
-        x2x * cy + x2y * cx, x2y * cy - x2x * cx,
-        x1x * cy + x1y * cx, x1y * cy - x1x * cx,
-        x0x * cy + x0y * cx, x0y * cy - x0x * cx,
-    )
-
-
-def _mul_line(f, ax, ay, bx, by, cx, cy):
-    """f times the line (a*tau + b)*omega + c, sparse: with L = a*tau + b,
-    (fx*omega + fy)(L*omega + c) = (fx*c + fy*L)*omega + tau*fx*L + fy*c."""
+def _mul_line(f, ax, ay, bx, by):
+    """f times the monic line (a*tau + b)*omega + 1, sparse: with
+    L = a*tau + b, (fx*omega + fy)(L*omega + 1) = (fx + fy*L)*omega +
+    fy + tau*fx*L."""
     fx, fy = f
     t2x, t2y, t1x, t1y, t0x, t0y = _fp6_mul_line_wide(fx, ax, ay, bx, by)
     s2x, s2y, s1x, s1y, s0x, s0y = _fp6_mul_line_wide(fy, ax, ay, bx, by)
-    u2x, u2y, u1x, u1y, u0x, u0y = _fp6_mul_fp2_wide(fy, cx, cy)
-    v2x, v2y, v1x, v1y, v0x, v0y = _fp6_mul_fp2_wide(fx, cx, cy)
+    (f2x, f2y), (f1x, f1y), (f0x, f0y) = fx
+    (g2x, g2y), (g1x, g1y), (g0x, g0y) = fy
     return (
-        (((s2x + v2x) % p, (s2y + v2y) % p),
-         ((s1x + v1x) % p, (s1y + v1y) % p),
-         ((s0x + v0x) % p, (s0y + v0y) % p)),
+        (((f2x + s2x) % p, (f2y + s2y) % p),
+         ((f1x + s1x) % p, (f1y + s1y) % p),
+         ((f0x + s0x) % p, (f0y + s0y) % p)),
         # tau*(t2, t1, t0) = (t1, t0, xi*t2)
-        (((t1x + u2x) % p, (t1y + u2y) % p),
-         ((t0x + u1x) % p, (t0y + u1y) % p),
-         ((3 * t2x + t2y + u0x) % p, (3 * t2y - t2x + u0y) % p)),
+        (((g2x + t1x) % p, (g2y + t1y) % p),
+         ((g1x + t0x) % p, (g1y + t0y) % p),
+         ((g0x + 3 * t2x + t2y) % p, (g0y + 3 * t2y - t2x) % p)),
     )
 
 
 def miller(pairs):
     """The product of the Miller values of the (lines, curve point) pairs,
-    in one loop that shares each step's squaring among them.
+    in one loop that shares each step's squaring among them, up to a
+    factor in Fp2* that final_exp removes.
 
     ``lines`` come from :func:`prepare`.  A pair with the point at
     infinity on either side contributes one."""
     terms = []
-    for lines, pt in pairs:
-        x, y, z = g1_affine(pt)
+    for lines, (x, y, z) in pairs:
         if lines and z:
-            terms.append((lines, x, y))
+            # affine (x/z^2, y/z^3): 1/y' = z^3/y and x'/y' = x*z/y
+            yinv = inv_mod_p(y)
+            terms.append((lines, z * z * z * yinv % p, x * z * yinv % p))
     if not terms:
         return FP12_ONE
     f = FP12_ONE
     for i, square in enumerate(_SQUARE_FIRST):
         if square:
             f = fp12_square(f)
-        i *= 6
-        for lines, x, y in terms:
+        i *= 4
+        for lines, s, t in terms:
             f = _mul_line(
-                f, lines[i], lines[i + 1],
-                lines[i + 2] * x % p, lines[i + 3] * x % p,
-                lines[i + 4] * y % p, lines[i + 5] * y % p,
+                f, lines[i] * s % p, lines[i + 1] * s % p,
+                lines[i + 2] * t % p, lines[i + 3] * t % p,
             )
     return f
 

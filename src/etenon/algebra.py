@@ -783,9 +783,9 @@ class Bn256Suite(GroupSuite):
     Left points are Jacobian triples of ints, right points Jacobian
     triples of Fp2 pairs and target-group values nested Fp12 tuples (an
     owed value is a Miller-loop output).  A right point's prepared lines
-    are one flat tuple of 510 ints, about 35 KB.  :mod:`etenon._bn256`
-    holds the arithmetic; the suite adds the codecs to its three
-    ``Group`` records.
+    are one flat tuple of 340 ints, four per monic line, about 23 KB.
+    :mod:`etenon._bn256` holds the arithmetic; the suite adds the codecs
+    to its three ``Group`` records.
     """
 
     groups = _GROUPS

@@ -31,6 +31,7 @@ machine-readable error object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -441,21 +442,24 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
 
     checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, m) for m in BATCH_ITEMS]
-    rows = (
-        [
-            {"kind": "abe", **bench_abe(suite, k, l, args.trials, rng)}
-            for k in args.levels
-            for l in args.leaves
-            if l >= k
-        ]
-        + [{"kind": "musig", **bench_musig(suite, n, m, args.trials, rng)} for n, m in checks]
-        + [{"kind": "layer", **r} for r in bench_layers(suite, args.trials, rng)]
-    )
-    if args.csv:
-        # each column once, in the order the rows first name it
-        fields = list(dict.fromkeys(name for r in rows for name in r))
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+    # the CSV file is opened first, so a path that cannot be written
+    # is refused before the grid runs
+    csv_file = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else None
+    with csv_file or contextlib.nullcontext():
+        rows = (
+            [
+                {"kind": "abe", **bench_abe(suite, k, l, args.trials, rng)}
+                for k in args.levels
+                for l in args.leaves
+                if l >= k
+            ]
+            + [{"kind": "musig", **bench_musig(suite, n, m, args.trials, rng)} for n, m in checks]
+            + [{"kind": "layer", **r} for r in bench_layers(suite, args.trials, rng)]
+        )
+        if csv_file:
+            # each column once, in the order the rows first name it
+            fields = list(dict.fromkeys(name for r in rows for name in r))
+            writer = csv.DictWriter(csv_file, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
     _emit({"suite": suite.name, "trials": args.trials, "rows": rows})

@@ -35,7 +35,7 @@ signature; a sealed entry is kept as the ciphertext bytes its roster
 signed, and is decoded only when it is first read.  An open store keeps
 the decoded ciphertexts of only the ``DECODED_ENTRIES`` entries read
 last, since each holds the prepared Miller lines of its leaves (about
-35 KB a leaf); an older entry decodes again when it is read again.
+23 KB a leaf); an older entry decodes again when it is read again.
 Writers take a lock on the store directory's lock file, so a second
 writer waits, then replays what the first appended before it verifies
 its own batch.

@@ -549,6 +549,21 @@ def test_bench_with_no_abe_cell(capsys):
     assert "abe" not in kinds and {"musig", "layer"} <= set(kinds)
 
 
+def test_bench_refuses_an_unwritable_csv_path_before_the_grid(tmp_path, capsys, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a bench row ran")
+
+    monkeypatch.setattr(cli, "bench_abe", no_row)
+    monkeypatch.setattr(cli, "bench_musig", no_row)
+    monkeypatch.setattr(cli, "bench_layers", no_row)
+    code, out, err = run(
+        capsys, "bench", "--levels", "1", "--leaves", "2", "--signers", "1", "--trials", "1",
+        "--seed", "5", "--csv", str(tmp_path / "nodir" / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
 def test_bench_policy_text_parses():
     from etenon.policy import parse_policy
 

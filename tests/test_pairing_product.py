@@ -1,7 +1,9 @@
 """Products of pairings in one Miller loop, and prepared right arguments.
 
 The bn256 loop is checked against the one-pair Miller loop kept in
-``oracles``, which shares no line function with it.
+``oracles``, which shares no line function with it: its lines are not
+monic, so the two agree up to a factor in Fp2 before the final
+exponentiation and exactly after it.
 """
 
 import functools
@@ -66,18 +68,42 @@ def test_one_loop_equals_the_product_of_oracle_pairings(pairs):
     assert b.final_exp(got) == want
 
 
-def test_one_pair_loop_is_the_oracle_miller_value():
-    """With one pair the loop is the pairwise Miller value itself, before
-    any final exponentiation."""
-    assert b.miller([(_lines(1), LEFTS[1])]) == oracles.miller(RIGHTS[1], LEFTS[1])
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 1), st.booleans()), min_size=1, max_size=5
+    )
+)
+@settings(max_examples=10, deadline=None)
+def test_loop_value_is_the_oracle_miller_value_times_an_fp2_factor(pairs):
+    """Before any final exponentiation, a loop over 1 to 5 pairs of
+    finite points, Jacobian and negated left points among them, is the
+    product of the oracle's Miller values times a nonzero factor in Fp2,
+    which the final exponentiation maps to one."""
+    left = [b.g1_neg(LEFTS[i]) if inverse else LEFTS[i] for i, _, inverse in pairs]
+    got = b.miller([(_lines(j), pt) for (_, j, _), pt in zip(pairs, left)])
+    want = b.FP12_ONE
+    for (_, j, _), pt in zip(pairs, left):
+        want = b.fp12_mul(want, oracles.miller(RIGHTS[j], pt))
+    factor = b.fp12_mul(got, b.fp12_inv(want))
+    assert factor[0] == b.FP6_ZERO and factor[1][:2] == (b.FP2_ZERO, b.FP2_ZERO)
+    assert factor[1][2] != b.FP2_ZERO
+    assert b.final_exp(got) == b.final_exp(want)
 
 
-def test_prepare_lays_out_six_ints_per_line():
+def test_prepare_lays_out_four_ints_per_line():
     lines = b.prepare(b.twist_G)
-    assert len(lines) == 6 * len(b._SQUARE_FIRST)
+    assert len(lines) == 4 * len(b._SQUARE_FIRST)
     assert all(type(c) is int and 0 <= c < b.p for c in lines)
     assert b.prepare(b.G2_INFINITY) == ()
     assert b.miller([]) == b.FP12_ONE
+
+
+def test_prepare_raises_on_a_zero_denominator(monkeypatch):
+    """An inversion that returns zero, as inv_mod_p does for a zero
+    denominator, raises rather than giving wrong lines."""
+    monkeypatch.setattr(b, "inv_mod_p", lambda a: 0)
+    with pytest.raises(ZeroDivisionError, match="vertical"):
+        b.prepare(b.twist_G)
 
 
 def test_a_prepared_right_element_serves_two_left_points(bn256):
