@@ -16,13 +16,14 @@ from etenon.tdb import OpenRow, SecretEntry, TenonDb
 
 
 def cosigned_rows(suite, pp, sks, structure, rng, t):
-    rows = []
-    for triple in structure.triples:
-        digest = tdb.row_digest(pp.encode(), triple, t)
-        sig, _ = musig.cosign(suite, sks, digest, rng)
-        rows.append(OpenRow(pointer=triple.pointer, block=triple.block, next=triple.next,
-                            sig=sig, roster_ref="visit-1", timestamp=t))
-    return rows
+    """Every row of the chain, co-signed in one run under one roster."""
+    digests = [tdb.row_digest(pp.encode(), triple, t) for triple in structure.triples]
+    sigs, _ = musig.cosign(suite, sks, digests, rng)
+    return [
+        OpenRow(pointer=triple.pointer, block=triple.block, next=triple.next,
+                sig=sig, roster_ref="visit-1", timestamp=t)
+        for triple, sig in zip(structure.triples, sigs)
+    ]
 
 
 def main():
@@ -47,7 +48,7 @@ def main():
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:doctor")
     ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
     digest = tdb.entry_digest(pp.encode(), "visit-1", "clinical", mlabe.ct_canonical_bytes(ct), t)
-    sig, _ = musig.cosign(suite, sks, digest, rng)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     secret = SecretEntry(entry_id="visit-1", ciphertext=ct, sig=sig,
                          roster_ref="visit-1", access_label="clinical", timestamp=t)
 

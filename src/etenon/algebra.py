@@ -29,7 +29,9 @@ any group, takes one of two algorithms: a base marked by
 :meth:`GroupSuite.fixed_base` walks its table of multiples, and the
 other bases of one evaluation share one multi-exponentiation.  Every
 operation ticks its counter when it is called, not when its work is
-done.
+done.  Two public values are computed once and kept: an element keeps
+its encoding from the first time it is encoded or decoded on, and a
+suite memoises H(a) per label (see :meth:`GroupSuite.hash_to_group`).
 
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
@@ -45,6 +47,7 @@ import hashlib
 import hmac
 import math
 import random
+import threading
 
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -65,6 +68,9 @@ TARGET = "target"  # the target group, as a key of ``GroupSuite.groups``
 
 # the table of a fixed base that has not been raised yet
 _UNBUILT = object()
+
+# labels whose hashed element a suite keeps (see GroupSuite.hash_to_group)
+HASH_MEMO_SIZE = 1024
 
 
 class AlgebraError(EtenonError):
@@ -141,12 +147,15 @@ class G0Element:
     A right element keeps in ``lines`` what the suite prepares of its
     point for Miller loops, from the first loop it takes part in on.  A
     fixed base keeps its table of multiples in ``table``, from its first
-    power on (see :meth:`GroupSuite.fixed_base`).
+    power on (see :meth:`GroupSuite.fixed_base`).  Every element keeps
+    its encoding in ``raw`` from the first time it is encoded or decoded
+    on, so a key or a nonce that is hashed, checked and written is
+    encoded once.
     """
 
-    __slots__ = ("suite", "side", "_point", "factors", "joins", "lines", "table")
+    __slots__ = ("suite", "side", "_point", "factors", "joins", "lines", "table", "raw")
 
-    def __init__(self, suite: "GroupSuite", side: str, point=None, factors=None):
+    def __init__(self, suite: "GroupSuite", side: str, point=None, factors=None, raw=None):
         self.suite = suite
         self.side = side
         self._point = point
@@ -154,6 +163,7 @@ class G0Element:
         self.joins = 0
         self.lines = None
         self.table = None
+        self.raw = raw
 
     @property
     def point(self):
@@ -277,6 +287,9 @@ class GroupSuite:
     def __init__(self):
         # the open span of the current thread (or task) on this suite
         self._span = contextvars.ContextVar("measure span", default=None)
+        # label -> its hashed element, at most HASH_MEMO_SIZE of them
+        self._hashed = {}
+        self._hashed_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -350,10 +363,23 @@ class GroupSuite:
         return _challenge_int(data) % self.order
 
     def hash_to_group(self, label: bytes | str) -> G0Element:
+        """H(label), a left element.  It ticks on every call, but the map
+        runs once per label: the element is memoised, and the memo starts
+        over when it holds ``HASH_MEMO_SIZE`` labels, since labels come
+        from policy text that the other party writes.  A hashed element is
+        not a fixed base: a table per attribute costs more than the few
+        powers of it that an agreement takes."""
         if isinstance(label, str):
             label = label.encode("utf-8")
         self._tick("hash_calls")
-        return self._hash_to_group(label)
+        x = self._hashed.get(label)
+        if x is None:
+            x = self._hash_to_group(label)
+            with self._hashed_lock:
+                if len(self._hashed) >= HASH_MEMO_SIZE:
+                    self._hashed.clear()
+                self._hashed[label] = x
+        return x
 
     # ------------------------------------------------------------------
     # source-group arithmetic
@@ -579,14 +605,21 @@ class GroupSuite:
     # encodings
 
     def encode_g0(self, x: G0Element) -> bytes:
-        """The point alone; the side is not encoded, decoders supply it."""
+        """The point alone; the side is not encoded, decoders supply it.
+        The encoding is kept on x."""
         self._check(x)
-        return self.groups[x.side].encode(x.point)
+        raw = x.raw
+        if raw is None:
+            raw = x.raw = self.groups[x.side].encode(x.point)
+        return raw
 
     def decode_g0(self, raw: bytes, side: str) -> G0Element:
+        """The element ``raw`` encodes, which keeps ``raw`` as its
+        encoding: every codec accepts only the encoding it writes."""
         if side not in (LEFT, RIGHT):
             raise AlgebraError("unknown pairing side %r" % (side,))
-        return G0Element(self, side, self.groups[side].decode(raw))
+        point = self.groups[side].decode(raw)
+        return G0Element(self, side, point, raw=bytes(raw))
 
     def encode_gt(self, a: G1Element) -> bytes:
         return self.groups[TARGET].encode(self._finished(a))

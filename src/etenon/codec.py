@@ -1,11 +1,12 @@
-"""Canonical JSON, base64 text fields and the one guard every document
-decoder runs in."""
+"""Canonical JSON, base64 text fields, the one guard every document
+decoder runs in and the one writer of JSON files."""
 
 from __future__ import annotations
 
 import base64
 import binascii
 import json
+import os
 
 from contextlib import contextmanager
 
@@ -19,6 +20,18 @@ class CodecError(EtenonError):
 def canonical_json(doc) -> bytes:
     """The one byte form of a document that is signed, sealed or logged."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def write_json(path, doc, secret: bool = False) -> None:
+    """Write ``doc`` to ``path`` as indented JSON.  A secret file (a
+    master key or a key bundle) is readable by its owner alone: mode
+    0600, whatever the umask, and also when it already existed."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if secret else 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        if secret:
+            os.fchmod(fd, 0o600)
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def b64(raw: bytes) -> str:

@@ -269,42 +269,40 @@ def verify_batch(suite: GroupSuite, items) -> bool:
     return suite.generator ** s_sum == rhs
 
 
-def cosign(suite: GroupSuite, secret_keys, msg: bytes, rng=None) -> tuple[MultiSig, tuple]:
-    """Drive a full in-process signing run among the given key holders.
+def cosign(suite: GroupSuite, secret_keys, msgs, rng=None) -> tuple[list[MultiSig], tuple]:
+    """Drive a full in-process signing run among the given key holders
+    for each message, all under one roster.
 
-    Returns the aggregate signature and the roster (keys in the order
-    given).  Raises if any session aborts, which cannot happen among
-    honest in-process participants.  Each key is derived once and each
-    signer draws one nonce: 2n exponentiations for n signers.
+    Returns the aggregate signatures, one per message in order, and the
+    roster (keys in the order given).  Raises if any session aborts,
+    which cannot happen among honest in-process participants.  The
+    roster is derived once and encoded once, and each signer draws one
+    nonce per message, message by message and signer by signer:
+    n + n*m exponentiations for m messages by n signers, 2n for one.
     """
     secret_keys = list(secret_keys)
+    if not secret_keys:
+        # every other roster a session refuses, it refuses itself
+        raise MusigError("roster is empty")
     roster = tuple(suite.generator ** sk for sk in secret_keys)
-    sessions = []
-    commits = []
-    for sk, vk in zip(secret_keys, roster):
-        session, commit = start_session(suite, sk, roster, msg, rng=rng, vk=vk)
-        sessions.append(session)
-        commits.append(commit)
-
-    def fan_out(messages):
-        return [
-            [m for m in messages if m.sender != s.index]
-            for s in sessions
-        ]
-
-    reveals = [s.step(batch) for s, batch in zip(sessions, fan_out(commits))]
-    partials = []
-    for s, batch in zip(sessions, fan_out(reveals)):
-        out = s.step(batch)
-        if isinstance(out, SessionAbort):
-            raise MusigError("honest signing run aborted: %s" % out.reason)
-        partials.append(out)
-    sigs = [s.step(batch) for s, batch in zip(sessions, fan_out(partials))]
-    first = sigs[0]
-    for other in sigs[1:]:
-        if other.s != first.s or other.rc != first.rc:
+    sigs = []
+    for msg in msgs:
+        sessions, out = zip(*(
+            start_session(suite, sk, roster, msg, rng=rng, vk=vk)
+            for sk, vk in zip(secret_keys, roster)
+        ))
+        # three rounds, each fed the others' messages of the last:
+        # reveals, partial signatures, then the aggregate
+        for _ in range(3):
+            out = [s.step([m for m in out if m.sender != s.index]) for s in sessions]
+            for o in out:
+                if isinstance(o, SessionAbort):
+                    raise MusigError("honest signing run aborted: %s" % o.reason)
+        first, *others = out
+        if any(o.s != first.s or o.rc != first.rc for o in others):
             raise MusigError("signers disagree on the aggregate")
-    return first, roster
+        sigs.append(first)
+    return sigs, roster
 
 
 def sig_to_json(suite: GroupSuite, sig: MultiSig) -> dict:

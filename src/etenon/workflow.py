@@ -40,10 +40,11 @@ import json
 import time
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite, is_mock
-from .codec import canonical_json, decoding, typed
+from .codec import canonical_json, decoding, typed, write_json
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
 from .tdb import OpenRow, SecretEntry, TdbError, TenonDb
@@ -432,15 +433,16 @@ def cosign_package(
     roster_ref = "agreement-" + entry_id
     keys = [do.keys.signing, sp.keys.signing]
     timestamp = terms.timestamp
-    rows = []
-    for pointer, t in package.rows.items():
-        # signed under the pointer the walk reached it by
-        t = tenon.Triple(pointer, t.block, t.next)
-        digest = tdb.row_digest(pp_bytes, t, timestamp)
-        sig, roster = musig.cosign(ctx.suite, keys, digest, ctx.rng)
-        rows.append(OpenRow(pointer, t.block, t.next, sig, roster_ref, timestamp))
-    ct_digest = tdb.entry_digest(pp_bytes, entry_id, terms.access_label, ct_bytes, timestamp)
-    entry_sig, roster = musig.cosign(ctx.suite, keys, ct_digest, ctx.rng)
+    # each row signed under the pointer the walk reached it by, then the
+    # ciphertext, all under one roster
+    triples = [tenon.Triple(pointer, t.block, t.next) for pointer, t in package.rows.items()]
+    digests = [tdb.row_digest(pp_bytes, t, timestamp) for t in triples]
+    digests.append(tdb.entry_digest(pp_bytes, entry_id, terms.access_label, ct_bytes, timestamp))
+    (*sigs, entry_sig), roster = musig.cosign(ctx.suite, keys, digests, ctx.rng)
+    rows = [
+        OpenRow(t.pointer, t.block, t.next, sig, roster_ref, timestamp)
+        for t, sig in zip(triples, sigs)
+    ]
     secret = SecretEntry(
         entry_id=entry_id,
         ciphertext=package.ciphertext,
@@ -616,21 +618,19 @@ def report_to_json(report: RetrievalReport) -> dict:
 # scenarios
 
 
-def _emit_context(ctx: SystemContext, emit_dir) -> None:
-    from pathlib import Path
-
-    root = Path(emit_dir)
-    keys_dir = root / "keys"
-    keys_dir.mkdir(parents=True, exist_ok=True)
-    with open(root / "pp.json", "w", encoding="utf-8") as fh:
-        json.dump(mlabe.pp_to_json(ctx.pp), fh, indent=2, sort_keys=True)
+def _emit_context(ctx: SystemContext, db_root, keys_dir) -> None:
+    """Write the public parameters into the store as ``pp.json`` and,
+    with ``keys_dir``, every key bundle there, each a secret file."""
+    write_json(Path(db_root) / "pp.json", mlabe.pp_to_json(ctx.pp))
+    if keys_dir is None:
+        return
+    keys_dir = Path(keys_dir)
+    keys_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     for name, entity in ctx.entities.items():
         if entity.keys is None or entity.keys.decryption is None:
             continue
-        with open(keys_dir / (name + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                mlabe.key_to_json(ctx.suite, entity.keys), fh, indent=2, sort_keys=True
-            )
+        write_json(keys_dir / (name + ".json"), mlabe.key_to_json(ctx.suite, entity.keys),
+                   secret=True)
 
 
 SCENARIO_KEYS = frozenset((
@@ -641,23 +641,36 @@ PARTICIPANT_KEYS = frozenset(("role", "attrs"))
 RETRIEVE_KEYS = frozenset(("du", "access_label"))
 
 
-def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
+def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     """Drive a whole configured run; returns a JSON-able summary.
 
     The document names the suite, seed, participants, policy, record,
     level assignment and the retrievals to attempt; all of it is checked
-    before any step runs, and a malformed document, one with a key not
-    in ``SCENARIO_KEYS`` included (or, in a participant or a retrieval,
-    not in ``PARTICIPANT_KEYS`` or ``RETRIEVE_KEYS``), raises
-    :class:`WorkflowError`.  A
+    before any step runs, and a malformed document, one without a
+    ``suite`` or with a key not in ``SCENARIO_KEYS`` included (or, in a
+    participant or a retrieval, not in ``PARTICIPANT_KEYS`` or
+    ``RETRIEVE_KEYS``), raises :class:`WorkflowError`.  A
     fixed seed makes the entire run, store layout included,
     deterministic, and every key public: on a suite other than mock it
     is refused unless the document also holds ``"insecure_seed": true``.
-    With ``emit_dir`` the public parameters and every
-    participant's key bundle are written there as JSON, so the
-    command-line tools can work the resulting store afterwards.
+    With ``db_root`` the store persists there, with the public
+    parameters beside its log as ``pp.json``.  With ``keys_dir`` every
+    participant's key bundle is written there too, so the command-line
+    tools can work the resulting store afterwards; the store is open
+    data, so a ``keys_dir`` inside ``db_root``, or one without a store,
+    is refused before any step runs.
     """
     import random as _random
+
+    if keys_dir is not None:
+        if db_root is None:
+            raise WorkflowError("key bundles are written only for a persisted store")
+        keys, root = Path(keys_dir).resolve(), Path(db_root).resolve()
+        if keys == root or root in keys.parents:
+            raise WorkflowError(
+                "the keys directory %s lies inside the store %s, which is open data"
+                % (keys_dir, db_root)
+            )
 
     def optional(obj, key, kind):
         value = obj.get(key)
@@ -675,7 +688,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
 
     with decoding(WorkflowError, "scenario"):
         doc = known(doc, SCENARIO_KEYS)
-        suite_name = typed(doc.get("suite", "mock"), str)
+        if "suite" not in doc:
+            raise ValueError("no suite: name bn256, mock or mock-<prime>")
+        suite_name = typed(doc["suite"], str)
         seed = optional(doc, "seed", int)
         # a seed makes every key public: on a real suite it must be asked for
         if not (seed is None or is_mock(suite_name) or optional(doc, "insecure_seed", bool)):
@@ -730,9 +745,9 @@ def run_scenario(doc: dict, db_root=None, emit_dir=None) -> dict:
     ctx = phase_setup(suite_name, participants, rng=rng, db_root=db_root)
     package = owner_package(ctx, record, terms)
     transcript = cosign_package(ctx, do_name, sp_name, record, terms, package)
-    # only now: a document the agreement refuses leaves no key files
-    if emit_dir is not None:
-        _emit_context(ctx, emit_dir)
+    # only now: a document the agreement refuses leaves no files
+    if db_root is not None:
+        _emit_context(ctx, db_root, keys_dir)
     out = {
         "suite": ctx.suite.name,
         "agreement": {

@@ -162,7 +162,7 @@ def test_criterion_03_multisig_completeness_and_mutations():
             for trial in range(50):
                 keys = distinct_keys(mock, n, rng)
                 msg = b"trial %d with %d signers" % (trial, n)
-                sig, roster = musig.cosign(mock, keys, msg, rng)
+                (sig,), roster = musig.cosign(mock, keys, [msg], rng)
                 assert musig.verify(mock, sig, roster, msg)
                 assert isinstance(sig.rc, G0Element)
                 assert isinstance(sig.s, int)

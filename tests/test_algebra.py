@@ -13,6 +13,7 @@ from etenon.algebra import (
     AlgebraError,
     G0Element,
     G1Element,
+    HASH_MEMO_SIZE,
     SEAL_TAG_BYTES,
     IntegrityError,
     OpCounters,
@@ -91,6 +92,55 @@ def test_mock_hash_points_are_one_sided(mock):
     assert mock.pairing(h, g2 ** 3) == mock.pairing(g2 ** 3, h)
     with pytest.raises(AlgebraError):
         mock.pairing(h, mock.hash_to_group(b"other"))
+
+
+@pytest.mark.parametrize("name", ["mock", "bn256"])
+def test_hash_to_group_maps_each_label_once_per_suite(name, monkeypatch):
+    """H(a) is memoised per suite and label, but every call still ticks
+    ``hash_calls``; the memo holds at most HASH_MEMO_SIZE labels."""
+    suite, other = get_suite(name), get_suite(name)
+    mapped = []
+    for s in (suite, other):
+        monkeypatch.setattr(
+            s, "_hash_to_group", lambda label, f=s._hash_to_group: mapped.append(label) or f(label)
+        )
+    with suite.measure() as span:
+        first = suite.hash_to_group("doctor")
+        again = suite.hash_to_group(b"doctor")
+        nurse = suite.hash_to_group("nurse")
+    assert span.hash_calls == 3
+    assert mapped == [b"doctor", b"nurse"]
+    assert again == first and nurse != first
+    assert other.hash_to_group("doctor") == first
+    assert mapped == [b"doctor", b"nurse", b"doctor"]
+    if name == "mock":  # a full memo is cheap to reach only on mock
+        for i in range(HASH_MEMO_SIZE + 5):
+            suite.hash_to_group(b"label %d" % i)
+            assert len(suite._hashed) <= HASH_MEMO_SIZE
+        del mapped[:]
+        assert suite.hash_to_group("doctor") == first
+        assert mapped == [b"doctor"]
+
+
+@pytest.mark.parametrize("name", ["mock", "bn256"])
+def test_an_element_keeps_its_encoding(name, monkeypatch):
+    """A second encode() of an element, or the first of a decoded one,
+    returns the same bytes without calling the group codec."""
+    suite = get_suite(name)
+    encodes = []
+    suite.groups = {
+        side: group._replace(encode=lambda v, f=group.encode: encodes.append(v) or f(v))
+        for side, group in suite.groups.items()
+    }
+    for side, gen in ((LEFT, suite.generator), (RIGHT, suite.right_generator)):
+        x = gen ** 12345
+        raw = x.encode()
+        assert len(encodes) == 1
+        assert x.encode() is raw and suite.encode_g0(x) is raw
+        decoded = suite.decode_g0(raw, side)
+        assert decoded.encode() == raw and decoded == x
+        assert len(encodes) == 1
+        del encodes[:]
 
 
 @pytest.mark.parametrize("name", ["mock", "bn256"])
@@ -1073,7 +1123,7 @@ def test_bn256_verification_is_one_pass(bn256, bn256_terms):
     table, then one pass over the n key terms."""
     rng = random.Random(7)
     keys = [bn256.rand_scalar_nonzero(rng) for _ in range(3)]
-    sig, roster = musig.cosign(bn256, keys, b"one pass", rng)
+    (sig,), roster = musig.cosign(bn256, keys, [b"one pass"], rng)
     bn256_terms.clear()
     assert musig.verify(bn256, sig, roster, b"one pass")
     assert bn256_terms == [1, 3]
@@ -1112,7 +1162,7 @@ def test_mock_verification_is_one_pass(mock, mock_terms):
     power, then one multi-exponentiation of the n key terms."""
     rng = random.Random(7)
     keys = [mock.rand_scalar_nonzero(rng) for _ in range(3)]
-    sig, roster = musig.cosign(mock, keys, b"one pass", rng)
+    (sig,), roster = musig.cosign(mock, keys, [b"one pass"], rng)
     mock_terms.clear()
     assert musig.verify(mock, sig, roster, b"one pass")
     assert mock_terms == [1, 3]
@@ -1131,7 +1181,7 @@ def test_batch_verification_is_one_pass(bn256, bn256_terms, mock, mock_terms):
         items, rosters = [], {}
         for i, keys in enumerate([(k1, k2)] * 3 + [(k2, k3)]):
             msg = b"item %d" % i
-            sig, roster = musig.cosign(suite, keys, msg, rng)
+            (sig,), roster = musig.cosign(suite, keys, [msg], rng)
             items.append((sig, rosters.setdefault(keys, roster), msg))
         for batch, terms, hashes in ((items, [1, 3 + 3], 4 * 2), (items[:1], [1, 2], 2)):
             passes.clear()

@@ -69,10 +69,11 @@ def test_setup_and_keygen(tmp_path, capsys):
 def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(SCENARIO))
-    store = tmp_path / "store"
+    store, keys = tmp_path / "store", tmp_path / "keys"
     out_file = tmp_path / "summary.json"
     code, out, _ = run(
-        capsys, "run-scenario", str(scen), "--db", str(store), "--out", str(out_file),
+        capsys, "run-scenario", str(scen), "--db", str(store), "--keys", str(keys),
+        "--out", str(out_file),
     )
     assert code == 0
     summary = json.loads(out)
@@ -82,7 +83,7 @@ def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
 
     code, out, _ = run(
         capsys, "retrieve", "--pp", str(store / "pp.json"), "--db", str(store),
-        "--key", str(store / "keys" / "nurse_kim.json"), "--entry", entry,
+        "--key", str(keys / "nurse_kim.json"), "--entry", entry,
     )
     assert code == 0
     report = json.loads(out)
@@ -102,11 +103,11 @@ def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
 def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(SCENARIO))
-    store = tmp_path / "store"
-    run(capsys, "run-scenario", str(scen), "--db", str(store))
+    store, keys = tmp_path / "store", tmp_path / "keys"
+    run(capsys, "run-scenario", str(scen), "--db", str(store), "--keys", str(keys))
     code, out, err = run(
         capsys, "retrieve", "--pp", str(store / "pp.json"), "--db", str(store),
-        "--key", str(store / "keys" / "dr_grey.json"), "--entry", "missing",
+        "--key", str(keys / "dr_grey.json"), "--entry", "missing",
     )
     assert code == 2
     doc = json.loads(err)
@@ -324,6 +325,83 @@ def test_run_scenario_refused_document_writes_no_file(tmp_path, capsys, change, 
     assert not any(p.is_file() for p in store.rglob("*"))
 
 
+def test_run_scenario_refuses_a_document_without_a_suite(tmp_path, capsys):
+    """A document that names no suite would run on mock, whose keys
+    protect nothing: it is refused before setup and leaves no store."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({k: v for k, v in SCENARIO.items() if k != "suite"}))
+    code, out, err = run(
+        capsys, "run-scenario", str(scen), "--db", str(tmp_path / "store"),
+        "--keys", str(tmp_path / "keys"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "WorkflowError",
+        "message": "malformed scenario: no suite: name bn256, mock or mock-<prime>",
+    }
+    assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
+@pytest.mark.parametrize(
+    "paths, reason",
+    [
+        (["--db", "store", "--keys", "store"], "lies inside the store"),
+        (["--db", "store", "--keys", "store/keys"], "lies inside the store"),
+        (["--db", "store/", "--keys", "other/../store/keys"], "lies inside the store"),
+        (["--keys", "keys"], "only for a persisted store"),
+    ],
+    ids=["the-store", "under-the-store", "dotted-path", "no-store"],
+)
+def test_run_scenario_keeps_keys_out_of_the_store(tmp_path, capsys, paths, reason):
+    """The store is open data, so key bundles are never written into it;
+    a refused layout is refused before setup and leaves nothing."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIO))
+    argv = [str(tmp_path / p) if p[0] != "-" else p for p in paths]
+    code, out, err = run(capsys, "run-scenario", str(scen), *argv)
+    assert code == 2 and out == ""
+    assert reason in json.loads(err)["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scen.json"]
+
+
+def test_secret_files_are_private_and_kept_out_of_the_store(tmp_path, capsys):
+    """Under umask 022 the master key and every key bundle are created
+    with mode 0600, also over an existing file, while public files keep
+    the umask's mode; and after run-scenario no file under the store
+    root holds a key bundle, a signing key or a master key."""
+    pp, msk, key = (tmp_path / name for name in ("pp.json", "msk.json", "key.json"))
+    store, keys = tmp_path / "store", tmp_path / "keys"
+    key.write_text("{}")
+    key.chmod(0o644)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIO))
+    old = os.umask(0o022)
+    try:
+        run(capsys, "setup", "--suite", "mock", "--seed", "1", "--pp", str(pp), "--msk", str(msk))
+        run(capsys, "keygen", "--pp", str(pp), "--msk", str(msk), "--attr", "basic",
+            "--out", str(key), "--seed", "2")
+        code, _, _ = run(
+            capsys, "run-scenario", str(scen), "--db", str(store), "--keys", str(keys)
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    bundles = sorted(keys.iterdir())
+    assert [p.name for p in bundles] == [
+        "dr_grey.json", "hospital.json", "nurse_kim.json", "patient.json"
+    ]
+    for path in [msk, key, *bundles]:
+        assert path.stat().st_mode & 0o077 == 0, path
+    assert pp.stat().st_mode & 0o777 == 0o644
+    assert (store / "pp.json").stat().st_mode & 0o777 == 0o644
+    stored = [p for p in store.rglob("*") if p.is_file()]
+    assert store / "pp.json" in stored and store / tdb.LOG_NAME in stored
+    for path in stored:
+        text = path.read_text()
+        for secret in ('"key-bundle"', '"sk"', '"master-key"', '"delta"'):
+            assert secret not in text, (path, secret)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("attrs", 5), ("components", []), ("sk", None)],
@@ -363,8 +441,8 @@ def test_reads_of_a_missing_store_create_nothing(tmp_path, capsys, command):
     is written, not even a lock."""
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(SCENARIO))
-    store = tmp_path / "store"
-    run(capsys, "run-scenario", str(scen), "--db", str(store))
+    store, keys = tmp_path / "store", tmp_path / "keys"
+    run(capsys, "run-scenario", str(scen), "--db", str(store), "--keys", str(keys))
     empty, snapshot_only = tmp_path / "empty", tmp_path / "snapshot-only"
     empty.mkdir()
     snapshot_only.mkdir()
@@ -373,7 +451,7 @@ def test_reads_of_a_missing_store_create_nothing(tmp_path, capsys, command):
     (snapshot_only / "snapshot.json").write_text(json.dumps(snapshot))
     before = sorted(tmp_path.rglob("*"))
     extra = {
-        "retrieve": ["--key", str(store / "keys" / "dr_grey.json"), "--entry", "x"],
+        "retrieve": ["--key", str(keys / "dr_grey.json"), "--entry", "x"],
         "shuffle": ["--seed", "3"],
     }[command]
     for missing in (tmp_path / "typo" / "store", empty, snapshot_only):

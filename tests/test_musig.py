@@ -33,14 +33,14 @@ def test_cosign_and_verify_small_rosters(mock, rng):
         for _ in range(10):
             keys = distinct_keys(mock, n, rng)
             msg = b"msg-%d" % n
-            sig, roster = cosign(mock, keys, msg, rng)
+            (sig,), roster = cosign(mock, keys, [msg], rng)
             assert len(roster) == n
             assert verify(mock, sig, roster, msg)
 
 
 def test_signature_shape(mock, rng):
     keys = distinct_keys(mock, 3, rng)
-    sig, roster = cosign(mock, keys, b"shape", rng)
+    (sig,), roster = cosign(mock, keys, [b"shape"], rng)
     from etenon.algebra import G0Element
 
     assert isinstance(sig.rc, G0Element)
@@ -51,7 +51,7 @@ def test_signature_shape(mock, rng):
 def test_verify_rejects_every_mutation(mock, rng):
     keys = distinct_keys(mock, 3, rng)
     msg = b"the agreed message"
-    sig, roster = cosign(mock, keys, msg, rng)
+    (sig,), roster = cosign(mock, keys, [msg], rng)
     assert verify(mock, sig, roster, msg)
 
     g = mock.generator
@@ -76,7 +76,7 @@ def test_verify_rejects_every_mutation(mock, rng):
 def test_verification_exponentiation_count(mock, rng):
     for n in (1, 2, 5):
         keys = distinct_keys(mock, n, rng)
-        sig, roster = cosign(mock, keys, b"count", rng)
+        (sig,), roster = cosign(mock, keys, [b"count"], rng)
         with mock.measure() as span:
             assert verify(mock, sig, roster, b"count")
         assert span.exponentiations == n + 1
@@ -93,7 +93,7 @@ def test_batch_with_one_bad_signature_always_fails_on_mock_101(mock):
         items = []
         for i in range(5):
             msg = b"item %d" % i
-            sig, roster = cosign(mock, keys, msg, rng)
+            (sig,), roster = cosign(mock, keys, [msg], rng)
             items.append((sig, roster, msg))
         assert musig.verify_batch(mock, items), seed
         bad = rng.randrange(len(items))
@@ -109,7 +109,7 @@ def test_batch_with_one_bad_signature_always_fails_on_mock_101(mock):
     items = []
     for i, error in enumerate((5, -5)):
         msg = b"item %d" % i
-        sig, roster = cosign(large, keys, msg, rng)
+        (sig,), roster = cosign(large, keys, [msg], rng)
         items.append((MultiSig(rc=sig.rc, s=(sig.s + error) % large.order), roster, msg))
     assert not musig.verify_batch(large, items)
 
@@ -119,8 +119,23 @@ def test_cosign_derives_each_key_once(mock, rng):
     for n in (1, 2, 3):
         keys = distinct_keys(mock, n, rng)
         with mock.measure() as span:
-            cosign(mock, keys, b"count", rng)
+            cosign(mock, keys, [b"count"], rng)
         assert span.exponentiations == 2 * n
+
+
+def test_cosign_signs_every_message_under_one_roster(mock):
+    """m messages by n signers cost n + n*m exponentiations, the roster
+    derived once, and give the signatures m separate runs give from the
+    same seeded generator: the nonces are drawn in the same order."""
+    keys = distinct_keys(mock, 3, random.Random(1))
+    msgs = [b"row 1", b"row 2", b"entry"]
+    with mock.measure() as span:
+        sigs, roster = cosign(mock, keys, msgs, random.Random(7))
+    assert span.exponentiations == 3 + 3 * 3
+    rng = random.Random(7)
+    apart = [cosign(mock, keys, [msg], rng)[0][0] for msg in msgs]
+    assert [(s.rc, s.s) for s in sigs] == [(s.rc, s.s) for s in apart]
+    assert all(verify(mock, sig, roster, msg) for sig, msg in zip(sigs, msgs))
 
 
 def test_session_given_only_a_signing_key_derives_its_own(mock, rng):
@@ -134,7 +149,7 @@ def test_session_given_only_a_signing_key_derives_its_own(mock, rng):
 
 def test_single_signer_roster(mock, rng):
     sk = mock.rand_scalar_nonzero(rng)
-    sig, roster = cosign(mock, [sk], b"solo", rng)
+    (sig,), roster = cosign(mock, [sk], [b"solo"], rng)
     assert len(roster) == 1
     assert verify(mock, sig, roster, b"solo")
 
@@ -142,7 +157,7 @@ def test_single_signer_roster(mock, rng):
 def test_cosign_on_bn256(bn256):
     rng = random.Random(2024)
     keys = distinct_keys(bn256, 3, rng)
-    sig, roster = cosign(bn256, keys, b"curve msg", rng)
+    (sig,), roster = cosign(bn256, keys, [b"curve msg"], rng)
     assert verify(bn256, sig, roster, b"curve msg")
     assert not verify(bn256, sig, roster, b"curve msg!")
 
@@ -152,6 +167,14 @@ def test_session_rejects_duplicate_roster(mock, rng):
     vk = mock.generator ** sk
     with pytest.raises(MusigError):
         SignSession(mock, sk, (vk, vk), b"m", rng)
+
+
+@pytest.mark.parametrize(
+    "keys, reason", [([], "roster is empty"), ([5, 5], "roster repeats a key")]
+)
+def test_cosign_refuses_a_roster_no_session_may_sign_for(mock, keys, reason):
+    with pytest.raises(MusigError, match="^%s$" % reason):
+        cosign(mock, keys, [b"m"])
 
 
 # roster shapes that let one party, or none, sign for the whole roster,
@@ -307,7 +330,7 @@ def test_challenge_binds_index_and_roster(mock, rng):
 
 def test_sig_json_roundtrip(mock, rng):
     keys = distinct_keys(mock, 2, rng)
-    sig, roster = cosign(mock, keys, b"serialize me", rng)
+    (sig,), roster = cosign(mock, keys, [b"serialize me"], rng)
     back = musig.sig_from_json(musig.sig_to_json(mock, sig), mock)
     assert back.rc == sig.rc
     assert back.s == sig.s

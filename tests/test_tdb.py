@@ -57,7 +57,7 @@ def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entr
     structure = tenon.build_structure(list(blocks), rng)
     rows = []
     for t in structure.triples:
-        sig, _ = musig.cosign(suite, sks, tdb.row_digest(pp_bytes, t, timestamp), rng)
+        (sig,), _ = musig.cosign(suite, sks, [tdb.row_digest(pp_bytes, t, timestamp)], rng)
         rows.append(OpenRow(
             pointer=t.pointer, block=t.block, next=t.next, sig=sig,
             roster_ref=roster_ref, timestamp=timestamp,
@@ -65,7 +65,7 @@ def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entr
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
     ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
     digest = tdb.entry_digest(pp_bytes, entry_id, label, mlabe.ct_canonical_bytes(ct), timestamp)
-    sig, _ = musig.cosign(suite, sks, digest, rng)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     secret = SecretEntry(
         entry_id=entry_id, ciphertext=ct, sig=sig,
         roster_ref=roster_ref, access_label=label, timestamp=timestamp,
@@ -146,7 +146,7 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, pa
     sks, roster = sign_keys(suite, rng)
     pointer = tenon.make_pointer(rng)
     digest = tdb.signed_digest("block", payload, pointer.bytes, pp.encode(), 7)
-    sig, _ = musig.cosign(suite, sks, digest, rng)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     row = OpenRow(pointer, "x", None, sig, "r", 7)
 
     db = TenonDb(pp, root=tmp_path)
@@ -371,7 +371,8 @@ def _spaced_entry(suite, pp, rng):
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
     ct = mlabe.encrypt(pp, {1: b"x"}, tree, rng)
     ct_bytes = json.dumps(mlabe.ct_to_json(ct), sort_keys=True).encode()
-    sig, _ = musig.cosign(suite, sks, tdb.entry_digest(pp.encode(), "spaced", "c", ct_bytes, 7), rng)
+    digest = tdb.entry_digest(pp.encode(), "spaced", "c", ct_bytes, 7)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     entry = SecretEntry("spaced", ct, sig, "spaced", "c", 7, ct_bytes=ct_bytes)
     return [], entry, {"spaced": roster}
 
@@ -520,7 +521,7 @@ def _entry_with_unsigned_bundle(suite, pp, rng, entry_id="e"):
     unsigned, signed = (mlabe.encrypt(pp, {1: m}, tree, rng) for m in (b"unsigned", b"signed"))
     ct_bytes = mlabe.ct_canonical_bytes(signed)
     digest = tdb.entry_digest(pp.encode(), entry_id, "clinical", ct_bytes, 7)
-    sig, _ = musig.cosign(suite, sks, digest, rng)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     entry = SecretEntry(entry_id, unsigned, sig, entry_id, "clinical", 7, ct_bytes=ct_bytes)
     return entry, roster, ct_bytes
 
@@ -586,7 +587,7 @@ def test_signed_entry_that_does_not_decode_fails_when_read(any_system, tmp_path,
     doc = _undecodable(suite, mlabe.ct_to_json(mlabe.encrypt(pp, {1: b"x"}, tree, rng)))
     ct_bytes = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     digest = tdb.entry_digest(pp.encode(), "bad", "clinical", ct_bytes, 7)
-    sig, _ = musig.cosign(suite, sks, digest, rng)
+    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     batch = {
         "rows": [],
         "secret": {"entry_id": "bad", "ciphertext": doc, "sig": musig.sig_to_json(suite, sig),

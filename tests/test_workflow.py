@@ -572,6 +572,18 @@ def test_agreement_refuses_fields_the_log_cannot_carry(field, value, reason):
     assert span.exponentiations == 0
 
 
+def test_agreement_derives_the_roster_once():
+    """An agreement over k levels, l leaves and m rows spends 2(k+l)
+    exponentiations on each of its two encryptions and n + n(m+1) on
+    co-signing the rows and the ciphertext under one roster of n."""
+    ctx = fresh_ctx()
+    with ctx.suite.measure() as span:
+        tr = agree(ctx)
+    k, l, n, m = 3, 3, 2, len(tr.rows)
+    assert tr.agreed and m == 5
+    assert span.exponentiations == 4 * (k + l) + n * (m + 2)
+
+
 def test_identifiable_text_never_reaches_open_rows():
     ctx = fresh_ctx()
     tr = agree(ctx)
@@ -739,12 +751,13 @@ def _cosigned_cycle(ctx):
     rows = []
     for pointer, nxt in ((a, b), (b, a)):
         triple = tenon.Triple(pointer, "loop", nxt)
-        sig, roster = musig.cosign(ctx.suite, keys, tdb.row_digest(pp_bytes, triple, t), ctx.rng)
+        digest = tdb.row_digest(pp_bytes, triple, t)
+        (sig,), roster = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
         rows.append(tdb.OpenRow(pointer, "loop", nxt, sig, "cycle", t))
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic")
     ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(a)}, tree, ctx.rng)
     digest = tdb.entry_digest(pp_bytes, "cycle", "clinical", mlabe.ct_canonical_bytes(ct), t)
-    sig, _ = musig.cosign(ctx.suite, keys, digest, ctx.rng)
+    (sig,), _ = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
     secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
     assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
     return a, b
@@ -918,7 +931,7 @@ def test_scenario_refuses_a_retrieval_that_cannot_run(tmp_path, change, reason):
         **change,
     }
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
-        run_scenario(doc, db_root=tmp_path / "db", emit_dir=tmp_path / "db")
+        run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
     assert not (tmp_path / "db").exists()
 
 
@@ -940,7 +953,7 @@ def test_a_seeded_scenario_on_bn256_must_be_asked_for(tmp_path, insecure):
         **({} if insecure is None else {"insecure_seed": insecure}),
     }
     with pytest.raises(WorkflowError, match=r'^malformed scenario: .*"insecure_seed": true$'):
-        run_scenario(doc, db_root=tmp_path / "db", emit_dir=tmp_path / "db")
+        run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -956,10 +969,10 @@ def test_scenario_emit_dir(tmp_path):
         "do": "patient",
         "sp": "hospital",
     }
-    run_scenario(doc, db_root=tmp_path, emit_dir=tmp_path)
-    assert (tmp_path / "pp.json").exists()
+    run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
+    assert (tmp_path / "db" / "pp.json").exists()
     names = {p.name for p in (tmp_path / "keys").iterdir()}
     assert names == {"patient.json", "hospital.json", "dr_grey.json", "nurse_kim.json"}
-    doc2 = json.loads((tmp_path / "pp.json").read_text())
+    doc2 = json.loads((tmp_path / "db" / "pp.json").read_text())
     pp = mlabe.pp_from_json(doc2)
     assert pp.suite.name == "mock-101"
