@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-scenario", help="drive a configured multi-party run")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--db", default=None, help="persist the store, and pp.json, here")
+    p.add_argument("--db", default=None, help="persist a new store, and pp.json, here")
     p.add_argument(
         "--keys", default=None, help="write every key bundle here, outside --db (needs --db)"
     )

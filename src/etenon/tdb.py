@@ -5,7 +5,8 @@ multi-signature, and anyone may read them.  Secret entries hold a
 ciphertext bundle with its own multi-signature and a coarse access
 label checked on fetch.  Ingest is all or nothing: every signature in
 the batch must verify against its named roster before anything is
-stored; a rejected batch leaves both memory and the persisted log
+stored, and a batch must sign something under each roster it carries;
+a rejected batch leaves both memory and the persisted log
 byte-identical.  The gate admits a batch as its log line, through the
 decoder and the checks that replay runs, so a live store holds exactly
 what a reopen of its log holds.
@@ -245,6 +246,16 @@ class TenonDb:
         entry id against the store and ``view``, which then holds them;
         the first problem raises :class:`TdbError`."""
         known, pointers, entries = view
+        # a batch carries only rosters it signs under, so no ref is claimed
+        # without a signature
+        used = {row.roster_ref for row in rows}
+        if secret is not None:
+            used.add(secret.roster_ref)
+        if not used:
+            raise TdbError("batch signs nothing")
+        for ref in rosters:
+            if ref not in used:
+                raise TdbError("roster %r signs nothing in the batch" % ref)
         # refs are write-once, so every stored row keeps the roster it was
         # signed under
         for ref, vks in rosters.items():
@@ -285,9 +296,10 @@ class TenonDb:
         checked as replay checks it, so the store holds what a reopen
         reads; a batch the log could not carry back is refused with the
         decoder's reason.
-        ``rosters`` maps roster refs to verification-key sequences; refs
-        already stored by earlier accepted batches may be reused, and
-        repeated only with the keys they were stored with.  The storage
+        ``rosters`` maps roster refs to verification-key sequences, each
+        the roster of a row or the entry of the batch; refs already
+        stored by earlier accepted batches may be reused, and repeated
+        only with the keys they were stored with.  The storage
         order is reshuffled after every accepted batch.
         """
         # The gate reads the given entry in full, so a malformed ciphertext

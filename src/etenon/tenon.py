@@ -1,7 +1,9 @@
 """EHR preprocessing: classify columns, tokenize text, chain blocks.
 
-A record is a list of named columns.  Classification rules split the
-columns into identifiable ones (held back for sealing) and the rest.
+A record is a list of named columns.  Two tables of column-name
+patterns, ``IDENTIFIABLE_COLUMNS`` and ``ATOMIC_COLUMNS``, split the
+columns into identifiable ones (held back for sealing) and the rest,
+some of which are atomic: kept whole, never split into blocks.
 Each remaining column's text is tokenized into blocks -- one main word
 per block, preceded by whatever stopwords ran up to it -- and a block
 sequence becomes a pointer chain: every block gets a fresh 128-bit
@@ -29,7 +31,7 @@ Pointer = uuid.UUID
 
 
 class TenonError(EtenonError):
-    """Bad record data, rule configuration, or chain structure."""
+    """Bad record data or chain structure."""
 
 
 class Classification(enum.Enum):
@@ -76,74 +78,28 @@ def columns_to_json(columns) -> list:
 # classification
 
 
-_LABELS = {
-    "identifiable": (Classification.IDENTIFIABLE, False),
-    "nonpii": (Classification.NONPII, False),
-    "atomic": (Classification.NONPII, True),
-}
+# Shell-style patterns, matched case-insensitively against column names.
+IDENTIFIABLE_COLUMNS = (
+    "nino", "*national_insurance*", "name", "*full_name*", "*patient_name*",
+    "address*", "postcode", "zip*", "dob", "*date_of_birth*", "*birth_date*",
+    "email*", "mobile*", "phone*", "telephone*", "passport*", "ssn",
+)
+ATOMIC_COLUMNS = ("blood_type", "blood_pressure", "*_code")
 
 
-class ClassificationRules:
-    """Ordered column-name patterns; first match wins, default catches.
-
-    The file form is ``pattern = label`` per line, ``#`` comments, with
-    labels ``identifiable``, ``nonpii`` or ``atomic`` (non-PII text that
-    must never be split into blocks).  Patterns are shell-style and
-    matched case-insensitively.  The ``default`` pattern, when present,
-    labels anything nothing else matched.
-    """
-
-    def __init__(self, rules, default: str | None):
-        for _, label in rules:
-            if label not in _LABELS:
-                raise TenonError("unknown classification label %r" % label)
-        if default is not None and default not in _LABELS:
-            raise TenonError("unknown classification label %r" % default)
-        self.rules = tuple(rules)
-        self.default = default
-
-    @classmethod
-    def parse(cls, text: str) -> "ClassificationRules":
-        rules = []
-        default = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise TenonError("rules line %d has no '='" % lineno)
-            pattern, label = (part.strip() for part in line.split("=", 1))
-            if not pattern:
-                raise TenonError("rules line %d has an empty pattern" % lineno)
-            if pattern == "default":
-                default = label
-            else:
-                rules.append((pattern, label))
-        return cls(rules, default)
-
-    @classmethod
-    @functools.cache
-    def shipped(cls) -> "ClassificationRules":
-        """The shipped rules, read once per process."""
-        text = resources.files("etenon").joinpath("data/classify_rules.cfg").read_text()
-        return cls.parse(text)
-
-    def label_for(self, name: str) -> tuple[Classification, bool]:
-        lowered = name.lower()
-        for pattern, label in self.rules:
-            if fnmatch.fnmatchcase(lowered, pattern.lower()):
-                return _LABELS[label]
-        if self.default is not None:
-            return _LABELS[self.default]
-        raise TenonError("no classification rule matches column %r" % name)
-
-
-def classify(record: EhrRecord, rules: ClassificationRules) -> EhrRecord:
-    """Return the record with every column labelled."""
+def classify(record: EhrRecord) -> EhrRecord:
+    """Return the record with every column labelled: identifiable when an
+    ``IDENTIFIABLE_COLUMNS`` pattern matches its name, else non-PII, and
+    then atomic (never split into blocks) when an ``ATOMIC_COLUMNS``
+    pattern matches."""
     columns = []
     for col in record.columns:
-        label, atomic = rules.label_for(col.name)
-        columns.append(replace(col, label=label, atomic=atomic))
+        name = col.name.lower()
+        if any(fnmatch.fnmatchcase(name, p) for p in IDENTIFIABLE_COLUMNS):
+            columns.append(replace(col, label=Classification.IDENTIFIABLE, atomic=False))
+        else:
+            atomic = any(fnmatch.fnmatchcase(name, p) for p in ATOMIC_COLUMNS)
+            columns.append(replace(col, label=Classification.NONPII, atomic=atomic))
     return EhrRecord(columns=tuple(columns))
 
 

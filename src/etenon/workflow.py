@@ -1,7 +1,7 @@
 """End-to-end protocol: setup, co-signed accumulation, retrieval.
 
-A central authority runs setup and hands the master key to the
-attribute authority, which issues key bundles.  Owner and provider
+Setup draws the public parameters and the master key, issues every
+participant its keys and keeps no master key.  Owner and provider
 first agree the terms (:func:`agree_terms`): the policy, the level
 assignment, the access label and the timestamp.  The agreement then
 runs as two halves, and both read a record through one function,
@@ -48,7 +48,7 @@ from .codec import canonical_json, decoding, typed, write_json
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
 from .tdb import OpenRow, SecretEntry, TdbError, TenonDb
-from .tenon import Classification, ClassificationRules, EhrRecord, load_stopwords
+from .tenon import Classification, EhrRecord, load_stopwords
 
 
 class WorkflowError(EtenonError):
@@ -56,11 +56,8 @@ class WorkflowError(EtenonError):
 
 
 class Role(enum.Enum):
-    CTA = "CTA"
-    AA = "AA"
     DO = "DO"
     SP = "SP"
-    TDB = "TDB"
     DU = "DU"
 
 
@@ -68,7 +65,7 @@ class Role(enum.Enum):
 class Entity:
     role: Role
     name: str
-    keys: KeyBundle | None = None
+    keys: KeyBundle
 
 
 @dataclass
@@ -92,25 +89,19 @@ def phase_setup(
     rng=None,
     db_root=None,
 ) -> SystemContext:
-    """Run system setup and issue keys.
+    """Run system setup and issue keys; the context holds exactly the
+    participants.
 
-    ``participants`` maps entity names to ``{"role": ..., "attrs": [...]}``.
-    An entry with ``"attrs": null`` gets a self-generated signing pair
-    only, which is all a provider needs, since it checks by
-    re-encryption; anyone else receives a full bundle from the attribute
-    authority.  The central authority does not
-    retain the master key after handing it over.
+    ``participants`` maps entity names to ``{"role": ..., "attrs": [...]}``,
+    where the role is ``DO``, ``SP`` or ``DU`` (the default).  An entry
+    with ``"attrs": null`` gets a self-generated signing pair only, which
+    is all a provider needs, since it checks by re-encryption; anyone
+    else receives a full bundle.  The master key is not kept.
     """
     suite = get_suite(suite_name)
     pp, msk = mlabe.setup(suite, rng)
-    entities = {
-        "cta": Entity(role=Role.CTA, name="cta"),
-        "aa": Entity(role=Role.AA, name="aa"),
-        "tdb": Entity(role=Role.TDB, name="tdb"),
-    }
+    entities = {}
     for name, spec in (participants or {}).items():
-        if name in entities:
-            raise WorkflowError("entity name %r is reserved" % name)
         try:
             role = Role[spec.get("role", "DU")]
         except KeyError:
@@ -273,8 +264,8 @@ def agree_terms(
 def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     """Read a record under the agreed terms, as both halves of the
     agreement do: the owner on the record it packs, the provider on its
-    own copy.  The record is classified by the shipped rules and split
-    into blocks around the shipped stopwords.
+    own copy.  The record is classified by :func:`tenon.classify` and
+    split into blocks around the shipped stopwords.
 
     Every non-PII column must be assigned to exactly one chain level, no
     identifiable column may ride a chain, and identifiable columns need
@@ -283,7 +274,7 @@ def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     back for sealing; a record that does not fit the terms raises
     :class:`WorkflowError`.
     """
-    labelled = tenon.classify(record, ClassificationRules.shipped())
+    labelled = tenon.classify(record)
     by_name = {c.name: c for c in labelled.columns}
     assigned = [name for names in terms.level_columns.values() for name in names]
     for name in assigned:
@@ -380,8 +371,6 @@ def cosign_package(
     :func:`preprocess_record` refuses is refused with its text."""
     do = ctx.entity(do_name)
     sp = ctx.entity(sp_name)
-    if do.keys is None or sp.keys is None:
-        raise WorkflowError("both agreement parties need signing keys")
     if do is sp:
         raise WorkflowError("%r cannot be both owner and provider" % do_name)
     steps = [
@@ -520,7 +509,7 @@ def phase_retrieval(
 ) -> RetrievalReport:
     """Fetch, verify, decrypt and reconstruct as one data user."""
     du = ctx.entity(du_name)
-    if du.keys is None or du.keys.decryption is None:
+    if du.keys.decryption is None:
         raise WorkflowError("entity %r has no decryption key" % du_name)
     return retrieve_entry(ctx.pp, ctx.db, du.keys, entry_id, access_label)
 
@@ -627,7 +616,7 @@ def _emit_context(ctx: SystemContext, db_root, keys_dir) -> None:
     keys_dir = Path(keys_dir)
     keys_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     for name, entity in ctx.entities.items():
-        if entity.keys is None or entity.keys.decryption is None:
+        if entity.keys.decryption is None:
             continue
         write_json(keys_dir / (name + ".json"), mlabe.key_to_json(ctx.suite, entity.keys),
                    secret=True)
@@ -653,8 +642,10 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     fixed seed makes the entire run, store layout included,
     deterministic, and every key public: on a suite other than mock it
     is refused unless the document also holds ``"insecure_seed": true``.
-    With ``db_root`` the store persists there, with the public
-    parameters beside its log as ``pp.json``.  With ``keys_dir`` every
+    With ``db_root`` a new store persists there, with the public
+    parameters beside its log as ``pp.json``; a directory that already
+    holds a store's log is refused before any step runs, since the run
+    draws new public parameters.  With ``keys_dir`` every
     participant's key bundle is written there too, so the command-line
     tools can work the resulting store afterwards; the store is open
     data, so a ``keys_dir`` inside ``db_root``, or one without a store,
@@ -662,6 +653,8 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     """
     import random as _random
 
+    if db_root is not None and (Path(db_root) / tdb.LOG_NAME).exists():
+        raise WorkflowError("a store already exists at %s; a scenario starts a new one" % db_root)
     if keys_dir is not None:
         if db_root is None:
             raise WorkflowError("key bundles are written only for a persisted store")

@@ -12,6 +12,7 @@ import pytest
 from etenon import cli, mlabe, tdb, tenon, workflow
 from etenon.codec import b64
 
+ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO = {
     "suite": "mock",
@@ -220,7 +221,7 @@ def _deeply_nested(batch):
 
 def _assert_cli_json_error(error, *argv):
     """Run the CLI in a fresh interpreter; it must fail with one JSON line."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
@@ -650,23 +651,37 @@ def test_bench_policy_text_parses():
     assert set(tree.levels) == {1, 2, 3}
 
 
-def test_console_entry_point_is_declared():
-    # Read the declaration from pyproject.toml, not installed metadata,
-    # so the check also runs from a checkout with no install.
-    import sys
-    from importlib.metadata import EntryPoint
-    from pathlib import Path
-
+def _pyproject() -> dict:
+    """pyproject.toml, read from the checkout rather than installed
+    metadata, so the checks also run with no install."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+
+def test_console_entry_point_is_declared():
+    from importlib.metadata import EntryPoint
+
+    scripts = _pyproject()["project"]["scripts"]
     assert scripts.get("etenon") == "etenon.cli:main"
     ep = EntryPoint(name="etenon", value=scripts["etenon"], group="console_scripts")
     assert ep.load() is cli.main
+
+
+def test_package_data_globs_match_the_data_files():
+    """Every data file is shipped by a package-data glob and every glob
+    ships a file: an editable install reads the source tree, so a file
+    left out of the package data would fail only in a real install."""
+    globs = _pyproject()["tool"]["setuptools"]["package-data"]["etenon"]
+    package = ROOT / "src" / "etenon"
+    files = {p.relative_to(package) for p in (package / "data").iterdir() if p.is_file()}
+    assert files
+    for glob in globs:
+        assert any(f.match(glob) for f in files), "glob %r ships no file" % glob
+    for f in files:
+        assert any(f.match(glob) for glob in globs), "%s is not package data" % f
 
 
 @pytest.mark.parametrize("command", ["setup", "keygen", "ingest", "shuffle", "bench"])

@@ -89,11 +89,16 @@ def test_roundtrip_two_levels(mock_setup):
     full = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
     assert mlabe.decrypt(pp, ct, full.decryption) == payloads
 
-    # a level whose seal fails authentication is omitted; the others open
-    c_2, sealed = ct.levels[2]
-    flipped = bytes([sealed[0] ^ 1]) + sealed[1:]
-    bad = replace(ct, levels={**ct.levels, 2: (c_2, flipped)})
-    assert mlabe.decrypt(pp, bad, full.decryption) == {1: payloads[1]}
+    # a level whose seal fails authentication, in its masked bytes or in
+    # its tag, is omitted; the others open
+    for level, at in ((2, 0), (1, -1)):
+        c_l, sealed = ct.levels[level]
+        flipped = bytearray(sealed)
+        flipped[at] ^= 1
+        bad = replace(ct, levels={**ct.levels, level: (c_l, bytes(flipped))})
+        assert mlabe.decrypt(pp, bad, full.decryption) == {
+            other: payloads[other] for other in payloads if other != level
+        }
 
     partial = mlabe.keygen(pp, msk, ["basic"], rng)
     assert mlabe.decrypt(pp, ct, partial.decryption) == {1: payloads[1]}
@@ -228,6 +233,17 @@ def test_key_from_one_system_fails_in_another(mock, rng):
 # serialization envelopes
 
 
+def test_decrypt_refuses_a_ciphertext_of_another_suite(mock_setup):
+    suite, pp, msk, rng = mock_setup
+    pp7, _ = mlabe.setup(get_suite("mock-7"), rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
+    ct = mlabe.encrypt(pp7, {1: b"msg"}, tree, rng)
+    key = mlabe.keygen(pp, msk, ["a"], rng)
+    for decrypt in (mlabe.decrypt, mlabe.decrypt_gt):
+        with pytest.raises(MlabeError, match="^ciphertext was made on suite mock-7, not mock-101$"):
+            decrypt(pp, ct, key.decryption)
+
+
 def test_pp_envelope_roundtrip(mock_setup):
     suite, pp, _, _ = mock_setup
     doc = mlabe.pp_to_json(pp)
@@ -267,6 +283,16 @@ def test_ct_envelope_roundtrip(mock_setup):
     bundle = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
     assert mlabe.decrypt(pp, back, bundle.decryption) == payloads
     assert mlabe.ct_canonical_bytes(back) == mlabe.ct_canonical_bytes(ct)
+
+
+def test_ct_from_json_refuses_levels_its_policy_does_not_declare(mock_setup):
+    suite, pp, _, rng = mock_setup
+    ct = mlabe.encrypt(pp, {1: b"alpha", 2: b"beta"}, policy.parse_policy(TWO_LEVELS), rng)
+    doc = mlabe.ct_to_json(ct)
+    first, second = doc["levels"]
+    for levels in ([first], [first, dict(second, level=3)]):
+        with pytest.raises(MlabeError, match="^ciphertext levels do not match its policy$"):
+            mlabe.ct_from_json(dict(doc, levels=levels), suite)
 
 
 def test_envelope_rejects_wrong_kind_and_suite(mock_setup):

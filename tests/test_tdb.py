@@ -50,9 +50,10 @@ def sign_keys(suite, rng, n=2):
 
 
 def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entry-1",
-               roster_ref="batch-1", label="clinical", timestamp=1_700_000_000):
-    """A correctly signed batch: one chain of open rows plus one secret."""
-    sks, roster = sign_keys(suite, rng)
+               roster_ref="batch-1", label="clinical", timestamp=1_700_000_000, keys=None):
+    """A correctly signed batch: one chain of open rows plus one secret,
+    signed under ``keys`` (a :func:`sign_keys` pair) or fresh keys."""
+    sks, roster = keys or sign_keys(suite, rng)
     pp_bytes = pp.encode()
     structure = tenon.build_structure(list(blocks), rng)
     rows = []
@@ -1029,7 +1030,8 @@ def test_roster_ref_is_write_once(system, tmp_path):
     redefine it, so every stored row keeps the roster it was signed under."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
+    keys = sign_keys(suite, rng)
+    rows, secret, rosters = make_batch(suite, pp, rng, keys=keys)
     assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
     rows2, secret2, rosters2 = make_batch(
         suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="batch-1"
@@ -1037,11 +1039,50 @@ def test_roster_ref_is_write_once(system, tmp_path):
     r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
     assert not r.accepted and "already defined" in r.reason
     assert db.roster("batch-1") == rosters["batch-1"]
-    assert db.ingest([], rosters=rosters, rng=rng).accepted  # same keys: fine
+    rows3, _, rosters3 = make_batch(suite, pp, rng, blocks=("r",), keys=keys)
+    assert db.ingest(rows3, rosters=rosters3, rng=rng).accepted  # same keys: fine
     db.save_snapshot()
     reopened = TenonDb(pp, root=tmp_path)
     assert reopened.find_row(rows[0].pointer) == rows[0]
     assert reopened.roster("batch-1") == rosters["batch-1"]
+
+
+def _with_unused_roster(suite, pp, rng):
+    rows, secret, rosters = make_batch(suite, pp, rng, entry_id="entry-2", roster_ref="batch-2")
+    return rows, secret, dict(rosters, squat=sign_keys(suite, rng)[1])
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda suite, pp, rng: ([], None, {}), "batch signs nothing"),
+        (lambda suite, pp, rng: ([], None, {"squat": sign_keys(suite, rng)[1]}),
+         "batch signs nothing"),
+        (_with_unused_roster, "roster 'squat' signs nothing in the batch"),
+    ],
+    ids=["empty", "roster-only", "unused-roster"],
+)
+def test_a_batch_claims_only_the_rosters_it_signs_under(system, tmp_path, build, reason):
+    """A batch with no row and no entry, or with a roster none of its
+    signatures is under, is refused by the gate and by replay, so no
+    write-once ref is claimed without a signature."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    assert db.ingest(*make_batch(suite, pp, rng), rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    log_bytes = log.read_bytes()
+    rows, secret, rosters = build(suite, pp, rng)
+    r = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    assert not r.accepted and r.reason == reason
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        "lock": b"", "log.jsonl": log_bytes,
+    }
+    with pytest.raises(TdbError, match="unknown roster 'squat'"):
+        db.roster("squat")
+    line = canonical_json(tdb.batch_to_json(suite, rows, secret, rosters))
+    log.write_bytes(log_bytes + line + b"\n")
+    with pytest.raises(TdbError, match=r"^log line 2: %s$" % re.escape(reason)):
+        TenonDb(pp, root=tmp_path)
 
 
 def test_snapshot_requires_root(system):

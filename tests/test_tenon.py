@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from etenon import tenon
 from etenon.tenon import (
     Classification,
-    ClassificationRules,
     EhrColumn,
     EhrRecord,
     TenonError,
@@ -98,60 +97,33 @@ def test_record_rejects_duplicate_columns():
 
 
 def test_shipped_rules_classify_identifiers():
-    rules = ClassificationRules.shipped()
     record = record_from_json(
         [
             {"name": "nino", "value": "QQ123456C"},
             {"name": "name", "value": "A Person"},
             {"name": "symptom", "value": "pain in the chest"},
             {"name": "blood_type", "value": "O+"},
+            # zip_code also matches the atomic *_code: identifiable wins;
+            # patterns match whatever the case
+            {"name": "zip_code", "value": "AB1 2CD"},
+            {"name": "Phone_2", "value": "555 0100"},
+            {"name": "blood_pressure", "value": "120 over 80"},
+            {"name": "lab_code", "value": "HB 12"},
         ]
     )
-    labelled = classify(record, rules)
+    labelled = classify(record)
     by_name = {c.name: c for c in labelled.columns}
-    assert by_name["nino"].label is Classification.IDENTIFIABLE
-    assert by_name["name"].label is Classification.IDENTIFIABLE
+    for name in ("nino", "name", "zip_code", "Phone_2"):
+        assert by_name[name].label is Classification.IDENTIFIABLE
+        assert not by_name[name].atomic
     assert by_name["symptom"].label is Classification.NONPII
-    assert by_name["blood_type"].label is Classification.NONPII
-    assert by_name["blood_type"].atomic
-    assert labelled.identifiable() == (by_name["nino"], by_name["name"])
-
-
-def test_custom_rules_parse_and_match():
-    rules = ClassificationRules.parse(
-        """
-        # custom
-        patient_* = identifiable
-        note = nonpii
-        dosage = atomic
-        default = nonpii
-        """
+    assert not by_name["symptom"].atomic
+    for name in ("blood_type", "blood_pressure", "lab_code"):
+        assert by_name[name].label is Classification.NONPII
+        assert by_name[name].atomic
+    assert labelled.identifiable() == tuple(
+        by_name[n] for n in ("nino", "name", "zip_code", "Phone_2")
     )
-    record = record_from_json(
-        [
-            {"name": "patient_ref", "value": "x"},
-            {"name": "dosage", "value": "5 mg"},
-            {"name": "anything", "value": "y"},
-        ]
-    )
-    labelled = classify(record, rules)
-    assert labelled.columns[0].label is Classification.IDENTIFIABLE
-    assert labelled.columns[1].atomic
-    assert labelled.columns[2].label is Classification.NONPII
-
-
-def test_rules_without_default_require_cover():
-    rules = ClassificationRules.parse("nino = identifiable\n")
-    record = record_from_json([{"name": "other", "value": "x"}])
-    with pytest.raises(TenonError):
-        classify(record, rules)
-
-
-def test_rules_reject_unknown_label():
-    with pytest.raises(TenonError):
-        ClassificationRules.parse("x = sensitive\n")
-    with pytest.raises(TenonError):
-        ClassificationRules.parse("x nonpii\n")
 
 
 def test_is_tokenizable():

@@ -83,14 +83,11 @@ def agree(ctx):
 
 def test_phase_setup_issues_keys():
     ctx = fresh_ctx()
-    assert set(ctx.entities) == {"cta", "aa", "tdb"} | set(PARTICIPANTS)
+    assert set(ctx.entities) == set(PARTICIPANTS)
     hospital = ctx.entity("hospital")
     assert hospital.role is Role.SP
     assert hospital.keys.decryption.attrs == {"basic", "doctor", "records"}
     assert hospital.keys.verification == ctx.suite.generator ** hospital.keys.signing
-    # the plain authority entities hold no keys of their own
-    assert ctx.entity("cta").keys is None
-    assert ctx.entity("aa").keys is None
 
 
 def test_phase_setup_signing_only_participant():
@@ -104,11 +101,13 @@ def test_phase_setup_signing_only_participant():
     assert keys.verification == ctx.suite.generator ** keys.signing
 
 
-def test_phase_setup_rejects_reserved_and_unknown():
-    with pytest.raises(WorkflowError):
-        phase_setup("mock", {"aa": {"role": "DO", "attrs": []}})
-    with pytest.raises(WorkflowError):
-        phase_setup("mock", {"x": {"role": "WIZARD", "attrs": []}})
+def test_phase_setup_rejects_an_unknown_role():
+    for role in ("WIZARD", "CTA"):
+        with pytest.raises(WorkflowError, match="unknown role '%s'" % role):
+            phase_setup("mock", {"x": {"role": role, "attrs": []}})
+    # the names of the paper's authorities are free for participants
+    ctx = phase_setup("mock", {"aa": {"role": "DO", "attrs": []}}, rng=random.Random(1))
+    assert set(ctx.entities) == {"aa"} and ctx.entity("aa").role is Role.DO
 
 
 def test_payload_kind_roundtrip(rng):
@@ -976,3 +975,28 @@ def test_scenario_emit_dir(tmp_path):
     doc2 = json.loads((tmp_path / "db" / "pp.json").read_text())
     pp = mlabe.pp_from_json(doc2)
     assert pp.suite.name == "mock-101"
+
+
+@pytest.mark.parametrize("seed", [4, 5], ids=["same-seed", "other-seed"])
+def test_scenario_refuses_a_store_that_exists(tmp_path, seed):
+    """A run draws new public parameters, so a directory that already
+    holds a store is refused before setup, whatever the seed, and every
+    file in it is left as it was."""
+    doc = {
+        "suite": "mock",
+        "seed": 4,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+    }
+    store = tmp_path / "db"
+    assert run_scenario(doc, db_root=store)["ingest"]["accepted"]
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    with pytest.raises(WorkflowError, match=r"^a store already exists at %s;" % re.escape(str(store))):
+        run_scenario(dict(doc, seed=seed), db_root=store, keys_dir=tmp_path / "keys")
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+    assert not (tmp_path / "keys").exists()
