@@ -147,10 +147,11 @@ class Group(NamedTuple):
     multiplication by a constant lambda, and ``split(k)`` gives signed
     halves (k0, k1) with k = k0 + lambda*k1 mod order, each with
     |k_i| + 2 below 2**``half_bits`` for 0 <= k < order (see
-    :func:`split_mul`).  ``window``, ``row`` (a row of values as one
-    flat tuple), ``add_entry(r, row, d)`` (r plus d times the row's
-    value for an odd digit d) and the ``generator``, whose table is
-    built once, describe fixed-base tables (see :func:`table`).
+    :func:`split_mul`).  ``window``, ``columns`` (the arithmetic that
+    builds a table a column at a time, see :class:`Columns`),
+    ``add_entry(r, row, d)`` (r plus d times the row's value for an odd
+    digit d) and the ``generator``, whose table is built once, describe
+    fixed-base tables (see :func:`table`).
     ``encode`` and ``decode`` are the wire codec, which the suite
     supplies."""
 
@@ -164,7 +165,7 @@ class Group(NamedTuple):
     split: Callable = None
     half_bits: int = None
     window: int = None
-    row: Callable = None
+    columns: "Columns" = None
     add_entry: Callable = None
     generator: tuple = None
     encode: Callable = None
@@ -943,22 +944,89 @@ def final_exp(inp):
 # result.  Each window trades adds against memory (see the README).  P
 # must lie in the order-r subgroup, which for GT lies in the cyclotomic
 # subgroup, where the conjugate is the inverse.
+#
+# A table is built a column at a time.  Doublings give each row's base
+# P_i = 2**(w*i) * P and its double 2*P_i, which are normalised with
+# one inversion; column j + 1 is then column j plus each row's 2*P_i.
+# On a curve a column is a list of affine points, and the additions of
+# a column step share one inversion of the product of their slope
+# denominators (Montgomery's simultaneous inversion, "Speeding the
+# Pollard and elliptic curve methods of factorization", Math. Comp.
+# 1987): a table entry costs about six multiplications in the
+# coordinate field, where a Jacobian add costs about sixteen before it
+# is normalised.  GT values have no affine form, so a column step there
+# is one multiplication per row.
+
+
+class Columns(NamedTuple):
+    """How :func:`_table` builds a group's table a column at a time:
+    ``normal(values)`` gives the values' normal forms, ``add(column,
+    steps)`` the normal forms of column[i] + steps[i] for normal values,
+    and ``coords(value)`` a normal value's coordinates, a tuple of ints."""
+
+    normal: Callable
+    add: Callable
+    coords: Callable
+
+
+def _affine_columns(mul, sub, inv, one, coords):
+    """The columns of a curve whose points have affine coordinates in
+    the field of ``mul``, ``sub``, ``inv`` and ``one``: a normal point is
+    an (x, y) pair, and each list shares one inversion.  A zero
+    denominator, which no point of order r meets, raises
+    ZeroDivisionError."""
+
+    def inverses(values):
+        prefix = [one]
+        for v in values:
+            prefix.append(mul(prefix[-1], v))
+        t = inv(prefix[-1])  # the inverse of the product of every value
+        if mul(t, prefix[-1]) != one:
+            raise ZeroDivisionError("a zero denominator: the base is not of order r")
+        out = [None] * len(values)
+        for i in reversed(range(len(values))):
+            out[i] = mul(t, prefix[i])
+            t = mul(t, values[i])
+        return out
+
+    def normal(points):
+        out = []
+        for (x, y, _), zinv in zip(points, inverses([q[2] for q in points])):
+            zinv2 = mul(zinv, zinv)
+            out.append((mul(x, zinv2), mul(mul(y, zinv2), zinv)))
+        return out
+
+    def add(column, steps):
+        dens = inverses([sub(x2, x1) for (x1, _), (x2, _) in zip(column, steps)])
+        out = []
+        for (x1, y1), (x2, y2), den in zip(column, steps, dens):
+            lam = mul(sub(y2, y1), den)
+            x3 = sub(sub(mul(lam, lam), x1), x2)
+            out.append((x3, sub(mul(lam, sub(x1, x3)), y1)))
+        return out
+
+    return Columns(normal, add, coords)
 
 
 def _table(group, a):
     """The table of a in the group."""
-    window, add, double, neg = group.window, group.add, group.double, group.neg
-    a2 = double(a)
-    fixes = ((neg(a), neg(a2)), (a, a2))
-    rows = []
-    for _ in range(-(-group.half_bits // window)):
-        a2 = double(a)
-        odd = [a]
-        for _ in range((1 << (window - 1)) - 1):
-            odd.append(add(odd[-1], a2))
-        rows.append(group.row(odd))
-        a = add(odd[-1], a)  # 2**window * a
-    return tuple(rows), fixes
+    window, double, columns = group.window, group.double, group.columns
+    bases, twice = [a], [double(a)]
+    for _ in range(-(-group.half_bits // window) - 1):
+        b = twice[-1]
+        for _ in range(window - 1):
+            b = double(b)
+        bases.append(b)
+        twice.append(double(b))
+    fixes = ((group.neg(a), group.neg(twice[0])), (a, twice[0]))
+    column = columns.normal(bases + twice)
+    column, steps = column[:len(bases)], column[len(bases):]
+    rows = [list(columns.coords(q)) for q in column]
+    for _ in range((1 << (window - 1)) - 1):
+        column = columns.add(column, steps)
+        for row, q in zip(rows, column):
+            row += columns.coords(q)
+    return tuple(map(tuple, rows)), fixes
 
 
 def table(group, x):
@@ -992,23 +1060,6 @@ def _walk(group, table, h):
     return r
 
 
-def _affine_row(points, mul, inv, one, coords):
-    """Jacobian points, none at infinity, as one flat tuple of their
-    affine coordinates, with one inversion (Montgomery's trick)."""
-    prefix = [one]
-    for q in points:
-        prefix.append(mul(prefix[-1], q[2]))
-    t = inv(prefix[-1])  # the inverse of the product of every z
-    flat = [None] * len(points)
-    for i in reversed(range(len(points))):
-        x, y, z = points[i]
-        zinv = mul(t, prefix[i])
-        t = mul(t, z)
-        zinv2 = mul(zinv, zinv)
-        flat[i] = coords(mul(x, zinv2), mul(mul(y, zinv2), zinv))
-    return tuple(c for q in flat for c in q)
-
-
 def _g1_entry(r, row, d):
     j = (abs(d) >> 1) * 2
     y = row[j + 1]
@@ -1030,13 +1081,15 @@ def _gt_entry(r, row, d):
 CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
     endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
-    row=lambda row: _affine_row(row, lambda a, b: a * b % p, inv_mod_p, 1, lambda x, y: (x, y)),
+    columns=_affine_columns(
+        lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q,
+    ),
     add_entry=_g1_entry, generator=curve_G,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
     endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6,
-    row=lambda row: _affine_row(row, fp2_mul, fp2_inv, FP2_ONE, lambda x, y: x + y),
+    columns=_affine_columns(fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1]),
     add_entry=_g2_entry, generator=twist_G,
 )
 # the target group, as the cyclotomic subgroup of Fp12, where the
@@ -1046,7 +1099,9 @@ TWIST = Group(
 CYCLOTOMIC = Group(
     fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a,
     endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=5,
-    row=lambda row: tuple(c for f in row for c in gt_marshall(f)), add_entry=_gt_entry,
+    columns=Columns(list, lambda column, steps: list(map(fp12_mul, column, steps)),
+                    lambda f: gt_marshall(f)),
+    add_entry=_gt_entry,
 )
 
 # the GLV vectors are a basis of that lattice (their determinant is r),

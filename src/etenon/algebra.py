@@ -685,12 +685,18 @@ class MockSuite(GroupSuite):
         # the endomorphism is x -> lam*x, lam about sqrt(q), so that a
         # split's halves are about half as long as the order
         lam = math.isqrt(order) + 1
+
+        def add(a, b):
+            return (a + b) % order
+
         # no generator: _bn256 would cache its table, and this suite, for good
         z = _bn256.Group(
-            lambda a, b: (a + b) % order, lambda a: 2 * a % order, lambda a: -a % order, 0,
+            add, lambda a: 2 * a % order, lambda a: -a % order, 0,
             order, normal=lambda a: a, endo=lambda a: lam * a % order, split=_bn256.split_by(lam),
             half_bits=(max(lam - 1, (order - 1) // lam) + 2).bit_length(), window=4,
-            row=tuple, add_entry=entry, encode=self.encode_scalar, decode=self.decode_scalar,
+            columns=_bn256.Columns(list, lambda column, steps: list(map(add, column, steps)),
+                                   lambda a: (a,)),
+            add_entry=entry, encode=self.encode_scalar, decode=self.decode_scalar,
         )
         self.groups = {LEFT: z, RIGHT: z, TARGET: z}
 

@@ -341,13 +341,16 @@ def bench_musig(suite, n: int, m: int, trials: int, rng) -> dict:
     }
 
 
-def _table_cost(suite, side: str, value) -> dict:
-    """The build time and the retained size of the table of a fixed base
-    whose payload is ``value``: the ``sys.getsizeof`` sum over its tuples
-    and ints, each object counted once."""
-    t0 = time.perf_counter()
-    table = suite._fixed_table(side, value)
-    ms = 1000 * (time.perf_counter() - t0)
+def _table_cost(suite, side: str, values) -> dict:
+    """The median build time of the tables of fixed bases whose payloads
+    are ``values``, one build each, and the retained size of a table:
+    the ``sys.getsizeof`` sum over its tuples and ints, each object
+    counted once."""
+    times = []
+    for value in values:
+        t0 = time.perf_counter()
+        table = suite._fixed_table(side, value)
+        times.append(time.perf_counter() - t0)
     seen, todo, size = set(), [table], 0
     while todo:
         obj = todo.pop()
@@ -356,7 +359,7 @@ def _table_cost(suite, side: str, value) -> dict:
             size += sys.getsizeof(obj)
             if isinstance(obj, tuple):
                 todo.extend(obj)
-    return {"table_ms": ms, "table_kb": size / 1024}
+    return {"table_ms": _ms(times), "table_kb": size / 1024}
 
 
 def bench_layers(suite, trials: int, rng) -> list[dict]:
@@ -366,7 +369,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     ``fp_mul`` times the host-speed reference itself.
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     The ``_fixed`` rows raise fixed bases whose tables were built before
-    the timing, and give each table's build time and retained size."""
+    the timing, and give the median time to build a table, over
+    ``trials`` builds from fresh bases, and a table's retained size."""
     # decoded copies of the generators carry no table
     g1 = suite.decode_g0(suite.generator.encode(), LEFT)
     g2 = suite.decode_g0(suite.right_generator.encode(), RIGHT)
@@ -382,10 +386,12 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     }
     for x in fixed.values():
         x ** 1  # builds the table
+    # each timed build starts from a fresh base
+    scalars = [suite.rand_scalar_nonzero(rng) for _ in range(trials)]
     costs = {
-        "g1_fixed": _table_cost(suite, LEFT, fixed[LEFT].point),
-        "g2_fixed": _table_cost(suite, RIGHT, fixed[RIGHT].point),
-        "gt_fixed": _table_cost(suite, TARGET, fixed[TARGET].value),
+        "g1_fixed": _table_cost(suite, LEFT, [(g1 ** s).point for s in scalars]),
+        "g2_fixed": _table_cost(suite, RIGHT, [(g2 ** s).point for s in scalars]),
+        "gt_fixed": _table_cost(suite, TARGET, [(egg ** s).value for s in scalars]),
     }
     cases = [
         ("fp_mul", _fp_mul),

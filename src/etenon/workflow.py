@@ -731,6 +731,8 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
                     "retrieve %d: access label %r is not the agreed %r"
                     % (i, label, terms.access_label)
                 )
+        # a record the terms refuse is refused before setup, as the rest is
+        preprocess_record(record, terms)
     except WorkflowError as exc:
         raise WorkflowError("malformed scenario: %s" % exc) from None
 

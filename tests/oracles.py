@@ -125,6 +125,38 @@ def ladder(x, k: int, mul, square, one):
     return r0
 
 
+def fixed_base_table(group, a):
+    """The fixed-base table of a, as ``_bn256.table`` lays it out, built
+    a row at a time: each row's odd multiples summed with the group's
+    own adds, each entry normalised by ``group.normal`` on its own, and
+    the next row's base as the last odd multiple plus a."""
+    def coords(v):
+        # a curve point's x and y (z == 1 dropped), or an Fp12 value,
+        # as the ints of its nested tuples in order
+        v = group.normal(v)
+        v = v[:2] if len(v) == 3 else v
+        stack, out = [v], []
+        while stack:
+            c = stack.pop()
+            if isinstance(c, int):
+                out.append(c)
+            else:
+                stack.extend(reversed(c))
+        return out
+
+    a2 = group.double(a)
+    fixes = ((group.neg(a), group.neg(a2)), (a, a2))
+    rows = []
+    for _ in range(-(-group.half_bits // group.window)):
+        a2 = group.double(a)
+        odd = [a]
+        for _ in range((1 << (group.window - 1)) - 1):
+            odd.append(group.add(odd[-1], a2))
+        rows.append(tuple(c for q in odd for c in coords(q)))
+        a = group.add(odd[-1], a)  # 2**window * a
+    return tuple(rows), fixes
+
+
 # ----------------------------------------------------------------------
 # pairings
 

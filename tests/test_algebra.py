@@ -590,6 +590,46 @@ def test_bn256_table_powers_match_the_ladder(bn256):
                 assert got.value == want and not got.owed, k
 
 
+_TABLE_GROUPS = {"g1": _bn256.CURVE, "g2": _bn256.TWIST, "gt": _bn256.CYCLOTOMIC}
+
+
+@given(
+    name=st.sampled_from(sorted(_TABLE_GROUPS)),
+    j=st.integers(1, _bn256.order - 1),
+    k=st.integers(0, _bn256.order - 1),
+)
+@example(name="g1", j=1, k=0)
+@example(name="g2", j=1, k=_bn256.order - 1)
+@example(name="gt", j=1, k=2**128 + 1)
+@settings(max_examples=6, deadline=None)
+def test_bn256_column_tables_match_the_row_oracle(bn256, name, j, k):
+    """A table built a column at a time holds the ints, fixes included,
+    of the row-by-row Jacobian build, on the generators (j = 1) and on
+    random bases of each group, and a power taken from it equals the
+    ladder's."""
+    group = _TABLE_GROUPS[name]
+    generator = bn256.gt_generator.value if group is _bn256.CYCLOTOMIC else group.generator
+    x = group.normal(_bn256.multi_mul(group, [(generator, j)]))
+    table = _bn256._table(group, x)
+    assert table == oracles.fixed_base_table(group, x)
+    want = group.normal(oracles.ladder(x, k, group.add, group.double, group.identity))
+    assert group.normal(_bn256.fixed_mul(group, table, k)) == want
+
+
+@pytest.mark.parametrize("group", [_bn256.CURVE, _bn256.TWIST], ids=["g1", "g2"])
+def test_bn256_a_zero_denominator_stops_a_table_build(group):
+    """A zero denominator raises, where the inverse of zero, which
+    inv_mod_p gives as 0, would corrupt a row.  With negation for
+    doubling each row's step is minus its first entry, so the first
+    column step has vertical slopes; with a doubling to infinity a row
+    base has no affine form."""
+    b = _bn256
+    with pytest.raises(ZeroDivisionError):
+        b._table(group._replace(double=group.neg), group.generator)
+    with pytest.raises(ZeroDivisionError):
+        b._table(group._replace(double=lambda a: group.identity), group.generator)
+
+
 def test_bn256_generator_tables_are_shared(bn256):
     """The tables of g and g2 are built once per process, whichever
     element raises them, a decoded copy of the parameters included; each

@@ -934,6 +934,27 @@ def test_scenario_refuses_a_retrieval_that_cannot_run(tmp_path, change, reason):
     assert not (tmp_path / "db").exists()
 
 
+def test_scenario_refuses_a_record_the_terms_refuse_before_setup(tmp_path):
+    """A record column that the level assignment leaves out is refused
+    as a malformed document before setup, which makes the store
+    directory and issues every key."""
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": PARTICIPANTS,
+        "policy": POLICY,
+        "record": RECORD + [{"name": "extra", "value": "x"}],
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+    }
+    reason = "columns ['extra'] are not assigned to any level"
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
+        run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("insecure", [None, False], ids=["no-flag", "false"])
 def test_a_seeded_scenario_on_bn256_must_be_asked_for(tmp_path, insecure):
     """A seed makes every key public, so a bn256 document that has one
