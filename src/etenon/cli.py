@@ -345,9 +345,10 @@ def _table_cost(suite, side: str, values) -> dict:
     """The median build time of the tables of fixed bases whose payloads
     are ``values``, one build each, and the retained size of a table:
     the ``sys.getsizeof`` sum over its tuples and ints, each object
-    counted once."""
-    times = []
+    counted once; ``refs`` holds a host-speed sample before each build."""
+    times, refs = [], []
     for value in values:
+        refs.append(_ref_sample())
         t0 = time.perf_counter()
         table = suite._fixed_table(side, value)
         times.append(time.perf_counter() - t0)
@@ -359,7 +360,7 @@ def _table_cost(suite, side: str, values) -> dict:
             size += sys.getsizeof(obj)
             if isinstance(obj, tuple):
                 todo.extend(obj)
-    return {"table_ms": _ms(times), "table_kb": size / 1024}
+    return {"table_ms": _ms(times), "table_kb": size / 1024, "refs": refs}
 
 
 def bench_layers(suite, trials: int, rng) -> list[dict]:
@@ -425,14 +426,15 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ]
     rows = []
     for layer, op in cases:
-        times, refs = [], []
+        cost = costs.get(layer, {})
+        times, refs = [], cost.pop("refs", [])
         for _ in range(trials):
             refs.append(_ref_sample())
             t0 = time.perf_counter()
             op()
             times.append(time.perf_counter() - t0)
         rows.append({"layer": layer, "layer_ms": _ms(times), "layer_iqr_ms": _iqr_ms(times),
-                     "ref_ms": _ms(refs), **costs.get(layer, {})})
+                     "ref_ms": _ms(refs), **cost})
     return rows
 
 

@@ -7,9 +7,9 @@ label checked on fetch.  Ingest is all or nothing: every signature in
 the batch must verify against its named roster before anything is
 stored, and a batch must sign something under each roster it carries;
 a rejected batch leaves both memory and the persisted log
-byte-identical.  The gate admits a batch as its log line, through the
-decoder and the checks that replay runs, so a live store holds exactly
-what a reopen of its log holds.
+byte-identical.  The gate and log replay admit a batch as a log line
+through one method, :meth:`TenonDb._verified`, so a live store holds
+exactly what a reopen of its log holds.
 
 Signatures are checked many at once, by :func:`musig.verify_batch`:
 one multi-exponentiation with a weight per signature, 1 for the first
@@ -19,9 +19,9 @@ fails it; a batch with two or more passes with probability at most
 system, never from a caller's rng, since whoever knows them can make
 errors that cancel.  One scan, :func:`invalid`, finds every bad
 signature: it checks each run of at most ``BATCH_SIGNATURES`` signatures
-together, and only a run that fails one signature at a time.  The gate
-scans a batch's signatures, log replay those of every line it reads and
-a reader those of every row it walks, so a refusal names the first bad
+together, and only a run that fails one signature at a time.  The
+admission path scans the signatures of every line it admits, and a
+reader those of every row it walks, so a refusal names the first bad
 row, or the entry, and its line.
 
 Storage order is shuffled after every accepted ingest and on demand; a
@@ -43,7 +43,7 @@ its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, both framed by :func:`signed_digest`, the
-one scan of their signatures that the gate, replay and readers share,
+one scan of their signatures that admission and readers share,
 and the batch document that the log and the command line carry.  A
 row's signed bytes are derived from its fields in one place,
 :func:`row_digest`, so a row read back verifies only if it is the chain
@@ -235,11 +235,6 @@ class TenonDb:
     # ------------------------------------------------------------------
     # ingest
 
-    def _view(self):
-        """Roster refs, pointers and entry ids the store holds, to which
-        :meth:`_check` adds those of the lines it checks."""
-        return dict(self._rosters), set(), set()
-
     def _check(self, rows, secret, rosters, view) -> list:
         """The ``(where, sig, roster, digest)`` of every signature of a
         decoded batch, after the checks of its roster refs, pointers and
@@ -292,10 +287,9 @@ class TenonDb:
     def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
 
-        The batch is written as its log line, and that line is decoded and
-        checked as replay checks it, so the store holds what a reopen
-        reads; a batch the log could not carry back is refused with the
-        decoder's reason.
+        The batch is encoded as its log line and admitted as replay
+        admits a line, so the store holds what a reopen reads; a batch
+        the log could not carry back is refused with the decoder's reason.
         ``rosters`` maps roster refs to verification-key sequences, each
         the roster of a row or the entry of the batch; refs already
         stored by earlier accepted batches may be reused, and repeated
@@ -313,17 +307,38 @@ class TenonDb:
             try:
                 with decoding(TdbError, "batch"):
                     line = canonical_json(batch_to_json(self.suite, rows, secret, rosters or {}))
-                batch = self._decode(line)
-                signed = self._check(*batch, self._view())
-                bad = next(invalid(self.suite, [item[1:] for item in signed]), None)
-                if bad is not None:
-                    raise TdbError("%s: signature invalid" % signed[bad][0])
+                for line, batch in self._verified([line]):
+                    self._append_log(line)
+                    self._apply(line, *batch)
             except TdbError as exc:
                 return IngestResult(accepted=False, reason=str(exc))
-            self._append_log(line)
-            self._apply(line, *batch)
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
+
+    def _verified(self, lines):
+        """Yield ``(line, batch)`` for each log line in order up to the
+        first refused, and raise :class:`TdbError` there.  Every line's
+        roster refs, pointers and entry id are checked against the store
+        and the lines before it, then one :func:`invalid` scan covers the
+        lines that passed, so a bad signature on an earlier line is named
+        before a line that fails its checks."""
+        view = dict(self._rosters), set(), set()  # roster refs, pointers, entry ids
+        checked, signed, refusal = [], [], None
+        for line in lines:
+            try:
+                batch = self._decode(line)
+                signed += self._check(*batch, view)
+            except TdbError as exc:
+                refusal = exc
+                break
+            checked.append((line, batch, len(signed)))
+        bad = next(invalid(self.suite, [item[1:] for item in signed]), None)
+        for line, batch, end in checked:
+            if bad is not None and bad < end:
+                raise TdbError("%s: signature invalid" % signed[bad][0])
+            yield line, batch
+        if refusal is not None:
+            raise refusal
 
     def _decode(self, line: bytes):
         """The rows, secret entry and rosters of one log line."""
@@ -460,17 +475,12 @@ class TenonDb:
             self._sync_dir()
 
     def _replay(self) -> None:
-        """Verify and apply the log lines this store has not read yet.
-
-        Each line's roster refs, pointers and entry id are checked in
-        order, against the store and the lines before it.  The signatures
-        of every line are then scanned together by :func:`invalid`, over
-        the bytes as stored, and the lines before the one holding the
-        first bad signature are applied; that line is refused.  No
-        ciphertext is decoded.  A final line without its newline is an
-        append cut short by a crash: that batch was never acknowledged, so
-        it is skipped here and cut off before the next append.  Every
-        other line must load, and a failure names its line.
+        """Verify and apply the log lines this store has not read yet,
+        through :meth:`_verified`, over the bytes as stored; no ciphertext
+        is decoded.  A final line without its newline is an append cut
+        short by a crash: that batch was never acknowledged, so it is
+        skipped here and cut off before the next append.  Every other line
+        must load, and a failure names its line.
         """
         try:
             with open(self._log_path(), "rb") as fh:
@@ -480,30 +490,11 @@ class TenonDb:
             data = b""
         end = data.rfind(b"\n") + 1
         self._torn = end < len(data)
-        view, lines, signed = self._view(), [], []
         try:
-            for line in data[:end].split(b"\n")[:-1]:
-                try:
-                    batch = self._decode(line)
-                    signed += self._check(*batch, view)
-                except TdbError:
-                    # a bad signature on an earlier line is named first
-                    self._settle(lines, signed)
-                    raise
-                lines.append((line, batch, len(signed)))
-            self._settle(lines, signed)
+            for line, batch in self._verified(data[:end].split(b"\n")[:-1]):
+                self._apply(line, *batch)
         except TdbError as exc:
             raise TdbError("log line %d: %s" % (self._log_lines + 1, exc)) from None
-
-    def _settle(self, lines, signed) -> None:
-        """Apply the checked ``lines``, each with the end of its items in
-        ``signed``, up to the first that holds a bad signature, which is
-        refused."""
-        bad = next(invalid(self.suite, [item[1:] for item in signed]), None)
-        for line, batch, end in lines:
-            if bad is not None and bad < end:
-                raise TdbError("%s: signature invalid" % signed[bad][0])
-            self._apply(line, *batch)
 
     def _load(self) -> None:
         # The snapshot is read before the log: a writer saves only rows it

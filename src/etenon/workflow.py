@@ -84,7 +84,7 @@ class SystemContext:
 
 
 def phase_setup(
-    suite_name: str = "mock",
+    suite_name: str,
     participants=None,
     rng=None,
     db_root=None,
@@ -508,10 +508,7 @@ def phase_retrieval(
     ctx: SystemContext, du_name: str, entry_id: str, access_label: str = "clinical"
 ) -> RetrievalReport:
     """Fetch, verify, decrypt and reconstruct as one data user."""
-    du = ctx.entity(du_name)
-    if du.keys.decryption is None:
-        raise WorkflowError("entity %r has no decryption key" % du_name)
-    return retrieve_entry(ctx.pp, ctx.db, du.keys, entry_id, access_label)
+    return retrieve_entry(ctx.pp, ctx.db, ctx.entity(du_name).keys, entry_id, access_label)
 
 
 def retrieve_entry(
@@ -523,8 +520,9 @@ def retrieve_entry(
 ) -> RetrievalReport:
     """The retrieval procedure itself, independent of any entity roster.
 
-    The entry's signature is checked before anything is decrypted, and
-    the entry is decrypted once.  Every row reachable from a chain head
+    A bundle without a decryption key is refused before the store is
+    read.  The entry's signature is checked before anything is decrypted,
+    and the entry is decrypted once.  Every row reachable from a chain head
     through ``next`` is then collected, each pointer once, so a cycle
     ends the collection; the collected rows under known rosters are
     checked in one :func:`tdb.invalid` scan.  The levels are then walked
@@ -532,6 +530,8 @@ def retrieve_entry(
     its chain there and is reported in ``row_failures`` each time the
     walk reaches it.
     """
+    if keys.decryption is None:
+        raise WorkflowError("a signing-only key bundle has no decryption key")
     suite = pp.suite
     entry = db.read_secret(entry_id, access_label)
     roster = db.roster(entry.roster_ref)
@@ -691,14 +691,14 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
                 'a seed makes every key public; on suite %s it needs "insecure_seed": true'
                 % suite_name
             )
-        participants = {
-            name: {
-                "role": typed(known(spec, PARTICIPANT_KEYS, "participant %r: " % name)
-                              .get("role", "DU"), str),
-                "attrs": None if spec.get("attrs") is None else strings(spec["attrs"]),
-            }
-            for name, spec in typed(doc.get("participants", {}), dict).items()
-        }
+        participants = {}
+        for name, spec in typed(doc.get("participants", {}), dict).items():
+            where = "participant %r: " % name
+            role = typed(known(spec, PARTICIPANT_KEYS, where).get("role", "DU"), str)
+            if role not in Role.__members__:
+                raise ValueError("%sunknown role %r" % (where, role))
+            attrs = None if spec.get("attrs") is None else strings(spec["attrs"])
+            participants[name] = {"role": role, "attrs": attrs}
         do_name, sp_name = typed(doc["do"], str), typed(doc["sp"], str)
         for role, name in (("do", do_name), ("sp", sp_name)):
             if name not in participants:

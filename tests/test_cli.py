@@ -574,6 +574,19 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
     assert len(fixed) == 3 and all(r["table_ms"] > 0 and r["table_kb"] > 50 for r in fixed)
 
 
+def test_bench_layers_sample_the_host_before_each_table_build(mock, monkeypatch):
+    """Every layer trial and every table build is preceded by its own
+    host-speed sample, so a fixed row's ``ref_ms`` covers its builds."""
+    samples = []
+    ref_sample = cli._ref_sample
+    monkeypatch.setattr(cli, "_ref_sample", lambda: samples.append(1) or ref_sample())
+    trials = 3
+    rows = cli.bench_layers(mock, trials, random.Random(3))
+    builds = [r for r in rows if "table_ms" in r]
+    assert len(builds) == 3 and all("refs" not in r for r in rows)
+    assert len(samples) == trials * (len(rows) + len(builds))
+
+
 def test_bench_table_size_is_the_same_on_every_call(bn256):
     """A table's retained size counts the table's own objects, so two
     builds of one base's table read the same size."""

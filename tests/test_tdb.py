@@ -861,6 +861,76 @@ def test_replay_refusal_names_the_first_bad_line(large_system, tmp_path, edit, l
     assert str(err.value) == "log line %d: %s" % (line, reason.format(*pointers))
 
 
+def _second(suite, pp, rng, entry_id="second", roster_ref="second"):
+    return make_batch(suite, pp, rng, blocks=("delta", "epsilon", "zeta"),
+                      entry_id=entry_id, roster_ref=roster_ref)
+
+
+def _forged_at(i):
+    def build(suite, pp, rng, first):
+        rows, secret, rosters = _second(suite, pp, rng)
+        rows[i] = replace(rows[i], timestamp=rows[i].timestamp + 1)
+        return rows, secret, rosters
+    return build
+
+
+def _replayed_pointer(suite, pp, rng, first):
+    rows, secret, rosters = _second(suite, pp, rng)
+    return first[0][1:2] + rows, secret, rosters
+
+
+def _unknown_roster(suite, pp, rng, first):
+    rows, secret, rosters = _second(suite, pp, rng)
+    return rows[:1] + [replace(rows[1], roster_ref="nobody")] + rows[2:], secret, rosters
+
+
+POINTER = r"\(pointer [0-9a-f-]{36}\)"
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (_forged_at(0), r"row 0 %s: signature invalid" % POINTER),
+        (_forged_at(2), r"row 2 %s: signature invalid" % POINTER),
+        (_replayed_pointer, r"row 0 %s: pointer already present" % POINTER),
+        (_unknown_roster, r"row 1 %s: unknown roster 'nobody'" % POINTER),
+        (lambda suite, pp, rng, first: _second(suite, pp, rng, roster_ref="first"),
+         r"roster 'first' already defined with other keys"),
+        (lambda suite, pp, rng, first: _second(suite, pp, rng, entry_id="first"),
+         r"secret entry 'first': entry id already present"),
+    ],
+    ids=["forged-row-0", "forged-row-2", "replayed-pointer", "unknown-roster",
+         "redefined-roster", "reused-entry-id"],
+)
+def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reason):
+    """The gate refuses a batch with the words a reopen uses for the
+    batch's log line, and a writer that catches up on that line holds
+    what the live store holds."""
+    suite, pp, _, rng = large_system
+    live = TenonDb(pp, root=tmp_path / "live")
+    first = make_batch(suite, pp, rng, entry_id="first", roster_ref="first")
+    assert live.ingest(*first, rng=rng).accepted
+    rows, secret, rosters = build(suite, pp, rng, first)
+    result = live.ingest(rows, secret, rosters=rosters, rng=rng)
+    assert not result.accepted
+    assert re.fullmatch(reason, result.reason), result.reason
+
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    (copy / "log.jsonl").write_bytes((tmp_path / "live" / "log.jsonl").read_bytes())
+    behind = TenonDb(pp, root=copy)
+    with open(copy / "log.jsonl", "ab") as fh:
+        fh.write(canonical_json(tdb.batch_to_json(suite, rows, secret, rosters)) + b"\n")
+    with pytest.raises(TdbError) as reopened:
+        TenonDb(pp, root=copy)
+    with pytest.raises(TdbError) as caught_up:
+        behind.save_snapshot()
+    assert str(reopened.value) == str(caught_up.value) == "log line 2: " + result.reason
+    by_pointer = lambda row: row.pointer
+    assert sorted(behind.read_open(), key=by_pointer) == sorted(live.read_open(), key=by_pointer)
+    assert behind.secret_ids() == live.secret_ids() == ("first",)
+
+
 @pytest.mark.parametrize("edited", [False, True], ids=["honest", "edited"])
 def test_writer_catches_up_on_lines_in_one_batch(large_system, tmp_path, monkeypatch, edited):
     """A writer replays what another store object appended before it

@@ -110,6 +110,13 @@ def test_phase_setup_rejects_an_unknown_role():
     assert set(ctx.entities) == {"aa"} and ctx.entity("aa").role is Role.DO
 
 
+def test_phase_setup_names_no_default_suite():
+    """A caller that forgets the suite is refused, rather than given keys
+    in mock's group of order 101."""
+    with pytest.raises(TypeError):
+        phase_setup(participants={"x": {"role": "DU", "attrs": []}})
+
+
 def test_payload_kind_roundtrip(rng):
     head = tenon.make_pointer(rng)
     kind, value = decode_level_payload(encode_chain_payload(head))
@@ -635,6 +642,22 @@ def test_retrieval_requires_decryption_key():
         phase_retrieval(ctx, "signer", tr.entry_id)
 
 
+def test_retrieve_entry_refuses_a_bundle_without_a_decryption_key():
+    """A signing-only bundle is refused by the retrieval itself, before
+    the store is read or any signature checked."""
+    ctx = phase_setup(
+        "mock",
+        dict(PARTICIPANTS, signer={"role": "DU", "attrs": None}),
+        rng=random.Random(3),
+    )
+    tr = agree(ctx)
+    ingest_transcript(ctx, tr)
+    keys = ctx.entity("signer").keys
+    with ctx.suite.measure() as span, pytest.raises(WorkflowError, match="no decryption key"):
+        workflow.retrieve_entry(ctx.pp, ctx.db, keys, tr.entry_id)
+    assert span.pairings == span.exponentiations == 0
+
+
 def test_retrieval_flags_missing_rows():
     """Rows absent from the store surface as a truncated chain."""
     ctx = fresh_ctx()
@@ -952,6 +975,31 @@ def test_scenario_refuses_a_record_the_terms_refuse_before_setup(tmp_path):
     reason = "columns ['extra'] are not assigned to any level"
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
         run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scenario_refuses_an_unknown_role_before_setup(tmp_path, monkeypatch):
+    """A participant's role must be one of the scheme's roles; another is
+    refused as a malformed document before setup draws the parameters
+    and makes the store directory."""
+    setups = []
+    setup = mlabe.setup
+    monkeypatch.setattr(mlabe, "setup", lambda *a: setups.append(a) or setup(*a))
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": dict(PARTICIPANTS, x={"role": "WIZARD", "attrs": []}),
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+    }
+    reason = "participant 'x': unknown role 'WIZARD'"
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
+        run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
+    assert setups == []
     assert list(tmp_path.iterdir()) == []
 
 
