@@ -19,8 +19,10 @@ exponentiations; a count that disagrees is an error, so exit 0 means
 every count held.  Every row of every kind gives ``ref_ms``, a
 host-speed reference timed right before each of its trials.
 
-Only ``ingest`` and ``run-scenario`` create a store directory;
-``retrieve`` and ``shuffle`` refuse a path that holds no store log.
+Only ``ingest`` and ``run-scenario`` create a store directory,
+``ingest`` only once its batch decodes; ``retrieve`` and ``shuffle``
+refuse a path that holds no store log.  ``setup`` and ``run-scenario``
+check every output file's directory before they write anything.
 ``--seed`` makes every key public, so ``setup``, ``keygen``, ``ingest``
 and ``shuffle`` refuse it on a suite other than mock unless
 ``--insecure-seed`` is given too.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import os
 import random
@@ -69,6 +72,18 @@ def _existing_store(pp, path: str) -> tdb.TenonDb:
     return tdb.TenonDb(pp, root=path)
 
 
+def _writable(*paths: str) -> None:
+    """Refuse, before a command writes anything, an output file whose
+    directory does not exist or that is a directory, with the error that
+    writing it would raise; so a command that writes several files never
+    leaves some of them without the rest."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -102,6 +117,7 @@ def _positives(text: str) -> list[int]:
 
 
 def cmd_setup(args) -> int:
+    _writable(args.pp, args.msk)
     suite = get_suite(args.suite)
     pp, msk = mlabe.setup(suite, _rng(args, suite))
     write_json(args.pp, mlabe.pp_to_json(pp))
@@ -122,11 +138,12 @@ def cmd_keygen(args) -> int:
 def cmd_ingest(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
     rng = _rng(args, pp.suite)
-    db = tdb.TenonDb(pp, root=args.db)
     batch = _load_json(args.batch)
     if not isinstance(batch, dict):
         raise InputError("batch must be a JSON object")
     rows, secret, rosters = tdb.batch_from_json(pp.suite, batch)
+    # only a batch that decodes makes the store directory
+    db = tdb.TenonDb(pp, root=args.db)
     result = db.ingest(rows, secret, rosters=rosters, rng=rng)
     if result.accepted:
         db.save_snapshot()
@@ -162,6 +179,8 @@ def cmd_shuffle(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
+    if args.out:
+        _writable(args.out)
     doc = _load_json(args.scenario)
     result = workflow.run_scenario(doc, db_root=args.db, keys_dir=args.keys)
     if args.out:

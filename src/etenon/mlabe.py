@@ -149,16 +149,30 @@ def setup(suite: GroupSuite, rng=None) -> tuple[PublicParams, MasterKey]:
     return pp, msk
 
 
+def attribute_set(attrs) -> frozenset[str]:
+    """The names in ``attrs``, a list, tuple or set of strings.  A string
+    is refused rather than read as the set of its letters."""
+    if not isinstance(attrs, (list, tuple, set, frozenset)):
+        raise MlabeError(
+            "attributes must be a list, tuple or set of names, found %s" % type(attrs).__name__
+        )
+    for attr in attrs:
+        if not isinstance(attr, str):
+            raise MlabeError("an attribute name must be a str, found %s" % type(attr).__name__)
+    return frozenset(attrs)
+
+
 def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
     """Issue a key for an attribute set, with a signing pair of its own.
 
-    The fresh scalar r randomizes the decryption key and is never handed
-    out: anyone who knew r could pair g^r with a leaf element and stand
-    in for attributes the key does not hold.
+    ``attrs`` is checked by :func:`attribute_set` before anything is
+    drawn.  The fresh scalar r randomizes the decryption key and is never
+    handed out: anyone who knew r could pair g^r with a leaf element and
+    stand in for attributes the key does not hold.
     """
+    attrs = attribute_set(attrs)
     suite = pp.suite
     g2 = suite.right_generator
-    attrs = frozenset(attrs)
     r = suite.rand_scalar_nonzero(rng)
     inv_delta = pow(msk.delta, suite.order - 2, suite.order)
     d = (msk.g_gamma * (g2 ** r)) ** inv_delta

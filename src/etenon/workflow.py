@@ -64,7 +64,6 @@ class Role(enum.Enum):
 @dataclass
 class Entity:
     role: Role
-    name: str
     keys: KeyBundle
 
 
@@ -83,6 +82,40 @@ class SystemContext:
             raise WorkflowError("unknown entity %r" % name) from None
 
 
+PARTICIPANT_KEYS = frozenset(("role", "attrs"))
+
+
+def known(obj, keys, where=""):
+    """``obj`` as a dict holding none but ``keys``."""
+    unknown = set(typed(obj, dict)) - keys
+    if unknown:
+        raise ValueError("%sunknown keys %s" % (where, sorted(unknown)))
+    return obj
+
+
+def read_participants(specs) -> dict[str, tuple[Role, frozenset[str] | None]]:
+    """Each participant's role and attribute set (None for a signing
+    pair only): the one reader of a participant spec.
+
+    A spec is ``{"role": ..., "attrs": [...]}``, the role ``DO``, ``SP``
+    or ``DU`` (the default) and the attributes null or what
+    :func:`mlabe.attribute_set` accepts.  Anything else raises
+    ``ValueError`` naming the participant, for the caller's
+    :func:`decoding` guard to report.
+    """
+    parties = {}
+    for name, spec in typed(specs, dict).items():
+        try:
+            role = typed(known(spec, PARTICIPANT_KEYS).get("role", "DU"), str)
+            if role not in Role.__members__:
+                raise ValueError("unknown role %r" % role)
+            attrs = spec.get("attrs")
+            parties[name] = (Role[role], None if attrs is None else mlabe.attribute_set(attrs))
+        except (EtenonError, TypeError, ValueError) as exc:
+            raise ValueError("participant %r: %s" % (name, exc)) from None
+    return parties
+
+
 def phase_setup(
     suite_name: str,
     participants=None,
@@ -92,27 +125,26 @@ def phase_setup(
     """Run system setup and issue keys; the context holds exactly the
     participants.
 
-    ``participants`` maps entity names to ``{"role": ..., "attrs": [...]}``,
-    where the role is ``DO``, ``SP`` or ``DU`` (the default).  An entry
-    with ``"attrs": null`` gets a self-generated signing pair only, which
+    ``participants`` is read by :func:`read_participants` before the
+    suite is looked up, anything is drawn or the store directory is made,
+    so a spec that a scenario document would refuse raises
+    :class:`WorkflowError` with the same reason.  A participant whose
+    attributes are null gets a self-generated signing pair only, which
     is all a provider needs, since it checks by re-encryption; anyone
     else receives a full bundle.  The master key is not kept.
     """
+    with decoding(WorkflowError, "participants"):
+        parties = read_participants({} if participants is None else participants)
     suite = get_suite(suite_name)
     pp, msk = mlabe.setup(suite, rng)
     entities = {}
-    for name, spec in (participants or {}).items():
-        try:
-            role = Role[spec.get("role", "DU")]
-        except KeyError:
-            raise WorkflowError("unknown role %r" % spec.get("role")) from None
-        attrs = spec.get("attrs")
+    for name, (role, attrs) in parties.items():
         if attrs is None:
             sk, vk = musig.keypair(suite, rng)
             keys = KeyBundle(decryption=None, signing=sk, verification=vk)
         else:
             keys = mlabe.keygen(pp, msk, attrs, rng)
-        entities[name] = Entity(role=role, name=name, keys=keys)
+        entities[name] = Entity(role=role, keys=keys)
     return SystemContext(
         suite=suite,
         pp=pp,
@@ -626,7 +658,6 @@ SCENARIO_KEYS = frozenset((
     "suite seed insecure_seed timestamp participants policy record levels identifiable_level "
     "access_label do sp retrieve"
 ).split())
-PARTICIPANT_KEYS = frozenset(("role", "attrs"))
 RETRIEVE_KEYS = frozenset(("du", "access_label"))
 
 
@@ -669,16 +700,6 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
         value = obj.get(key)
         return None if value is None else typed(value, kind)
 
-    def strings(value) -> list[str]:
-        return [typed(v, str) for v in typed(value, list)]
-
-    def known(obj, keys, where=""):
-        """``obj`` as a dict holding none but ``keys``."""
-        unknown = set(typed(obj, dict)) - keys
-        if unknown:
-            raise ValueError("%sunknown keys %s" % (where, sorted(unknown)))
-        return obj
-
     with decoding(WorkflowError, "scenario"):
         doc = known(doc, SCENARIO_KEYS)
         if "suite" not in doc:
@@ -691,14 +712,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
                 'a seed makes every key public; on suite %s it needs "insecure_seed": true'
                 % suite_name
             )
-        participants = {}
-        for name, spec in typed(doc.get("participants", {}), dict).items():
-            where = "participant %r: " % name
-            role = typed(known(spec, PARTICIPANT_KEYS, where).get("role", "DU"), str)
-            if role not in Role.__members__:
-                raise ValueError("%sunknown role %r" % (where, role))
-            attrs = None if spec.get("attrs") is None else strings(spec["attrs"])
-            participants[name] = {"role": role, "attrs": attrs}
+        participants = read_participants(doc.get("participants", {}))
         do_name, sp_name = typed(doc["do"], str), typed(doc["sp"], str)
         for role, name in (("do", do_name), ("sp", sp_name)):
             if name not in participants:
@@ -716,7 +730,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
         for i, (du_name, _) in enumerate(retrievals):
             if du_name not in participants:
                 raise ValueError("retrieve %d: %r is not a participant" % (i, du_name))
-            if participants[du_name]["attrs"] is None:
+            if participants[du_name][1] is None:
                 raise ValueError("retrieve %d: %r has no decryption key" % (i, du_name))
     try:
         # a bad policy raises its own PolicyError, before any file is written
@@ -737,7 +751,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
         raise WorkflowError("malformed scenario: %s" % exc) from None
 
     rng = _random.Random(seed) if seed is not None else None
-    ctx = phase_setup(suite_name, participants, rng=rng, db_root=db_root)
+    ctx = phase_setup(suite_name, doc.get("participants"), rng=rng, db_root=db_root)
     package = owner_package(ctx, record, terms)
     transcript = cosign_package(ctx, do_name, sp_name, record, terms, package)
     # only now: a document the agreement refuses leaves no files

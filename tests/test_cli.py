@@ -501,10 +501,55 @@ def test_os_errors_are_json_errors(tmp_path, capsys):
     run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(tmp_path / "msk.json"))
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("")
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"rows": []}))
     _assert_cli_json_error(
         "FileExistsError", "ingest", "--pp", str(pp), "--db", str(not_a_dir),
-        "--batch", str(tmp_path / "batch.json"),
+        "--batch", str(batch),
     )
+
+
+@pytest.mark.parametrize(
+    "msk, error",
+    [("nodir/msk.json", "FileNotFoundError"), (".", "IsADirectoryError")],
+    ids=["no-directory", "a-directory"],
+)
+def test_setup_refuses_an_unwritable_output_before_writing(tmp_path, capsys, msk, error):
+    """The parameters are not written when their master key cannot be,
+    since a master key lost is a setup lost."""
+    code, out, err = run(
+        capsys, "setup", "--suite", "mock", "--pp", str(tmp_path / "pp.json"),
+        "--msk", str(tmp_path / msk),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_scenario_refuses_an_unwritable_out_before_the_store(tmp_path, capsys):
+    """A summary that cannot be written stops the run before it writes
+    the store and the key bundles, so the same command can run again."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIO))
+    code, out, err = run(
+        capsys, "run-scenario", str(scen), "--db", str(tmp_path / "store"),
+        "--keys", str(tmp_path / "keys"), "--out", str(tmp_path / "nodir" / "s.json"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert list(tmp_path.iterdir()) == [scen]
+
+
+def test_ingest_reads_the_batch_before_making_the_store(tmp_path, capsys):
+    pp = tmp_path / "pp.json"
+    run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(tmp_path / "msk.json"))
+    code, out, err = run(
+        capsys, "ingest", "--pp", str(pp), "--db", str(tmp_path / "db"),
+        "--batch", str(tmp_path / "missing.json"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+    assert not (tmp_path / "db").exists()
 
 
 # the CSV names every key of every row once, in the order the rows

@@ -34,6 +34,20 @@ def test_setup_publishes_consistent_parameters(mock_setup):
     assert pp.encode() == pp.encode()
 
 
+@pytest.mark.parametrize(
+    "attrs, found", [("doctor", "str"), (["a", 5], "int")], ids=["text", "non-string-name"]
+)
+def test_keygen_refuses_attributes_that_are_not_names(mock_setup, monkeypatch, attrs, found):
+    """A string is refused rather than read as the set of its letters,
+    and so is a name that is not a string, before any scalar is drawn."""
+    suite, pp, msk, rng = mock_setup
+    draws = []
+    monkeypatch.setattr(suite, "rand_scalar", lambda rng=None: draws.append(rng))
+    with pytest.raises(MlabeError, match="found %s$" % found):
+        mlabe.keygen(pp, msk, attrs, rng)
+    assert draws == []
+
+
 def test_keygen_key_algebra_on_mock(mock_setup):
     suite, pp, msk, rng = mock_setup
     bundle = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)

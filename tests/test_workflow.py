@@ -7,6 +7,7 @@ import pytest
 
 from etenon import mlabe, musig, tenon, workflow
 from etenon.codec import canonical_json
+from etenon.errors import EtenonError
 from etenon.tdb import row_digest, signed_digest
 from etenon.workflow import (
     Role,
@@ -999,6 +1000,45 @@ def test_scenario_refuses_an_unknown_role_before_setup(tmp_path, monkeypatch):
     reason = "participant 'x': unknown role 'WIZARD'"
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
         run_scenario(doc, db_root=tmp_path / "db", keys_dir=tmp_path / "keys")
+    assert setups == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ({"role": "DU", "attrs": "basic"},
+         "participant 'x': attributes must be a list, tuple or set of names, found str"),
+        ({"role": "DU", "atrs": ["basic"]}, "participant 'x': unknown keys ['atrs']"),
+        (["DU"], "participant 'x': expected dict, found list"),
+        ({"role": "WIZARD", "attrs": []}, "participant 'x': unknown role 'WIZARD'"),
+    ],
+    ids=["attrs-text", "misspelt-key", "not-an-object", "unknown-role"],
+)
+def test_phase_setup_reads_a_participant_as_a_scenario_does(tmp_path, monkeypatch, spec, reason):
+    """``phase_setup`` refuses what a scenario document refuses, with the
+    same reason, before it draws the parameters or makes the store
+    directory: a string is not read as the set of its letters, and a
+    misspelt key does not make a signing-only party."""
+    setups = []
+    setup = mlabe.setup
+    monkeypatch.setattr(mlabe, "setup", lambda *a: setups.append(a) or setup(*a))
+    participants = dict(PARTICIPANTS, x=spec)
+    with pytest.raises(EtenonError, match=r": %s$" % re.escape(reason)):
+        phase_setup("mock", participants, rng=random.Random(1), db_root=tmp_path / "db")
+    doc = {
+        "suite": "mock",
+        "seed": 11,
+        "participants": participants,
+        "policy": POLICY,
+        "record": RECORD,
+        "levels": {"1": ["symptom"], "2": ["history"]},
+        "identifiable_level": 3,
+        "do": "patient",
+        "sp": "hospital",
+    }
+    with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
+        run_scenario(doc, db_root=tmp_path / "db")
     assert setups == []
     assert list(tmp_path.iterdir()) == []
 
