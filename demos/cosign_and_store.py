@@ -15,15 +15,23 @@ from etenon.algebra import get_suite
 from etenon.tdb import OpenRow, SecretEntry, TenonDb
 
 
-def cosigned_rows(suite, pp, sks, structure, rng, t):
-    """Every row of the chain, co-signed in one run under one roster."""
+def cosigned_visit(suite, pp, sks, visit, note, rng, t):
+    """One agreement's batch: every row of the note's chain and the entry
+    sealing its head, co-signed in one run under the new roster ``visit``."""
+    structure = tenon.build_structure(tenon.tokenize(note, tenon.load_stopwords()), rng)
+    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:doctor")
+    ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
     digests = [tdb.row_digest(pp.encode(), triple, t) for triple in structure.triples]
-    sigs, _ = musig.cosign(suite, sks, digests, rng)
-    return [
+    digests.append(tdb.entry_digest(pp.encode(), visit, "clinical", mlabe.ct_canonical_bytes(ct), t))
+    (*sigs, entry_sig), roster = musig.cosign(suite, sks, digests, rng)
+    rows = [
         OpenRow(pointer=triple.pointer, block=triple.block, next=triple.next,
-                sig=sig, roster_ref="visit-1", timestamp=t)
+                sig=sig, roster_ref=visit, timestamp=t)
         for triple, sig in zip(structure.triples, sigs)
     ]
+    secret = SecretEntry(entry_id=visit, ciphertext=ct, sig=entry_sig,
+                         roster_ref=visit, access_label="clinical", timestamp=t)
+    return rows, secret, {visit: roster}
 
 
 def main():
@@ -32,34 +40,24 @@ def main():
     pp, msk = mlabe.setup(suite, rng)
     t = 1_700_000_000
 
-    stopwords = tenon.load_stopwords()
     note = "Pain in the chest and a cough"
-    blocks = tenon.tokenize(note, stopwords)
     print("note:   %r" % note)
-    print("blocks: %s" % blocks)
-    structure = tenon.build_structure(blocks, rng)
+    print("blocks: %s" % tenon.tokenize(note, tenon.load_stopwords()))
 
     owner = mlabe.keygen(pp, msk, ["holder"], rng)
     provider = mlabe.keygen(pp, msk, ["doctor"], rng)
     sks = [owner.signing, provider.signing]
-    roster = (owner.verification, provider.verification)
-
-    rows = cosigned_rows(suite, pp, sks, structure, rng, t)
-    tree = policy.parse_policy("level 1 requires [1]\ntree: attr:doctor")
-    ct = mlabe.encrypt(pp, {1: b"\x01" + structure.head.bytes}, tree, rng)
-    digest = tdb.entry_digest(pp.encode(), "visit-1", "clinical", mlabe.ct_canonical_bytes(ct), t)
-    (sig,), _ = musig.cosign(suite, sks, [digest], rng)
-    secret = SecretEntry(entry_id="visit-1", ciphertext=ct, sig=sig,
-                         roster_ref="visit-1", access_label="clinical", timestamp=t)
 
     db = TenonDb(pp)
-    result = db.ingest(rows, secret, rosters={"visit-1": roster}, rng=rng)
+    rows, secret, rosters = cosigned_visit(suite, pp, sks, "visit-1", note, rng, t)
+    result = db.ingest(rows, secret, rosters=rosters, rng=rng)
     print("honest batch accepted:", result.accepted)
     print("stored order:", [db.find_row(r.pointer) is not None for r in rows])
 
-    forged = [replace(rows[0], block=rows[0].block + " (edited)",
-                      pointer=tenon.make_pointer(rng))]
-    result = db.ingest(forged, rosters={"visit-1": roster}, rng=rng)
+    # a second visit's batch, with one row's text edited after signing
+    rows, secret, rosters = cosigned_visit(suite, pp, sks, "visit-2", "Fever since Monday", rng, t)
+    forged = [replace(rows[0], block=rows[0].block + " (edited)")] + rows[1:]
+    result = db.ingest(forged, secret, rosters=rosters, rng=rng)
     print("forged batch accepted:", result.accepted, "(%s)" % result.reason)
 
     before = [r.pointer.hex[:8] for r in db.read_open()]

@@ -46,6 +46,7 @@ it exists to make the scheme's algebraic identity directly testable.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 
 from dataclasses import dataclass
@@ -93,6 +94,11 @@ class PublicParams:
             parts.append(el)
         return b"|".join([parts[0], b"".join(parts[1:])])
 
+    def fingerprint(self) -> bytes:
+        """16 bytes of SHA-256 over :meth:`encode`, which a key bundle
+        carries to name the parameters it was issued under."""
+        return hashlib.sha256(self.encode()).digest()[:16]
+
 
 @dataclass
 class MasterKey:
@@ -105,6 +111,9 @@ class DecryptionKey:
     attrs: frozenset[str]
     d: G0Element
     components: dict[str, tuple[G0Element, G0Element]]
+    # the fingerprint of the public parameters it was issued under; a key
+    # put together by hand has none
+    pp_fingerprint: bytes | None = None
 
 
 @dataclass
@@ -168,7 +177,9 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
     ``attrs`` is checked by :func:`attribute_set` before anything is
     drawn.  The fresh scalar r randomizes the decryption key and is never
     handed out: anyone who knew r could pair g^r with a leaf element and
-    stand in for attributes the key does not hold.
+    stand in for attributes the key does not hold.  The key carries
+    ``pp``'s fingerprint, so a reader can refuse it under other
+    parameters.
     """
     attrs = attribute_set(attrs)
     suite = pp.suite
@@ -184,7 +195,7 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
             g_r * (suite.hash_to_group(attr) ** r_a),
             g2 ** r_a,
         )
-    dk = DecryptionKey(attrs=attrs, d=d, components=components)
+    dk = DecryptionKey(attrs=attrs, d=d, components=components, pp_fingerprint=pp.fingerprint())
     sk, vk = musig.keypair(suite, rng)
     return KeyBundle(decryption=dk, signing=sk, verification=vk)
 
@@ -433,6 +444,7 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
             attr: {"d": b64(pair[0].encode()), "dp": b64(pair[1].encode())}
             for attr, pair in sorted(dk.components.items())
         },
+        pp_fingerprint=b64(dk.pp_fingerprint),
         sk=b64(suite.encode_scalar(bundle.signing)),
         vk=b64(bundle.verification.encode()),
     )
@@ -456,6 +468,7 @@ def key_from_json(obj, suite: GroupSuite) -> KeyBundle:
             attrs=attrs,
             d=suite.decode_g0(unb64(obj["d"]), RIGHT),
             components=components,
+            pp_fingerprint=unb64(obj["pp_fingerprint"]),
         )
         return KeyBundle(
             decryption=dk,

@@ -3,13 +3,14 @@
 Open rows are chain elements (pointer, text, next pointer) with a
 multi-signature, and anyone may read them.  Secret entries hold a
 ciphertext bundle with its own multi-signature and a coarse access
-label checked on fetch.  Ingest is all or nothing: every signature in
-the batch must verify against its named roster before anything is
-stored, and a batch must sign something under each roster it carries;
-a rejected batch leaves both memory and the persisted log
-byte-identical.  The gate and log replay admit a batch as a log line
-through one method, :meth:`TenonDb._verified`, so a live store holds
-exactly what a reopen of its log holds.
+label checked on fetch.  A batch is one agreement: one sealed entry,
+its rows and one new roster, the entry's, under which every row is
+signed.  Ingest is all or nothing: every signature in the batch must
+verify against that roster before anything is stored; a rejected batch
+leaves both memory and the persisted log byte-identical.  The gate and
+log replay admit a batch as a log line through one method,
+:meth:`TenonDb._verified`, so a live store holds exactly what a reopen
+of its log holds.
 
 Signatures are checked many at once, by :func:`musig.verify_batch`:
 one multi-exponentiation with a weight per signature, 1 for the first
@@ -25,9 +26,8 @@ reader those of every row it walks, so a refusal names the first bad
 row, or the entry, and its line.
 
 Storage order is shuffled after every accepted ingest and on demand; a
-shuffle that happens to reproduce the previous order (compared by order
-digest) is redrawn, so consecutive layouts always differ once the table
-has at least two rows.
+shuffle that happens to reproduce the previous order is redrawn, so
+consecutive layouts always differ once the table has at least two rows.
 
 Persistence is an append-only JSONL log of accepted ingests, the only
 copy of the data, plus an atomically swapped snapshot of the storage
@@ -82,6 +82,9 @@ BATCH_SIGNATURES = 256
 # the log's file name in a store directory; a directory without it holds
 # no store
 LOG_NAME = "log.jsonl"
+
+# the refusal of a batch without its sealed entry, by the gate and by replay
+NO_ENTRY = "batch has no entry"
 
 
 class TdbError(EtenonError):
@@ -211,7 +214,6 @@ class TenonDb:
     """In-memory view plus optional on-disk log under ``root``."""
 
     def __init__(self, pp: PublicParams, root=None):
-        self.pp = pp
         self.suite: GroupSuite = pp.suite
         self._pp_bytes = pp.encode()
         self._rows: list[OpenRow] = []  # storage order
@@ -237,76 +239,69 @@ class TenonDb:
 
     def _check(self, rows, secret, rosters, view) -> list:
         """The ``(where, sig, roster, digest)`` of every signature of a
-        decoded batch, after the checks of its roster refs, pointers and
-        entry id against the store and ``view``, which then holds them;
-        the first problem raises :class:`TdbError`."""
-        known, pointers, entries = view
-        # a batch carries only rosters it signs under, so no ref is claimed
-        # without a signature
-        used = {row.roster_ref for row in rows}
-        if secret is not None:
-            used.add(secret.roster_ref)
-        if not used:
-            raise TdbError("batch signs nothing")
-        for ref in rosters:
-            if ref not in used:
-                raise TdbError("roster %r signs nothing in the batch" % ref)
-        # refs are write-once, so every stored row keeps the roster it was
-        # signed under
-        for ref, vks in rosters.items():
-            if known.get(ref, vks) != vks:
-                raise TdbError("roster %r already defined with other keys" % ref)
-            if ref not in known:
-                problem = musig.roster_problem(self.suite, [vk.encode() for vk in vks])
-                if problem is not None:
-                    raise TdbError("roster %r: %s" % (ref, problem))
-            known[ref] = vks
+        decoded batch, after the checks of its roster, pointers and entry
+        id against the store and ``view``, which then holds them; the
+        first problem raises :class:`TdbError`.
+
+        A batch is one agreement: its entry, its rows and one new roster,
+        the entry's, that signs them all.  So no ref is claimed without a
+        signature, and every stored row keeps the roster it was signed
+        under."""
+        refs, pointers, entries = view
+        ref = secret.roster_ref
+        if list(rosters) != [ref]:
+            raise TdbError("batch must carry exactly its entry's roster %r, found %s"
+                           % (ref, sorted(rosters)))
+        if ref in self._rosters or ref in refs:
+            raise TdbError("roster %r already present" % ref)
+        roster = rosters[ref]
+        problem = musig.roster_problem(self.suite, [vk.encode() for vk in roster])
+        if problem is not None:
+            raise TdbError("roster %r: %s" % (ref, problem))
+        refs.add(ref)
         signed = []
         for i, row in enumerate(rows):
             where = "row %d (pointer %s)" % (i, row.pointer)
-            roster = known.get(row.roster_ref)
-            if roster is None:
-                raise TdbError("%s: unknown roster %r" % (where, row.roster_ref))
             if row.pointer in self._index or row.pointer in pointers:
                 raise TdbError("%s: pointer already present" % where)
+            if row.roster_ref != ref:
+                raise TdbError("%s: roster %r is not its entry's" % (where, row.roster_ref))
             pointers.add(row.pointer)
             signed.append((where, row.sig, roster, row_digest(self._pp_bytes, row, row.timestamp)))
-        if secret is not None:
-            where = "secret entry %r" % (secret.entry_id,)
-            if secret.entry_id in self._secrets or secret.entry_id in entries:
-                raise TdbError("%s: entry id already present" % where)
-            entries.add(secret.entry_id)
-            roster = known.get(secret.roster_ref)
-            if roster is None:
-                raise TdbError("%s: unknown roster %r" % (where, secret.roster_ref))
-            digest = entry_digest(self._pp_bytes, secret.entry_id, secret.access_label,
-                                  secret.ct_bytes, secret.timestamp)
-            signed.append((where, secret.sig, roster, digest))
+        where = "secret entry %r" % (secret.entry_id,)
+        if secret.entry_id in self._secrets or secret.entry_id in entries:
+            raise TdbError("%s: entry id already present" % where)
+        entries.add(secret.entry_id)
+        digest = entry_digest(self._pp_bytes, secret.entry_id, secret.access_label,
+                              secret.ct_bytes, secret.timestamp)
+        signed.append((where, secret.sig, roster, digest))
         return signed
 
-    def ingest(self, rows, secret: SecretEntry | None = None, rosters=None, rng=None) -> IngestResult:
+    def ingest(self, rows, secret: SecretEntry, rosters, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
 
+        A batch is what one agreement writes: one sealed entry, its rows
+        and ``rosters``, which maps the entry's roster ref, new to the
+        store, to its verification keys.  Every row names that ref, and
+        its roster signs the rows and the entry; anything else is refused.
         The batch is encoded as its log line and admitted as replay
         admits a line, so the store holds what a reopen reads; a batch
         the log could not carry back is refused with the decoder's reason.
-        ``rosters`` maps roster refs to verification-key sequences, each
-        the roster of a row or the entry of the batch; refs already
-        stored by earlier accepted batches may be reused, and repeated
-        only with the keys they were stored with.  The storage
-        order is reshuffled after every accepted batch.
+        The storage order is reshuffled after every accepted batch.
         """
         # The gate reads the given entry in full, so a malformed ciphertext
         # is refused here; the stored entry is decoded from its signed bytes.
         try:
-            if secret is not None and secret.ciphertext.suite_name != self.suite.name:
+            if secret is None:
+                raise TdbError(NO_ENTRY)
+            if secret.ciphertext.suite_name != self.suite.name:
                 raise TdbError("secret entry %r: ciphertext suite mismatch" % (secret.entry_id,))
         except TdbError as exc:
             return IngestResult(accepted=False, reason=str(exc))
         with self._writing(), self._lock:
             try:
                 with decoding(TdbError, "batch"):
-                    line = canonical_json(batch_to_json(self.suite, rows, secret, rosters or {}))
+                    line = canonical_json(batch_to_json(self.suite, rows, secret, rosters))
                 for line, batch in self._verified([line]):
                     self._append_log(line)
                     self._apply(line, *batch)
@@ -322,7 +317,7 @@ class TenonDb:
         and the lines before it, then one :func:`invalid` scan covers the
         lines that passed, so a bad signature on an earlier line is named
         before a line that fails its checks."""
-        view = dict(self._rosters), set(), set()  # roster refs, pointers, entry ids
+        view = set(), set(), set()  # roster refs, pointers and entry ids of the lines checked
         checked, signed, refusal = [], [], None
         for line in lines:
             try:
@@ -352,8 +347,7 @@ class TenonDb:
         for row in rows:
             self._rows.append(row)
             self._index[row.pointer] = row
-        if secret is not None:
-            self._secrets[secret.entry_id] = secret
+        self._secrets[secret.entry_id] = secret
         self._log_end += len(line) + 1
         self._log_lines += 1
 
@@ -407,11 +401,11 @@ class TenonDb:
         with self._lock:
             if len(self._rows) < 2:
                 return
-            before = self.order_digest()
+            before = list(self._rows)
             shuffler = rng if rng is not None else random.SystemRandom()
             while True:
                 shuffler.shuffle(self._rows)
-                if self.order_digest() != before:
+                if self._rows != before:
                     return
 
     # ------------------------------------------------------------------
@@ -610,7 +604,7 @@ def rosters_from_json(suite: GroupSuite, obj) -> dict:
         }
 
 
-def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry | None, rosters) -> dict:
+def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry, rosters) -> dict:
     """The ``{rows, secret, rosters}`` document of one ingest batch.  A
     row whose fields cannot be encoded is refused by its index, as
     :func:`batch_from_json` names a row it cannot decode."""
@@ -624,16 +618,14 @@ def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry | None, rosters) 
             raise TdbError("row %d: %s" % (i, exc)) from None
     return {
         "rows": docs,
-        "secret": secret_to_json(suite, secret) if secret else None,
+        "secret": secret_to_json(suite, secret),
         "rosters": rosters_to_json(rosters),
     }
 
 
-def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry | None, dict]:
-    """Rows, secret entry (or None) and rosters of a batch document.
-
-    ``rows`` is required; ``secret`` and ``rosters`` may be absent or null.
-    """
+def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry, dict]:
+    """Rows, secret entry and rosters of a batch document; all three are
+    required."""
     with decoding(TdbError, "batch"):
         obj = typed(obj, dict)
         rows = []
@@ -642,5 +634,6 @@ def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry 
                 rows.append(row_from_json(suite, r))
             except TdbError as exc:
                 raise TdbError("row %d: %s" % (i, exc)) from None
-        secret = secret_from_json(suite, obj["secret"]) if obj.get("secret") else None
-        return rows, secret, rosters_from_json(suite, obj.get("rosters") or {})
+        if obj["secret"] is None:
+            raise TdbError(NO_ENTRY)
+        return rows, secret_from_json(suite, obj["secret"]), rosters_from_json(suite, obj["rosters"])

@@ -47,7 +47,7 @@ from .algebra import get_suite, is_mock
 from .codec import canonical_json, decoding, typed, write_json
 from .errors import EtenonError
 from .mlabe import KeyBundle, PublicParams
-from .tdb import OpenRow, SecretEntry, TdbError, TenonDb
+from .tdb import OpenRow, SecretEntry, TenonDb
 from .tenon import Classification, EhrRecord, load_stopwords
 
 
@@ -552,18 +552,22 @@ def retrieve_entry(
 ) -> RetrievalReport:
     """The retrieval procedure itself, independent of any entity roster.
 
-    A bundle without a decryption key is refused before the store is
-    read.  The entry's signature is checked before anything is decrypted,
-    and the entry is decrypted once.  Every row reachable from a chain head
-    through ``next`` is then collected, each pointer once, so a cycle
-    ends the collection; the collected rows under known rosters are
-    checked in one :func:`tdb.invalid` scan.  The levels are then walked
-    once, and a row with an unknown roster or an invalid signature breaks
-    its chain there and is reported in ``row_failures`` each time the
-    walk reaches it.
+    A bundle without a decryption key, or one issued under other public
+    parameters, is refused before the store is read.  The entry's
+    signature is checked before anything is decrypted, and the entry is
+    decrypted once.  Every row reachable from a chain head through
+    ``next`` is then collected, each pointer once, so a cycle ends the
+    collection.  An entry's roster signed every row of its agreement, so
+    each collected row must name the entry's roster ref, and those that
+    do are checked under that roster in one :func:`tdb.invalid` scan.
+    The levels are then walked once, and a row under another roster or
+    with an invalid signature breaks its chain there and is reported in
+    ``row_failures`` each time the walk reaches it.
     """
     if keys.decryption is None:
         raise WorkflowError("a signing-only key bundle has no decryption key")
+    if keys.decryption.pp_fingerprint != pp.fingerprint():
+        raise WorkflowError("key bundle was issued under other public parameters")
     suite = pp.suite
     entry = db.read_secret(entry_id, access_label)
     roster = db.roster(entry.roster_ref)
@@ -589,12 +593,10 @@ def retrieve_entry(
     for pointer, row in reached.items():
         if row is None:
             continue
-        try:
-            roster_r = db.roster(row.roster_ref)
-        except TdbError:
-            problems[pointer] = "unknown roster"
+        if row.roster_ref != entry.roster_ref:
+            problems[pointer] = "roster %r is not its entry's" % row.roster_ref
             continue
-        signed.append((pointer, row.sig, roster_r, tdb.row_digest(pp_bytes, row, row.timestamp)))
+        signed.append((pointer, row.sig, roster, tdb.row_digest(pp_bytes, row, row.timestamp)))
     for i in tdb.invalid(suite, [item[1:] for item in signed]):
         problems[signed[i][0]] = "signature invalid"
     failures: list[str] = []

@@ -424,8 +424,8 @@ def test_criterion_09_shuffle_laws():
 
         # two rows always flip
         db2 = TenonDb(pp)
-        rows, _, rosters = make_batch(mock, pp, rng, blocks=("a", "b"))
-        db2.ingest(rows, rosters=rosters, rng=rng)
+        rows, secret, rosters = make_batch(mock, pp, rng, blocks=("a", "b"))
+        db2.ingest(rows, secret, rosters=rosters, rng=rng)
         for _ in range(200):
             order = [r.pointer for r in db2.read_open()]
             db2.shuffle(rng)
@@ -433,10 +433,10 @@ def test_criterion_09_shuffle_laws():
 
         # five rows: identity never appears; the rest is uniform
         db5 = TenonDb(pp)
-        rows, _, rosters = make_batch(
+        rows, secret, rosters = make_batch(
             mock, pp, rng, blocks=("a", "b", "c", "d", "e"), roster_ref="batch-5"
         )
-        db5.ingest(rows, rosters=rosters, rng=rng)
+        db5.ingest(rows, secret, rosters=rosters, rng=rng)
         want = Counter(r.pointer for r in db5.read_open())
         counts = Counter()
         draws = 10_000

@@ -101,6 +101,29 @@ def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
     assert doc["before"] != doc["after"]
 
 
+def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
+    """A key bundle from a second run names other public parameters: the
+    reader refuses it, rather than report that no level opens."""
+    for name, seed in (("first", 11), ("second", 12)):
+        scen = tmp_path / (name + ".json")
+        scen.write_text(json.dumps(dict(SCENARIO, seed=seed)))
+        code, out, _ = run(
+            capsys, "run-scenario", str(scen), "--db", str(tmp_path / name / "store"),
+            "--keys", str(tmp_path / name / "keys"),
+        )
+        assert code == 0
+    entry = json.loads(out)["agreement"]["entry_id"]
+    store = tmp_path / "second" / "store"
+    code, out, err = run(
+        capsys, "retrieve", "--pp", str(store / "pp.json"), "--db", str(store),
+        "--key", str(tmp_path / "first" / "keys" / "dr_grey.json"), "--entry", entry,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "WorkflowError", "message": "key bundle was issued under other public parameters",
+    }
+
+
 def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(SCENARIO))
@@ -498,11 +521,10 @@ def test_os_errors_are_json_errors(tmp_path, capsys):
         "FileNotFoundError", "setup", "--suite", "mock",
         "--pp", str(tmp_path / "nodir" / "pp.json"), "--msk", str(tmp_path / "msk.json"),
     )
-    run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(tmp_path / "msk.json"))
     not_a_dir = tmp_path / "plain-file"
     not_a_dir.write_text("")
     batch = tmp_path / "batch.json"
-    batch.write_text(json.dumps({"rows": []}))
+    batch.write_text(json.dumps(_agreed_batch(tmp_path)))  # it writes pp.json too
     _assert_cli_json_error(
         "FileExistsError", "ingest", "--pp", str(pp), "--db", str(not_a_dir),
         "--batch", str(batch),

@@ -87,11 +87,13 @@ def test_ingest_accepts_valid_batch(system):
 
 
 def test_rows_only_batch(system):
+    """A batch is one agreement: rows without their entry are refused."""
     suite, pp, _, rng = system
     db = TenonDb(pp)
     rows, _, rosters = make_batch(suite, pp, rng)
-    assert db.ingest(rows, rosters=rosters, rng=rng).accepted
-    assert db.secret_ids() == ()
+    r = db.ingest(rows, None, rosters=rosters, rng=rng)
+    assert not r.accepted and r.reason == "batch has no entry"
+    assert db.read_open() == () and db.secret_ids() == ()
 
 
 def test_gate_rejects_each_defect(large_system):
@@ -109,14 +111,15 @@ def test_gate_rejects_each_defect(large_system):
     r = db.ingest(bad, secret, rosters=rosters, rng=rng)
     assert not r.accepted and "signature invalid" in r.reason
 
-    # unknown roster reference
+    # a row under a roster other than its entry's
     bad = [replace(rows[0], roster_ref="nobody")] + rows[1:]
     r = db.ingest(bad, secret, rosters=rosters, rng=rng)
-    assert not r.accepted and "unknown roster" in r.reason
+    assert not r.accepted and "roster 'nobody' is not its entry's" in r.reason
 
+    # an entry whose roster the batch does not carry
     bad = replace(secret, roster_ref="nobody")
     r = db.ingest(rows, bad, rosters=rosters, rng=rng)
-    assert not r.accepted and "unknown roster" in r.reason
+    assert not r.accepted and "exactly its entry's roster 'nobody'" in r.reason
 
     # duplicate pointer inside the batch
     r = db.ingest(rows + [rows[0]], secret, rosters=rosters, rng=rng)
@@ -145,13 +148,14 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, pa
     against the bytes a row's fields give."""
     suite, pp, _, rng = large_system
     sks, roster = sign_keys(suite, rng)
+    _, entry, _ = make_batch(suite, pp, rng, entry_id="r", roster_ref="r", keys=(sks, roster))
     pointer = tenon.make_pointer(rng)
     digest = tdb.signed_digest("block", payload, pointer.bytes, pp.encode(), 7)
     (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     row = OpenRow(pointer, "x", None, sig, "r", 7)
 
     db = TenonDb(pp, root=tmp_path)
-    r = db.ingest([row], rosters={"r": roster}, rng=rng)
+    r = db.ingest([row], entry, rosters={"r": roster}, rng=rng)
     assert not r.accepted
     assert r.reason == "row 0 (pointer %s): signature invalid" % pointer
     assert db.read_open() == () and not (tmp_path / "log.jsonl").exists()
@@ -159,7 +163,7 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, pa
     # a log line that holds such a row fails the load, named by its number
     rows, secret, rosters = make_batch(suite, pp, rng)
     assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
-    line = canonical_json(tdb.batch_to_json(suite, [row], None, {"r": roster}))
+    line = canonical_json(tdb.batch_to_json(suite, [row], entry, {"r": roster}))
     with open(tmp_path / "log.jsonl", "ab") as fh:
         fh.write(line + b"\n")
     where = r"^log line 2: .*row 0 \(pointer %s\): signature invalid" % pointer
@@ -175,8 +179,10 @@ def test_gate_refuses_a_roster_one_party_can_pose_as(any_system, shape, problem)
     t = tenon.Triple(tenon.make_pointer(rng), "alone", None)
     sig, roster = forged_signature(suite, shape, tdb.row_digest(pp.encode(), t, 7), rng)
     row = OpenRow(t.pointer, t.block, t.next, sig, "forged", 7)
+    # the roster is refused before any signature is checked, the entry's too
+    _, entry, _ = make_batch(suite, pp, rng, blocks=("e",), roster_ref="forged")
     db = TenonDb(pp)
-    r = db.ingest([row], rosters={"forged": roster}, rng=rng)
+    r = db.ingest([row], entry, rosters={"forged": roster}, rng=rng)
     assert not r.accepted
     assert r.reason == "roster 'forged': %s" % problem
     assert db.read_open() == ()
@@ -255,8 +261,8 @@ def test_shuffle_preserves_multiset_and_changes_order(system):
 def test_shuffle_two_rows_always_flips(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, _, rosters = make_batch(suite, pp, rng, blocks=("a", "b"))
-    db.ingest(rows, rosters=rosters, rng=rng)
+    rows, secret, rosters = make_batch(suite, pp, rng, blocks=("a", "b"))
+    db.ingest(rows, secret, rosters=rosters, rng=rng)
     for _ in range(100):
         order = [r.pointer for r in db.read_open()]
         db.shuffle(rng)
@@ -266,8 +272,8 @@ def test_shuffle_two_rows_always_flips(system):
 def test_shuffle_single_row_is_noop(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, _, rosters = make_batch(suite, pp, rng, blocks=("only",))
-    db.ingest(rows, rosters=rosters, rng=rng)
+    rows, secret, rosters = make_batch(suite, pp, rng, blocks=("only",))
+    db.ingest(rows, secret, rosters=rosters, rng=rng)
     before = db.order_digest()
     db.shuffle(rng)
     assert db.order_digest() == before
@@ -282,10 +288,10 @@ def test_log_replay_restores_state(system, tmp_path):
     db = TenonDb(pp, root=tmp_path)
     rows, secret, rosters = make_batch(suite, pp, rng)
     db.ingest(rows, secret, rosters=rosters, rng=rng)
-    rows2, _, rosters2 = make_batch(
+    rows2, secret2, rosters2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
-    db.ingest(rows2, rosters=rosters2, rng=rng)
+    db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
 
     again = TenonDb(pp, root=tmp_path)
     assert {r.pointer for r in again.read_open()} == {
@@ -305,14 +311,14 @@ def test_snapshot_plus_tail_replay(system, tmp_path):
     rows, secret, rosters = make_batch(suite, pp, rng)
     db.ingest(rows, secret, rosters=rosters, rng=rng)
     db.save_snapshot()
-    rows2, _, rosters2 = make_batch(
+    rows2, secret2, rosters2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
-    db.ingest(rows2, rosters=rosters2, rng=rng)  # after the snapshot
+    db.ingest(rows2, secret2, rosters=rosters2, rng=rng)  # after the snapshot
 
     again = TenonDb(pp, root=tmp_path)
     assert len(again.read_open()) == 5
-    assert again.secret_ids() == ("entry-1",)
+    assert again.secret_ids() == ("entry-1", "entry-2")
     # snapshot preserves the shuffled storage order it captured
     db.save_snapshot()
     third = TenonDb(pp, root=tmp_path)
@@ -392,7 +398,7 @@ def _spaced_entry(suite, pp, rng):
         (_edited(row={"next": "beta"}), r"^row 0: malformed row: badly formed hexadecimal UUID"),
         (_edited(secret={"timestamp": 1 << 64}), r"^malformed secret entry: timestamp \d+ does not fit"),
         # replay would key this roster "5", so a later "5" could bind other keys
-        (lambda suite, pp, rng: ([], None, {5: sign_keys(suite, rng)[1]}),
+        (lambda suite, pp, rng: make_batch(suite, pp, rng)[:2] + ({5: sign_keys(suite, rng)[1]},),
          r"^malformed batch: expected str, found int$"),
         (_unreduced_s, r"^row 0: malformed row: scalar out of range$"),
         (_spaced_entry, r"^secret entry 'spaced': signature invalid$"),
@@ -879,9 +885,39 @@ def _replayed_pointer(suite, pp, rng, first):
     return first[0][1:2] + rows, secret, rosters
 
 
-def _unknown_roster(suite, pp, rng, first):
+def _row_under(ref):
+    def build(suite, pp, rng, first):
+        rows, secret, rosters = _second(suite, pp, rng)
+        return rows[:1] + [replace(rows[1], roster_ref=ref)] + rows[2:], secret, rosters
+    return build
+
+
+def _no_entry(suite, pp, rng, first):
+    rows, _, rosters = _second(suite, pp, rng)
+    return rows, None, rosters
+
+
+def _second_roster(suite, pp, rng, first):
     rows, secret, rosters = _second(suite, pp, rng)
-    return rows[:1] + [replace(rows[1], roster_ref="nobody")] + rows[2:], secret, rosters
+    return rows, secret, dict(rosters, squat=sign_keys(suite, rng)[1])
+
+
+def _reused_roster(suite, pp, rng, first):
+    """A batch under the first batch's ref, restating that roster's keys;
+    the ref is refused before any signature is checked."""
+    rows, secret, _ = _second(suite, pp, rng, roster_ref="first")
+    return rows, secret, first[2]
+
+
+def _log_line(suite, rows, secret, rosters) -> bytes:
+    """The log line of a batch, also of one without its entry, which the
+    store's encoder never writes."""
+    doc = {
+        "rows": [tdb.row_to_json(suite, row) for row in rows],
+        "secret": None if secret is None else tdb.secret_to_json(suite, secret),
+        "rosters": tdb.rosters_to_json(rosters),
+    }
+    return canonical_json(doc)
 
 
 POINTER = r"\(pointer [0-9a-f-]{36}\)"
@@ -893,14 +929,20 @@ POINTER = r"\(pointer [0-9a-f-]{36}\)"
         (_forged_at(0), r"row 0 %s: signature invalid" % POINTER),
         (_forged_at(2), r"row 2 %s: signature invalid" % POINTER),
         (_replayed_pointer, r"row 0 %s: pointer already present" % POINTER),
-        (_unknown_roster, r"row 1 %s: unknown roster 'nobody'" % POINTER),
+        (_row_under("nobody"), r"row 1 %s: roster 'nobody' is not its entry's" % POINTER),
+        (_row_under("first"), r"row 1 %s: roster 'first' is not its entry's" % POINTER),
         (lambda suite, pp, rng, first: _second(suite, pp, rng, roster_ref="first"),
-         r"roster 'first' already defined with other keys"),
+         r"roster 'first' already present"),
+        (_reused_roster, r"roster 'first' already present"),
+        (_second_roster, r"batch must carry exactly its entry's roster 'second', "
+                         r"found \['second', 'squat'\]"),
+        (_no_entry, r"batch has no entry"),
         (lambda suite, pp, rng, first: _second(suite, pp, rng, entry_id="first"),
          r"secret entry 'first': entry id already present"),
     ],
     ids=["forged-row-0", "forged-row-2", "replayed-pointer", "unknown-roster",
-         "redefined-roster", "reused-entry-id"],
+         "row-under-another-ref", "redefined-roster", "reused-roster-same-keys",
+         "second-roster", "no-entry", "reused-entry-id"],
 )
 def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reason):
     """The gate refuses a batch with the words a reopen uses for the
@@ -920,7 +962,7 @@ def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reas
     (copy / "log.jsonl").write_bytes((tmp_path / "live" / "log.jsonl").read_bytes())
     behind = TenonDb(pp, root=copy)
     with open(copy / "log.jsonl", "ab") as fh:
-        fh.write(canonical_json(tdb.batch_to_json(suite, rows, secret, rosters)) + b"\n")
+        fh.write(_log_line(suite, rows, secret, rosters) + b"\n")
     with pytest.raises(TdbError) as reopened:
         TenonDb(pp, root=copy)
     with pytest.raises(TdbError) as caught_up:
@@ -1096,25 +1138,27 @@ def test_snapshot_does_not_stand_in_for_the_log(system, tmp_path):
 
 
 def test_roster_ref_is_write_once(system, tmp_path):
-    """A batch may repeat a stored roster ref with the same keys but not
-    redefine it, so every stored row keeps the roster it was signed under."""
+    """A batch may not restate a stored roster ref, with other keys or
+    with the same ones, so every stored row keeps the roster it was
+    signed under."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     keys = sign_keys(suite, rng)
     rows, secret, rosters = make_batch(suite, pp, rng, keys=keys)
     assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
-    rows2, secret2, rosters2 = make_batch(
-        suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="batch-1"
-    )
-    r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
-    assert not r.accepted and "already defined" in r.reason
+    for same_keys in (None, keys):
+        rows2, secret2, rosters2 = make_batch(
+            suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="batch-1",
+            keys=same_keys,
+        )
+        r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
+        assert not r.accepted and r.reason == "roster 'batch-1' already present"
     assert db.roster("batch-1") == rosters["batch-1"]
-    rows3, _, rosters3 = make_batch(suite, pp, rng, blocks=("r",), keys=keys)
-    assert db.ingest(rows3, rosters=rosters3, rng=rng).accepted  # same keys: fine
     db.save_snapshot()
     reopened = TenonDb(pp, root=tmp_path)
     assert reopened.find_row(rows[0].pointer) == rows[0]
     assert reopened.roster("batch-1") == rosters["batch-1"]
+    assert reopened.secret_ids() == ("entry-1",)
 
 
 def _with_unused_roster(suite, pp, rng):
@@ -1125,17 +1169,18 @@ def _with_unused_roster(suite, pp, rng):
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (lambda suite, pp, rng: ([], None, {}), "batch signs nothing"),
+        (lambda suite, pp, rng: ([], None, {}), "batch has no entry"),
         (lambda suite, pp, rng: ([], None, {"squat": sign_keys(suite, rng)[1]}),
-         "batch signs nothing"),
-        (_with_unused_roster, "roster 'squat' signs nothing in the batch"),
+         "batch has no entry"),
+        (_with_unused_roster,
+         "batch must carry exactly its entry's roster 'batch-2', found ['batch-2', 'squat']"),
     ],
     ids=["empty", "roster-only", "unused-roster"],
 )
 def test_a_batch_claims_only_the_rosters_it_signs_under(system, tmp_path, build, reason):
-    """A batch with no row and no entry, or with a roster none of its
-    signatures is under, is refused by the gate and by replay, so no
-    write-once ref is claimed without a signature."""
+    """A batch without its entry, or with a roster besides its entry's,
+    is refused by the gate and by replay, so no write-once ref is claimed
+    without a signature."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     assert db.ingest(*make_batch(suite, pp, rng), rng=rng).accepted
@@ -1149,8 +1194,7 @@ def test_a_batch_claims_only_the_rosters_it_signs_under(system, tmp_path, build,
     }
     with pytest.raises(TdbError, match="unknown roster 'squat'"):
         db.roster("squat")
-    line = canonical_json(tdb.batch_to_json(suite, rows, secret, rosters))
-    log.write_bytes(log_bytes + line + b"\n")
+    log.write_bytes(log_bytes + _log_line(suite, rows, secret, rosters) + b"\n")
     with pytest.raises(TdbError, match=r"^log line 2: %s$" % re.escape(reason)):
         TenonDb(pp, root=tmp_path)
 
@@ -1235,7 +1279,7 @@ def test_json_decoders_raise_only_tdb_errors(system):
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "d213ca09bd37af5572a14bf73791b6d2d14fc36b9bd37721b047377cc8a8b39f",
+    "log.jsonl": "a2d17a3b7ba3d998081facfa575781821f9710130ae714b82d61c7b1fbbebf52",
     "snapshot.json": "29f7b8aca986cd41b20e20398311695af75209e099653f73afc3f46a5603ad70",
     "reopened snapshot.json": "6657744a398cbd515030fddc87bc8046559b5e6cf02a01aa13a6aed929dc096d",
 }
@@ -1244,9 +1288,9 @@ PINNED_STORE_FILES = {
 def test_seeded_store_files_are_pinned(system, tmp_path):
     """The log line and snapshot formats are fixed byte for byte.
 
-    Two batches (the second without a secret entry) are logged and
-    snapshotted, a third is logged after the snapshot; the store is then
-    reopened (log replay, then the snapshot's order) and snapshotted again.
+    Two batches are logged and snapshotted, a third is logged after the
+    snapshot; the store is then reopened (log replay, then the snapshot's
+    order) and snapshotted again.
     """
     import hashlib
 
@@ -1257,7 +1301,7 @@ def test_seeded_store_files_are_pinned(system, tmp_path):
             suite, pp, rng, blocks=blocks, entry_id="entry-%d" % i,
             roster_ref="batch-%d" % i,
         )
-        assert db.ingest(rows, secret if i != 1 else None, rosters=rosters, rng=rng).accepted
+        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
         if i == 1:
             db.save_snapshot()
     digests = {

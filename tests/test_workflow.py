@@ -744,7 +744,7 @@ def test_retrieval_refuses_an_edited_entry_before_decrypting(monkeypatch):
     "change, failure",
     [
         (lambda row: {"block": row.block + "!"}, "signature invalid"),
-        (lambda row: {"roster_ref": "nowhere"}, "unknown roster"),
+        (lambda row: {"roster_ref": "nowhere"}, "roster 'nowhere' is not its entry's"),
     ],
     ids=["block", "roster"],
 )
@@ -763,27 +763,70 @@ def test_retrieval_refuses_an_edited_row(change, failure):
     assert all(rec.complete for l, rec in report.recovered.items() if l != level and rec.blocks)
 
 
-def _cosigned_cycle(ctx):
-    """Store a co-signed two-row cycle A -> B -> A, with entry ``cycle``
-    sealing A at level 1; returns (A, B)."""
+def _cosign_entry(ctx, entry_id, ref, triples, head):
+    """Store a batch co-signed by patient and hospital under a new roster
+    ``ref``: ``triples`` as its rows and entry ``entry_id``, which seals
+    ``head`` at level 1."""
     from etenon import policy, tdb
 
     keys = [ctx.entity(name).keys.signing for name in ("patient", "hospital")]
     pp_bytes, t = ctx.pp.encode(), 1_700_000_000
-    a, b = tenon.make_pointer(ctx.rng), tenon.make_pointer(ctx.rng)
     rows = []
-    for pointer, nxt in ((a, b), (b, a)):
-        triple = tenon.Triple(pointer, "loop", nxt)
+    for triple in triples:
         digest = tdb.row_digest(pp_bytes, triple, t)
         (sig,), roster = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
-        rows.append(tdb.OpenRow(pointer, "loop", nxt, sig, "cycle", t))
+        rows.append(tdb.OpenRow(triple.pointer, triple.block, triple.next, sig, ref, t))
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:basic")
-    ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(a)}, tree, ctx.rng)
-    digest = tdb.entry_digest(pp_bytes, "cycle", "clinical", mlabe.ct_canonical_bytes(ct), t)
-    (sig,), _ = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
-    secret = tdb.SecretEntry("cycle", ct, sig, "cycle", "clinical", t)
-    assert ctx.db.ingest(rows, secret, rosters={"cycle": roster}, rng=ctx.rng).accepted
+    ct = mlabe.encrypt(ctx.pp, {1: encode_chain_payload(head)}, tree, ctx.rng)
+    digest = tdb.entry_digest(pp_bytes, entry_id, "clinical", mlabe.ct_canonical_bytes(ct), t)
+    (sig,), roster = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
+    secret = tdb.SecretEntry(entry_id, ct, sig, ref, "clinical", t)
+    assert ctx.db.ingest(rows, secret, rosters={ref: roster}, rng=ctx.rng).accepted
+
+
+def _cosigned_cycle(ctx):
+    """Store a co-signed two-row cycle A -> B -> A, with entry ``cycle``
+    sealing A at level 1; returns (A, B)."""
+    a, b = tenon.make_pointer(ctx.rng), tenon.make_pointer(ctx.rng)
+    _cosign_entry(ctx, "cycle", "cycle", [tenon.Triple(a, "loop", b), tenon.Triple(b, "loop", a)], a)
     return a, b
+
+
+def test_an_entry_reads_no_row_its_roster_did_not_sign():
+    """A second agreement may sign a row whose ``next`` is the head of the
+    first agreement's chain, but its entry's text ends at its own row:
+    the row after it was signed under the other agreement's roster."""
+    ctx = fresh_ctx(suite=EDIT_SUITE)
+    tr = agree(ctx)
+    assert ingest_transcript(ctx, tr).accepted
+    by_pointer = {row.pointer: row for row in tr.rows}
+
+    def text(pointer):
+        return " ".join(row.block for row in tenon.follow(pointer, by_pointer.get)[0])
+
+    (head,) = [p for p in by_pointer if text(p) == "Pain in the chest and a cough"]
+    preface = tenon.make_pointer(ctx.rng)
+    _cosign_entry(ctx, "e2", "other", [tenon.Triple(preface, "Forged preface:", head)], preface)
+
+    report = phase_retrieval(ctx, "dr_grey", "e2")
+    assert report.entry_sig_ok
+    assert report.recovered[1].text == "Forged preface:"
+    assert report.recovered[1].complete is False
+    assert report.row_failures == ["row %s: roster %r is not its entry's" % (head, tr.roster_ref)]
+
+
+def test_retrieve_entry_refuses_a_key_issued_under_other_parameters():
+    """A reader key from a second setup is refused before the store is
+    read or anything is paired, not read as a key that opens no level."""
+    ctx = fresh_ctx()
+    tr = agree(ctx)
+    assert ingest_transcript(ctx, tr).accepted
+    keys = fresh_ctx(seed=6).entity("dr_grey").keys
+    with ctx.suite.measure() as span, pytest.raises(
+        WorkflowError, match="^key bundle was issued under other public parameters$"
+    ):
+        workflow.retrieve_entry(ctx.pp, ctx.db, keys, tr.entry_id)
+    assert span.pairings == span.exponentiations == 0
 
 
 def test_retrieval_of_a_cosigned_cycle_raises():
