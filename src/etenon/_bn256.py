@@ -87,14 +87,17 @@ naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 # A Straus pass takes WINDOW bits of every scalar per step.  The
 # sequence of operations of a plain pass (multi_mul) depends only on how
 # many terms there are and how many windows the longest scalar spans,
-# never on the digits: a digit only indexes a table.  A split pass
+# never on the digits: a digit only indexes a row.  A split pass
 # (split_mul) leaves a short scalar whole: one whose odd form fits
 # HALF_BITS bits, or whose r - k does, taken as r - k times the negated
 # base.  With a split term in it, the pass recodes every half and every
 # short scalar over HALF_BITS bits, and a half's sign only picks an
 # entry, so the sequence depends on the count and on which scalars are
-# short.  With none, it recodes over the longest short scalar's own
-# windows, as a plain pass does.  For uniformly drawn secret scalars
+# short.  Such a pass takes its odd multiples from affine rows, built
+# by the row builder of fixed-base tables (_rows): one inversion per
+# column, 2**(WINDOW - 1) for the whole pass.  With no split term it
+# recodes over the longest short scalar's own windows, as a plain pass
+# does, from Jacobian multiples.  For uniformly drawn secret scalars
 # none is short except with probability about 2**-125.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
@@ -178,11 +181,17 @@ def multi_mul(group, terms):
 
     Each scalar is recoded by :func:`_digits` over the longest term's
     window count: every window costs WINDOW doublings, shared by all
-    terms, and one table add per term.  Exact on any value on which
-    ``group.neg`` is the exact inverse: any curve point, but only the
-    cyclotomic subgroup in Fp12."""
+    terms, and one add per term from its Jacobian multiples, which a
+    point of any order has.  Exact on any value on which ``group.neg``
+    is the exact inverse: any curve point, but only the cyclotomic
+    subgroup in Fp12."""
     top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
-    return _straus(group, [(*_odd_multiples(group, x), k) for x, k in terms], top)
+
+    def add(r, row, d):
+        # entry (d + len - 1) / 2 of a signed row of x is d*x
+        return group.add(r, row[(d + len(row) - 1) >> 1])
+
+    return _straus(group, [(*_signed_rows(group, x), k) for x, k in terms], top, add)
 
 
 def split_mul(group, terms):
@@ -191,70 +200,80 @@ def split_mul(group, terms):
     halves.
 
     A term whose odd form has ``group.half_bits`` bits or more becomes
-    two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k); the
-    odd multiples of endo(x) are those of x mapped by endo, which is
-    cheaper than adding them up, and a negative half negates its
-    multiples.  A term whose order - k is shorter than that is the power
-    order - k of -x instead, and stays whole, as a short k does.  Every
-    half and every short scalar is recoded over half_bits bits, so the
-    pass costs about half the doublings of :func:`multi_mul`; a pass
-    with no split term is recoded over its longest scalar's windows.  On
-    a value outside that subgroup the endomorphism is not the
-    multiplication by lambda and the result is wrong: membership checks
-    take :func:`multi_mul`."""
-    neg, endo, bits, order = group.neg, group.endo, group.half_bits, group.order
+    two terms, x by k0 and endo(x) by k1, where (k0, k1) = split(k), and
+    a negative half negates its digits.  A term whose order - k is
+    shorter than that is the power order - k of -x instead, and stays
+    whole, as a short k does.  Every half and every short scalar is
+    recoded over half_bits bits, so the pass costs about half the
+    doublings of :func:`multi_mul`.  Such a pass drops identity bases,
+    which have no affine form and add nothing, builds every other
+    base's odd multiples as one affine row, all rows a column at a time
+    as a table's (see :func:`_rows`), maps a row by the endomorphism
+    entry by entry, which is cheaper than building it, and adds each
+    digit and each recoding fix with ``group.add_entry``, as a table
+    walk does.  A pass with no split term is recoded over its longest
+    scalar's windows from Jacobian multiples, as a plain pass is: for a
+    window or two an affine row costs more than it saves.  On a value
+    outside that subgroup the endomorphism is not the multiplication by
+    lambda and the result is wrong, and a column step may meet a zero
+    denominator and raise ZeroDivisionError: membership checks take
+    :func:`multi_mul`."""
+    neg, bits, order = group.neg, group.half_bits, group.order
 
     def short(k):
         return not (k + 1 + (k & 1)) >> bits
 
-    halves, split = [], False
-    for x, k in terms:
-        if not short(k) and short(order - k):
-            x, k = neg(x), order - k
-        odd, x2 = _odd_multiples(group, x)
+    terms = [(neg(x), order - k) if not short(k) and short(order - k) else (x, k)
+             for x, k in terms]
+    if all(short(k) for _, k in terms):
+        return multi_mul(group, terms)
+    columns = group.columns
+    finite = columns.finite or (lambda x: x != group.identity)
+    endo = columns.endo or group.endo
+    terms = [(x, k) for x, k in terms if finite(x)]
+    xs = [x for x, _ in terms]
+    rows, steps = _rows(
+        columns, xs, [group.double(x) for x in xs], 1 << (WINDOW - 1), lambda q: (q,),
+    )
+    halves = []
+    for (_, k), row, step in zip(terms, rows, steps):
         if short(k):
-            halves.append((odd, x2, k))
+            halves.append((row, [step], k))
             continue
-        split = True
         h0, h1 = group.split(k)
-        for m, m2, h in ((odd, x2, h0), ([endo(q) for q in odd], endo(x2), h1)):
-            halves.append(([neg(q) for q in m], neg(m2), -h) if h < 0 else (m, m2, h))
-    if split:
-        top = -(-bits // WINDOW)
-    else:
-        top = max((_windows(k + 1 + (k & 1)) for _, _, k in halves), default=1)
-    return _straus(group, halves, top)
+        halves += [(row, [step], h0), ([endo(q) for q in row], [endo(step)], h1)]
+    halves = [(_coords(columns, m), _coords(columns, m2), h) for m, m2, h in halves]
+    return _straus(group, halves, -(-bits // WINDOW), group.add_entry)
 
 
-def _odd_multiples(group, x):
-    """x, 3x, ..., (2**WINDOW - 1)x, and 2x."""
-    x2 = group.double(x)
+def _signed_rows(group, x):
+    """x's Jacobian row -(2**WINDOW - 1)x, ..., -3x, -x, x, 3x, ...,
+    (2**WINDOW - 1)x, and 2x's, (-2x, 2x)."""
+    neg, x2 = group.neg, group.double(x)
     odd = [x]
     for _ in range((1 << WINDOW) // 2 - 1):
         odd.append(group.add(odd[-1], x2))
-    return odd, x2
+    return [neg(q) for q in reversed(odd)] + odd, (neg(x2), x2)
 
 
-def _straus(group, terms, top):
-    """multi_mul's pass with every scalar recoded over ``top`` windows,
-    over (odd multiples of x, 2x, k) terms."""
-    add, double, neg = group.add, group.double, group.neg
-    base = 1 << WINDOW
-    tables, fixes = [], []
-    for odd, x2, k in terms:
-        # table[(d + base - 1) >> 1] == d*x for odd d in [1 - base, base - 1]
-        tables.append([neg(q) for q in reversed(odd)] + odd)
-        fixes.append(neg((odd[0], x2)[k & 1]))
-    digits = [_digits(k, WINDOW, top) for _, _, k in terms]
+def _straus(group, terms, top, add):
+    """The sum of h*x over the (row of x, row of 2x, h) terms in one
+    pass, every |h| recoded over ``top`` windows; ``add(r, row, d)`` is
+    r plus d times the row's value, for an odd digit d."""
+    recoded = []
+    for row, _, h in terms:
+        sign = -1 if h < 0 else 1
+        recoded.append((row, [sign * d for d in _digits(abs(h), WINDOW, top)]))
     r = group.identity
     for i in reversed(range(top)):
         if i < top - 1:
             for _ in range(WINDOW):
-                r = double(r)
-        for table, row in zip(tables, digits):
-            r = add(r, table[(row[i] + base - 1) >> 1])
-    for fix in fixes:
-        r = add(r, fix)
+                r = group.double(r)
+        for row, digits in recoded:
+            r = add(r, row, digits[i])
+    # the recoding took |h| + 1 or |h| + 2: take x or 2x back off
+    for row, twice, h in terms:
+        r = add(r, (row, twice)[h & 1], -1 if h >= 0 else 1)
     return r
 
 
@@ -613,7 +632,13 @@ def g1_affine(pt):
 twist_B = fp2_mul(fp2_inv(xi), (0, curve_B))
 G2_INFINITY = (FP2_ZERO, FP2_ZERO, FP2_ZERO)
 
-# TODO derive this
+# The G2 generator of the Go bn256 package (golang.org/x/crypto/bn256,
+# ``twistGen``), which works over this same curve, u = 1868033**3
+# (Naehrig, Niederhagen and Schwabe, "New software speed records for
+# cryptographic pairings", LATINCRYPT 2010), in this file's Fp2 order
+# (x*i + y).  Nothing here derives it: a test checks that it lies on
+# the twist and that order * twist_G is the point at infinity, which an
+# assert here would pay for with a G2 pass in every process.
 twist_G = (
     (21167961636542580255011770066570541300993051739349375019639421053990175267184,
      64746500191241794695844075326670126197795977525365406531717464316923369116492),
@@ -945,7 +970,8 @@ def final_exp(inp):
 # must lie in the order-r subgroup, which for GT lies in the cyclotomic
 # subgroup, where the conjugate is the inverse.
 #
-# A table is built a column at a time.  Doublings give each row's base
+# A table is built a column at a time, by the row builder that a split
+# Straus pass shares (_rows).  Doublings give each row's base
 # P_i = 2**(w*i) * P and its double 2*P_i, which are normalised with
 # one inversion; column j + 1 is then column j plus each row's 2*P_i.
 # On a curve a column is a list of affine points, and the additions of
@@ -959,22 +985,30 @@ def final_exp(inp):
 
 
 class Columns(NamedTuple):
-    """How :func:`_table` builds a group's table a column at a time:
+    """How :func:`_rows` builds a group's rows a column at a time:
     ``normal(values)`` gives the values' normal forms, ``add(column,
     steps)`` the normal forms of column[i] + steps[i] for normal values,
-    and ``coords(value)`` a normal value's coordinates, a tuple of ints."""
+    and ``coords(value)`` a normal value's coordinates, a tuple of ints.
+    ``finite(value)`` tells whether a value is not the identity, which
+    may have no normal form, and ``endo`` is the group's endomorphism on
+    normal values; for a group whose values are their own normal forms
+    (None) they are ``value != identity`` and ``Group.endo``."""
 
     normal: Callable
     add: Callable
     coords: Callable
+    finite: Callable = None
+    endo: Callable = None
 
 
-def _affine_columns(mul, sub, inv, one, coords):
+def _affine_columns(mul, sub, inv, one, coords, endo):
     """The columns of a curve whose points have affine coordinates in
     the field of ``mul``, ``sub``, ``inv`` and ``one``: a normal point is
     an (x, y) pair, and each list shares one inversion.  A zero
     denominator, which no point of order r meets, raises
-    ZeroDivisionError."""
+    ZeroDivisionError.  ``endo`` is the curve's endomorphism on Jacobian
+    points, which keeps z == one."""
+    zero = sub(one, one)
 
     def inverses(values):
         prefix = [one]
@@ -1005,7 +1039,30 @@ def _affine_columns(mul, sub, inv, one, coords):
             out.append((x3, sub(mul(lam, sub(x1, x3)), y1)))
         return out
 
-    return Columns(normal, add, coords)
+    return Columns(
+        normal, add, coords, lambda q: q[2] != zero, lambda q: endo((*q, one))[:2],
+    )
+
+
+def _rows(columns, firsts, steps, width, entry):
+    """Rows whose row i joins entry(firsts[i] + j*steps[i]) for j < width
+    into one list, each value in normal form, and the steps' normal
+    forms.  It costs one normalisation and width - 1 column steps, one
+    inversion each on a curve; each column is dropped once its entries
+    are taken."""
+    column = columns.normal(firsts + steps)
+    column, steps = column[:len(firsts)], column[len(firsts):]
+    rows = [list(entry(q)) for q in column]
+    for _ in range(width - 1):
+        column = columns.add(column, steps)
+        for row, q in zip(rows, column):
+            row += entry(q)
+    return rows, steps
+
+
+def _coords(columns, values):
+    """The coordinates of normal values, as one flat tuple: a row."""
+    return tuple(c for q in values for c in columns.coords(q))
 
 
 def _table(group, a):
@@ -1019,13 +1076,7 @@ def _table(group, a):
         bases.append(b)
         twice.append(double(b))
     fixes = ((group.neg(a), group.neg(twice[0])), (a, twice[0]))
-    column = columns.normal(bases + twice)
-    column, steps = column[:len(bases)], column[len(bases):]
-    rows = [list(columns.coords(q)) for q in column]
-    for _ in range((1 << (window - 1)) - 1):
-        column = columns.add(column, steps)
-        for row, q in zip(rows, column):
-            row += columns.coords(q)
+    rows, _ = _rows(columns, bases, twice, 1 << (window - 1), columns.coords)
     return tuple(map(tuple, rows)), fixes
 
 
@@ -1082,14 +1133,16 @@ CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
     endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
     columns=_affine_columns(
-        lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q,
+        lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q, g1_phi,
     ),
     add_entry=_g1_entry, generator=curve_G,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
     endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6,
-    columns=_affine_columns(fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1]),
+    columns=_affine_columns(
+        fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi,
+    ),
     add_entry=_g2_entry, generator=twist_G,
 )
 # the target group, as the cyclotomic subgroup of Fp12, where the

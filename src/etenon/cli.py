@@ -388,6 +388,9 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
 
     ``fp_mul`` times the host-speed reference itself.
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
+    ``g1_batch`` is one pass shaped like a store's batch check of
+    signatures (see ``musig.verify_batch``): nine decoded points by
+    weights below 2**128 and three keys by full-length exponents.
     The ``_fixed`` rows raise fixed bases whose tables were built before
     the timing, and give the median time to build a table, over
     ``trials`` builds from fresh bases, and a table's retained size."""
@@ -408,6 +411,12 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         x ** 1  # builds the table
     # each timed build starts from a fresh base
     scalars = [suite.rand_scalar_nonzero(rng) for _ in range(trials)]
+    bound = min(suite.order, 1 << 128)
+    batch = [
+        (suite.decode_g0((g1 ** suite.rand_scalar_nonzero(rng)).encode(), LEFT).point,
+         suite.rand_scalar(rng) % bound if i < 9 else suite.rand_scalar(rng))
+        for i in range(12)
+    ]
     costs = {
         "g1_fixed": _table_cost(suite, LEFT, [(g1 ** s).point for s in scalars]),
         "g2_fixed": _table_cost(suite, RIGHT, [(g2 ** s).point for s in scalars]),
@@ -419,6 +428,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),
         ("gt_exp", lambda: egg ** k),
+        ("g1_batch", lambda: suite._multi_exp(LEFT, batch)),
         ("g1_fixed", lambda: (fixed[LEFT] ** k).point),
         ("g2_fixed", lambda: (fixed[RIGHT] ** k).point),
         ("gt_fixed", lambda: fixed[TARGET] ** k),

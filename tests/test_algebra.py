@@ -757,6 +757,123 @@ def test_bn256_split_is_wrong_off_the_subgroup():
     assert b.g2_affine(b.split_mul(b.TWIST, [(pt, k)])) != b.g2_affine(want)
 
 
+def _counting_columns(group):
+    """The group with its add and its column inverse counted."""
+    b = _bn256
+    calls = {"add": 0, "inv": 0}
+
+    def add(x, y):
+        calls["add"] += 1
+        return group.add(x, y)
+
+    def counted(inv):
+        def inverse(a):
+            calls["inv"] += 1
+            return inv(a)
+        return inverse
+
+    if group is b.CURVE:
+        columns = b._affine_columns(
+            lambda x, y: x * y % b.p, lambda x, y: (x - y) % b.p, counted(b.inv_mod_p), 1,
+            lambda q: q, b.g1_phi,
+        )
+    else:
+        columns = b._affine_columns(
+            b.fp2_mul, b.fp2_sub, counted(b.fp2_inv), b.FP2_ONE, lambda q: q[0] + q[1], b.g2_psi,
+        )
+    return group._replace(add=add, columns=columns), calls
+
+
+@pytest.mark.parametrize("group", [_bn256.CURVE, _bn256.TWIST], ids=["g1", "g2"])
+def test_a_split_pass_adds_affine_rows_built_with_one_inversion_per_column(group):
+    """A pass with a split term makes no Jacobian add and 2**(WINDOW - 1)
+    inversions, one per column of its rows, whatever its number of terms;
+    a pass of short scalars alone keeps Jacobian multiples and inverts
+    nothing.  Both equal the sum of their ladders."""
+    b = _bn256
+    counting, calls = _counting_columns(group)
+    rng = random.Random(0xAFF)
+    generator = group.generator
+    bases = [b.multi_mul(group, [(generator, rng.randrange(1, b.order))]) for _ in range(13)]
+
+    def ladders(terms):
+        want = group.identity
+        for x, k in terms:
+            want = group.add(want, oracles.ladder(x, k, group.add, group.double, group.identity))
+        return group.normal(want)
+
+    for n in (1, 3, 13):
+        # one full-length scalar, then short, r - short and zero ones
+        scalars = [rng.randrange(b.order), 2**100 + 5, b.order - 9, 0]
+        terms = [(x, scalars[i % 4]) for i, x in enumerate(bases[:n])]
+        calls.update(add=0, inv=0)
+        got = b.split_mul(counting, terms)
+        assert calls == {"add": 0, "inv": 1 << (b.WINDOW - 1)}, n
+        assert group.normal(got) == ladders(terms), n
+    terms = [(bases[0], 2), (bases[1], 3), (bases[2], b.order - 1)]
+    calls.update(add=0, inv=0)
+    got = b.split_mul(counting, terms)
+    assert calls["inv"] == 0 and calls["add"] > 0
+    assert group.normal(got) == ladders(terms)
+
+
+def _split_groups():
+    """Per group, bases in its subgroup and identities; on a curve the
+    last identity is not in the form of ``group.identity``."""
+    b = _bn256
+    g1, g2 = b.g1_hash_to_point(b"split mixed"), b.multi_mul(b.TWIST, [(b.twist_G, 0x5B1)])
+    return {
+        "g1": (b.CURVE, [b.curve_G, g1, b.G1_INFINITY, b.g1_add(g1, b.g1_neg(g1))]),
+        "g2": (b.TWIST, [b.twist_G, g2, b.G2_INFINITY, b.g2_add(g2, b.g2_neg(g2))]),
+        "mock": (get_suite("mock").groups[LEFT], [1, 7, 0, 0]),
+    }
+
+
+_SPLIT_GROUPS = _split_groups()
+
+
+@given(
+    name=st.sampled_from(sorted(_SPLIT_GROUPS)),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(["zero", "short", "negated", "full"]),
+            st.one_of(st.integers(0, 2**130), st.sampled_from([1, 2**128 - 3, 2**128 - 2])),
+        ),
+        min_size=1, max_size=20,
+    ),
+)
+# both identities beside a split term
+@example(name="g1", picks=[(3, "full", 2**129 + 7), (2, "full", 5), (1, "negated", 9)])
+@example(name="g2", picks=[(2, "short", 3), (3, "full", 2**130 - 1), (0, "full", 11)])
+@settings(max_examples=20, deadline=None)
+def test_split_passes_match_the_ladder_on_mixed_lengths(name, picks):
+    """A split pass of 1 to 20 terms whose scalars mix 0, short ones
+    (below and around half_bits), r minus short ones and full-length
+    ones, over subgroup bases and identities (a Jacobian infinity with
+    nonzero x and y among them), equals the sum of the terms' ladder
+    products."""
+    group, bases = _SPLIT_GROUPS[name]
+    q, edge = group.order, 2**group.half_bits
+    terms = []
+    for i, kind, v in picks:
+        k = {"zero": 0, "short": v % edge, "negated": (q - v % edge) % q, "full": v % q}[kind]
+        terms.append((bases[i], k))
+    add, identity = group.add, group.identity
+    want = identity
+    for x, k in terms:
+        want = add(want, oracles.ladder(x, k, add, group.double, identity))
+    assert group.normal(_bn256.split_mul(group, terms)) == group.normal(want)
+
+
+def test_twist_generator_is_a_twist_point_of_order_r():
+    """twist_G is a constant taken from elsewhere, not derived here."""
+    b = _bn256
+    assert b.g2_on_curve(b.twist_G)
+    ladder = oracles.ladder(b.twist_G, b.order, b.g2_add, b.g2_double, b.G2_INFINITY)
+    assert ladder[2] == b.FP2_ZERO
+
+
 def _short_edges(order, bits):
     """Scalars a split pass leaves whole and their neighbours that it
     splits: 0 to 3, r - 1 to r - 3, and 3 either side of 2**bits and of

@@ -599,7 +599,7 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         csv_rows = list(reader)
     # stdout and the CSV hold the same rows; a CSV cell is empty where
     # its row has no such key
-    assert len(csv_rows) == len(rows) == 19
+    assert len(csv_rows) == len(rows) == 20
     for r, c in zip(rows, csv_rows):
         assert c["kind"] == r["kind"]
         assert {name for name, cell in c.items() if cell != ""} == set(r)
@@ -617,8 +617,8 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         assert r["verify_exp"] == r["m"] + r["n"]
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
-        "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_fixed", "g2_fixed", "gt_fixed",
-        "hash_to_g1", "right_decode", "gt_decode",
+        "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_batch", "g1_fixed", "g2_fixed",
+        "gt_fixed", "hash_to_g1", "right_decode", "gt_decode",
     }
     # only the fixed rows give a table's build time and retained size;
     # every row gives the spread of its timings, none for a single trial
