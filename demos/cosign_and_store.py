@@ -31,7 +31,7 @@ def cosigned_visit(suite, pp, sks, visit, note, rng, t):
     ]
     secret = SecretEntry(entry_id=visit, ciphertext=ct, sig=entry_sig,
                          roster_ref=visit, access_label="clinical", timestamp=t)
-    return rows, secret, {visit: roster}
+    return rows, secret, roster
 
 
 def main():
@@ -49,15 +49,15 @@ def main():
     sks = [owner.signing, provider.signing]
 
     db = TenonDb(pp)
-    rows, secret, rosters = cosigned_visit(suite, pp, sks, "visit-1", note, rng, t)
-    result = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = cosigned_visit(suite, pp, sks, "visit-1", note, rng, t)
+    result = db.ingest(rows, secret, roster, rng=rng)
     print("honest batch accepted:", result.accepted)
     print("stored order:", [db.find_row(r.pointer) is not None for r in rows])
 
     # a second visit's batch, with one row's text edited after signing
-    rows, secret, rosters = cosigned_visit(suite, pp, sks, "visit-2", "Fever since Monday", rng, t)
+    rows, secret, roster = cosigned_visit(suite, pp, sks, "visit-2", "Fever since Monday", rng, t)
     forged = [replace(rows[0], block=rows[0].block + " (edited)")] + rows[1:]
-    result = db.ingest(forged, secret, rosters=rosters, rng=rng)
+    result = db.ingest(forged, secret, roster, rng=rng)
     print("forged batch accepted:", result.accepted, "(%s)" % result.reason)
 
     before = [r.pointer.hex[:8] for r in db.read_open()]

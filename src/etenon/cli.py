@@ -141,10 +141,16 @@ def cmd_ingest(args) -> int:
     batch = _load_json(args.batch)
     if not isinstance(batch, dict):
         raise InputError("batch must be a JSON object")
-    rows, secret, rosters = tdb.batch_from_json(pp.suite, batch)
-    # only a batch that decodes makes the store directory
-    db = tdb.TenonDb(pp, root=args.db)
-    result = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    try:
+        rows, secret, roster = tdb.batch_from_json(pp, batch)
+    except tdb.OtherParamsError as exc:
+        # refused as the gate refuses a batch, and makes no store directory
+        result = tdb.IngestResult(accepted=False, reason=str(exc))
+        db = tdb.TenonDb(pp, root=args.db if os.path.isdir(args.db) else None)
+    else:
+        # only a batch that decodes makes the store directory
+        db = tdb.TenonDb(pp, root=args.db)
+        result = db.ingest(rows, secret, roster, rng=rng)
     if result.accepted:
         db.save_snapshot()
     _emit(
@@ -538,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="push a signed batch through the gate")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True, help="store directory")
-    p.add_argument("--batch", required=True, help="JSON with rows, secret, rosters")
+    p.add_argument("--batch", required=True, help="JSON with pp, roster, rows, secret")
     _seed_options(p)
     p.set_defaults(func=cmd_ingest)
 

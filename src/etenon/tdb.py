@@ -91,6 +91,10 @@ class TdbError(EtenonError):
     """Store misuse or a corrupt persisted state."""
 
 
+class OtherParamsError(TdbError):
+    """A batch made under other public parameters than the reader's."""
+
+
 class UnknownEntryError(TdbError):
     """No secret entry under that id."""
 
@@ -215,6 +219,7 @@ class TenonDb:
 
     def __init__(self, pp: PublicParams, root=None):
         self.suite: GroupSuite = pp.suite
+        self._pp = pp
         self._pp_bytes = pp.encode()
         self._rows: list[OpenRow] = []  # storage order
         self._index: dict[Pointer, OpenRow] = {}
@@ -237,7 +242,7 @@ class TenonDb:
     # ------------------------------------------------------------------
     # ingest
 
-    def _check(self, rows, secret, rosters, view) -> list:
+    def _check(self, rows, secret, roster, view) -> list:
         """The ``(where, sig, roster, digest)`` of every signature of a
         decoded batch, after the checks of its roster, pointers and entry
         id against the store and ``view``, which then holds them; the
@@ -249,12 +254,8 @@ class TenonDb:
         under."""
         refs, pointers, entries = view
         ref = secret.roster_ref
-        if list(rosters) != [ref]:
-            raise TdbError("batch must carry exactly its entry's roster %r, found %s"
-                           % (ref, sorted(rosters)))
         if ref in self._rosters or ref in refs:
             raise TdbError("roster %r already present" % ref)
-        roster = rosters[ref]
         problem = musig.roster_problem(self.suite, [vk.encode() for vk in roster])
         if problem is not None:
             raise TdbError("roster %r: %s" % (ref, problem))
@@ -264,8 +265,6 @@ class TenonDb:
             where = "row %d (pointer %s)" % (i, row.pointer)
             if row.pointer in self._index or row.pointer in pointers:
                 raise TdbError("%s: pointer already present" % where)
-            if row.roster_ref != ref:
-                raise TdbError("%s: roster %r is not its entry's" % (where, row.roster_ref))
             pointers.add(row.pointer)
             signed.append((where, row.sig, roster, row_digest(self._pp_bytes, row, row.timestamp)))
         where = "secret entry %r" % (secret.entry_id,)
@@ -277,13 +276,14 @@ class TenonDb:
         signed.append((where, secret.sig, roster, digest))
         return signed
 
-    def ingest(self, rows, secret: SecretEntry, rosters, rng=None) -> IngestResult:
+    def ingest(self, rows, secret: SecretEntry, roster, rng=None) -> IngestResult:
         """Verify then store a batch; reject without any side effect.
 
         A batch is what one agreement writes: one sealed entry, its rows
-        and ``rosters``, which maps the entry's roster ref, new to the
-        store, to its verification keys.  Every row names that ref, and
-        its roster signs the rows and the entry; anything else is refused.
+        and ``roster``, the verification keys of the entry's roster ref,
+        which is new to the store.  Every row has the entry's ref and
+        timestamp, and the roster signs the rows and the entry; anything
+        else is refused.
         The batch is encoded as its log line and admitted as replay
         admits a line, so the store holds what a reopen reads; a batch
         the log could not carry back is refused with the decoder's reason.
@@ -301,7 +301,7 @@ class TenonDb:
         with self._writing(), self._lock:
             try:
                 with decoding(TdbError, "batch"):
-                    line = canonical_json(batch_to_json(self.suite, rows, secret, rosters))
+                    line = canonical_json(batch_to_json(self._pp, rows, secret, roster))
                 for line, batch in self._verified([line]):
                     self._append_log(line)
                     self._apply(line, *batch)
@@ -336,14 +336,14 @@ class TenonDb:
             raise refusal
 
     def _decode(self, line: bytes):
-        """The rows, secret entry and rosters of one log line."""
+        """The rows, secret entry and roster of one log line."""
         with decoding(TdbError, "JSON"):
             doc = json.loads(line.decode())
-        return batch_from_json(self.suite, doc)
+        return batch_from_json(self._pp, doc)
 
-    def _apply(self, line: bytes, rows, secret, rosters) -> None:
+    def _apply(self, line: bytes, rows, secret, roster) -> None:
         """Add a verified batch, read from ``line`` of the log."""
-        self._rosters.update(rosters)
+        self._rosters[secret.roster_ref] = roster
         for row in rows:
             self._rows.append(row)
             self._index[row.pointer] = row
@@ -539,12 +539,11 @@ def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
         "text": row.block,
         "next": None if row.next is None else str(row.next),
         "sig": musig.sig_to_json(suite, row.sig),
-        "roster_ref": row.roster_ref,
-        "t": row.timestamp,
     }
 
 
-def row_from_json(suite: GroupSuite, obj) -> OpenRow:
+def row_from_json(suite: GroupSuite, obj, entry: SecretEntry) -> OpenRow:
+    """A row of ``entry``'s batch, under the entry's roster ref and timestamp."""
     with decoding(TdbError, "row"):
         obj = typed(obj, dict)
         nxt = obj["next"]
@@ -553,8 +552,8 @@ def row_from_json(suite: GroupSuite, obj) -> OpenRow:
             block=typed(obj["text"], str),
             next=None if nxt is None else pointer_from_json(nxt),
             sig=musig.sig_from_json(obj["sig"], suite),
-            roster_ref=typed(obj["roster_ref"], str),
-            timestamp=timestamp_from_json(obj["t"]),
+            roster_ref=entry.roster_ref,
+            timestamp=entry.timestamp,
         )
 
 
@@ -589,51 +588,51 @@ def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
         )
 
 
-def rosters_to_json(rosters) -> dict:
-    return {
-        typed(ref, str): [b64(vk.encode()) for vk in vks]
-        for ref, vks in sorted(rosters.items())
-    }
-
-
-def rosters_from_json(suite: GroupSuite, obj) -> dict:
-    with decoding(TdbError, "rosters"):
-        return {
-            ref: tuple(suite.decode_g0(unb64(raw), LEFT) for raw in typed(vks, list))
-            for ref, vks in typed(obj, dict).items()
-        }
-
-
-def batch_to_json(suite: GroupSuite, rows, secret: SecretEntry, rosters) -> dict:
-    """The ``{rows, secret, rosters}`` document of one ingest batch.  A
-    row whose fields cannot be encoded is refused by its index, as
+def batch_to_json(pp: PublicParams, rows, secret: SecretEntry, roster) -> dict:
+    """The ``{pp, roster, rows, secret}`` document of one ingest batch:
+    ``pp``'s fingerprint, the roster's keys, the rows as ``{pointer,
+    text, next, sig}`` and the entry, which alone states the roster ref
+    and timestamp.  A row whose ref or timestamp is not its entry's, or
+    whose fields cannot be encoded, is refused by its index, as
     :func:`batch_from_json` names a row it cannot decode."""
     docs = []
     for i, r in enumerate(rows):
+        where = "row %d (pointer %s)" % (i, r.pointer)
+        if r.roster_ref != secret.roster_ref:
+            raise TdbError("%s: roster %r is not its entry's" % (where, r.roster_ref))
+        if r.timestamp != secret.timestamp:
+            raise TdbError("%s: timestamp %r is not its entry's" % (where, r.timestamp))
         try:
             with decoding(TdbError, "row"):
-                docs.append(row_to_json(suite, r))
+                docs.append(row_to_json(pp.suite, r))
                 canonical_json(docs[-1])  # a field JSON cannot carry fails here
         except TdbError as exc:
             raise TdbError("row %d: %s" % (i, exc)) from None
     return {
+        "pp": b64(pp.fingerprint()),
+        "roster": [b64(vk.encode()) for vk in roster],
         "rows": docs,
-        "secret": secret_to_json(suite, secret),
-        "rosters": rosters_to_json(rosters),
+        "secret": secret_to_json(pp.suite, secret),
     }
 
 
-def batch_from_json(suite: GroupSuite, obj) -> tuple[list[OpenRow], SecretEntry, dict]:
-    """Rows, secret entry and rosters of a batch document; all three are
-    required."""
+def batch_from_json(pp: PublicParams, obj) -> tuple[list[OpenRow], SecretEntry, tuple]:
+    """Rows, secret entry and roster of a batch document; all three are
+    required.  A document made under other public parameters is refused
+    before anything else in it is read."""
+    suite = pp.suite
     with decoding(TdbError, "batch"):
         obj = typed(obj, dict)
+        if unb64(obj["pp"]) != pp.fingerprint():
+            raise OtherParamsError("made under other public parameters")
+        if obj["secret"] is None:
+            raise TdbError(NO_ENTRY)
+        secret = secret_from_json(suite, obj["secret"])
         rows = []
         for i, r in enumerate(typed(obj["rows"], list)):
             try:
-                rows.append(row_from_json(suite, r))
+                rows.append(row_from_json(suite, r, secret))
             except TdbError as exc:
                 raise TdbError("row %d: %s" % (i, exc)) from None
-        if obj["secret"] is None:
-            raise TdbError(NO_ENTRY)
-        return rows, secret_from_json(suite, obj["secret"]), rosters_from_json(suite, obj["rosters"])
+        roster = tuple(suite.decode_g0(unb64(raw), LEFT) for raw in typed(obj["roster"], list))
+        return rows, secret, roster

@@ -358,7 +358,7 @@ class AgreementTranscript:
     verdict: str
     entry_id: str | None = None
     roster_ref: str | None = None
-    rosters: dict | None = None
+    roster: tuple | None = None
     rows: tuple[OpenRow, ...] | None = None
     secret: SecretEntry | None = None
     signature_count: int = 0
@@ -481,7 +481,7 @@ def cosign_package(
         verdict="identical",
         entry_id=entry_id,
         roster_ref=roster_ref,
-        rosters={roster_ref: roster},
+        roster=roster,
         rows=tuple(rows),
         secret=secret,
         signature_count=len(rows) + 1,
@@ -514,7 +514,7 @@ def ingest_transcript(ctx: SystemContext, transcript: AgreementTranscript):
     return ctx.db.ingest(
         transcript.rows,
         transcript.secret,
-        rosters=transcript.rosters,
+        transcript.roster,
         rng=ctx.rng,
     )
 

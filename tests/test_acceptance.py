@@ -374,29 +374,29 @@ def test_criterion_08_gate_rejects_invisibly(tmp_path):
         rng = random.Random(0xAB08)
         pp, _ = mlabe.setup(mock, rng)
         db = TenonDb(pp, root=tmp_path)
-        rows, secret, rosters = make_batch(mock, pp, rng)
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        rows, secret, roster = make_batch(mock, pp, rng)
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
         db.save_snapshot()
 
         open_rows, entry_ids, order = db.read_open(), db.secret_ids(), db.order_digest()
         log_bytes = (tmp_path / "log.jsonl").read_bytes()
         snap_bytes = (tmp_path / "snapshot.json").read_bytes()
 
-        rows2, secret2, rosters2 = make_batch(
+        rows2, secret2, roster2 = make_batch(
             mock, pp, rng, blocks=("u", "v", "w"), entry_id="entry-2",
             roster_ref="batch-2",
         )
         attacks = [
             ([replace(rows2[0], block=rows2[0].block + "!")] + rows2[1:],
-             secret2, rosters2),
-            ([replace(rows2[0], timestamp=1)] + rows2[1:], secret2, rosters2),
+             secret2, roster2),
+            ([replace(rows2[0], timestamp=1)] + rows2[1:], secret2, roster2),
             (rows2, replace(secret2, access_label="clinical",
-                            ciphertext=secret.ciphertext), rosters2),
+                            ciphertext=secret.ciphertext), roster2),
             (rows2, secret2, {}),  # roster never supplied
-            (rows2 + [rows[0]], secret2, rosters2),  # replayed pointer
+            (rows2 + [rows[0]], secret2, roster2),  # replayed pointer
         ]
-        for bad_rows, bad_secret, bad_rosters in attacks:
-            result = db.ingest(bad_rows, bad_secret, rosters=bad_rosters, rng=rng)
+        for bad_rows, bad_secret, bad_roster in attacks:
+            result = db.ingest(bad_rows, bad_secret, roster=bad_roster, rng=rng)
             assert not result.accepted
             assert db.read_open() == open_rows
             assert db.secret_ids() == entry_ids
@@ -424,8 +424,8 @@ def test_criterion_09_shuffle_laws():
 
         # two rows always flip
         db2 = TenonDb(pp)
-        rows, secret, rosters = make_batch(mock, pp, rng, blocks=("a", "b"))
-        db2.ingest(rows, secret, rosters=rosters, rng=rng)
+        rows, secret, roster = make_batch(mock, pp, rng, blocks=("a", "b"))
+        db2.ingest(rows, secret, roster=roster, rng=rng)
         for _ in range(200):
             order = [r.pointer for r in db2.read_open()]
             db2.shuffle(rng)
@@ -433,10 +433,10 @@ def test_criterion_09_shuffle_laws():
 
         # five rows: identity never appears; the rest is uniform
         db5 = TenonDb(pp)
-        rows, secret, rosters = make_batch(
+        rows, secret, roster = make_batch(
             mock, pp, rng, blocks=("a", "b", "c", "d", "e"), roster_ref="batch-5"
         )
-        db5.ingest(rows, secret, rosters=rosters, rng=rng)
+        db5.ingest(rows, secret, roster=roster, rng=rng)
         want = Counter(r.pointer for r in db5.read_open())
         counts = Counter()
         draws = 10_000
@@ -506,7 +506,7 @@ def test_criterion_10_agreement_signs_or_refuses():
         assert tr.agreed
         assert len(tr.rows) == 5  # three symptom blocks plus two history blocks
         assert tr.signature_count == len(tr.rows) + 1
-        roster = tr.rosters[tr.roster_ref]
+        roster = tr.roster
         pp_bytes = ctx.pp.encode()
         for row in tr.rows:
             element = {"next": str(row.next) if row.next else None, "text": row.block}

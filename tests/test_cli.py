@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -101,9 +102,10 @@ def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
     assert doc["before"] != doc["after"]
 
 
-def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
-    """A key bundle from a second run names other public parameters: the
-    reader refuses it, rather than report that no level opens."""
+def _two_setups(tmp_path, capsys):
+    """Run the scenario twice, under seeds 11 and 12, into stores and key
+    directories under ``first`` and ``second``; the two entry ids."""
+    entries = []
     for name, seed in (("first", 11), ("second", 12)):
         scen = tmp_path / (name + ".json")
         scen.write_text(json.dumps(dict(SCENARIO, seed=seed)))
@@ -112,7 +114,14 @@ def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
             "--keys", str(tmp_path / name / "keys"),
         )
         assert code == 0
-    entry = json.loads(out)["agreement"]["entry_id"]
+        entries.append(json.loads(out)["agreement"]["entry_id"])
+    return entries
+
+
+def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
+    """A key bundle from a second run names other public parameters: the
+    reader refuses it, rather than report that no level opens."""
+    _, entry = _two_setups(tmp_path, capsys)
     store = tmp_path / "second" / "store"
     code, out, err = run(
         capsys, "retrieve", "--pp", str(store / "pp.json"), "--db", str(store),
@@ -122,6 +131,46 @@ def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
     assert json.loads(err) == {
         "error": "WorkflowError", "message": "key bundle was issued under other public parameters",
     }
+
+
+def test_a_store_under_other_parameters_is_refused_as_such(tmp_path, capsys):
+    """A store read under other public parameters, or a batch made under
+    them, is refused with that reason, not as a forged row; a forged row
+    still reads as one."""
+    first_entry, entry = _two_setups(tmp_path, capsys)
+    first, second = tmp_path / "first", tmp_path / "second"
+    pp = str(second / "store" / "pp.json")
+    code, out, err = run(
+        capsys, "retrieve", "--pp", pp, "--db", str(first / "store"),
+        "--key", str(second / "keys" / "dr_grey.json"), "--entry", entry,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "TdbError", "message": "log line 1: made under other public parameters",
+    }
+
+    batch = tmp_path / "batch.json"
+    batch.write_text((first / "store" / "log.jsonl").read_text())
+    files = {p.name: p.read_bytes() for p in (second / "store").iterdir()}
+    for db in (second / "store", tmp_path / "none"):
+        code, out, err = run(capsys, "ingest", "--pp", pp, "--db", str(db), "--batch", str(batch))
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert (doc["accepted"], doc["reason"]) == (False, "made under other public parameters")
+    assert {p.name: p.read_bytes() for p in (second / "store").iterdir()} == files
+    assert (doc["rows"], doc["secrets"]) == (0, 0) and not (tmp_path / "none").exists()
+
+    log = first / "store" / "log.jsonl"
+    line = json.loads(log.read_text())
+    line["rows"][0]["text"] += "!"
+    log.write_text(json.dumps(line) + "\n")
+    code, out, err = run(
+        capsys, "retrieve", "--pp", str(first / "store" / "pp.json"), "--db", str(first / "store"),
+        "--key", str(first / "keys" / "dr_grey.json"), "--entry", first_entry,
+    )
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert re.fullmatch(r"log line 1: row 0 \(pointer [0-9a-f-]{36}\): signature invalid", message)
 
 
 def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):
@@ -180,7 +229,7 @@ def _agreed_batch(tmp_path):
         "level 1 requires [1]\ntree: attr:basic",
         {1: ["note"]}, timestamp=1_700_000_000,
     )
-    batch = tdb.batch_to_json(ctx.suite, tr.rows, tr.secret, tr.rosters)
+    batch = tdb.batch_to_json(ctx.pp, tr.rows, tr.secret, tr.roster)
     (tmp_path / "pp.json").write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
     return batch
 
@@ -215,8 +264,7 @@ def _break_pointer(batch):
 
 
 def _break_roster_key(batch):
-    ref = next(iter(batch["rosters"]))
-    batch["rosters"][ref][0] = "!!!"
+    batch["roster"][0] = "!!!"
     return json.dumps(batch)
 
 

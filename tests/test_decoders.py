@@ -177,12 +177,13 @@ def world(tmp_path_factory):
         "record": tenon.columns_to_json(record.columns),
         "row": tdb.row_to_json(suite, tr.rows[0]),
         "secret": tdb.secret_to_json(suite, tr.secret),
-        "rosters": tdb.rosters_to_json(tr.rosters),
-        "batch": tdb.batch_to_json(suite, tr.rows, tr.secret, tr.rosters),
+        "batch": tdb.batch_to_json(ctx.pp, tr.rows, tr.secret, tr.roster),
         "scenario": scenario,
     }
     return {
         "suite": suite,
+        "pp": ctx.pp,
+        "secret": tr.secret,
         "root": root,
         "entry": tr.entry_id,
         "docs": docs,
@@ -195,17 +196,16 @@ def world(tmp_path_factory):
 
 DECODERS = {
     # the command line reads public parameters with no suite in hand
-    "pp": (lambda doc, suite: mlabe.pp_from_json(doc), mlabe.MlabeError),
-    "msk": (lambda doc, suite: mlabe.msk_from_json(doc, suite), mlabe.MlabeError),
-    "key": (lambda doc, suite: mlabe.key_from_json(doc, suite), mlabe.MlabeError),
-    "ct": (lambda doc, suite: mlabe.ct_from_json(doc, suite), mlabe.MlabeError),
-    "sig": (lambda doc, suite: musig.sig_from_json(doc, suite), musig.MusigError),
-    "tree": (lambda doc, suite: policy.parse_policy(doc), policy.PolicyError),
-    "record": (lambda doc, suite: tenon.record_from_json(doc), tenon.TenonError),
-    "row": (lambda doc, suite: tdb.row_from_json(suite, doc), tdb.TdbError),
-    "secret": (lambda doc, suite: tdb.secret_from_json(suite, doc), tdb.TdbError),
-    "rosters": (lambda doc, suite: tdb.rosters_from_json(suite, doc), tdb.TdbError),
-    "batch": (lambda doc, suite: tdb.batch_from_json(suite, doc), tdb.TdbError),
+    "pp": (lambda doc, w: mlabe.pp_from_json(doc), mlabe.MlabeError),
+    "msk": (lambda doc, w: mlabe.msk_from_json(doc, w["suite"]), mlabe.MlabeError),
+    "key": (lambda doc, w: mlabe.key_from_json(doc, w["suite"]), mlabe.MlabeError),
+    "ct": (lambda doc, w: mlabe.ct_from_json(doc, w["suite"]), mlabe.MlabeError),
+    "sig": (lambda doc, w: musig.sig_from_json(doc, w["suite"]), musig.MusigError),
+    "tree": (lambda doc, w: policy.parse_policy(doc), policy.PolicyError),
+    "record": (lambda doc, w: tenon.record_from_json(doc), tenon.TenonError),
+    "row": (lambda doc, w: tdb.row_from_json(w["suite"], doc, w["secret"]), tdb.TdbError),
+    "secret": (lambda doc, w: tdb.secret_from_json(w["suite"], doc), tdb.TdbError),
+    "batch": (lambda doc, w: tdb.batch_from_json(w["pp"], doc), tdb.TdbError),
 }
 
 
@@ -215,10 +215,25 @@ DECODERS = {
 def test_decoders_raise_only_their_module_error(world, name, data):
     decode, error = DECODERS[name]
     doc = world["docs"][name]
-    decode(doc, world["suite"])
+    decode(doc, world)
     try:
-        decode(mutated(doc, data.draw(mutations(doc))), world["suite"])
+        decode(mutated(doc, data.draw(mutations(doc))), world)
     except error:
+        pass
+
+
+@pytest.mark.parametrize("field", ["pp", "roster", "rows"])
+@FUZZ
+@given(data=st.data())
+def test_batch_fields_raise_only_tdb_errors(world, field, data):
+    """Each of the fields of a batch line that the entry does not hold,
+    the fingerprint, the roster and the rows (which carry no roster ref
+    or timestamp of their own), mutated on its own."""
+    doc = world["docs"]["batch"]
+    path, value = data.draw(mutations(doc[field]))
+    try:
+        tdb.batch_from_json(world["pp"], mutated(doc, ((field,) + path, value)))
+    except tdb.TdbError:
         pass
 
 

@@ -71,27 +71,27 @@ def make_batch(suite, pp, rng, blocks=("alpha", "beta", "gamma"), entry_id="entr
         entry_id=entry_id, ciphertext=ct, sig=sig,
         roster_ref=roster_ref, access_label=label, timestamp=timestamp,
     )
-    return rows, secret, {roster_ref: roster}
+    return rows, secret, roster
 
 
 def test_ingest_accepts_valid_batch(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    result = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    result = db.ingest(rows, secret, roster=roster, rng=rng)
     assert result.accepted
     assert result.reason is None
     assert len(db.read_open()) == 3
     assert db.secret_ids() == ("entry-1",)
-    assert db.roster("batch-1") == rosters["batch-1"]
+    assert db.roster("batch-1") == roster
 
 
 def test_rows_only_batch(system):
     """A batch is one agreement: rows without their entry are refused."""
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, _, rosters = make_batch(suite, pp, rng)
-    r = db.ingest(rows, None, rosters=rosters, rng=rng)
+    rows, _, roster = make_batch(suite, pp, rng)
+    r = db.ingest(rows, None, roster=roster, rng=rng)
     assert not r.accepted and r.reason == "batch has no entry"
     assert db.read_open() == () and db.secret_ids() == ()
 
@@ -99,36 +99,36 @@ def test_rows_only_batch(system):
 def test_gate_rejects_each_defect(large_system):
     suite, pp, _, rng = large_system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
 
     # tampered block text
     bad = [replace(rows[0], block=rows[0].block + "!")] + rows[1:]
-    r = db.ingest(bad, secret, rosters=rosters, rng=rng)
+    r = db.ingest(bad, secret, roster=roster, rng=rng)
     assert not r.accepted and "signature invalid" in r.reason
 
-    # tampered timestamp
-    bad = [replace(rows[0], timestamp=rows[0].timestamp + 1)] + rows[1:]
-    r = db.ingest(bad, secret, rosters=rosters, rng=rng)
+    # tampered timestamp, which the batch states once, in its entry
+    bad = [replace(row, timestamp=row.timestamp + 1) for row in rows]
+    r = db.ingest(bad, replace(secret, timestamp=secret.timestamp + 1), roster=roster, rng=rng)
     assert not r.accepted and "signature invalid" in r.reason
 
     # a row under a roster other than its entry's
     bad = [replace(rows[0], roster_ref="nobody")] + rows[1:]
-    r = db.ingest(bad, secret, rosters=rosters, rng=rng)
+    r = db.ingest(bad, secret, roster=roster, rng=rng)
     assert not r.accepted and "roster 'nobody' is not its entry's" in r.reason
 
-    # an entry whose roster the batch does not carry
+    # an entry under a roster other than its rows'
     bad = replace(secret, roster_ref="nobody")
-    r = db.ingest(rows, bad, rosters=rosters, rng=rng)
-    assert not r.accepted and "exactly its entry's roster 'nobody'" in r.reason
+    r = db.ingest(rows, bad, roster=roster, rng=rng)
+    assert not r.accepted and "roster 'batch-1' is not its entry's" in r.reason
 
     # duplicate pointer inside the batch
-    r = db.ingest(rows + [rows[0]], secret, rosters=rosters, rng=rng)
+    r = db.ingest(rows + [rows[0]], secret, roster=roster, rng=rng)
     assert not r.accepted and "already present" in r.reason
 
     # tampered ciphertext under the secret's signature
     other = make_batch(suite, pp, rng, entry_id="entry-1", roster_ref="batch-1")[1]
     forged = replace(secret, ciphertext=other.ciphertext)
-    r = db.ingest(rows, forged, rosters=rosters, rng=rng)
+    r = db.ingest(rows, forged, roster=roster, rng=rng)
     assert not r.accepted and "signature invalid" in r.reason
 
     # nothing was stored by any of the rejected attempts
@@ -148,22 +148,23 @@ def test_gate_refuses_a_signed_row_no_reader_can_walk(large_system, tmp_path, pa
     against the bytes a row's fields give."""
     suite, pp, _, rng = large_system
     sks, roster = sign_keys(suite, rng)
-    _, entry, _ = make_batch(suite, pp, rng, entry_id="r", roster_ref="r", keys=(sks, roster))
+    _, entry, _ = make_batch(suite, pp, rng, entry_id="r", roster_ref="r", timestamp=7,
+                             keys=(sks, roster))
     pointer = tenon.make_pointer(rng)
     digest = tdb.signed_digest("block", payload, pointer.bytes, pp.encode(), 7)
     (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     row = OpenRow(pointer, "x", None, sig, "r", 7)
 
     db = TenonDb(pp, root=tmp_path)
-    r = db.ingest([row], entry, rosters={"r": roster}, rng=rng)
+    r = db.ingest([row], entry, roster=roster, rng=rng)
     assert not r.accepted
     assert r.reason == "row 0 (pointer %s): signature invalid" % pointer
     assert db.read_open() == () and not (tmp_path / "log.jsonl").exists()
 
     # a log line that holds such a row fails the load, named by its number
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
-    line = canonical_json(tdb.batch_to_json(suite, [row], entry, {"r": roster}))
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
+    line = canonical_json(tdb.batch_to_json(pp, [row], entry, roster))
     with open(tmp_path / "log.jsonl", "ab") as fh:
         fh.write(line + b"\n")
     where = r"^log line 2: .*row 0 \(pointer %s\): signature invalid" % pointer
@@ -180,9 +181,9 @@ def test_gate_refuses_a_roster_one_party_can_pose_as(any_system, shape, problem)
     sig, roster = forged_signature(suite, shape, tdb.row_digest(pp.encode(), t, 7), rng)
     row = OpenRow(t.pointer, t.block, t.next, sig, "forged", 7)
     # the roster is refused before any signature is checked, the entry's too
-    _, entry, _ = make_batch(suite, pp, rng, blocks=("e",), roster_ref="forged")
+    _, entry, _ = make_batch(suite, pp, rng, blocks=("e",), roster_ref="forged", timestamp=7)
     db = TenonDb(pp)
-    r = db.ingest([row], entry, rosters={"forged": roster}, rng=rng)
+    r = db.ingest([row], entry, roster=roster, rng=rng)
     assert not r.accepted
     assert r.reason == "roster 'forged': %s" % problem
     assert db.read_open() == ()
@@ -191,15 +192,15 @@ def test_gate_refuses_a_roster_one_party_can_pose_as(any_system, shape, problem)
 def test_rejected_batch_after_accept_changes_nothing(large_system):
     suite, pp, _, rng = large_system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     open_rows, entry_ids, order = db.read_open(), db.secret_ids(), db.order_digest()
 
-    rows2, secret2, rosters2 = make_batch(
+    rows2, secret2, roster2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
     bad = [replace(rows2[0], block=rows2[0].block + "!")] + rows2[1:]
-    assert not db.ingest(bad, secret2, rosters=rosters2, rng=rng).accepted
+    assert not db.ingest(bad, secret2, roster=roster2, rng=rng).accepted
 
     assert db.read_open() == open_rows
     assert db.secret_ids() == entry_ids
@@ -209,20 +210,20 @@ def test_rejected_batch_after_accept_changes_nothing(large_system):
 def test_duplicate_entry_id_rejected(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
-    rows2, secret2, rosters2 = make_batch(
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
+    rows2, secret2, roster2 = make_batch(
         suite, pp, rng, blocks=("p", "q"), entry_id="entry-1", roster_ref="batch-2"
     )
-    r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
+    r = db.ingest(rows2, secret2, roster=roster2, rng=rng)
     assert not r.accepted and "already present" in r.reason
 
 
 def test_read_secret_label_gate(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng, label="clinical")
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    rows, secret, roster = make_batch(suite, pp, rng, label="clinical")
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     assert db.read_secret("entry-1", "clinical") == secret
     with pytest.raises(AccessDeniedError) as exc:
         db.read_secret("entry-1", "research")
@@ -235,8 +236,8 @@ def test_read_secret_label_gate(system):
 def test_find_row_and_payload_decode(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     row = db.find_row(rows[1].pointer)
     assert row == rows[1]
     assert row.block == "beta" and row.next == rows[2].pointer
@@ -246,10 +247,10 @@ def test_find_row_and_payload_decode(system):
 def test_shuffle_preserves_multiset_and_changes_order(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(
+    rows, secret, roster = make_batch(
         suite, pp, rng, blocks=("a", "b", "c", "d", "e")
     )
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     want = Counter(r.pointer for r in rows)
     for _ in range(50):
         before = db.order_digest()
@@ -261,8 +262,8 @@ def test_shuffle_preserves_multiset_and_changes_order(system):
 def test_shuffle_two_rows_always_flips(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng, blocks=("a", "b"))
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng, blocks=("a", "b"))
+    db.ingest(rows, secret, roster=roster, rng=rng)
     for _ in range(100):
         order = [r.pointer for r in db.read_open()]
         db.shuffle(rng)
@@ -272,8 +273,8 @@ def test_shuffle_two_rows_always_flips(system):
 def test_shuffle_single_row_is_noop(system):
     suite, pp, _, rng = system
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(suite, pp, rng, blocks=("only",))
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng, blocks=("only",))
+    db.ingest(rows, secret, roster=roster, rng=rng)
     before = db.order_digest()
     db.shuffle(rng)
     assert db.order_digest() == before
@@ -286,19 +287,19 @@ def test_shuffle_single_row_is_noop(system):
 def test_log_replay_restores_state(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
-    rows2, secret2, rosters2 = make_batch(
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
+    rows2, secret2, roster2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
-    db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
+    db.ingest(rows2, secret2, roster=roster2, rng=rng)
 
     again = TenonDb(pp, root=tmp_path)
     assert {r.pointer for r in again.read_open()} == {
         r.pointer for r in db.read_open()
     }
     assert again.secret_ids() == db.secret_ids()
-    assert again.roster("batch-1") == rosters["batch-1"]
+    assert again.roster("batch-1") == roster
     got = again.read_secret("entry-1", "clinical")
     assert mlabe.ct_canonical_bytes(got.ciphertext) == mlabe.ct_canonical_bytes(
         secret.ciphertext
@@ -308,13 +309,13 @@ def test_log_replay_restores_state(system, tmp_path):
 def test_snapshot_plus_tail_replay(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     db.save_snapshot()
-    rows2, secret2, rosters2 = make_batch(
+    rows2, secret2, roster2 = make_batch(
         suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2"
     )
-    db.ingest(rows2, secret2, rosters=rosters2, rng=rng)  # after the snapshot
+    db.ingest(rows2, secret2, roster=roster2, rng=rng)  # after the snapshot
 
     again = TenonDb(pp, root=tmp_path)
     assert len(again.read_open()) == 5
@@ -330,17 +331,17 @@ def test_snapshot_plus_tail_replay(system, tmp_path):
 def test_rejected_ingest_leaves_files_untouched(large_system, tmp_path):
     suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     db.save_snapshot()
     log_bytes = (tmp_path / "log.jsonl").read_bytes()
     snap_bytes = (tmp_path / "snapshot.json").read_bytes()
 
-    rows2, secret2, rosters2 = make_batch(
+    rows2, secret2, roster2 = make_batch(
         suite, pp, rng, blocks=("x",), entry_id="entry-2", roster_ref="batch-2"
     )
     bad = [replace(rows2[0], block=rows2[0].block + "!")]
-    assert not db.ingest(bad, secret2, rosters=rosters2, rng=rng).accepted
+    assert not db.ingest(bad, secret2, roster=roster2, rng=rng).accepted
 
     assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
     assert (tmp_path / "snapshot.json").read_bytes() == snap_bytes
@@ -354,21 +355,30 @@ def _edited(row=None, secret=None):
     """A batch signed as usual, then given other fields in its first row
     or its secret entry."""
     def build(suite, pp, rng):
-        rows, entry, rosters = make_batch(suite, pp, rng)
+        rows, entry, roster = make_batch(suite, pp, rng)
         if row:
             rows = [replace(rows[0], **row)] + rows[1:]
         if secret:
             entry = replace(entry, **secret)
-        return rows, entry, rosters
+        return rows, entry, roster
+    return build
+
+
+def _restated(**fields):
+    """A batch signed as usual, then given other values of the fields its
+    rows share with its entry, on every row and on the entry alike."""
+    def build(suite, pp, rng):
+        rows, entry, roster = make_batch(suite, pp, rng)
+        return [replace(row, **fields) for row in rows], replace(entry, **fields), roster
     return build
 
 
 def _unreduced_s(suite, pp, rng):
     """A batch whose first row's signature scalar is given as s + order:
     it verifies, but the log writes a scalar only below the order."""
-    rows, entry, rosters = make_batch(suite, pp, rng)
+    rows, entry, roster = make_batch(suite, pp, rng)
     sig = replace(rows[0].sig, s=rows[0].sig.s + suite.order)
-    return [replace(rows[0], sig=sig)] + rows[1:], entry, rosters
+    return [replace(rows[0], sig=sig)] + rows[1:], entry, roster
 
 
 def _spaced_entry(suite, pp, rng):
@@ -381,25 +391,24 @@ def _spaced_entry(suite, pp, rng):
     digest = tdb.entry_digest(pp.encode(), "spaced", "c", ct_bytes, 7)
     (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     entry = SecretEntry("spaced", ct, sig, "spaced", "c", 7, ct_bytes=ct_bytes)
-    return [], entry, {"spaced": roster}
+    return [], entry, roster
 
 
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (_resigned({"timestamp": True}), r"^row 0: malformed row: expected int, found bool$"),
+        (_resigned({"timestamp": True}), r"^malformed secret entry: expected int, found bool$"),
         (_resigned({"label": 5}), r"^malformed secret entry: expected str, found int$"),
         (_resigned({"entry_id": 7}), r"^malformed secret entry: expected str, found int$"),
-        (_edited(row={"roster_ref": ("batch-1",)}), r"^row 0: malformed row: expected str, found list$"),
-        (_edited(row={"timestamp": -1}), r"^row 0: malformed row: timestamp -1 does not fit 8 bytes$"),
+        (_restated(roster_ref=("batch-1",)), r"^malformed secret entry: expected str, found list$"),
+        (_restated(timestamp=-1), r"^malformed secret entry: timestamp -1 does not fit 8 bytes$"),
         # the encoder refuses this one before any line exists to decode
         (_edited(row={"block": b"alpha"}),
          r"^row 0: malformed row: Object of type bytes is not JSON serializable$"),
         (_edited(row={"next": "beta"}), r"^row 0: malformed row: badly formed hexadecimal UUID"),
-        (_edited(secret={"timestamp": 1 << 64}), r"^malformed secret entry: timestamp \d+ does not fit"),
-        # replay would key this roster "5", so a later "5" could bind other keys
-        (lambda suite, pp, rng: make_batch(suite, pp, rng)[:2] + ({5: sign_keys(suite, rng)[1]},),
-         r"^malformed batch: expected str, found int$"),
+        (_restated(timestamp=1 << 64), r"^malformed secret entry: timestamp \d+ does not fit"),
+        # replay would key this roster 5, so a later 5 could bind other keys
+        (_restated(roster_ref=5), r"^malformed secret entry: expected str, found int$"),
         (_unreduced_s, r"^row 0: malformed row: scalar out of range$"),
         (_spaced_entry, r"^secret entry 'spaced': signature invalid$"),
     ],
@@ -417,13 +426,87 @@ def test_gate_refuses_fields_replay_would_refuse(large_system, tmp_path, build, 
     db = TenonDb(pp, root=tmp_path)
     first = make_batch(suite, pp, rng, entry_id="first", roster_ref="first")
     assert db.ingest(*first, rng=rng).accepted
-    rows, secret, rosters = build(suite, pp, rng)
+    rows, secret, roster = build(suite, pp, rng)
     log_bytes = (tmp_path / "log.jsonl").read_bytes()
-    r = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    r = db.ingest(rows, secret, roster=roster, rng=rng)
     assert not r.accepted
     assert re.search(reason, r.reason), r.reason
     assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
     assert TenonDb(pp, root=tmp_path).secret_ids() == ("first",)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("roster_ref", "nobody", "roster 'nobody' is not its entry's"),
+        ("roster_ref", "first", "roster 'first' is not its entry's"),
+        ("timestamp", 1, "timestamp 1 is not its entry's"),
+    ],
+    ids=["unknown-ref", "another-entry's-ref", "timestamp"],
+)
+def test_encoder_refuses_a_row_unlike_its_entry(large_system, tmp_path, field, value, reason):
+    """A batch line states its roster ref and timestamp once, in its
+    entry, so the encoder refuses a row with another ref or timestamp,
+    naming the row by its index and pointer, before any line exists."""
+    suite, pp, _, rng = large_system
+    db = TenonDb(pp, root=tmp_path)
+    assert db.ingest(*make_batch(suite, pp, rng, entry_id="first", roster_ref="first"),
+                     rng=rng).accepted
+    log_bytes = (tmp_path / "log.jsonl").read_bytes()
+    rows, secret, roster = _second(suite, pp, rng)
+    rows[1] = replace(rows[1], **{field: value})
+    where = "row 1 (pointer %s): %s" % (rows[1].pointer, reason)
+    with pytest.raises(TdbError) as err:
+        tdb.batch_to_json(pp, rows, secret, roster)
+    assert str(err.value) == where
+    r = db.ingest(rows, secret, roster=roster, rng=rng)
+    assert not r.accepted and r.reason == where
+    assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
+
+
+def test_a_line_made_under_other_parameters_is_refused_as_such(system, tmp_path, monkeypatch):
+    """Each line names the public parameters it was made under, so a store
+    opened under others is refused as such before a row is decoded or a
+    signature checked, and a batch made under others is refused too."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    assert db.ingest(*make_batch(suite, pp, rng), rng=rng).accepted
+    other, _ = mlabe.setup(suite, rng)
+    log_bytes = (tmp_path / "log.jsonl").read_bytes()
+    monkeypatch.setattr(musig, "verify_batch", None)  # never reached
+    monkeypatch.setattr(tdb, "row_from_json", None)
+    with pytest.raises(TdbError, match=r"^log line 1: made under other public parameters$"):
+        TenonDb(other, root=tmp_path)
+    monkeypatch.undo()
+    batch = tdb.batch_to_json(other, *make_batch(suite, other, rng, entry_id="e", roster_ref="e"))
+    with pytest.raises(tdb.OtherParamsError, match=r"^made under other public parameters$"):
+        tdb.batch_from_json(pp, batch)
+    assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
+    assert TenonDb(pp, root=tmp_path).secret_ids() == ("entry-1",)
+
+
+def test_store_of_the_earlier_line_format_fails_at_open(system, tmp_path):
+    """A line of the earlier format, a ``rosters`` map with the roster ref
+    and timestamp on every row, is refused at open by its line number, so
+    the store never loads in part."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    for i in (1, 2):
+        batch = make_batch(suite, pp, rng, entry_id="entry-%d" % i, roster_ref="batch-%d" % i)
+        assert db.ingest(*batch, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    first, second = log.read_text().splitlines()
+    for lines, number in (([second], 1), ([first, second], 2)):
+        doc = json.loads(lines[-1])
+        ref, t = doc["secret"]["roster_ref"], doc["secret"]["t"]
+        old = {
+            "rows": [dict(row, roster_ref=ref, t=t) for row in doc["rows"]],
+            "secret": doc["secret"],
+            "rosters": {ref: doc["roster"]},
+        }
+        log.write_text("".join(line + "\n" for line in lines[:-1] + [json.dumps(old)]))
+        with pytest.raises(TdbError, match=r"^log line %d: malformed batch: 'pp'$" % number):
+            TenonDb(pp, root=tmp_path)
 
 
 @pytest.fixture(params=["mock", "bn256"])
@@ -444,8 +527,8 @@ def ct_from_json_calls(monkeypatch):
 
 def test_open_decodes_no_ciphertext_until_it_is_read(any_system, tmp_path, ct_from_json_calls):
     suite, pp, _, rng = any_system
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    assert TenonDb(pp, root=tmp_path).ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert TenonDb(pp, root=tmp_path).ingest(rows, secret, roster=roster, rng=rng).accepted
 
     db = TenonDb(pp, root=tmp_path)
     entry = db.read_secret("entry-1", "clinical")
@@ -462,9 +545,9 @@ def _store_of_entries(suite, pp, rng, root, n):
     """A store at ``root`` of n batches, with entries entry-0 .. entry-(n-1)."""
     db = TenonDb(pp, root=root)
     for i in range(n):
-        rows, secret, rosters = make_batch(
+        rows, secret, roster = make_batch(
             suite, pp, rng, blocks=("block",), entry_id="entry-%d" % i, roster_ref="batch-%d" % i)
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     return db
 
 
@@ -539,7 +622,7 @@ def test_live_store_reads_the_ciphertext_its_roster_signed(large_system, tmp_pat
     suite, pp, _, rng = large_system
     entry, roster, ct_bytes = _entry_with_unsigned_bundle(suite, pp, rng)
     db = TenonDb(pp, root=tmp_path)
-    assert db.ingest([], entry, rosters={"e": roster}, rng=rng).accepted
+    assert db.ingest([], entry, roster=roster, rng=rng).accepted
     for store in (db, TenonDb(pp, root=tmp_path)):
         read = store.read_secret("e", "clinical")
         assert read.ct_bytes == ct_bytes
@@ -552,14 +635,14 @@ def test_live_store_holds_what_a_reopen_holds(large_system, tmp_path):
     batches = [
         make_batch(suite, pp, rng),
         make_batch(suite, pp, rng, blocks=("x",), entry_id="entry-2", roster_ref="batch-2"),
-        ([], entry, {"e": roster}),
+        ([], entry, roster),
     ]
     db = TenonDb(pp, root=tmp_path)
-    for rows, secret, rosters in batches:
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    for rows, secret, roster in batches:
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
 
     def view(store):
-        rows = {row.pointer: tdb.row_to_json(suite, row) for row in store.read_open()}
+        rows = {row.pointer: row for row in store.read_open()}
         entries = {
             i: (e.ct_bytes, mlabe.ct_canonical_bytes(e.ciphertext))
             for i in store.secret_ids() for e in [store.read_secret(i, "clinical")]
@@ -596,13 +679,14 @@ def test_signed_entry_that_does_not_decode_fails_when_read(any_system, tmp_path,
     digest = tdb.entry_digest(pp.encode(), "bad", "clinical", ct_bytes, 7)
     (sig,), _ = musig.cosign(suite, sks, [digest], rng)
     batch = {
+        "pp": b64(pp.fingerprint()),
+        "roster": [b64(vk.encode()) for vk in roster],
         "rows": [],
         "secret": {"entry_id": "bad", "ciphertext": doc, "sig": musig.sig_to_json(suite, sig),
                    "roster_ref": "r", "access_label": "clinical", "t": 7},
-        "rosters": tdb.rosters_to_json({"r": roster}),
     }
     # the gate decodes in full and refuses it, as it refuses any batch
-    result = TenonDb(pp).ingest(*tdb.batch_from_json(suite, batch))
+    result = TenonDb(pp).ingest(*tdb.batch_from_json(pp, batch))
     assert not result.accepted
     assert result.reason.startswith("malformed ciphertext of secret entry 'bad'")
 
@@ -632,8 +716,8 @@ def _open_then_ingest(root, pp_doc, batch_doc, barrier, results):
     pp = mlabe.pp_from_json(pp_doc)
     db = TenonDb(pp, root=root)
     barrier.wait(timeout=60)
-    rows, secret, rosters = tdb.batch_from_json(pp.suite, batch_doc)
-    res = db.ingest(rows, secret, rosters=rosters)
+    rows, secret, roster = tdb.batch_from_json(pp, batch_doc)
+    res = db.ingest(rows, secret, roster=roster)
     results.put((res.accepted, res.reason))
 
 
@@ -644,7 +728,7 @@ def test_second_writer_waits_then_sees_the_first(system, tmp_path):
     and the store still opens."""
     suite, pp, _, rng = system
     docs = [
-        tdb.batch_to_json(suite, *make_batch(suite, pp, rng, roster_ref=ref))
+        tdb.batch_to_json(pp, *make_batch(suite, pp, rng, roster_ref=ref))
         for ref in ("batch-a", "batch-b")
     ]
     mp = multiprocessing.get_context("spawn")
@@ -676,13 +760,13 @@ def test_second_writer_waits_then_sees_the_first(system, tmp_path):
 def test_tampered_log_fails_load(large_system, tmp_path):
     suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
 
     log = tmp_path / "log.jsonl"
     genuine = log.read_text()
     doc = json.loads(genuine)
-    doc["rows"][0]["t"] = doc["rows"][0]["t"] + 1
+    doc["secret"]["t"] += 1
     log.write_text(json.dumps(doc) + "\n")
     where = r"^log line 1: row 0 \(pointer %s\): signature invalid$" % doc["rows"][0]["pointer"]
     with pytest.raises(TdbError, match=where):
@@ -702,15 +786,15 @@ def test_gate_names_the_one_forged_signature_among_many(bn256, rng, tmp_path):
     whose only bad signature is the entry's names the entry."""
     pp, _ = mlabe.setup(bn256, rng)
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(bn256, pp, rng, blocks=["b%d" % i for i in range(20)])
+    rows, secret, roster = make_batch(bn256, pp, rng, blocks=["b%d" % i for i in range(20)])
     forged = list(rows)
     forged[13] = replace(rows[13], sig=rows[5].sig)
-    r = db.ingest(forged, secret, rosters=rosters, rng=rng)
+    r = db.ingest(forged, secret, roster=roster, rng=rng)
     assert r.reason == "row 13 (pointer %s): signature invalid" % rows[13].pointer
-    r = db.ingest(rows, replace(secret, sig=rows[0].sig), rosters=rosters, rng=rng)
+    r = db.ingest(rows, replace(secret, sig=rows[0].sig), roster=roster, rng=rng)
     assert r.reason == "secret entry 'entry-1': signature invalid"
     assert not (tmp_path / "log.jsonl").exists()
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     assert len(TenonDb(pp, root=tmp_path).read_open()) == 20
 
 
@@ -741,11 +825,11 @@ def test_gate_names_the_first_forged_row_among_200(large_system, tmp_path, forge
     first forged row and stores nothing."""
     suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng, blocks=["b%d" % i for i in range(200)])
+    rows, secret, roster = make_batch(suite, pp, rng, blocks=["b%d" % i for i in range(200)])
     bad = list(rows)
     for i in forged:
         bad[i] = replace(rows[i], sig=rows[i - 1].sig)
-    r = db.ingest(bad, secret, rosters=rosters, rng=rng)
+    r = db.ingest(bad, secret, roster=roster, rng=rng)
     first = forged[0]
     assert r.reason == "row %d (pointer %s): signature invalid" % (first, rows[first].pointer)
     assert not (tmp_path / "log.jsonl").exists()
@@ -834,7 +918,7 @@ def _repeat_pointer(docs, i, j):
 
 
 def _forge_row(docs, i, row=0):
-    docs[i]["rows"][row]["t"] += 1
+    docs[i]["rows"][row]["text"] += "!"
 
 
 @pytest.mark.parametrize(
@@ -872,34 +956,26 @@ def _second(suite, pp, rng, entry_id="second", roster_ref="second"):
                       entry_id=entry_id, roster_ref=roster_ref)
 
 
-def _forged_at(i):
+def _forged_at(i, field):
+    """The second batch with row i's block edited, or given another row's
+    signature."""
     def build(suite, pp, rng, first):
-        rows, secret, rosters = _second(suite, pp, rng)
-        rows[i] = replace(rows[i], timestamp=rows[i].timestamp + 1)
-        return rows, secret, rosters
+        rows, secret, roster = _second(suite, pp, rng)
+        edit = {"block": rows[i].block + "!", "sig": rows[i - 1].sig}[field]
+        rows[i] = replace(rows[i], **{field: edit})
+        return rows, secret, roster
     return build
 
 
 def _replayed_pointer(suite, pp, rng, first):
-    rows, secret, rosters = _second(suite, pp, rng)
-    return first[0][1:2] + rows, secret, rosters
-
-
-def _row_under(ref):
-    def build(suite, pp, rng, first):
-        rows, secret, rosters = _second(suite, pp, rng)
-        return rows[:1] + [replace(rows[1], roster_ref=ref)] + rows[2:], secret, rosters
-    return build
+    """The second batch, led by a row of the first restated under its ref."""
+    rows, secret, roster = _second(suite, pp, rng)
+    return [replace(first[0][1], roster_ref=secret.roster_ref)] + rows, secret, roster
 
 
 def _no_entry(suite, pp, rng, first):
-    rows, _, rosters = _second(suite, pp, rng)
-    return rows, None, rosters
-
-
-def _second_roster(suite, pp, rng, first):
-    rows, secret, rosters = _second(suite, pp, rng)
-    return rows, secret, dict(rosters, squat=sign_keys(suite, rng)[1])
+    rows, _, roster = _second(suite, pp, rng)
+    return rows, None, roster
 
 
 def _reused_roster(suite, pp, rng, first):
@@ -909,13 +985,14 @@ def _reused_roster(suite, pp, rng, first):
     return rows, secret, first[2]
 
 
-def _log_line(suite, rows, secret, rosters) -> bytes:
+def _log_line(pp, rows, secret, roster) -> bytes:
     """The log line of a batch, also of one without its entry, which the
     store's encoder never writes."""
     doc = {
-        "rows": [tdb.row_to_json(suite, row) for row in rows],
-        "secret": None if secret is None else tdb.secret_to_json(suite, secret),
-        "rosters": tdb.rosters_to_json(rosters),
+        "pp": b64(pp.fingerprint()),
+        "roster": [b64(vk.encode()) for vk in roster],
+        "rows": [tdb.row_to_json(pp.suite, row) for row in rows],
+        "secret": None if secret is None else tdb.secret_to_json(pp.suite, secret),
     }
     return canonical_json(doc)
 
@@ -926,23 +1003,18 @@ POINTER = r"\(pointer [0-9a-f-]{36}\)"
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (_forged_at(0), r"row 0 %s: signature invalid" % POINTER),
-        (_forged_at(2), r"row 2 %s: signature invalid" % POINTER),
+        (_forged_at(0, "block"), r"row 0 %s: signature invalid" % POINTER),
+        (_forged_at(2, "sig"), r"row 2 %s: signature invalid" % POINTER),
         (_replayed_pointer, r"row 0 %s: pointer already present" % POINTER),
-        (_row_under("nobody"), r"row 1 %s: roster 'nobody' is not its entry's" % POINTER),
-        (_row_under("first"), r"row 1 %s: roster 'first' is not its entry's" % POINTER),
         (lambda suite, pp, rng, first: _second(suite, pp, rng, roster_ref="first"),
          r"roster 'first' already present"),
         (_reused_roster, r"roster 'first' already present"),
-        (_second_roster, r"batch must carry exactly its entry's roster 'second', "
-                         r"found \['second', 'squat'\]"),
         (_no_entry, r"batch has no entry"),
         (lambda suite, pp, rng, first: _second(suite, pp, rng, entry_id="first"),
          r"secret entry 'first': entry id already present"),
     ],
-    ids=["forged-row-0", "forged-row-2", "replayed-pointer", "unknown-roster",
-         "row-under-another-ref", "redefined-roster", "reused-roster-same-keys",
-         "second-roster", "no-entry", "reused-entry-id"],
+    ids=["forged-row-0", "forged-row-2", "replayed-pointer", "redefined-roster",
+         "reused-roster-same-keys", "no-entry", "reused-entry-id"],
 )
 def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reason):
     """The gate refuses a batch with the words a reopen uses for the
@@ -952,8 +1024,8 @@ def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reas
     live = TenonDb(pp, root=tmp_path / "live")
     first = make_batch(suite, pp, rng, entry_id="first", roster_ref="first")
     assert live.ingest(*first, rng=rng).accepted
-    rows, secret, rosters = build(suite, pp, rng, first)
-    result = live.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = build(suite, pp, rng, first)
+    result = live.ingest(rows, secret, roster=roster, rng=rng)
     assert not result.accepted
     assert re.fullmatch(reason, result.reason), result.reason
 
@@ -962,7 +1034,7 @@ def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reas
     (copy / "log.jsonl").write_bytes((tmp_path / "live" / "log.jsonl").read_bytes())
     behind = TenonDb(pp, root=copy)
     with open(copy / "log.jsonl", "ab") as fh:
-        fh.write(_log_line(suite, rows, secret, rosters) + b"\n")
+        fh.write(_log_line(pp, rows, secret, roster) + b"\n")
     with pytest.raises(TdbError) as reopened:
         TenonDb(pp, root=copy)
     with pytest.raises(TdbError) as caught_up:
@@ -1011,9 +1083,9 @@ def test_store_of_an_older_envelope_version_fails_at_open(system, tmp_path, monk
     suite, pp, _, rng = system
     with monkeypatch.context() as m:
         m.setattr(mlabe, "ENVELOPE_VERSION", 4)
-        rows, secret, rosters = make_batch(suite, pp, rng)
+        rows, secret, roster = make_batch(suite, pp, rng)
         db = TenonDb(pp, root=tmp_path)
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     with pytest.raises(TdbError, match="^log line 1: .*unsupported document version 4"):
         TenonDb(pp, root=tmp_path)
 
@@ -1026,18 +1098,18 @@ def test_torn_final_log_line_is_dropped(system, tmp_path):
         for name in "abc"
     )
     db = TenonDb(pp, root=tmp_path)
-    for rows, secret, rosters in (a, b):
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    for rows, secret, roster in (a, b):
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     log = tmp_path / "log.jsonl"
     data = log.read_bytes()
     last = data.rindex(b"\n", 0, len(data) - 1) + 1
-    rows, secret, rosters = c
+    rows, secret, roster = c
     for cut in range(last, len(data)):
         log.write_bytes(data[:cut])
         reopened = TenonDb(pp, root=tmp_path)
         assert reopened.read_open() == tuple(a[0]) and reopened.secret_ids() == ("a",)
         assert log.read_bytes() == data[:cut]
-        assert reopened.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        assert reopened.ingest(rows, secret, roster=roster, rng=rng).accepted
         assert log.read_bytes().startswith(data[:last])
         again = TenonDb(pp, root=tmp_path)
         assert {r.pointer for r in again.read_open()} == {r.pointer for r in a[0] + rows}
@@ -1063,8 +1135,8 @@ def test_torn_final_log_line_is_dropped(system, tmp_path):
 def test_malformed_snapshot_fails_load(system, tmp_path, corrupt):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     db.save_snapshot()
     snap = tmp_path / "snapshot.json"
     snap.write_text(corrupt(json.loads(snap.read_text())))
@@ -1079,8 +1151,8 @@ def test_snapshot_order_must_match_the_log(system, tmp_path):
 
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     db.save_snapshot()
     snap = tmp_path / "snapshot.json"
     genuine = json.loads(snap.read_text())
@@ -1094,7 +1166,7 @@ def test_snapshot_order_must_match_the_log(system, tmp_path):
         "log_lines": 1,
         "rows": [tdb.row_to_json(suite, row) for row in db.read_open()],
         "secrets": {secret.entry_id: tdb.secret_to_json(suite, secret)},
-        "rosters": tdb.rosters_to_json(rosters),
+        "rosters": {"batch-1": [b64(vk.encode()) for vk in roster]},
     }
     for doc, match in [
         (unknown, "does not hold"),
@@ -1116,14 +1188,14 @@ def test_snapshot_does_not_stand_in_for_the_log(system, tmp_path):
     before the snapshot was saved."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
-    rows, secret, rosters = make_batch(suite, pp, rng)
-    db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
+    db.ingest(rows, secret, roster=roster, rng=rng)
     db.save_snapshot()
     log = tmp_path / "log.jsonl"
     genuine = log.read_text()
 
     doc = json.loads(genuine)
-    doc["rows"][0]["t"] += 1
+    doc["secret"]["t"] += 1
     for line, match in [("[1]", "malformed batch"), (json.dumps(doc), "signature invalid")]:
         log.write_text(line + "\n")
         with pytest.raises(TdbError, match=match):
@@ -1144,57 +1216,47 @@ def test_roster_ref_is_write_once(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     keys = sign_keys(suite, rng)
-    rows, secret, rosters = make_batch(suite, pp, rng, keys=keys)
-    assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+    rows, secret, roster = make_batch(suite, pp, rng, keys=keys)
+    assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
     for same_keys in (None, keys):
-        rows2, secret2, rosters2 = make_batch(
+        rows2, secret2, roster2 = make_batch(
             suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="batch-1",
             keys=same_keys,
         )
-        r = db.ingest(rows2, secret2, rosters=rosters2, rng=rng)
+        r = db.ingest(rows2, secret2, roster=roster2, rng=rng)
         assert not r.accepted and r.reason == "roster 'batch-1' already present"
-    assert db.roster("batch-1") == rosters["batch-1"]
+    assert db.roster("batch-1") == roster
     db.save_snapshot()
     reopened = TenonDb(pp, root=tmp_path)
     assert reopened.find_row(rows[0].pointer) == rows[0]
-    assert reopened.roster("batch-1") == rosters["batch-1"]
+    assert reopened.roster("batch-1") == roster
     assert reopened.secret_ids() == ("entry-1",)
-
-
-def _with_unused_roster(suite, pp, rng):
-    rows, secret, rosters = make_batch(suite, pp, rng, entry_id="entry-2", roster_ref="batch-2")
-    return rows, secret, dict(rosters, squat=sign_keys(suite, rng)[1])
 
 
 @pytest.mark.parametrize(
     "build, reason",
     [
-        (lambda suite, pp, rng: ([], None, {}), "batch has no entry"),
-        (lambda suite, pp, rng: ([], None, {"squat": sign_keys(suite, rng)[1]}),
-         "batch has no entry"),
-        (_with_unused_roster,
-         "batch must carry exactly its entry's roster 'batch-2', found ['batch-2', 'squat']"),
+        (lambda suite, pp, rng: ([], None, ()), "batch has no entry"),
+        (lambda suite, pp, rng: ([], None, sign_keys(suite, rng)[1]), "batch has no entry"),
     ],
-    ids=["empty", "roster-only", "unused-roster"],
+    ids=["empty", "roster-only"],
 )
 def test_a_batch_claims_only_the_rosters_it_signs_under(system, tmp_path, build, reason):
-    """A batch without its entry, or with a roster besides its entry's,
-    is refused by the gate and by replay, so no write-once ref is claimed
-    without a signature."""
+    """A batch without its entry, with or without a roster, is refused by
+    the gate and by replay: the entry names the roster's ref, so no ref is
+    claimed without a signature."""
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     assert db.ingest(*make_batch(suite, pp, rng), rng=rng).accepted
     log = tmp_path / "log.jsonl"
     log_bytes = log.read_bytes()
-    rows, secret, rosters = build(suite, pp, rng)
-    r = db.ingest(rows, secret, rosters=rosters, rng=rng)
+    rows, secret, roster = build(suite, pp, rng)
+    r = db.ingest(rows, secret, roster=roster, rng=rng)
     assert not r.accepted and r.reason == reason
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
         "lock": b"", "log.jsonl": log_bytes,
     }
-    with pytest.raises(TdbError, match="unknown roster 'squat'"):
-        db.roster("squat")
-    log.write_bytes(log_bytes + _log_line(suite, rows, secret, rosters) + b"\n")
+    log.write_bytes(log_bytes + _log_line(pp, rows, secret, roster) + b"\n")
     with pytest.raises(TdbError, match=r"^log line 2: %s$" % re.escape(reason)):
         TenonDb(pp, root=tmp_path)
 
@@ -1213,8 +1275,8 @@ def test_secret_suite_mismatch_rejected(system, rng):
     other = get_suite("mock-7")
     pp7, msk7 = mlabe.setup(other, rng)
     db = TenonDb(pp)
-    rows, secret, rosters = make_batch(other, pp7, rng)
-    r = db.ingest([], secret, rosters=rosters, rng=rng)
+    rows, secret, roster = make_batch(other, pp7, rng)
+    r = db.ingest([], secret, roster=roster, rng=rng)
     assert not r.accepted and "suite mismatch" in r.reason
 
 
@@ -1223,14 +1285,13 @@ def test_json_decoders_raise_only_tdb_errors(system):
     from etenon.codec import b64
 
     suite, pp, _, rng = system
-    rows, secret, rosters = make_batch(suite, pp, rng)
+    rows, secret, roster = make_batch(suite, pp, rng)
     row = tdb.row_to_json(suite, rows[0])
     entry = tdb.secret_to_json(suite, secret)
-    roster_doc = tdb.rosters_to_json(rosters)
-    ref = next(iter(roster_doc))
-    # the well-formed documents round-trip
-    assert tdb.row_from_json(suite, row) == rows[0]
-    assert tdb.rosters_from_json(suite, roster_doc) == rosters
+    batch = tdb.batch_to_json(pp, rows, secret, roster)
+    # the well-formed documents round-trip; a row takes its entry's ref and time
+    assert tdb.row_from_json(suite, row, secret) == rows[0]
+    assert tdb.batch_from_json(pp, batch) == (rows, secret, roster)
 
     bad_rows = [
         dict(row, pointer="not-a-uuid"),
@@ -1242,17 +1303,12 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(row, text=None),
         {k: v for k, v in row.items() if k != "next"},
         dict(row, sig={"rc": "AAAA"}),
-        dict(row, roster_ref=3),
-        dict(row, t="soon"),
-        dict(row, t=-1),
-        dict(row, t=1 << 64),
-        {k: v for k, v in row.items() if k != "t"},
         [row],
         None,
     ]
     for bad in bad_rows:
         with pytest.raises(TdbError):
-            tdb.row_from_json(suite, bad)
+            tdb.row_from_json(suite, bad, secret)
     bad_entries = [
         dict(entry, ciphertext={}),
         dict(entry, entry_id=None),
@@ -1260,26 +1316,32 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(entry, t=1.5),
         dict(entry, t=True),
         dict(entry, t=-1),
+        dict(entry, t=1 << 64),
+        {k: v for k, v in entry.items() if k != "t"},
+        dict(entry, roster_ref=3),
         "entry",
     ]
     for bad in bad_entries:
         with pytest.raises(TdbError):
             tdb.secret_from_json(suite, bad)
-    bad_rosters = [
-        {ref: ["!!!"]},
-        {ref: [17]},
-        {ref: "AAAA"},
-        {ref: [b64(b"\x00" * 99)]},
-        ["not", "a", "mapping"],
+    bad_batches = [
+        dict(batch, roster=["!!!"]),
+        dict(batch, roster=[17]),
+        dict(batch, roster="AAAA"),
+        dict(batch, roster=[b64(b"\x00" * 99)]),
+        dict(batch, roster={"batch-1": batch["roster"]}),
+        dict(batch, pp="!!!"),
+        dict(batch, pp=None),
+        {k: v for k, v in batch.items() if k != "pp"},
     ]
-    for bad in bad_rosters:
+    for bad in bad_batches:
         with pytest.raises(TdbError):
-            tdb.rosters_from_json(suite, bad)
+            tdb.batch_from_json(pp, bad)
 
 
 # sha256 of the files a seeded mock store writes; see the test below
 PINNED_STORE_FILES = {
-    "log.jsonl": "a2d17a3b7ba3d998081facfa575781821f9710130ae714b82d61c7b1fbbebf52",
+    "log.jsonl": "e650237db2f2351627685a58c06e4dccf95ebbd27ac63626421ada1c87f01243",
     "snapshot.json": "29f7b8aca986cd41b20e20398311695af75209e099653f73afc3f46a5603ad70",
     "reopened snapshot.json": "6657744a398cbd515030fddc87bc8046559b5e6cf02a01aa13a6aed929dc096d",
 }
@@ -1297,11 +1359,11 @@ def test_seeded_store_files_are_pinned(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
     for i, blocks in enumerate((("alpha", "beta", "gamma"), ("x", "y"), ("p", "q", "r"))):
-        rows, secret, rosters = make_batch(
+        rows, secret, roster = make_batch(
             suite, pp, rng, blocks=blocks, entry_id="entry-%d" % i,
             roster_ref="batch-%d" % i,
         )
-        assert db.ingest(rows, secret, rosters=rosters, rng=rng).accepted
+        assert db.ingest(rows, secret, roster=roster, rng=rng).accepted
         if i == 1:
             db.save_snapshot()
     digests = {

@@ -170,7 +170,7 @@ def test_agreement_signs_everything():
     assert tr.rows is not None and tr.secret is not None
     # symptom gives 5 blocks, history 2; plus the ciphertext signature
     assert tr.signature_count == len(tr.rows) + 1
-    roster = tr.rosters[tr.roster_ref]
+    roster = tr.roster
     pp_bytes = ctx.pp.encode()
     for row in tr.rows:
         element = canonical_json({"text": row.block, "next": str(row.next) if row.next else None})
@@ -197,7 +197,7 @@ def test_agreement_refuses_one_entity_in_both_roles():
 def test_agreement_roster_is_owner_and_provider():
     ctx = fresh_ctx()
     tr = agree(ctx)
-    roster = tr.rosters[tr.roster_ref]
+    roster = tr.roster
     assert roster == (
         ctx.entity("patient").keys.verification,
         ctx.entity("hospital").keys.verification,
@@ -667,7 +667,7 @@ def test_retrieval_flags_missing_rows():
     ordered = [r for r in tr.rows]
     dropped = ordered[1]
     kept = [r for r in ordered if r.pointer != dropped.pointer]
-    assert ctx.db.ingest(kept, tr.secret, rosters=tr.rosters, rng=ctx.rng).accepted
+    assert ctx.db.ingest(kept, tr.secret, roster=tr.roster, rng=ctx.rng).accepted
     report = phase_retrieval(ctx, "dr_grey", tr.entry_id)
     assert report.entry_sig_ok
     incomplete = [rec for rec in report.recovered.values() if rec.complete is False]
@@ -781,7 +781,7 @@ def _cosign_entry(ctx, entry_id, ref, triples, head):
     digest = tdb.entry_digest(pp_bytes, entry_id, "clinical", mlabe.ct_canonical_bytes(ct), t)
     (sig,), roster = musig.cosign(ctx.suite, keys, [digest], ctx.rng)
     secret = tdb.SecretEntry(entry_id, ct, sig, ref, "clinical", t)
-    assert ctx.db.ingest(rows, secret, rosters={ref: roster}, rng=ctx.rng).accepted
+    assert ctx.db.ingest(rows, secret, roster=roster, rng=ctx.rng).accepted
 
 
 def _cosigned_cycle(ctx):
