@@ -31,7 +31,8 @@ other bases of one evaluation share one multi-exponentiation.  Every
 operation ticks its counter when it is called, not when its work is
 done.  Two public values are computed once and kept: an element keeps
 its encoding from the first time it is encoded or decoded on, and a
-suite memoises H(a) per label (see :meth:`GroupSuite.hash_to_group`).
+suite memoises H(a) per label, as a fixed base once the label is hashed
+often (see :meth:`GroupSuite.hash_to_group`).
 
 Scalars are plain ints reduced modulo the suite order.  All randomness
 is drawn through ``rand_scalar`` so callers can inject a seeded
@@ -69,8 +70,12 @@ TARGET = "target"  # the target group, as a key of ``GroupSuite.groups``
 # the table of a fixed base that has not been raised yet
 _UNBUILT = object()
 
-# labels whose hashed element a suite keeps (see GroupSuite.hash_to_group)
-HASH_MEMO_SIZE = 1024
+# labels whose hashed element a suite keeps (see GroupSuite.hash_to_group);
+# each may hold a G1 table of about 163 KB, so at most about 10 MB
+HASH_MEMO_SIZE = 64
+# the call of a label from which its element is a fixed base: a G1 table
+# costs about as much as this many Straus powers over table walks
+HASH_TABLE_AFTER = 9
 
 
 class AlgebraError(EtenonError):
@@ -287,7 +292,7 @@ class GroupSuite:
     def __init__(self):
         # the open span of the current thread (or task) on this suite
         self._span = contextvars.ContextVar("measure span", default=None)
-        # label -> its hashed element, at most HASH_MEMO_SIZE of them
+        # label -> [its hashed element, calls], at most HASH_MEMO_SIZE of them
         self._hashed = {}
         self._hashed_lock = threading.Lock()
 
@@ -366,20 +371,28 @@ class GroupSuite:
         """H(label), a left element.  It ticks on every call, but the map
         runs once per label: the element is memoised, and the memo starts
         over when it holds ``HASH_MEMO_SIZE`` labels, since labels come
-        from policy text that the other party writes.  A hashed element is
-        not a fixed base: a table per attribute costs more than the few
-        powers of it that an agreement takes."""
+        from policy text that the other party writes.  The memo counts
+        each label's calls too, and from the ``HASH_TABLE_AFTER``-th on the
+        element is a fixed base (see :meth:`fixed_base`): by then the
+        label's Straus powers have cost about one table, so the power that
+        follows builds it and every later power walks it.  A label hashed
+        once per key or per agreement earns its table only after that
+        many keys or agreements in one process."""
         if isinstance(label, str):
             label = label.encode("utf-8")
         self._tick("hash_calls")
-        x = self._hashed.get(label)
-        if x is None:
-            x = self._hash_to_group(label)
+        entry = self._hashed.get(label)
+        if entry is None:
+            entry = [self._hash_to_group(label), 0]
             with self._hashed_lock:
                 if len(self._hashed) >= HASH_MEMO_SIZE:
                     self._hashed.clear()
-                self._hashed[label] = x
-        return x
+                self._hashed[label] = entry
+        # an increment lost to another thread only delays the table
+        entry[1] += 1
+        if entry[1] >= HASH_TABLE_AFTER:
+            self.fixed_base(entry[0])
+        return entry[0]
 
     # ------------------------------------------------------------------
     # source-group arithmetic

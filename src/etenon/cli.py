@@ -44,7 +44,7 @@ import sys
 import time
 
 from . import _bn256, mlabe, musig, policy, tdb, workflow
-from .algebra import LEFT, RIGHT, TARGET, G0Element, get_suite, is_mock
+from .algebra import HASH_TABLE_AFTER, LEFT, RIGHT, TARGET, G0Element, get_suite, is_mock
 from .codec import decoding, write_json
 from .errors import EtenonError
 
@@ -399,7 +399,10 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     weights below 2**128 and three keys by full-length exponents.
     The ``_fixed`` rows raise fixed bases whose tables were built before
     the timing, and give the median time to build a table, over
-    ``trials`` builds from fresh bases, and a table's retained size."""
+    ``trials`` builds from fresh bases, and a table's retained size.
+    ``g1_hashed`` does the same for a memoised H(a) that has been hashed
+    ``HASH_TABLE_AFTER`` times, and so has earned its table (see
+    ``GroupSuite.hash_to_group``)."""
     # decoded copies of the generators carry no table
     g1 = suite.decode_g0(suite.generator.encode(), LEFT)
     g2 = suite.decode_g0(suite.right_generator.encode(), RIGHT)
@@ -413,7 +416,9 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         RIGHT: suite.fixed_base(suite.decode_g0((g2 ** j).encode(), RIGHT)),
         TARGET: suite.fixed_base(suite.decode_gt((egg ** j).encode())),
     }
-    for x in fixed.values():
+    for _ in range(HASH_TABLE_AFTER):
+        hashed = suite.hash_to_group(b"bench attribute")
+    for x in (*fixed.values(), hashed):
         x ** 1  # builds the table
     # each timed build starts from a fresh base
     scalars = [suite.rand_scalar_nonzero(rng) for _ in range(trials)]
@@ -427,6 +432,9 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "g1_fixed": _table_cost(suite, LEFT, [(g1 ** s).point for s in scalars]),
         "g2_fixed": _table_cost(suite, RIGHT, [(g2 ** s).point for s in scalars]),
         "gt_fixed": _table_cost(suite, TARGET, [(egg ** s).value for s in scalars]),
+        "g1_hashed": _table_cost(
+            suite, LEFT, [suite._hash_to_group(b"attribute %d" % i).point for i in range(trials)]
+        ),
     }
     cases = [
         ("fp_mul", _fp_mul),
@@ -438,6 +446,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("g1_fixed", lambda: (fixed[LEFT] ** k).point),
         ("g2_fixed", lambda: (fixed[RIGHT] ** k).point),
         ("gt_fixed", lambda: fixed[TARGET] ** k),
+        ("g1_hashed", lambda: (hashed ** k).point),
         # the map itself: hash_to_group would answer from its memo
         ("hash_to_g1", lambda: suite._hash_to_group(b"bench attribute")),
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),

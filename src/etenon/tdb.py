@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import mlabe, musig
-from .algebra import LEFT, GroupSuite, hash_commit
+from .algebra import LEFT, G0Element, GroupSuite, hash_commit
 from .codec import b64, canonical_json, decoding, typed, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
@@ -592,11 +592,20 @@ def batch_to_json(pp: PublicParams, rows, secret: SecretEntry, roster) -> dict:
     """The ``{pp, roster, rows, secret}`` document of one ingest batch:
     ``pp``'s fingerprint, the roster's keys, the rows as ``{pointer,
     text, next, sig}`` and the entry, which alone states the roster ref
-    and timestamp.  A row whose ref or timestamp is not its entry's, or
-    whose fields cannot be encoded, is refused by its index, as
-    :func:`batch_from_json` names a row it cannot decode."""
+    and timestamp.  A row that is not an :class:`OpenRow`, whose ref or
+    timestamp is not its entry's, or whose fields cannot be encoded, and
+    a roster key that is not a left element of ``pp``'s suite, are
+    refused by their index, as :func:`batch_from_json` names a row it
+    cannot decode."""
+    keys = []
+    for i, vk in enumerate(roster):
+        if not (isinstance(vk, G0Element) and vk.side == LEFT and vk.suite.name == pp.suite.name):
+            raise TdbError("roster key %d: not a left element of %s" % (i, pp.suite.name))
+        keys.append(b64(vk.encode()))
     docs = []
     for i, r in enumerate(rows):
+        if not isinstance(r, OpenRow):
+            raise TdbError("row %d: not an open row" % i)
         where = "row %d (pointer %s)" % (i, r.pointer)
         if r.roster_ref != secret.roster_ref:
             raise TdbError("%s: roster %r is not its entry's" % (where, r.roster_ref))
@@ -610,7 +619,7 @@ def batch_to_json(pp: PublicParams, rows, secret: SecretEntry, roster) -> dict:
             raise TdbError("row %d: %s" % (i, exc)) from None
     return {
         "pp": b64(pp.fingerprint()),
-        "roster": [b64(vk.encode()) for vk in roster],
+        "roster": keys,
         "rows": docs,
         "secret": secret_to_json(pp.suite, secret),
     }
@@ -618,11 +627,14 @@ def batch_to_json(pp: PublicParams, rows, secret: SecretEntry, roster) -> dict:
 
 def batch_from_json(pp: PublicParams, obj) -> tuple[list[OpenRow], SecretEntry, tuple]:
     """Rows, secret entry and roster of a batch document; all three are
-    required.  A document made under other public parameters is refused
-    before anything else in it is read."""
+    required.  A document of the earlier line format, with a ``rosters``
+    map, and one made under other public parameters are refused before
+    anything else in it is read."""
     suite = pp.suite
     with decoding(TdbError, "batch"):
         obj = typed(obj, dict)
+        if "rosters" in obj:
+            raise TdbError('written in the earlier line format ("rosters"); rebuild the store')
         if unb64(obj["pp"]) != pp.fingerprint():
             raise OtherParamsError("made under other public parameters")
         if obj["secret"] is None:

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from etenon.algebra import (
     G0Element,
     G1Element,
     HASH_MEMO_SIZE,
+    HASH_TABLE_AFTER,
     SEAL_TAG_BYTES,
     IntegrityError,
     OpCounters,
@@ -114,12 +117,83 @@ def test_hash_to_group_maps_each_label_once_per_suite(name, monkeypatch):
     assert other.hash_to_group("doctor") == first
     assert mapped == [b"doctor", b"nurse", b"doctor"]
     if name == "mock":  # a full memo is cheap to reach only on mock
+        # a label that has earned its table leaves with it
+        for _ in range(HASH_TABLE_AFTER):
+            suite.hash_to_group(b"label 0") ** 2
         for i in range(HASH_MEMO_SIZE + 5):
             suite.hash_to_group(b"label %d" % i)
             assert len(suite._hashed) <= HASH_MEMO_SIZE
         del mapped[:]
         assert suite.hash_to_group("doctor") == first
         assert mapped == [b"doctor"]
+        assert suite.hash_to_group(b"label 0").table is None
+
+
+def test_a_hashed_label_earns_its_table_at_call_HASH_TABLE_AFTER(monkeypatch):
+    """Through call ``HASH_TABLE_AFTER`` - 1 a label's element carries no
+    table and its powers take Straus passes; that call marks it as a fixed
+    base, so the power after it builds the table, once, and later powers
+    walk it.  The map runs once throughout."""
+    suite = get_suite("mock")  # a fresh memo
+    mapped, builds = [], []
+    hash_to_group, fixed_table = suite._hash_to_group, suite._fixed_table
+    monkeypatch.setattr(suite, "_hash_to_group",
+                        lambda label: mapped.append(label) or hash_to_group(label))
+    monkeypatch.setattr(suite, "_fixed_table",
+                        lambda side, value: builds.append(value) or fixed_table(side, value))
+    for call in range(1, HASH_TABLE_AFTER):
+        h = suite.hash_to_group(b"ward")
+        assert h.table is None and suite.dlog_g0(h ** 5) == 5 * h.point % suite.order, call
+    assert builds == []
+    h = suite.hash_to_group(b"ward")
+    for k in (5, 6, 0):
+        assert suite.dlog_g0(h ** k) == k * h.point % suite.order
+    assert builds == [h.point] and h.table is not None
+    assert mapped == [b"ward"]
+
+
+def test_threads_hashing_one_label_agree_on_its_powers():
+    """Threads that hash and raise one label race on its call count and
+    table; every power is right, and the label ends with its table."""
+    suite, threads_n, calls = get_suite("mock"), 4, 30
+    start = threading.Barrier(threads_n, timeout=60)
+    wrong = []
+
+    def work(k):
+        start.wait()
+        for _ in range(calls):
+            h = suite.hash_to_group(b"shared")
+            if suite.dlog_g0(h ** k) != k * h.point % suite.order:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2, 2 + threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and suite.hash_to_group(b"shared").table is not None
+
+
+def test_bn256_powers_of_a_tabled_hash_match_straus_and_the_ladder():
+    """A hashed element that has earned its table gives the power that a
+    Straus pass over the same point gives, and the ladder's."""
+    suite = get_suite("bn256")  # a fresh memo
+    for _ in range(HASH_TABLE_AFTER):
+        h = suite.hash_to_group(b"tabled attribute")
+    plain = suite.decode_g0(h.encode(), LEFT)  # the same point, no table
+    curve, rng = _bn256.CURVE, random.Random(0x7AB)
+    scalars = [0, 1, 2, suite.order - 1] + [rng.randrange(suite.order) for _ in range(3)]
+    for k in scalars:
+        want = oracles.ladder(h.point, k, curve.add, curve.double, curve.identity)
+        tabled = (h ** k).point
+        assert curve.normal(tabled) == curve.normal((plain ** k).point) == curve.normal(want), k
+    assert h.table is not None and plain.table is None
 
 
 @pytest.mark.parametrize("name", ["mock", "bn256"])
@@ -242,8 +316,6 @@ def test_measure_rolls_nested_counts_up(mock):
 
 
 def test_measure_spans_are_per_thread(mock):
-    import threading
-
     barrier = threading.Barrier(2, timeout=30)
     counts = {}
 

@@ -647,7 +647,7 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         csv_rows = list(reader)
     # stdout and the CSV hold the same rows; a CSV cell is empty where
     # its row has no such key
-    assert len(csv_rows) == len(rows) == 20
+    assert len(csv_rows) == len(rows) == 21
     for r, c in zip(rows, csv_rows):
         assert c["kind"] == r["kind"]
         assert {name for name, cell in c.items() if cell != ""} == set(r)
@@ -666,12 +666,14 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
         "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_batch", "g1_fixed", "g2_fixed",
-        "gt_fixed", "hash_to_g1", "right_decode", "gt_decode",
+        "gt_fixed", "g1_hashed", "hash_to_g1", "right_decode", "gt_decode",
     }
-    # only the fixed rows give a table's build time and retained size;
-    # every row gives the spread of its timings, none for a single trial
+    # only the fixed rows and the tabled hash give a table's build time
+    # and retained size; every row gives the spread of its timings, none
+    # for a single trial
     for name, r in layers.items():
-        assert ("table_ms" in r and "table_kb" in r) == name.endswith("_fixed"), name
+        tabled = name.endswith("_fixed") or name == "g1_hashed"
+        assert ("table_ms" in r and "table_kb" in r) == tabled, name
         assert r["layer_iqr_ms"] == 0, name
     # every row of every kind gives its own host-speed reference
     assert all(r["ref_ms"] > 0 for r in rows)
@@ -684,9 +686,10 @@ def test_bench_layers_time_each_miller_loop_shape(bn256):
     layers = [r["layer"] for r in rows]
     assert layers[-4:] == ["miller", "miller_prepared", "miller_product3", "final_exp"]
     assert all(r["layer_ms"] > 0 for r in rows)
-    # a G1, G2 or GT table takes tens of milliseconds and over 50 KB
-    fixed = [r for r in rows if r["layer"].endswith("_fixed")]
-    assert len(fixed) == 3 and all(r["table_ms"] > 0 and r["table_kb"] > 50 for r in fixed)
+    # a G1, G2 or GT table takes tens of milliseconds and over 50 KB, and
+    # so does a hashed attribute's
+    fixed = [r for r in rows if r["layer"].endswith(("_fixed", "_hashed"))]
+    assert len(fixed) == 4 and all(r["table_ms"] > 0 and r["table_kb"] > 50 for r in fixed)
 
 
 def test_bench_layers_sample_the_host_before_each_table_build(mock, monkeypatch):
@@ -698,7 +701,7 @@ def test_bench_layers_sample_the_host_before_each_table_build(mock, monkeypatch)
     trials = 3
     rows = cli.bench_layers(mock, trials, random.Random(3))
     builds = [r for r in rows if "table_ms" in r]
-    assert len(builds) == 3 and all("refs" not in r for r in rows)
+    assert len(builds) == 4 and all("refs" not in r for r in rows)
     assert len(samples) == trials * (len(rows) + len(builds))
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from etenon import mlabe, policy
-from etenon.algebra import get_suite
+from etenon.algebra import HASH_TABLE_AFTER, get_suite
 from etenon.mlabe import MlabeError
 
 import channel
@@ -171,6 +171,27 @@ def test_encryption_operation_counts(mock, rng):
         mlabe.encrypt(pp, {1: b"a", 2: b"b"}, tree, rng)
     assert span.exponentiations == 2 * (2 + 3)
     assert span.multiplications == 2  # one masking per level
+
+
+@pytest.mark.parametrize("suite_name", ["mock", "bn256"])
+def test_encryption_counts_stay_once_its_labels_earn_tables(suite_name):
+    """A label hashed ``HASH_TABLE_AFTER`` times raises its element from a
+    table, but an encryption still counts 2(k+l) exponentiations and one
+    hash per leaf, and still decrypts."""
+    suite, rng = get_suite(suite_name), random.Random(4)  # a fresh memo
+    pp, msk = mlabe.setup(suite, rng)
+    tree = policy.parse_policy(TWO_LEVELS)
+    counts = []
+    for _ in range(HASH_TABLE_AFTER + 1):
+        with suite.measure() as span:
+            ct = mlabe.encrypt(pp, {1: b"a", 2: b"b"}, tree, rng)
+        counts.append(span.as_dict())
+    assert all(suite._hashed[a.encode()][0].table is not None
+               for a in oracles.tree_attributes(tree))
+    assert counts == [counts[0]] * len(counts)
+    assert counts[0]["exponentiations"] == 2 * (2 + 3) and counts[0]["hash_calls"] == 3
+    bundle = mlabe.keygen(pp, msk, ["basic", "admin"], rng)
+    assert mlabe.decrypt(pp, ct, bundle.decryption) == {1: b"a", 2: b"b"}
 
 
 def test_decryption_no_partial_leakage(mock_setup):

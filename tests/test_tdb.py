@@ -464,6 +464,31 @@ def test_encoder_refuses_a_row_unlike_its_entry(large_system, tmp_path, field, v
     assert (tmp_path / "log.jsonl").read_bytes() == log_bytes
 
 
+@pytest.mark.parametrize("bad", ["int-key", "right-key", "not-a-row"])
+def test_gate_refuses_a_roster_key_or_row_of_the_wrong_kind(system, tmp_path, bad):
+    """A roster item that is not a left element of the store's suite, or a
+    row that is not an :class:`OpenRow`, is refused by its index, not
+    raised, and the store's files do not change."""
+    suite, pp, _, rng = system
+    db = TenonDb(pp, root=tmp_path)
+    assert db.ingest(*make_batch(suite, pp, rng, entry_id="first", roster_ref="first"),
+                     rng=rng).accepted
+    rows, secret, roster = make_batch(suite, pp, rng, entry_id="second", roster_ref="second")
+    if bad == "int-key":
+        roster, reason = (roster[0], 5), "roster key 1: not a left element of %s" % suite.name
+    elif bad == "right-key":
+        roster = (suite.right_generator ** 3,) + roster[1:]
+        reason = "roster key 0: not a left element of %s" % suite.name
+    else:
+        rows[2] = tenon.Triple(rows[2].pointer, rows[2].block, rows[2].next)
+        reason = "row 2: not an open row"
+    files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    r = db.ingest(rows, secret, roster=roster, rng=rng)
+    assert not r.accepted and r.reason == reason
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == files
+    assert TenonDb(pp, root=tmp_path).secret_ids() == ("first",)
+
+
 def test_a_line_made_under_other_parameters_is_refused_as_such(system, tmp_path, monkeypatch):
     """Each line names the public parameters it was made under, so a store
     opened under others is refused as such before a row is decoded or a
@@ -505,7 +530,8 @@ def test_store_of_the_earlier_line_format_fails_at_open(system, tmp_path):
             "rosters": {ref: doc["roster"]},
         }
         log.write_text("".join(line + "\n" for line in lines[:-1] + [json.dumps(old)]))
-        with pytest.raises(TdbError, match=r"^log line %d: malformed batch: 'pp'$" % number):
+        earlier = r'written in the earlier line format \("rosters"\); rebuild the store'
+        with pytest.raises(TdbError, match=r"^log line %d: %s$" % (number, earlier)):
             TenonDb(pp, root=tmp_path)
 
 
