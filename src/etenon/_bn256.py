@@ -84,21 +84,22 @@ def to_naf(x):
 naf_6up2 = list(reversed(to_naf(6*u+2)))[1:]
 
 
-# A Straus pass takes WINDOW bits of every scalar per step.  The
-# sequence of operations of a plain pass (multi_mul) depends only on how
-# many terms there are and how many windows the longest scalar spans,
-# never on the digits: a digit only indexes a row.  A split pass
+# A Straus pass takes WINDOW bits of every scalar per step.  The adds
+# and doublings of a plain pass (multi_mul) depend only on how many
+# terms there are and how many windows the longest scalar spans, never
+# on the digits: a digit only picks a row entry, and its sign only
+# whether that entry is negated before the add.  A split pass
 # (split_mul) leaves a short scalar whole: one whose odd form fits
 # HALF_BITS bits, or whose r - k does, taken as r - k times the negated
 # base.  With a split term in it, the pass recodes every half and every
-# short scalar over HALF_BITS bits, and a half's sign only picks an
-# entry, so the sequence depends on the count and on which scalars are
-# short.  Such a pass takes its odd multiples from affine rows, built
-# by the row builder of fixed-base tables (_rows): one inversion per
-# column, 2**(WINDOW - 1) for the whole pass.  With no split term it
-# recodes over the longest short scalar's own windows, as a plain pass
-# does, from Jacobian multiples.  For uniformly drawn secret scalars
-# none is short except with probability about 2**-125.
+# short scalar over HALF_BITS bits, and a half's sign only negates
+# entries, so its adds and doublings depend on the count and on which
+# scalars are short.  Such a pass takes its odd multiples from rows in
+# the group's format (Columns), built by the row builder of fixed-base
+# tables (_rows): on a curve one inversion per column, 2**(WINDOW - 1)
+# for the whole pass.  With no split term it is a plain pass.  For
+# uniformly drawn secret scalars none is short except with probability
+# about 2**-125.
 # (Python ints are not constant-time, so this avoids secret-dependent
 # branches but gives no timing guarantee.)
 WINDOW = 4
@@ -150,13 +151,11 @@ class Group(NamedTuple):
     multiplication by a constant lambda, and ``split(k)`` gives signed
     halves (k0, k1) with k = k0 + lambda*k1 mod order, each with
     |k_i| + 2 below 2**``half_bits`` for 0 <= k < order (see
-    :func:`split_mul`).  ``window``, ``columns`` (the arithmetic that
-    builds a table a column at a time, see :class:`Columns`),
-    ``add_entry(r, row, d)`` (r plus d times the row's value for an odd
-    digit d) and the ``generator``, whose table is built once, describe
-    fixed-base tables (see :func:`table`).
-    ``encode`` and ``decode`` are the wire codec, which the suite
-    supplies."""
+    :func:`split_mul`).  ``columns`` is the row format of split passes
+    and fixed-base tables (see :class:`Columns`); ``window`` and the
+    ``generator``, whose table is built once, describe tables (see
+    :func:`table`).  ``encode`` and ``decode`` are the wire codec, which
+    the suite supplies."""
 
     add: Callable
     double: Callable
@@ -169,10 +168,63 @@ class Group(NamedTuple):
     half_bits: int = None
     window: int = None
     columns: "Columns" = None
-    add_entry: Callable = None
     generator: tuple = None
     encode: Callable = None
     decode: Callable = None
+
+
+class Columns(NamedTuple):
+    """A group's row format: how :func:`_rows` builds rows a column at a
+    time and how a pass or a table walk adds from them.
+
+    ``normal(values)`` gives the values' normal forms, ``add(column,
+    steps)`` the normal forms of column[i] + steps[i] for normal values,
+    and ``coords(value)`` a normal value's entries in a row, a tuple.
+    ``finite(value)`` tells whether a value is not the identity, which
+    may have no normal form, and ``endo`` is the group's endomorphism on
+    normal values.  ``entry(r, row, d)`` is r plus d times the row's
+    value x for an odd digit d: r plus the row's |d|*x or its negation."""
+
+    normal: Callable
+    add: Callable
+    coords: Callable
+    finite: Callable
+    endo: Callable
+    entry: Callable
+
+
+def value_columns(add, neg, identity, endo):
+    """The row format of a group whose values are their own normal
+    forms: a column step is one ``add`` per row, a row holds the values
+    themselves, and a negative digit adds the ``neg`` of its entry."""
+    def entry(r, row, d):
+        q = row[abs(d) >> 1]
+        return add(r, q if d > 0 else neg(q))
+
+    return Columns(
+        list, lambda column, steps: list(map(add, column, steps)), lambda q: (q,),
+        lambda q: q != identity, endo, entry,
+    )
+
+
+def _rows(columns, firsts, steps, width):
+    """Rows whose row i holds firsts[i] + j*steps[i] for j < width, each
+    value in normal form, and the steps' normal forms.  It costs one
+    normalisation and width - 1 column steps, one inversion each on a
+    curve."""
+    column = columns.normal(firsts + steps)
+    column, steps = column[:len(firsts)], column[len(firsts):]
+    rows = [[q] for q in column]
+    for _ in range(width - 1):
+        column = columns.add(column, steps)
+        for row, q in zip(rows, column):
+            row.append(q)
+    return rows, steps
+
+
+def _coords(columns, values):
+    """The entries of normal values, as one flat tuple: a row."""
+    return tuple(c for q in values for c in columns.coords(q))
 
 
 def multi_mul(group, terms):
@@ -181,17 +233,16 @@ def multi_mul(group, terms):
 
     Each scalar is recoded by :func:`_digits` over the longest term's
     window count: every window costs WINDOW doublings, shared by all
-    terms, and one add per term from its Jacobian multiples, which a
-    point of any order has.  Exact on any value on which ``group.neg``
-    is the exact inverse: any curve point, but only the cyclotomic
-    subgroup in Fp12."""
+    terms, and one add per term from its row of odd multiples, built
+    with ``group.add`` and negated with ``group.neg``, which a value of
+    any order has.  Exact on any value on which ``group.neg`` is the
+    exact inverse: any curve point, but only the cyclotomic subgroup in
+    Fp12."""
     top = max((_windows(k + 1 + (k & 1)) for _, k in terms), default=1)
-
-    def add(r, row, d):
-        # entry (d + len - 1) / 2 of a signed row of x is d*x
-        return group.add(r, row[(d + len(row) - 1) >> 1])
-
-    return _straus(group, [(*_signed_rows(group, x), k) for x, k in terms], top, add)
+    columns = value_columns(group.add, group.neg, group.identity, group.endo)
+    xs = [x for x, _ in terms]
+    rows, steps = _rows(columns, xs, [group.double(x) for x in xs], 1 << (WINDOW - 1))
+    return _straus(group, columns, zip(rows, steps, (k for _, k in terms)), top)
 
 
 def split_mul(group, terms):
@@ -206,18 +257,17 @@ def split_mul(group, terms):
     whole, as a short k does.  Every half and every short scalar is
     recoded over half_bits bits, so the pass costs about half the
     doublings of :func:`multi_mul`.  Such a pass drops identity bases,
-    which have no affine form and add nothing, builds every other
-    base's odd multiples as one affine row, all rows a column at a time
-    as a table's (see :func:`_rows`), maps a row by the endomorphism
-    entry by entry, which is cheaper than building it, and adds each
-    digit and each recoding fix with ``group.add_entry``, as a table
-    walk does.  A pass with no split term is recoded over its longest
-    scalar's windows from Jacobian multiples, as a plain pass is: for a
-    window or two an affine row costs more than it saves.  On a value
-    outside that subgroup the endomorphism is not the multiplication by
-    lambda and the result is wrong, and a column step may meet a zero
-    denominator and raise ZeroDivisionError: membership checks take
-    :func:`multi_mul`."""
+    which may have no normal form and add nothing, builds every other
+    base's odd multiples as one row in the group's row format
+    (``group.columns``), all rows a column at a time as a table's (see
+    :func:`_rows`), maps a row by the endomorphism entry by entry, which
+    is cheaper than building it, and adds each digit and each recoding
+    fix as a table walk does.  A pass with no split term is a plain
+    pass: for a window or two an affine row costs more than it saves.
+    On a value outside that subgroup the endomorphism is not the
+    multiplication by lambda and the result is wrong, and a column step
+    may meet a zero denominator and raise ZeroDivisionError: membership
+    checks take :func:`multi_mul`."""
     neg, bits, order = group.neg, group.half_bits, group.order
 
     def short(k):
@@ -228,52 +278,41 @@ def split_mul(group, terms):
     if all(short(k) for _, k in terms):
         return multi_mul(group, terms)
     columns = group.columns
-    finite = columns.finite or (lambda x: x != group.identity)
-    endo = columns.endo or group.endo
-    terms = [(x, k) for x, k in terms if finite(x)]
+    endo = columns.endo
+    terms = [(x, k) for x, k in terms if columns.finite(x)]
     xs = [x for x, _ in terms]
-    rows, steps = _rows(
-        columns, xs, [group.double(x) for x in xs], 1 << (WINDOW - 1), lambda q: (q,),
-    )
+    rows, steps = _rows(columns, xs, [group.double(x) for x in xs], 1 << (WINDOW - 1))
     halves = []
     for (_, k), row, step in zip(terms, rows, steps):
         if short(k):
-            halves.append((row, [step], k))
+            halves.append((row, step, k))
             continue
         h0, h1 = group.split(k)
-        halves += [(row, [step], h0), ([endo(q) for q in row], [endo(step)], h1)]
-    halves = [(_coords(columns, m), _coords(columns, m2), h) for m, m2, h in halves]
-    return _straus(group, halves, -(-bits // WINDOW), group.add_entry)
+        halves += [(row, step, h0), ([endo(q) for q in row], endo(step), h1)]
+    return _straus(group, columns, halves, -(-bits // WINDOW))
 
 
-def _signed_rows(group, x):
-    """x's Jacobian row -(2**WINDOW - 1)x, ..., -3x, -x, x, 3x, ...,
-    (2**WINDOW - 1)x, and 2x's, (-2x, 2x)."""
-    neg, x2 = group.neg, group.double(x)
-    odd = [x]
-    for _ in range((1 << WINDOW) // 2 - 1):
-        odd.append(group.add(odd[-1], x2))
-    return [neg(q) for q in reversed(odd)] + odd, (neg(x2), x2)
-
-
-def _straus(group, terms, top, add):
-    """The sum of h*x over the (row of x, row of 2x, h) terms in one
-    pass, every |h| recoded over ``top`` windows; ``add(r, row, d)`` is
-    r plus d times the row's value, for an odd digit d."""
-    recoded = []
-    for row, _, h in terms:
+def _straus(group, columns, terms, top):
+    """The sum of h*x over the (row of x, 2x, h) terms in one pass, every
+    |h| recoded over ``top`` windows: a row holds x, 3x, ...,
+    (2**WINDOW - 1)x, normal in ``columns``, whose ``entry`` makes
+    every add."""
+    entry, recoded, fixes = columns.entry, [], []
+    for row, twice, h in terms:
         sign = -1 if h < 0 else 1
+        row = _coords(columns, row)
         recoded.append((row, [sign * d for d in _digits(abs(h), WINDOW, top)]))
+        # the recoding took |h| + 1 or |h| + 2: take x or 2x back off
+        fixes.append((_coords(columns, [twice]) if h & 1 else row, -sign))
     r = group.identity
     for i in reversed(range(top)):
         if i < top - 1:
             for _ in range(WINDOW):
                 r = group.double(r)
         for row, digits in recoded:
-            r = add(r, row, digits[i])
-    # the recoding took |h| + 1 or |h| + 2: take x or 2x back off
-    for row, twice, h in terms:
-        r = add(r, (row, twice)[h & 1], -1 if h >= 0 else 1)
+            r = entry(r, row, digits[i])
+    for row, d in fixes:
+        r = entry(r, row, d)
     return r
 
 
@@ -960,15 +999,16 @@ def final_exp(inp):
 #
 # A table of base P with its group's window w is (rows, fixes).  Row i
 # holds the odd multiples (2j + 1) * 2**(w*i) * P, j < 2**(w - 1), as
-# one flat tuple of affine coordinates (Fp12 values for GT, in wire
-# order); the rows cover a half of half_bits bits.  ``fixes`` are
-# (-P, -2P) and (P, 2P).  A power walks the rows once for each half of
-# its scalar (see split_mul): it recodes the half by _digits and adds
-# one row entry per window, negated for a negative digit or a negative
-# half, and pays no doublings; the endomorphism maps the second walk's
-# result.  Each window trades adds against memory (see the README).  P
-# must lie in the order-r subgroup, which for GT lies in the cyclotomic
-# subgroup, where the conjugate is the inverse.
+# one flat tuple in the group's row format: affine coordinates on a
+# curve, the Fp12 values themselves in GT; the rows cover a half of
+# half_bits bits.  ``fixes`` are (-P, -2P) and (P, 2P).  A power walks
+# the rows once for each half of its scalar (see split_mul): it recodes
+# the half by _digits and adds one row entry per window, negated for a
+# negative digit or a negative half, and pays no doublings; the
+# endomorphism maps the second walk's result.  Each window trades adds
+# against memory (see the README).  P must lie in the order-r subgroup,
+# which for GT lies in the cyclotomic subgroup, where the conjugate is
+# the inverse.
 #
 # A table is built a column at a time, by the row builder that a split
 # Straus pass shares (_rows).  Doublings give each row's base
@@ -984,30 +1024,13 @@ def final_exp(inp):
 # is one multiplication per row.
 
 
-class Columns(NamedTuple):
-    """How :func:`_rows` builds a group's rows a column at a time:
-    ``normal(values)`` gives the values' normal forms, ``add(column,
-    steps)`` the normal forms of column[i] + steps[i] for normal values,
-    and ``coords(value)`` a normal value's coordinates, a tuple of ints.
-    ``finite(value)`` tells whether a value is not the identity, which
-    may have no normal form, and ``endo`` is the group's endomorphism on
-    normal values; for a group whose values are their own normal forms
-    (None) they are ``value != identity`` and ``Group.endo``."""
-
-    normal: Callable
-    add: Callable
-    coords: Callable
-    finite: Callable = None
-    endo: Callable = None
-
-
-def _affine_columns(mul, sub, inv, one, coords, endo):
-    """The columns of a curve whose points have affine coordinates in
+def _affine_columns(mul, sub, inv, one, coords, endo, entry):
+    """The row format of a curve whose points have affine coordinates in
     the field of ``mul``, ``sub``, ``inv`` and ``one``: a normal point is
-    an (x, y) pair, and each list shares one inversion.  A zero
-    denominator, which no point of order r meets, raises
-    ZeroDivisionError.  ``endo`` is the curve's endomorphism on Jacobian
-    points, which keeps z == one."""
+    an (x, y) pair, each list shares one inversion, and ``entry`` adds
+    from a row of ``coords``.  A zero denominator, which no point of
+    order r meets, raises ZeroDivisionError.  ``endo`` is the curve's
+    endomorphism on Jacobian points, which keeps z == one."""
     zero = sub(one, one)
 
     def inverses(values):
@@ -1040,29 +1063,8 @@ def _affine_columns(mul, sub, inv, one, coords, endo):
         return out
 
     return Columns(
-        normal, add, coords, lambda q: q[2] != zero, lambda q: endo((*q, one))[:2],
+        normal, add, coords, lambda q: q[2] != zero, lambda q: endo((*q, one))[:2], entry,
     )
-
-
-def _rows(columns, firsts, steps, width, entry):
-    """Rows whose row i joins entry(firsts[i] + j*steps[i]) for j < width
-    into one list, each value in normal form, and the steps' normal
-    forms.  It costs one normalisation and width - 1 column steps, one
-    inversion each on a curve; each column is dropped once its entries
-    are taken."""
-    column = columns.normal(firsts + steps)
-    column, steps = column[:len(firsts)], column[len(firsts):]
-    rows = [list(entry(q)) for q in column]
-    for _ in range(width - 1):
-        column = columns.add(column, steps)
-        for row, q in zip(rows, column):
-            row += entry(q)
-    return rows, steps
-
-
-def _coords(columns, values):
-    """The coordinates of normal values, as one flat tuple: a row."""
-    return tuple(c for q in values for c in columns.coords(q))
 
 
 def _table(group, a):
@@ -1076,8 +1078,8 @@ def _table(group, a):
         bases.append(b)
         twice.append(double(b))
     fixes = ((group.neg(a), group.neg(twice[0])), (a, twice[0]))
-    rows, _ = _rows(columns, bases, twice, 1 << (window - 1), columns.coords)
-    return tuple(map(tuple, rows)), fixes
+    rows, _ = _rows(columns, bases, twice, 1 << (window - 1))
+    return tuple(_coords(columns, row) for row in rows), fixes
 
 
 def table(group, x):
@@ -1103,11 +1105,11 @@ def fixed_mul(group, table, k):
 def _walk(group, table, h):
     """h*P for a half h from P's table: one entry add per row."""
     rows, fixes = table
-    add_entry, neg = group.add_entry, h < 0
+    entry, neg = group.columns.entry, h < 0
     h = abs(h)
     r = fixes[neg][h & 1]
     for row, d in zip(rows, _digits(h, group.window, len(rows))):
-        r = add_entry(r, row, (d, -d)[neg])
+        r = entry(r, row, (d, -d)[neg])
     return r
 
 
@@ -1123,27 +1125,22 @@ def _g2_entry(r, row, d):
     return g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
 
 
-def _gt_entry(r, row, d):
-    j = (abs(d) >> 1) * 12
-    f = gt_unmarshall(*row[j:j + 12])
-    return fp12_mul(r, f if d > 0 else fp12_conj(f))
-
-
 CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
     endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
     columns=_affine_columns(
         lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q, g1_phi,
+        _g1_entry,
     ),
-    add_entry=_g1_entry, generator=curve_G,
+    generator=curve_G,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
     endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6,
     columns=_affine_columns(
-        fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi,
+        fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi, _g2_entry,
     ),
-    add_entry=_g2_entry, generator=twist_G,
+    generator=twist_G,
 )
 # the target group, as the cyclotomic subgroup of Fp12, where the
 # conjugate a^(p^6) is the inverse.  On any other nonzero value the
@@ -1152,9 +1149,7 @@ TWIST = Group(
 CYCLOTOMIC = Group(
     fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a,
     endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=5,
-    columns=Columns(list, lambda column, steps: list(map(fp12_mul, column, steps)),
-                    lambda f: gt_marshall(f)),
-    add_entry=_gt_entry,
+    columns=value_columns(fp12_mul, fp12_conj, FP12_ONE, fp12_frobenius),
 )
 
 # the GLV vectors are a basis of that lattice (their determinant is r),

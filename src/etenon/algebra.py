@@ -691,10 +691,6 @@ class MockSuite(GroupSuite):
         self.order = order
         self.name = "mock-%d" % order
 
-        def entry(r, row, d):
-            a = row[abs(d) >> 1]
-            return (r + a if d > 0 else r - a) % order
-
         # the endomorphism is x -> lam*x, lam about sqrt(q), so that a
         # split's halves are about half as long as the order
         lam = math.isqrt(order) + 1
@@ -702,14 +698,19 @@ class MockSuite(GroupSuite):
         def add(a, b):
             return (a + b) % order
 
+        def neg(a):
+            return -a % order
+
+        def endo(a):
+            return lam * a % order
+
         # no generator: _bn256 would cache its table, and this suite, for good
         z = _bn256.Group(
-            add, lambda a: 2 * a % order, lambda a: -a % order, 0,
-            order, normal=lambda a: a, endo=lambda a: lam * a % order, split=_bn256.split_by(lam),
+            add, lambda a: 2 * a % order, neg, 0, order, normal=lambda a: a, endo=endo,
+            split=_bn256.split_by(lam),
             half_bits=(max(lam - 1, (order - 1) // lam) + 2).bit_length(), window=4,
-            columns=_bn256.Columns(list, lambda column, steps: list(map(add, column, steps)),
-                                   lambda a: (a,)),
-            add_entry=entry, encode=self.encode_scalar, decode=self.decode_scalar,
+            columns=_bn256.value_columns(add, neg, 0, endo),
+            encode=self.encode_scalar, decode=self.decode_scalar,
         )
         self.groups = {LEFT: z, RIGHT: z, TARGET: z}
 

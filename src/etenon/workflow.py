@@ -400,11 +400,14 @@ def cosign_package(
     copy of the record and the agreed terms, and on an exact match both
     parties co-sign every row and the ciphertext.  On any mismatch the
     provider refuses and nothing is signed at all; a copy that
-    :func:`preprocess_record` refuses is refused with its text."""
+    :func:`preprocess_record` refuses is refused with its text.  An
+    owner whose role is not DO, or a provider whose role is not SP,
+    raises :class:`WorkflowError` before any check."""
     do = ctx.entity(do_name)
     sp = ctx.entity(sp_name)
-    if do is sp:
-        raise WorkflowError("%r cannot be both owner and provider" % do_name)
+    for name, entity, role in ((do_name, do, Role.DO), (sp_name, sp, Role.SP)):
+        if entity.role is not role:
+            raise WorkflowError("%r has role %s, not %s" % (name, entity.role.value, role.value))
     steps = [
         "provider: received %d chain heads, %d rows and the ciphertext"
         % (len(package.heads), len(package.rows))
@@ -660,7 +663,7 @@ SCENARIO_KEYS = frozenset((
     "suite seed insecure_seed timestamp participants policy record levels identifiable_level "
     "access_label do sp retrieve"
 ).split())
-RETRIEVE_KEYS = frozenset(("du", "access_label"))
+RETRIEVE_KEYS = frozenset(("du",))
 
 
 def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
@@ -716,20 +719,20 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
             )
         participants = read_participants(doc.get("participants", {}))
         do_name, sp_name = typed(doc["do"], str), typed(doc["sp"], str)
-        for role, name in (("do", do_name), ("sp", sp_name)):
+        for key, name, role in (("do", do_name, Role.DO), ("sp", sp_name, Role.SP)):
             if name not in participants:
-                raise ValueError("%s %r is not a participant" % (role, name))
-        if do_name == sp_name:
-            raise ValueError("%r cannot be both do and sp" % do_name)
+                raise ValueError("%s %r is not a participant" % (key, name))
+            if participants[name][0] is not role:
+                raise ValueError("%s %r has role %s, not %s"
+                                 % (key, name, participants[name][0].value, role.value))
         record = tenon.record_from_json(doc["record"])
         policy_text = typed(doc["policy"], str)
         level_columns = doc["levels"]
         retrievals = [
-            (typed(known(req, RETRIEVE_KEYS, "retrieve %d: " % i)["du"], str),
-             optional(req, "access_label", str))
+            typed(known(req, RETRIEVE_KEYS, "retrieve %d: " % i)["du"], str)
             for i, req in enumerate(typed(doc.get("retrieve", []), list))
         ]
-        for i, (du_name, _) in enumerate(retrievals):
+        for i, du_name in enumerate(retrievals):
             if du_name not in participants:
                 raise ValueError("retrieve %d: %r is not a participant" % (i, du_name))
             if participants[du_name][1] is None:
@@ -740,13 +743,6 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
             policy_text, level_columns, doc.get("identifiable_level"),
             doc.get("access_label", "clinical"), doc.get("timestamp"),
         )
-        # the entry is stored under the agreed label, and any other is denied
-        for i, (_, label) in enumerate(retrievals):
-            if label not in (None, terms.access_label):
-                raise WorkflowError(
-                    "retrieve %d: access label %r is not the agreed %r"
-                    % (i, label, terms.access_label)
-                )
         # a record the terms refuse is refused before setup, as the rest is
         preprocess_record(record, terms)
     except WorkflowError as exc:
@@ -774,7 +770,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
         result = ingest_transcript(ctx, transcript)
         out["ingest"] = {"accepted": result.accepted, "reason": result.reason}
         out["order_digest"] = ctx.db.order_digest().hex()
-        for du_name, _ in retrievals:
+        for du_name in retrievals:
             report = phase_retrieval(
                 ctx, du_name, transcript.entry_id, access_label=terms.access_label
             )

@@ -131,11 +131,12 @@ def fixed_base_table(group, a):
     own adds, each entry normalised by ``group.normal`` on its own, and
     the next row's base as the last odd multiple plus a."""
     def coords(v):
-        # a curve point's x and y (z == 1 dropped), or an Fp12 value,
-        # as the ints of its nested tuples in order
+        # a curve point's x and y (z == 1 dropped) as the ints of its
+        # nested tuples in order, or an Fp12 value itself
         v = group.normal(v)
-        v = v[:2] if len(v) == 3 else v
-        stack, out = [v], []
+        if len(v) != 3:
+            return [v]
+        stack, out = [v[:2]], []
         while stack:
             c = stack.pop()
             if isinstance(c, int):

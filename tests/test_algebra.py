@@ -820,13 +820,59 @@ def test_bn256_split_powers_match_the_ladder():
 def test_bn256_split_is_wrong_off_the_subgroup():
     """psi acts as 6u^2 only on G2, so a split pass on a twist point
     outside it misses the plain product; membership checks therefore
-    take the plain pass, which the ladder tests above pin."""
+    take the plain pass, which equals the ladder there, at k = r too."""
     b = _bn256
     pt = _twist_point_off_the_subgroup()
     k = random.Random(0x0FF).randrange(b.order)
-    want = oracles.ladder(pt, k, b.g2_add, b.g2_double, b.G2_INFINITY)
-    assert b.g2_affine(b.multi_mul(b.TWIST, [(pt, k)])) == b.g2_affine(want)
+    for j in (k, b.order):
+        want = oracles.ladder(pt, j, b.g2_add, b.g2_double, b.G2_INFINITY)
+        assert b.g2_affine(b.multi_mul(b.TWIST, [(pt, j)])) == b.g2_affine(want), j
     assert b.g2_affine(b.split_mul(b.TWIST, [(pt, k)])) != b.g2_affine(want)
+
+
+def _row_formats():
+    """Per row format in use, its group, the format and a base x: the
+    formats of split passes and tables in each group and on mock, and
+    the value format that multi_mul builds, on a twist point outside
+    the subgroup and in Fp2 under multiplication."""
+    b = _bn256
+    mock = get_suite("mock").groups[LEFT]
+
+    def values(group):
+        return b.value_columns(group.add, group.neg, group.identity, group.endo)
+
+    g2 = b.multi_mul(b.TWIST, [(b.twist_G, 0x5B1)])
+    return {
+        "g1": (b.CURVE, b.CURVE.columns, b.g1_hash_to_point(b"rows")),
+        "g2": (b.TWIST, b.TWIST.columns, b.g2_affine(g2)),
+        "gt": (b.CYCLOTOMIC, b.CYCLOTOMIC.columns, b.final_exp(oracles.miller(g2, b.curve_G))),
+        "mock": (mock, mock.columns, 7),
+        "g1-values": (b.CURVE, values(b.CURVE), b.g1_hash_to_point(b"values")),
+        "g2-values": (b.TWIST, values(b.TWIST), _twist_point_off_the_subgroup()),
+        "fp2-values": (b._FP2_UNITS, values(b._FP2_UNITS), b.xi),
+    }
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "gt", "mock", "g1-values", "g2-values", "fp2-values"])
+def test_every_row_format_adds_each_signed_digit_as_the_ladder(name):
+    """For a row that _rows builds, entry(r, row, d) equals r + d*x by
+    the ladder for every odd d in +-[1, 2**WINDOW - 1], from the
+    identity, from 3x (an add of equal or opposite values at d = +-3)
+    and from a multiple of x that is not in normal form."""
+    b = _bn256
+    group, columns, x = _row_formats()[name]
+    add, neg, identity = group.add, group.neg, group.identity
+    normal = group.normal or (lambda v: v)
+
+    def times(k):
+        return oracles.ladder(x, k, add, group.double, identity)
+
+    rows, _ = b._rows(columns, [x], [group.double(x)], 1 << (b.WINDOW - 1))
+    row = b._coords(columns, rows[0])
+    for r in (identity, times(3), times(0x5B1)):
+        for d in range(1 - (1 << b.WINDOW), 1 << b.WINDOW, 2):
+            want = add(r, times(d) if d > 0 else neg(times(-d)))
+            assert normal(columns.entry(r, row, d)) == normal(want), d
 
 
 def _counting_columns(group):
@@ -847,11 +893,12 @@ def _counting_columns(group):
     if group is b.CURVE:
         columns = b._affine_columns(
             lambda x, y: x * y % b.p, lambda x, y: (x - y) % b.p, counted(b.inv_mod_p), 1,
-            lambda q: q, b.g1_phi,
+            lambda q: q, b.g1_phi, b._g1_entry,
         )
     else:
         columns = b._affine_columns(
             b.fp2_mul, b.fp2_sub, counted(b.fp2_inv), b.FP2_ONE, lambda q: q[0] + q[1], b.g2_psi,
+            b._g2_entry,
         )
     return group._replace(add=add, columns=columns), calls
 

@@ -161,7 +161,7 @@ def world(tmp_path_factory):
         "do": "owner",
         "sp": "provider",
         "access_label": "clinical",
-        "retrieve": [{"du": "reader"}, {"du": "provider", "access_label": "clinical"}],
+        "retrieve": [{"du": "reader"}, {"du": "provider"}],
     }
 
     suite = ctx.suite

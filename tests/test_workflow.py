@@ -187,11 +187,30 @@ def test_agreement_signs_everything():
 def test_agreement_refuses_one_entity_in_both_roles():
     ctx = fresh_ctx()
     record = tenon.record_from_json(RECORD)
-    with pytest.raises(WorkflowError, match="^'patient' cannot be both owner and provider$"):
+    with pytest.raises(WorkflowError, match="^'patient' has role DO, not SP$"):
         run_agreement(
             ctx, "patient", "patient", record, POLICY,
             {1: ["symptom"], 2: ["history"]}, identifiable_level=3, timestamp=1,
         )
+
+
+@pytest.mark.parametrize(
+    "do_name, sp_name, reason",
+    [
+        ("dr_grey", "hospital", "'dr_grey' has role DU, not DO"),
+        ("patient", "nurse_kim", "'nurse_kim' has role DU, not SP"),
+    ],
+    ids=["du-as-owner", "du-as-provider"],
+)
+def test_cosigning_refuses_a_party_of_another_role(do_name, sp_name, reason):
+    """Only a DO owns and only an SP provides: a reader in either place
+    is refused before the provider checks or anyone signs."""
+    ctx = fresh_ctx()
+    record = tenon.record_from_json(RECORD)
+    package = owner_package(ctx, record, TERMS)
+    with ctx.suite.measure() as span, pytest.raises(WorkflowError, match="^%s$" % reason):
+        cosign_package(ctx, do_name, sp_name, record, TERMS, package)
+    assert span.exponentiations == span.pairings == 0
 
 
 def test_agreement_roster_is_owner_and_provider():
@@ -941,14 +960,21 @@ def test_scenario_refuses_unknown_keys_in_a_participant_or_a_retrieval(tmp_path,
         ({"sp": "nobody"}, "sp 'nobody' is not a participant"),
         ({"do": "nobody"}, "do 'nobody' is not a participant"),
         ({"do": "cta"}, "do 'cta' is not a participant"),
-        ({"sp": "patient"}, "'patient' cannot be both do and sp"),
+        ({"sp": "patient"}, "sp 'patient' has role DO, not SP"),
+        ({"sp": "nurse_kim"}, "sp 'nurse_kim' has role DU, not SP"),
+        ({"do": "dr_grey"}, "do 'dr_grey' has role DU, not DO"),
     ],
-    ids=["unknown-sp", "unknown-do", "authority-as-do", "do-is-sp"],
+    ids=["unknown-sp", "unknown-do", "authority-as-do", "do-is-sp", "du-as-sp", "du-as-do"],
 )
-def test_scenario_refuses_parties_that_are_not_two_participants(tmp_path, change, reason):
-    """The owner and the provider must be two of the document's
-    participants; otherwise the document is refused before setup, which
-    makes the store directory."""
+def test_scenario_refuses_parties_that_are_not_two_participants(
+    tmp_path, monkeypatch, change, reason
+):
+    """The owner and the provider must be participants of roles DO and
+    SP; otherwise the document is refused before setup, which draws the
+    parameters and makes the store directory."""
+    setups = []
+    setup = mlabe.setup
+    monkeypatch.setattr(mlabe, "setup", lambda *a: setups.append(a) or setup(*a))
     doc = {
         "suite": "mock",
         "seed": 11,
@@ -963,6 +989,7 @@ def test_scenario_refuses_parties_that_are_not_two_participants(tmp_path, change
     }
     with pytest.raises(WorkflowError, match=r"^malformed scenario: %s$" % re.escape(reason)):
         run_scenario(doc, db_root=tmp_path / "db")
+    assert setups == []
     assert not (tmp_path / "db").exists()
 
 
@@ -974,16 +1001,17 @@ def test_scenario_refuses_parties_that_are_not_two_participants(tmp_path, change
         ({"participants": dict(PARTICIPANTS, clerk={"role": "DU", "attrs": None}),
           "retrieve": [{"du": "clerk"}]},
          "retrieve 0: 'clerk' has no decryption key"),
-        ({"retrieve": [{"du": "dr_grey", "access_label": "research"}]},
-         "retrieve 0: access label 'research' is not the agreed 'clinical'"),
+        ({"retrieve": [{"du": "dr_grey", "access_label": "clinical"}]},
+         "retrieve 0: unknown keys ['access_label']"),
     ],
     ids=["unknown-du", "no-decryption-key", "other-label"],
 )
 def test_scenario_refuses_a_retrieval_that_cannot_run(tmp_path, change, reason):
-    """A retrieval by someone who is not a participant, who holds no
-    decryption key or who presents a label other than the agreed one
-    cannot run; the document says so by itself, so it is refused before
-    setup, which makes the store directory."""
+    """A retrieval by someone who is not a participant or who holds no
+    decryption key cannot run, and one that names a label, even the
+    agreed one under which it reads, is refused; the document says so by
+    itself, so it is refused before setup, which makes the store
+    directory."""
     doc = {
         "suite": "mock",
         "seed": 11,
