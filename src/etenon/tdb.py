@@ -21,9 +21,10 @@ system, never from a caller's rng, since whoever knows them can make
 errors that cancel.  One scan, :func:`invalid`, finds every bad
 signature: it checks each run of at most ``BATCH_SIGNATURES`` signatures
 together, and only a run that fails one signature at a time.  The
-admission path scans the signatures of every line it admits, and a
-reader those of every row it walks, so a refusal names the first bad
-row, or the entry, and its line.
+admission path scans the signatures of every line it admits, so a
+refusal names the first bad row, or the entry, and its line.  That scan
+is the only one: every row and entry the store hands out came in
+through it, so a reader checks no signature again.
 
 Storage order is shuffled after every accepted ingest and on demand; a
 shuffle that happens to reproduce the previous order is redrawn, so
@@ -43,11 +44,10 @@ its own batch.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, both framed by :func:`signed_digest`, the
-one scan of their signatures that admission and readers share,
-and the batch document that the log and the command line carry.  A
-row's signed bytes are derived from its fields in one place,
-:func:`row_digest`, so a row read back verifies only if it is the chain
-element its roster signed.
+one scan of their signatures that admission runs, and the batch
+document that the log and the command line carry.  A row's signed bytes
+are derived from its fields in one place, :func:`row_digest`, so a row
+read back verifies only if it is the chain element its roster signed.
 """
 
 from __future__ import annotations
@@ -206,12 +206,6 @@ def invalid(suite: GroupSuite, items):
             for i, (sig, roster, digest) in enumerate(run, start):
                 if not musig.verify(suite, sig, roster, digest):
                     yield i
-
-
-def verify_entry(suite: GroupSuite, pp_bytes: bytes, entry: SecretEntry, roster) -> bool:
-    digest = entry_digest(pp_bytes, entry.entry_id, entry.access_label, entry.ct_bytes,
-                          entry.timestamp)
-    return musig.verify(suite, entry.sig, roster, digest)
 
 
 class TenonDb:

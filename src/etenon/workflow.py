@@ -25,8 +25,8 @@ hands the one half's package straight to the other.  The plan gives
 every level key, so the package must travel over a confidential
 owner-to-provider channel; it never reaches a transcript or the store.
 The signed batch then passes the store's verification gate.  A data
-user later fetches the secret entry, checks its signature before any
-decryption, recovers whichever levels its key satisfies and follows
+user later fetches the secret entry, which the store verified when it
+admitted it, recovers whichever levels its key satisfies and follows
 the chains through the open table.
 
 All randomness flows through one injected generator, so a seeded run
@@ -528,6 +528,10 @@ def ingest_transcript(ctx: SystemContext, transcript: AgreementTranscript):
 
 @dataclass
 class RetrievalReport:
+    """What one retrieval recovered.  ``entry_sig_ok`` is always True: a
+    store hands out only entries whose signatures it verified.  It stays
+    in the report and its JSON because existing readers of both read it."""
+
     entry_id: str
     entry_sig_ok: bool
     levels_in_ciphertext: int
@@ -542,7 +546,7 @@ class RetrievalReport:
 def phase_retrieval(
     ctx: SystemContext, du_name: str, entry_id: str, access_label: str = "clinical"
 ) -> RetrievalReport:
-    """Fetch, verify, decrypt and reconstruct as one data user."""
+    """Fetch, decrypt and reconstruct as one data user."""
     return retrieve_entry(ctx.pp, ctx.db, ctx.entity(du_name).keys, entry_id, access_label)
 
 
@@ -556,60 +560,30 @@ def retrieve_entry(
     """The retrieval procedure itself, independent of any entity roster.
 
     A bundle without a decryption key, or one issued under other public
-    parameters, is refused before the store is read.  The entry's
-    signature is checked before anything is decrypted, and the entry is
-    decrypted once.  Every row reachable from a chain head through
-    ``next`` is then collected, each pointer once, so a cycle ends the
-    collection.  An entry's roster signed every row of its agreement, so
-    each collected row must name the entry's roster ref, and those that
-    do are checked under that roster in one :func:`tdb.invalid` scan.
-    The levels are then walked once, and a row under another roster or
-    with an invalid signature breaks its chain there and is reported in
-    ``row_failures`` each time the walk reaches it.
+    parameters, is refused before the store is read.  The store hands
+    out only rows and entries whose signatures it verified when it
+    admitted their log line (:meth:`TenonDb._verified`), so the entry is
+    decrypted at once, and once.  The levels are then walked by
+    :func:`open_levels`.  An entry's roster signed every row of its
+    agreement, so a row under another roster breaks its chain there and
+    is reported in ``row_failures`` each time the walk reaches it.
     """
     if keys.decryption is None:
         raise WorkflowError("a signing-only key bundle has no decryption key")
     if keys.decryption.pp_fingerprint != pp.fingerprint():
         raise WorkflowError("key bundle was issued under other public parameters")
-    suite = pp.suite
     entry = db.read_secret(entry_id, access_label)
-    roster = db.roster(entry.roster_ref)
-    pp_bytes = pp.encode()
-    if not tdb.verify_entry(suite, pp_bytes, entry, roster):
-        # never decrypt material whose provenance fails
-        return RetrievalReport(
-            entry_id=entry_id,
-            entry_sig_ok=False,
-            levels_in_ciphertext=len(entry.ciphertext.levels),
-            recovered={},
-            row_failures=[],
-        )
     payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
     levels = {level: decode_level_payload(raw) for level, raw in sorted(payloads.items())}
-    reached: dict[tenon.Pointer, OpenRow | None] = {}
-    for kind, cursor in levels.values():
-        while kind == "chain" and cursor is not None and cursor not in reached:
-            row = reached[cursor] = db.find_row(cursor)
-            cursor = None if row is None else row.next
-    problems: dict[tenon.Pointer, str] = {}
-    signed = []
-    for pointer, row in reached.items():
-        if row is None:
-            continue
-        if row.roster_ref != entry.roster_ref:
-            problems[pointer] = "roster %r is not its entry's" % row.roster_ref
-            continue
-        signed.append((pointer, row.sig, roster, tdb.row_digest(pp_bytes, row, row.timestamp)))
-    for i in tdb.invalid(suite, [item[1:] for item in signed]):
-        problems[signed[i][0]] = "signature invalid"
     failures: list[str] = []
 
     def lookup(pointer):
-        """The collected row, or None if it is missing or has a problem."""
-        if pointer in problems:
-            failures.append("row %s: %s" % (pointer, problems[pointer]))
+        """The stored row, or None if it is missing or not the entry's."""
+        row = db.find_row(pointer)
+        if row is not None and row.roster_ref != entry.roster_ref:
+            failures.append("row %s: roster %r is not its entry's" % (pointer, row.roster_ref))
             return None
-        return reached[pointer]
+        return row
 
     recovered = open_levels(levels, lookup)
     return RetrievalReport(

@@ -133,10 +133,10 @@ def test_retrieve_refuses_a_key_from_another_setup(tmp_path, capsys):
     }
 
 
-def test_a_store_under_other_parameters_is_refused_as_such(tmp_path, capsys):
+def test_a_store_under_other_parameters_is_refused_as_such(tmp_path, capsys, monkeypatch):
     """A store read under other public parameters, or a batch made under
     them, is refused with that reason, not as a forged row; a forged row
-    still reads as one."""
+    or entry still reads as one, and nothing of it is decrypted."""
     first_entry, entry = _two_setups(tmp_path, capsys)
     first, second = tmp_path / "first", tmp_path / "second"
     pp = str(second / "store" / "pp.json")
@@ -160,17 +160,27 @@ def test_a_store_under_other_parameters_is_refused_as_such(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in (second / "store").iterdir()} == files
     assert (doc["rows"], doc["secrets"]) == (0, 0) and not (tmp_path / "none").exists()
 
+    def never(*args):
+        raise AssertionError("decrypted an entry of a forged log")
+
+    monkeypatch.setattr(mlabe, "decrypt", never)
     log = first / "store" / "log.jsonl"
-    line = json.loads(log.read_text())
-    line["rows"][0]["text"] += "!"
-    log.write_text(json.dumps(line) + "\n")
-    code, out, err = run(
-        capsys, "retrieve", "--pp", str(first / "store" / "pp.json"), "--db", str(first / "store"),
-        "--key", str(first / "keys" / "dr_grey.json"), "--entry", first_entry,
-    )
-    assert code == 2 and out == ""
-    message = json.loads(err)["message"]
-    assert re.fullmatch(r"log line 1: row 0 \(pointer [0-9a-f-]{36}\): signature invalid", message)
+    honest = log.read_text()
+    for part, field, where in [
+        (lambda line: line["rows"][0], "text", r"row 0 \(pointer [0-9a-f-]{36}\)"),
+        (lambda line: line["secret"], "access_label", re.escape("secret entry %r" % first_entry)),
+    ]:
+        line = json.loads(honest)
+        part(line)[field] += "!"
+        log.write_text(json.dumps(line) + "\n")
+        code, out, err = run(
+            capsys, "retrieve", "--pp", str(first / "store" / "pp.json"),
+            "--db", str(first / "store"), "--key", str(first / "keys" / "dr_grey.json"),
+            "--entry", first_entry,
+        )
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert re.fullmatch(r"log line 1: %s: signature invalid" % where, message), message
 
 
 def test_retrieve_unknown_entry_is_json_error(tmp_path, capsys):

@@ -722,7 +722,8 @@ def test_signed_entry_that_does_not_decode_fails_when_read(any_system, tmp_path,
     db = TenonDb(pp, root=store)
     assert db.secret_ids() == ("bad",)
     entry = db.read_secret("bad", "clinical")
-    assert tdb.verify_entry(suite, pp.encode(), entry, roster)
+    assert musig.verify(suite, entry.sig, roster, tdb.entry_digest(
+        pp.encode(), entry.entry_id, entry.access_label, entry.ct_bytes, entry.timestamp))
     with pytest.raises(TdbError, match="ciphertext of secret entry 'bad'"):
         entry.ciphertext
 
