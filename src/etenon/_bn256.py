@@ -45,6 +45,8 @@ import hashlib
 
 from typing import Callable, NamedTuple
 
+from .errors import AlgebraError
+
 v = 1868033
 u = pow(v, 3)
 
@@ -154,8 +156,9 @@ class Group(NamedTuple):
     :func:`split_mul`).  ``columns`` is the row format of split passes
     and fixed-base tables (see :class:`Columns`); ``window`` and the
     ``generator``, whose table is built once, describe tables (see
-    :func:`table`).  ``encode`` and ``decode`` are the wire codec, which
-    the suite supplies."""
+    :func:`table`).  ``encode`` and ``decode`` are the wire codec; a
+    decoder accepts only the bytes its encoder writes and raises
+    AlgebraError on any others."""
 
     add: Callable
     double: Callable
@@ -1125,6 +1128,102 @@ def _g2_entry(r, row, d):
     return g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
 
 
+# ----------------------------------------------------------------------
+# wire codecs: a decoder accepts only the bytes its encoder writes, of a
+# value in the order-r subgroup (G1 has prime order; G2 and GT values
+# take a full-order pass)
+
+FP_BYTES = 32
+G1_BYTES = 1 + FP_BYTES
+G2_BYTES = 1 + 4 * FP_BYTES
+GT_BYTES = 12 * FP_BYTES
+
+
+def g1_encode(a):
+    x, y, z = g1_affine(a)
+    if z == 0:
+        return b"\x00" * G1_BYTES
+    return bytes([0x02 | (y & 1)]) + x.to_bytes(FP_BYTES, "big")
+
+
+def g1_decode(raw):
+    if len(raw) != G1_BYTES:
+        raise AlgebraError("bad point encoding length")
+    tag = raw[0]
+    if tag == 0:
+        if any(raw[1:]):
+            raise AlgebraError("bad infinity encoding")
+        return G1_INFINITY
+    if tag not in (0x02, 0x03):
+        raise AlgebraError("bad point tag")
+    x = int.from_bytes(raw[1:], "big")
+    if x >= p:
+        raise AlgebraError("point coordinate out of range")
+    # the curve has prime order, so no point has y == 0
+    rhs = (x * x * x + curve_B) % p
+    y = sqrt_mod_p(rhs)
+    if y * y % p != rhs:
+        raise AlgebraError("encoding is not on the curve")
+    if (y & 1) != (tag & 1):
+        y = p - y
+    return (x, y, 1)
+
+
+def g2_encode(a):
+    x, y, z = g2_affine(a)
+    if z == FP2_ZERO:
+        return b"\x00" * G2_BYTES
+    return b"\x01" + b"".join(c.to_bytes(FP_BYTES, "big") for c in x + y)
+
+
+def g2_decode(raw):
+    if len(raw) != G2_BYTES:
+        raise AlgebraError("bad twist encoding length")
+    if raw[0] == 0:
+        if any(raw[1:]):
+            raise AlgebraError("bad infinity encoding")
+        return G2_INFINITY
+    if raw[0] != 1:
+        raise AlgebraError("bad twist tag")
+    vals = [int.from_bytes(raw[i:i + FP_BYTES], "big") for i in range(1, len(raw), FP_BYTES)]
+    if any(v >= p for v in vals):
+        raise AlgebraError("twist coordinate out of range")
+    pt = ((vals[0], vals[1]), (vals[2], vals[3]), FP2_ONE)
+    if not g2_on_curve(pt):
+        raise AlgebraError("encoding is not on the twist")
+    if multi_mul(TWIST, [(pt, order)])[2] != FP2_ZERO:
+        raise AlgebraError("twist point outside the prime-order subgroup")
+    return pt
+
+
+def gt_marshall(gt):
+    """The twelve Fp coordinates of an Fp12 value, in wire order."""
+    return tuple(c for e6 in gt for e2 in e6 for c in e2)
+
+
+def gt_unmarshall(*c):
+    return (
+        ((c[0], c[1]), (c[2], c[3]), (c[4], c[5])),
+        ((c[6], c[7]), (c[8], c[9]), (c[10], c[11])),
+    )
+
+
+def gt_encode(a):
+    return b"".join(c.to_bytes(FP_BYTES, "big") for c in gt_marshall(a))
+
+
+def gt_decode(raw):
+    if len(raw) != GT_BYTES:
+        raise AlgebraError("bad target-group encoding length")
+    vals = [int.from_bytes(raw[i:i + FP_BYTES], "big") for i in range(0, len(raw), FP_BYTES)]
+    if any(v >= p for v in vals):
+        raise AlgebraError("target-group coordinate out of range")
+    value = gt_unmarshall(*vals)
+    if not in_gt(value):
+        raise AlgebraError("target-group value outside the prime-order subgroup")
+    return value
+
+
 CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
     endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
@@ -1132,7 +1231,7 @@ CURVE = Group(
         lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q, g1_phi,
         _g1_entry,
     ),
-    generator=curve_G,
+    generator=curve_G, encode=g1_encode, decode=g1_decode,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
@@ -1140,7 +1239,7 @@ TWIST = Group(
     columns=_affine_columns(
         fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi, _g2_entry,
     ),
-    generator=twist_G,
+    generator=twist_G, encode=g2_encode, decode=g2_decode,
 )
 # the target group, as the cyclotomic subgroup of Fp12, where the
 # conjugate a^(p^6) is the inverse.  On any other nonzero value the
@@ -1150,6 +1249,7 @@ CYCLOTOMIC = Group(
     fp12_mul, fp12_cyclotomic_square, fp12_conj, FP12_ONE, order, normal=lambda a: a,
     endo=fp12_frobenius, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=5,
     columns=value_columns(fp12_mul, fp12_conj, FP12_ONE, fp12_frobenius),
+    encode=gt_encode, decode=gt_decode,
 )
 
 # the GLV vectors are a basis of that lattice (their determinant is r),
@@ -1164,7 +1264,7 @@ assert g2_affine(g2_psi(twist_G)) == g2_affine(multi_mul(TWIST, [(twist_G, LAMBD
 
 
 # ----------------------------------------------------------------------
-# hashing and the GT wire layout
+# hashing
 
 sqrt_neg_3 = sqrt_mod_p(p-3)
 inv_2 = inv_mod_p(2)
@@ -1188,15 +1288,3 @@ def g1_hash_to_point(msg):
             # g(x1) g(x2) g(x3) is a square, so g(x3) is one
             x = (1 + inv_mod_p(w*w)) % p
     return (x, chi_t * sqrt_mod_p(g(x)) % p, 1)
-
-
-def gt_marshall(gt):
-    """The twelve Fp coordinates of an Fp12 value, in wire order."""
-    return tuple(c for e6 in gt for e2 in e6 for c in e2)
-
-
-def gt_unmarshall(*c):
-    return (
-        ((c[0], c[1]), (c[2], c[3]), (c[4], c[5])),
-        ((c[6], c[7]), (c[8], c[9]), (c[10], c[11])),
-    )

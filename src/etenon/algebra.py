@@ -54,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import _bn256
-from .errors import EtenonError
+from .errors import AlgebraError
 
 _H0_TAG = b"ETN-H0"
 _H1_TAG = b"ETN-H1"
@@ -76,10 +76,6 @@ HASH_MEMO_SIZE = 64
 # the call of a label from which its element is a fixed base: a G1 table
 # costs about as much as this many Straus powers over table walks
 HASH_TABLE_AFTER = 9
-
-
-class AlgebraError(EtenonError):
-    """Malformed element, bad encoding, or an unusable pairing."""
 
 
 class IntegrityError(AlgebraError):
@@ -744,92 +740,6 @@ class MockSuite(GroupSuite):
         return self._finished(a)
 
 
-_FP_BYTES = 32
-_LEFT_BYTES = 1 + _FP_BYTES
-_RIGHT_BYTES = 1 + 4 * _FP_BYTES
-
-
-def _encode_left(a):
-    x, y, z = _bn256.g1_affine(a)
-    if z == 0:
-        return b"\x00" * _LEFT_BYTES
-    return bytes([0x02 | (y & 1)]) + x.to_bytes(_FP_BYTES, "big")
-
-
-def _decode_left(raw):
-    if len(raw) != _LEFT_BYTES:
-        raise AlgebraError("bad point encoding length")
-    tag = raw[0]
-    if tag == 0:
-        if any(raw[1:]):
-            raise AlgebraError("bad infinity encoding")
-        return _bn256.G1_INFINITY
-    if tag not in (0x02, 0x03):
-        raise AlgebraError("bad point tag")
-    x = int.from_bytes(raw[1:], "big")
-    if x >= _bn256.p:
-        raise AlgebraError("point coordinate out of range")
-    # the curve has prime order, so no point has y == 0
-    rhs = (x * x * x + 3) % _bn256.p
-    y = _bn256.sqrt_mod_p(rhs)
-    if y * y % _bn256.p != rhs:
-        raise AlgebraError("encoding is not on the curve")
-    if (y & 1) != (tag & 1):
-        y = _bn256.p - y
-    return (x, y, 1)
-
-
-def _encode_right(a):
-    x, y, z = _bn256.g2_affine(a)
-    if z == _bn256.FP2_ZERO:
-        return b"\x00" * _RIGHT_BYTES
-    return b"\x01" + b"".join(c.to_bytes(_FP_BYTES, "big") for c in x + y)
-
-
-def _decode_right(raw):
-    if len(raw) != _RIGHT_BYTES:
-        raise AlgebraError("bad twist encoding length")
-    if raw[0] == 0:
-        if any(raw[1:]):
-            raise AlgebraError("bad infinity encoding")
-        return _bn256.G2_INFINITY
-    if raw[0] != 1:
-        raise AlgebraError("bad twist tag")
-    vals = [int.from_bytes(raw[i:i + _FP_BYTES], "big") for i in range(1, len(raw), _FP_BYTES)]
-    if any(v >= _bn256.p for v in vals):
-        raise AlgebraError("twist coordinate out of range")
-    pt = ((vals[0], vals[1]), (vals[2], vals[3]), _bn256.FP2_ONE)
-    if not _bn256.g2_on_curve(pt):
-        raise AlgebraError("encoding is not on the twist")
-    if _bn256.multi_mul(_bn256.TWIST, [(pt, _bn256.order)])[2] != _bn256.FP2_ZERO:
-        raise AlgebraError("twist point outside the prime-order subgroup")
-    return pt
-
-
-def _encode_gt(a):
-    return b"".join(c.to_bytes(_FP_BYTES, "big") for c in _bn256.gt_marshall(a))
-
-
-def _decode_gt(raw):
-    if len(raw) != 12 * _FP_BYTES:
-        raise AlgebraError("bad target-group encoding length")
-    vals = [int.from_bytes(raw[i:i + _FP_BYTES], "big") for i in range(0, len(raw), _FP_BYTES)]
-    if any(v >= _bn256.p for v in vals):
-        raise AlgebraError("target-group coordinate out of range")
-    value = _bn256.gt_unmarshall(*vals)
-    if not _bn256.in_gt(value):
-        raise AlgebraError("target-group value outside the prime-order subgroup")
-    return value
-
-
-# built once per process, so that every suite shares the generators' tables
-_GROUPS = {
-    LEFT: _bn256.CURVE._replace(encode=_encode_left, decode=_decode_left),
-    RIGHT: _bn256.TWIST._replace(encode=_encode_right, decode=_decode_right),
-    TARGET: _bn256.CYCLOTOMIC._replace(encode=_encode_gt, decode=_decode_gt),
-}
-
-
 class Bn256Suite(GroupSuite):
     """Production suite over the vendored 256-bit BN curve.
 
@@ -837,11 +747,12 @@ class Bn256Suite(GroupSuite):
     triples of Fp2 pairs and target-group values nested Fp12 tuples (an
     owed value is a Miller-loop output).  A right point's prepared lines
     are one flat tuple of 340 ints, four per monic line, about 23 KB.
-    :mod:`etenon._bn256` holds the arithmetic; the suite adds the codecs
-    to its three ``Group`` records.
+    :mod:`etenon._bn256` holds the arithmetic and the codecs: the suite's
+    groups are its ``CURVE``, ``TWIST`` and ``CYCLOTOMIC`` records, so
+    every suite shares the generators' tables.
     """
 
-    groups = _GROUPS
+    groups = {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC}
 
     def __init__(self):
         super().__init__()

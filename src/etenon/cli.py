@@ -65,8 +65,8 @@ def _load_json(path: str):
 def _existing_store(pp, path: str) -> tdb.TenonDb:
     """The store at ``path``, which must already hold a log: only
     ``ingest`` and ``run-scenario`` create a store, and a path with no
-    log holds no rows to read or shuffle.  The log is looked for before
-    the store is opened, so a refused path is left as it was."""
+    log holds no rows to read or shuffle.  Opening a store writes
+    nothing, so a refused path, or one only read, is left as it was."""
     if not os.path.exists(os.path.join(path, tdb.LOG_NAME)):
         raise InputError("no store at %s: it holds no %s" % (path, tdb.LOG_NAME))
     return tdb.TenonDb(pp, root=path)
@@ -141,15 +141,13 @@ def cmd_ingest(args) -> int:
     batch = _load_json(args.batch)
     if not isinstance(batch, dict):
         raise InputError("batch must be a JSON object")
+    db = tdb.TenonDb(pp, root=args.db)
     try:
         rows, secret, roster = tdb.batch_from_json(pp, batch)
     except tdb.OtherParamsError as exc:
-        # refused as the gate refuses a batch, and makes no store directory
+        # refused as the gate refuses a batch
         result = tdb.IngestResult(accepted=False, reason=str(exc))
-        db = tdb.TenonDb(pp, root=args.db if os.path.isdir(args.db) else None)
     else:
-        # only a batch that decodes makes the store directory
-        db = tdb.TenonDb(pp, root=args.db)
         result = db.ingest(rows, secret, roster, rng=rng)
     if result.accepted:
         db.save_snapshot()

@@ -3,3 +3,7 @@
 
 class EtenonError(Exception):
     """Base class for every error raised by this package."""
+
+
+class AlgebraError(EtenonError):
+    """Malformed element, bad encoding, or an unusable pairing."""

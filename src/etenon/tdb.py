@@ -40,7 +40,8 @@ last, since each holds the prepared Miller lines of its leaves (about
 23 KB a leaf); an older entry decodes again when it is read again.
 Writers take a lock on the store directory's lock file, so a second
 writer waits, then replays what the first appended before it verifies
-its own batch.
+its own batch.  Opening a store only reads it: the first write makes
+the directory, its lock file and its log.
 
 This module owns the signed-row format: the digests a roster co-signs
 for a row and for an entry, both framed by :func:`signed_digest`, the
@@ -75,8 +76,9 @@ from .tenon import Pointer, Triple
 # a reader going back and forth between two entries decodes each once
 DECODED_ENTRIES = 2
 
-# signatures one batch check covers at most, so a replay or a reader's
-# walk over a large store keeps its multi-exponentiation bounded
+# signatures one batch check covers at most, so the gate's scan of a
+# large batch and a replay of a large log keep their multi-exponentiation
+# bounded
 BATCH_SIGNATURES = 256
 
 # the log's file name in a store directory; a directory without it holds
@@ -226,7 +228,6 @@ class TenonDb:
         self._torn = False  # the log goes on past _log_end with a torn line
         self._root = Path(root) if root is not None else None
         if self._root is not None:
-            self._root.mkdir(parents=True, exist_ok=True)
             self._load()
 
     def order_digest(self) -> bytes:
@@ -413,12 +414,14 @@ class TenonDb:
 
     @contextmanager
     def _writing(self):
-        """Hold the store's write lock, after replaying what other writers
-        appended; a writer that finds the lock taken waits for it.  Take it
-        before ``self._lock``, never while holding that."""
+        """Make the store directory if it is missing and hold its write
+        lock, after replaying what other writers appended; a writer that
+        finds the lock taken waits for it.  Take it before ``self._lock``,
+        never while holding that."""
         if self._root is None:
             yield
             return
+        self._root.mkdir(parents=True, exist_ok=True)
         with open(self._root / "lock", "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             with self._lock:

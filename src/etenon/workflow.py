@@ -131,7 +131,9 @@ def phase_setup(
     :class:`WorkflowError` with the same reason.  A participant whose
     attributes are null gets a self-generated signing pair only, which
     is all a provider needs, since it checks by re-encryption; anyone
-    else receives a full bundle.  The master key is not kept.
+    else receives a full bundle.  The master key is not kept.  With
+    ``db_root`` the context's store persists there, and setup makes that
+    directory if it is missing.
     """
     with decoding(WorkflowError, "participants"):
         parties = read_participants({} if participants is None else participants)
@@ -145,6 +147,8 @@ def phase_setup(
         else:
             keys = mlabe.keygen(pp, msk, attrs, rng)
         entities[name] = Entity(role=role, keys=keys)
+    if db_root is not None:
+        Path(db_root).mkdir(parents=True, exist_ok=True)
     return SystemContext(
         suite=suite,
         pp=pp,
@@ -653,7 +657,8 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     deterministic, and every key public: on a suite other than mock it
     is refused unless the document also holds ``"insecure_seed": true``.
     With ``db_root`` a new store persists there, with the public
-    parameters beside its log as ``pp.json``; a directory that already
+    parameters beside its log as ``pp.json`` and the storage order that
+    ``order_digest`` reports as its snapshot; a directory that already
     holds a store's log is refused before any step runs, since the run
     draws new public parameters.  With ``keys_dir`` every
     participant's key bundle is written there too, so the command-line
@@ -742,6 +747,9 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     }
     if transcript.agreed:
         result = ingest_transcript(ctx, transcript)
+        if result.accepted and db_root is not None:
+            # the store reopens in the order the summary reports
+            ctx.db.save_snapshot()
         out["ingest"] = {"accepted": result.accepted, "reason": result.reason}
         out["order_digest"] = ctx.db.order_digest().hex()
         for du_name in retrievals:

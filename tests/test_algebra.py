@@ -717,6 +717,15 @@ def test_bn256_generator_tables_are_shared(bn256):
     assert again.g_delta.table == pp.g_delta.table
 
 
+def test_bn256_suite_computes_with_the_curve_modules_own_groups(bn256):
+    """The suite's group records, codecs included, are the ones the curve
+    module defines, checks at import and tests membership with; every
+    suite shares them."""
+    records = {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC}
+    for suite in (bn256, get_suite("bn256")):
+        assert all(suite.groups[side] is group for side, group in records.items())
+
+
 def test_bn256_endomorphisms_act_as_their_eigenvalues():
     """phi, psi and the Frobenius map raise the generators of G1, G2 and
     GT to their lambdas, by the plain ladder: LAMBDA_1, a cube root of

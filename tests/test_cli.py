@@ -584,7 +584,7 @@ def test_os_errors_are_json_errors(tmp_path, capsys):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps(_agreed_batch(tmp_path)))  # it writes pp.json too
     _assert_cli_json_error(
-        "FileExistsError", "ingest", "--pp", str(pp), "--db", str(not_a_dir),
+        "NotADirectoryError", "ingest", "--pp", str(pp), "--db", str(not_a_dir),
         "--batch", str(batch),
     )
 

@@ -306,6 +306,22 @@ def test_log_replay_restores_state(system, tmp_path):
     )
 
 
+def test_opening_a_missing_store_creates_nothing(system, tmp_path):
+    """Opening a store only reads it: a missing path opens as an empty
+    store and stays missing, a batch the gate refuses before it writes
+    makes nothing either, and the first accepted ingest makes the
+    directory."""
+    suite, pp, _, rng = system
+    root = tmp_path / "missing" / "store"
+    db = TenonDb(pp, root=root)
+    assert (db.read_open(), db.secret_ids()) == ((), ())
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert not db.ingest(rows, None, roster, rng=rng).accepted
+    assert list(tmp_path.iterdir()) == []
+    assert db.ingest(rows, secret, roster, rng=rng).accepted
+    assert TenonDb(pp, root=root).secret_ids() == ("entry-1",)
+
+
 def test_snapshot_plus_tail_replay(system, tmp_path):
     suite, pp, _, rng = system
     db = TenonDb(pp, root=tmp_path)
@@ -1210,10 +1226,10 @@ def test_snapshot_order_must_match_the_log(system, tmp_path):
     assert reopened.read_secret("entry-1", "clinical") == secret
 
 
-def test_snapshot_does_not_stand_in_for_the_log(system, tmp_path):
+def test_snapshot_does_not_stand_in_for_the_log(large_system, tmp_path):
     """Every log line is replayed and re-verified, also the lines written
     before the snapshot was saved."""
-    suite, pp, _, rng = system
+    suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
     rows, secret, roster = make_batch(suite, pp, rng)
     db.ingest(rows, secret, roster=roster, rng=rng)

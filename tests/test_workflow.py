@@ -838,6 +838,10 @@ def test_scenario_runs_and_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "log.jsonl").read_bytes() == (
         tmp_path / "b" / "log.jsonl"
     ).read_bytes()
+    # the summary's order digest is taken after the ingest's shuffle, and
+    # the store reopens in that order
+    pp = mlabe.pp_from_json(json.loads((tmp_path / "a" / "pp.json").read_text()))
+    assert TenonDb(pp, root=tmp_path / "a").order_digest().hex() == a["order_digest"]
 
 
 @pytest.mark.parametrize(
