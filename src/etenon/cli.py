@@ -198,7 +198,8 @@ def cmd_run_scenario(args) -> int:
 
 
 class BenchError(EtenonError):
-    """An operation count disagreed with the cost model."""
+    """A grid the suite cannot run, or an operation count that
+    disagreed with the cost model."""
 
 
 def _bench_policy(k: int, l: int) -> str:
@@ -486,6 +487,14 @@ def cmd_bench(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
 
     checks = [(n, 1) for n in args.signers] + [(BATCH_SIGNERS, m) for m in BATCH_ITEMS]
+    # a roster's keys are distinct nonzero scalars, of which a small
+    # mock order has too few
+    most = max(n for n, _ in checks)
+    if most >= suite.order:
+        raise BenchError(
+            "a roster of %d signers needs %d distinct nonzero keys, but %s has order %d"
+            % (most, most, suite.name, suite.order)
+        )
     # the CSV file is opened first, so a path that cannot be written
     # is refused before the grid runs
     csv_file = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else None

@@ -8,15 +8,16 @@ mechanism under their own level).
 Setup draws master scalars gamma and delta.  A key binds an attribute
 set under a fresh scalar r that never leaves key generation; the
 holder's signing key is drawn apart from it.
-Encryption secret-shares a fresh root polynomial over the tree, seals
-each level's payload under the target-group value e(g,g)^(gamma * s_l)
+Encryption secret-shares a root polynomial over the tree, seals each
+level's payload under the target-group value e(g,g)^(gamma * s_l)
 where s_l is that level's share sum, and publishes two group elements
-per level and two per leaf.  The shares may come from a given share
-plan instead, and the seal is deterministic, so whoever holds the plan
-and the payloads can re-encrypt and compare bytes: that is how the
-provider checks an owner's ciphertext.  A plan gives every level key,
-so it must travel only over a confidential owner-to-provider channel
-and never reaches a transcript or the store.  Decryption reconstructs
+per level and two per leaf.  Every share is derived from the
+polynomials' random coefficients, drawn fresh or given; the seal is
+deterministic, so whoever holds the coefficients and the payloads can
+re-encrypt and compare bytes: that is how the provider checks an
+owner's ciphertext.  The coefficients give every level key, so they
+must travel only over a confidential owner-to-provider channel and
+never reach a transcript or the store.  Decryption reconstructs
 the level value by pairing key components against leaf elements,
 combining with Lagrange coefficients up the tree, and dividing out of
 the paired level element.
@@ -204,7 +205,9 @@ def _level_context(level: int) -> bytes:
     return b"level:%d" % level
 
 
-def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, plan, mask) -> CiphertextBundle:
+def _encrypt(
+    pp: PublicParams, plain, tree: AccessTree, rng, coefficients, mask
+) -> CiphertextBundle:
     """Share one secret over the tree; ``mask(level, key, plain)`` hides each level."""
     if set(plain) != set(tree.levels):
         raise MlabeError(
@@ -212,18 +215,19 @@ def _encrypt(pp: PublicParams, plain, tree: AccessTree, rng, plan, mask) -> Ciph
             % (sorted(plain), sorted(tree.levels))
         )
     suite = pp.suite
-    if plan is None:
-        plan = policy.assign_shares(tree, suite.order, rng)
+    if coefficients is None:
+        coefficients = policy.draw_coefficients(tree, suite.order, rng)
+    leaf_shares, level_secrets = policy.derive_shares(tree, suite.order, coefficients)
     leaves = {}
     for path, leaf in policy.iter_leaves(tree):
-        share = plan.leaf_shares[path]
+        share = leaf_shares[path]
         leaves[path] = (
             suite.right_generator ** share,
             suite.hash_to_group(leaf.attribute) ** share,
         )
     levels = {}
     for level in sorted(tree.levels):
-        secret = plan.level_secrets[level]
+        secret = level_secrets[level]
         levels[level] = (
             pp.g_delta ** secret,
             mask(level, pp.egg_gamma ** secret, plain[level]),
@@ -239,19 +243,20 @@ def encrypt(
     tree: AccessTree,
     rng=None,
     *,
-    plan: policy.SharePlan | None = None,
+    coefficients: dict[NodePath, tuple[int, ...]] | None = None,
 ) -> CiphertextBundle:
     """Seal one byte payload per declared level under the tree.
 
-    The shares come from ``plan`` when one is given, else from a plan
-    drawn from ``rng``; the seal is deterministic, so one plan and one
-    set of payloads always give the same ciphertext.
+    Every share is derived from ``coefficients``, as
+    :func:`policy.draw_coefficients` draws them from ``rng`` when none
+    are given; the seal is deterministic, so one set of coefficients
+    and payloads always gives the same ciphertext.
     """
 
     def seal(level, key, payload):
         return pp.suite.seal(key, bytes(payload), _level_context(level))
 
-    return _encrypt(pp, payloads, tree, rng, plan, seal)
+    return _encrypt(pp, payloads, tree, rng, coefficients, seal)
 
 
 def encrypt_gt(pp: PublicParams, elements, tree: AccessTree, rng=None) -> CiphertextBundle:

@@ -316,34 +316,16 @@ def lagrange_coeff(i: int, index_set, order: int) -> int:
     return (num * pow(den, order - 2, order)) % order
 
 
-@dataclass
-class SharePlan:
-    """Polynomials and derived shares for one encryption of a tree.
-
-    ``coefficients`` holds what was drawn: the root polynomial under the
-    empty path and, under each gate's path, its t-1 coefficients above
-    the constant term.  Everything else follows from them and the tree.
-    """
-
-    order: int
-    coefficients: dict[NodePath, tuple[int, ...]]
-    gate_coeffs: dict[NodePath, tuple[int, ...]]
-    leaf_shares: dict[NodePath, int]
-    level_secrets: dict[int, int]
-
-    @property
-    def root_coeffs(self) -> tuple[int, ...]:
-        return self.coefficients[()]
-
-
 def draw_coefficients(
     tree: AccessTree, suite_order: int, rng=None
 ) -> dict[NodePath, tuple[int, ...]]:
-    """Draw a sharing's random coefficients, keyed as in :class:`SharePlan`.
+    """Draw a sharing's random coefficients; every share follows from
+    them and the tree (:func:`derive_shares`).
 
     The root polynomial has one uniform coefficient per root sub-tree
-    (degree c'-1); a gate with threshold t gets t-1 more.  They are
-    drawn root first, then gate by gate in depth-first index order.
+    (degree c'-1), under the empty path; a gate with threshold t gets
+    its t-1 coefficients above the constant term, under its path.  They
+    are drawn root first, then gate by gate in depth-first index order.
     """
     if rng is None:
         rng = random.SystemRandom()
@@ -362,8 +344,10 @@ def draw_coefficients(
     return coefficients
 
 
-def derive_shares(tree: AccessTree, suite_order: int, coefficients) -> SharePlan:
-    """Derive every share and level secret from drawn coefficients.
+def derive_shares(
+    tree: AccessTree, suite_order: int, coefficients
+) -> tuple[dict[NodePath, int], dict[int, int]]:
+    """Each leaf's share and each level's secret, from drawn coefficients.
 
     Sub-tree i receives the share q_r(i); a gate hides its share in its
     polynomial's constant term and hands child j the value at j.  A
@@ -372,7 +356,7 @@ def derive_shares(tree: AccessTree, suite_order: int, coefficients) -> SharePlan
     :class:`PolicyError`.
     """
     validate_tree(tree)
-    gate_coeffs: dict[NodePath, tuple[int, ...]] = {}
+    fitted: list[NodePath] = []
     leaf_shares: dict[NodePath, int] = {}
 
     def drawn(path: NodePath, count: int) -> tuple[int, ...]:
@@ -383,6 +367,7 @@ def derive_shares(tree: AccessTree, suite_order: int, coefficients) -> SharePlan
             or not all(type(c) is int and 0 <= c < suite_order for c in got)
         ):
             raise PolicyError("coefficients do not fit the tree at %s" % (path,))
+        fitted.append(path)
         return got
 
     def walk(node: SubTree, path: NodePath, share: int):
@@ -390,31 +375,19 @@ def derive_shares(tree: AccessTree, suite_order: int, coefficients) -> SharePlan
             leaf_shares[path] = share
             return
         coeffs = (share,) + drawn(path, node.threshold - 1)
-        gate_coeffs[path] = coeffs
         for j, child in enumerate(node.children, start=1):
             walk(child, path + (j,), poly_eval(coeffs, j, suite_order))
 
-    root_coeffs = drawn((), len(tree.children))
+    root_poly = drawn((), len(tree.children))
     root_shares = {}
     for i, child in enumerate(tree.children, start=1):
-        root_shares[i] = poly_eval(root_coeffs, i, suite_order)
+        root_shares[i] = poly_eval(root_poly, i, suite_order)
         walk(child, (i,), root_shares[i])
-    if len(coefficients) != len(gate_coeffs) + 1:
+    if len(coefficients) != len(fitted):
         raise PolicyError("coefficients name a gate the tree does not have")
 
     level_secrets = {
         level: sum(root_shares[i] for i in wanted) % suite_order
         for level, wanted in tree.levels.items()
     }
-    return SharePlan(
-        order=suite_order,
-        coefficients=coefficients,
-        gate_coeffs=gate_coeffs,
-        leaf_shares=leaf_shares,
-        level_secrets=level_secrets,
-    )
-
-
-def assign_shares(tree: AccessTree, suite_order: int, rng=None) -> SharePlan:
-    """Draw the root polynomial and per-gate polynomials, derive all shares."""
-    return derive_shares(tree, suite_order, draw_coefficients(tree, suite_order, rng))
+    return leaf_shares, level_secrets

@@ -272,7 +272,7 @@ class TenonDb:
         return signed
 
     def ingest(self, rows, secret: SecretEntry, roster, rng=None) -> IngestResult:
-        """Verify then store a batch; reject without any side effect.
+        """Verify then store a batch; a refusal changes no stored byte.
 
         A batch is what one agreement writes: one sealed entry, its rows
         and ``roster``, the verification keys of the entry's roster ref,

@@ -7,22 +7,23 @@ assignment, the access label and the timestamp.  The agreement then
 runs as two halves, and both read a record through one function,
 :func:`preprocess_record`, into each chain level's blocks and the
 identifiable columns.  In :func:`owner_package` the data owner chains
-each level's blocks under fresh pointers, seals the chain heads (and
-the identifiable columns, under their own level) into one ciphertext,
+each level's blocks under fresh pointers, draws the sharing's random
+coefficients, seals the chain heads (and the identifiable columns,
+under their own level) into one ciphertext with :func:`seal_levels`,
 and packs what the service provider needs: the ciphertext, the chain
-elements to be signed, the chain heads and the share plan's random
-coefficients.  In :func:`cosign_package` the provider, which sees only
-that package, the terms and its own copy of the record, reads its copy
-as the owner read the record, and refuses with the owner's text a copy
-the owner's half would refuse.  It checks by re-encryption, not
-decryption: it derives every share from the coefficients, encrypts its
-own copy under the agreed policy, and accepts the ciphertext only if
+elements to be signed, the chain heads and the coefficients.  In
+:func:`cosign_package` the provider, which sees only that package, the
+terms and its own copy of the record, reads its copy as the owner read
+the record, and refuses with the owner's text a copy the owner's half
+would refuse.  It checks by re-encryption, not decryption: it re-seals
+its own copy with the same :func:`seal_levels` call, which derives
+every share from the coefficients, and accepts the ciphertext only if
 the two are equal byte for byte; it then walks each chain from its head
 through the elements, as a reader will walk the open table, and
 compares it with its own copy's blocks.  Only on an exact match do
 both parties co-sign every row and the ciphertext.  :func:`run_agreement`
-hands the one half's package straight to the other.  The plan gives
-every level key, so the package must travel over a confidential
+hands the one half's package straight to the other.  The coefficients
+give every level key, so the package must travel over a confidential
 owner-to-provider channel; it never reaches a transcript or the store.
 The signed batch then passes the store's verification gate.  A data
 user later fetches the secret entry, which the store verified when it
@@ -216,14 +217,6 @@ def open_levels(levels: dict[int, tuple], lookup) -> dict[int, LevelRecovery]:
     return recovered
 
 
-def level_payloads(heads, identifiable_level, identifiable_cols) -> dict[int, bytes]:
-    """Each chain level's head payload, plus the identifiable level's."""
-    payloads = {level: encode_chain_payload(head) for level, head in heads.items()}
-    if identifiable_level is not None:
-        payloads[identifiable_level] = encode_identifiable_payload(identifiable_cols)
-    return payloads
-
-
 # ----------------------------------------------------------------------
 # the co-signing agreement
 
@@ -338,19 +331,32 @@ def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     return blocks, identifiable
 
 
+def seal_levels(
+    ctx: SystemContext, terms: AgreementTerms, heads, identifiable, coefficients
+) -> mlabe.CiphertextBundle:
+    """Seal each chain level's head, and the identifiable columns under
+    their own level, into one ciphertext under the agreed policy, every
+    share derived from ``coefficients``: the owner's seal and the
+    provider's re-seal are this one call."""
+    payloads = {level: encode_chain_payload(head) for level, head in heads.items()}
+    if terms.identifiable_level is not None:
+        payloads[terms.identifiable_level] = encode_identifiable_payload(identifiable)
+    return mlabe.encrypt(ctx.pp, payloads, terms.tree, coefficients=coefficients)
+
+
 @dataclass
 class AgreementPackage:
     """What the owner hands the provider.
 
-    ``plan`` and ``heads`` let the provider re-encrypt its own copy; the
-    plan gives every level key, so the package travels only over a
-    confidential owner-to-provider channel and never reaches a
-    transcript or the store.
+    ``coefficients`` and ``heads`` let the provider re-seal its own
+    copy; the coefficients give every level key, so the package travels
+    only over a confidential owner-to-provider channel and never
+    reaches a transcript or the store.
     """
 
     rows: dict[tenon.Pointer, tenon.Triple]  # chain elements to sign, chain order per level
     ciphertext: mlabe.CiphertextBundle
-    plan: policy.SharePlan
+    coefficients: dict[policy.NodePath, tuple[int, ...]]
     heads: dict[int, tenon.Pointer]
 
 
@@ -376,18 +382,18 @@ def owner_package(
     ctx: SystemContext, record: EhrRecord, terms: AgreementTerms
 ) -> AgreementPackage:
     """Step 1: the owner reads the record with :func:`preprocess_record`,
-    chains each level's blocks, seals the heads and the identifiable
-    columns under the agreed policy, and packs what the provider needs
-    to check them."""
+    chains each level's blocks, draws the sharing's coefficients, seals
+    the heads and the identifiable columns under the agreed policy with
+    :func:`seal_levels`, and packs what the provider needs to check
+    them."""
     blocks, identifiable = preprocess_record(record, terms)
     structures = {level: tenon.build_structure(b, ctx.rng) for level, b in blocks.items()}
     heads = {level: st.head for level, st in structures.items()}
-    payloads = level_payloads(heads, terms.identifiable_level, identifiable)
-    plan = policy.assign_shares(terms.tree, ctx.suite.order, ctx.rng)
+    coefficients = policy.draw_coefficients(terms.tree, ctx.suite.order, ctx.rng)
     return AgreementPackage(
         rows={t.pointer: t for st in structures.values() for t in st.triples},
-        ciphertext=mlabe.encrypt(ctx.pp, payloads, terms.tree, plan=plan),
-        plan=plan,
+        ciphertext=seal_levels(ctx, terms, heads, identifiable, coefficients),
+        coefficients=coefficients,
         heads=heads,
     )
 
@@ -402,8 +408,10 @@ def cosign_package(
 ) -> AgreementTranscript:
     """Steps 3 to 5: the provider checks the package against its own
     copy of the record and the agreed terms, and on an exact match both
-    parties co-sign every row and the ciphertext.  On any mismatch the
-    provider refuses and nothing is signed at all; a copy that
+    parties co-sign every row and the ciphertext.  It re-seals its copy
+    with :func:`seal_levels` under the handed heads and coefficients, so
+    it derives every share itself.  On any mismatch the provider
+    refuses and nothing is signed at all; a copy that
     :func:`preprocess_record` refuses is refused with its text.  An
     owner whose role is not DO, or a provider whose role is not SP,
     raises :class:`WorkflowError` before any check."""
@@ -421,14 +429,11 @@ def cosign_package(
         steps.append("provider: comparison failed (%s); refusing to sign" % mismatch)
         return AgreementTranscript(steps=steps, verdict="mismatch: " + mismatch)
 
-    # step 3: the provider reads its own copy under the terms as the
-    # owner does, and re-encrypts it under the agreed policy with the
-    # handed plan, deriving every share itself
+    # step 3: the provider reads its own copy under the terms and
+    # re-seals it as the owner sealed
     try:
         own_blocks, own_identifiable = preprocess_record(record, terms)
-        own_plan = policy.derive_shares(terms.tree, ctx.suite.order, package.plan.coefficients)
-        own_payloads = level_payloads(package.heads, terms.identifiable_level, own_identifiable)
-        own_ct = mlabe.encrypt(ctx.pp, own_payloads, terms.tree, plan=own_plan)
+        own_ct = seal_levels(ctx, terms, package.heads, own_identifiable, package.coefficients)
     except (WorkflowError, policy.PolicyError, mlabe.MlabeError) as e:
         return refuse(str(e))
     ct_bytes = mlabe.ct_canonical_bytes(package.ciphertext)

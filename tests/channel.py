@@ -17,14 +17,15 @@ def across(ctx, do_name, sp_name, record, terms, edit):
     return workflow.cosign_package(ctx, do_name, sp_name, record, terms, package)
 
 
-def open_with_plan(pp, ct, plan):
-    """Every level's payload, opened with the plan that sealed ``ct``.
+def open_with_coefficients(pp, ct, coefficients):
+    """Every level's payload, opened with the coefficients that sealed ``ct``.
 
-    A plan's level secrets give every level key, with no attribute key
-    at all: whoever holds the plan reads every level."""
+    The level secrets they give are every level key, with no attribute
+    key at all: whoever holds the coefficients reads every level."""
+    _, level_secrets = policy.derive_shares(ct.tree, pp.suite.order, coefficients)
     return {
         level: pp.suite.unseal(
-            pp.egg_gamma ** plan.level_secrets[level], masked, mlabe._level_context(level)
+            pp.egg_gamma ** level_secrets[level], masked, mlabe._level_context(level)
         )
         for level, (_, masked) in ct.levels.items()
     }
@@ -55,11 +56,11 @@ def ciphertext_swap(package, ctx):
 def policy_swap(package, ctx):
     """The owner's own payloads and coefficients, under a tree whose
     every level needs only its first sub-tree."""
-    ct, plan = package.ciphertext, package.plan
+    ct, coefficients = package.ciphertext, package.coefficients
     weak = replace(ct.tree, levels={l: w[:1] for l, w in ct.tree.levels.items()})
-    weak_plan = policy.derive_shares(weak, plan.order, plan.coefficients)
     package.ciphertext = mlabe.encrypt(
-        ctx.pp, open_with_plan(ctx.pp, ct, plan), weak, plan=weak_plan
+        ctx.pp, open_with_coefficients(ctx.pp, ct, coefficients), weak,
+        coefficients=coefficients,
     )
 
 

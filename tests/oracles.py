@@ -96,6 +96,34 @@ def poly_at(coeffs, x: int, p: int) -> int:
     return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
 
 
+def shares_from_coefficients(tree, coefficients, p: int):
+    """(leaf shares, level secrets) recomputed from drawn coefficients.
+
+    The root polynomial is ``coefficients[()]``; a gate's polynomial is
+    its own share followed by ``coefficients[path]``, and child j of any
+    node gets that polynomial at j.  A level's secret is the sum of its
+    selected root children's shares."""
+    root = coefficients[()]
+    leaf_shares = {}
+
+    def walk(node, path, share):
+        children = getattr(node, "children", None)
+        if children is None:
+            leaf_shares[path] = share
+            return
+        poly = (share,) + tuple(coefficients[path])
+        for j, child in enumerate(children, start=1):
+            walk(child, path + (j,), poly_at(poly, j, p))
+
+    for i, child in enumerate(tree.children, start=1):
+        walk(child, (i,), poly_at(root, i, p))
+    level_secrets = {
+        level: sum(poly_at(root, i, p) for i in members) % p
+        for level, members in tree.levels.items()
+    }
+    return leaf_shares, level_secrets
+
+
 def interpolate_at_zero(points, p: int) -> int:
     """Lagrange interpolation at x = 0 from (x, y) pairs."""
     total = 0

@@ -222,8 +222,6 @@ def test_run_scenario_malformed_document_is_json_error(tmp_path, capsys, doc):
 
 def _agreed_batch(tmp_path):
     """Write public parameters for one agreed mock batch; return the batch."""
-    import random
-
     rng = random.Random(21)
     ctx = workflow.phase_setup(
         "mock",
@@ -266,6 +264,65 @@ def test_ingest_roundtrip_and_rejection(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["accepted"] is False
     assert "already present" in doc["reason"]
+
+
+def test_a_refused_batch_changes_no_byte_of_a_store(tmp_path, capsys):
+    """A batch with one row's signature replaced by another row's is
+    refused; one bad signature always fails the batch check, where two
+    swapped ones pass it on mock with chance 1/(order - 1).  The refusal
+    changes no byte of an existing store's log or snapshot; into a path
+    that holds no store it leaves the directory and its empty ``lock``,
+    which the writer makes before it checks the batch."""
+    ctx = workflow.phase_setup(
+        "mock",
+        {
+            "owner": {"role": "DO", "attrs": ["p"]},
+            "provider": {"role": "SP", "attrs": ["basic"]},
+        },
+        rng=random.Random(22),
+    )
+
+    def batch_file(name, text, forge=False):
+        record = tenon.record_from_json([{"name": "note", "value": text}])
+        tr = workflow.run_agreement(
+            ctx, "owner", "provider", record, "level 1 requires [1]\ntree: attr:basic",
+            {1: ["note"]}, timestamp=1_700_000_000,
+        )
+        batch = tdb.batch_to_json(ctx.pp, tr.rows, tr.secret, tr.roster)
+        if forge:
+            rows = batch["rows"]
+            rows[0]["sig"] = rows[1]["sig"]
+        path = tmp_path / name
+        path.write_text(json.dumps(batch))
+        return str(path)
+
+    pp = tmp_path / "pp.json"
+    pp.write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
+    good = batch_file("good.json", "stable and improving")
+    forged = batch_file("forged.json", "walking with a frame", forge=True)
+
+    def ingest(db, batch):
+        code, out, err = run(
+            capsys, "ingest", "--pp", str(pp), "--db", str(db), "--batch", batch, "--seed", "1"
+        )
+        assert err == ""
+        return code, json.loads(out)
+
+    fresh = tmp_path / "fresh"
+    code, doc = ingest(fresh, forged)
+    assert code == 1 and doc["accepted"] is False
+    assert doc["reason"].endswith("signature invalid"), doc["reason"]
+    assert (doc["rows"], doc["secrets"]) == (0, 0)
+    assert sorted(os.listdir(fresh)) == ["lock"]
+    assert (fresh / "lock").read_bytes() == b""
+
+    store = tmp_path / "store"
+    assert ingest(store, good)[0] == 0
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    assert {"log.jsonl", "snapshot.json"} <= set(before)
+    code, doc = ingest(store, forged)
+    assert code == 1 and doc["reason"].endswith("signature invalid")
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
 def _break_pointer(batch):
@@ -781,6 +838,29 @@ def test_bench_refuses_an_unwritable_csv_path_before_the_grid(tmp_path, capsys, 
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_bench_refuses_more_signers_than_the_order_has_keys(capsys, monkeypatch):
+    """mock-5 has four nonzero scalars: a roster of five is refused as a
+    JSON error naming the order before any row runs, and four run."""
+
+    def no_row(*args):
+        raise AssertionError("a bench row ran")
+
+    grid = ["bench", "--suite", "mock-5", "--levels", "1", "--leaves", "1", "--trials", "1"]
+    with monkeypatch.context() as m:
+        for name in ("bench_abe", "bench_musig", "bench_layers"):
+            m.setattr(cli, name, no_row)
+        code, out, err = run(capsys, *grid, "--signers", "2,5")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "BenchError"
+    assert doc["message"] == (
+        "a roster of 5 signers needs 5 distinct nonzero keys, but mock-5 has order 5"
+    )
+    code, out, _ = run(capsys, *grid, "--signers", "4", "--seed", "5")
+    assert code == 0
+    assert {r["n"] for r in json.loads(out)["rows"] if r["kind"] == "musig"} == {2, 4}
 
 
 def test_bench_policy_text_parses():

@@ -355,22 +355,22 @@ def test_ct_canonical_bytes_is_stable(mock_setup):
 
 
 @pytest.mark.parametrize("suite_name", ["mock", "bn256"])
-def test_a_plan_drawn_from_a_seed_encrypts_as_the_seed_does(suite_name):
-    """Encrypting under a plan drawn from a generator gives the bytes
-    that drawing inside the encryption gives, and a plan opens every
-    level without any attribute key."""
+def test_coefficients_drawn_from_a_seed_encrypt_as_the_seed_does(suite_name):
+    """Encrypting under coefficients drawn from a generator gives the
+    bytes that drawing inside the encryption gives, and the coefficients
+    open every level without any attribute key."""
     suite = get_suite(suite_name)
     pp, _ = mlabe.setup(suite, random.Random(1))
     tree = policy.parse_policy(SHARED_GATE)
     payloads = {1: b"one", 2: b"two"}
     for seed in (7, 8):
-        plan = policy.assign_shares(tree, suite.order, random.Random(seed))
+        coefficients = policy.draw_coefficients(tree, suite.order, random.Random(seed))
         with suite.measure() as span:
-            by_plan = mlabe.encrypt(pp, payloads, tree, plan=plan)
+            given = mlabe.encrypt(pp, payloads, tree, coefficients=coefficients)
         by_rng = mlabe.encrypt(pp, payloads, tree, rng=random.Random(seed))
-        assert mlabe.ct_canonical_bytes(by_plan) == mlabe.ct_canonical_bytes(by_rng)
+        assert mlabe.ct_canonical_bytes(given) == mlabe.ct_canonical_bytes(by_rng)
         assert span.exponentiations == 2 * (2 + 4)
-        assert channel.open_with_plan(pp, by_plan, plan) == payloads
+        assert channel.open_with_coefficients(pp, given, coefficients) == payloads
 
 SHARED_GATE = """
 level 1 requires [1]

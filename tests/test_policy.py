@@ -11,7 +11,6 @@ from etenon.policy import (
     Gate,
     Leaf,
     PolicyError,
-    assign_shares,
     derive_shares,
     draw_coefficients,
     format_policy,
@@ -187,65 +186,74 @@ def test_assign_shares_structure():
     rng = random.Random(9)
     tree = parse_policy(SAMPLE)
     order = 1_000_003
-    plan = assign_shares(tree, order, rng)
+    drawn = draw_coefficients(tree, order, rng)
     # the root polynomial has one coefficient per root child
-    assert len(plan.root_coeffs) == len(tree.children)
+    assert len(drawn[()]) == len(tree.children)
+    leaf_shares, level_secrets = derive_shares(tree, order, drawn)
+    assert (leaf_shares, level_secrets) == oracles.shares_from_coefficients(tree, drawn, order)
     # each level secret is the sum of root evaluations over its members
     for level, members in tree.levels.items():
-        want = sum(oracles.poly_at(plan.root_coeffs, i, order) for i in members) % order
-        assert plan.level_secrets[level] == want
+        want = sum(oracles.poly_at(drawn[()], i, order) for i in members) % order
+        assert level_secrets[level] == want
     # every leaf got exactly one share
     leaf_paths = {path for path, _ in policy.iter_leaves(tree)}
-    assert set(plan.leaf_shares) == leaf_paths
+    assert set(leaf_shares) == leaf_paths
 
 
 def test_assign_shares_gate_polynomials_interpolate():
+    """On random trees the derived shares are the recomputed ones, and
+    any threshold many children of each gate, chosen at random,
+    interpolate back up to the root shares from the leaf shares alone."""
     rng = random.Random(10)
     order = 1_000_003
     for _ in range(100):
         tree = oracles.random_tree(rng, policy)
-        plan = assign_shares(tree, order, rng)
+        drawn = draw_coefficients(tree, order, rng)
         for path, gate in oracles.iter_gates(tree):
-            if path == ():
-                continue
-            coeffs = plan.gate_coeffs[path]
-            assert len(coeffs) == gate.threshold
-        # reconstructing any gate's constant from threshold many children
-        # must equal that gate's own assigned value
-        for path, gate in oracles.iter_gates(tree):
-            coeffs = plan.gate_coeffs[path] if path else plan.root_coeffs
-            child_values = {}
-            for idx in range(1, len(gate.children) + 1):
-                child_values[idx] = oracles.poly_at(coeffs, idx, order)
-            take = (
-                gate.threshold
-                if path
-                else len(gate.children)
-            )
-            pts = sorted(child_values.items())[:take]
-            got = oracles.interpolate_at_zero(pts, order)
-            if take == len(child_values):
-                assert got == coeffs[0]
+            assert len(drawn[path]) == gate.threshold - 1
+        leaf_shares, level_secrets = derive_shares(tree, order, drawn)
+        assert (leaf_shares, level_secrets) == oracles.shares_from_coefficients(
+            tree, drawn, order
+        )
+
+        def rebuilt(node, path):
+            children = getattr(node, "children", None)
+            if children is None:
+                return leaf_shares[path]
+            pick = rng.sample(range(1, len(children) + 1), node.threshold)
+            points = [(j, rebuilt(children[j - 1], path + (j,))) for j in pick]
+            return oracles.interpolate_at_zero(points, order)
+
+        for i, child in enumerate(tree.children, start=1):
+            assert rebuilt(child, (i,)) == oracles.poly_at(drawn[()], i, order)
 
 
 def test_assign_shares_leaf_values_lie_on_parent_polynomial():
     rng = random.Random(11)
     order = 1_000_003
     tree = parse_policy(SAMPLE)
-    plan = assign_shares(tree, order, rng)
+    drawn = draw_coefficients(tree, order, rng)
+    leaf_shares, _ = derive_shares(tree, order, drawn)
     for path, leaf in policy.iter_leaves(tree):
         parent_path, idx = path[:-1], path[-1]
-        coeffs = plan.gate_coeffs[parent_path] if parent_path else plan.root_coeffs
-        assert plan.leaf_shares[path] == oracles.poly_at(coeffs, idx, order)
+        if parent_path:
+            # SAMPLE's one gate hangs off the root: its share is the root
+            # polynomial's value at its index
+            share = oracles.poly_at(drawn[()], parent_path[0], order)
+            coeffs = (share,) + drawn[parent_path]
+        else:
+            coeffs = drawn[()]
+        assert leaf_shares[path] == oracles.poly_at(coeffs, idx, order)
 
 
 def test_assign_shares_varies_with_rng():
     tree = parse_policy(SAMPLE)
-    a = assign_shares(tree, 1_000_003, random.Random(1))
-    b = assign_shares(tree, 1_000_003, random.Random(2))
-    assert a.root_coeffs != b.root_coeffs
-    c = assign_shares(tree, 1_000_003, random.Random(1))
-    assert a.root_coeffs == c.root_coeffs
+    a = draw_coefficients(tree, 1_000_003, random.Random(1))
+    b = draw_coefficients(tree, 1_000_003, random.Random(2))
+    assert a[()] != b[()]
+    assert derive_shares(tree, 1_000_003, a) != derive_shares(tree, 1_000_003, b)
+    c = draw_coefficients(tree, 1_000_003, random.Random(1))
+    assert a == c
 
 
 def test_derive_shares_takes_only_the_drawn_coefficients():
@@ -254,10 +262,12 @@ def test_derive_shares_takes_only_the_drawn_coefficients():
     drawn = draw_coefficients(tree, order, random.Random(12))
     # the root polynomial, then the one gate's t-1 = 1 coefficient
     assert {path: len(c) for path, c in drawn.items()} == {(): 3, (2,): 1}
-    plan = derive_shares(tree, order, drawn)
-    assert plan == assign_shares(tree, order, random.Random(12))
-    assert plan.coefficients == drawn
-    assert plan.gate_coeffs[(2,)][1:] == drawn[(2,)]
+    kept = dict(drawn)
+    leaf_shares, level_secrets = derive_shares(tree, order, drawn)
+    # the coefficients are read, not changed
+    assert drawn == kept
+    assert set(leaf_shares) == {(1,), (2, 1), (2, 2), (2, 3), (3,)}
+    assert set(level_secrets) == set(tree.levels)
 
 
 @pytest.mark.parametrize(

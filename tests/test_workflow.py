@@ -314,12 +314,12 @@ REENCRYPTION = "mismatch: the ciphertext differs from the provider's re-encrypti
 
 
 def _reseal(package, ctx, level, payload):
-    """Reseal one level in transit under the handed plan: the ciphertext
-    then differs from the owner's in that level's mask alone."""
-    payloads = channel.open_with_plan(ctx.pp, package.ciphertext, package.plan)
+    """Reseal one level in transit under the handed coefficients: the
+    ciphertext then differs from the owner's in that level's mask alone."""
+    payloads = channel.open_with_coefficients(ctx.pp, package.ciphertext, package.coefficients)
     payloads[level] = payload(payloads[level])
     package.ciphertext = mlabe.encrypt(
-        ctx.pp, payloads, package.ciphertext.tree, plan=package.plan
+        ctx.pp, payloads, package.ciphertext.tree, coefficients=package.coefficients
     )
 
 
@@ -408,24 +408,9 @@ def test_agreement_refuses_a_leaf_from_an_unrelated_share():
     assert tr.verdict == REENCRYPTION and tr.signature_count == 0
 
 
-def test_agreement_derives_every_share_itself():
-    """A handed plan whose leaf share did not come from its coefficients
-    is refused: the provider derives each share from the coefficients
-    and never reads the plan's own shares."""
-
-    def plant_share(package, ctx):
-        plan = package.plan
-        plan.leaf_shares[RESEARCH_LEAF] = (plan.leaf_shares[RESEARCH_LEAF] + 1) % plan.order
-        payloads = channel.open_with_plan(ctx.pp, package.ciphertext, plan)
-        package.ciphertext = mlabe.encrypt(ctx.pp, payloads, package.ciphertext.tree, plan=plan)
-
-    _, tr = gate_agreement(plant_share)
-    assert tr.verdict == REENCRYPTION and tr.signature_count == 0
-
-
 def test_agreement_refuses_coefficients_that_do_not_fit():
     def drop_the_gate(package, ctx):
-        del package.plan.coefficients[(1,)]
+        del package.coefficients[(1,)]
 
     _, tr = gate_agreement(drop_the_gate)
     assert tr.verdict == "mismatch: coefficients do not fit the tree at (1,)"
