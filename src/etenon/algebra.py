@@ -1,6 +1,7 @@
 """Bilinear-group plumbing shared by every protocol module.
 
-Two interchangeable suites implement one interface:
+One class, :class:`GroupSuite`, serves two kinds of suite, which
+:func:`get_suite` makes by name:
 
 * ``bn256`` -- a 256-bit Barreto-Naehrig curve (vendored, see
   :mod:`etenon._bn256`).  The pairing is asymmetric (Type 3), so every
@@ -17,9 +18,9 @@ Two interchangeable suites implement one interface:
   curve, and their powers run the curve's power code over Z_q.
 
 :class:`GroupSuite` owns every rule of evaluation and all group
-arithmetic and coding; a suite supplies one ``_bn256.Group`` record per
-group and the pairing.  Both suites therefore defer work the same
-way: a source-group power is pending until its point is needed, and
+arithmetic and coding; a suite is one ``_bn256.Group`` record per group,
+its generators and its pairing hooks.  Every suite therefore defers work
+the same way: a source-group power is pending until its point is needed, and
 then it and the factors it is multiplied with are evaluated together
 (see :class:`G0Element`); a pairing is pending until its value is
 read, and pairings joined by :meth:`GroupSuite.pairing_product` share
@@ -100,6 +101,25 @@ def kdf_stream(key: bytes, context: bytes, length: int) -> bytes:
         out.extend(hashlib.sha256(head + counter.to_bytes(4, "big")).digest())
         counter += 1
     return bytes(out[:length])
+
+
+def _scalar_bytes(order: int) -> int:
+    return (order.bit_length() + 7) // 8
+
+
+def _encode_scalar(order: int, k: int) -> bytes:
+    if not 0 <= k < order:
+        raise AlgebraError("scalar out of range")
+    return k.to_bytes(_scalar_bytes(order), "big")
+
+
+def _decode_scalar(order: int, raw: bytes) -> int:
+    if len(raw) != _scalar_bytes(order):
+        raise AlgebraError("scalar encoding has wrong length")
+    k = int.from_bytes(raw, "big")
+    if k >= order:
+        raise AlgebraError("scalar encoding out of range")
+    return k
 
 
 def _seal_tag(mac_key: bytes, masked: bytes) -> bytes:
@@ -264,33 +284,53 @@ class G1Element:
 
 
 class GroupSuite:
-    """Interface shared by the mock and production suites.
+    """A pairing group, as one set of records and hooks; :func:`get_suite`
+    makes the two there are.
 
-    A suite supplies the generators, ``groups`` (one ``_bn256.Group``
-    record, with its codec, for each side and for ``TARGET``, the
-    target group written additively) and four hooks on raw payloads:
-    ``_prepare`` (what a Miller loop needs of a right point, computed
-    once per element), ``_pair_product`` (the product of the Miller
-    values of (prepared right, left point) pairs in one loop, up to the
-    final exponentiation), ``_final_exp`` and ``_hash_to_group``.  Every
-    other operation is done here, once, by the record of the element's
-    side: a power by ``_bn256.split_mul`` or, from a table, by
-    ``_bn256.fixed_mul``.  Of the ``TARGET`` record only ``add`` and
-    ``neg`` see Miller values: ``add`` must be exact on them and ``neg``
-    exact once the result is finished.  The public methods here are the
-    only ones.
+    A suite is made of its ``name`` and ``order``, ``groups`` (one
+    ``_bn256.Group`` record, with its codec, for each side and for
+    ``TARGET``, the target group written additively), the points of its
+    two generators, and hooks on raw payloads: ``prepare`` (what a
+    Miller loop needs of a right point, computed once per element),
+    ``pair_product`` (the product of the Miller values of (prepared
+    right, left point) pairs in one loop, up to the final
+    exponentiation), ``final_exp``, ``hash_point`` (a label's left
+    point) and, where discrete logs are free, ``dlog`` (the log of a
+    payload).  Every other operation is done here, once, by the record
+    of the element's side: a power by ``_bn256.split_mul`` or, from a
+    table, by ``_bn256.fixed_mul``.  Of the ``TARGET`` record only
+    ``add`` and ``neg`` see Miller values: ``add`` must be exact on them
+    and ``neg`` exact once the result is finished.
     """
 
-    name: str
-    order: int
-    groups: dict
-
-    def __init__(self):
+    def __init__(self, name: str, order: int, groups: dict, generators: tuple, *,
+                 prepare, pair_product, final_exp, hash_point, dlog=None):
+        self.name = name
+        self.order = order
+        # the scalar codec, which a mock suite's record uses as its own
+        self.scalar_bytes = _scalar_bytes(order)
+        self.encode_scalar = functools.partial(_encode_scalar, order)
+        self.decode_scalar = functools.partial(_decode_scalar, order)
+        self.groups = groups
+        self._generators = generators
+        self._prepare = prepare
+        self._pair_product = pair_product
+        self._final_exp = final_exp
+        self.hash_point = hash_point
+        self._dlog = dlog
         # the open span of the current thread (or task) on this suite
         self._span = contextvars.ContextVar("measure span", default=None)
         # label -> [its hashed element, calls], at most HASH_MEMO_SIZE of them
         self._hashed = {}
         self._hashed_lock = threading.Lock()
+
+    @property
+    def generator(self) -> G0Element:
+        return self.fixed_base(G0Element(self, LEFT, self._generators[0]))
+
+    @property
+    def right_generator(self) -> G0Element:
+        return self.fixed_base(G0Element(self, RIGHT, self._generators[1]))
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -321,10 +361,6 @@ class GroupSuite:
     # ------------------------------------------------------------------
     # scalars
 
-    @property
-    def scalar_bytes(self) -> int:
-        return (self.order.bit_length() + 7) // 8
-
     def rand_scalar(self, rng=None) -> int:
         """Uniform scalar in [0, order); ``rng`` may be a seeded Random."""
         if rng is None:
@@ -336,19 +372,6 @@ class GroupSuite:
             k = self.rand_scalar(rng)
             if k != 0:
                 return k
-
-    def encode_scalar(self, k: int) -> bytes:
-        if not 0 <= k < self.order:
-            raise AlgebraError("scalar out of range")
-        return k.to_bytes(self.scalar_bytes, "big")
-
-    def decode_scalar(self, raw: bytes) -> int:
-        if len(raw) != self.scalar_bytes:
-            raise AlgebraError("scalar encoding has wrong length")
-        k = int.from_bytes(raw, "big")
-        if k >= self.order:
-            raise AlgebraError("scalar encoding out of range")
-        return k
 
     # ------------------------------------------------------------------
     # hashes
@@ -390,6 +413,9 @@ class GroupSuite:
             self.fixed_base(entry[0])
         return entry[0]
 
+    def _hash_to_group(self, label: bytes) -> G0Element:
+        return G0Element(self, LEFT, self.hash_point(label))
+
     # ------------------------------------------------------------------
     # source-group arithmetic
 
@@ -406,24 +432,12 @@ class GroupSuite:
         return x
 
     def _table(self, x, side: str, value):
-        """The table of x, whose payload is ``value``, or None."""
+        """The table of x, whose payload is ``value``, or None at the
+        identity."""
         table = x.table
         if table is _UNBUILT:
-            table = x.table = self._fixed_table(side, value)
+            table = x.table = _bn256.table(self.groups[side], value)
         return table
-
-    def _fixed_table(self, side: str, value):
-        """The table of multiples of ``value``, or None at the identity."""
-        return _bn256.table(self.groups[side], value)
-
-    def _fixed_power(self, side: str, table, k: int):
-        return _bn256.fixed_mul(self.groups[side], table, k)
-
-    def _multi_exp(self, side: str, terms):
-        """The sum of the (value, scalar) terms, in one Straus pass over
-        their halves; every element of a suite lies in its order-r
-        subgroup."""
-        return _bn256.split_mul(self.groups[side], terms)
 
     def identity(self, side: str) -> G0Element:
         """The identity element of one side."""
@@ -481,13 +495,15 @@ class GroupSuite:
 
     def _sum(self, side, terms, points):
         """Each term with a table by its table and the others in one
-        multi-exponentiation, none when every term has a table; plus the
-        points."""
-        values = [self._fixed_power(side, table, k) for _, k, table in terms if table is not None]
+        Straus pass over their halves, none when every term has a table;
+        plus the points.  The pass may split every scalar, since every
+        element of a suite lies in its order-r subgroup."""
+        group = self.groups[side]
+        values = [_bn256.fixed_mul(group, table, k) for _, k, table in terms if table is not None]
         straus = [(pt, k) for pt, k, table in terms if table is None]
         if straus:
-            values.append(self._multi_exp(side, straus))
-        return functools.reduce(self.groups[side].add, values + points)
+            values.append(_bn256.split_mul(group, straus))
+        return functools.reduce(group.add, values + points)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -535,15 +551,11 @@ class GroupSuite:
             lines = right.lines = self._prepare(right.point)
         return lines
 
-    @property
+    @functools.cached_property
     def gt_generator(self) -> G1Element:
         """e(g1, g2); cached, it is a fixed public constant of the suite."""
-        egg = getattr(self, "_egg", None)
-        if egg is None:
-            pair = (self.generator, self.right_generator, False)
-            egg = G1Element(self, self._final_exp(self._miller((pair,))))
-            self._egg = egg
-        return egg
+        pair = (self.generator, self.right_generator, False)
+        return G1Element(self, self._final_exp(self._miller((pair,))))
 
     @property
     def gt_identity(self) -> G1Element:
@@ -637,13 +649,18 @@ class GroupSuite:
         return G1Element(self, self.groups[TARGET].decode(raw))
 
     # ------------------------------------------------------------------
-    # oracle hooks (mock suite only)
+    # discrete logs (mock suites only)
 
     def dlog_g0(self, x: G0Element) -> int:
-        raise AlgebraError("discrete logs are not available on %s" % self.name)
+        return self._oracle()(x.point)
 
     def dlog_gt(self, a: G1Element) -> int:
-        raise AlgebraError("discrete logs are not available on %s" % self.name)
+        return self._oracle()(self._finished(a))
+
+    def _oracle(self):
+        if self._dlog is None:
+            raise AlgebraError("discrete logs are not available on %s" % self.name)
+        return self._dlog
 
     # ------------------------------------------------------------------
 
@@ -666,136 +683,90 @@ class GroupSuite:
 MOCK_MAX_ORDER = 10**6
 
 
-class MockSuite(GroupSuite):
-    """Exponent arithmetic modulo a small prime; discrete logs are free.
-
-    A source element is a side tag plus its exponent.  Both generators
-    have exponent 1 and hashed elements are left, as on the curve, so
-    the side rules fail here exactly where they would fail there.  All
-    three groups are one record of Z_q under addition, so powers take
-    the same split Straus pass and table walk as on the curve; a table
-    row is a tuple of multiples, and every value is encoded like a
-    scalar.
-    """
-
-    def __init__(self, order: int = 101):
-        super().__init__()
-        if not 3 <= order <= MOCK_MAX_ORDER:
-            raise AlgebraError("mock order must lie in [3, %d]" % MOCK_MAX_ORDER)
-        if any(order % d == 0 for d in range(2, math.isqrt(order) + 1)):
-            raise AlgebraError("mock order must be an odd prime")
-        self.order = order
-        self.name = "mock-%d" % order
-
-        # the endomorphism is x -> lam*x, lam about sqrt(q), so that a
-        # split's halves are about half as long as the order
-        lam = math.isqrt(order) + 1
-
-        def add(a, b):
-            return (a + b) % order
-
-        def neg(a):
-            return -a % order
-
-        def endo(a):
-            return lam * a % order
-
-        # no generator: _bn256 would cache its table, and this suite, for good
-        z = _bn256.Group(
-            add, lambda a: 2 * a % order, neg, 0, order, normal=lambda a: a, endo=endo,
-            split=_bn256.split_by(lam),
-            half_bits=(max(lam - 1, (order - 1) // lam) + 2).bit_length(), window=4,
-            columns=_bn256.value_columns(add, neg, 0, endo),
-            encode=self.encode_scalar, decode=self.decode_scalar,
-        )
-        self.groups = {LEFT: z, RIGHT: z, TARGET: z}
-
-    @property
-    def generator(self) -> G0Element:
-        return self.fixed_base(G0Element(self, LEFT, 1))
-
-    @property
-    def right_generator(self) -> G0Element:
-        return self.fixed_base(G0Element(self, RIGHT, 1))
-
-    def _hash_to_group(self, label: bytes) -> G0Element:
-        h = int.from_bytes(hash_commit(label), "big") % self.order
-        if h == 0:
-            h = 1
-        return G0Element(self, LEFT, h)
-
-    def _prepare(self, right):
-        return right
-
-    def _pair_product(self, pairs):
-        return sum(right * left for right, left in pairs) % self.order
-
-    def _final_exp(self, a):
-        return a
-
-    def dlog_g0(self, x: G0Element) -> int:
-        return x.point
-
-    def dlog_gt(self, a: G1Element) -> int:
-        return self._finished(a)
-
-
-class Bn256Suite(GroupSuite):
-    """Production suite over the vendored 256-bit BN curve.
-
-    Left points are Jacobian triples of ints, right points Jacobian
-    triples of Fp2 pairs and target-group values nested Fp12 tuples (an
-    owed value is a Miller-loop output).  A right point's prepared lines
-    are one flat tuple of 340 ints, four per monic line, about 23 KB.
-    :mod:`etenon._bn256` holds the arithmetic and the codecs: the suite's
-    groups are its ``CURVE``, ``TWIST`` and ``CYCLOTOMIC`` records, so
-    every suite shares the generators' tables.
-    """
-
-    groups = {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC}
-
-    def __init__(self):
-        super().__init__()
-        self.order = _bn256.order
-        self.name = "bn256"
-
-    @property
-    def generator(self) -> G0Element:
-        return self.fixed_base(G0Element(self, LEFT, _bn256.curve_G))
-
-    @property
-    def right_generator(self) -> G0Element:
-        return self.fixed_base(G0Element(self, RIGHT, _bn256.twist_G))
-
-    def _hash_to_group(self, label: bytes) -> G0Element:
-        return G0Element(self, LEFT, _bn256.g1_hash_to_point(hash_commit(label)))
-
-    def _prepare(self, right):
-        return _bn256.prepare(right)
-
-    def _pair_product(self, pairs):
-        # pairs with the point at infinity on either side are skipped there
-        return _bn256.miller(pairs)
-
-    def _final_exp(self, a):
-        return _bn256.final_exp(a)
-
-
 def is_mock(name: str) -> bool:
     """Whether ``name`` names a mock suite, whose keys protect nothing."""
     return name == "mock" or name.startswith("mock-")
 
 
 def get_suite(name: str) -> GroupSuite:
-    """Instantiate a suite by name: ``bn256``, ``mock`` or ``mock-<prime>``."""
+    """Instantiate a suite by name: ``bn256``, ``mock`` or ``mock-<prime>``.
+
+    ``bn256`` is the vendored 256-bit BN curve.  Left points are
+    Jacobian triples of ints, right points Jacobian triples of Fp2 pairs
+    and target-group values nested Fp12 tuples (an owed value is a
+    Miller-loop output).  A right point's prepared lines are one flat
+    tuple of 340 ints, four per monic line, about 23 KB.  Its groups are
+    :mod:`etenon._bn256`'s ``CURVE``, ``TWIST`` and ``CYCLOTOMIC``
+    records, codecs included, so every bn256 suite shares the
+    generators' tables.  The Miller loop skips a pair with the point at
+    infinity on either side.
+
+    ``mock-<q>`` is exponent arithmetic modulo the prime q (``mock`` is
+    ``mock-101``); discrete logs are free.  A source element is a side
+    tag plus its exponent.  Both generators have exponent 1 and hashed
+    elements are left, as on the curve, so the side rules fail there
+    exactly where they would fail on the curve.  All three groups are
+    one record of Z_q under addition, so powers take the same split
+    Straus pass and table walk as on the curve; a table row is a tuple
+    of multiples, and every value is encoded like a scalar.  A pairing
+    multiplies exponents, and its final step is the identity.
+    """
     if name == "bn256":
-        return Bn256Suite()
+        return GroupSuite(
+            "bn256", _bn256.order,
+            {LEFT: _bn256.CURVE, RIGHT: _bn256.TWIST, TARGET: _bn256.CYCLOTOMIC},
+            (_bn256.curve_G, _bn256.twist_G),
+            # looked up on the module at each call, so a wrapper set there sees every call
+            prepare=lambda right: _bn256.prepare(right),
+            pair_product=lambda pairs: _bn256.miller(pairs),
+            final_exp=lambda a: _bn256.final_exp(a),
+            hash_point=lambda label: _bn256.g1_hash_to_point(hash_commit(label)),
+        )
     if name == "mock":
-        return MockSuite()
-    if name.startswith("mock-"):
+        order = 101
+    elif name.startswith("mock-"):
         try:
             order = int(name.split("-", 1)[1])
         except ValueError:
             raise AlgebraError("unknown suite %r" % name) from None
-        return MockSuite(order)
-    raise AlgebraError("unknown suite %r" % name)
+    else:
+        raise AlgebraError("unknown suite %r" % name)
+    z = _mock_group(order)
+    return GroupSuite(
+        "mock-%d" % order, order, {LEFT: z, RIGHT: z, TARGET: z}, (1, 1),
+        prepare=lambda right: right,
+        pair_product=lambda pairs: sum(right * left for right, left in pairs) % order,
+        final_exp=lambda a: a,
+        hash_point=lambda label: int.from_bytes(hash_commit(label), "big") % order or 1,
+        dlog=lambda value: value,
+    )
+
+
+def _mock_group(order: int) -> _bn256.Group:
+    """Z_q under addition, for q = ``order``, with the scalar codec."""
+    if not 3 <= order <= MOCK_MAX_ORDER:
+        raise AlgebraError("mock order must lie in [3, %d]" % MOCK_MAX_ORDER)
+    if any(order % d == 0 for d in range(2, math.isqrt(order) + 1)):
+        raise AlgebraError("mock order must be an odd prime")
+    # the endomorphism is x -> lam*x, lam about sqrt(q), so that a
+    # split's halves are about half as long as the order
+    lam = math.isqrt(order) + 1
+
+    def add(a, b):
+        return (a + b) % order
+
+    def neg(a):
+        return -a % order
+
+    def endo(a):
+        return lam * a % order
+
+    # no generator: _bn256 would cache its table, and this record, for good
+    return _bn256.Group(
+        add, lambda a: 2 * a % order, neg, 0, order, normal=lambda a: a, endo=endo,
+        split=_bn256.split_by(lam),
+        half_bits=(max(lam - 1, (order - 1) // lam) + 2).bit_length(), window=4,
+        columns=_bn256.value_columns(add, neg, 0, endo),
+        encode=functools.partial(_encode_scalar, order),
+        decode=functools.partial(_decode_scalar, order),
+    )

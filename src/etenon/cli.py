@@ -21,8 +21,11 @@ host-speed reference timed right before each of its trials.
 
 Only ``ingest`` and ``run-scenario`` create a store directory,
 ``ingest`` only once its batch decodes; ``retrieve`` and ``shuffle``
-refuse a path that holds no store log.  ``setup`` and ``run-scenario``
-check every output file's directory before they write anything.
+refuse a path that holds no store log.  ``setup``, ``keygen`` and
+``run-scenario`` check every output file before they write anything:
+its directory must exist, and it must not be another of the command's
+files (another output, an input, or a file inside ``--db`` or
+``--keys``).
 ``--seed`` makes every key public, so ``setup``, ``keygen``, ``ingest``
 and ``shuffle`` refuse it on a suite other than mock unless
 ``--insecure-seed`` is given too.
@@ -72,12 +75,26 @@ def _existing_store(pp, path: str) -> tdb.TenonDb:
     return tdb.TenonDb(pp, root=path)
 
 
-def _writable(*paths: str) -> None:
+def _writable(*outputs: str, inputs=(), dirs=()) -> None:
     """Refuse, before a command writes anything, an output file whose
     directory does not exist or that is a directory, with the error that
     writing it would raise; so a command that writes several files never
-    leaves some of them without the rest."""
-    for path in paths:
+    leaves some of them without the rest.  Refuse too an output that
+    would write over another of the command's files: one that resolves
+    to another output or to one of ``inputs``, or that lies inside one
+    of ``dirs``, the directories the command writes."""
+    claimed = [(os.path.realpath(path), path) for path in inputs]
+    for path in outputs:
+        real = os.path.realpath(path)
+        for other_real, other in claimed:
+            if real == other_real:
+                raise InputError("%s and %s are one file: one would write over the other"
+                                 % (path, other))
+        for directory in dirs:
+            root = os.path.realpath(directory)
+            if os.path.commonpath([real, root]) == root:
+                raise InputError("%s lies inside %s, which the command writes" % (path, directory))
+        claimed.append((real, path))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -127,6 +144,7 @@ def cmd_setup(args) -> int:
 
 
 def cmd_keygen(args) -> int:
+    _writable(args.out, inputs=(args.pp, args.msk))
     pp = mlabe.pp_from_json(_load_json(args.pp))
     msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
     bundle = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
@@ -184,7 +202,8 @@ def cmd_shuffle(args) -> int:
 
 def cmd_run_scenario(args) -> int:
     if args.out:
-        _writable(args.out)
+        dirs = [path for path in (args.db, args.keys) if path is not None]
+        _writable(args.out, inputs=(args.scenario,), dirs=dirs)
     doc = _load_json(args.scenario)
     result = workflow.run_scenario(doc, db_root=args.db, keys_dir=args.keys)
     if args.out:
@@ -374,7 +393,7 @@ def _table_cost(suite, side: str, values) -> dict:
     for value in values:
         refs.append(_ref_sample())
         t0 = time.perf_counter()
-        table = suite._fixed_table(side, value)
+        table = _bn256.table(suite.groups[side], value)
         times.append(time.perf_counter() - t0)
     seen, todo, size = set(), [table], 0
     while todo:
@@ -395,13 +414,16 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     ``g1_exp``, ``g2_exp`` and ``gt_exp`` raise bases that carry no table.
     ``g1_batch`` is one pass shaped like a store's batch check of
     signatures (see ``musig.verify_batch``): nine decoded points by
-    weights below 2**128 and three keys by full-length exponents.
+    weights below 2**128 and three keys by full-length exponents, one
+    ``_bn256.split_mul`` on the suite's left record.
     The ``_fixed`` rows raise fixed bases whose tables were built before
-    the timing, and give the median time to build a table, over
-    ``trials`` builds from fresh bases, and a table's retained size.
+    the timing, and give the median time to build a table by
+    ``_bn256.table``, over ``trials`` builds from fresh bases, and a
+    table's retained size.
     ``g1_hashed`` does the same for a memoised H(a) that has been hashed
     ``HASH_TABLE_AFTER`` times, and so has earned its table (see
-    ``GroupSuite.hash_to_group``)."""
+    ``GroupSuite.hash_to_group``); ``hash_to_g1`` times the suite's
+    ``hash_point``, the map itself, and the element built around it."""
     # decoded copies of the generators carry no table
     g1 = suite.decode_g0(suite.generator.encode(), LEFT)
     g2 = suite.decode_g0(suite.right_generator.encode(), RIGHT)
@@ -432,7 +454,7 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "g2_fixed": _table_cost(suite, RIGHT, [(g2 ** s).point for s in scalars]),
         "gt_fixed": _table_cost(suite, TARGET, [(egg ** s).value for s in scalars]),
         "g1_hashed": _table_cost(
-            suite, LEFT, [suite._hash_to_group(b"attribute %d" % i).point for i in range(trials)]
+            suite, LEFT, [suite.hash_point(b"attribute %d" % i) for i in range(trials)]
         ),
     }
     cases = [
@@ -441,13 +463,13 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("g1_exp", lambda: (g1 ** k).point),
         ("g2_exp", lambda: (g2 ** k).point),
         ("gt_exp", lambda: egg ** k),
-        ("g1_batch", lambda: suite._multi_exp(LEFT, batch)),
+        ("g1_batch", lambda: _bn256.split_mul(suite.groups[LEFT], batch)),
         ("g1_fixed", lambda: (fixed[LEFT] ** k).point),
         ("g2_fixed", lambda: (fixed[RIGHT] ** k).point),
         ("gt_fixed", lambda: fixed[TARGET] ** k),
         ("g1_hashed", lambda: (hashed ** k).point),
         # the map itself: hash_to_group would answer from its memo
-        ("hash_to_g1", lambda: suite._hash_to_group(b"bench attribute")),
+        ("hash_to_g1", lambda: G0Element(suite, LEFT, suite.hash_point(b"bench attribute"))),
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
         ("gt_decode", lambda: suite.decode_gt(gt_raw)),
     ]

@@ -417,7 +417,12 @@ class TenonDb:
         """Make the store directory if it is missing and hold its write
         lock, after replaying what other writers appended; a writer that
         finds the lock taken waits for it.  Take it before ``self._lock``,
-        never while holding that."""
+        never while holding that.
+
+        Replay appends the lines it applies in log order, so a catch-up
+        that applied any is followed by a shuffle: the order a writer
+        saves is never its own order with another writer's rows appended
+        in chain order."""
         if self._root is None:
             yield
             return
@@ -425,7 +430,10 @@ class TenonDb:
         with open(self._root / "lock", "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             with self._lock:
+                lines = self._log_lines
                 self._replay()
+                if self._log_lines != lines:
+                    self.shuffle()
             yield
 
     def _sync_dir(self) -> None:

@@ -677,6 +677,69 @@ def test_run_scenario_refuses_an_unwritable_out_before_the_store(tmp_path, capsy
     assert list(tmp_path.iterdir()) == [scen]
 
 
+def _assert_refused_overwrite(err, *paths):
+    error = json.loads(err)
+    assert error["error"] == "InputError"
+    assert all(str(path) in error["message"] for path in paths), error["message"]
+
+
+def test_setup_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    """``--pp`` and ``--msk`` naming one file would leave only the master
+    key there; the command is refused and the file keeps its bytes."""
+    pp, msk = tmp_path / "k.json", tmp_path / "msk.json"
+    assert run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(msk))[0] == 0
+    before = pp.read_bytes()
+    code, out, err = run(
+        capsys, "setup", "--suite", "mock", "--pp", str(pp),
+        "--msk", str(tmp_path / "." / "k.json"),
+    )
+    assert code == 2 and out == ""
+    _assert_refused_overwrite(err, pp, tmp_path / "." / "k.json")
+    assert pp.read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["pp.json", "msk.json"])
+def test_keygen_refuses_an_out_that_is_one_of_its_inputs(tmp_path, capsys, target):
+    """A key bundle written over the parameters or the master key would
+    lose them; the command is refused and the file keeps its bytes."""
+    pp, msk = tmp_path / "pp.json", tmp_path / "msk.json"
+    assert run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(msk))[0] == 0
+    before = (tmp_path / target).read_bytes()
+    code, out, err = run(
+        capsys, "keygen", "--pp", str(pp), "--msk", str(msk), "--attr", "a",
+        "--out", str(tmp_path / target),
+    )
+    assert code == 2 and out == ""
+    _assert_refused_overwrite(err, tmp_path / target)
+    assert (tmp_path / target).read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "out, over",
+    [("keys/dr_grey.json", "keys"), ("store/summary.json", "store"), ("scen.json", "scen.json")],
+    ids=["inside-keys", "inside-the-store", "the-scenario"],
+)
+def test_run_scenario_refuses_an_out_over_its_own_files(tmp_path, capsys, out, over):
+    """The summary is never written into the key directory or the store,
+    nor over the scenario, so no bundle or document is replaced by it;
+    the run is refused before any step, and the files keep their bytes."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIO))
+    # a first run leaves the key bundles in keys/
+    assert run(capsys, "run-scenario", str(scen), "--db", str(tmp_path / "first"),
+               "--keys", str(tmp_path / "keys"))[0] == 0
+    (tmp_path / "store").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, stdout, err = run(
+        capsys, "run-scenario", str(scen), "--db", str(tmp_path / "store"),
+        "--keys", str(tmp_path / "keys"), "--out", str(tmp_path / out),
+    )
+    assert code == 2 and stdout == ""
+    _assert_refused_overwrite(err, tmp_path / out, tmp_path / over)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert list((tmp_path / "store").iterdir()) == []
+
+
 def test_ingest_reads_the_batch_before_making_the_store(tmp_path, capsys):
     pp = tmp_path / "pp.json"
     run(capsys, "setup", "--suite", "mock", "--pp", str(pp), "--msk", str(tmp_path / "msk.json"))

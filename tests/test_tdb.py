@@ -800,6 +800,31 @@ def test_second_writer_waits_then_sees_the_first(system, tmp_path):
     assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 1
 
 
+def test_a_writer_that_catches_up_reshuffles(large_system, tmp_path):
+    """A store object that shuffles and saves after another object
+    ingested a batch replays that batch first; the order it saves is not
+    its own order followed by the new rows in chain order."""
+    suite, pp, _, rng = large_system
+    blocks = ("one", "two", "three", "four", "five")
+    first = make_batch(suite, pp, rng, blocks=blocks)
+    writer = TenonDb(pp, root=tmp_path)
+    assert writer.ingest(*first[:2], roster=first[2], rng=rng).accepted
+    writer.save_snapshot()
+    a = TenonDb(pp, root=tmp_path)
+    b = TenonDb(pp, root=tmp_path)
+    rows, secret, roster = make_batch(
+        suite, pp, rng, blocks=blocks, entry_id="entry-2", roster_ref="batch-2")
+    assert b.ingest(rows, secret, roster=roster, rng=rng).accepted
+    b.save_snapshot()
+    a.shuffle(rng)  # as ``etenon shuffle`` does
+    mine = [row.pointer for row in a.read_open()]
+    a.save_snapshot()
+    saved = [row.pointer for row in TenonDb(pp, root=tmp_path).read_open()]
+    assert len(saved) == 10
+    assert sorted(saved, key=str) == sorted(mine + [row.pointer for row in rows], key=str)
+    assert saved != mine + [row.pointer for row in rows]
+
+
 def test_tampered_log_fails_load(large_system, tmp_path):
     suite, pp, _, rng = large_system
     db = TenonDb(pp, root=tmp_path)
