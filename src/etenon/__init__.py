@@ -18,38 +18,3 @@ The pieces, bottom to top:
   co-signing agreement, ingestion, retrieval, scenario runs.
 * :mod:`etenon.cli` -- the ``etenon`` command.
 """
-
-from .algebra import GroupSuite, get_suite
-from .errors import EtenonError
-from .mlabe import decrypt, encrypt, keygen, setup
-from .musig import cosign, verify
-from .policy import AccessTree, parse_policy
-from .tdb import TenonDb
-from .tenon import EhrRecord, build_structure, reconstruct, tokenize
-from .workflow import phase_retrieval, phase_setup, run_agreement, run_scenario
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AccessTree",
-    "EhrRecord",
-    "EtenonError",
-    "GroupSuite",
-    "TenonDb",
-    "build_structure",
-    "cosign",
-    "decrypt",
-    "encrypt",
-    "get_suite",
-    "keygen",
-    "parse_policy",
-    "phase_retrieval",
-    "phase_setup",
-    "reconstruct",
-    "run_agreement",
-    "run_scenario",
-    "setup",
-    "tokenize",
-    "verify",
-    "__version__",
-]

@@ -1253,14 +1253,12 @@ CYCLOTOMIC = Group(
 )
 
 # the GLV vectors are a basis of that lattice (their determinant is r),
-# every half plus two fits HALF_BITS bits (a GLV half is at most half
-# the sum of its basis column), and phi and psi act as their lambdas
+# and every half plus two fits HALF_BITS bits (a GLV half is at most half
+# the sum of its basis column)
 assert (_A1 + _B1 * LAMBDA_1) % order == (_A2 + _B2 * LAMBDA_1) % order == 0
 assert _A1 * _B2 - _A2 * _B1 == order
 assert max(abs(_A1) + abs(_A2), abs(_B1) + abs(_B2)) // 2 + 2 < 2**HALF_BITS
 assert max(LAMBDA_P - 1, (order - 1) // LAMBDA_P) + 2 < 2**HALF_BITS
-assert g1_affine(g1_phi(curve_G)) == g1_affine(multi_mul(CURVE, [(curve_G, LAMBDA_1)]))
-assert g2_affine(g2_psi(twist_G)) == g2_affine(multi_mul(TWIST, [(twist_G, LAMBDA_P)]))
 
 
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ def cmd_keygen(args) -> int:
     msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
     bundle = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
     write_json(args.out, mlabe.key_to_json(pp.suite, bundle), secret=True)
-    _emit({"attrs": sorted(args.attr), "out": args.out})
+    _emit({"attrs": sorted(bundle.decryption.attrs), "out": args.out})
     return 0
 
 

@@ -59,10 +59,12 @@ def test_setup_and_keygen(tmp_path, capsys):
     key = tmp_path / "key.json"
     code, out, _ = run(
         capsys, "keygen", "--pp", str(pp), "--msk", str(msk),
-        "--attr", "doctor", "--attr", "basic", "--out", str(key), "--seed", "2",
+        "--attr", "doctor", "--attr", "basic", "--attr", "doctor",
+        "--out", str(key), "--seed", "2",
     )
     assert code == 0
-    assert json.loads(out)["attrs"] == ["basic", "doctor"]
+    # a repeated --attr names one attribute: the key's set is printed
+    assert json.loads(out)["attrs"] == json.loads(key.read_text())["attrs"] == ["basic", "doctor"]
     loaded = mlabe.pp_from_json(json.loads(pp.read_text()))
     bundle = mlabe.key_from_json(json.loads(key.read_text()), loaded.suite)
     assert bundle.decryption.attrs == {"basic", "doctor"}

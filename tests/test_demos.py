@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree,
+in development mode with every warning an error."""
 
 import os
 import subprocess
@@ -21,8 +22,8 @@ def test_demo_runs_cleanly(demo):
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env,
-        cwd=ROOT, timeout=300,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,7 +1,12 @@
 """The package's modules form layers: each imports only those below it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 # bottom to top
 LAYERS = [
@@ -37,3 +42,27 @@ def test_each_module_imports_only_modules_below_it():
         for name in LAYERS
     }
     assert upward == {name: [] for name in LAYERS}
+
+
+def loaded_by(module: str) -> set[str]:
+    """The package's modules that importing ``module`` loads, in a fresh
+    interpreter."""
+    code = "import sys, %s; print(*(m for m in sys.modules if m.startswith('etenon.')))" % module
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.split(".", 1)[1] for name in proc.stdout.split()}
+
+
+def test_the_package_loads_no_module():
+    assert loaded_by("etenon") == set()
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_a_module_loads_no_module_above_it(name):
+    above = {m for m in loaded_by("etenon." + name) if LAYERS.index(m) > LAYERS.index(name)}
+    assert above == set()
