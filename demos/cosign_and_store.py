@@ -37,16 +37,18 @@ def cosigned_visit(suite, pp, sks, visit, note, rng, t):
 def main():
     rng = random.Random(11)
     suite = get_suite("mock")
-    pp, msk = mlabe.setup(suite, rng)
+    pp, _ = mlabe.setup(suite, rng)
     t = 1_700_000_000
 
     note = "Pain in the chest and a cough"
     print("note:   %r" % note)
     print("blocks: %s" % tenon.tokenize(note, tenon.load_stopwords()))
 
-    owner = mlabe.keygen(pp, msk, ["holder"], rng)
-    provider = mlabe.keygen(pp, msk, ["doctor"], rng)
-    sks = [owner.signing, provider.signing]
+    # owner and provider each draw their own signing key; the authority
+    # that issues decryption keys issues none
+    owner_sk, _ = musig.keypair(suite, rng)
+    provider_sk, _ = musig.keypair(suite, rng)
+    sks = [owner_sk, provider_sk]
 
     db = TenonDb(pp)
     rows, secret, roster = cosigned_visit(suite, pp, sks, "visit-1", note, rng, t)

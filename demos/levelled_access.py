@@ -42,17 +42,12 @@ def main():
         ("nurse", ["basic"]),
         ("outsider", []),
     ]:
-        bundle = mlabe.keygen(pp, msk, attrs, rng)
-        opened = mlabe.decrypt(pp, ct, bundle.decryption)
+        key = mlabe.keygen(pp, msk, attrs, rng)
+        opened = mlabe.decrypt(pp, ct, key)
         print("%s (attrs %s) opens levels %s" % (who, attrs or "none",
                                                  sorted(opened) or "none"))
         for level in sorted(opened):
             print("  level %d: %s" % (level, opened[level].decode()))
-    print()
-    print("the same key pair doubles as a signing identity:")
-    bundle = mlabe.keygen(pp, msk, ["basic"], rng)
-    print("  signing scalar is private, verification point is g**sk:",
-          suite.generator ** bundle.signing == bundle.verification)
 
 
 if __name__ == "__main__":

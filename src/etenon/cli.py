@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands cover the deployment lifecycle: ``setup`` mints parameters,
-``keygen`` issues a key bundle, ``ingest`` pushes a signed batch through
+``keygen`` issues a decryption key, ``ingest`` pushes a signed batch through
 the verification gate, ``retrieve`` opens a store (verifying its log),
 decrypts one entry and follows its chains, ``shuffle`` permutes the open
 table, ``run-scenario`` drives a whole configured multi-party run, and
@@ -20,7 +20,7 @@ every count held.  Every row of every kind gives ``ref_ms``, a
 host-speed reference timed right before each of its trials.
 
 Only ``ingest`` and ``run-scenario`` create a store directory,
-``ingest`` only once its batch decodes; ``retrieve`` and ``shuffle``
+``ingest`` only once the gate admits its batch; ``retrieve`` and ``shuffle``
 refuse a path that holds no store log.  ``setup``, ``keygen`` and
 ``run-scenario`` check every output file before they write anything:
 its directory must exist, and it must not be another of the command's
@@ -147,9 +147,9 @@ def cmd_keygen(args) -> int:
     _writable(args.out, inputs=(args.pp, args.msk))
     pp = mlabe.pp_from_json(_load_json(args.pp))
     msk = mlabe.msk_from_json(_load_json(args.msk), pp.suite)
-    bundle = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
-    write_json(args.out, mlabe.key_to_json(pp.suite, bundle), secret=True)
-    _emit({"attrs": sorted(bundle.decryption.attrs), "out": args.out})
+    key = mlabe.keygen(pp, msk, args.attr, _rng(args, pp.suite))
+    write_json(args.out, mlabe.key_to_json(pp.suite, key), secret=True)
+    _emit({"attrs": sorted(key.attrs), "out": args.out})
     return 0
 
 
@@ -182,9 +182,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_retrieve(args) -> int:
     pp = mlabe.pp_from_json(_load_json(args.pp))
-    bundle = mlabe.key_from_json(_load_json(args.key), pp.suite)
+    key = mlabe.key_from_json(_load_json(args.key), pp.suite)
     db = _existing_store(pp, args.db)
-    report = workflow.retrieve_entry(pp, db, bundle, args.entry, args.label)
+    report = workflow.retrieve_entry(pp, db, key, args.entry, args.label)
     _emit(workflow.report_to_json(report))
     return 0
 
@@ -283,13 +283,13 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
     payloads = {
         level: bytes([1]) + bytes(16 * [level % 256]) for level in range(1, k + 1)
     }
-    bundle = mlabe.keygen(pp, msk, ["a%d" % i for i in range(1, l + 1)], rng)
+    key = mlabe.keygen(pp, msk, ["a%d" % i for i in range(1, l + 1)], rng)
     # on bn256 a power is pending until its point is read: encoding
     # finishes the parameters and the key before timing, as if they had
     # been loaded from their files, and each encryption is timed with
     # its elements finished
     mlabe.pp_to_json(pp)
-    key_doc = mlabe.key_to_json(suite, bundle)
+    key_doc = mlabe.key_to_json(suite, key)
 
     enc_times, dec_times, cold_times, refs = [], [], [], []
     enc_span = dec_span = None
@@ -303,12 +303,12 @@ def bench_abe(suite, k: int, l: int, trials: int, rng) -> dict:
             enc_times.append(time.perf_counter() - t0)
         with suite.measure() as dec_span:
             t0 = time.perf_counter()
-            out = mlabe.decrypt(pp, ct, bundle.decryption)
+            out = mlabe.decrypt(pp, ct, key)
             dec_times.append(time.perf_counter() - t0)
         cold_key = mlabe.key_from_json(key_doc, suite)
         cold_ct = mlabe.ct_from_json(mlabe.ct_to_json(ct), suite)
         t0 = time.perf_counter()
-        cold = mlabe.decrypt(pp, cold_ct, cold_key.decryption)
+        cold = mlabe.decrypt(pp, cold_ct, cold_key)
         cold_times.append(time.perf_counter() - t0)
         if out != payloads or cold != payloads:
             raise BenchError("round trip failed at k=%d l=%d" % (k, l))
@@ -569,13 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
     _seed_options(p)
     p.set_defaults(func=cmd_setup)
 
-    p = sub.add_parser("keygen", help="issue a decryption and signing bundle")
+    p = sub.add_parser("keygen", help="issue a decryption key")
     p.add_argument("--pp", required=True)
     p.add_argument("--msk", required=True)
     p.add_argument(
         "--attr", action="append", required=True, help="attribute (repeatable)"
     )
-    p.add_argument("--out", required=True, help="where to write the key bundle")
+    p.add_argument("--out", required=True, help="where to write the decryption key")
     _seed_options(p)
     p.set_defaults(func=cmd_keygen)
 
@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="decrypt one entry and follow its chains")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True)
-    p.add_argument("--key", required=True, help="key bundle JSON")
+    p.add_argument("--key", required=True, help="decryption key JSON")
     p.add_argument("--entry", required=True, help="secret entry id")
     p.add_argument("--label", default="clinical", help="access label to present")
     p.set_defaults(func=cmd_retrieve)
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--db", default=None, help="persist a new store, and pp.json, here")
     p.add_argument(
-        "--keys", default=None, help="write every key bundle here, outside --db (needs --db)"
+        "--keys", default=None, help="write every decryption key here, outside --db (needs --db)"
     )
     p.add_argument("--out", default=None, help="also write the summary here")
     p.set_defaults(func=cmd_run_scenario)

@@ -24,7 +24,7 @@ def canonical_json(doc) -> bytes:
 
 def write_json(path, doc, secret: bool = False) -> None:
     """Write ``doc`` to ``path`` as indented JSON.  A secret file (a
-    master key or a key bundle) is readable by its owner alone: mode
+    master key or a decryption key) is readable by its owner alone: mode
     0600, whatever the umask, and also when it already existed."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if secret else 0o666)
     with open(fd, "w", encoding="utf-8") as fh:

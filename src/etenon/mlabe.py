@@ -6,8 +6,8 @@ but any byte string works; identifiable column bundles ride the same
 mechanism under their own level).
 
 Setup draws master scalars gamma and delta.  A key binds an attribute
-set under a fresh scalar r that never leaves key generation; the
-holder's signing key is drawn apart from it.
+set under a fresh scalar r that never leaves key generation, and is all
+the authority issues: a co-signer draws its own signing key.
 Encryption secret-shares a root polynomial over the tree, seals each
 level's payload under the target-group value e(g,g)^(gamma * s_l)
 where s_l is that level's share sum, and publishes two group elements
@@ -53,7 +53,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from . import musig, policy
+from . import policy
 from .algebra import (
     LEFT,
     RIGHT,
@@ -96,7 +96,7 @@ class PublicParams:
         return b"|".join([parts[0], b"".join(parts[1:])])
 
     def fingerprint(self) -> bytes:
-        """16 bytes of SHA-256 over :meth:`encode`, which a key bundle
+        """16 bytes of SHA-256 over :meth:`encode`, which a decryption key
         carries to name the parameters it was issued under."""
         return hashlib.sha256(self.encode()).digest()[:16]
 
@@ -115,15 +115,6 @@ class DecryptionKey:
     # the fingerprint of the public parameters it was issued under; a key
     # put together by hand has none
     pp_fingerprint: bytes | None = None
-
-
-@dataclass
-class KeyBundle:
-    """Decryption key plus the signing pair issued alongside it."""
-
-    decryption: DecryptionKey
-    signing: int
-    verification: G0Element
 
 
 @dataclass
@@ -172,8 +163,10 @@ def attribute_set(attrs) -> frozenset[str]:
     return frozenset(attrs)
 
 
-def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
-    """Issue a key for an attribute set, with a signing pair of its own.
+def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> DecryptionKey:
+    """Issue the decryption key for an attribute set, and nothing else:
+    1 + |attrs| scalars are drawn, r and one r_a per attribute, and a
+    co-signer draws its signing key itself (:func:`musig.keypair`).
 
     ``attrs`` is checked by :func:`attribute_set` before anything is
     drawn.  The fresh scalar r randomizes the decryption key and is never
@@ -196,9 +189,7 @@ def keygen(pp: PublicParams, msk: MasterKey, attrs, rng=None) -> KeyBundle:
             g_r * (suite.hash_to_group(attr) ** r_a),
             g2 ** r_a,
         )
-    dk = DecryptionKey(attrs=attrs, d=d, components=components, pp_fingerprint=pp.fingerprint())
-    sk, vk = musig.keypair(suite, rng)
-    return KeyBundle(decryption=dk, signing=sk, verification=vk)
+    return DecryptionKey(attrs=attrs, d=d, components=components, pp_fingerprint=pp.fingerprint())
 
 
 def _level_context(level: int) -> bytes:
@@ -439,8 +430,7 @@ def msk_from_json(obj, suite: GroupSuite) -> MasterKey:
         )
 
 
-def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
-    dk = bundle.decryption
+def key_to_json(suite: GroupSuite, dk: DecryptionKey) -> dict:
     doc = _envelope(suite.name, "key-bundle")
     doc.update(
         attrs=sorted(dk.attrs),
@@ -450,13 +440,11 @@ def key_to_json(suite: GroupSuite, bundle: KeyBundle) -> dict:
             for attr, pair in sorted(dk.components.items())
         },
         pp_fingerprint=b64(dk.pp_fingerprint),
-        sk=b64(suite.encode_scalar(bundle.signing)),
-        vk=b64(bundle.verification.encode()),
     )
     return doc
 
 
-def key_from_json(obj, suite: GroupSuite) -> KeyBundle:
+def key_from_json(obj, suite: GroupSuite) -> DecryptionKey:
     with decoding(MlabeError, "key bundle"):
         _open_envelope(obj, "key-bundle", suite)
         attrs = frozenset(typed(a, str) for a in typed(obj["attrs"], list))
@@ -469,16 +457,11 @@ def key_from_json(obj, suite: GroupSuite) -> KeyBundle:
         }
         if set(components) != attrs:
             raise MlabeError("component attributes do not match the attribute list")
-        dk = DecryptionKey(
+        return DecryptionKey(
             attrs=attrs,
             d=suite.decode_g0(unb64(obj["d"]), RIGHT),
             components=components,
             pp_fingerprint=unb64(obj["pp_fingerprint"]),
-        )
-        return KeyBundle(
-            decryption=dk,
-            signing=suite.decode_scalar(unb64(obj["sk"])),
-            verification=suite.decode_g0(unb64(obj["vk"]), LEFT),
         )
 
 

@@ -38,9 +38,11 @@ signed, and is decoded only when it is first read.  An open store keeps
 the decoded ciphertexts of only the ``DECODED_ENTRIES`` entries read
 last, since each holds the prepared Miller lines of its leaves (about
 23 KB a leaf); an older entry decodes again when it is read again.
-Writers take a lock on the store directory's lock file, so a second
-writer waits, then replays what the first appended before it verifies
-its own batch.  Opening a store only reads it: the first write makes
+The gate checks a batch before it takes the write lock, a lock on the
+store directory's lock file, so a refused batch makes no directory and
+takes no lock.  A second writer waits for the lock, then replays what
+the first appended and, if that brought any line, checks its batch
+again.  Opening a store only reads it: the first accepted write makes
 the directory, its lock file and its log.
 
 This module owns the signed-row format: the digests a roster co-signs
@@ -282,6 +284,8 @@ class TenonDb:
         The batch is encoded as its log line and admitted as replay
         admits a line, so the store holds what a reopen reads; a batch
         the log could not carry back is refused with the decoder's reason.
+        It is checked before the write lock, which a refusal never takes,
+        and again under it if other lines were applied since.
         The storage order is reshuffled after every accepted batch.
         """
         # The gate reads the given entry in full, so a malformed ciphertext
@@ -291,17 +295,22 @@ class TenonDb:
                 raise TdbError(NO_ENTRY)
             if secret.ciphertext.suite_name != self.suite.name:
                 raise TdbError("secret entry %r: ciphertext suite mismatch" % (secret.entry_id,))
+            with self._lock:
+                lines = self._log_lines
+                with decoding(TdbError, "batch"):
+                    line = canonical_json(batch_to_json(self._pp, rows, secret, roster))
+                [(_, batch)] = self._verified([line])
         except TdbError as exc:
             return IngestResult(accepted=False, reason=str(exc))
         with self._writing(), self._lock:
-            try:
-                with decoding(TdbError, "batch"):
-                    line = canonical_json(batch_to_json(self._pp, rows, secret, roster))
-                for line, batch in self._verified([line]):
-                    self._append_log(line)
-                    self._apply(line, *batch)
-            except TdbError as exc:
-                return IngestResult(accepted=False, reason=str(exc))
+            if self._log_lines != lines:
+                # a line applied since the check may claim what the batch claims
+                try:
+                    [(_, batch)] = self._verified([line])
+                except TdbError as exc:
+                    return IngestResult(accepted=False, reason=str(exc))
+            self._append_log(line)
+            self._apply(line, *batch)
             self.shuffle(rng=rng)
             return IngestResult(accepted=True)
 

@@ -1,7 +1,8 @@
 """End-to-end protocol: setup, co-signed accumulation, retrieval.
 
 Setup draws the public parameters and the master key, issues every
-participant its keys and keeps no master key.  Owner and provider
+reader its decryption key, gives each owner and provider a signing key
+of its own and keeps no master key.  Owner and provider
 first agree the terms (:func:`agree_terms`): the policy, the level
 assignment, the access label and the timestamp.  The agreement then
 runs as two halves, and both read a record through one function,
@@ -47,7 +48,7 @@ from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite, is_mock
 from .codec import canonical_json, decoding, typed, write_json
 from .errors import EtenonError
-from .mlabe import KeyBundle, PublicParams
+from .mlabe import DecryptionKey, PublicParams
 from .tdb import OpenRow, SecretEntry, TenonDb
 from .tenon import Classification, EhrRecord, load_stopwords
 
@@ -64,8 +65,11 @@ class Role(enum.Enum):
 
 @dataclass
 class Entity:
+    """A role, the key of its attributes and, for DO and SP, a signing scalar."""
+
     role: Role
-    keys: KeyBundle
+    keys: DecryptionKey | None
+    signing: int | None
 
 
 @dataclass
@@ -95,8 +99,8 @@ def known(obj, keys, where=""):
 
 
 def read_participants(specs) -> dict[str, tuple[Role, frozenset[str] | None]]:
-    """Each participant's role and attribute set (None for a signing
-    pair only): the one reader of a participant spec.
+    """Each participant's role and attribute set (None for no
+    decryption key): the one reader of a participant spec.
 
     A spec is ``{"role": ..., "attrs": [...]}``, the role ``DO``, ``SP``
     or ``DU`` (the default) and the attributes null or what
@@ -130,9 +134,9 @@ def phase_setup(
     suite is looked up, anything is drawn or the store directory is made,
     so a spec that a scenario document would refuse raises
     :class:`WorkflowError` with the same reason.  A participant whose
-    attributes are null gets a self-generated signing pair only, which
-    is all a provider needs, since it checks by re-encryption; anyone
-    else receives a full bundle.  The master key is not kept.  With
+    attributes are null gets no decryption key, which a provider does
+    not need, since it checks by re-encryption; owners and providers
+    alone then draw a signing scalar.  The master key is not kept.  With
     ``db_root`` the context's store persists there, and setup makes that
     directory if it is missing.
     """
@@ -142,12 +146,9 @@ def phase_setup(
     pp, msk = mlabe.setup(suite, rng)
     entities = {}
     for name, (role, attrs) in parties.items():
-        if attrs is None:
-            sk, vk = musig.keypair(suite, rng)
-            keys = KeyBundle(decryption=None, signing=sk, verification=vk)
-        else:
-            keys = mlabe.keygen(pp, msk, attrs, rng)
-        entities[name] = Entity(role=role, keys=keys)
+        keys = None if attrs is None else mlabe.keygen(pp, msk, attrs, rng)
+        signing = musig.keypair(suite, rng)[0] if role in (Role.DO, Role.SP) else None
+        entities[name] = Entity(role=role, keys=keys, signing=signing)
     if db_root is not None:
         Path(db_root).mkdir(parents=True, exist_ok=True)
     return SystemContext(
@@ -464,7 +465,7 @@ def cosign_package(
     pp_bytes = ctx.pp.encode()
     entry_id = tenon.make_pointer(ctx.rng).hex
     roster_ref = "agreement-" + entry_id
-    keys = [do.keys.signing, sp.keys.signing]
+    keys = [do.signing, sp.signing]
     timestamp = terms.timestamp
     # each row signed under the pointer the walk reached it by, then the
     # ciphertext, all under one roster
@@ -562,13 +563,13 @@ def phase_retrieval(
 def retrieve_entry(
     pp: PublicParams,
     db: TenonDb,
-    keys: KeyBundle,
+    keys: DecryptionKey | None,
     entry_id: str,
     access_label: str = "clinical",
 ) -> RetrievalReport:
     """The retrieval procedure itself, independent of any entity roster.
 
-    A bundle without a decryption key, or one issued under other public
+    A missing key, or a key issued under other public
     parameters, is refused before the store is read.  The store hands
     out only rows and entries whose signatures it verified when it
     admitted their log line (:meth:`TenonDb._verified`), so the entry is
@@ -577,12 +578,12 @@ def retrieve_entry(
     agreement, so a row under another roster breaks its chain there and
     is reported in ``row_failures`` each time the walk reaches it.
     """
-    if keys.decryption is None:
-        raise WorkflowError("a signing-only key bundle has no decryption key")
-    if keys.decryption.pp_fingerprint != pp.fingerprint():
+    if keys is None:
+        raise WorkflowError("no decryption key")
+    if keys.pp_fingerprint != pp.fingerprint():
         raise WorkflowError("key bundle was issued under other public parameters")
     entry = db.read_secret(entry_id, access_label)
-    payloads = mlabe.decrypt(pp, entry.ciphertext, keys.decryption)
+    payloads = mlabe.decrypt(pp, entry.ciphertext, keys)
     levels = {level: decode_level_payload(raw) for level, raw in sorted(payloads.items())}
     failures: list[str] = []
 
@@ -629,14 +630,14 @@ def report_to_json(report: RetrievalReport) -> dict:
 
 def _emit_context(ctx: SystemContext, db_root, keys_dir) -> None:
     """Write the public parameters into the store as ``pp.json`` and,
-    with ``keys_dir``, every key bundle there, each a secret file."""
+    with ``keys_dir``, every decryption key there, each a secret file."""
     write_json(Path(db_root) / "pp.json", mlabe.pp_to_json(ctx.pp))
     if keys_dir is None:
         return
     keys_dir = Path(keys_dir)
     keys_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     for name, entity in ctx.entities.items():
-        if entity.keys.decryption is None:
+        if entity.keys is None:
             continue
         write_json(keys_dir / (name + ".json"), mlabe.key_to_json(ctx.suite, entity.keys),
                    secret=True)
@@ -666,7 +667,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
     ``order_digest`` reports as its snapshot; a directory that already
     holds a store's log is refused before any step runs, since the run
     draws new public parameters.  With ``keys_dir`` every
-    participant's key bundle is written there too, so the command-line
+    participant's decryption key is written there too, so the command-line
     tools can work the resulting store afterwards; the store is open
     data, so a ``keys_dir`` inside ``db_root``, or one without a store,
     is refused before any step runs.
@@ -677,7 +678,7 @@ def run_scenario(doc: dict, db_root=None, keys_dir=None) -> dict:
         raise WorkflowError("a store already exists at %s; a scenario starts a new one" % db_root)
     if keys_dir is not None:
         if db_root is None:
-            raise WorkflowError("key bundles are written only for a persisted store")
+            raise WorkflowError("keys are written only for a persisted store")
         keys, root = Path(keys_dir).resolve(), Path(db_root).resolve()
         if keys == root or root in keys.parents:
             raise WorkflowError(

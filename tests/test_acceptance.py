@@ -83,7 +83,7 @@ def test_criterion_01_roundtrip_against_oracle():
             }
             ct = mlabe.encrypt(pp, payloads, tree, rng)
             bundle = mlabe.keygen(pp, msk, attrs, rng)
-            got = mlabe.decrypt(pp, ct, bundle.decryption)
+            got = mlabe.decrypt(pp, ct, bundle)
             want = {
                 level: payloads[level]
                 for level in oracles.levels_satisfied(tree, attrs)
@@ -112,7 +112,7 @@ def test_criterion_01_roundtrip_against_oracle():
             }
             ct = mlabe.encrypt(pp, payloads, tree, rng)
             subset = tuple(sorted(rng.sample(pool, rng.randint(0, 2))))
-            got = mlabe.decrypt(pp, ct, bundles[subset].decryption)
+            got = mlabe.decrypt(pp, ct, bundles[subset])
             want = {
                 level: payloads[level]
                 for level in oracles.levels_satisfied(tree, subset)
@@ -242,7 +242,7 @@ def test_criterion_05_collusion_resistance():
                 k1 = mlabe.keygen(pp, msk, ["a"], rng)
                 k2 = mlabe.keygen(pp, msk, ["b"], rng)
                 r1, r2 = (
-                    (mock.dlog_g0(k.decryption.d) * msk.delta - gamma) % p
+                    (mock.dlog_g0(k.d) * msk.delta - gamma) % p
                     for k in (k1, k2)
                 )
                 if r1 != r2:
@@ -258,12 +258,12 @@ def test_criterion_05_collusion_resistance():
             # replaying the decryption combine with mixed components
             c_a, c_a2 = ct.leaves[(1,)]
             c_b, c_b2 = ct.leaves[(2,)]
-            da, da2 = k1.decryption.components["a"]
-            db, db2 = k2.decryption.components["b"]
+            da, da2 = k1.components["a"]
+            db, db2 = k2.components["b"]
             f_a = mock.pairing(da, c_a) / mock.pairing(da2, c_a2)
             f_b = mock.pairing(db, c_b) / mock.pairing(db2, c_b2)
             c_k, sealed = ct.levels[1]
-            attempt = mock.pairing(c_k, k1.decryption.d) / (f_a * f_b)
+            attempt = mock.pairing(c_k, k1.d) / (f_a * f_b)
 
             true_key = mock.gt_generator ** (gamma * (q1 + q2) % p)
             residual = (r1 - r2) * q2 % p
@@ -278,10 +278,10 @@ def test_criterion_05_collusion_resistance():
             # the public API path with a stitched-together key yields nothing
             franken = DecryptionKey(
                 attrs=frozenset({"a", "b"}),
-                d=k1.decryption.d,
+                d=k1.d,
                 components={
-                    "a": k1.decryption.components["a"],
-                    "b": k2.decryption.components["b"],
+                    "a": k1.components["a"],
+                    "b": k2.components["b"],
                 },
             )
             assert mlabe.decrypt(pp, ct, franken) == {}
@@ -294,10 +294,10 @@ def test_criterion_05_collusion_resistance():
         ct = mlabe.encrypt(pp, {1: b"joint secret"}, tree, rng)
         franken = DecryptionKey(
             attrs=frozenset({"a", "b"}),
-            d=k1.decryption.d,
+            d=k1.d,
             components={
-                "a": k1.decryption.components["a"],
-                "b": k2.decryption.components["b"],
+                "a": k1.components["a"],
+                "b": k2.components["b"],
             },
         )
         assert mlabe.decrypt(pp, ct, franken) == {}
@@ -323,11 +323,11 @@ def test_criterion_06_gt_payload_identity():
             }
             ct = mlabe.encrypt_gt(pp, elems, tree, rng)
             bundle = mlabe.keygen(pp, msk, ["a", "b"], rng)
-            got = mlabe.decrypt_gt(pp, ct, bundle.decryption)
+            got = mlabe.decrypt_gt(pp, ct, bundle)
             assert got[1] == elems[1], suite_name
             assert got[2] == elems[2], suite_name
             partial = mlabe.keygen(pp, msk, ["a"], rng)
-            got = mlabe.decrypt_gt(pp, ct, partial.decryption)
+            got = mlabe.decrypt_gt(pp, ct, partial)
             assert set(got) == {1} and got[1] == elems[1], suite_name
 
 

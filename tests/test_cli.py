@@ -67,7 +67,7 @@ def test_setup_and_keygen(tmp_path, capsys):
     assert json.loads(out)["attrs"] == json.loads(key.read_text())["attrs"] == ["basic", "doctor"]
     loaded = mlabe.pp_from_json(json.loads(pp.read_text()))
     bundle = mlabe.key_from_json(json.loads(key.read_text()), loaded.suite)
-    assert bundle.decryption.attrs == {"basic", "doctor"}
+    assert bundle.attrs == {"basic", "doctor"}
 
 
 def test_run_scenario_and_retrieve_and_shuffle(tmp_path, capsys):
@@ -273,8 +273,8 @@ def test_a_refused_batch_changes_no_byte_of_a_store(tmp_path, capsys):
     refused; one bad signature always fails the batch check, where two
     swapped ones pass it on mock with chance 1/(order - 1).  The refusal
     changes no byte of an existing store's log or snapshot; into a path
-    that holds no store it leaves the directory and its empty ``lock``,
-    which the writer makes before it checks the batch."""
+    that holds no store it leaves no path at all, since the gate checks
+    the batch before the writer makes the directory and its ``lock``."""
     ctx = workflow.phase_setup(
         "mock",
         {
@@ -315,8 +315,7 @@ def test_a_refused_batch_changes_no_byte_of_a_store(tmp_path, capsys):
     assert code == 1 and doc["accepted"] is False
     assert doc["reason"].endswith("signature invalid"), doc["reason"]
     assert (doc["rows"], doc["secrets"]) == (0, 0)
-    assert sorted(os.listdir(fresh)) == ["lock"]
-    assert (fresh / "lock").read_bytes() == b""
+    assert not fresh.exists()
 
     store = tmp_path / "store"
     assert ingest(store, good)[0] == 0
@@ -508,7 +507,8 @@ def test_secret_files_are_private_and_kept_out_of_the_store(tmp_path, capsys):
     """Under umask 022 the master key and every key bundle are created
     with mode 0600, also over an existing file, while public files keep
     the umask's mode; and after run-scenario no file under the store
-    root holds a key bundle, a signing key or a master key."""
+    root holds a key bundle, a signing key or a master key.  No key file
+    holds a signing scalar or a verification key."""
     pp, msk, key = (tmp_path / name for name in ("pp.json", "msk.json", "key.json"))
     store, keys = tmp_path / "store", tmp_path / "keys"
     key.write_text("{}")
@@ -532,6 +532,8 @@ def test_secret_files_are_private_and_kept_out_of_the_store(tmp_path, capsys):
     ]
     for path in [msk, key, *bundles]:
         assert path.stat().st_mode & 0o077 == 0, path
+    for path in [key, *bundles]:
+        assert not {"sk", "vk"} & set(json.loads(path.read_text())), path
     assert pp.stat().st_mode & 0o777 == 0o644
     assert (store / "pp.json").stat().st_mode & 0o777 == 0o644
     stored = [p for p in store.rglob("*") if p.is_file()]
@@ -544,7 +546,7 @@ def test_secret_files_are_private_and_kept_out_of_the_store(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("attrs", 5), ("components", []), ("sk", None)],
+    [("attrs", 5), ("components", [])],
 )
 def test_retrieve_malformed_key_is_json_error(tmp_path, capsys, field, value):
     pp, msk, key = (tmp_path / name for name in ("pp.json", "msk.json", "key.json"))

@@ -66,3 +66,10 @@ def test_the_package_loads_no_module():
 def test_a_module_loads_no_module_above_it(name):
     above = {m for m in loaded_by("etenon." + name) if LAYERS.index(m) > LAYERS.index(name)}
     assert above == set()
+
+
+def test_the_key_authority_uses_no_signing_module():
+    """``mlabe`` issues decryption keys only, and a co-signer draws its
+    signing key through ``musig`` itself, so ``mlabe`` uses no ``musig``."""
+    assert "musig" not in package_imports(PACKAGE / "mlabe.py")
+    assert "musig" not in loaded_by("etenon.mlabe")

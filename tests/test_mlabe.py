@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from etenon import mlabe, policy
+from etenon import mlabe, musig, policy
 from etenon.algebra import HASH_TABLE_AFTER, get_suite
 from etenon.mlabe import MlabeError
 
@@ -48,17 +48,32 @@ def test_keygen_refuses_attributes_that_are_not_names(mock_setup, monkeypatch, a
     assert draws == []
 
 
+def test_keygen_draws_r_and_one_scalar_per_attribute(mock_setup, monkeypatch):
+    """The authority issues a decryption key and nothing else: keygen
+    draws r and one r_a per attribute, and no signing scalar."""
+    suite, pp, msk, rng = mock_setup
+    draws = []
+
+    def draw(rng=None):
+        draws.append(rng)
+        return rng.randrange(1, suite.order)
+
+    monkeypatch.setattr(suite, "rand_scalar", draw)
+    monkeypatch.setattr(suite, "rand_scalar_nonzero", draw)
+    dk = mlabe.keygen(pp, msk, ["doctor", "basic", "records"], rng)
+    assert isinstance(dk, mlabe.DecryptionKey)
+    assert len(draws) == 1 + 3
+    assert not hasattr(mlabe, "KeyBundle")
+
+
 def test_keygen_key_algebra_on_mock(mock_setup):
     suite, pp, msk, rng = mock_setup
-    bundle = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)
-    dk = bundle.decryption
+    dk = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)
     assert dk.attrs == {"doctor", "basic"}
-    assert bundle.verification == suite.generator ** bundle.signing
     gamma = suite.dlog_g0(msk.g_gamma)
     p = suite.order
-    # d = g^((gamma + r) / delta) for the randomizer r, which is not the signing key
+    # d = g^((gamma + r) / delta) for the randomizer r
     r = (suite.dlog_g0(dk.d) * msk.delta - gamma) % p
-    assert r != bundle.signing
     for attr, (da, da_prime) in dk.components.items():
         r_a = suite.dlog_g0(da_prime)
         h = suite.dlog_g0(suite.hash_to_group(attr.encode()))
@@ -69,9 +84,11 @@ def test_keygen_key_algebra_on_mock(mock_setup):
 def test_key_cannot_stand_in_for_attributes_it_lacks(suite_name):
     """A key holder who knew its randomizer r could pair g^r with a leaf
     element for any attribute: the components (g^r * H(a), g2) pass for
-    issued ones.  Built from the verification key, such a forged key must
-    open exactly the levels the honest key opens.  (A mock order this
-    large keeps a chance equal draw of r and the signing key negligible.)
+    issued ones.  Built from the holder's verification key, drawn right
+    after its decryption key as setup draws one for an owner who also
+    reads, such a forged key must open exactly the levels the honest key
+    opens.  (A mock order this large keeps a chance equal draw of r and
+    the signing key negligible.)
     """
     suite = get_suite(suite_name)
     rng = random.Random(0xF0)
@@ -81,13 +98,12 @@ def test_key_cannot_stand_in_for_attributes_it_lacks(suite_name):
         "tree: attr:basic, threshold(2, attr:doctor, attr:records, attr:research), attr:admin"
     )
     ct = mlabe.encrypt(pp, {1: b"one", 2: b"two", 3: b"three"}, tree, rng)
-    nurse = mlabe.keygen(pp, msk, ["basic"], rng)
-    dk = nurse.decryption
+    dk = mlabe.keygen(pp, msk, ["basic"], rng)
+    _, vk = musig.keypair(suite, rng)
     components = dict(dk.components)
     for _, leaf in policy.iter_leaves(tree):
         components.setdefault(
-            leaf.attribute,
-            (nurse.verification * suite.hash_to_group(leaf.attribute), suite.right_generator),
+            leaf.attribute, (vk * suite.hash_to_group(leaf.attribute), suite.right_generator)
         )
     forged = mlabe.DecryptionKey(attrs=frozenset(components), d=dk.d, components=components)
     assert mlabe.decrypt(pp, ct, dk) == {1: b"one"}
@@ -101,7 +117,7 @@ def test_roundtrip_two_levels(mock_setup):
     ct = mlabe.encrypt(pp, payloads, tree, rng)
 
     full = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
-    assert mlabe.decrypt(pp, ct, full.decryption) == payloads
+    assert mlabe.decrypt(pp, ct, full) == payloads
 
     # a level whose seal fails authentication, in its masked bytes or in
     # its tag, is omitted; the others open
@@ -110,15 +126,15 @@ def test_roundtrip_two_levels(mock_setup):
         flipped = bytearray(sealed)
         flipped[at] ^= 1
         bad = replace(ct, levels={**ct.levels, level: (c_l, bytes(flipped))})
-        assert mlabe.decrypt(pp, bad, full.decryption) == {
+        assert mlabe.decrypt(pp, bad, full) == {
             other: payloads[other] for other in payloads if other != level
         }
 
     partial = mlabe.keygen(pp, msk, ["basic"], rng)
-    assert mlabe.decrypt(pp, ct, partial.decryption) == {1: payloads[1]}
+    assert mlabe.decrypt(pp, ct, partial) == {1: payloads[1]}
 
     unrelated = mlabe.keygen(pp, msk, ["visitor"], rng)
-    assert mlabe.decrypt(pp, ct, unrelated.decryption) == {}
+    assert mlabe.decrypt(pp, ct, unrelated) == {}
 
 
 def test_roundtrip_matches_satisfaction_oracle(mock_setup):
@@ -132,7 +148,7 @@ def test_roundtrip_matches_satisfaction_oracle(mock_setup):
         }
         ct = mlabe.encrypt(pp, payloads, tree, rng)
         bundle = mlabe.keygen(pp, msk, attrs, rng)
-        got = mlabe.decrypt(pp, ct, bundle.decryption)
+        got = mlabe.decrypt(pp, ct, bundle)
         want_levels = oracles.levels_satisfied(tree, attrs)
         assert got == {level: payloads[level] for level in want_levels}
 
@@ -143,7 +159,7 @@ def test_variable_length_payloads(mock_setup):
     bundle = mlabe.keygen(pp, msk, ["a"], rng)
     for payload in (b"", b"x", b"y" * 3000):
         ct = mlabe.encrypt(pp, {1: payload}, tree, rng)
-        assert mlabe.decrypt(pp, ct, bundle.decryption) == {1: payload}
+        assert mlabe.decrypt(pp, ct, bundle) == {1: payload}
 
 
 def test_encrypt_validates_payload_levels(mock_setup):
@@ -191,7 +207,7 @@ def test_encryption_counts_stay_once_its_labels_earn_tables(suite_name):
     assert counts == [counts[0]] * len(counts)
     assert counts[0]["exponentiations"] == 2 * (2 + 3) and counts[0]["hash_calls"] == 3
     bundle = mlabe.keygen(pp, msk, ["basic", "admin"], rng)
-    assert mlabe.decrypt(pp, ct, bundle.decryption) == {1: b"a", 2: b"b"}
+    assert mlabe.decrypt(pp, ct, bundle) == {1: b"a", 2: b"b"}
 
 
 def test_decryption_no_partial_leakage(mock_setup):
@@ -203,7 +219,7 @@ def test_decryption_no_partial_leakage(mock_setup):
     ct = mlabe.encrypt(pp, {1: b"secret"}, tree, rng)
     for attrs in (["a"], ["b"], ["c"]):
         bundle = mlabe.keygen(pp, msk, attrs, rng)
-        assert mlabe.decrypt(pp, ct, bundle.decryption) == {}
+        assert mlabe.decrypt(pp, ct, bundle) == {}
 
 
 def test_gt_variant_identity(mock_setup):
@@ -215,7 +231,7 @@ def test_gt_variant_identity(mock_setup):
     }
     ct = mlabe.encrypt_gt(pp, elems, tree, rng)
     bundle = mlabe.keygen(pp, msk, ["basic", "admin"], rng)
-    got = mlabe.decrypt_gt(pp, ct, bundle.decryption)
+    got = mlabe.decrypt_gt(pp, ct, bundle)
     assert set(got) == {1, 2}
     assert got[1] == elems[1]
     assert got[2] == elems[2]
@@ -228,7 +244,7 @@ def test_gt_variant_identity_bn256(bn256):
     x = bn256.gt_generator ** bn256.rand_scalar_nonzero(rng)
     ct = mlabe.encrypt_gt(pp, {1: x}, tree, rng)
     bundle = mlabe.keygen(pp, msk, ["a"], rng)
-    got = mlabe.decrypt_gt(pp, ct, bundle.decryption)
+    got = mlabe.decrypt_gt(pp, ct, bundle)
     assert got[1] == x
 
 
@@ -239,9 +255,9 @@ def test_bn256_roundtrip(bn256):
     payloads = {1: b"open note", 2: b"restricted note"}
     ct = mlabe.encrypt(pp, payloads, tree, rng)
     full = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
-    assert mlabe.decrypt(pp, ct, full.decryption) == payloads
+    assert mlabe.decrypt(pp, ct, full) == payloads
     partial = mlabe.keygen(pp, msk, ["basic"], rng)
-    assert mlabe.decrypt(pp, ct, partial.decryption) == {1: payloads[1]}
+    assert mlabe.decrypt(pp, ct, partial) == {1: payloads[1]}
 
 
 def test_distinct_setups_use_distinct_master_scalars(bn256):
@@ -261,7 +277,7 @@ def test_key_from_one_system_fails_in_another(mock, rng):
     tree = policy.parse_policy("level 1 requires [1]\ntree: attr:a")
     ct = mlabe.encrypt(pp1, {1: b"msg"}, tree, rng)
     foreign = mlabe.keygen(pp2, msk2, ["a"], rng)
-    assert mlabe.decrypt(pp1, ct, foreign.decryption) == {}
+    assert mlabe.decrypt(pp1, ct, foreign) == {}
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +292,7 @@ def test_decrypt_refuses_a_ciphertext_of_another_suite(mock_setup):
     key = mlabe.keygen(pp, msk, ["a"], rng)
     for decrypt in (mlabe.decrypt, mlabe.decrypt_gt):
         with pytest.raises(MlabeError, match="^ciphertext was made on suite mock-7, not mock-101$"):
-            decrypt(pp, ct, key.decryption)
+            decrypt(pp, ct, key)
 
 
 def test_pp_envelope_roundtrip(mock_setup):
@@ -300,13 +316,13 @@ def test_msk_envelope_roundtrip(mock_setup):
 def test_key_envelope_roundtrip(mock_setup):
     suite, pp, msk, rng = mock_setup
     bundle = mlabe.keygen(pp, msk, ["doctor", "basic"], rng)
-    back = mlabe.key_from_json(mlabe.key_to_json(suite, bundle), suite)
-    assert back.signing == bundle.signing
-    assert back.verification == bundle.verification
-    assert back.decryption.attrs == bundle.decryption.attrs
-    assert back.decryption.d == bundle.decryption.d
-    for attr in bundle.decryption.attrs:
-        assert back.decryption.components[attr] == bundle.decryption.components[attr]
+    doc = mlabe.key_to_json(suite, bundle)
+    assert not {"sk", "vk"} & set(doc)
+    back = mlabe.key_from_json(doc, suite)
+    assert back.attrs == bundle.attrs
+    assert back.d == bundle.d
+    for attr in bundle.attrs:
+        assert back.components[attr] == bundle.components[attr]
 
 
 def test_ct_envelope_roundtrip(mock_setup):
@@ -316,7 +332,7 @@ def test_ct_envelope_roundtrip(mock_setup):
     ct = mlabe.encrypt(pp, payloads, tree, rng)
     back = mlabe.ct_from_json(mlabe.ct_to_json(ct), suite)
     bundle = mlabe.keygen(pp, msk, ["basic", "doctor"], rng)
-    assert mlabe.decrypt(pp, back, bundle.decryption) == payloads
+    assert mlabe.decrypt(pp, back, bundle) == payloads
     assert mlabe.ct_canonical_bytes(back) == mlabe.ct_canonical_bytes(ct)
 
 
@@ -416,7 +432,7 @@ def test_decryption_operation_counts(mock, rng, attrs, levels, pairings, exps, d
     elems = {1: mock.gt_generator ** 5, 2: mock.gt_generator ** 8}
     ct = mlabe.encrypt(pp, payloads, tree, rng)
     ct_gt = mlabe.encrypt_gt(pp, elems, tree, rng)
-    dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+    dk = mlabe.keygen(pp, msk, attrs, rng)
     with mock.measure() as span:
         got = mlabe.decrypt(pp, ct, dk)
     assert got == {level: payloads[level] for level in levels}
@@ -495,7 +511,7 @@ def test_each_root_sub_tree_is_one_loop_that_carries_a_level(
     tree = policy.parse_policy(text)
     payloads = {level: b"level %d" % level for level in tree.levels}
     ct = mlabe.ct_from_json(mlabe.ct_to_json(mlabe.encrypt(pp, payloads, tree, rng)), suite)
-    dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+    dk = mlabe.keygen(pp, msk, attrs, rng)
     counted.clear()
     with suite.measure() as span:
         got = mlabe.decrypt(pp, ct, dk)
@@ -529,7 +545,7 @@ def test_bn256_decryption_finishes_one_pairing_per_opened_level(
     for (attrs, levels, pairings, exps, divs_and_muls), want_loops in zip(
         SHARED_GATE_COUNTS, SHARED_GATE_LOOPS
     ):
-        dk = mlabe.keygen(pp, msk, attrs, rng).decryption
+        dk = mlabe.keygen(pp, msk, attrs, rng)
         for decrypt, sealed, want, masks in (
             (mlabe.decrypt, ct, payloads, 0),
             (mlabe.decrypt_gt, ct_gt, elems, len(levels)),

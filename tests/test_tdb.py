@@ -622,7 +622,7 @@ def test_reading_more_entries_retains_no_more_memory(bn256, tmp_path):
     reading 2, within 16 KB (tracemalloc)."""
     rng = random.Random(0x1B5)
     pp, msk = mlabe.setup(bn256, rng)
-    key = mlabe.keygen(pp, msk, ["a"], rng).decryption
+    key = mlabe.keygen(pp, msk, ["a"], rng)
     writer = _store_of_entries(bn256, pp, rng, tmp_path, 8)
     # the key's own lines are prepared before anything is measured
     mlabe.decrypt(pp, writer.read_secret("entry-0", "clinical").ciphertext, key)
@@ -800,6 +800,44 @@ def test_second_writer_waits_then_sees_the_first(system, tmp_path):
     assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 1
 
 
+def test_a_refused_batch_takes_no_lock(large_system, tmp_path, monkeypatch):
+    """The gate checks a batch before it takes the write lock: a refused
+    batch never calls ``flock``, into a new path or into a store, and the
+    new path is not made."""
+    suite, pp, _, rng = large_system
+    store = tmp_path / "store"
+    db = TenonDb(pp, root=store)
+    assert db.ingest(*make_batch(suite, pp, rng), rng=rng).accepted
+    rows, secret, roster = make_batch(
+        suite, pp, rng, blocks=("x", "y"), entry_id="entry-2", roster_ref="batch-2")
+    bad = [replace(rows[0], block=rows[0].block + "!")] + rows[1:]
+    locks = []
+    monkeypatch.setattr(fcntl, "flock", lambda *args: locks.append(args))
+    fresh = tmp_path / "fresh"
+    for target in (TenonDb(pp, root=fresh), db):
+        r = target.ingest(bad, secret, roster=roster, rng=rng)
+        assert not r.accepted and r.reason.endswith("signature invalid")
+    assert locks == []
+    assert not fresh.exists()
+
+
+def test_two_stores_on_one_root_admit_one_claim_of_a_roster_ref(system, tmp_path):
+    """Two store objects on one root each pass the gate with a batch that
+    claims one roster ref.  The second, catching up under the lock on the
+    first's line, checks its batch again and refuses it."""
+    suite, pp, _, rng = system
+    a, b = TenonDb(pp, root=tmp_path), TenonDb(pp, root=tmp_path)
+    first = make_batch(suite, pp, rng, roster_ref="shared")
+    second = make_batch(
+        suite, pp, rng, blocks=("p", "q"), entry_id="entry-2", roster_ref="shared")
+    assert a.ingest(*first, rng=rng).accepted
+    r = b.ingest(*second, rng=rng)
+    assert not r.accepted and r.reason == "roster 'shared' already present"
+    for db in (a, b, TenonDb(pp, root=tmp_path)):
+        assert db.secret_ids() == ("entry-1",)
+    assert len((tmp_path / "log.jsonl").read_text().splitlines()) == 1
+
+
 def test_a_writer_that_catches_up_reshuffles(large_system, tmp_path):
     """A store object that shuffles and saves after another object
     ingested a batch replays that batch first; the order it saves is not
@@ -957,8 +995,9 @@ def test_open_checks_every_line_in_one_batch(system, tmp_path, monkeypatch):
 
 def test_replay_refuses_a_line_whose_run_spans_lines(large_system, tmp_path, monkeypatch):
     """With runs of 4 signatures over lines of 3, the run that fails holds
-    line 1's signatures and line 2's first: a writer catching up names
-    line 2's forged row, rescans only that run, and holds line 1."""
+    line 1's signatures and line 2's first: a writer catching up, after
+    the gate checked its own batch, names line 2's forged row, rescans
+    only that run, and holds line 1."""
     suite, pp, _, rng = large_system
     monkeypatch.setattr(tdb, "BATCH_SIGNATURES", 4)
     batches = _line_batches(suite, pp, rng, 4)
@@ -975,7 +1014,8 @@ def test_replay_refuses_a_line_whose_run_spans_lines(large_system, tmp_path, mon
         a.ingest(*batches[3], rng=rng)
     pointer = docs[1]["rows"][0]["pointer"]
     assert str(err.value) == "log line 2: row 0 (pointer %s): signature invalid" % pointer
-    assert [m for m, _, _ in calls] == [4, 1, 1, 1, 1]
+    # its own batch, then the failed run and that run one by one
+    assert [m for m, _, _ in calls] == [3, 4, 1, 1, 1, 1]
     assert a.secret_ids() == ("entry-1",)
     assert len(a.read_open()) == 2
 
@@ -1115,10 +1155,10 @@ def test_gate_and_replay_refuse_a_line_alike(large_system, tmp_path, build, reas
 
 @pytest.mark.parametrize("edited", [False, True], ids=["honest", "edited"])
 def test_writer_catches_up_on_lines_in_one_batch(large_system, tmp_path, monkeypatch, edited):
-    """A writer replays what another store object appended before it
-    checks its own batch: both lines in one batch, then its own.  If the
-    second of them was edited on disk, the writer refuses it by its log
-    line and holds the lines before it."""
+    """A writer whose batch passed the gate replays what another store
+    object appended, both lines in one batch, then checks its own batch
+    again.  If the second of them was edited on disk, the writer refuses
+    it by its log line and holds the lines before it."""
     suite, pp, _, rng = large_system
     batches = _line_batches(suite, pp, rng, 4)
     a = TenonDb(pp, root=tmp_path)
@@ -1129,7 +1169,8 @@ def test_writer_catches_up_on_lines_in_one_batch(large_system, tmp_path, monkeyp
     calls = _spy_batches(monkeypatch)
     if not edited:
         assert a.ingest(*batches[3], rng=rng).accepted
-        assert [m for m, _, _ in calls] == [6, 3]  # lines 2 and 3, then its own batch
+        # its own batch, lines 2 and 3, then its own batch again
+        assert [m for m, _, _ in calls] == [3, 6, 3]
         assert a.secret_ids() == ("entry-1", "entry-2", "entry-3", "entry-4")
         return
     log = tmp_path / "log.jsonl"

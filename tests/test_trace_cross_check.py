@@ -67,7 +67,7 @@ def test_a_gated_bn256_decryption_is_seen_by_the_tracer(tracing, traced, bn256):
     pp, msk = mlabe.setup(bn256, rng)
     tree = policy.parse_policy(GATED)
     ct = mlabe.encrypt(pp, {1: b"one", 2: b"two"}, tree, rng)
-    dk = mlabe.keygen(pp, msk, {"a", "b", "c", "d"}, rng).decryption
+    dk = mlabe.keygen(pp, msk, {"a", "b", "c", "d"}, rng)
     tracer = traced()
     before = Counter(tracer.calls)
     with bn256.measure() as span:

@@ -83,12 +83,19 @@ def agree(ctx):
 
 
 def test_phase_setup_issues_keys():
+    """Every participant with attributes gets their decryption key; only
+    the owner and the provider hold a signing scalar."""
     ctx = fresh_ctx()
     assert set(ctx.entities) == set(PARTICIPANTS)
     hospital = ctx.entity("hospital")
     assert hospital.role is Role.SP
-    assert hospital.keys.decryption.attrs == {"basic", "doctor", "records"}
-    assert hospital.keys.verification == ctx.suite.generator ** hospital.keys.signing
+    assert hospital.keys.attrs == {"basic", "doctor", "records"}
+    signers = {name for name, e in ctx.entities.items() if e.signing is not None}
+    assert signers == {"patient", "hospital"}
+    for name in ("dr_grey", "nurse_kim"):
+        du = ctx.entity(name)
+        assert du.role is Role.DU and du.signing is None
+        assert isinstance(du.keys, mlabe.DecryptionKey)
 
 
 def test_phase_setup_signing_only_participant():
@@ -97,9 +104,9 @@ def test_phase_setup_signing_only_participant():
         {"signer": {"role": "SP", "attrs": None}},
         rng=random.Random(1),
     )
-    keys = ctx.entity("signer").keys
-    assert keys.decryption is None
-    assert keys.verification == ctx.suite.generator ** keys.signing
+    signer = ctx.entity("signer")
+    assert signer.keys is None
+    assert 0 < signer.signing < ctx.suite.order
 
 
 def test_phase_setup_rejects_an_unknown_role():
@@ -217,9 +224,8 @@ def test_agreement_roster_is_owner_and_provider():
     ctx = fresh_ctx()
     tr = agree(ctx)
     roster = tr.roster
-    assert roster == (
-        ctx.entity("patient").keys.verification,
-        ctx.entity("hospital").keys.verification,
+    assert roster == tuple(
+        ctx.suite.generator ** ctx.entity(name).signing for name in ("patient", "hospital")
     )
 
 
@@ -350,7 +356,7 @@ def test_policy_swap_keeps_the_payloads_under_a_weaker_tree():
     ctx = fresh_ctx()
     tr = agree_with_channel(swap, ctx)
     assert tr.verdict == REENCRYPTION and tr.signature_count == 0
-    nurse = ctx.entity("nurse_kim").keys.decryption  # holds "basic" alone
+    nurse = ctx.entity("nurse_kim").keys  # holds "basic" alone
     opened = mlabe.decrypt(ctx.pp, swapped[0], nurse)
     assert sorted(opened) == [1, 2, 3]
     assert opened[3] == encode_identifiable_payload(
@@ -648,8 +654,8 @@ def test_retrieval_requires_decryption_key():
 
 
 def test_retrieve_entry_refuses_a_bundle_without_a_decryption_key():
-    """A signing-only bundle is refused by the retrieval itself, before
-    the store is read or any signature checked."""
+    """A participant without attributes holds no key, which the retrieval
+    itself refuses before the store is read or any signature checked."""
     ctx = phase_setup(
         "mock",
         dict(PARTICIPANTS, signer={"role": "DU", "attrs": None}),
@@ -719,7 +725,7 @@ def test_retrieval_verifies_only_the_rows_it_follows(tmp_path, monkeypatch, read
     assert followed and set(followed) <= set(map(canonical_json, checked))
     entry = db.read_secret(first.entry_id, "clinical")
     with ctx.suite.measure() as alone:
-        mlabe.decrypt(ctx.pp, entry.ciphertext, keys.decryption)
+        mlabe.decrypt(ctx.pp, entry.ciphertext, keys)
     assert (span.exponentiations, span.pairings) == (alone.exponentiations, alone.pairings)
     assert span.pairings > 0
 
@@ -730,7 +736,7 @@ def _cosign_entry(ctx, entry_id, ref, triples, head):
     ``head`` at level 1."""
     from etenon import policy, tdb
 
-    keys = [ctx.entity(name).keys.signing for name in ("patient", "hospital")]
+    keys = [ctx.entity(name).signing for name in ("patient", "hospital")]
     pp_bytes, t = ctx.pp.encode(), 1_700_000_000
     rows = []
     for triple in triples:
@@ -1022,7 +1028,7 @@ def test_phase_setup_reads_a_participant_as_a_scenario_does(tmp_path, monkeypatc
     """``phase_setup`` refuses what a scenario document refuses, with the
     same reason, before it draws the parameters or makes the store
     directory: a string is not read as the set of its letters, and a
-    misspelt key does not make a signing-only party."""
+    misspelt key does not make a party without attributes."""
     setups = []
     setup = mlabe.setup
     monkeypatch.setattr(mlabe, "setup", lambda *a: setups.append(a) or setup(*a))
