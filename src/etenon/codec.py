@@ -1,5 +1,6 @@
 """Canonical JSON, base64 text fields, the one guard every document
-decoder runs in and the one writer of JSON files."""
+decoder runs in, the one check for unknown fields and the one writer of
+JSON files."""
 
 from __future__ import annotations
 
@@ -70,3 +71,11 @@ def typed(value, kind: type):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise TypeError("expected %s, found %s" % (kind.__name__, type(value).__name__))
     return value
+
+
+def known(obj, keys, where=""):
+    """``obj`` as a dict holding none but ``keys``."""
+    unknown = set(typed(obj, dict)) - keys
+    if unknown:
+        raise ValueError("%sunknown keys %s" % (where, sorted(unknown)))
+    return obj

@@ -63,7 +63,7 @@ from .algebra import (
     IntegrityError,
     get_suite,
 )
-from .codec import b64, canonical_json, decoding, typed, unb64
+from .codec import b64, canonical_json, decoding, known, typed, unb64
 from .errors import EtenonError
 from .policy import AccessTree, Leaf, NodePath
 
@@ -444,13 +444,22 @@ def key_to_json(suite: GroupSuite, dk: DecryptionKey) -> dict:
     return doc
 
 
+_KEY_FIELDS = frozenset(("version", "suite", "kind", "attrs", "d", "components", "pp_fingerprint"))
+_COMPONENT_FIELDS = frozenset(("d", "dp"))
+
+
 def key_from_json(obj, suite: GroupSuite) -> DecryptionKey:
+    """The key of :func:`key_to_json`; a field it does not write, such as
+    the ``sk`` an older key file kept, is refused by name."""
     with decoding(MlabeError, "key bundle"):
         _open_envelope(obj, "key-bundle", suite)
+        known(obj, _KEY_FIELDS)
         attrs = frozenset(typed(a, str) for a in typed(obj["attrs"], list))
         components = {
             attr: (
-                suite.decode_g0(unb64(typed(pair, dict)["d"]), LEFT),
+                suite.decode_g0(
+                    unb64(known(pair, _COMPONENT_FIELDS, "component %r: " % attr)["d"]), LEFT
+                ),
                 suite.decode_g0(unb64(pair["dp"]), RIGHT),
             )
             for attr, pair in typed(obj["components"], dict).items()

@@ -1,11 +1,15 @@
 """EHR preprocessing: classify columns, tokenize text, chain blocks.
 
-A record is a list of named columns.  Two tables of column-name
-patterns, ``IDENTIFIABLE_COLUMNS`` and ``ATOMIC_COLUMNS``, split the
-columns into identifiable ones (held back for sealing) and the rest,
-some of which are atomic: kept whole, never split into blocks.
-Each remaining column's text is tokenized into blocks -- one main word
-per block, preceded by whatever stopwords ran up to it -- and a block
+A record is a list of named columns, each a name and a value.  A
+column's name alone answers both questions asked of it, through two
+tables of name patterns: a column that ``IDENTIFIABLE_COLUMNS`` names
+is identifiable (held back for sealing, never split into blocks), and
+one that ``ATOMIC_COLUMNS`` names is atomic (kept whole as one block).
+Identifiable wins: ``zip_code`` matches the atomic ``*_code`` but is
+sealed, not chained.
+Every other column becomes blocks: its value whole when it is atomic or
+one word, else its text tokenized -- one main word per block, preceded
+by whatever stopwords ran up to it -- and a block
 sequence becomes a pointer chain: every block gets a fresh 128-bit
 pointer and records the pointer of its successor.  A structure keeps its
 triples in chain order; the store that holds them shuffles its rows
@@ -15,13 +19,12 @@ every triple: it is the one pointer no triple names.
 
 from __future__ import annotations
 
-import enum
 import fnmatch
 import functools
 import random
 import uuid
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .codec import decoding, typed
@@ -34,25 +37,15 @@ class TenonError(EtenonError):
     """Bad record data or chain structure."""
 
 
-class Classification(enum.Enum):
-    IDENTIFIABLE = "identifiable"
-    NONPII = "nonpii"
-
-
 @dataclass(frozen=True)
 class EhrColumn:
     name: str
     value: str
-    label: Classification | None = None
-    atomic: bool = False
 
 
 @dataclass(frozen=True)
 class EhrRecord:
     columns: tuple[EhrColumn, ...]
-
-    def identifiable(self) -> tuple[EhrColumn, ...]:
-        return tuple(c for c in self.columns if c.label is Classification.IDENTIFIABLE)
 
 
 def record_from_json(obj) -> EhrRecord:
@@ -87,20 +80,15 @@ IDENTIFIABLE_COLUMNS = (
 ATOMIC_COLUMNS = ("blood_type", "blood_pressure", "*_code")
 
 
-def classify(record: EhrRecord) -> EhrRecord:
-    """Return the record with every column labelled: identifiable when an
-    ``IDENTIFIABLE_COLUMNS`` pattern matches its name, else non-PII, and
-    then atomic (never split into blocks) when an ``ATOMIC_COLUMNS``
-    pattern matches."""
-    columns = []
-    for col in record.columns:
-        name = col.name.lower()
-        if any(fnmatch.fnmatchcase(name, p) for p in IDENTIFIABLE_COLUMNS):
-            columns.append(replace(col, label=Classification.IDENTIFIABLE, atomic=False))
-        else:
-            atomic = any(fnmatch.fnmatchcase(name, p) for p in ATOMIC_COLUMNS)
-            columns.append(replace(col, label=Classification.NONPII, atomic=atomic))
-    return EhrRecord(columns=tuple(columns))
+def _named(column: EhrColumn, patterns) -> bool:
+    name = column.name.lower()
+    return any(fnmatch.fnmatchcase(name, p) for p in patterns)
+
+
+def classify(record: EhrRecord) -> tuple[EhrColumn, ...]:
+    """The record's identifiable columns, in record order: those an
+    ``IDENTIFIABLE_COLUMNS`` pattern names."""
+    return tuple(c for c in record.columns if _named(c, IDENTIFIABLE_COLUMNS))
 
 
 # ----------------------------------------------------------------------
@@ -146,16 +134,13 @@ def tokenize(text: str, stopwords) -> list[str]:
     return blocks
 
 
-def is_tokenizable(column: EhrColumn) -> bool:
-    """Multi-word values split into blocks unless the column is atomic."""
-    return not column.atomic and len(column.value.split()) >= 2
-
-
 def column_blocks(column: EhrColumn, stopwords) -> list[str]:
-    """Blocks for one column: tokenized text or the value as one block."""
-    if is_tokenizable(column):
-        return tokenize(column.value, stopwords)
-    return [normalize(column.value)]
+    """Blocks for one column: the value as one block when an
+    ``ATOMIC_COLUMNS`` pattern names the column or the value is a single
+    word, else its tokenized text."""
+    if _named(column, ATOMIC_COLUMNS) or len(column.value.split()) < 2:
+        return [normalize(column.value)]
+    return tokenize(column.value, stopwords)
 
 
 # ----------------------------------------------------------------------

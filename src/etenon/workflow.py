@@ -46,11 +46,11 @@ from pathlib import Path
 
 from . import mlabe, musig, policy, tdb, tenon
 from .algebra import get_suite, is_mock
-from .codec import canonical_json, decoding, typed, write_json
+from .codec import canonical_json, decoding, known, typed, write_json
 from .errors import EtenonError
 from .mlabe import DecryptionKey, PublicParams
 from .tdb import OpenRow, SecretEntry, TenonDb
-from .tenon import Classification, EhrRecord, load_stopwords
+from .tenon import EhrRecord, load_stopwords
 
 
 class WorkflowError(EtenonError):
@@ -88,14 +88,6 @@ class SystemContext:
 
 
 PARTICIPANT_KEYS = frozenset(("role", "attrs"))
-
-
-def known(obj, keys, where=""):
-    """``obj`` as a dict holding none but ``keys``."""
-    unknown = set(typed(obj, dict)) - keys
-    if unknown:
-        raise ValueError("%sunknown keys %s" % (where, sorted(unknown)))
-    return obj
 
 
 def read_participants(specs) -> dict[str, tuple[Role, frozenset[str] | None]]:
@@ -202,22 +194,6 @@ class LevelRecovery:
         return None if self.blocks is None else " ".join(self.blocks)
 
 
-def open_levels(levels: dict[int, tuple], lookup) -> dict[int, LevelRecovery]:
-    """Open each level from its decoded payload, the ``(kind, value)``
-    pair of :func:`decode_level_payload`, walking each chain through
-    ``lookup`` as :func:`tenon.follow` does; every reader opens levels
-    here.
-    """
-    recovered: dict[int, LevelRecovery] = {}
-    for level, (kind, value) in sorted(levels.items()):
-        if kind == "identifiable":
-            recovered[level] = LevelRecovery(kind, identifiable=value)
-        else:
-            chain, complete = tenon.follow(value, lookup)
-            recovered[level] = LevelRecovery(kind, [t.block for t in chain], complete)
-    return recovered
-
-
 # ----------------------------------------------------------------------
 # the co-signing agreement
 
@@ -294,8 +270,11 @@ def agree_terms(
 def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     """Read a record under the agreed terms, as both halves of the
     agreement do: the owner on the record it packs, the provider on its
-    own copy.  The record is classified by :func:`tenon.classify` and
-    split into blocks around the shipped stopwords.
+    own copy.  A column's name alone decides whether it is identifiable
+    (:func:`tenon.classify`) and whether it is kept as one block
+    (:func:`tenon.column_blocks`); identifiable wins, so ``zip_code`` is
+    sealed although ``*_code`` is atomic.  Other text is split into
+    blocks around the shipped stopwords.
 
     Every non-PII column must be assigned to exactly one chain level, no
     identifiable column may ride a chain, and identifiable columns need
@@ -304,22 +283,18 @@ def preprocess_record(record: EhrRecord, terms: AgreementTerms):
     back for sealing; a record that does not fit the terms raises
     :class:`WorkflowError`.
     """
-    labelled = tenon.classify(record)
-    by_name = {c.name: c for c in labelled.columns}
+    identifiable = tenon.classify(record)
+    sealed = {c.name for c in identifiable}
+    by_name = {c.name: c for c in record.columns}
     assigned = [name for names in terms.level_columns.values() for name in names]
     for name in assigned:
-        col = by_name.get(name)
-        if col is None:
+        if name not in by_name:
             raise WorkflowError("assignment names unknown column %r" % name)
-        if col.label is Classification.IDENTIFIABLE:
+        if name in sealed:
             raise WorkflowError("identifiable column %r cannot ride an open chain" % name)
-    missing = [
-        c.name for c in labelled.columns
-        if c.label is Classification.NONPII and c.name not in assigned
-    ]
+    missing = [name for name in by_name if name not in sealed and name not in assigned]
     if missing:
         raise WorkflowError("columns %s are not assigned to any level" % missing)
-    identifiable = labelled.identifiable()
     if identifiable and terms.identifiable_level is None:
         raise WorkflowError(
             "record has identifiable columns but no level was set aside for them"
@@ -573,10 +548,11 @@ def retrieve_entry(
     parameters, is refused before the store is read.  The store hands
     out only rows and entries whose signatures it verified when it
     admitted their log line (:meth:`TenonDb._verified`), so the entry is
-    decrypted at once, and once.  The levels are then walked by
-    :func:`open_levels`.  An entry's roster signed every row of its
-    agreement, so a row under another roster breaks its chain there and
-    is reported in ``row_failures`` each time the walk reaches it.
+    decrypted at once, and once.  Each level payload is decoded once and
+    each chain walked from its head by :func:`tenon.follow`.  An entry's
+    roster signed every row of its agreement, so a row under another
+    roster breaks its chain there and is reported in ``row_failures``
+    each time the walk reaches it.
     """
     if keys is None:
         raise WorkflowError("no decryption key")
@@ -584,7 +560,6 @@ def retrieve_entry(
         raise WorkflowError("key bundle was issued under other public parameters")
     entry = db.read_secret(entry_id, access_label)
     payloads = mlabe.decrypt(pp, entry.ciphertext, keys)
-    levels = {level: decode_level_payload(raw) for level, raw in sorted(payloads.items())}
     failures: list[str] = []
 
     def lookup(pointer):
@@ -595,7 +570,14 @@ def retrieve_entry(
             return None
         return row
 
-    recovered = open_levels(levels, lookup)
+    recovered: dict[int, LevelRecovery] = {}
+    for level, raw in sorted(payloads.items()):
+        kind, value = decode_level_payload(raw)
+        if kind == "identifiable":
+            recovered[level] = LevelRecovery(kind, identifiable=value)
+        else:
+            chain, complete = tenon.follow(value, lookup)
+            recovered[level] = LevelRecovery(kind, [t.block for t in chain], complete)
     return RetrievalReport(
         entry_id=entry_id,
         entry_sig_ok=True,

@@ -546,7 +546,8 @@ def test_secret_files_are_private_and_kept_out_of_the_store(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("attrs", 5), ("components", [])],
+    # a key file that still keeps a reader's signing scalar is refused too
+    [("attrs", 5), ("components", []), ("sk", "AAAA")],
 )
 def test_retrieve_malformed_key_is_json_error(tmp_path, capsys, field, value):
     pp, msk, key = (tmp_path / name for name in ("pp.json", "msk.json", "key.json"))

@@ -33,6 +33,27 @@ def test_key_from_json_raises_only_mlabe_errors(docs, field, value):
         mlabe.key_from_json(dict(key_doc, **{field: value}), suite)
 
 
+def _component(doc, **fields):
+    basic = dict(doc["components"]["basic"], **fields)
+    return dict(doc, components=dict(doc["components"], basic=basic))
+
+
+@pytest.mark.parametrize(
+    "edit, unknown",
+    [
+        # the reader's signing pair that key files kept before readers held none
+        (lambda doc: dict(doc, sk="AAAA", vk="AAAA"), "unknown keys ['sk', 'vk']"),
+        (lambda doc: _component(doc, sk="AAAA"), "component 'basic': unknown keys ['sk']"),
+    ],
+    ids=["envelope", "component"],
+)
+def test_key_from_json_refuses_unknown_fields(docs, edit, unknown):
+    suite, key_doc, _ = docs
+    with pytest.raises(MlabeError) as caught:
+        mlabe.key_from_json(edit(key_doc), suite)
+    assert str(caught.value) == "malformed key bundle: " + unknown
+
+
 def _level(doc, **fields):
     return dict(doc, levels=[dict(doc["levels"][0], **fields)])
 

@@ -307,6 +307,11 @@ def test_session_enforces_message_cover(mock, rng):
         s.step([])  # missing both commitments
     with pytest.raises(MusigError):
         s.step([CommitMsg(sender=0, value=b"x" * 32)])  # own index echoed back
+    commit = CommitMsg(sender=1, value=b"x" * 32)
+    with pytest.raises(MusigError, match="^message from unknown roster index 3$"):
+        s.step([commit, CommitMsg(sender=3, value=b"x" * 32)])
+    with pytest.raises(MusigError, match="^duplicate message from roster index 1$"):
+        s.step([commit, commit])
 
 
 def test_session_rejects_wrong_message_type(mock, rng):

@@ -109,11 +109,13 @@ def test_parse_rejects_bad_inputs():
     for text, label in cases:
         with pytest.raises(PolicyError):
             parse_policy(text)
-    # only validate_tree makes these checks
+    # only validate_tree makes the first three checks, the parser the rest
     for text, reason in [
         ("tree: attr:a", "declares no levels"),
         ("level 1 requires [1, 1]\ntree: attr:a", "repeats a sub-tree index"),
         ("level 1 requires [1]\ntree: threshold(1)", "gate has no children"),
+        ("level 1 requires [1", "unexpected end of policy text"),
+        ("level 1 requires [1]\ntree: attr:a\ntree: attr:b", "more than one tree block"),
     ]:
         with pytest.raises(PolicyError, match=reason):
             parse_policy(text)
@@ -136,25 +138,37 @@ def test_validate_rejects_unknown_child_reference():
         validate_tree(tree)
 
 
+LEVEL_IDS = "level ids must be integers"
+THRESHOLD = "threshold out of range"
+
+
 @pytest.mark.parametrize(
-    "children, levels",
+    "children, levels, reason",
     [
-        ((Leaf("a"),), {True: (1,)}),
-        ((Leaf("a"),), {-1: (1,)}),
-        ((Leaf("a"),), {10**5000: (1,)}),
-        ((Leaf("a"),), {"1": (1,)}),
-        ((Leaf("a"),), {1: (True,)}),
-        ((Leaf("a"),), {1: (10**5000,)}),
-        ((Gate(True, (Leaf("a"),)),), {1: (1,)}),
-        ((Gate(1.5, (Leaf("a"), Leaf("b"))),), {1: (1,)}),
-        ((Gate(10**5000, (Leaf("a"),)),), {1: (1,)}),
+        ((Leaf("a"),), {True: (1,)}, LEVEL_IDS),
+        ((Leaf("a"),), {-1: (1,)}, LEVEL_IDS),
+        ((Leaf("a"),), {10**5000: (1,)}, LEVEL_IDS),
+        ((Leaf("a"),), {"1": (1,)}, LEVEL_IDS),
+        ((Leaf("a"),), {1: (True,)}, "level 1 selects an unknown sub-tree"),
+        ((Leaf("a"),), {1: (10**5000,)}, "level 1 selects an unknown sub-tree"),
+        ((Gate(True, (Leaf("a"),)),), {1: (1,)}, THRESHOLD),
+        ((Gate(1.5, (Leaf("a"), Leaf("b"))),), {1: (1,)}, THRESHOLD),
+        ((Gate(10**5000, (Leaf("a"),)),), {1: (1,)}, THRESHOLD),
+        ((), {1: (1,)}, "tree has no sub-trees"),
+        ((Leaf("a b"),), {1: (1,)}, "bad attribute name 'a b'"),
+        ((Leaf("a"),), {1: ()}, "level 1 selects no sub-trees"),
     ],
     ids=["level-bool", "level-negative", "level-huge", "level-text", "index-bool",
-         "index-huge", "threshold-bool", "threshold-float", "threshold-huge"],
+         "index-huge", "threshold-bool", "threshold-float", "threshold-huge",
+         "no-sub-trees", "attribute-with-space", "level-selects-none"],
 )
-def test_validate_refuses_what_the_text_cannot_spell(children, levels):
-    with pytest.raises(PolicyError):
-        validate_tree(AccessTree(children=children, levels=levels))
+def test_validate_refuses_what_the_text_cannot_spell(children, levels, reason):
+    """Each refusal also stops a sharing of the tree before anything is drawn."""
+    tree = AccessTree(children=children, levels=levels)
+    with pytest.raises(PolicyError, match=reason):
+        validate_tree(tree)
+    with pytest.raises(PolicyError, match=reason):
+        draw_coefficients(tree, 1_000_003, random.Random(1))
 
 
 def test_poly_eval_matches_oracle():

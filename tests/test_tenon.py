@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from etenon import tenon
 from etenon.tenon import (
-    Classification,
     EhrColumn,
     EhrRecord,
     TenonError,
@@ -15,7 +14,6 @@ from etenon.tenon import (
     classify,
     column_blocks,
     columns_to_json,
-    is_tokenizable,
     load_stopwords,
     make_pointer,
     normalize,
@@ -111,31 +109,22 @@ def test_shipped_rules_classify_identifiers():
             {"name": "lab_code", "value": "HB 12"},
         ]
     )
-    labelled = classify(record)
-    by_name = {c.name: c for c in labelled.columns}
-    for name in ("nino", "name", "zip_code", "Phone_2"):
-        assert by_name[name].label is Classification.IDENTIFIABLE
-        assert not by_name[name].atomic
-    assert by_name["symptom"].label is Classification.NONPII
-    assert not by_name["symptom"].atomic
-    for name in ("blood_type", "blood_pressure", "lab_code"):
-        assert by_name[name].label is Classification.NONPII
-        assert by_name[name].atomic
-    assert labelled.identifiable() == tuple(
+    by_name = {c.name: c for c in record.columns}
+    assert classify(record) == tuple(
         by_name[n] for n in ("nino", "name", "zip_code", "Phone_2")
     )
-
-
-def test_is_tokenizable():
     stop = load_stopwords()
-    yes = EhrColumn(name="symptom", value="pain in the chest", label=Classification.NONPII)
-    single = EhrColumn(name="note", value="stable", label=Classification.NONPII)
-    atomic = EhrColumn(
-        name="blood_type", value="O positive", label=Classification.NONPII, atomic=True
-    )
-    assert is_tokenizable(yes)
-    assert not is_tokenizable(single)
-    assert not is_tokenizable(atomic)
+    assert column_blocks(by_name["symptom"], stop) == ["pain", "in the chest"]
+    for name in ("blood_type", "blood_pressure", "lab_code"):
+        assert column_blocks(by_name[name], stop) == [by_name[name].value]
+
+
+def test_column_blocks_keeps_atomic_names_and_single_words_whole():
+    """A column's name alone makes it atomic: nothing need mark it first."""
+    stop = load_stopwords()
+    yes = EhrColumn(name="symptom", value="pain in the chest")
+    single = EhrColumn(name="note", value="stable")
+    atomic = EhrColumn(name="blood_type", value="O positive")
     assert column_blocks(single, stop) == ["stable"]
     assert column_blocks(atomic, stop) == ["O positive"]
     assert column_blocks(yes, stop) == ["pain", "in the chest"]

@@ -129,9 +129,7 @@ def test_payload_kind_roundtrip(rng):
     head = tenon.make_pointer(rng)
     kind, value = decode_level_payload(encode_chain_payload(head))
     assert kind == "chain" and value == head
-    cols = (
-        tenon.EhrColumn(name="nino", value="QQ", label=tenon.Classification.IDENTIFIABLE),
-    )
+    cols = (tenon.EhrColumn(name="nino", value="QQ"),)
     kind, value = decode_level_payload(encode_identifiable_payload(cols))
     assert kind == "identifiable"
     assert value == [{"name": "nino", "value": "QQ"}]
@@ -206,8 +204,9 @@ def test_agreement_refuses_one_entity_in_both_roles():
     [
         ("dr_grey", "hospital", "'dr_grey' has role DU, not DO"),
         ("patient", "nurse_kim", "'nurse_kim' has role DU, not SP"),
+        ("nobody", "hospital", "unknown entity 'nobody'"),
     ],
-    ids=["du-as-owner", "du-as-provider"],
+    ids=["du-as-owner", "du-as-provider", "unknown-owner"],
 )
 def test_cosigning_refuses_a_party_of_another_role(do_name, sp_name, reason):
     """Only a DO owns and only an SP provides: a reader in either place
