@@ -158,7 +158,8 @@ class Group(NamedTuple):
     ``generator``, whose table is built once, describe tables (see
     :func:`table`).  ``encode`` and ``decode`` are the wire codec; a
     decoder accepts only the bytes its encoder writes and raises
-    AlgebraError on any others."""
+    AlgebraError on any others.  ``lockstep`` is the fewest table powers
+    that :func:`fixed_muls` walks in lockstep."""
 
     add: Callable
     double: Callable
@@ -174,6 +175,7 @@ class Group(NamedTuple):
     generator: tuple = None
     encode: Callable = None
     decode: Callable = None
+    lockstep: int = 1
 
 
 class Columns(NamedTuple):
@@ -186,7 +188,9 @@ class Columns(NamedTuple):
     ``finite(value)`` tells whether a value is not the identity, which
     may have no normal form, and ``endo`` is the group's endomorphism on
     normal values.  ``entry(r, row, d)`` is r plus d times the row's
-    value x for an odd digit d: r plus the row's |d|*x or its negation."""
+    value x for an odd digit d: r plus the row's |d|*x or its negation;
+    ``pick(row, d)`` is that d*x itself, in normal form, and
+    ``value(q)`` is the group value of a normal q."""
 
     normal: Callable
     add: Callable
@@ -194,19 +198,22 @@ class Columns(NamedTuple):
     finite: Callable
     endo: Callable
     entry: Callable
+    pick: Callable
+    value: Callable
 
 
 def value_columns(add, neg, identity, endo):
     """The row format of a group whose values are their own normal
     forms: a column step is one ``add`` per row, a row holds the values
     themselves, and a negative digit adds the ``neg`` of its entry."""
-    def entry(r, row, d):
+    def pick(row, d):
         q = row[abs(d) >> 1]
-        return add(r, q if d > 0 else neg(q))
+        return q if d > 0 else neg(q)
 
     return Columns(
         list, lambda column, steps: list(map(add, column, steps)), lambda q: (q,),
-        lambda q: q != identity, endo, entry,
+        lambda q: q != identity, endo, lambda r, row, d: add(r, pick(row, d)), pick,
+        lambda q: q,
     )
 
 
@@ -1025,15 +1032,25 @@ def final_exp(inp):
 # coordinate field, where a Jacobian add costs about sixteen before it
 # is normalised.  GT values have no affine form, so a column step there
 # is one multiplication per row.
+#
+# Many powers from tables of one group walk in lockstep (fixed_muls):
+# every half of every scalar is a lane, and the lanes' row entries are
+# added a row at a time as one column step, so on a curve a batch pays
+# one shared inversion per row step where lone walks pay a Jacobian add
+# per row and lane, and the results come out affine, ready to encode.
+# The inversion is paid per step however few lanes share it, so a
+# batch smaller than its group's ``lockstep`` minimum (below CURVE)
+# walks one power at a time (fixed_mul).
 
 
-def _affine_columns(mul, sub, inv, one, coords, endo, entry):
+def _affine_columns(mul, sub, inv, one, coords, endo, entry, pick):
     """The row format of a curve whose points have affine coordinates in
     the field of ``mul``, ``sub``, ``inv`` and ``one``: a normal point is
     an (x, y) pair, each list shares one inversion, and ``entry`` adds
-    from a row of ``coords``.  A zero denominator, which no point of
-    order r meets, raises ZeroDivisionError.  ``endo`` is the curve's
-    endomorphism on Jacobian points, which keeps z == one."""
+    from a row of ``coords`` and ``pick`` reads one.  A zero
+    denominator, which no point of order r meets, raises
+    ZeroDivisionError.  ``endo`` is the curve's endomorphism on Jacobian
+    points, which keeps z == one."""
     zero = sub(one, one)
 
     def inverses(values):
@@ -1067,6 +1084,7 @@ def _affine_columns(mul, sub, inv, one, coords, endo, entry):
 
     return Columns(
         normal, add, coords, lambda q: q[2] != zero, lambda q: endo((*q, one))[:2], entry,
+        pick, lambda q: (*q, one),
     )
 
 
@@ -1105,6 +1123,52 @@ def fixed_mul(group, table, k):
     return group.add(_walk(group, table, k0), group.endo(_walk(group, table, k1)))
 
 
+def fixed_muls(group, items):
+    """k*P for each (P's table, k) item, 0 <= k < order, as
+    :func:`fixed_mul` gives it: a batch of ``group.lockstep`` powers or
+    more walks in lockstep (see :func:`_lockstep`), each result in
+    normal form, and a smaller batch, or one whose walk meets a zero
+    denominator, one power at a time."""
+    if len(items) >= group.lockstep:
+        try:
+            return _lockstep(group, items)
+        except ZeroDivisionError:
+            pass
+    return [fixed_mul(group, table, k) for table, k in items]
+
+
+def _lockstep(group, items):
+    """The powers of :func:`fixed_muls`, every half of every k a lane.
+
+    A lane starts at its first row's entry, and each row step adds the
+    next row's entries to all lanes in one column step (``columns.add``,
+    one inversion on a curve), where a lone walk makes one Jacobian add
+    per row.  Two more column steps add each lane's recoding fix and add
+    each second half, mapped by the endomorphism, to its first.  A
+    column step raises ZeroDivisionError where a lane meets the value it
+    adds or its negation, as the lane of a half of 0 would at its fix
+    (among them those of 0, 1 and 2), which is raised before any step."""
+    columns = group.columns
+    fixes = {}  # id of a table -> its fixes -P, -2P, P, 2P in normal form
+    lanes = []  # per half: the entry it adds from each row, then its fix
+    for table, k in items:
+        rows, pairs = table
+        if id(table) not in fixes:
+            fixes[id(table)] = columns.normal([*pairs[0], *pairs[1]])
+        for h in group.split(k):
+            if not h:
+                raise ZeroDivisionError("a half of 0 meets its fix")
+            neg, h = h < 0, abs(h)
+            digits = _digits(h, group.window, len(rows))
+            lanes.append([columns.pick(row, (d, -d)[neg]) for row, d in zip(rows, digits)]
+                         + [fixes[id(table)][2 * neg + (h & 1)]])
+    column, *steps = zip(*lanes)
+    for step in steps:
+        column = columns.add(column, step)
+    column = columns.add(column[0::2], [columns.endo(q) for q in column[1::2]])
+    return [columns.value(q) for q in column]
+
+
 def _walk(group, table, h):
     """h*P for a half h from P's table: one entry add per row."""
     rows, fixes = table
@@ -1122,10 +1186,22 @@ def _g1_entry(r, row, d):
     return g1_add_affine(r, row[j], y if d > 0 else p - y)
 
 
+def _g1_pick(row, d):
+    j = (abs(d) >> 1) * 2
+    y = row[j + 1]
+    return row[j], y if d > 0 else p - y
+
+
 def _g2_entry(r, row, d):
     j = (abs(d) >> 1) * 4
     y = (row[j + 2], row[j + 3])
     return g2_add_affine(r, (row[j], row[j + 1]), y if d > 0 else fp2_neg(y))
+
+
+def _g2_pick(row, d):
+    j = (abs(d) >> 1) * 4
+    y = (row[j + 2], row[j + 3])
+    return (row[j], row[j + 1]), y if d > 0 else fp2_neg(y)
 
 
 # ----------------------------------------------------------------------
@@ -1224,20 +1300,29 @@ def gt_decode(raw):
     return value
 
 
+# A batch of n table powers costs about a + b*n in lockstep: a for the
+# inversions of its S column steps (the rows and two), b per power.
+# One at a time, a power costs a walk F and the inversion a/S that
+# normalises it for encoding, so the lockstep minimum is
+# ceil(a / (F + a/S - b)).  In `etenon bench` F is a `_fixed` row's
+# layer_ms, and its `_fixed_batch` row of N powers gives
+# b = (layer_ms - one_ms) / (N - 1) and a = one_ms - b.  Five runs on a
+# 2-core x86 host gave 4.3 to 5.7 on G1 (median 5.2) and 1.1 to 2.0 on
+# G2 (median 1.2).
 CURVE = Group(
     g1_add, g1_double, g1_neg, G1_INFINITY, order, normal=g1_affine,
-    endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7,
+    endo=g1_phi, split=g1_split, half_bits=HALF_BITS, window=7, lockstep=6,
     columns=_affine_columns(
         lambda a, b: a * b % p, lambda a, b: (a - b) % p, inv_mod_p, 1, lambda q: q, g1_phi,
-        _g1_entry,
+        _g1_entry, _g1_pick,
     ),
     generator=curve_G, encode=g1_encode, decode=g1_decode,
 )
 TWIST = Group(
     g2_add, g2_double, g2_neg, G2_INFINITY, order, normal=g2_affine,
-    endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6,
+    endo=g2_psi, split=split_by(LAMBDA_P), half_bits=HALF_BITS, window=6, lockstep=2,
     columns=_affine_columns(
-        fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi, _g2_entry,
+        fp2_mul, fp2_sub, fp2_inv, FP2_ONE, lambda q: q[0] + q[1], g2_psi, _g2_entry, _g2_pick,
     ),
     generator=twist_G, encode=g2_encode, decode=g2_decode,
 )

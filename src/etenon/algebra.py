@@ -28,7 +28,9 @@ one Miller loop; its final exponentiation waits until the value is
 compared, encoded or raised (see :class:`G1Element`).  Every power, in
 any group, takes one of two algorithms: a base marked by
 :meth:`GroupSuite.fixed_base` walks its table of multiples, and the
-other bases of one evaluation share one multi-exponentiation.  Every
+other bases of one evaluation share one multi-exponentiation.  Where
+many source-group powers are raised at once, :meth:`GroupSuite.settle`
+walks all their tables in lockstep.  Every
 operation ticks its counter when it is called, not when its work is
 done.  Two public values are computed once and kept: an element keeps
 its encoding from the first time it is encoded or decoded on, and a
@@ -161,7 +163,9 @@ class G0Element:
     pending operand is pending too.  Reading ``point`` (to encode, pair,
     compare or raise the element) evaluates all its terms at once, each
     term with a table from its table and the rest in one
-    multi-exponentiation, and keeps the result.  ``joins`` counts the
+    multi-exponentiation, and keeps the result.  :meth:`GroupSuite.settle`
+    evaluates many pending elements so, but walks the table terms of
+    all of them together, in lockstep.  ``joins`` counts the
     products the element is a factor of; a factor of several is
     evaluated once on its own, so no product repeats another's work.
 
@@ -298,7 +302,8 @@ class GroupSuite:
     point) and, where discrete logs are free, ``dlog`` (the log of a
     payload).  Every other operation is done here, once, by the record
     of the element's side: a power by ``_bn256.split_mul`` or, from a
-    table, by ``_bn256.fixed_mul``.  Of the ``TARGET`` record only
+    table, by ``_bn256.fixed_mul``, or by ``_bn256.fixed_muls`` with
+    other table powers (see :meth:`settle`).  Of the ``TARGET`` record only
     ``add`` and ``neg`` see Miller values: ``add`` must be exact on them
     and ``neg`` exact once the result is finished.
     """
@@ -492,6 +497,25 @@ class GroupSuite:
             else:
                 stack.extend(factors)
         return terms, points
+
+    def settle(self, elements) -> None:
+        """Evaluate the pending source-group elements together, as
+        reading each one's point would, but with every term that has a
+        table, of all the elements of one side, in one lockstep walk
+        (``_bn256.fixed_muls``), whose results need no inversion to be
+        encoded.  Each element's other terms take its own Straus pass and
+        its finished factors are added, as when its point is read.  It
+        ticks nothing: every power ticked when it was raised."""
+        pending = [(x, *self._flatten(x)) for x in elements if x.factors is not None]
+        for side in (LEFT, RIGHT):
+            mine = [(x, terms, points) for x, terms, points in pending if x.side == side]
+            walked = iter(_bn256.fixed_muls(self.groups[side], [
+                (table, k) for _, terms, _ in mine for _, k, table in terms if table is not None
+            ]))
+            for x, terms, points in mine:
+                tabled = [next(walked) for _, _, table in terms if table is not None]
+                x._point = self._sum(side, [t for t in terms if t[2] is None], tabled + points)
+                x.factors = None
 
     def _sum(self, side, terms, points):
         """Each term with a table by its table and the others in one
@@ -761,7 +785,9 @@ def _mock_group(order: int) -> _bn256.Group:
     def endo(a):
         return lam * a % order
 
-    # no generator: _bn256 would cache its table, and this record, for good
+    # no generator: _bn256 would cache its table, and this record, for
+    # good; a column step inverts nothing, so every batch of table powers
+    # walks in lockstep (the default minimum of 1)
     return _bn256.Group(
         add, lambda a: 2 * a % order, neg, 0, order, normal=lambda a: a, endo=endo,
         split=_bn256.split_by(lam),

@@ -406,6 +406,18 @@ def _table_cost(suite, side: str, values) -> dict:
     return {"table_ms": _ms(times), "table_kb": size / 1024, "refs": refs}
 
 
+def _lone_lockstep_ms(suite, side: str, base, k: int, trials: int) -> float:
+    """The median time of one power of ``base`` walked in lockstep on its
+    own, which ``_bn256.fixed_muls`` does only at a ``lockstep``
+    minimum of 1."""
+    group, times = suite.groups[side]._replace(lockstep=1), []
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        _bn256.fixed_muls(group, [(base.table, k)])
+        times.append(time.perf_counter() - t0)
+    return _ms(times)
+
+
 def bench_layers(suite, trials: int, rng) -> list[dict]:
     """Median time, and the spread between its quartiles, of each group
     operation the protocols are built from.
@@ -423,7 +435,14 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
     ``g1_hashed`` does the same for a memoised H(a) that has been hashed
     ``HASH_TABLE_AFTER`` times, and so has earned its table (see
     ``GroupSuite.hash_to_group``); ``hash_to_g1`` times the suite's
-    ``hash_point``, the map itself, and the element built around it."""
+    ``hash_point``, the map itself, and the element built around it.
+    The ``_fixed_batch`` rows settle the table powers of one encryption
+    under a gate over four leaves with four levels, as ``mlabe`` does
+    (see ``GroupSuite.settle``): on the left four powers of the fixed
+    base and five of the tabled H(a), on the right five of the fixed
+    base, walked in lockstep; ``power_ms`` is the time per power and
+    ``one_ms`` the time of one power of the fixed base walked in
+    lockstep on its own (see ``_bn256.Group.lockstep``)."""
     # decoded copies of the generators carry no table
     g1 = suite.decode_g0(suite.generator.encode(), LEFT)
     g2 = suite.decode_g0(suite.right_generator.encode(), RIGHT)
@@ -456,7 +475,15 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         "g1_hashed": _table_cost(
             suite, LEFT, [suite.hash_point(b"attribute %d" % i) for i in range(trials)]
         ),
+        "g1_fixed_batch": {"one_ms": _lone_lockstep_ms(suite, LEFT, fixed[LEFT], k, trials)},
+        "g2_fixed_batch": {"one_ms": _lone_lockstep_ms(suite, RIGHT, fixed[RIGHT], k, trials)},
     }
+    # the left and right table powers of one encryption under a four-leaf gate
+    settled = {
+        "g1_fixed_batch": [fixed[LEFT]] * 4 + [hashed] * 5,
+        "g2_fixed_batch": [fixed[RIGHT]] * 5,
+    }
+    powers = [suite.rand_scalar_nonzero(rng) for _ in range(9)]
     cases = [
         ("fp_mul", _fp_mul),
         # a bn256 power is pending until read; reading its point finishes it
@@ -468,6 +495,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
         ("g2_fixed", lambda: (fixed[RIGHT] ** k).point),
         ("gt_fixed", lambda: fixed[TARGET] ** k),
         ("g1_hashed", lambda: (hashed ** k).point),
+        *((layer, lambda bases=bases: suite.settle([x ** j for x, j in zip(bases, powers)]))
+          for layer, bases in settled.items()),
         # the map itself: hash_to_group would answer from its memo
         ("hash_to_g1", lambda: G0Element(suite, LEFT, suite.hash_point(b"bench attribute"))),
         ("right_decode", lambda: suite.decode_g0(right_raw, RIGHT)),
@@ -498,6 +527,8 @@ def bench_layers(suite, trials: int, rng) -> list[dict]:
             t0 = time.perf_counter()
             op()
             times.append(time.perf_counter() - t0)
+        if layer in settled:
+            cost["power_ms"] = _ms(times) / len(settled[layer])
         rows.append({"layer": layer, "layer_ms": _ms(times), "layer_iqr_ms": _iqr_ms(times),
                      "ref_ms": _ms(refs), **cost})
     return rows

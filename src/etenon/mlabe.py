@@ -223,6 +223,8 @@ def _encrypt(
             pp.g_delta ** secret,
             mask(level, pp.egg_gamma ** secret, plain[level]),
         )
+    # every source-group element at once: their table powers walk together
+    suite.settle([c for c, _ in levels.values()] + [c for pair in leaves.values() for c in pair])
     return CiphertextBundle(
         suite_name=suite.name, tree=tree, levels=levels, leaves=leaves
     )
@@ -374,12 +376,18 @@ def _envelope(suite_name: str, kind: str) -> dict:
     return {"version": ENVELOPE_VERSION, "suite": suite_name, "kind": kind}
 
 
-def _open_envelope(obj, kind: str, suite: GroupSuite | None) -> GroupSuite:
-    """The suite a ``kind`` document is for; call inside :func:`decoding`."""
+_ENVELOPE_FIELDS = frozenset(("version", "suite", "kind"))
+
+
+def _open_envelope(obj, kind: str, suite: GroupSuite | None, fields) -> GroupSuite:
+    """The suite a ``kind`` document is for, whose fields are the
+    envelope's and ``fields``: any other is refused by name.  Call
+    inside :func:`decoding`."""
     if typed(obj, dict).get("version") != ENVELOPE_VERSION:
         raise MlabeError("unsupported document version %r" % obj.get("version"))
     if obj.get("kind") != kind:
         raise MlabeError("expected a %s document, found %r" % (kind, obj.get("kind")))
+    known(obj, _ENVELOPE_FIELDS | fields)
     name = typed(obj.get("suite"), str)
     if suite is None:
         return get_suite(name)
@@ -400,7 +408,7 @@ def pp_to_json(pp: PublicParams) -> dict:
 
 def pp_from_json(obj, suite: GroupSuite | None = None) -> PublicParams:
     with decoding(MlabeError, "public parameters"):
-        suite = _open_envelope(obj, "public-params", suite)
+        suite = _open_envelope(obj, "public-params", suite, {"g", "g_delta", "egg_gamma"})
         egg_gamma = suite.decode_gt(unb64(obj["egg_gamma"]))
         if egg_gamma == suite.gt_identity:
             raise MlabeError("egg_gamma is the identity")
@@ -423,7 +431,7 @@ def msk_to_json(suite: GroupSuite, msk: MasterKey) -> dict:
 
 def msk_from_json(obj, suite: GroupSuite) -> MasterKey:
     with decoding(MlabeError, "master key"):
-        _open_envelope(obj, "master-key", suite)
+        _open_envelope(obj, "master-key", suite, {"delta", "g_gamma"})
         return MasterKey(
             delta=suite.decode_scalar(unb64(obj["delta"])),
             g_gamma=suite.decode_g0(unb64(obj["g_gamma"]), RIGHT),
@@ -444,7 +452,7 @@ def key_to_json(suite: GroupSuite, dk: DecryptionKey) -> dict:
     return doc
 
 
-_KEY_FIELDS = frozenset(("version", "suite", "kind", "attrs", "d", "components", "pp_fingerprint"))
+_KEY_FIELDS = frozenset(("attrs", "d", "components", "pp_fingerprint"))
 _COMPONENT_FIELDS = frozenset(("d", "dp"))
 
 
@@ -452,8 +460,7 @@ def key_from_json(obj, suite: GroupSuite) -> DecryptionKey:
     """The key of :func:`key_to_json`; a field it does not write, such as
     the ``sk`` an older key file kept, is refused by name."""
     with decoding(MlabeError, "key bundle"):
-        _open_envelope(obj, "key-bundle", suite)
-        known(obj, _KEY_FIELDS)
+        _open_envelope(obj, "key-bundle", suite, _KEY_FIELDS)
         attrs = frozenset(typed(a, str) for a in typed(obj["attrs"], list))
         components = {
             attr: (
@@ -498,23 +505,36 @@ def ct_to_json(ct: CiphertextBundle) -> dict:
     return doc
 
 
+_CT_FIELDS = frozenset(("policy", "levels", "leaves"))
+_LEVEL_FIELDS = frozenset(("level", "c", "mask"))
+_LEAF_FIELDS = frozenset(("path", "c", "cp"))
+
+
+def _entries(obj, name: str, fields) -> list[dict]:
+    """The entries listed under ``name``, each a dict of none but ``fields``."""
+    entries = enumerate(typed(obj[name], list))
+    return [known(entry, fields, "%s[%d]: " % (name, i)) for i, entry in entries]
+
+
 def ct_from_json(obj, suite: GroupSuite) -> CiphertextBundle:
+    """The ciphertext of :func:`ct_to_json`; a field it does not write,
+    at the top or in a level or leaf entry, is refused by name."""
     with decoding(MlabeError, "ciphertext document"):
-        _open_envelope(obj, "ciphertext", suite)
+        _open_envelope(obj, "ciphertext", suite, _CT_FIELDS)
         tree = policy.parse_policy(obj["policy"])
         levels = {
-            typed(typed(entry, dict)["level"], int): (
+            typed(entry["level"], int): (
                 suite.decode_g0(unb64(entry["c"]), LEFT),
                 unb64(entry["mask"]),
             )
-            for entry in typed(obj["levels"], list)
+            for entry in _entries(obj, "levels", _LEVEL_FIELDS)
         }
         leaves = {
-            tuple(typed(i, int) for i in typed(typed(entry, dict)["path"], list)): (
+            tuple(typed(i, int) for i in typed(entry["path"], list)): (
                 suite.decode_g0(unb64(entry["c"]), RIGHT),
                 suite.decode_g0(unb64(entry["cp"]), LEFT),
             )
-            for entry in typed(obj["leaves"], list)
+            for entry in _entries(obj, "leaves", _LEAF_FIELDS)
         }
         if len(levels) != len(obj["levels"]) or len(leaves) != len(obj["leaves"]):
             raise MlabeError("ciphertext lists a level or a leaf twice")
@@ -530,7 +550,7 @@ def ct_from_json(obj, suite: GroupSuite) -> CiphertextBundle:
 def ct_check_envelope(obj, suite: GroupSuite) -> None:
     """Check a ciphertext document's version, kind and suite, not its elements."""
     with decoding(MlabeError, "ciphertext document"):
-        _open_envelope(obj, "ciphertext", suite)
+        _open_envelope(obj, "ciphertext", suite, _CT_FIELDS)
 
 
 def ct_canonical_bytes(ct: CiphertextBundle) -> bytes:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import LEFT, G0Element, GroupSuite, hash_commit
-from .codec import b64, decoding, typed, unb64
+from .codec import b64, decoding, known, unb64
 from .errors import EtenonError
 
 
@@ -114,13 +114,19 @@ class SignSession:
         self.index = self._keys.index(mine)
         self._nonce = suite.rand_scalar_nonzero(rng)
         self.rc_own = suite.generator ** self._nonce
-        self.commitment = hash_commit(self.rc_own.encode())
         self.phase = Phase.COMMIT
         self._commits: dict[int, bytes] = {}
         self._reveals: dict[int, G0Element] = {}
         self._rc: G0Element | None = None
         self._partial: int | None = None
         self._partials: dict[int, int] = {}
+
+    @property
+    def commitment(self) -> bytes:
+        """The hash commitment to this signer's nonce share; the share is
+        evaluated when it is first read, so :func:`cosign` can evaluate
+        many together first."""
+        return hash_commit(self.rc_own.encode())
 
     # ------------------------------------------------------------------
 
@@ -279,18 +285,23 @@ def cosign(suite: GroupSuite, secret_keys, msgs, rng=None) -> tuple[list[MultiSi
     roster is derived once and encoded once, and each signer draws one
     nonce per message, message by message and signer by signer:
     n + n*m exponentiations for m messages by n signers, 2n for one.
+    Every session of the run is made first, in that order, and all n*m
+    nonce shares are evaluated together (:meth:`GroupSuite.settle`), so
+    their table powers walk in lockstep, before any is committed to.
     """
     secret_keys = list(secret_keys)
     if not secret_keys:
         # every other roster a session refuses, it refuses itself
         raise MusigError("roster is empty")
     roster = tuple(suite.generator ** sk for sk in secret_keys)
+    runs = [
+        [SignSession(suite, sk, roster, msg, rng=rng, vk=vk) for sk, vk in zip(secret_keys, roster)]
+        for msg in msgs
+    ]
+    suite.settle([s.rc_own for sessions in runs for s in sessions])
     sigs = []
-    for msg in msgs:
-        sessions, out = zip(*(
-            start_session(suite, sk, roster, msg, rng=rng, vk=vk)
-            for sk, vk in zip(secret_keys, roster)
-        ))
+    for sessions in runs:
+        out = [CommitMsg(sender=s.index, value=s.commitment) for s in sessions]
         # three rounds, each fed the others' messages of the last:
         # reveals, partial signatures, then the aggregate
         for _ in range(3):
@@ -310,8 +321,9 @@ def sig_to_json(suite: GroupSuite, sig: MultiSig) -> dict:
 
 
 def sig_from_json(obj, suite: GroupSuite) -> MultiSig:
+    """The signature of :func:`sig_to_json`; any other field is refused."""
     with decoding(MusigError, "signature document"):
-        obj = typed(obj, dict)
+        obj = known(obj, {"rc", "s"})
         return MultiSig(
             rc=suite.decode_g0(unb64(obj["rc"]), LEFT),
             s=suite.decode_scalar(unb64(obj["s"])),

@@ -68,7 +68,7 @@ from pathlib import Path
 
 from . import mlabe, musig
 from .algebra import LEFT, G0Element, GroupSuite, hash_commit
-from .codec import b64, canonical_json, decoding, typed, unb64
+from .codec import b64, canonical_json, decoding, known, typed, unb64
 from .errors import EtenonError
 from .mlabe import CiphertextBundle, PublicParams
 from .musig import MultiSig
@@ -556,10 +556,16 @@ def row_to_json(suite: GroupSuite, row: OpenRow) -> dict:
     }
 
 
+_ROW_FIELDS = frozenset(("pointer", "text", "next", "sig"))
+_SECRET_FIELDS = frozenset(("entry_id", "ciphertext", "sig", "roster_ref", "access_label", "t"))
+_BATCH_FIELDS = frozenset(("pp", "roster", "rows", "secret"))
+
+
 def row_from_json(suite: GroupSuite, obj, entry: SecretEntry) -> OpenRow:
-    """A row of ``entry``'s batch, under the entry's roster ref and timestamp."""
+    """A row of ``entry``'s batch, under the entry's roster ref and
+    timestamp; a field :func:`row_to_json` does not write is refused."""
     with decoding(TdbError, "row"):
-        obj = typed(obj, dict)
+        obj = known(obj, _ROW_FIELDS)
         nxt = obj["next"]
         return OpenRow(
             pointer=pointer_from_json(obj["pointer"]),
@@ -584,9 +590,10 @@ def secret_to_json(suite: GroupSuite, entry: SecretEntry) -> dict:
 
 def secret_from_json(suite: GroupSuite, obj) -> SecretEntry:
     """An entry whose ciphertext is checked only up to its envelope; its
-    elements are decoded when ``ciphertext`` is first read."""
+    elements are decoded when ``ciphertext`` is first read.  A field
+    :func:`secret_to_json` does not write is refused."""
     with decoding(TdbError, "secret entry"):
-        obj = typed(obj, dict)
+        obj = known(obj, _SECRET_FIELDS)
         mlabe.ct_check_envelope(obj["ciphertext"], suite)
         return SecretEntry(
             entry_id=typed(obj["entry_id"], str),
@@ -643,7 +650,9 @@ def batch_from_json(pp: PublicParams, obj) -> tuple[list[OpenRow], SecretEntry, 
     """Rows, secret entry and roster of a batch document; all three are
     required.  A document of the earlier line format, with a ``rosters``
     map, and one made under other public parameters are refused before
-    anything else in it is read."""
+    anything else in it is read.  A field that :func:`batch_to_json`
+    does not write, at the top, in a row or in the entry, is refused by
+    name: no signature covers it."""
     suite = pp.suite
     with decoding(TdbError, "batch"):
         obj = typed(obj, dict)
@@ -651,6 +660,7 @@ def batch_from_json(pp: PublicParams, obj) -> tuple[list[OpenRow], SecretEntry, 
             raise TdbError('written in the earlier line format ("rosters"); rebuild the store')
         if unb64(obj["pp"]) != pp.fingerprint():
             raise OtherParamsError("made under other public parameters")
+        known(obj, _BATCH_FIELDS)
         if obj["secret"] is None:
             raise TdbError(NO_ENTRY)
         secret = secret_from_json(suite, obj["secret"])

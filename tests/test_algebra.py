@@ -903,12 +903,12 @@ def _counting_columns(group):
     if group is b.CURVE:
         columns = b._affine_columns(
             lambda x, y: x * y % b.p, lambda x, y: (x - y) % b.p, counted(b.inv_mod_p), 1,
-            lambda q: q, b.g1_phi, b._g1_entry,
+            lambda q: q, b.g1_phi, b._g1_entry, b._g1_pick,
         )
     else:
         columns = b._affine_columns(
             b.fp2_mul, b.fp2_sub, counted(b.fp2_inv), b.FP2_ONE, lambda q: q[0] + q[1], b.g2_psi,
-            b._g2_entry,
+            b._g2_entry, b._g2_pick,
         )
     return group._replace(add=add, columns=columns), calls
 
@@ -1122,6 +1122,126 @@ def test_pending_products_mix_table_and_straus_terms(name, monkeypatch):
     assert (g ** (a + b)) * (h ** 7) == (g ** a) * (g ** b) * (h ** 7)
     assert passes == [2, 3] and scalars == [7, 7]
     assert not (g ** (a + b + 1)) * (h ** 7) == (g ** a) * (g ** b) * (h ** 7)
+
+
+def _settle_bases(suite, side):
+    """Bases of one side: the generator, another fixed base, a base with
+    no table, whose powers are Straus terms, and on the left a hashed
+    label that has earned its table."""
+    g = suite.generator if side == LEFT else suite.right_generator
+    bases = [
+        g,
+        suite.fixed_base(suite.decode_g0((g ** 7).encode(), side)),
+        suite.decode_g0((g ** 11).encode(), side),
+    ]
+    if side == LEFT:
+        for _ in range(HASH_TABLE_AFTER):
+            hashed = suite.hash_to_group(b"settle")
+        bases.append(hashed)
+    return bases
+
+
+def _settled(scalars):
+    """Per element: its side, its factors as (base, scalar), None for
+    the finished base itself, and whether the element before it, if of
+    the same side, is a factor too, which makes that one shared."""
+    factor = st.tuples(st.integers(0, 3), st.one_of(st.none(), scalars))
+    return st.lists(
+        st.tuples(st.sampled_from([LEFT, RIGHT]), st.lists(factor, min_size=1, max_size=3),
+                  st.booleans()),
+        min_size=1, max_size=6,
+    )
+
+
+# full-length scalars, which walk in lockstep: hypothesis favours
+# small integers, whose zero halves would send every batch to the
+# one-at-a-time walk, so they are spread over 256 bits
+_SPREAD = 0x9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251F86C6A11D0C18E95
+_FULL_LENGTH = st.integers(1, 2**64).map(lambda i: i * _SPREAD % 2**256)
+# a batch with an edge scalar is walked one power at a time
+_SETTLED = st.one_of(
+    _settled(_FULL_LENGTH),
+    _settled(st.one_of(_FULL_LENGTH, st.sampled_from([0, 1, 2, -1, -2]))),
+)
+
+
+def _check_settled(suite, spec):
+    """Elements built by ``spec`` and settled together encode byte for
+    byte as their twins, each evaluated on its own when it is encoded,
+    and settling them ticks nothing."""
+    bases = {side: _settle_bases(suite, side) for side in (LEFT, RIGHT)}
+
+    def build():
+        out = []
+        for side, factors, shared in spec:
+            x = None
+            for i, k in factors:
+                base = bases[side][i % len(bases[side])]
+                y = base if k is None else base ** k
+                x = y if x is None else x * y
+            if shared and out and out[-1].side == side:
+                x = x * out[-1]
+            out.append(x)
+        return out
+
+    settled = build()
+    with suite.measure() as span:
+        suite.settle(settled)
+    assert span.as_dict() == OpCounters().as_dict()
+    for x, twin in zip(settled, build()):
+        assert x.encode() == twin.encode()
+
+
+def _lockstep_always(suite):
+    """``suite`` whose source groups walk every batch in lockstep."""
+    suite.groups = {side: g._replace(lockstep=1) for side, g in suite.groups.items()}
+    return suite
+
+
+@given(spec=_SETTLED)
+@settings(max_examples=25, deadline=None)
+def test_bn256_settled_elements_encode_as_lone_evaluations(spec):
+    _check_settled(_lockstep_always(get_suite("bn256")), spec)
+
+
+@given(spec=_SETTLED)
+@settings(max_examples=60, deadline=None)
+def test_mock_settled_elements_encode_as_lone_evaluations(spec):
+    _check_settled(get_suite("mock"), spec)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_bn256_settle_walks_in_lockstep_and_falls_back_on_edge_scalars(bn256, side, monkeypatch):
+    """A batch of the group's ``lockstep`` minimum of full-length
+    scalars walks in lockstep, each result in normal form; one power
+    fewer walks one at a time.  A batch with a scalar that has a zero
+    half, among them 0, 1, 2 and on the left r - 1 and r - 2, meets a
+    zero denominator (the half's lane adds its fix to its opposite) and
+    is walked one power at a time.  Every power, also of r - 1 and
+    r - 2 on the right, whose halves are long, equals the ladder's."""
+    b = _bn256
+    group = bn256.groups[side]
+    g = bn256.generator if side == LEFT else bn256.right_generator
+    lam = b.LAMBDA_1 if side == LEFT else b.LAMBDA_P
+    lone = []
+    fixed_mul = b.fixed_mul
+    monkeypatch.setattr(b, "fixed_mul", lambda *args: lone.append(1) or fixed_mul(*args))
+    rng = random.Random(0x10C)
+    full = [rng.randrange(b.order) for _ in range(group.lockstep)]
+    bn256.settle([g ** k for k in full[1:]])
+    assert len(lone) == group.lockstep - 1
+    order = bn256.order
+    for edge in (None, 0, 1, 2, order - 1, order - 2, lam, 5 * lam % order, 2**100 + 7):
+        scalars = full + ([] if edge is None else [edge])
+        elements = [g ** k for k in scalars]
+        lone.clear()
+        bn256.settle(elements)
+        assert len(lone) == (len(scalars) if edge is not None and 0 in group.split(edge) else 0)
+        for x, k in zip(elements, scalars):
+            want = oracles.ladder(group.generator, k, group.add, group.double, group.identity)
+            assert group.normal(x.point) == group.normal(want), (edge, k)
+            if not lone:
+                assert x.point == group.normal(x.point)
 
 
 def test_bn256_gt_codec(bn256, rng):

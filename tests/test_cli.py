@@ -326,6 +326,42 @@ def test_a_refused_batch_changes_no_byte_of_a_store(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in store.iterdir()} == before
 
 
+@pytest.mark.parametrize("place", ["batch", "row", "secret"])
+def test_ingest_refuses_an_unknown_field_and_changes_no_byte(tmp_path, capsys, place):
+    """No signature covers a field the batch format does not hold: a
+    batch that would be admitted, but carries one at the top, in a row
+    or in the entry, is refused by the field's name and changes no byte
+    of the store."""
+    ctx = workflow.phase_setup(
+        "mock",
+        {"owner": {"role": "DO", "attrs": ["p"]}, "provider": {"role": "SP", "attrs": ["basic"]}},
+        rng=random.Random(23),
+    )
+    pp, store = tmp_path / "pp.json", tmp_path / "store"
+    pp.write_text(json.dumps(mlabe.pp_to_json(ctx.pp)))
+
+    def ingest(text, junk=None):
+        record = tenon.record_from_json([{"name": "note", "value": text}])
+        tr = workflow.run_agreement(
+            ctx, "owner", "provider", record, "level 1 requires [1]\ntree: attr:basic",
+            {1: ["note"]}, timestamp=1_700_000_000,
+        )
+        batch = tdb.batch_to_json(ctx.pp, tr.rows, tr.secret, tr.roster)
+        if junk:
+            {"batch": batch, "row": batch["rows"][0], "secret": batch["secret"]}[junk]["junk"] = "x"
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        return run(capsys, "ingest", "--pp", str(pp), "--db", str(store), "--batch", str(path))
+
+    assert ingest("stable and improving")[0] == 0
+    before = {p.name: p.read_bytes() for p in store.iterdir()}
+    code, out, err = ingest("walking with a frame", junk=place)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "TdbError" and doc["message"].endswith("unknown keys ['junk']"), doc
+    assert {p.name: p.read_bytes() for p in store.iterdir()} == before
+
+
 def _break_pointer(batch):
     batch["rows"][0]["pointer"] = "not-a-uuid"
     return json.dumps(batch)
@@ -762,7 +798,8 @@ def test_ingest_reads_the_batch_before_making_the_store(tmp_path, capsys):
 BENCH_HEADER = [
     "kind", "k", "l", "elements", "enc_exp", "enc_mul", "enc_ms", "dec_pair", "dec_ms",
     "dec_cold_ms", "ref_ms", "n", "m", "verify_exp", "verify_hashes", "sign_ms",
-    "verify_ms", "layer", "layer_ms", "layer_iqr_ms", "table_ms", "table_kb",
+    "verify_ms", "layer", "layer_ms", "layer_iqr_ms", "table_ms", "table_kb", "one_ms",
+    "power_ms",
 ]
 
 
@@ -782,7 +819,7 @@ def test_bench_grid_and_csv(tmp_path, capsys):
         csv_rows = list(reader)
     # stdout and the CSV hold the same rows; a CSV cell is empty where
     # its row has no such key
-    assert len(csv_rows) == len(rows) == 21
+    assert len(csv_rows) == len(rows) == 23
     for r, c in zip(rows, csv_rows):
         assert c["kind"] == r["kind"]
         assert {name for name, cell in c.items() if cell != ""} == set(r)
@@ -801,15 +838,22 @@ def test_bench_grid_and_csv(tmp_path, capsys):
     layers = {r["layer"]: r for r in rows if r["kind"] == "layer"}
     assert set(layers) == {
         "fp_mul", "g1_exp", "g2_exp", "gt_exp", "g1_batch", "g1_fixed", "g2_fixed",
-        "gt_fixed", "g1_hashed", "hash_to_g1", "right_decode", "gt_decode",
+        "gt_fixed", "g1_hashed", "g1_fixed_batch", "g2_fixed_batch", "hash_to_g1",
+        "right_decode", "gt_decode",
     }
     # only the fixed rows and the tabled hash give a table's build time
-    # and retained size; every row gives the spread of its timings, none
-    # for a single trial
+    # and retained size, and only the batches of table powers a time per
+    # power, a ninth or a fifth of theirs, and the time of one power in
+    # lockstep; every row gives the spread of its timings, none for a
+    # single trial
     for name, r in layers.items():
         tabled = name.endswith("_fixed") or name == "g1_hashed"
         assert ("table_ms" in r and "table_kb" in r) == tabled, name
+        batch = name.endswith("_fixed_batch")
+        assert ("power_ms" in r and "one_ms" in r and r["one_ms"] > 0) == batch, name
         assert r["layer_iqr_ms"] == 0, name
+    for name, powers in (("g1_fixed_batch", 9), ("g2_fixed_batch", 5)):
+        assert layers[name]["power_ms"] == pytest.approx(layers[name]["layer_ms"] / powers)
     # every row of every kind gives its own host-speed reference
     assert all(r["ref_ms"] > 0 for r in rows)
 

@@ -125,3 +125,47 @@ def test_pp_from_json_refuses_an_identity_egg_gamma(suite_name, rng):
         # all zeros is not the identity and lies outside the subgroup
         with pytest.raises(MlabeError, match="subgroup"):
             mlabe.pp_from_json(dict(doc, egg_gamma=b64(b"\0" * 384)))
+
+
+def _refused(decode, doc, suite, message):
+    with pytest.raises(MlabeError) as caught:
+        decode(doc, suite)
+    assert str(caught.value) == message
+
+
+def test_pp_from_json_refuses_unknown_fields(mock, rng):
+    """A field the encoder does not write is refused by name."""
+    pp, _ = mlabe.setup(mock, rng)
+    doc = mlabe.pp_to_json(pp)
+    assert mlabe.pp_from_json(doc, mock).g_delta == pp.g_delta
+    _refused(mlabe.pp_from_json, dict(doc, extra="AAAA"), mock,
+             "malformed public parameters: unknown keys ['extra']")
+
+
+def test_msk_from_json_refuses_unknown_fields(mock, rng):
+    """A field the encoder does not write is refused by name."""
+    _, msk = mlabe.setup(mock, rng)
+    doc = mlabe.msk_to_json(mock, msk)
+    assert mlabe.msk_from_json(doc, mock).delta == msk.delta
+    _refused(mlabe.msk_from_json, dict(doc, extra="AAAA"), mock,
+             "malformed master key: unknown keys ['extra']")
+
+
+@pytest.mark.parametrize(
+    "edit, unknown",
+    [
+        (lambda doc: dict(doc, extra="AAAA"), "unknown keys ['extra']"),
+        (lambda doc: _level(doc, junk="AAAA"), "levels[0]: unknown keys ['junk']"),
+        (lambda doc: dict(doc, leaves=doc["leaves"][:1] + [dict(doc["leaves"][1], junk=1)]),
+         "leaves[1]: unknown keys ['junk']"),
+    ],
+    ids=["envelope", "level", "leaf"],
+)
+def test_ct_from_json_refuses_unknown_fields(docs, edit, unknown):
+    """A field the encoder does not write, at the top or in a level or
+    leaf entry, is refused by name and by the entry's index; the
+    envelope check that a stored entry takes refuses one at the top."""
+    suite, _, ct_doc = docs
+    _refused(mlabe.ct_from_json, edit(ct_doc), suite, "malformed ciphertext document: " + unknown)
+    with pytest.raises(MlabeError, match=r"unknown keys \['extra'\]"):
+        mlabe.ct_check_envelope(dict(ct_doc, extra=1), suite)

@@ -1412,6 +1412,8 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(row, text=None),
         {k: v for k, v in row.items() if k != "next"},
         dict(row, sig={"rc": "AAAA"}),
+        dict(row, junk="unsigned"),
+        dict(row, sig=dict(row["sig"], junk="unsigned")),
         [row],
         None,
     ]
@@ -1428,6 +1430,7 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(entry, t=1 << 64),
         {k: v for k, v in entry.items() if k != "t"},
         dict(entry, roster_ref=3),
+        dict(entry, junk="unsigned"),
         "entry",
     ]
     for bad in bad_entries:
@@ -1442,10 +1445,36 @@ def test_json_decoders_raise_only_tdb_errors(system):
         dict(batch, pp="!!!"),
         dict(batch, pp=None),
         {k: v for k, v in batch.items() if k != "pp"},
+        dict(batch, junk="unsigned"),
     ]
     for bad in bad_batches:
         with pytest.raises(TdbError):
             tdb.batch_from_json(pp, bad)
+
+
+@pytest.mark.parametrize(
+    "place, reason",
+    [
+        ("batch", "malformed batch: unknown keys ['junk']"),
+        ("row", "row 0: malformed row: unknown keys ['junk']"),
+        ("secret", "malformed secret entry: unknown keys ['junk']"),
+    ],
+    ids=["batch", "row", "secret"],
+)
+def test_a_log_line_with_an_unknown_field_stops_the_open(system, tmp_path, place, reason):
+    """No signature covers a field the line format does not hold, so a
+    log line edited to carry one, at the top, in a row or in the entry,
+    stops the open, named by its line and by the field."""
+    suite, pp, _, rng = system
+    rows, secret, roster = make_batch(suite, pp, rng)
+    assert TenonDb(pp, root=tmp_path).ingest(rows, secret, roster=roster, rng=rng).accepted
+    log = tmp_path / "log.jsonl"
+    doc = json.loads(log.read_text())
+    {"batch": doc, "row": doc["rows"][0], "secret": doc["secret"]}[place]["junk"] = "unsigned"
+    log.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(TdbError) as err:
+        TenonDb(pp, root=tmp_path)
+    assert str(err.value) == "log line 1: " + reason
 
 
 # sha256 of the files a seeded mock store writes; see the test below
