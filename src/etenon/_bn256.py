@@ -159,7 +159,7 @@ class Group(NamedTuple):
     :func:`table`).  ``encode`` and ``decode`` are the wire codec; a
     decoder accepts only the bytes its encoder writes and raises
     AlgebraError on any others.  ``lockstep`` is the fewest table powers
-    that :func:`fixed_muls` walks in lockstep."""
+    that :func:`fixed_muls` walks in lockstep; 1 in GT and on mock."""
 
     add: Callable
     double: Callable
@@ -1033,14 +1033,17 @@ def final_exp(inp):
 # is normalised.  GT values have no affine form, so a column step there
 # is one multiplication per row.
 #
-# Many powers from tables of one group walk in lockstep (fixed_muls):
-# every half of every scalar is a lane, and the lanes' row entries are
-# added a row at a time as one column step, so on a curve a batch pays
-# one shared inversion per row step where lone walks pay a Jacobian add
-# per row and lane, and the results come out affine, ready to encode.
-# The inversion is paid per step however few lanes share it, so a
-# batch smaller than its group's ``lockstep`` minimum (below CURVE)
-# walks one power at a time (fixed_mul).
+# Every table power of the suite goes through fixed_muls, which walks
+# many powers of one group in lockstep: every half of every scalar is a
+# lane, and the lanes' row entries are added a row at a time as one
+# column step, so on a curve a batch pays one shared inversion per row
+# step where lone walks pay a Jacobian add per row and lane, and the
+# results come out affine, ready to encode.  The inversion is paid per
+# step however few lanes share it, so a batch below its group's
+# ``lockstep`` minimum walks one power at a time (fixed_mul).  In GT a
+# lone power walks as two lanes, no slower than fixed_mul: medians of
+# 2.79-3.02 ms against 2.80-3.09 ms over five alternated rounds of 40
+# powers on a 2-core x86 host.
 
 
 def _affine_columns(mul, sub, inv, one, coords, endo, entry, pick):

@@ -28,9 +28,9 @@ one Miller loop; its final exponentiation waits until the value is
 compared, encoded or raised (see :class:`G1Element`).  Every power, in
 any group, takes one of two algorithms: a base marked by
 :meth:`GroupSuite.fixed_base` walks its table of multiples, and the
-other bases of one evaluation share one multi-exponentiation.  Where
-many source-group powers are raised at once, :meth:`GroupSuite.settle`
-walks all their tables in lockstep.  Every
+other bases of one evaluation share one multi-exponentiation.  Only
+:meth:`GroupSuite.settle` evaluates pending source-group elements, one
+that is read or many at once, whose tables walk in lockstep.  Every
 operation ticks its counter when it is called, not when its work is
 done.  Two public values are computed once and kept: an element keeps
 its encoding from the first time it is encoded or decoded on, and a
@@ -161,11 +161,10 @@ class G0Element:
     the element stands for, as (point, scalar, table) terms and other
     elements, and the point is not yet computed.  A product with a
     pending operand is pending too.  Reading ``point`` (to encode, pair,
-    compare or raise the element) evaluates all its terms at once, each
-    term with a table from its table and the rest in one
-    multi-exponentiation, and keeps the result.  :meth:`GroupSuite.settle`
-    evaluates many pending elements so, but walks the table terms of
-    all of them together, in lockstep.  ``joins`` counts the
+    compare or raise the element) settles it (see
+    :meth:`GroupSuite.settle`): all its terms are evaluated at once,
+    each term with a table from its table and the rest in one
+    multi-exponentiation, and the result is kept.  ``joins`` counts the
     products the element is a factor of; a factor of several is
     evaluated once on its own, so no product repeats another's work.
 
@@ -193,8 +192,7 @@ class G0Element:
     @property
     def point(self):
         if self.factors is not None:
-            self._point = self.suite._sum(self.side, *self.suite._flatten(self))
-            self.factors = None
+            self.suite.settle((self,))
         return self._point
 
     def __mul__(self, other: "G0Element") -> "G0Element":
@@ -302,8 +300,8 @@ class GroupSuite:
     point) and, where discrete logs are free, ``dlog`` (the log of a
     payload).  Every other operation is done here, once, by the record
     of the element's side: a power by ``_bn256.split_mul`` or, from a
-    table, by ``_bn256.fixed_mul``, or by ``_bn256.fixed_muls`` with
-    other table powers (see :meth:`settle`).  Of the ``TARGET`` record only
+    table, by ``_bn256.fixed_muls``, which walks the table powers of one
+    evaluation together (see :meth:`settle`).  Of the ``TARGET`` record only
     ``add`` and ``neg`` see Miller values: ``add`` must be exact on them
     and ``neg`` exact once the result is finished.
     """
@@ -499,35 +497,29 @@ class GroupSuite:
         return terms, points
 
     def settle(self, elements) -> None:
-        """Evaluate the pending source-group elements together, as
-        reading each one's point would, but with every term that has a
-        table, of all the elements of one side, in one lockstep walk
-        (``_bn256.fixed_muls``), whose results need no inversion to be
-        encoded.  Each element's other terms take its own Straus pass and
-        its finished factors are added, as when its point is read.  It
+        """Evaluate pending source-group elements; reading one's point
+        settles it alone, so this is their only evaluator.  Each is the
+        sum of its table powers, one Straus pass (``_bn256.split_mul``)
+        over its other terms, which may split every scalar since every
+        element lies in the order-r subgroup, and its finished factors.
+        The table powers of one side, of all the elements, are one
+        ``_bn256.fixed_muls`` call, which walks a batch of the group's
+        ``lockstep`` minimum in lockstep, results ready to encode.  It
         ticks nothing: every power ticked when it was raised."""
         pending = [(x, *self._flatten(x)) for x in elements if x.factors is not None]
         for side in (LEFT, RIGHT):
+            group = self.groups[side]
             mine = [(x, terms, points) for x, terms, points in pending if x.side == side]
-            walked = iter(_bn256.fixed_muls(self.groups[side], [
+            walked = iter(_bn256.fixed_muls(group, [
                 (table, k) for _, terms, _ in mine for _, k, table in terms if table is not None
             ]))
             for x, terms, points in mine:
-                tabled = [next(walked) for _, _, table in terms if table is not None]
-                x._point = self._sum(side, [t for t in terms if t[2] is None], tabled + points)
+                values = [next(walked) for _, _, table in terms if table is not None]
+                straus = [(pt, k) for pt, k, table in terms if table is None]
+                if straus:
+                    values.append(_bn256.split_mul(group, straus))
+                x._point = functools.reduce(group.add, values + points)
                 x.factors = None
-
-    def _sum(self, side, terms, points):
-        """Each term with a table by its table and the others in one
-        Straus pass over their halves, none when every term has a table;
-        plus the points.  The pass may split every scalar, since every
-        element of a suite lies in its order-r subgroup."""
-        group = self.groups[side]
-        values = [_bn256.fixed_mul(group, table, k) for _, k, table in terms if table is not None]
-        straus = [(pt, k) for pt, k, table in terms if table is None]
-        if straus:
-            values.append(_bn256.split_mul(group, straus))
-        return functools.reduce(group.add, values + points)
 
     # ------------------------------------------------------------------
     # pairing and target-group arithmetic
@@ -598,9 +590,11 @@ class GroupSuite:
 
     def gt_exp(self, a: G1Element, k: int) -> G1Element:
         self._tick("exponentiations")
-        value = self._finished(a)
-        term = (value, k % self.order, self._table(a, TARGET, value))
-        return G1Element(self, self._sum(TARGET, [term], []))
+        value, k = self._finished(a), k % self.order
+        group, table = self.groups[TARGET], self._table(a, TARGET, value)
+        if table is None:
+            return G1Element(self, _bn256.split_mul(group, [(value, k)]))
+        return G1Element(self, _bn256.fixed_muls(group, [(table, k)])[0])
 
     def gt_eq(self, a: G1Element, b: G1Element) -> bool:
         return self._finished(a) == self._finished(b)

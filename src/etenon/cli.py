@@ -26,9 +26,9 @@ refuse a path that holds no store log.  ``setup``, ``keygen`` and
 its directory must exist, and it must not be another of the command's
 files (another output, an input, or a file inside ``--db`` or
 ``--keys``).
-``--seed`` makes every key public, so ``setup``, ``keygen``, ``ingest``
-and ``shuffle`` refuse it on a suite other than mock unless
-``--insecure-seed`` is given too.
+``--seed`` makes every key of ``setup`` and ``keygen`` public, and the
+open table's storage order of ``ingest`` and ``shuffle``, so each refuses
+it on a suite other than mock unless ``--insecure-seed`` is given too.
 Everything speaks JSON on disk and on stdout; failures print a
 machine-readable error object to stderr and exit nonzero.
 """
@@ -107,14 +107,14 @@ def _emit(doc) -> None:
 
 def _rng(args, suite):
     """The generator that ``--seed`` asks for, or None.  A seed makes
-    every key public, so on a suite other than mock it is refused unless
-    ``--insecure-seed`` is given."""
+    what the command draws public, so on a suite other than mock it is
+    refused unless ``--insecure-seed`` is given."""
     if args.seed is None:
         return None
     if not (is_mock(suite.name) or args.insecure_seed):
         raise InputError(
-            "--seed makes every key public; on suite %s it needs --insecure-seed"
-            % suite.name
+            "--seed makes %s public; on suite %s it needs --insecure-seed"
+            % (args.seed_exposes, suite.name)
         )
     return random.Random(args.seed)
 
@@ -576,11 +576,12 @@ def cmd_bench(args) -> int:
 # wiring
 
 
-SEED_HELP = "for tests and demos only: a seed makes every key public"
+SEED_HELP = "for tests and demos only: a seed makes %s public"
 
 
-def _seed_options(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+def _seed_options(p, exposes: str) -> None:
+    p.set_defaults(seed_exposes=exposes)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP % exposes)
     p.add_argument(
         "--insecure-seed", action="store_true", help="accept --seed on a suite other than mock"
     )
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="bn256", help="bn256, mock, or mock-<prime>")
     p.add_argument("--pp", required=True, help="where to write the public parameters")
     p.add_argument("--msk", required=True, help="where to write the master key")
-    _seed_options(p)
+    _seed_options(p, "every key")
     p.set_defaults(func=cmd_setup)
 
     p = sub.add_parser("keygen", help="issue a decryption key")
@@ -607,14 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--attr", action="append", required=True, help="attribute (repeatable)"
     )
     p.add_argument("--out", required=True, help="where to write the decryption key")
-    _seed_options(p)
+    _seed_options(p, "every key")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("ingest", help="push a signed batch through the gate")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True, help="store directory")
     p.add_argument("--batch", required=True, help="JSON with pp, roster, rows, secret")
-    _seed_options(p)
+    _seed_options(p, "the open table's storage order")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("retrieve", help="decrypt one entry and follow its chains")
@@ -628,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shuffle", help="re-permute the open table")
     p.add_argument("--pp", required=True)
     p.add_argument("--db", required=True)
-    _seed_options(p)
+    _seed_options(p, "the open table's storage order")
     p.set_defaults(func=cmd_shuffle)
 
     p = sub.add_parser("run-scenario", help="drive a configured multi-party run")
@@ -653,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--csv", default=None, help="also write the grid as CSV")
-    p.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    p.add_argument("--seed", type=int, default=None, help=SEED_HELP % "every key")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -1167,11 +1167,13 @@ _SETTLED = st.one_of(
 
 def _check_settled(suite, spec):
     """Elements built by ``spec`` and settled together encode byte for
-    byte as their twins, each evaluated on its own when it is encoded,
-    and settling them ticks nothing."""
+    byte as their twins, built from table-less decoded copies of the
+    bases, so that every power of a twin is a term of its own Straus
+    pass, and settling them ticks nothing."""
     bases = {side: _settle_bases(suite, side) for side in (LEFT, RIGHT)}
+    plain = {side: [suite.decode_g0(x.encode(), side) for x in xs] for side, xs in bases.items()}
 
-    def build():
+    def build(bases):
         out = []
         for side, factors, shared in spec:
             x = None
@@ -1184,11 +1186,11 @@ def _check_settled(suite, spec):
             out.append(x)
         return out
 
-    settled = build()
+    settled = build(bases)
     with suite.measure() as span:
         suite.settle(settled)
     assert span.as_dict() == OpCounters().as_dict()
-    for x, twin in zip(settled, build()):
+    for x, twin in zip(settled, build(plain)):
         assert x.encode() == twin.encode()
 
 
@@ -1242,6 +1244,60 @@ def test_bn256_settle_walks_in_lockstep_and_falls_back_on_edge_scalars(bn256, si
             assert group.normal(x.point) == group.normal(want), (edge, k)
             if not lone:
                 assert x.point == group.normal(x.point)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_bn256_reading_a_product_of_table_powers_walks_them_in_lockstep(bn256, side, monkeypatch):
+    """Reading the point of one product of the group's ``lockstep``
+    minimum of full-length table powers settles it: the powers walk in
+    lockstep, each in normal form, none alone, and the product equals
+    the ladder's power by the sum of the scalars."""
+    b = _bn256
+    group = bn256.groups[side]
+    g = bn256.generator if side == LEFT else bn256.right_generator
+    lone, walked = [], []
+    fixed_mul, fixed_muls = b.fixed_mul, b.fixed_muls
+
+    def spied_fixed_muls(group, items):
+        out = fixed_muls(group, items)
+        walked.extend(out)
+        return out
+
+    monkeypatch.setattr(b, "fixed_mul", lambda *args: lone.append(1) or fixed_mul(*args))
+    monkeypatch.setattr(b, "fixed_muls", spied_fixed_muls)
+    rng = random.Random(0x9EAD)
+    scalars = [rng.randrange(b.order) for _ in range(group.lockstep)]
+    x = g ** scalars[0]
+    for k in scalars[1:]:
+        x = x * g ** k
+    point = x.point
+    assert lone == [] and len(walked) == group.lockstep
+    assert all(q == group.normal(q) for q in walked)
+    want = oracles.ladder(
+        group.generator, sum(scalars) % b.order, group.add, group.double, group.identity
+    )
+    assert group.normal(point) == group.normal(want)
+
+
+def test_bn256_gt_table_powers_walk_in_lockstep_and_fall_back_on_edge_scalars(bn256, monkeypatch):
+    """A target-group power from a table walks its two halves in
+    lockstep, as the group's minimum is one power; one with a zero
+    half, among them 0, 1, 2, multiples of LAMBDA_P and 2**100 + 7,
+    walks alone.  Every power equals the ladder's in the cyclotomic
+    subgroup."""
+    b = _bn256
+    group = bn256.groups[TARGET]
+    base = bn256.fixed_base(bn256.decode_gt(bn256.gt_generator.encode()))
+    lone = []
+    fixed_mul = b.fixed_mul
+    monkeypatch.setattr(b, "fixed_mul", lambda *args: lone.append(1) or fixed_mul(*args))
+    order, lam = b.order, b.LAMBDA_P
+    full = random.Random(0x6E7).randrange(order)
+    for k in (full, 0, 1, 2, order - 1, order - 2, lam, 5 * lam % order, 2**100 + 7):
+        lone.clear()
+        power = (base ** k).value
+        assert lone == ([1] if 0 in group.split(k) else []), k
+        assert power == oracles.ladder(base.value, k, group.add, group.double, group.identity), k
 
 
 def test_bn256_gt_codec(bn256, rng):
@@ -1465,38 +1521,40 @@ def test_mock_pending_elements_match_exponent_arithmetic(side, program):
 
 
 def _evaluated_terms(suite, monkeypatch):
-    """For every evaluation of a pending source-group element of
-    ``suite``, the number of its terms: powers taken from tables plus
-    terms of the Straus pass.  A mock suite has one record for all three
-    groups, so an evaluation is told apart by the side ``_sum`` is
-    called with."""
-    passes, sides = [], []
-    evaluate, split_mul, fixed_mul = suite._sum, _bn256.split_mul, _bn256.fixed_mul
+    """For every pending source-group element that ``suite.settle``
+    evaluates, the number of its terms: its powers through
+    ``_bn256.fixed_muls`` plus its terms of the ``_bn256.split_mul``
+    pass.  The elements of one call are settled one at a time, so that
+    each one's work is told apart; a target-group power, which no
+    settle makes, is not counted."""
+    passes, frames = [], []
+    settle, split_mul, fixed_muls = suite.settle, _bn256.split_mul, _bn256.fixed_muls
 
-    def counted_sum(side, terms, points):
-        if side != TARGET:
-            passes.append(0)
-        sides.append(side)
-        try:
-            return evaluate(side, terms, points)
-        finally:
-            sides.pop()
+    def counted_settle(elements):
+        for x in elements:
+            if x.factors is None:
+                continue
+            frames.append(0)
+            try:
+                settle((x,))
+            finally:
+                passes.append(frames.pop())
 
     def count(n):
-        if sides and sides[-1] != TARGET:
-            passes[-1] += n
+        if frames:
+            frames[-1] += n
 
     def counted_split_mul(group, terms):
         count(len(terms))
         return split_mul(group, terms)
 
-    def counted_fixed_mul(group, table, k):
-        count(1)
-        return fixed_mul(group, table, k)
+    def counted_fixed_muls(group, items):
+        count(len(items))
+        return fixed_muls(group, items)
 
-    monkeypatch.setattr(suite, "_sum", counted_sum)
+    monkeypatch.setattr(suite, "settle", counted_settle)
     monkeypatch.setattr(_bn256, "split_mul", counted_split_mul)
-    monkeypatch.setattr(_bn256, "fixed_mul", counted_fixed_mul)
+    monkeypatch.setattr(_bn256, "fixed_muls", counted_fixed_muls)
     return passes
 
 

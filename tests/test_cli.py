@@ -643,13 +643,15 @@ def test_reads_of_a_missing_store_create_nothing(tmp_path, capsys, command):
 
 
 def test_a_seed_on_bn256_must_be_asked_for(tmp_path, capsys):
-    """A seed makes every key public, so on bn256 ``setup``, ``keygen``,
-    ``ingest`` and ``shuffle`` refuse it without ``--insecure-seed`` and
-    write nothing; with the flag a seeded setup is reproducible."""
+    """A seed makes every key of ``setup`` and ``keygen`` public, and the
+    open table's storage order of ``ingest`` and ``shuffle``, which draw
+    no key, so on bn256 each refuses it without ``--insecure-seed``, says
+    what the seed would expose and writes nothing; with the flag a
+    seeded setup is reproducible."""
     pp, msk = tmp_path / "pp.json", tmp_path / "msk.json"
     paths = ["--pp", str(pp), "--msk", str(msk)]
     doc = _assert_cli_json_error("InputError", "setup", "--suite", "bn256", "--seed", "1", *paths)
-    assert "--insecure-seed" in doc["message"]
+    assert doc["message"] == "--seed makes every key public; on suite bn256 it needs --insecure-seed"
     assert list(tmp_path.iterdir()) == []
     for out in (tmp_path / "again", tmp_path):
         out.mkdir(exist_ok=True)
@@ -661,13 +663,16 @@ def test_a_seed_on_bn256_must_be_asked_for(tmp_path, capsys):
     assert pp.read_text() == (tmp_path / "again" / "pp.json").read_text()
     before = sorted(tmp_path.rglob("*"))
     db = str(tmp_path / "db")
-    for argv in (
-        ["keygen", *paths, "--attr", "basic", "--out", str(tmp_path / "key.json")],
-        ["ingest", "--pp", str(pp), "--db", db, "--batch", str(tmp_path / "batch.json")],
-        ["shuffle", "--pp", str(pp), "--db", db],
+    order = "the open table's storage order"
+    for exposes, argv in (
+        ("every key", ["keygen", *paths, "--attr", "basic", "--out", str(tmp_path / "key.json")]),
+        (order, ["ingest", "--pp", str(pp), "--db", db, "--batch", str(tmp_path / "batch.json")]),
+        (order, ["shuffle", "--pp", str(pp), "--db", db]),
     ):
         doc = _assert_cli_json_error("InputError", *argv, "--seed", "3")
-        assert "--insecure-seed" in doc["message"], argv[0]
+        assert doc["message"] == (
+            "--seed makes %s public; on suite bn256 it needs --insecure-seed" % exposes
+        ), argv[0]
         assert sorted(tmp_path.rglob("*")) == before, argv[0]
 
 
@@ -1016,9 +1021,19 @@ def test_package_data_globs_match_the_data_files():
         assert any(f.match(glob) for glob in globs), "%s is not package data" % f
 
 
-@pytest.mark.parametrize("command", ["setup", "keygen", "ingest", "shuffle", "bench"])
-def test_seed_help_says_it_makes_every_key_public(capsys, command):
+def _help(capsys, command) -> str:
     with pytest.raises(SystemExit) as done:
         cli.main([command, "--help"])
     assert done.value.code == 0
-    assert "a seed makes every key public" in " ".join(capsys.readouterr().out.split())
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["setup", "keygen", "bench"])
+def test_seed_help_says_it_makes_every_key_public(capsys, command):
+    assert "a seed makes every key public" in _help(capsys, command)
+
+
+@pytest.mark.parametrize("command", ["ingest", "shuffle"])
+def test_seed_help_says_it_makes_the_storage_order_public(capsys, command):
+    """These commands draw no key: the seed fixes only the shuffle order."""
+    assert "a seed makes the open table's storage order public" in _help(capsys, command)
